@@ -1,6 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <atomic>
 #include <exception>
 
 #include "common/env.hpp"
@@ -74,7 +73,11 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
 
   const std::size_t chunks = std::min(workers, n);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::atomic<std::size_t> remaining{chunks};
+  // Completion state lives on this stack frame, so the last worker must
+  // finish touching it before the caller can return: `remaining` is only
+  // read and written under done_mutex, and the final notify happens before
+  // that lock is released.
+  std::size_t remaining = chunks;
   std::exception_ptr error;
   std::mutex error_mutex;
   std::mutex done_mutex;
@@ -90,15 +93,13 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         std::lock_guard lock(error_mutex);
         if (!error) error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
 
   std::unique_lock lock(done_mutex);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (error) std::rethrow_exception(error);
 }
 

@@ -3,7 +3,6 @@
 #include <array>
 #include <chrono>
 #include <limits>
-#include <mutex>
 #include <optional>
 
 #include "common/thread_pool.hpp"
@@ -189,7 +188,6 @@ CampaignResult run_campaign_range_impl(
   const FaultSiteSpace site_space(model.config());
   std::vector<Outcome> outcomes(last_trial - first_trial,
                                 Outcome::kNotInjected);
-  std::mutex callback_mutex;
   ThreadPool& pool =
       config.pool != nullptr ? *config.pool : ThreadPool::global();
   const GenerateOptions trial_options =
@@ -267,7 +265,13 @@ CampaignResult run_campaign_range_impl(
   Tracer* tracer =
       config.obs.tracer != nullptr ? config.obs.tracer : &Tracer::global();
 
-  pool.parallel_for(first_trial, last_trial, [&](std::size_t trial) {
+  // Trials run in windows of a few pool widths; each window's records are
+  // delivered in trial order after it joins (see TrialCallback), so at most
+  // one window of records is ever buffered.
+  const std::size_t window = 4 * std::max<std::size_t>(pool.size(), 1);
+  std::size_t window_lo = first_trial;
+  std::vector<TrialRecord> window_records;
+  const auto run_trial = [&](std::size_t trial) {
     using TrialClock = std::chrono::steady_clock;
     // Trials are timed for the histogram AND for TrialRecord::trial_ms;
     // the clock reads are nanoseconds against millisecond-scale trials.
@@ -381,10 +385,17 @@ CampaignResult run_campaign_range_impl(
       if (config.capture_clips) record.clips = protection.clip_events();
       record.scheme = scheme_display;
       record.trial_ms = elapsed_ms;
-      std::lock_guard lock(callback_mutex);
-      on_trial(record);
+      window_records[trial - window_lo] = std::move(record);
     }
-  });
+  };
+  for (; window_lo < last_trial; window_lo += window) {
+    const std::size_t window_hi = std::min(last_trial, window_lo + window);
+    if (on_trial) window_records.assign(window_hi - window_lo, TrialRecord{});
+    pool.parallel_for(window_lo, window_hi, run_trial);
+    if (on_trial) {
+      for (const TrialRecord& record : window_records) on_trial(record);
+    }
+  }
 
   CampaignResult result;
   for (Outcome o : outcomes) {

@@ -167,7 +167,11 @@ struct TrialRecord {
   double trial_ms = 0.0;
 };
 
-/// Called for every finished trial; invocations are serialized.
+/// Called once per trial, on the calling thread, in increasing trial order
+/// at any pool width: trials run in windows of a few pool widths and each
+/// window's records are delivered in order after the window finishes. A
+/// log written from this callback is therefore always a contiguous,
+/// resumable prefix of the trial range.
 using TrialCallback = std::function<void(const TrialRecord&)>;
 
 /// Runs the campaign for one protection scheme. `offline_bounds` may be an

@@ -562,29 +562,25 @@ ShardRunResult run_campaign_shard(const TransformerLM& model,
   const std::size_t resume_from = manifest.first_trial + recovered.size();
   recovered.clear();
   if (resume_from < manifest.last_trial) {
-    // Trials may finish out of order under a thread pool; buffering and
-    // flushing in trial order keeps the log's intact prefix contiguous,
-    // which is what makes the resume scan trivial. The campaign serializes
-    // callback invocations, so no extra lock is needed here.
-    std::map<std::size_t, TrialRecord> pending;
+    // The campaign delivers records in trial order (TrialCallback), so
+    // appending them as they arrive keeps the log's intact prefix
+    // contiguous, which is what makes the resume scan trivial.
     std::size_t next = resume_from;
     const TrialCallback writer = [&](const TrialRecord& record) {
-      pending.emplace(record.trial, record);
-      while (!pending.empty() && pending.begin()->first == next) {
-        const TrialRecord& flushed = pending.begin()->second;
-        trial_record_to_json(flushed).write(os, -1);
-        os << '\n';
-        os.flush();
-        emitter.record_outcome(flushed.outcome);
-        pending.erase(pending.begin());
-        ++next;
-      }
+      FT2_CHECK_MSG(record.trial == next, "shard writer got trial "
+                                              << record.trial << ", expected "
+                                              << next);
+      trial_record_to_json(record).write(os, -1);
+      os << '\n';
+      os.flush();
+      emitter.record_outcome(record.outcome);
+      ++next;
       emitter.maybe_emit(/*force=*/false);
     };
     const CampaignResult ran =
         run_campaign_range(model, inputs, scheme, offline_bounds, config,
                            resume_from, manifest.last_trial, writer);
-    FT2_CHECK_MSG(pending.empty() && next == manifest.last_trial,
+    FT2_CHECK_MSG(next == manifest.last_trial,
                   "shard writer stalled at trial " << next << " of ["
                                                    << manifest.first_trial
                                                    << ", "

@@ -115,11 +115,51 @@ inline void finish_output(std::span<float> values, const HookContext& ctx,
   }
 }
 
-inline void run_linear(const LinearWeights& lw, const Tensor& in, Tensor& out,
+ThreadPool& exec_pool(const ExecConfig& exec) {
+  return exec.pool != nullptr ? *exec.pool : ThreadPool::global();
+}
+
+using PackedBlock = PackedDecodeWeights::Block;
+
+/// The packed tiles of block `bi`, or null when running unpacked.
+inline const PackedBlock* block_tiles(const PackedDecodeWeights* packed,
+                                      std::size_t bi) {
+  return packed != nullptr ? &packed->blocks[bi] : nullptr;
+}
+
+/// The packed tiles of one layer of `pb`, or null when running unpacked.
+inline const PackedLinear* tiles(const PackedBlock* pb,
+                                 PackedLinear PackedBlock::*layer) {
+  return pb != nullptr ? &(pb->*layer) : nullptr;
+}
+
+/// One linear layer's GEMM over the first `rows` rows of `in`: from the
+/// pre-packed tiles `pl` when given (non-chunked accumulation only),
+/// otherwise from the weights with a per-call repack. Both run the same
+/// kernel body, so results, tallies and event order are identical.
+inline void linear_rows(const LinearWeights& lw, const PackedLinear* pl,
+                        const Tensor& in, std::size_t rows, Tensor& out,
+                        const ExecConfig& exec, ThreadPool& pool,
+                        const KernelEpilogue* epi = nullptr,
+                        EpilogueTally* tally = nullptr) {
+  if (pl != nullptr && !exec.chunked_accum) {
+    linear_forward_span_packed(in, rows, *pl, out, pool, epi, tally);
+  } else {
+    linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
+                        exec.chunked_accum, pool, epi, tally);
+  }
+}
+
+/// Single-position linear. `pl` (with the `pool` that runs it) selects the
+/// packed kernel, which shares linear_forward_row's accumulation order.
+inline void run_linear(const LinearWeights& lw, const PackedLinear* pl,
+                       ThreadPool* pool, const Tensor& in, Tensor& out,
                        const ExecConfig& exec, const HookChain& hooks,
                        int block, LayerKind kind, std::size_t pos,
                        bool first_token) {
-  if (exec.chunked_accum) {
+  if (pl != nullptr && !exec.chunked_accum) {
+    linear_forward_span_packed(in, 1, *pl, out, *pool);
+  } else if (exec.chunked_accum) {
     linear_forward_row_chunked(in.row(0), lw.w, lw.bias_span(), out.row(0));
   } else {
     linear_forward_row(in.row(0), lw.w, lw.bias_span(), out.row(0));
@@ -134,8 +174,8 @@ inline void run_linear(const LinearWeights& lw, const Tensor& in, Tensor& out,
 /// [rows x width] span. Per-element accumulation order matches run_linear.
 /// With an active fusion plan the quantize/protect sweep runs inside the
 /// GEMM store epilogue instead of as separate passes.
-inline void run_linear_span(const LinearWeights& lw, const Tensor& in,
-                            std::size_t rows, Tensor& out,
+inline void run_linear_span(const LinearWeights& lw, const PackedLinear* pl,
+                            const Tensor& in, std::size_t rows, Tensor& out,
                             const ExecConfig& exec, ThreadPool& pool,
                             const HookChain& hooks, int block, LayerKind kind,
                             std::size_t pos0, bool first_token) {
@@ -143,17 +183,16 @@ inline void run_linear_span(const LinearWeights& lw, const Tensor& in,
   HookContext ctx{LayerSite{block, kind}, pos0, first_token, rows, width};
   const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
   if (!plan.active) {
-    linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
-                        exec.chunked_accum, pool);
+    linear_rows(lw, pl, in, rows, out, exec, pool);
     std::span<float> view{out.data(), rows * width};
     maybe_quantize(view, exec.fp16);
     hooks.dispatch(ctx, view);
     return;
   }
+  // An active plan implies non-chunked accumulation.
   EpilogueTally tally;
-  linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
-                      /*chunked_accum=*/false, pool, &plan.epi,
-                      plan.provider != nullptr ? &tally : nullptr);
+  linear_rows(lw, pl, in, rows, out, exec, pool, &plan.epi,
+              plan.provider != nullptr ? &tally : nullptr);
   std::span<float> view{out.data(), rows * width};
   if (plan.provider != nullptr) {
     plan.provider->absorb_fused(ctx, view, plan.epi, tally);
@@ -175,12 +214,7 @@ inline void run_linear_batch(const LinearWeights& lw, const PackedLinear* pl,
                              Tensor& out, const ExecConfig& exec,
                              ThreadPool& pool, int block, LayerKind kind) {
   const std::size_t rows = slots.size();
-  if (pl != nullptr && !exec.chunked_accum) {
-    linear_forward_span_packed(in, rows, *pl, out, pool);
-  } else {
-    linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
-                        exec.chunked_accum, pool);
-  }
+  linear_rows(lw, pl, in, rows, out, exec, pool);
   for (std::size_t r = 0; r < rows; ++r) {
     HookContext ctx{LayerSite{block, kind}, slots[r].pos,
                     /*first_token_phase=*/false};
@@ -193,15 +227,18 @@ inline void run_linear_batch(const LinearWeights& lw, const PackedLinear* pl,
 void TransformerLM::attention(const BlockWeights& blk, std::size_t block_idx,
                               std::size_t pos, KvCache& cache,
                               const HookChain& hooks, const ExecConfig& exec,
-                              bool first_token, Workspace& ws) const {
+                              bool first_token, Workspace& ws,
+                              const PackedDecodeWeights* packed,
+                              ThreadPool* pool) const {
   const bool fp16 = exec.fp16;
   const int b = static_cast<int>(block_idx);
-  run_linear(blk.q, ws.h, ws.q, exec, hooks, b, LayerKind::kQProj, pos,
-             first_token);
-  run_linear(blk.k, ws.h, ws.k, exec, hooks, b, LayerKind::kKProj, pos,
-             first_token);
-  run_linear(blk.v, ws.h, ws.v, exec, hooks, b, LayerKind::kVProj, pos,
-             first_token);
+  const PackedBlock* pb = block_tiles(packed, block_idx);
+  run_linear(blk.q, tiles(pb, &PackedBlock::q), pool, ws.h, ws.q, exec,
+             hooks, b, LayerKind::kQProj, pos, first_token);
+  run_linear(blk.k, tiles(pb, &PackedBlock::k), pool, ws.h, ws.k, exec,
+             hooks, b, LayerKind::kKProj, pos, first_token);
+  run_linear(blk.v, tiles(pb, &PackedBlock::v), pool, ws.h, ws.v, exec,
+             hooks, b, LayerKind::kVProj, pos, first_token);
 
   const std::size_t n_heads = config_.n_heads;
   const std::size_t head_dim = config_.head_dim();
@@ -242,26 +279,28 @@ void TransformerLM::attention(const BlockWeights& blk, std::size_t block_idx,
   }
   maybe_quantize(out, fp16);
 
-  run_linear(blk.o, ws.attn_out, ws.o, exec, hooks, b, LayerKind::kOutProj,
-             pos, first_token);
+  run_linear(blk.o, tiles(pb, &PackedBlock::o), pool, ws.attn_out, ws.o, exec,
+             hooks, b, LayerKind::kOutProj, pos, first_token);
 }
 
 void TransformerLM::mlp(const BlockWeights& blk, std::size_t block_idx,
                         const Tensor& input, const HookChain& hooks,
                         const ExecConfig& exec, bool first_token,
-                        Workspace& ws) const {
+                        Workspace& ws, const PackedDecodeWeights* packed,
+                        ThreadPool* pool) const {
   const bool fp16 = exec.fp16;
   const int b = static_cast<int>(block_idx);
   const bool llama = config_.arch == ArchFamily::kLlama;
+  const PackedBlock* pb = block_tiles(packed, block_idx);
   // `pos` only matters for hook context; reuse the attention position via
   // ws.scores? Instead we thread pos through ws: simplest is to record it.
   const std::size_t pos = ws.current_pos;
 
   if (llama) {
-    run_linear(blk.fc1, input, ws.f1, exec, hooks, b, LayerKind::kGateProj,
-               pos, first_token);
-    run_linear(blk.up, input, ws.f_up, exec, hooks, b, LayerKind::kUpProj,
-               pos, first_token);
+    run_linear(blk.fc1, tiles(pb, &PackedBlock::fc1), pool, input, ws.f1,
+               exec, hooks, b, LayerKind::kGateProj, pos, first_token);
+    run_linear(blk.up, tiles(pb, &PackedBlock::up), pool, input, ws.f_up,
+               exec, hooks, b, LayerKind::kUpProj, pos, first_token);
     std::copy(ws.f1.row(0).begin(), ws.f1.row(0).end(), ws.act.row(0).begin());
     silu(ws.act.row(0));
     finish_output(ws.act.row(0),
@@ -270,11 +309,11 @@ void TransformerLM::mlp(const BlockWeights& blk, std::size_t block_idx,
                   hooks, exec);
     mul_inplace(ws.act.row(0), ws.f_up.row(0));
     maybe_quantize(ws.act.row(0), fp16);
-    run_linear(blk.fc2, ws.act, ws.f2, exec, hooks, b, LayerKind::kDownProj,
-               pos, first_token);
+    run_linear(blk.fc2, tiles(pb, &PackedBlock::fc2), pool, ws.act, ws.f2,
+               exec, hooks, b, LayerKind::kDownProj, pos, first_token);
   } else {
-    run_linear(blk.fc1, input, ws.f1, exec, hooks, b, LayerKind::kFc1, pos,
-               first_token);
+    run_linear(blk.fc1, tiles(pb, &PackedBlock::fc1), pool, input, ws.f1,
+               exec, hooks, b, LayerKind::kFc1, pos, first_token);
     std::copy(ws.f1.row(0).begin(), ws.f1.row(0).end(), ws.act.row(0).begin());
     if (config_.activation == Activation::kRelu) {
       relu(ws.act.row(0));
@@ -285,8 +324,8 @@ void TransformerLM::mlp(const BlockWeights& blk, std::size_t block_idx,
                   HookContext{LayerSite{b, LayerKind::kMlpAct}, pos,
                               first_token},
                   hooks, exec);
-    run_linear(blk.fc2, ws.act, ws.f2, exec, hooks, b, LayerKind::kFc2, pos,
-               first_token);
+    run_linear(blk.fc2, tiles(pb, &PackedBlock::fc2), pool, ws.act, ws.f2,
+               exec, hooks, b, LayerKind::kFc2, pos, first_token);
   }
 }
 
@@ -294,14 +333,18 @@ void TransformerLM::forward_position(int token, std::size_t pos,
                                      KvCache& cache, const HookChain& hooks,
                                      const ExecConfig& exec,
                                      bool first_token_phase, Workspace& ws,
-                                     std::span<float> logits) const {
+                                     std::span<float> logits,
+                                     const PackedDecodeWeights* packed) const {
   const bool fp16 = exec.fp16;
   FT2_CHECK_MSG(cache.length() == pos,
                 "cache length " << cache.length() << " != pos " << pos);
   FT2_CHECK(pos < config_.max_seq);
   FT2_CHECK(token >= 0 &&
             static_cast<std::size_t>(token) < config_.vocab_size);
-  FT2_CHECK(logits.size() == config_.vocab_size);
+  FT2_CHECK(logits.empty() || logits.size() == config_.vocab_size);
+  check_packed(packed);
+  // The pool only runs packed tiles; the unpacked path stays scalar.
+  ThreadPool* pool = packed != nullptr ? &exec_pool(exec) : nullptr;
   ws.current_pos = pos;
 
   // Embedding (+ learned positions for OPT).
@@ -318,11 +361,12 @@ void TransformerLM::forward_position(int token, std::size_t pos,
     apply_norm_row(blk.norm1, ws.x.row(0), ws.h.row(0));
     maybe_quantize(ws.h.row(0), fp16);
 
-    attention(blk, bi, pos, cache, hooks, exec, first_token_phase, ws);
+    attention(blk, bi, pos, cache, hooks, exec, first_token_phase, ws, packed,
+              pool);
 
     if (config_.parallel_block) {
       // GPT-J: MLP reads the same normed input; single residual add.
-      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws);
+      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws, packed, pool);
       add_inplace(x, ws.o.row(0));
       add_inplace(x, ws.f2.row(0));
       maybe_quantize(x, fp16);
@@ -331,16 +375,39 @@ void TransformerLM::forward_position(int token, std::size_t pos,
       maybe_quantize(x, fp16);
       apply_norm_row(blk.norm2, ws.x.row(0), ws.h.row(0));
       maybe_quantize(ws.h.row(0), fp16);
-      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws);
+      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws, packed, pool);
       add_inplace(x, ws.f2.row(0));
       maybe_quantize(x, fp16);
     }
   }
   cache.advance();
 
-  apply_norm_row(weights_.final_norm, ws.x.row(0), ws.final_h.row(0));
-  maybe_quantize(ws.final_h.row(0), fp16);
-  linear_forward_row(ws.final_h.row(0), weights_.lm_head.w, {}, logits);
+  if (logits.empty()) return;
+  lm_head(ws.x.row(0), exec, ws, packed, pool, logits);
+}
+
+void TransformerLM::lm_head(std::span<const float> x, const ExecConfig& exec,
+                            Workspace& ws, const PackedDecodeWeights* packed,
+                            ThreadPool* pool, std::span<float> logits) const {
+  apply_norm_row(weights_.final_norm, x, ws.final_h.row(0));
+  maybe_quantize(ws.final_h.row(0), exec.fp16);
+  // Always the non-chunked kernel, with no quantization and no hooks on
+  // logits; packed tiles share linear_forward_row's accumulation order.
+  if (packed != nullptr) {
+    linear_forward_span_packed(ws.final_h, 1, packed->lm_head, ws.logits,
+                               *pool);
+    const auto row = ws.logits.row(0);
+    std::copy(row.begin(), row.end(), logits.begin());
+  } else {
+    linear_forward_row(ws.final_h.row(0), weights_.lm_head.w, {}, logits);
+  }
+}
+
+void TransformerLM::check_packed(const PackedDecodeWeights* packed) const {
+  if (packed != nullptr) {
+    FT2_CHECK_MSG(packed->blocks.size() == config_.n_blocks,
+                  "packed weights built for a different model");
+  }
 }
 
 void TransformerLM::attention_span(const BlockWeights& blk,
@@ -348,15 +415,17 @@ void TransformerLM::attention_span(const BlockWeights& blk,
                                    std::size_t n, KvCache& cache,
                                    const HookChain& hooks,
                                    const ExecConfig& exec, bool first_token,
-                                   Workspace& ws, ThreadPool& pool) const {
+                                   Workspace& ws, ThreadPool& pool,
+                                   const PackedDecodeWeights* packed) const {
   const bool fp16 = exec.fp16;
   const int b = static_cast<int>(block_idx);
-  run_linear_span(blk.q, ws.h, n, ws.q, exec, pool, hooks, b,
-                  LayerKind::kQProj, pos0, first_token);
-  run_linear_span(blk.k, ws.h, n, ws.k, exec, pool, hooks, b,
-                  LayerKind::kKProj, pos0, first_token);
-  run_linear_span(blk.v, ws.h, n, ws.v, exec, pool, hooks, b,
-                  LayerKind::kVProj, pos0, first_token);
+  const PackedBlock* pb = block_tiles(packed, block_idx);
+  run_linear_span(blk.q, tiles(pb, &PackedBlock::q), ws.h, n, ws.q, exec,
+                  pool, hooks, b, LayerKind::kQProj, pos0, first_token);
+  run_linear_span(blk.k, tiles(pb, &PackedBlock::k), ws.h, n, ws.k, exec,
+                  pool, hooks, b, LayerKind::kKProj, pos0, first_token);
+  run_linear_span(blk.v, tiles(pb, &PackedBlock::v), ws.h, n, ws.v, exec,
+                  pool, hooks, b, LayerKind::kVProj, pos0, first_token);
 
   const std::size_t n_heads = config_.n_heads;
   const std::size_t head_dim = config_.head_dim();
@@ -409,26 +478,31 @@ void TransformerLM::attention_span(const BlockWeights& blk,
     maybe_quantize(out, fp16);
   });
 
-  run_linear_span(blk.o, ws.attn_out, n, ws.o, exec, pool, hooks, b,
-                  LayerKind::kOutProj, pos0, first_token);
+  run_linear_span(blk.o, tiles(pb, &PackedBlock::o), ws.attn_out, n, ws.o,
+                  exec, pool, hooks, b, LayerKind::kOutProj, pos0,
+                  first_token);
 }
 
 void TransformerLM::mlp_span(const BlockWeights& blk, std::size_t block_idx,
                              const Tensor& input, std::size_t pos0,
                              std::size_t n, const HookChain& hooks,
                              const ExecConfig& exec, bool first_token,
-                             Workspace& ws, ThreadPool& pool) const {
+                             Workspace& ws, ThreadPool& pool,
+                             const PackedDecodeWeights* packed) const {
   const bool fp16 = exec.fp16;
   const int b = static_cast<int>(block_idx);
   const bool llama = config_.arch == ArchFamily::kLlama;
   const std::size_t d_ff = config_.d_ff;
   std::span<float> act_view{ws.act.data(), n * d_ff};
+  const PackedBlock* pb = block_tiles(packed, block_idx);
 
   if (llama) {
-    run_linear_span(blk.fc1, input, n, ws.f1, exec, pool, hooks, b,
-                    LayerKind::kGateProj, pos0, first_token);
-    run_linear_span(blk.up, input, n, ws.f_up, exec, pool, hooks, b,
-                    LayerKind::kUpProj, pos0, first_token);
+    run_linear_span(blk.fc1, tiles(pb, &PackedBlock::fc1), input, n, ws.f1,
+                    exec, pool, hooks, b, LayerKind::kGateProj, pos0,
+                    first_token);
+    run_linear_span(blk.up, tiles(pb, &PackedBlock::up), input, n, ws.f_up,
+                    exec, pool, hooks, b, LayerKind::kUpProj, pos0,
+                    first_token);
     std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
     silu(act_view);
     finish_output(act_view,
@@ -437,11 +511,12 @@ void TransformerLM::mlp_span(const BlockWeights& blk, std::size_t block_idx,
                   hooks, exec);
     mul_inplace(act_view, {ws.f_up.data(), n * d_ff});
     maybe_quantize(act_view, fp16);
-    run_linear_span(blk.fc2, ws.act, n, ws.f2, exec, pool, hooks, b,
-                    LayerKind::kDownProj, pos0, first_token);
+    run_linear_span(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, n, ws.f2,
+                    exec, pool, hooks, b, LayerKind::kDownProj, pos0,
+                    first_token);
   } else {
-    run_linear_span(blk.fc1, input, n, ws.f1, exec, pool, hooks, b,
-                    LayerKind::kFc1, pos0, first_token);
+    run_linear_span(blk.fc1, tiles(pb, &PackedBlock::fc1), input, n, ws.f1,
+                    exec, pool, hooks, b, LayerKind::kFc1, pos0, first_token);
     std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
     if (config_.activation == Activation::kRelu) {
       relu(act_view);
@@ -452,8 +527,8 @@ void TransformerLM::mlp_span(const BlockWeights& blk, std::size_t block_idx,
                   HookContext{LayerSite{b, LayerKind::kMlpAct}, pos0,
                               first_token, n, d_ff},
                   hooks, exec);
-    run_linear_span(blk.fc2, ws.act, n, ws.f2, exec, pool, hooks, b,
-                    LayerKind::kFc2, pos0, first_token);
+    run_linear_span(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, n, ws.f2,
+                    exec, pool, hooks, b, LayerKind::kFc2, pos0, first_token);
   }
 }
 
@@ -461,7 +536,8 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
                                  KvCache& cache, const HookChain& hooks,
                                  const ExecConfig& exec,
                                  bool first_token_phase, Workspace& ws,
-                                 std::span<float> logits) const {
+                                 std::span<float> logits,
+                                 const PackedDecodeWeights* packed) const {
   const std::size_t n = tokens.size();
   const bool fp16 = exec.fp16;
   FT2_CHECK(n > 0);
@@ -469,9 +545,10 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
                 "cache length " << cache.length() << " != pos0 " << pos0);
   FT2_CHECK(pos0 + n <= config_.max_seq);
   FT2_CHECK(logits.empty() || logits.size() == config_.vocab_size);
+  check_packed(packed);
   ws.ensure_chunk_capacity(config_, n);
   ws.current_pos = pos0;
-  ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
+  ThreadPool& pool = exec_pool(exec);
 
   for (std::size_t r = 0; r < n; ++r) {
     const int token = tokens[r];
@@ -494,11 +571,11 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
     }
 
     attention_span(blk, bi, pos0, n, cache, hooks, exec, first_token_phase,
-                   ws, pool);
+                   ws, pool, packed);
 
     if (config_.parallel_block) {
       mlp_span(blk, bi, ws.h, pos0, n, hooks, exec, first_token_phase, ws,
-               pool);
+               pool, packed);
       for (std::size_t r = 0; r < n; ++r) {
         auto x = ws.x.row(r);
         add_inplace(x, ws.o.row(r));
@@ -514,7 +591,7 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
         maybe_quantize(ws.h.row(r), fp16);
       }
       mlp_span(blk, bi, ws.h, pos0, n, hooks, exec, first_token_phase, ws,
-               pool);
+               pool, packed);
       for (std::size_t r = 0; r < n; ++r) {
         auto x = ws.x.row(r);
         add_inplace(x, ws.f2.row(r));
@@ -527,9 +604,7 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
   if (logits.empty()) return;
   // Only the last span position's logits are observable: generate() ignores
   // intermediate prefill logits, so the blocked path never computes them.
-  apply_norm_row(weights_.final_norm, ws.x.row(n - 1), ws.final_h.row(0));
-  maybe_quantize(ws.final_h.row(0), fp16);
-  linear_forward_row(ws.final_h.row(0), weights_.lm_head.w, {}, logits);
+  lm_head(ws.x.row(n - 1), exec, ws, packed, &pool, logits);
 }
 
 void TransformerLM::attention_batch(const BlockWeights& blk,
@@ -541,14 +616,13 @@ void TransformerLM::attention_batch(const BlockWeights& blk,
   const bool fp16 = exec.fp16;
   const int b = static_cast<int>(block_idx);
   const std::size_t n = slots.size();
-  const PackedDecodeWeights::Block* pb =
-      packed != nullptr ? &packed->blocks[block_idx] : nullptr;
-  run_linear_batch(blk.q, pb != nullptr ? &pb->q : nullptr, ws.h, slots,
-                   ws.q, exec, pool, b, LayerKind::kQProj);
-  run_linear_batch(blk.k, pb != nullptr ? &pb->k : nullptr, ws.h, slots,
-                   ws.k, exec, pool, b, LayerKind::kKProj);
-  run_linear_batch(blk.v, pb != nullptr ? &pb->v : nullptr, ws.h, slots,
-                   ws.v, exec, pool, b, LayerKind::kVProj);
+  const PackedBlock* pb = block_tiles(packed, block_idx);
+  run_linear_batch(blk.q, tiles(pb, &PackedBlock::q), ws.h, slots, ws.q, exec,
+                   pool, b, LayerKind::kQProj);
+  run_linear_batch(blk.k, tiles(pb, &PackedBlock::k), ws.h, slots, ws.k, exec,
+                   pool, b, LayerKind::kKProj);
+  run_linear_batch(blk.v, tiles(pb, &PackedBlock::v), ws.h, slots, ws.v, exec,
+                   pool, b, LayerKind::kVProj);
 
   const std::size_t n_heads = config_.n_heads;
   const std::size_t head_dim = config_.head_dim();
@@ -599,8 +673,8 @@ void TransformerLM::attention_batch(const BlockWeights& blk,
     maybe_quantize(out, fp16);
   });
 
-  run_linear_batch(blk.o, pb != nullptr ? &pb->o : nullptr, ws.attn_out,
-                   slots, ws.o, exec, pool, b, LayerKind::kOutProj);
+  run_linear_batch(blk.o, tiles(pb, &PackedBlock::o), ws.attn_out, slots,
+                   ws.o, exec, pool, b, LayerKind::kOutProj);
 }
 
 void TransformerLM::mlp_batch(const BlockWeights& blk, std::size_t block_idx,
@@ -615,8 +689,7 @@ void TransformerLM::mlp_batch(const BlockWeights& blk, std::size_t block_idx,
   const std::size_t n = slots.size();
   const std::size_t d_ff = config_.d_ff;
   std::span<float> act_view{ws.act.data(), n * d_ff};
-  const PackedDecodeWeights::Block* pb =
-      packed != nullptr ? &packed->blocks[block_idx] : nullptr;
+  const PackedBlock* pb = block_tiles(packed, block_idx);
 
   // Per-slot MlpAct finish: the activation is elementwise, so row r holds
   // exactly the values the sequential path hands this slot's chain (the
@@ -630,20 +703,20 @@ void TransformerLM::mlp_batch(const BlockWeights& blk, std::size_t block_idx,
   };
 
   if (llama) {
-    run_linear_batch(blk.fc1, pb != nullptr ? &pb->fc1 : nullptr, input,
-                     slots, ws.f1, exec, pool, b, LayerKind::kGateProj);
-    run_linear_batch(blk.up, pb != nullptr ? &pb->up : nullptr, input, slots,
+    run_linear_batch(blk.fc1, tiles(pb, &PackedBlock::fc1), input, slots,
+                     ws.f1, exec, pool, b, LayerKind::kGateProj);
+    run_linear_batch(blk.up, tiles(pb, &PackedBlock::up), input, slots,
                      ws.f_up, exec, pool, b, LayerKind::kUpProj);
     std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
     silu(act_view);
     finish_act();
     mul_inplace(act_view, {ws.f_up.data(), n * d_ff});
     maybe_quantize(act_view, fp16);
-    run_linear_batch(blk.fc2, pb != nullptr ? &pb->fc2 : nullptr, ws.act,
-                     slots, ws.f2, exec, pool, b, LayerKind::kDownProj);
+    run_linear_batch(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, slots,
+                     ws.f2, exec, pool, b, LayerKind::kDownProj);
   } else {
-    run_linear_batch(blk.fc1, pb != nullptr ? &pb->fc1 : nullptr, input,
-                     slots, ws.f1, exec, pool, b, LayerKind::kFc1);
+    run_linear_batch(blk.fc1, tiles(pb, &PackedBlock::fc1), input, slots,
+                     ws.f1, exec, pool, b, LayerKind::kFc1);
     std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
     if (config_.activation == Activation::kRelu) {
       relu(act_view);
@@ -651,8 +724,8 @@ void TransformerLM::mlp_batch(const BlockWeights& blk, std::size_t block_idx,
       gelu(act_view);
     }
     finish_act();
-    run_linear_batch(blk.fc2, pb != nullptr ? &pb->fc2 : nullptr, ws.act,
-                     slots, ws.f2, exec, pool, b, LayerKind::kFc2);
+    run_linear_batch(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, slots,
+                     ws.f2, exec, pool, b, LayerKind::kFc2);
   }
 }
 
@@ -672,12 +745,9 @@ void TransformerLM::forward_batch(std::span<DecodeSlot> slots,
               static_cast<std::size_t>(s.token) < config_.vocab_size);
     FT2_CHECK(s.logits.size() == config_.vocab_size);
   }
-  if (packed != nullptr) {
-    FT2_CHECK_MSG(packed->blocks.size() == config_.n_blocks,
-                  "packed weights built for a different model");
-  }
+  check_packed(packed);
   ws.ensure_chunk_capacity(config_, n);
-  ThreadPool& pool = exec.pool != nullptr ? *exec.pool : ThreadPool::global();
+  ThreadPool& pool = exec_pool(exec);
 
   for (std::size_t r = 0; r < n; ++r) {
     auto x = ws.x.row(r);
@@ -782,33 +852,48 @@ InferenceSession::InferenceSession(const TransformerLM& model)
       ws_(model.config()),
       logits_(model.config().vocab_size) {}
 
+std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
+                               std::size_t len) {
+  FT2_CHECK(pos < len);
+  return chunk == 0 ? len - pos : std::min(chunk, len - pos);
+}
+
+void forward_prefill_chunk(const TransformerLM& model,
+                           std::span<const int> tokens, std::size_t pos,
+                           std::size_t n, KvCache& cache,
+                           const HookChain& hooks, const ExecConfig& exec,
+                           Workspace& ws, std::span<float> logits,
+                           const PackedDecodeWeights* packed) {
+  FT2_CHECK(n > 0 && pos + n <= tokens.size());
+  // Logits are only needed from the chunk that ends the sequence; earlier
+  // chunks skip the LM head entirely.
+  const std::span<float> out =
+      pos + n == tokens.size() ? logits : std::span<float>{};
+  if (n == 1) {
+    model.forward_position(tokens[pos], pos, cache, hooks, exec,
+                           /*first_token_phase=*/true, ws, out, packed);
+  } else {
+    model.forward_span(tokens.subspan(pos, n), pos, cache, hooks, exec,
+                       /*first_token_phase=*/true, ws, out, packed);
+  }
+}
+
 std::size_t run_prefill(const TransformerLM& model,
                         std::span<const int> prompt,
                         const GenerateOptions& options, KvCache& cache,
                         const HookChain& hooks, Workspace& ws,
                         std::span<float> logits) {
   const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
-  const std::size_t max_seq = model.config().max_seq;
-  const std::size_t prompt_len = std::min(prompt.size(), max_seq);
-  const std::size_t chunk =
-      options.prefill_chunk == 0 ? prompt_len : options.prefill_chunk;
-  std::size_t pos = 0;
-  while (pos < prompt_len) {
-    const std::size_t n = std::min(chunk, prompt_len - pos);
-    // Logits are only needed from the chunk containing the last prompt
-    // position; earlier chunks skip the LM head entirely.
-    const bool last_chunk = pos + n == prompt_len;
-    if (n == 1) {
-      model.forward_position(prompt[pos], pos, cache, hooks, exec,
-                             /*first_token_phase=*/true, ws, logits);
-    } else {
-      model.forward_span(prompt.subspan(pos, n), pos, cache, hooks, exec,
-                         /*first_token_phase=*/true, ws,
-                         last_chunk ? logits : std::span<float>{});
-    }
+  const std::span<const int> tokens =
+      prompt.first(std::min(prompt.size(), model.config().max_seq));
+  for (std::size_t pos = 0; pos < tokens.size();) {
+    const std::size_t n =
+        prefill_chunk_rows(options.prefill_chunk, pos, tokens.size());
+    forward_prefill_chunk(model, tokens, pos, n, cache, hooks, exec, ws,
+                          logits);
     pos += n;
   }
-  return prompt_len;
+  return tokens.size();
 }
 
 int sample_from_logits(std::span<const float> logits, float temperature,

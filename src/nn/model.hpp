@@ -102,12 +102,16 @@ class TransformerLM {
 
   /// Computes logits for the token at sequence position `pos`.
   /// Preconditions: cache.length() == pos. Appends this position's K/V to
-  /// the cache and advances it. `logits` must have vocab_size elements.
-  /// Hooks fire for every observable layer output.
+  /// the cache and advances it. `logits` must have vocab_size elements, or
+  /// be empty to skip the LM head. Hooks fire for every observable layer
+  /// output. `packed` (optional) supplies pre-packed GEMM tiles, run on
+  /// `exec.pool` — a pure layout cache that must match this model's
+  /// current weights; results are bit-exact either way.
   void forward_position(int token, std::size_t pos, KvCache& cache,
                         const HookChain& hooks, const ExecConfig& exec,
                         bool first_token_phase, Workspace& ws,
-                        std::span<float> logits) const;
+                        std::span<float> logits,
+                        const PackedDecodeWeights* packed = nullptr) const;
 
   /// Backward-compatible overload taking only the fp16 flag.
   void forward_position(int token, std::size_t pos, KvCache& cache,
@@ -126,11 +130,14 @@ class TransformerLM {
   /// once per layer site with a [n_positions x width] span view. `logits`
   /// receives the output for the LAST span position only (intermediate
   /// prefill logits are never observed by generate); pass an empty span to
-  /// skip the LM head entirely.
+  /// skip the LM head entirely. `packed` (optional) supplies pre-packed
+  /// GEMM tiles for every linear layer and the LM head, with the fused
+  /// epilogue applied in the packed kernel exactly as in the repacking one.
   void forward_span(std::span<const int> tokens, std::size_t pos0,
                     KvCache& cache, const HookChain& hooks,
                     const ExecConfig& exec, bool first_token_phase,
-                    Workspace& ws, std::span<float> logits) const;
+                    Workspace& ws, std::span<float> logits,
+                    const PackedDecodeWeights* packed = nullptr) const;
 
   /// Batched decode: advances every slot's sequence by one position in a
   /// single pass, stacking the B slots' rows into a B x K * K x N GEMM per
@@ -152,21 +159,26 @@ class TransformerLM {
   }
 
  private:
+  // `packed` may be null (unpacked weights); the single-position paths
+  // take a `pool` only to run packed tiles.
   void attention(const BlockWeights& blk, std::size_t block_idx,
                  std::size_t pos, KvCache& cache, const HookChain& hooks,
-                 const ExecConfig& exec, bool first_token,
-                 Workspace& ws) const;
+                 const ExecConfig& exec, bool first_token, Workspace& ws,
+                 const PackedDecodeWeights* packed, ThreadPool* pool) const;
   void mlp(const BlockWeights& blk, std::size_t block_idx, const Tensor& input,
            const HookChain& hooks, const ExecConfig& exec, bool first_token,
-           Workspace& ws) const;
+           Workspace& ws, const PackedDecodeWeights* packed,
+           ThreadPool* pool) const;
   void attention_span(const BlockWeights& blk, std::size_t block_idx,
                       std::size_t pos0, std::size_t n, KvCache& cache,
                       const HookChain& hooks, const ExecConfig& exec,
-                      bool first_token, Workspace& ws, ThreadPool& pool) const;
+                      bool first_token, Workspace& ws, ThreadPool& pool,
+                      const PackedDecodeWeights* packed) const;
   void mlp_span(const BlockWeights& blk, std::size_t block_idx,
                 const Tensor& input, std::size_t pos0, std::size_t n,
                 const HookChain& hooks, const ExecConfig& exec,
-                bool first_token, Workspace& ws, ThreadPool& pool) const;
+                bool first_token, Workspace& ws, ThreadPool& pool,
+                const PackedDecodeWeights* packed) const;
   void attention_batch(const BlockWeights& blk, std::size_t block_idx,
                        std::span<DecodeSlot> slots, const ExecConfig& exec,
                        Workspace& ws, ThreadPool& pool,
@@ -177,18 +189,25 @@ class TransformerLM {
                  const PackedDecodeWeights* packed) const;
   void apply_norm_row(const NormWeights& nw, std::span<const float> in,
                       std::span<float> out) const;
+  /// Final norm of residual row `x`, then the LM head into `logits`.
+  void lm_head(std::span<const float> x, const ExecConfig& exec,
+               Workspace& ws, const PackedDecodeWeights* packed,
+               ThreadPool* pool, std::span<float> logits) const;
+  void check_packed(const PackedDecodeWeights* packed) const;
 
   ModelConfig config_;
   ModelWeights weights_;
 };
 
-/// Pre-packed k-outer GEMM tiles for every decode-path linear layer of one
-/// model (attention projections, MLP, LM head). The batched decode re-runs
-/// each layer's GEMM every step over a handful of rows; packing once here
-/// removes the per-call repack that linear_forward_span amortizes over
-/// whole prefill chunks. Packing is pure layout — results stay bit-exact.
-/// Snapshot semantics: weights mutated after construction (e.g.
-/// ScopedWeightFault) are not reflected; rebuild to observe them.
+/// Pre-packed k-outer GEMM tiles for every linear layer of one model
+/// (attention projections, MLP, LM head), consumed by forward_batch,
+/// forward_span and forward_position. The serve engine re-runs each
+/// layer's GEMM every decode step and every prefill chunk; packing once
+/// here removes the per-call repack of linear_forward_span. Packing is
+/// pure layout — results, hook traffic and fused-epilogue tallies stay
+/// bit-exact. Snapshot semantics: weights mutated after construction
+/// (e.g. ScopedWeightFault) are not reflected in any path fed these
+/// tiles, decode or prefill; rebuild to observe them.
 struct PackedDecodeWeights {
   struct Block {
     PackedLinear q, k, v, o;
@@ -228,14 +247,31 @@ struct GenerateResult {
   bool cancelled = false;         ///< stopped early by ServeEngine::cancel
 };
 
+/// Width of the prefill chunk that starts at `pos` of a `len`-position
+/// prefill cut into chunks of `chunk` positions from position 0 (0 = the
+/// whole remainder in one chunk).
+std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
+                               std::size_t len);
+
+/// Runs positions [pos, pos + n) of the prefill sequence `tokens` (n from
+/// prefill_chunk_rows) in the first-token phase. The one chunk dispatch
+/// every prefill path uses — run_prefill, ServeEngine's budgeted chunks
+/// and its recompute replay — so their rules cannot drift: a 1-wide chunk
+/// goes through forward_position, any wider one through forward_span, and
+/// `logits` is written only by the chunk that ends `tokens` (earlier chunks
+/// skip the LM head). `packed` (optional) feeds every GEMM of the chunk.
+void forward_prefill_chunk(const TransformerLM& model,
+                           std::span<const int> tokens, std::size_t pos,
+                           std::size_t n, KvCache& cache,
+                           const HookChain& hooks, const ExecConfig& exec,
+                           Workspace& ws, std::span<float> logits,
+                           const PackedDecodeWeights* packed = nullptr);
+
 /// Runs the blocked prompt prefill exactly as InferenceSession::generate
-/// does: chunks of `options.prefill_chunk` positions (0 = whole prompt,
-/// 1-wide chunks go through forward_position), logits computed only from
-/// the chunk containing the last prompt position. Does NOT bracket the
-/// hook chain with begin/end — the caller owns the generation scope.
-/// Returns the number of prompt positions run (the prompt is truncated to
-/// the model's max_seq). Shared by InferenceSession and ServeEngine so the
-/// two paths cannot drift.
+/// does: forward_prefill_chunk over chunks of `options.prefill_chunk`
+/// positions, unpacked. Does NOT bracket the hook chain with begin/end —
+/// the caller owns the generation scope. Returns the number of prompt
+/// positions run (the prompt is truncated to the model's max_seq).
 std::size_t run_prefill(const TransformerLM& model,
                         std::span<const int> prompt,
                         const GenerateOptions& options, KvCache& cache,

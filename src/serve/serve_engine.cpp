@@ -533,7 +533,6 @@ bool ServeEngine::begin_admission(Request& req) {
     // token is still pending, not fed). Victims are hook-free, so the
     // replay's chunk boundaries and first_token_phase flag only touch
     // compute, which is bit-exact; no token is ever re-sampled.
-    const std::size_t P = req.prefill_len(model_.config().max_seq);
     std::vector<int> fed(req.prompt.begin(),
                          req.prompt.begin() +
                              static_cast<std::ptrdiff_t>(req.next_prefill));
@@ -542,24 +541,14 @@ bool ServeEngine::begin_admission(Request& req) {
                  req.result.tokens.end() - 1);
     }
     FT2_ASSERT(fed.size() == req.pos);
-    GenerateOptions o = req.options;
-    if (o.pool == nullptr) o.pool = options_.pool;
-    const ExecConfig exec{o.fp16, o.chunked_accum, o.pool};
-    const std::size_t chunk = o.prefill_chunk == 0 ? P : o.prefill_chunk;
-    const std::span<const int> fed_span{fed.data(), fed.size()};
     std::size_t pos = 0;
     while (pos < fed.size()) {
-      const std::size_t n = std::min(chunk, fed.size() - pos);
+      const std::size_t n =
+          prefill_chunk_rows(req.options.prefill_chunk, pos, fed.size());
       if (!reserve_rows_or_evict(req, n)) return false;
-      if (n == 1) {
-        model_.forward_position(fed[pos], pos, req.cache, req.hooks, exec,
-                                /*first_token_phase=*/true, ws_,
-                                {req.logits.data(), req.logits.size()});
-      } else {
-        model_.forward_span(fed_span.subspan(pos, n), pos, req.cache,
-                            req.hooks, exec, /*first_token_phase=*/true, ws_,
-                            std::span<float>{});
-      }
+      // No logits: the replayed sequence's next token is already sampled.
+      forward_prefill_chunk(model_, fed, pos, n, req.cache, req.hooks,
+                            exec_for(req.options), ws_, {}, packed());
       pos += n;
       // Replayed positions are engine work but not solo-equivalent
       // positions: result.positions_run already counted them.
@@ -575,17 +564,15 @@ bool ServeEngine::begin_admission(Request& req) {
 }
 
 std::size_t ServeEngine::run_prefill_chunk(Request& req) {
-  // One chunk, sized and dispatched exactly as run_prefill (nn/model.cpp)
-  // would: chunks of options.prefill_chunk from position 0, width-1 chunks
-  // through forward_position with a live logits span. Identical chunk
-  // boundaries mean identical hook dispatch shapes, so a hooked request
-  // sees the same traffic a solo generate produces no matter how the
-  // prefill_chunk_budget spreads its chunks across engine steps.
-  const std::size_t P = req.prefill_len(model_.config().max_seq);
-  const GenerateOptions& o = req.options;
-  const std::size_t chunk = o.prefill_chunk == 0 ? P : o.prefill_chunk;
-  const std::size_t n = std::min(chunk, P - req.next_prefill);
-  FT2_ASSERT(n > 0);
+  // One chunk, sized and dispatched by the same helpers run_prefill
+  // (nn/model.cpp) uses. Identical chunk boundaries mean identical hook
+  // dispatch shapes, so a hooked request sees the same traffic a solo
+  // generate produces no matter how the prefill_chunk_budget spreads its
+  // chunks across engine steps.
+  const std::span<const int> prompt{
+      req.prompt.data(), req.prefill_len(model_.config().max_seq)};
+  const std::size_t n = prefill_chunk_rows(req.options.prefill_chunk,
+                                           req.next_prefill, prompt.size());
   if (!reserve_rows_or_evict(req, n)) return 0;
 
   TraceSpan span = tracer_->span("serve.prefill");
@@ -595,28 +582,20 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
         .tag("prompt_tokens", std::to_string(req.prompt.size()))
         .tag("positions", std::to_string(n));
   }
-  GenerateOptions opts = o;
-  if (opts.pool == nullptr) opts.pool = options_.pool;
-  const ExecConfig exec{opts.fp16, opts.chunked_accum, opts.pool};
-  const bool last_chunk = req.next_prefill + n == P;
-  const std::span<const int> prompt{req.prompt.data(), P};
-  const std::span<float> logits{req.logits.data(), req.logits.size()};
-  if (n == 1) {
-    model_.forward_position(prompt[req.next_prefill], req.next_prefill,
-                            req.cache, req.hooks, exec,
-                            /*first_token_phase=*/true, ws_, logits);
-  } else {
-    model_.forward_span(prompt.subspan(req.next_prefill, n), req.next_prefill,
-                        req.cache, req.hooks, exec,
-                        /*first_token_phase=*/true, ws_,
-                        last_chunk ? logits : std::span<float>{});
-  }
+  forward_prefill_chunk(model_, prompt, req.next_prefill, n, req.cache,
+                        req.hooks, exec_for(req.options), ws_,
+                        {req.logits.data(), req.logits.size()}, packed());
   req.next_prefill += n;
   req.pos += n;
   req.result.positions_run += n;
   counters_.prefill_positions += n;
   metrics_.prefill_positions.inc(n);
   return n;
+}
+
+ExecConfig ServeEngine::exec_for(const GenerateOptions& o) const {
+  return ExecConfig{o.fp16, o.chunked_accum,
+                    o.pool != nullptr ? o.pool : options_.pool};
 }
 
 void ServeEngine::finish_prefill(Request& req) {
@@ -745,8 +724,7 @@ void ServeEngine::decode_step() {
                                  {req->logits.data(), req->logits.size()}});
     }
     const ExecConfig exec{(idx & 1u) != 0, (idx & 2u) != 0, options_.pool};
-    model_.forward_batch(slots, exec, ws_,
-                         packed_.has_value() ? &*packed_ : nullptr);
+    model_.forward_batch(slots, exec, ws_, packed());
     ++counters_.decode_steps;
     counters_.decode_rows += slots.size();
     metrics_.decode_steps.inc();

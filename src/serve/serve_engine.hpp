@@ -59,10 +59,14 @@ class ThreadPool;
 struct ServeOptions {
   std::size_t max_batch = 8;   ///< max sequences holding slots per step
   ThreadPool* pool = nullptr;  ///< pool for GEMM fan-out (null = global)
-  /// Pre-pack every decode-path weight matrix into k-outer GEMM tiles at
-  /// engine construction (PackedDecodeWeights). Pure layout: results are
-  /// bit-exact either way. Disable to observe weight mutations made after
-  /// engine construction (e.g. ScopedWeightFault) in the decode GEMMs.
+  /// Pre-pack every weight matrix into k-outer GEMM tiles at engine
+  /// construction (PackedDecodeWeights). The tiles feed every forward the
+  /// engine runs: batched decode, budgeted prefill chunks (the fused FT2
+  /// first-token epilogue included), 1-wide chunks, recompute replays and
+  /// the LM head. Pure layout: results are bit-exact either way. The
+  /// tiles are a snapshot, so disable to observe weight mutations made
+  /// after engine construction (e.g. ScopedWeightFault) in the decode AND
+  /// prefill GEMMs.
   bool pack_weights = true;
 
   /// Paged KV allocation (nn/kv_pool.hpp). Off: every request owns a dense
@@ -233,6 +237,13 @@ class ServeEngine {
   void admit_and_prefill();
   bool begin_admission(Request& req);
   std::size_t run_prefill_chunk(Request& req);
+  /// Prefill execution config of a request: its own knobs, on its own pool
+  /// or else the engine's.
+  ExecConfig exec_for(const GenerateOptions& o) const;
+  /// Packed tiles for every forward (null when pack_weights is off).
+  const PackedDecodeWeights* packed() const {
+    return packed_.has_value() ? &*packed_ : nullptr;
+  }
   void finish_prefill(Request& req);
   bool reserve_rows_or_evict(Request& req, std::size_t rows);
   bool preempt_one(const Request* except, const SchedEntry* limit);

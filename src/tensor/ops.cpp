@@ -38,14 +38,17 @@ void linear_forward_row(std::span<const float> x, const Tensor& w,
   }
 }
 
-void linear_forward_row_chunked(std::span<const float> x, const Tensor& w,
-                                std::span<const float> bias,
-                                std::span<float> y) {
-  const std::size_t n = w.dim(0);
+namespace {
+
+/// Chunked-accumulation dot products for output columns [o_lo, o_hi) of one
+/// row: 8-wide partial sums with a pairwise lane reduction (the Fig. 16
+/// alternate-reduction-order mode).
+void chunked_row_range(std::span<const float> x, const Tensor& w,
+                       std::span<const float> bias, std::span<float> y,
+                       std::size_t o_lo, std::size_t o_hi) {
   const std::size_t k = w.dim(1);
-  FT2_ASSERT(x.size() == k && y.size() == n);
   const float* wd = w.data();
-  for (std::size_t o = 0; o < n; ++o) {
+  for (std::size_t o = o_lo; o < o_hi; ++o) {
     const float* row = wd + o * k;
     float partial[8] = {0, 0, 0, 0, 0, 0, 0, 0};
     std::size_t i = 0;
@@ -67,52 +70,76 @@ void linear_forward_row_chunked(std::span<const float> x, const Tensor& w,
   }
 }
 
-namespace {
-
-/// Chunked-accumulation tile (the Fig. 16 alternate-reduction-order mode):
-/// identical to linear_forward_row_chunked per output element.
-void gemm_tile_chunked(std::span<const float> x, const Tensor& w,
-                       std::span<const float> bias, std::span<float> y,
-                       std::size_t o_lo, std::size_t o_hi) {
+/// Writes weight columns [o_lo, o_lo + width) transposed into
+/// wt[k][tile_cols] and their bias into bias_padded[tile_cols], both
+/// zero-padded past `width`, so the micro-kernel's inner loop reads
+/// contiguous memory. The tile width comes from the dispatch tier
+/// (tensor/dispatch.hpp): 16 columns on the SSE reference, 32 on AVX2, 64
+/// on AVX-512.
+void pack_tile(const Tensor& w, std::span<const float> bias, std::size_t o_lo,
+               std::size_t width, std::size_t tile_cols, float* wt,
+               float* bias_padded) {
   const std::size_t k = w.dim(1);
-  const float* wd = w.data();
-  for (std::size_t o = o_lo; o < o_hi; ++o) {
-    const float* row = wd + o * k;
-    float partial[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::size_t i = 0;
-    for (; i + 8 <= k; i += 8) {
-      for (std::size_t lane = 0; lane < 8; ++lane) {
-        partial[lane] += row[i + lane] * x[i + lane];
-      }
-    }
-    float acc = bias.empty() ? 0.0f : bias[o];
-    for (; i < k; ++i) acc += row[i] * x[i];
-    partial[0] += partial[4];
-    partial[1] += partial[5];
-    partial[2] += partial[6];
-    partial[3] += partial[7];
-    partial[0] += partial[2];
-    partial[1] += partial[3];
-    y[o] = acc + partial[0] + partial[1];
-  }
-}
-
-/// Repacks weight columns [o_lo, o_lo + width) transposed into
-/// wt[k][tile_cols] (zero-padded past `width`) so the micro-kernel's inner
-/// loop reads contiguous memory. The tile width comes from the dispatch
-/// tier (tensor/dispatch.hpp): 16 columns on the SSE reference, 32 on
-/// AVX2, 64 on AVX-512.
-void pack_weight_tile(const Tensor& w, std::size_t o_lo, std::size_t width,
-                      std::size_t tile_cols, std::vector<float>& wt) {
-  const std::size_t k = w.dim(1);
-  wt.assign(k * tile_cols, 0.0f);
+  std::fill_n(wt, k * tile_cols, 0.0f);
+  std::fill_n(bias_padded, tile_cols, 0.0f);
   for (std::size_t j = 0; j < width; ++j) {
     const float* src = w.data() + (o_lo + j) * k;
     for (std::size_t i = 0; i < k; ++i) wt[i * tile_cols + j] = src[i];
+    if (!bias.empty()) bias_padded[j] = bias[o_lo + j];
   }
 }
 
+/// One column group's packed weights, as the micro-kernel reads them.
+struct TileView {
+  const float* wt;           ///< [k x tile_cols]
+  const float* bias_padded;  ///< [tile_cols]
+};
+
+/// The k-outer span GEMM shared by the packed and repacking paths: one task
+/// per tile_cols-wide column group g, covering columns [o_lo, o_lo +
+/// width); `tile(g, o_lo, width)` supplies the group's packed weights,
+/// which the task runs against every row through the kernel.
+/// Partitioning is per output element, so any pool size produces identical
+/// results. Epilogue tallies are accumulated per task and merged under a
+/// lock; event order is restored by a flat-index sort after the join, so
+/// the fused accounting is deterministic at any pool size and matches a
+/// sequential sweep of the output span.
+template <class TileFn>
+void kouter_span(const Tensor& x, std::size_t rows, std::size_t n,
+                 std::size_t k, const KernelOps& ops, Tensor& y,
+                 ThreadPool& pool, const KernelEpilogue* epi,
+                 EpilogueTally* tally, const TileFn& tile) {
+  const std::size_t tile_cols = ops.tile_cols;
+  const std::size_t col_groups = (n + tile_cols - 1) / tile_cols;
+  std::mutex tally_mu;
+  pool.parallel_for(0, col_groups, [&](std::size_t g) {
+    const std::size_t o_lo = g * tile_cols;
+    const std::size_t width = std::min(tile_cols, n - o_lo);
+    const TileView t = tile(g, o_lo, width);
+    EpilogueTally local;
+    EpilogueTally* local_ptr = tally != nullptr ? &local : nullptr;
+    for (std::size_t r = 0; r < rows; ++r) {
+      ops.kouter_row(x.row(r).data(), t.wt, k, t.bias_padded,
+                     y.row(r).data() + o_lo, width, r * n + o_lo, epi,
+                     local_ptr);
+    }
+    if (local_ptr != nullptr &&
+        (local.nan != 0 || local.oob != 0 || !local.events.empty())) {
+      const std::lock_guard<std::mutex> lock(tally_mu);
+      tally->merge(std::move(local));
+    }
+  });
+  if (tally != nullptr) tally->sort_events();
+}
+
 }  // namespace
+
+void linear_forward_row_chunked(std::span<const float> x, const Tensor& w,
+                                std::span<const float> bias,
+                                std::span<float> y) {
+  FT2_ASSERT(x.size() == w.dim(1) && y.size() == w.dim(0));
+  chunked_row_range(x, w, bias, y, 0, w.dim(0));
+}
 
 PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
     : n(w.dim(0)),
@@ -122,23 +149,19 @@ PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
   FT2_CHECK(w.rank() == 2);
   FT2_CHECK(bias_in.empty() || bias_in.size() == n);
   const std::size_t groups = (n + tile_cols - 1) / tile_cols;
-  tiles.assign(groups * k * tile_cols, 0.0f);
-  bias.assign(groups * tile_cols, 0.0f);
+  tiles.resize(groups * k * tile_cols);
+  bias.resize(groups * tile_cols);
   for (std::size_t g = 0; g < groups; ++g) {
     const std::size_t o_lo = g * tile_cols;
-    const std::size_t width = std::min(tile_cols, n - o_lo);
-    float* wt = tiles.data() + g * k * tile_cols;
-    for (std::size_t j = 0; j < width; ++j) {
-      const float* src = w.data() + (o_lo + j) * k;
-      for (std::size_t i = 0; i < k; ++i) wt[i * tile_cols + j] = src[i];
-      if (!bias_in.empty()) bias[g * tile_cols + j] = bias_in[o_lo + j];
-    }
+    pack_tile(w, bias_in, o_lo, std::min(tile_cols, n - o_lo), tile_cols,
+              tiles.data() + g * k * tile_cols, bias.data() + g * tile_cols);
   }
 }
 
 void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const PackedLinear& pl, Tensor& y,
-                                ThreadPool& pool) {
+                                ThreadPool& pool, const KernelEpilogue* epi,
+                                EpilogueTally* tally) {
   FT2_CHECK(x.rank() == 2 && y.rank() == 2);
   FT2_CHECK(rows <= x.dim(0) && rows <= y.dim(0));
   FT2_CHECK_MSG(x.dim(1) == pl.k && y.dim(1) == pl.n,
@@ -146,17 +169,11 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                     << pl.n << "," << pl.k << "] y cols " << y.dim(1));
   if (rows == 0) return;
   const std::size_t tile_cols = pl.tile_cols;
-  const std::size_t col_groups = (pl.n + tile_cols - 1) / tile_cols;
-  pool.parallel_for(0, col_groups, [&](std::size_t g) {
-    const float* wt = pl.tiles.data() + g * pl.k * tile_cols;
-    const float* bias_padded = pl.bias.data() + g * tile_cols;
-    const std::size_t o_lo = g * tile_cols;
-    const std::size_t width = std::min(tile_cols, pl.n - o_lo);
-    for (std::size_t r = 0; r < rows; ++r) {
-      pl.ops->kouter_row(x.row(r).data(), wt, pl.k, bias_padded,
-                         y.row(r).data() + o_lo, width, 0, nullptr, nullptr);
-    }
-  });
+  kouter_span(x, rows, pl.n, pl.k, *pl.ops, y, pool, epi, tally,
+              [&](std::size_t g, std::size_t, std::size_t) {
+                return TileView{pl.tiles.data() + g * pl.k * tile_cols,
+                                pl.bias.data() + g * tile_cols};
+              });
 }
 
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
@@ -190,47 +207,24 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
       const std::size_t t = task % col_tiles;
       const std::size_t o_lo = t * tile_cols;
       const std::size_t o_hi = std::min(n, o_lo + tile_cols);
-      gemm_tile_chunked(x.row(r), w, bias, y.row(r), o_lo, o_hi);
+      chunked_row_range(x.row(r), w, bias, y.row(r), o_lo, o_hi);
     });
     return;
   }
 
-  // Fast path: one task per tile_cols-wide column tile. Each task packs its
-  // weight tile once (amortized over all chunk rows) and runs the k-outer
-  // kernel row by row. Partitioning is per output element, so any pool size
-  // produces identical results. Epilogue tallies are accumulated per task
-  // and merged under a lock; event order is restored by a flat-index sort
-  // after the join, so the fused accounting is deterministic at any pool
-  // size and matches a sequential sweep of the output span.
+  // Fast path: each task packs its weight tile into per-thread scratch
+  // (amortized over all chunk rows), then runs the shared k-outer body.
   const KernelOps& ops = active_kernel_ops();
   const std::size_t tile_cols = ops.tile_cols;
-  const std::size_t col_groups = (n + tile_cols - 1) / tile_cols;
-  std::mutex tally_mu;
-  pool.parallel_for(0, col_groups, [&](std::size_t g) {
-    thread_local std::vector<float> wt;
-    const std::size_t o_lo = g * tile_cols;
-    const std::size_t width = std::min(tile_cols, n - o_lo);
-    pack_weight_tile(w, o_lo, width, tile_cols, wt);
-    // Widest tile across tiers is 64 columns (AVX-512).
-    FT2_ASSERT(tile_cols <= 64);
-    float bias_padded[64] = {};
-    if (!bias.empty()) {
-      for (std::size_t j = 0; j < width; ++j) bias_padded[j] = bias[o_lo + j];
-    }
-    EpilogueTally local;
-    EpilogueTally* local_ptr = tally != nullptr ? &local : nullptr;
-    for (std::size_t r = 0; r < rows; ++r) {
-      ops.kouter_row(x.row(r).data(), wt.data(), k, bias_padded,
-                     y.row(r).data() + o_lo, width, r * n + o_lo, epi,
-                     local_ptr);
-    }
-    if (local_ptr != nullptr &&
-        (local.nan != 0 || local.oob != 0 || !local.events.empty())) {
-      const std::lock_guard<std::mutex> lock(tally_mu);
-      tally->merge(std::move(local));
-    }
-  });
-  if (tally != nullptr) tally->sort_events();
+  kouter_span(x, rows, n, k, ops, y, pool, epi, tally,
+              [&](std::size_t, std::size_t o_lo, std::size_t width) {
+                thread_local std::vector<float> scratch;
+                scratch.resize((k + 1) * tile_cols);
+                float* bias_padded = scratch.data() + k * tile_cols;
+                pack_tile(w, bias, o_lo, width, tile_cols, scratch.data(),
+                          bias_padded);
+                return TileView{scratch.data(), bias_padded};
+              });
 }
 
 void softmax(std::span<float> v) {

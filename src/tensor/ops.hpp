@@ -51,13 +51,13 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          const KernelEpilogue* epi = nullptr,
                          EpilogueTally* tally = nullptr);
 
-/// One weight matrix repacked once into the k-outer micro-kernel's
+/// One weight matrix packed once into the k-outer micro-kernel's
 /// transposed column tiles (bias pre-padded per tile). linear_forward_span
-/// repacks tiles on every call — fine for prefill, where the pack cost is
-/// amortized over a whole chunk of rows, but wasteful for batched decode,
-/// which re-runs every layer's GEMM each step with only a handful of rows.
-/// Packing only changes memory layout, never the per-element accumulation
-/// order, so the packed path stays bit-exact with linear_forward_row.
+/// repacks each tile on every call; callers that re-run the same layer
+/// many times (batched decode every step, prefill every chunk) pack once
+/// here instead. Packing only changes memory layout, never the per-element
+/// accumulation order, so the packed path stays bit-exact with
+/// linear_forward_row.
 /// Snapshot semantics: mutating `w` after packing (e.g. a weight fault) is
 /// not reflected — construct a fresh PackedLinear instead. The tile width
 /// and kernel are snapshotted from the active dispatch tier at pack time;
@@ -81,10 +81,15 @@ struct PackedLinear {
 
 /// Packed counterpart of linear_forward_span (non-chunked accumulation
 /// only): y.row(r) = W * x.row(r) + b for r in [0, rows). Bit-exact with
-/// linear_forward_row at any pool size.
+/// linear_forward_row at any pool size. `epi` / `tally` carry the fused
+/// store epilogue exactly as in linear_forward_span; both functions run
+/// the same per-tile body, so packed and repacked results, tallies and
+/// event order are identical.
 void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const PackedLinear& pl, Tensor& y,
-                                ThreadPool& pool);
+                                ThreadPool& pool,
+                                const KernelEpilogue* epi = nullptr,
+                                EpilogueTally* tally = nullptr);
 
 /// In-place numerically-stable softmax over the last `cols` elements of each
 /// row; `row_len` rows of length `cols`.

@@ -71,5 +71,47 @@ TEST(ThreadPool, LargeRangeChunking) {
   EXPECT_EQ(count, 100000u);
 }
 
+/// Overwrites the stack region the previous parallel_for frame used, so a
+/// worker that still touches that call's completion state reads garbage.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char junk[4096];
+  for (std::size_t i = 0; i < sizeof(junk); ++i) junk[i] = 0xA5;
+}
+
+// Many back-to-back short parallel_for calls: each call's completion state
+// lives on the caller's stack, so a worker still touching it after the
+// caller returns shows up here as a crash, a hang or an ASan report.
+TEST(ThreadPoolStress, ManyShortParallelForsComplete) {
+  ThreadPool pool(4);
+  std::size_t total = 0;
+  for (std::size_t call = 0; call < 20000; ++call) {
+    const std::size_t n = 1 + call % 9;
+    std::atomic<std::size_t> sum{0};
+    pool.parallel_for(0, n, [&](std::size_t i) { sum += i + 1; });
+    ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "call " << call;
+    scribble_stack();
+    total += sum.load();
+  }
+  EXPECT_GT(total, 0u);
+}
+
+TEST(ThreadPoolStress, ExceptionsPropagateUnderRepeatedCalls) {
+  ThreadPool pool(4);
+  for (std::size_t call = 0; call < 2000; ++call) {
+    const std::size_t n = 2 + call % 7;
+    const std::size_t bad = call % n;
+    EXPECT_THROW(pool.parallel_for(0, n,
+                                   [&](std::size_t i) {
+                                     if (i == bad) throw Error("boom");
+                                   }),
+                 Error)
+        << "call " << call;
+    // The pool stays usable after a throwing call.
+    std::atomic<std::size_t> hits{0};
+    pool.parallel_for(0, n, [&](std::size_t) { ++hits; });
+    ASSERT_EQ(hits.load(), n) << "call " << call;
+  }
+}
+
 }  // namespace
 }  // namespace ft2
