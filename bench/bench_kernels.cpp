@@ -7,10 +7,12 @@
 //   bench_kernels [google-benchmark flags]
 //       the registered BM_* microbenchmarks (default mode);
 //   bench_kernels --tiers [--json FILE]
-//       per-dispatch-tier GEMM and quantize throughput (every tier the
-//       host supports, plus the fused protection epilogue's cost on the
-//       GEMM store path). --json writes the bench/baselines/
-//       BENCH_kernels.json shape; without it a table prints.
+//       per-dispatch-tier GEMM, row-GEMV and quantize throughput (every
+//       tier the host supports, plus the fused protection epilogue's cost
+//       on the GEMM store path). The SSE tier's row GEMV is the scalar
+//       chain every tier ran before the vector row kernel existed.
+//       --json writes the bench/baselines/BENCH_kernels.json shape;
+//       without it a table prints.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -173,7 +175,11 @@ struct TierRates {
   double gemm_packed_gflops = 0.0;  ///< pre-packed tiles (batched decode path)
   double gemm_fused_gflops = 0.0;   ///< span GEMM + quantize/bounds epilogue
   double quantize_gelems = 0.0;     ///< quantize_span_f16 sweep
+  double gemv_gflops = 0.0;         ///< row GEMV on row-major weights
 };
+
+/// Row GEMV shape: the benchmark model's MLP up-projection (d_ff x d_model).
+constexpr std::size_t kGemvN = 384, kGemvK = 128;
 
 TierRates measure_tier(KernelTier tier, std::size_t n, std::size_t k,
                        std::size_t rows, std::size_t reps) {
@@ -215,6 +221,21 @@ TierRates measure_tier(KernelTier tier, std::size_t n, std::size_t k,
     }) / 1e9;
   }
   {
+    // Single-row linear straight from the row-major weights: the unpacked
+    // forward_position path (sessions, campaign trials).
+    Tensor wg({kGemvN, kGemvK});
+    std::vector<float> xg(kGemvK), yg(kGemvN), bg(kGemvN);
+    for (float& f : wg.span()) f = rng.uniform_float(-0.1f, 0.1f);
+    for (float& f : xg) f = rng.uniform_float(-1.0f, 1.0f);
+    for (float& f : bg) f = rng.uniform_float(-0.5f, 0.5f);
+    const double gemv_flops = 2.0 * static_cast<double>(kGemvN * kGemvK);
+    const KernelOps& ops = kernel_ops_for(tier);
+    rates.gemv_gflops = best_items_per_sec(gemv_flops, reps, [&] {
+      ops.gemv_row(xg.data(), wg.data(), kGemvN, kGemvK, bg.data(),
+                   yg.data());
+    }) / 1e9;
+  }
+  {
     std::vector<float> v(1u << 16);
     for (float& f : v) f = rng.uniform_float(-4.0f, 4.0f);
     rates.quantize_gelems = best_items_per_sec(
@@ -231,7 +252,7 @@ int run_tiers(const ArgParser& args) {
 
   Json tiers = Json::object();
   Table table({"tier", "gemm GFLOP/s", "packed GFLOP/s", "fused-epi GFLOP/s",
-               "fused cost", "quantize Gelem/s"});
+               "fused cost", "gemv GFLOP/s", "quantize Gelem/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, n, k, rows, reps);
     const double fused_cost =
@@ -242,11 +263,13 @@ int run_tiers(const ArgParser& args) {
         .num(r.gemm_packed_gflops, 2)
         .num(r.gemm_fused_gflops, 2)
         .pct(fused_cost)
+        .num(r.gemv_gflops, 2)
         .num(r.quantize_gelems, 2);
     Json t = Json::object();
     t["gemm_gflops"] = r.gemm_gflops;
     t["gemm_packed_gflops"] = r.gemm_packed_gflops;
     t["gemm_fused_gflops"] = r.gemm_fused_gflops;
+    t["gemv_row_gflops"] = r.gemv_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     tiers[kernel_tier_name(tier)] = t;
   }
@@ -259,6 +282,8 @@ int run_tiers(const ArgParser& args) {
     cfg["gemm_n"] = static_cast<double>(n);
     cfg["gemm_k"] = static_cast<double>(k);
     cfg["gemm_rows"] = static_cast<double>(rows);
+    cfg["gemv_n"] = static_cast<double>(kGemvN);
+    cfg["gemv_k"] = static_cast<double>(kGemvK);
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
     cfg["reps"] = static_cast<double>(reps);
     cfg["threads"] = 1.0;
@@ -278,8 +303,8 @@ int run_tiers(const ArgParser& args) {
   bench::print_header("kernel dispatch tiers",
                       "GEMM/quantize throughput per CPU tier");
   std::cout << "gemm " << n << "x" << k << ", " << rows
-            << " rows, packed tiles, single worker, best of " << reps
-            << "\n\n";
+            << " rows, packed tiles, single worker; gemv " << kGemvN << "x"
+            << kGemvK << " row-major; best of " << reps << "\n\n";
   table.print(std::cout);
   std::cout << "\nall tiers are bit-exact (ctest -R KernelTierEquivalence); "
                "pick with FT2_KERNEL or --kernel\n";

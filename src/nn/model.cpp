@@ -151,7 +151,8 @@ inline void linear_rows(const LinearWeights& lw, const PackedLinear* pl,
 }
 
 /// Single-position linear. `pl` (with the `pool` that runs it) selects the
-/// packed kernel, which shares linear_forward_row's accumulation order.
+/// packed kernel; otherwise the active tier's row GEMV reads the row-major
+/// weights on the calling thread. Both share one accumulation order.
 inline void run_linear(const LinearWeights& lw, const PackedLinear* pl,
                        ThreadPool* pool, const Tensor& in, Tensor& out,
                        const ExecConfig& exec, const HookChain& hooks,
@@ -343,7 +344,8 @@ void TransformerLM::forward_position(int token, std::size_t pos,
             static_cast<std::size_t>(token) < config_.vocab_size);
   FT2_CHECK(logits.empty() || logits.size() == config_.vocab_size);
   check_packed(packed);
-  // The pool only runs packed tiles; the unpacked path stays scalar.
+  // The pool only runs packed tiles; the unpacked path runs the row GEMV
+  // (KernelOps::gemv_row) on the calling thread.
   ThreadPool* pool = packed != nullptr ? &exec_pool(exec) : nullptr;
   ws.current_pos = pos;
 

@@ -18,8 +18,10 @@
 //    slot-holder is evicted back to the queue (swap: its K/V rows move to
 //    a compact host copy and are restored verbatim on re-admission, so
 //    hook traffic and tokens stay bit-identical; recompute: its rows are
-//    dropped and re-prefilled, which re-fires prompt hooks — the engine
-//    only picks hook-free victims in that mode);
+//    dropped and re-prefilled, which re-fires prompt hooks — so a hooked
+//    request is never recomputed: the engine only picks hook-free victims
+//    in that mode, and a hooked request that yields its own slot is
+//    swapped instead);
 //  * cancellation and per-token streaming callbacks.
 //
 // The Scheduler owns ordering decisions only; the ServeEngine owns
@@ -44,7 +46,9 @@ enum class PreemptMode {
   kNone,       ///< never preempt; pool exhaustion is a hard error
   kSwap,       ///< copy K/V rows out to host memory, restore verbatim later
   kRecompute,  ///< drop K/V rows, re-prefill on re-admission (hook-free
-               ///< victims only: replay re-fires prompt-position hooks)
+               ///< victims only: replay re-fires prompt-position hooks; a
+               ///< hooked request that yields its own slot is swapped to a
+               ///< host copy instead)
 };
 
 /// Per-request scheduling options, alongside GenerateOptions.

@@ -424,7 +424,10 @@ void ServeEngine::preempt(Request& req) {
   release_slot(req);
   req.phase = Request::Phase::kQueued;
   if (req.cache.length() > 0) {
-    if (options_.preempt == PreemptMode::kSwap) {
+    // Recompute replay re-fires prompt-position hooks, so a hooked request
+    // is always swapped — also when it yields its own slot in recompute
+    // mode (preempt_one never picks it as a victim there).
+    if (options_.preempt == PreemptMode::kSwap || !req.hooks.empty()) {
       // Compact host copy of every live row; restored verbatim on resume,
       // so hooks (and the still-armed GenerationScope) never observe the
       // eviction.

@@ -1,18 +1,20 @@
 // Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
 //
-// The k-outer GEMM kernel and the f16 quantization sweep exist in three
-// tiers — SSE (the portable reference), AVX2+F16C, and AVX-512F — compiled
-// as separate arch-flagged translation units (tensor/kernels_avx2.cpp,
-// tensor/kernels_avx512.cpp) and selected at runtime from a cpuid probe.
+// The k-outer GEMM kernel, the row GEMV and the f16 quantization sweep
+// exist in three tiers — SSE (the portable reference), AVX2+F16C, and
+// AVX-512F — compiled as separate arch-flagged translation units
+// (tensor/kernels_avx2.cpp, tensor/kernels_avx512.cpp) and selected at
+// runtime from a cpuid probe. The AVX-512 tier reuses the AVX2 row GEMV.
 // The `FT2_KERNEL` environment variable (or `ft2 --kernel`) forces a tier.
 //
 // Bit-exactness policy: every tier accumulates each output element as the
 // same scalar chain `acc += x[i] * w[o][i]` in ascending-i order with a
 // separate multiply and add per step (never FMA). Wider tiers only widen
-// the column tile — which output elements are grouped into one register —
-// never the per-element operation sequence, so all tiers produce results
-// bit-identical to the scalar/SSE reference and no baselines need re-pinning
-// per tier. The arch TUs are compiled with -ffp-contract=off as a belt.
+// the column tile or row group — which output elements are grouped into
+// one register — never the per-element operation sequence, so all tiers
+// produce results bit-identical to the scalar/SSE reference and no
+// baselines need re-pinning per tier. The arch TUs are compiled with
+// -ffp-contract=off as a belt.
 //
 // The kernels also carry an optional fused store epilogue (KernelEpilogue):
 // f16-grid quantization plus the protection sweep (NaN→0, out-of-bound
@@ -106,6 +108,15 @@ struct KernelOps {
                      std::size_t flat0, const KernelEpilogue* epi,
                      EpilogueTally* tally) = nullptr;
 
+  /// Row GEMV straight from a row-major weight matrix `w[n][k]` (no packed
+  /// tile): y[o] = bias[o] + sum_i x[i] * w[o][i], each output accumulated
+  /// as the documented chain, so every tier is bit-identical to the scalar
+  /// reference. Vector tiers transpose the products of 8-wide k blocks of a
+  /// row group in registers; rows past the last full group and the k tail
+  /// run the scalar chain. `bias` may be null (accumulators start at 0.0f).
+  void (*gemv_row)(const float* x, const float* w, std::size_t n,
+                   std::size_t k, const float* bias, float* y) = nullptr;
+
   /// One-sweep epilogue over a contiguous span (the non-GEMM-fused path:
   /// single-row linears, activation outputs, quantize_span_f16). Applies
   /// `epi` in place to v[0..n); `flat0` offsets event indices.
@@ -157,6 +168,17 @@ namespace detail {
 /// all std:: machinery out of the arch-flagged TUs.
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);
+
+/// The scalar reference row GEMV (KernelOps::gemv_row semantics) over rows
+/// [0, n) of `w`. The SSE tier is this function; the vector tiers call it
+/// for the rows left over after their last full row group.
+void gemv_rows_scalar(const float* x, const float* w, std::size_t n,
+                      std::size_t k, const float* bias, float* y);
+
+/// The AVX2 row GEMV (kernels_avx2.cpp, 8-row groups), shared by the AVX2
+/// and AVX-512 tiers. Defined only when that TU has its arch flags.
+void gemv_row_avx2(const float* x, const float* w, std::size_t n,
+                   std::size_t k, const float* bias, float* y);
 
 /// Arch-TU registration points: each returns its function table, or null
 /// when the TU was compiled without the matching -m flags.

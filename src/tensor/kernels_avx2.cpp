@@ -1,13 +1,15 @@
-// AVX2 + F16C dispatch tier: 32-column GEMM tiles and an 8-wide fused
-// store epilogue. Compiled with -mavx2 -mf16c -ffp-contract=off (see
-// src/CMakeLists.txt); when those flags are unavailable this TU degrades to
-// a stub returning nullptr and the dispatcher falls back to the SSE tier.
+// AVX2 + F16C dispatch tier: 32-column GEMM tiles, a row GEMV over pairs
+// of 8-row groups and an 8-wide fused store epilogue. Compiled with -mavx2
+// -mf16c -ffp-contract=off (see src/CMakeLists.txt); when those flags are
+// unavailable this TU degrades to a stub returning nullptr and the
+// dispatcher falls back to the SSE tier.
 //
 // ODR note: because this TU is built with arch flags the rest of the build
 // lacks, it must not instantiate any vague-linkage code (templates,
 // header-inline std:: machinery) that another TU also instantiates — the
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
-// is file-local intrinsic code; slow paths call the extern, baseline-built
+// is file-local intrinsic code, apart from the plain extern row GEMV the
+// AVX-512 tier shares; slow paths call the extern, baseline-built
 // ft2::detail::epilogue_scalar_span.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
@@ -117,6 +119,104 @@ void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
 }
 
+/// In-lane 4x4 transpose: lane j of each 128-bit half of c[i] takes
+/// element i of that half of p[j].
+inline void transpose4x4_halves(const __m256 p[4], __m256 c[4]) {
+  const __m256 t0 = _mm256_unpacklo_ps(p[0], p[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(p[0], p[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(p[2], p[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(p[2], p[3]);
+  c[0] = _mm256_shuffle_ps(t0, t2, 0x44);
+  c[1] = _mm256_shuffle_ps(t0, t2, 0xEE);
+  c[2] = _mm256_shuffle_ps(t1, t3, 0x44);
+  c[3] = _mm256_shuffle_ps(t1, t3, 0xEE);
+}
+
+/// Products of one 8-row group and one 8-wide k block: lane j of c[i] is
+/// w[j][i] * x[i] (rows `k` floats apart). Each product is the same single
+/// rounding the scalar chain performs, formed in row layout and then
+/// transposed. Rows j and j + 4 share a register (low / high half) from the
+/// load on, so the transpose needs only in-lane shuffles.
+inline void block_columns8(const float* w, std::size_t k, const float* x,
+                           __m256 c[8]) {
+  const __m256 x_lo = _mm256_loadu2_m128(x, x);
+  const __m256 x_hi = _mm256_loadu2_m128(x + 4, x + 4);
+  __m256 p_lo[4], p_hi[4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    const float* lo = w + j * k;
+    const float* hi = w + (j + 4) * k;
+    p_lo[j] = _mm256_mul_ps(_mm256_loadu2_m128(hi, lo), x_lo);
+    p_hi[j] = _mm256_mul_ps(_mm256_loadu2_m128(hi + 4, lo + 4), x_hi);
+  }
+  transpose4x4_halves(p_lo, c);
+  transpose4x4_halves(p_hi, c + 4);
+}
+
+/// Accumulators of rows [o, o + 8): the bias, or 0.0f without one.
+inline __m256 seed8(const float* bias, std::size_t o) {
+  return bias != nullptr ? _mm256_loadu_ps(bias + o) : _mm256_setzero_ps();
+}
+
+/// Continues each lane's chain over the k tail [kv, k) and stores the
+/// 8 outputs.
+inline void finish8(__m256 acc, const float* x, const float* w,
+                    std::size_t k, std::size_t kv, float* y) {
+  if (kv == k) {
+    _mm256_storeu_ps(y, acc);
+    return;
+  }
+  float lanes[8];
+  _mm256_storeu_ps(lanes, acc);
+  for (std::size_t j = 0; j < 8; ++j) {
+    const float* row = w + j * k;
+    for (std::size_t i = kv; i < k; ++i) lanes[j] += row[i] * x[i];
+    y[j] = lanes[j];
+  }
+}
+
+}  // namespace
+
+/// Row GEMV: two 8-row groups per pass, so two independent in-order add
+/// chains overlap; a last single group, then the scalar chain for the
+/// remaining rows.
+void detail::gemv_row_avx2(const float* x, const float* w, std::size_t n,
+                           std::size_t k, const float* bias, float* y) {
+  const std::size_t kv = k - k % 8;
+  std::size_t o = 0;
+  for (; o + 16 <= n; o += 16) {
+    const float* w0 = w + o * k;
+    const float* w1 = w0 + 8 * k;
+    __m256 a0 = seed8(bias, o);
+    __m256 a1 = seed8(bias, o + 8);
+    for (std::size_t i = 0; i < kv; i += 8) {
+      __m256 c0[8], c1[8];
+      block_columns8(w0 + i, k, x + i, c0);
+      block_columns8(w1 + i, k, x + i, c1);
+      for (std::size_t j = 0; j < 8; ++j) {
+        a0 = _mm256_add_ps(a0, c0[j]);
+        a1 = _mm256_add_ps(a1, c1[j]);
+      }
+    }
+    finish8(a0, x, w0, k, kv, y + o);
+    finish8(a1, x, w1, k, kv, y + o + 8);
+  }
+  if (o + 8 <= n) {
+    const float* w0 = w + o * k;
+    __m256 a0 = seed8(bias, o);
+    for (std::size_t i = 0; i < kv; i += 8) {
+      __m256 c0[8];
+      block_columns8(w0 + i, k, x + i, c0);
+      for (std::size_t j = 0; j < 8; ++j) a0 = _mm256_add_ps(a0, c0[j]);
+    }
+    finish8(a0, x, w0, k, kv, y + o);
+    o += 8;
+  }
+  detail::gemv_rows_scalar(x, w + o * k, n - o, k,
+                           bias != nullptr ? bias + o : nullptr, y + o);
+}
+
+namespace {
+
 void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi, EpilogueTally* tally) {
   std::size_t i = 0;
@@ -127,7 +227,8 @@ void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
 }
 
 constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", kTileCols,
-                             &kouter_row_avx2, &epilogue_span_avx2};
+                             &kouter_row_avx2, &detail::gemv_row_avx2,
+                             &epilogue_span_avx2};
 
 }  // namespace
 

@@ -1,14 +1,19 @@
 // AVX-512F dispatch tier: 64-column GEMM tiles and a 16-wide fused store
 // epilogue. Compiled with -mavx512f -ffp-contract=off (see
 // src/CMakeLists.txt); without those flags this TU degrades to a stub
-// returning nullptr and the dispatcher falls back to AVX2 or SSE.
+// returning nullptr and the dispatcher falls back to AVX2 or SSE. The row
+// GEMV is the AVX2 tier's (every AVX-512F CPU has AVX2, and a 512-bit row
+// kernel measured no faster), so this tier is only built alongside it.
 //
 // Same ODR and bit-exactness rules as kernels_avx2.cpp: file-local
 // intrinsic code only, mul-then-add accumulation (no FMA), slow paths call
 // the extern baseline-built scalar epilogue, and NaN lanes of the hardware
 // f16 round-trip are masked onto the software path's canonical quiet NaN.
 // Only AVX512F intrinsics are used (integer sign/payload masking goes
-// through si512 casts rather than DQ float logicals).
+// through si512 casts rather than DQ float logicals). GCC's unmasked
+// f16 conversions pass an undefined pass-through operand (and warn about it
+// under -Wmaybe-uninitialized), so quantize16 uses the full-mask maskz
+// forms instead.
 #include "tensor/dispatch.hpp"
 
 #if defined(__AVX512F__)
@@ -23,8 +28,9 @@ using Protect = KernelEpilogue::Protect;
 constexpr std::size_t kTileCols = 64;
 
 inline __m512 quantize16(__m512 v) {
-  __m512 q = _mm512_cvtph_ps(
-      _mm512_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  __m512 q = _mm512_maskz_cvtph_ps(
+      0xFFFF, _mm512_maskz_cvtps_ph(
+                  0xFFFF, v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
   const __mmask16 unord = _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
   if (unord != 0) {
     const __m512i canon = _mm512_or_si512(
@@ -110,7 +116,8 @@ void epilogue_span_avx512(float* v, std::size_t n, std::size_t flat0,
 }
 
 constexpr KernelOps kAvx512Ops{KernelTier::kAvx512, "avx512", kTileCols,
-                               &kouter_row_avx512, &epilogue_span_avx512};
+                               &kouter_row_avx512, &detail::gemv_row_avx2,
+                               &epilogue_span_avx512};
 
 }  // namespace
 

@@ -29,13 +29,9 @@ void linear_forward_row(std::span<const float> x, const Tensor& w,
   const std::size_t n = w.dim(0);
   const std::size_t k = w.dim(1);
   FT2_ASSERT(x.size() == k && y.size() == n);
-  const float* wd = w.data();
-  for (std::size_t o = 0; o < n; ++o) {
-    const float* row = wd + o * k;
-    float acc = bias.empty() ? 0.0f : bias[o];
-    for (std::size_t i = 0; i < k; ++i) acc += row[i] * x[i];
-    y[o] = acc;
-  }
+  FT2_ASSERT(bias.empty() || bias.size() == n);
+  active_kernel_ops().gemv_row(x.data(), w.data(), n, k,
+                               bias.empty() ? nullptr : bias.data(), y.data());
 }
 
 namespace {
@@ -324,14 +320,17 @@ void rope_apply(std::span<float> qk, std::size_t n_heads, std::size_t head_dim,
   FT2_ASSERT(qk.size() == n_heads * head_dim);
   FT2_ASSERT(head_dim % 2 == 0);
   const std::size_t half = head_dim / 2;
-  for (std::size_t h = 0; h < n_heads; ++h) {
-    float* head = qk.data() + h * head_dim;
-    for (std::size_t i = 0; i < half; ++i) {
-      const float freq = std::pow(
-          theta, -static_cast<float>(2 * i) / static_cast<float>(head_dim));
-      const float angle = static_cast<float>(pos) * freq;
-      const float c = std::cos(angle);
-      const float s = std::sin(angle);
+  // Frequency-outer: each (cos, sin) pair is evaluated once and applied to
+  // every head. Every element is still rotated by the same float
+  // expressions, so the result does not depend on the loop order.
+  for (std::size_t i = 0; i < half; ++i) {
+    const float freq = std::pow(
+        theta, -static_cast<float>(2 * i) / static_cast<float>(head_dim));
+    const float angle = static_cast<float>(pos) * freq;
+    const float c = std::cos(angle);
+    const float s = std::sin(angle);
+    for (std::size_t h = 0; h < n_heads; ++h) {
+      float* head = qk.data() + h * head_dim;
       const float a = head[i];
       const float b = head[i + half];
       head[i] = a * c - b * s;

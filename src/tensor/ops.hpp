@@ -17,7 +17,10 @@ namespace ft2 {
 void linear_forward(const Tensor& x, const Tensor& w,
                     std::span<const float> bias, Tensor& y);
 
-/// Single-row version: y[n] = W[n,k] * x[k] + b[n].
+/// Single-row version: y[n] = W[n,k] * x[k] + b[n], straight from the
+/// row-major weights through the active tier's row GEMV
+/// (KernelOps::gemv_row). Every tier accumulates each output as the same
+/// ascending-k mul-then-add chain, so results never depend on the tier.
 void linear_forward_row(std::span<const float> x, const Tensor& w,
                         std::span<const float> bias, std::span<float> y);
 

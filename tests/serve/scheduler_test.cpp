@@ -5,13 +5,16 @@
 //     counts serve.rejected;
 //   - cancellation works queued, mid-prefill and mid-decode;
 //   - swap preemption under pool pressure is bit-exact including hook
-//     traffic; recompute preemption reproduces solo tokens;
+//     traffic; recompute preemption reproduces solo tokens, and a hooked
+//     request that yields its own slot in recompute mode is swapped, so
+//     its hooks never see a replay;
 //   - copy-on-write prefix sharing reproduces solo tokens, survives
 //     registry eviction, and resident_cache_bytes counts shared blocks
 //     once.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "serve_test_util.hpp"
@@ -324,6 +327,84 @@ TEST(ServeScheduler, RecomputePreemptionMatchesSolo) {
   EXPECT_GT(engine.counters().prefill_positions +
                 engine.counters().decode_rows,
             result_positions);
+}
+
+TEST(ServeEngine, HookedSelfPreemptionUnderRecomputeIsSwapped) {
+  const TransformerLM model = micro_model();
+  const SchemeSpec spec = scheme_spec(SchemeKind::kFt2, model.config());
+  // Two hooked ft2 requests that each fit the 12-block x 8-row pool alone
+  // but not together. Recompute never picks a hooked victim, so the request
+  // that runs out of rows yields its own slot.
+  const std::vector<std::vector<int>> prompts = {long_prompt(model, 30, 11),
+                                                 long_prompt(model, 26, 12)};
+  std::vector<GenerateOptions> options(2);
+  options[0].max_new_tokens = 30;
+  options[1].max_new_tokens = 28;
+  for (auto& o : options) o.eos_token = -1;
+
+  struct Hooked {
+    ProtectionHook protection;
+    SiteRecorder recorder;
+    std::vector<HookRegistration> regs;
+    Hooked(const TransformerLM& model, const SchemeSpec& spec, HookChain& c)
+        : protection(model.config(), spec, BoundStore{}) {
+      regs.push_back(c.add(protection));
+      regs.push_back(c.add(recorder));
+    }
+  };
+
+  std::vector<std::unique_ptr<Hooked>> solo;
+  std::vector<GenerateResult> ref;
+  for (std::size_t r = 0; r < 2; ++r) {
+    InferenceSession session(model);
+    solo.push_back(std::make_unique<Hooked>(model, spec, session.hooks()));
+    ref.push_back(session.generate(prompts[r], options[r]));
+  }
+
+  ServeOptions serve_opts;
+  serve_opts.max_batch = 2;
+  serve_opts.kv_block_rows = 8;
+  serve_opts.kv_pool_blocks = 12;
+  serve_opts.preempt = PreemptMode::kRecompute;
+  ServeEngine engine(model, serve_opts);
+  std::vector<std::unique_ptr<Hooked>> served;
+  std::vector<RequestId> ids;
+  for (std::size_t r = 0; r < 2; ++r) {
+    ids.push_back(engine.submit(prompts[r], options[r]));
+    served.push_back(
+        std::make_unique<Hooked>(model, spec, engine.hooks(ids[r])));
+  }
+  engine.run();
+
+  ASSERT_GE(engine.counters().preemptions, 1u);
+  for (std::size_t r = 0; r < 2; ++r) {
+    expect_equal_results(engine.result(ids[r]), ref[r], r, "self-preempt");
+    for (std::size_t k = 0; k < kLayerKindCount; ++k) {
+      const auto kind = static_cast<LayerKind>(k);
+      const ProtectionStats& got = served[r]->protection.stats(kind);
+      const ProtectionStats& want = solo[r]->protection.stats(kind);
+      EXPECT_EQ(got.values_checked, want.values_checked)
+          << "request " << r << " " << layer_kind_name(kind);
+      EXPECT_EQ(got.nan_corrected, want.nan_corrected)
+          << "request " << r << " " << layer_kind_name(kind);
+      EXPECT_EQ(got.oob_corrected, want.oob_corrected)
+          << "request " << r << " " << layer_kind_name(kind);
+    }
+    EXPECT_EQ(served[r]->protection.first_detect_position(),
+              solo[r]->protection.first_detect_position())
+        << "request " << r;
+    expect_same_traffic(solo[r]->recorder, served[r]->recorder, r,
+                        "self-preempt");
+  }
+  // No replay happened: the engine ran exactly the solo positions.
+  std::size_t result_positions = 0;
+  for (const RequestId id : ids) {
+    result_positions += engine.result(id).positions_run;
+  }
+  EXPECT_EQ(engine.counters().prefill_positions +
+                engine.counters().decode_rows,
+            result_positions);
+  EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
 }
 
 TEST(ServeScheduler, SharedPrefixMatchesSoloAndCountsRows) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -17,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "core/ft2.hpp"
 #include "numeric/f16.hpp"
 #include "protect/range_restriction.hpp"
 #include "tensor/ops.hpp"
@@ -174,6 +176,190 @@ TEST(KernelTierEquivalence, Avx2QuantizeMatchesScalar) {
 TEST(KernelTierEquivalence, Avx512QuantizeMatchesScalar) {
   FT2_REQUIRE_TIER(KernelTier::kAvx512);
   expect_tier_quantize_bit_exact(KernelTier::kAvx512);
+}
+
+// --- Row GEMV on row-major weights -----------------------------------------
+
+/// One input row per special-value case. Each row holds at most one source
+/// of NaN (a NaN entry, or +Inf meeting -Inf), so every NaN's payload is
+/// fixed by a single operation and bit comparison stays well defined.
+std::vector<std::vector<float>> row_gemv_inputs(std::size_t k,
+                                                Xoshiro256& rng) {
+  std::vector<float> base(k);
+  fill_uniform(base, rng, -2.0f, 2.0f);
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<std::vector<float>> rows(6, base);
+  rows[1][k / 2] = f32_from_bits(0x7FC01234u);  // quiet NaN with payload
+  rows[2][k - 1] = inf;
+  rows[3][0] = -inf;
+  rows[4][0] = inf;  // +Inf then -Inf: the chain turns NaN mid-row
+  rows[4][k - 1] = k > 1 ? -inf : inf;
+  for (std::size_t i = 0; i < k; ++i) {
+    // Subnormal inputs: products and partial sums stay in the
+    // gradual-underflow range.
+    rows[5][i] = base[i] * std::numeric_limits<float>::denorm_min() * 4096.0f;
+  }
+  return rows;
+}
+
+/// The tier's row GEMV over shapes with n and k tails for the 8-row group,
+/// the 16-row pass and the 8-wide k block, n < 8 and k < 8
+/// included, with an empty and a non-empty bias. Demands bit-equality with
+/// the scalar reference, both directly and through linear_forward_row.
+void expect_tier_row_gemv_bit_exact(KernelTier tier) {
+  TierGuard guard;
+  set_kernel_tier(tier);
+  const KernelOps& ops = kernel_ops_for(tier);
+  Xoshiro256 rng(43);
+  const struct {
+    std::size_t n, k;
+  } shapes[] = {{1, 1},   {3, 5},   {7, 8},     {8, 7},     {9, 16},
+                {16, 3},  {17, 9},  {31, 24},   {32, 33},   {33, 64},
+                {48, 17}, {63, 40}, {221, 128}, {128, 384}};
+  for (const auto& shape : shapes) {
+    Tensor w({shape.n, shape.k});
+    std::vector<float> bias(shape.n);
+    fill_uniform(w.span(), rng, -1.0f, 1.0f);
+    fill_uniform(bias, rng, -0.5f, 0.5f);
+    const auto inputs = row_gemv_inputs(shape.k, rng);
+    for (std::size_t v = 0; v < inputs.size(); ++v) {
+      Tensor x({1, shape.k});
+      std::copy(inputs[v].begin(), inputs[v].end(), x.span().begin());
+      for (const bool with_bias : {false, true}) {
+        const std::span<const float> b = with_bias
+                                             ? std::span<const float>(bias)
+                                             : std::span<const float>{};
+        Tensor y_ref({1, shape.n});
+        gemm_scalar_ref(x, 1, w, b, y_ref);
+        std::vector<float> y(shape.n), y_linear(shape.n);
+        ops.gemv_row(x.data(), w.data(), shape.n, shape.k,
+                     with_bias ? bias.data() : nullptr, y.data());
+        linear_forward_row(x.row(0), w, b, y_linear);
+        for (std::size_t o = 0; o < shape.n; ++o) {
+          ASSERT_EQ(f32_bits(y[o]), f32_bits(y_ref[o]))
+              << kernel_tier_name(tier) << " row gemv mismatch at " << o
+              << " (n=" << shape.n << " k=" << shape.k << " input " << v
+              << " bias=" << with_bias << ")";
+          ASSERT_EQ(f32_bits(y_linear[o]), f32_bits(y_ref[o]))
+              << kernel_tier_name(tier) << " linear_forward_row mismatch at "
+              << o << " (n=" << shape.n << " k=" << shape.k << " input " << v
+              << " bias=" << with_bias << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTierEquivalence, SseRowGemvMatchesScalarReference) {
+  expect_tier_row_gemv_bit_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, Avx2RowGemvMatchesScalarReference) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_row_gemv_bit_exact(KernelTier::kAvx2);
+}
+
+TEST(KernelTierEquivalence, Avx512RowGemvMatchesScalarReference) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx512);
+  expect_tier_row_gemv_bit_exact(KernelTier::kAvx512);
+}
+
+/// Records every hook dispatch in order, values as bit patterns so NaN
+/// rows compare too.
+class TrafficRecorder : public OutputHook {
+ public:
+  struct Dispatch {
+    int block;
+    LayerKind kind;
+    std::size_t position;
+    std::vector<std::uint32_t> bits;
+    bool operator==(const Dispatch&) const = default;
+  };
+
+  void on_output(const HookContext& ctx, std::span<float> values) override {
+    Dispatch d{ctx.site.block, ctx.site.kind, ctx.position, {}};
+    for (const float f : values) d.bits.push_back(f32_bits(f));
+    dispatches.push_back(std::move(d));
+  }
+
+  std::vector<Dispatch> dispatches;
+};
+
+/// A micro model whose widths leave row-group and k-block tails on every
+/// tier (d_model 20, d_ff 36).
+TransformerLM tail_model(ArchFamily arch) {
+  ModelConfig c;
+  c.arch = arch;
+  c.vocab_size = Vocab::shared().size();
+  c.d_model = 20;
+  c.n_heads = 2;
+  c.n_blocks = 2;
+  c.d_ff = 36;
+  c.max_seq = 16;
+  if (arch == ArchFamily::kOpt) {
+    c.activation = Activation::kRelu;
+    c.norm = NormKind::kLayerNorm;
+    c.position = PositionKind::kLearned;
+    c.linear_bias = true;
+  } else {
+    c.activation = Activation::kSilu;
+    c.norm = NormKind::kRmsNorm;
+    c.position = PositionKind::kRotary;
+    c.linear_bias = false;
+  }
+  Xoshiro256 rng(17);
+  return TransformerLM(c, init_weights(c, rng));
+}
+
+/// Logits and hook traffic of six forward_position calls (four in the
+/// first-token phase), from the row-major weights (packed == null) or from
+/// packed tiles.
+struct PositionRun {
+  std::vector<std::uint32_t> logits;
+  std::vector<TrafficRecorder::Dispatch> traffic;
+};
+
+PositionRun run_positions(const TransformerLM& model, const ExecConfig& exec,
+                          const PackedDecodeWeights* packed) {
+  KvCache cache = model.make_cache();
+  Workspace ws(model.config());
+  TrafficRecorder recorder;
+  HookChain hooks;
+  const auto reg = hooks.add(recorder);
+  std::vector<float> logits(model.config().vocab_size);
+  PositionRun run;
+  const int vocab = static_cast<int>(model.config().vocab_size);
+  for (std::size_t pos = 0; pos < 6; ++pos) {
+    const int token = static_cast<int>(pos * 11 + 3) % vocab;
+    model.forward_position(token, pos, cache, hooks, exec, pos < 4, ws,
+                           logits, packed);
+    for (const float f : logits) run.logits.push_back(f32_bits(f));
+  }
+  run.traffic = std::move(recorder.dispatches);
+  return run;
+}
+
+TEST(KernelTierEquivalence, ForwardPositionUnpackedMatchesPackedOnEveryTier) {
+  TierGuard guard;
+  ThreadPool pool(2);
+  for (const KernelTier tier : supported_kernel_tiers()) {
+    set_kernel_tier(tier);
+    for (const ArchFamily arch : {ArchFamily::kOpt, ArchFamily::kLlama}) {
+      const TransformerLM model = tail_model(arch);
+      const PackedDecodeWeights packed(model);  // tiles of the active tier
+      for (const bool fp16 : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << kernel_tier_name(tier) << " arch "
+                     << static_cast<int>(arch) << " fp16=" << fp16);
+        const ExecConfig exec{fp16, false, &pool};
+        const PositionRun unpacked = run_positions(model, exec, nullptr);
+        const PositionRun tiles = run_positions(model, exec, &packed);
+        EXPECT_EQ(unpacked.logits, tiles.logits);
+        ASSERT_FALSE(unpacked.traffic.empty());
+        EXPECT_EQ(unpacked.traffic, tiles.traffic);
+      }
+    }
+  }
 }
 
 // --- Fused epilogue vs the hook path ---------------------------------------

@@ -1344,6 +1344,14 @@ int kernel_check() {
     for (std::size_t i = 0; i < y_ref.numel(); ++i) {
       if (f32_bits(y_packed[i]) != f32_bits(y_ref[i])) ++gemm_bad;
     }
+    // Row GEMV on the row-major weights (the unpacked single-row path).
+    std::vector<float> y_row(n);
+    for (std::size_t r = 0; r < rows; ++r) {
+      linear_forward_row(x.row(r), w, bias, y_row);
+      for (std::size_t o = 0; o < n; ++o) {
+        if (f32_bits(y_row[o]) != f32_bits(y_ref.row(r)[o])) ++gemm_bad;
+      }
+    }
 
     // Quantize: every f16 seed pattern in f32 form plus NaN payloads and
     // rounding/overflow boundaries, dispatched vs scalar quantize_f16.
@@ -1374,7 +1382,8 @@ int kernel_check() {
       std::cout << name << ": FAIL (" << gemm_bad << " gemm mismatches, "
                 << quant_bad << " quantize mismatches)\n";
     } else {
-      std::cout << name << ": OK (gemm + packed gemm + quantize bit-exact)\n";
+      std::cout << name << ": OK (gemm + packed gemm + row gemv + quantize "
+                           "bit-exact)\n";
     }
   }
   set_kernel_tier(restore);
