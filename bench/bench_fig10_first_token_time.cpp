@@ -38,8 +38,8 @@ double measured_first_token_fraction(const TransformerLM& model,
   for (int r = 0; r < reps; ++r) {
     cache.reset();
     for (std::size_t pos = 0; pos < prompt.size(); ++pos) {
-      model.forward_position(prompt[pos], pos, cache, hooks, true, true, ws,
-                             logits);
+      model.forward_position(prompt[pos], pos, cache, hooks, ExecConfig{true},
+                             true, ws, logits);
     }
   }
   const double prefill =

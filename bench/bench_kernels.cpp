@@ -133,8 +133,8 @@ void BM_ForwardPosition(benchmark::State& state) {
   const bool fp16 = state.range(0) != 0;
   for (auto _ : state) {
     if (cache.length() >= c.max_seq) cache.reset();
-    model.forward_position(5, cache.length(), cache, hooks, fp16, false, ws,
-                           logits);
+    model.forward_position(5, cache.length(), cache, hooks, ExecConfig{fp16},
+                           false, ws, logits);
     benchmark::DoNotOptimize(logits.data());
   }
   state.SetLabel(fp16 ? "fp16" : "fp32");

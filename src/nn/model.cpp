@@ -45,16 +45,6 @@ TransformerLM::TransformerLM(ModelConfig config, ModelWeights weights)
   FT2_CHECK(weights_.blocks.size() == config_.n_blocks);
 }
 
-void TransformerLM::apply_norm_row(const NormWeights& nw,
-                                   std::span<const float> in,
-                                   std::span<float> out) const {
-  if (config_.norm == NormKind::kLayerNorm) {
-    layernorm_row(in, nw.gamma.span(), nw.beta.span(), config_.norm_eps, out);
-  } else {
-    rmsnorm_row(in, nw.gamma.span(), config_.norm_eps, out);
-  }
-}
-
 namespace {
 
 inline void maybe_quantize(std::span<float> v, bool fp16) {
@@ -91,10 +81,24 @@ inline FusedPlan plan_output_fusion(const HookChain& hooks,
   return plan;
 }
 
-/// Applies a negotiated plan to an already-computed span (the sites whose
-/// producer is not a fused GEMM: single-row linears, activation outputs,
-/// batched decode rows) in one sweep, then completes hook dispatch. With
-/// no active plan this is the legacy quantize + full dispatch.
+/// Completes hook dispatch of values an active plan's epilogue already ran
+/// on: the providing hook absorbs the kernel's tally, the rest of the
+/// chain sees the finished values.
+inline void dispatch_fused(const FusedPlan& plan, const HookContext& ctx,
+                           const HookChain& hooks, std::span<float> values,
+                           const EpilogueTally& tally) {
+  if (plan.provider != nullptr) {
+    plan.provider->absorb_fused(ctx, values, plan.epi, tally);
+    hooks.dispatch_tail(ctx, values);
+  } else {
+    hooks.dispatch(ctx, values);
+  }
+}
+
+/// Applies the negotiated plan to an already-computed span (sites whose
+/// producer is not a fused GEMM: row-GEMV linears, activation outputs,
+/// one segment of a multi-sequence GEMM) in one sweep, then completes hook
+/// dispatch. With no active plan this is the legacy quantize + dispatch.
 inline void finish_output(std::span<float> values, const HookContext& ctx,
                           const HookChain& hooks, const ExecConfig& exec) {
   const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
@@ -107,228 +111,328 @@ inline void finish_output(std::span<float> values, const HookContext& ctx,
   active_kernel_ops().epilogue_span(
       values.data(), values.size(), 0, plan.epi,
       plan.provider != nullptr ? &tally : nullptr);
-  if (plan.provider != nullptr) {
-    plan.provider->absorb_fused(ctx, values, plan.epi, tally);
-    hooks.dispatch_tail(ctx, values);
-  } else {
-    hooks.dispatch(ctx, values);
-  }
+  dispatch_fused(plan, ctx, hooks, values, tally);
 }
 
 ThreadPool& exec_pool(const ExecConfig& exec) {
   return exec.pool != nullptr ? *exec.pool : ThreadPool::global();
 }
 
+/// One GEMM over the first `rows` rows of `in`, on the kernel the shape
+/// calls for: pre-packed tiles when given, the row GEMV for one unpacked
+/// row, the repacking span GEMM otherwise (and for every chunked-accum
+/// call, whose chain lives there). Each reduction mode has one
+/// accumulation order across all three, so the choice never changes a
+/// bit. Only the non-chunked packed and span GEMMs are k-outer and take
+/// `epi` (see k_outer_gemm).
+void gemm_rows(const Tensor& w, std::span<const float> bias,
+               const PackedLinear* pl, const Tensor& in, std::size_t rows,
+               Tensor& out, bool chunked_accum, ThreadPool& pool,
+               const KernelEpilogue* epi = nullptr,
+               EpilogueTally* tally = nullptr) {
+  if (pl != nullptr && !chunked_accum) {
+    linear_forward_span_packed(in, rows, *pl, out, pool, epi, tally);
+  } else if (rows == 1 && !chunked_accum) {
+    linear_forward_row(in.row(0), w, bias, out.row(0));
+  } else {
+    linear_forward_span(in, rows, w, bias, out, chunked_accum, pool, epi,
+                        tally);
+  }
+}
+
+/// Whether gemm_rows runs a k-outer kernel (packed or span GEMM), the
+/// kind that can apply a fused store epilogue.
+inline bool k_outer_gemm(const PackedLinear* pl, std::size_t rows,
+                         bool chunked_accum) {
+  return !chunked_accum && (pl != nullptr || rows > 1);
+}
+
+/// A run of consecutive workspace rows that belong to one sequence: rows
+/// [row0, row0 + tokens.size()) hold positions [pos0, pos0 +
+/// tokens.size()) of the sequence whose cache and hook chain it carries.
+struct Segment {
+  std::size_t row0 = 0;
+  std::size_t pos0 = 0;
+  std::span<const int> tokens;
+  KvCache* cache = nullptr;
+  const HookChain* hooks = nullptr;
+  bool first_token = false;
+  std::span<float> logits;  ///< the last row's logits; empty = no LM head
+
+  std::size_t n() const { return tokens.size(); }
+};
+
 using PackedBlock = PackedDecodeWeights::Block;
 
-/// The packed tiles of block `bi`, or null when running unpacked.
-inline const PackedBlock* block_tiles(const PackedDecodeWeights* packed,
-                                      std::size_t bi) {
-  return packed != nullptr ? &packed->blocks[bi] : nullptr;
-}
-
-/// The packed tiles of one layer of `pb`, or null when running unpacked.
-inline const PackedLinear* tiles(const PackedBlock* pb,
-                                 PackedLinear PackedBlock::*layer) {
-  return pb != nullptr ? &(pb->*layer) : nullptr;
-}
-
-/// One linear layer's GEMM over the first `rows` rows of `in`: from the
-/// pre-packed tiles `pl` when given (non-chunked accumulation only),
-/// otherwise from the weights with a per-call repack. Both run the same
-/// kernel body, so results, tallies and event order are identical.
-inline void linear_rows(const LinearWeights& lw, const PackedLinear* pl,
-                        const Tensor& in, std::size_t rows, Tensor& out,
-                        const ExecConfig& exec, ThreadPool& pool,
-                        const KernelEpilogue* epi = nullptr,
-                        EpilogueTally* tally = nullptr) {
-  if (pl != nullptr && !exec.chunked_accum) {
-    linear_forward_span_packed(in, rows, *pl, out, pool, epi, tally);
-  } else {
-    linear_forward_span(in, rows, lw.w, lw.bias_span(), out,
-                        exec.chunked_accum, pool, epi, tally);
+/// The one forward engine behind forward_position, forward_span and
+/// forward_batch. Embedding, norms, residuals and RoPE run per row; every
+/// linear is one GEMM over all rows; attention stores every row's K/V,
+/// then attends each row over its own segment's cache. Cross-row dataflow
+/// only passes through the caches, so a row computes exactly what the
+/// same position run alone would, in any grouping and at any pool size.
+/// Hooks see one dispatch per segment and site, in segment order.
+class RowEngine {
+ public:
+  RowEngine(const TransformerLM& model, std::span<const Segment> segs,
+            const ExecConfig& exec, Workspace& ws,
+            const PackedDecodeWeights* packed)
+      : c_(model.config()),
+        w_(model.weights()),
+        segs_(segs),
+        exec_(exec),
+        ws_(ws),
+        packed_(packed),
+        pool_(exec_pool(exec)) {
+    if (packed != nullptr) {
+      FT2_CHECK_MSG(packed->blocks.size() == c_.n_blocks,
+                    "packed weights built for a different model");
+    }
+    for (std::size_t i = 0; i < segs.size(); ++i) {
+      const Segment& s = segs[i];
+      FT2_CHECK(s.n() > 0 && s.row0 == seg_of_row_.size());
+      FT2_CHECK(s.cache != nullptr && s.hooks != nullptr);
+      FT2_CHECK_MSG(s.cache->length() == s.pos0,
+                    "cache length " << s.cache->length() << " != pos "
+                                    << s.pos0);
+      FT2_CHECK(s.pos0 + s.n() <= c_.max_seq);
+      FT2_CHECK(s.logits.empty() || s.logits.size() == c_.vocab_size);
+      for (const int token : s.tokens) {
+        FT2_CHECK(token >= 0 &&
+                  static_cast<std::size_t>(token) < c_.vocab_size);
+      }
+      seg_of_row_.insert(seg_of_row_.end(), s.n(), i);
+    }
+    rows_ = seg_of_row_.size();
+    ws.ensure_chunk_capacity(c_, rows_);
   }
-}
 
-/// Single-position linear. `pl` (with the `pool` that runs it) selects the
-/// packed kernel; otherwise the active tier's row GEMV reads the row-major
-/// weights on the calling thread. Both share one accumulation order.
-inline void run_linear(const LinearWeights& lw, const PackedLinear* pl,
-                       ThreadPool* pool, const Tensor& in, Tensor& out,
-                       const ExecConfig& exec, const HookChain& hooks,
-                       int block, LayerKind kind, std::size_t pos,
-                       bool first_token) {
-  if (pl != nullptr && !exec.chunked_accum) {
-    linear_forward_span_packed(in, 1, *pl, out, *pool);
-  } else if (exec.chunked_accum) {
-    linear_forward_row_chunked(in.row(0), lw.w, lw.bias_span(), out.row(0));
-  } else {
-    linear_forward_row(in.row(0), lw.w, lw.bias_span(), out.row(0));
-  }
-  HookContext ctx{LayerSite{block, kind}, pos, first_token};
-  finish_output(out.row(0), ctx, hooks, exec);
-}
+  void run() {
+    const bool fp16 = exec_.fp16;
+    for (std::size_t r = 0; r < rows_; ++r) {
+      const Segment& s = seg(r);
+      auto x = ws_.x.row(r);
+      const auto emb = w_.tok_emb.row(
+          static_cast<std::size_t>(s.tokens[r - s.row0]));
+      std::copy(emb.begin(), emb.end(), x.begin());
+      if (c_.position == PositionKind::kLearned) {
+        add_inplace(x, w_.pos_emb.row(pos(r)));
+      }
+      maybe_quantize(x, fp16);
+    }
 
-/// Blocked counterpart of run_linear: GEMM over the first `rows` rows of
-/// `in`, FP16 quantization of the chunk (elementwise, so identical to
-/// per-row quantization), and ONE hook dispatch carrying the whole
-/// [rows x width] span. Per-element accumulation order matches run_linear.
-/// With an active fusion plan the quantize/protect sweep runs inside the
-/// GEMM store epilogue instead of as separate passes.
-inline void run_linear_span(const LinearWeights& lw, const PackedLinear* pl,
-                            const Tensor& in, std::size_t rows, Tensor& out,
-                            const ExecConfig& exec, ThreadPool& pool,
-                            const HookChain& hooks, int block, LayerKind kind,
-                            std::size_t pos0, bool first_token) {
-  const std::size_t width = out.dim(1);
-  HookContext ctx{LayerSite{block, kind}, pos0, first_token, rows, width};
-  const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
-  if (!plan.active) {
-    linear_rows(lw, pl, in, rows, out, exec, pool);
-    std::span<float> view{out.data(), rows * width};
-    maybe_quantize(view, exec.fp16);
-    hooks.dispatch(ctx, view);
-    return;
+    for (block_ = 0; block_ < c_.n_blocks; ++block_) {
+      const BlockWeights& blk = w_.blocks[block_];
+      tiles_ = packed_ != nullptr ? &packed_->blocks[block_] : nullptr;
+      norm_rows(blk.norm1);
+      attention(blk);
+      if (c_.parallel_block) {
+        // GPT-J: the MLP reads the same normed input; one residual add.
+        mlp(blk);
+        for (std::size_t r = 0; r < rows_; ++r) {
+          add_inplace(ws_.x.row(r), ws_.o.row(r));
+          add_inplace(ws_.x.row(r), ws_.f2.row(r));
+          maybe_quantize(ws_.x.row(r), fp16);
+        }
+      } else {
+        for (std::size_t r = 0; r < rows_; ++r) {
+          add_inplace(ws_.x.row(r), ws_.o.row(r));
+          maybe_quantize(ws_.x.row(r), fp16);
+        }
+        norm_rows(blk.norm2);
+        mlp(blk);
+        for (std::size_t r = 0; r < rows_; ++r) {
+          add_inplace(ws_.x.row(r), ws_.f2.row(r));
+          maybe_quantize(ws_.x.row(r), fp16);
+        }
+      }
+    }
+    for (const Segment& s : segs_) s.cache->advance(s.n());
+    lm_head();
   }
-  // An active plan implies non-chunked accumulation.
-  EpilogueTally tally;
-  linear_rows(lw, pl, in, rows, out, exec, pool, &plan.epi,
-              plan.provider != nullptr ? &tally : nullptr);
-  std::span<float> view{out.data(), rows * width};
-  if (plan.provider != nullptr) {
-    plan.provider->absorb_fused(ctx, view, plan.epi, tally);
-    hooks.dispatch_tail(ctx, view);
-  } else {
-    hooks.dispatch(ctx, view);
-  }
-}
 
-/// Cross-sequence counterpart of run_linear: one GEMM over the B slot rows,
-/// then per-row quantization and a per-slot single-position hook dispatch —
-/// each slot's chain sees exactly the context run_linear would have built
-/// for it. Decode never runs in the first-token phase. `pl` supplies
-/// pre-packed tiles (non-chunked accumulation only). Slots carry
-/// independent hook chains, so fusion is per row (a one-sweep epilogue
-/// after the GEMM) rather than inside the shared GEMM store.
-inline void run_linear_batch(const LinearWeights& lw, const PackedLinear* pl,
-                             const Tensor& in, std::span<DecodeSlot> slots,
-                             Tensor& out, const ExecConfig& exec,
-                             ThreadPool& pool, int block, LayerKind kind) {
-  const std::size_t rows = slots.size();
-  linear_rows(lw, pl, in, rows, out, exec, pool);
-  for (std::size_t r = 0; r < rows; ++r) {
-    HookContext ctx{LayerSite{block, kind}, slots[r].pos,
-                    /*first_token_phase=*/false};
-    finish_output(out.row(r), ctx, *slots[r].hooks, exec);
+ private:
+  const Segment& seg(std::size_t r) const { return segs_[seg_of_row_[r]]; }
+  std::size_t pos(std::size_t r) const {
+    const Segment& s = seg(r);
+    return s.pos0 + (r - s.row0);
   }
-}
+
+  HookContext context(const Segment& s, LayerKind kind,
+                      std::size_t width) const {
+    return HookContext{LayerSite{static_cast<int>(block_), kind}, s.pos0,
+                       s.first_token, s.n(), width};
+  }
+
+  /// h.row(r) = norm(x.row(r)), quantized, for every row.
+  void norm_rows(const NormWeights& nw) const {
+    for (std::size_t r = 0; r < rows_; ++r) {
+      norm_row(nw, ws_.x.row(r), ws_.h.row(r));
+    }
+  }
+
+  void norm_row(const NormWeights& nw, std::span<const float> in,
+                std::span<float> out) const {
+    if (c_.norm == NormKind::kLayerNorm) {
+      layernorm_row(in, nw.gamma.span(), nw.beta.span(), c_.norm_eps, out);
+    } else {
+      rmsnorm_row(in, nw.gamma.span(), c_.norm_eps, out);
+    }
+    maybe_quantize(out, exec_.fp16);
+  }
+
+  /// One linear site: one GEMM over all rows, then quantization and hook
+  /// dispatch per segment. With a single segment on a k-outer kernel the
+  /// negotiated epilogue runs inside the GEMM store instead.
+  void linear(const LinearWeights& lw, PackedLinear PackedBlock::*layer,
+              const Tensor& in, Tensor& out, LayerKind kind) {
+    const PackedLinear* pl = tiles_ != nullptr ? &(tiles_->*layer) : nullptr;
+    const bool chunked = exec_.chunked_accum;
+    if (segs_.size() == 1 && k_outer_gemm(pl, rows_, chunked)) {
+      const Segment& s = segs_[0];
+      const HookContext ctx = context(s, kind, out.dim(1));
+      const FusedPlan plan = plan_output_fusion(*s.hooks, ctx, exec_);
+      if (plan.active) {
+        EpilogueTally tally;
+        gemm_rows(lw.w, lw.bias_span(), pl, in, rows_, out, chunked, pool_,
+                  &plan.epi, plan.provider != nullptr ? &tally : nullptr);
+        dispatch_fused(plan, ctx, *s.hooks, {out.data(), rows_ * out.dim(1)},
+                       tally);
+        return;
+      }
+    }
+    gemm_rows(lw.w, lw.bias_span(), pl, in, rows_, out, chunked, pool_);
+    finish(out, kind);
+  }
+
+  /// Per-segment quantize + hook dispatch of a computed site output.
+  void finish(Tensor& out, LayerKind kind) const {
+    const std::size_t width = out.dim(1);
+    for (const Segment& s : segs_) {
+      finish_output({out.row(s.row0).data(), s.n() * width},
+                    context(s, kind, width), *s.hooks, exec_);
+    }
+  }
+
+  void attention(const BlockWeights& blk) {
+    linear(blk.q, &PackedBlock::q, ws_.h, ws_.q, LayerKind::kQProj);
+    linear(blk.k, &PackedBlock::k, ws_.h, ws_.k, LayerKind::kKProj);
+    linear(blk.v, &PackedBlock::v, ws_.h, ws_.v, LayerKind::kVProj);
+
+    // Every row's K/V lands in its cache before any row attends: a row
+    // attends over [0, its position], which covers the earlier rows of its
+    // own segment. Hooks already ran, so the stored values are the hooked
+    // ones, exactly as when each position runs alone.
+    const std::size_t n_heads = c_.n_heads;
+    const std::size_t head_dim = c_.head_dim();
+    for (std::size_t r = 0; r < rows_; ++r) {
+      if (c_.position == PositionKind::kRotary) {
+        rope_apply(ws_.q.row(r), n_heads, head_dim, pos(r), c_.rope_theta);
+        rope_apply(ws_.k.row(r), n_heads, head_dim, pos(r), c_.rope_theta);
+        maybe_quantize(ws_.q.row(r), exec_.fp16);
+        maybe_quantize(ws_.k.row(r), exec_.fp16);
+      }
+      seg(r).cache->store(block_, pos(r), ws_.k.row(r), ws_.v.row(r));
+    }
+
+    // Causal attention, one independent task per row with a fixed loop
+    // order inside it.
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    pool_.parallel_for(0, rows_, [&](std::size_t r) {
+      const KvCache& cache = *seg(r).cache;
+      const std::size_t len = pos(r) + 1;
+      auto out = ws_.attn_out.row(r);
+      std::fill(out.begin(), out.end(), 0.0f);
+      for (std::size_t hh = 0; hh < n_heads; ++hh) {
+        const std::size_t off = hh * head_dim;
+        auto scores = ws_.scores.row(r).subspan(0, len);
+        const float* qh = ws_.q.row(r).data() + off;
+        for (std::size_t j = 0; j < len; ++j) {
+          const float* kh = cache.key(block_, j).data() + off;
+          float dot = 0.0f;
+          for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
+          scores[j] = dot * scale;
+        }
+        maybe_quantize(scores, exec_.fp16);
+        softmax(scores);
+        maybe_quantize(scores, exec_.fp16);
+        float* oh = out.data() + off;
+        for (std::size_t j = 0; j < len; ++j) {
+          const float p = scores[j];
+          if (p == 0.0f) continue;
+          const float* vh = cache.value(block_, j).data() + off;
+          for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
+        }
+      }
+      maybe_quantize(out, exec_.fp16);
+    });
+
+    linear(blk.o, &PackedBlock::o, ws_.attn_out, ws_.o, LayerKind::kOutProj);
+  }
+
+  /// OPT / GPT-J: fc1 -> ReLU or GELU -> fc2. Llama family: gate (fc1) and
+  /// up -> SiLU(gate) * up -> down (fc2).
+  void mlp(const BlockWeights& blk) {
+    const bool llama = c_.arch == ArchFamily::kLlama;
+    linear(blk.fc1, &PackedBlock::fc1, ws_.h, ws_.f1,
+           llama ? LayerKind::kGateProj : LayerKind::kFc1);
+    if (llama) {
+      linear(blk.up, &PackedBlock::up, ws_.h, ws_.f_up, LayerKind::kUpProj);
+    }
+    const std::span<float> act{ws_.act.data(), rows_ * c_.d_ff};
+    std::copy_n(ws_.f1.data(), act.size(), act.data());
+    if (llama) {
+      silu(act);
+    } else if (c_.activation == Activation::kRelu) {
+      relu(act);
+    } else {
+      gelu(act);
+    }
+    finish(ws_.act, LayerKind::kMlpAct);
+    if (llama) {
+      mul_inplace(act, {ws_.f_up.data(), act.size()});
+      maybe_quantize(act, exec_.fp16);
+    }
+    linear(blk.fc2, &PackedBlock::fc2, ws_.act, ws_.f2,
+           llama ? LayerKind::kDownProj : LayerKind::kFc2);
+  }
+
+  /// Final norm of the last row of every segment that wants logits, then
+  /// one LM-head GEMM over those rows: always the non-chunked chain, with
+  /// no quantization and no hooks on logits. Intermediate prefill logits
+  /// are never observed, so they are never computed.
+  void lm_head() {
+    std::size_t m = 0;
+    for (const Segment& s : segs_) {
+      if (s.logits.empty()) continue;
+      norm_row(w_.final_norm, ws_.x.row(s.row0 + s.n() - 1),
+               ws_.final_h.row(m++));
+    }
+    if (m == 0) return;
+    gemm_rows(w_.lm_head.w, {},
+              packed_ != nullptr ? &packed_->lm_head : nullptr, ws_.final_h,
+              m, ws_.logits, /*chunked_accum=*/false, pool_);
+    m = 0;
+    for (const Segment& s : segs_) {
+      if (s.logits.empty()) continue;
+      const auto row = ws_.logits.row(m++);
+      std::copy(row.begin(), row.end(), s.logits.begin());
+    }
+  }
+
+  const ModelConfig& c_;
+  const ModelWeights& w_;
+  std::span<const Segment> segs_;
+  const ExecConfig& exec_;
+  Workspace& ws_;
+  const PackedDecodeWeights* packed_;
+  ThreadPool& pool_;
+  std::vector<std::size_t> seg_of_row_;  ///< segment index of each row
+  std::size_t rows_ = 0;
+  std::size_t block_ = 0;                ///< block being run
+  const PackedBlock* tiles_ = nullptr;   ///< its packed tiles, if any
+};
 
 }  // namespace
-
-void TransformerLM::attention(const BlockWeights& blk, std::size_t block_idx,
-                              std::size_t pos, KvCache& cache,
-                              const HookChain& hooks, const ExecConfig& exec,
-                              bool first_token, Workspace& ws,
-                              const PackedDecodeWeights* packed,
-                              ThreadPool* pool) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const PackedBlock* pb = block_tiles(packed, block_idx);
-  run_linear(blk.q, tiles(pb, &PackedBlock::q), pool, ws.h, ws.q, exec,
-             hooks, b, LayerKind::kQProj, pos, first_token);
-  run_linear(blk.k, tiles(pb, &PackedBlock::k), pool, ws.h, ws.k, exec,
-             hooks, b, LayerKind::kKProj, pos, first_token);
-  run_linear(blk.v, tiles(pb, &PackedBlock::v), pool, ws.h, ws.v, exec,
-             hooks, b, LayerKind::kVProj, pos, first_token);
-
-  const std::size_t n_heads = config_.n_heads;
-  const std::size_t head_dim = config_.head_dim();
-  if (config_.position == PositionKind::kRotary) {
-    rope_apply(ws.q.row(0), n_heads, head_dim, pos, config_.rope_theta);
-    rope_apply(ws.k.row(0), n_heads, head_dim, pos, config_.rope_theta);
-    maybe_quantize(ws.q.row(0), fp16);
-    maybe_quantize(ws.k.row(0), fp16);
-  }
-
-  cache.store(block_idx, pos, ws.k.row(0), ws.v.row(0));
-
-  // Scaled dot-product attention over positions [0, pos].
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  const std::size_t len = pos + 1;
-  auto out = ws.attn_out.row(0);
-  std::fill(out.begin(), out.end(), 0.0f);
-  for (std::size_t hh = 0; hh < n_heads; ++hh) {
-    const std::size_t off = hh * head_dim;
-    auto scores = ws.scores.row(0).subspan(0, len);
-    const float* qh = ws.q.row(0).data() + off;
-    for (std::size_t j = 0; j < len; ++j) {
-      const float* kh = cache.key(block_idx, j).data() + off;
-      float dot = 0.0f;
-      for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
-      scores[j] = dot * scale;
-    }
-    maybe_quantize(scores, fp16);
-    softmax(scores);
-    maybe_quantize(scores, fp16);
-    float* oh = out.data() + off;
-    for (std::size_t j = 0; j < len; ++j) {
-      const float p = scores[j];
-      if (p == 0.0f) continue;
-      const float* vh = cache.value(block_idx, j).data() + off;
-      for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
-    }
-  }
-  maybe_quantize(out, fp16);
-
-  run_linear(blk.o, tiles(pb, &PackedBlock::o), pool, ws.attn_out, ws.o, exec,
-             hooks, b, LayerKind::kOutProj, pos, first_token);
-}
-
-void TransformerLM::mlp(const BlockWeights& blk, std::size_t block_idx,
-                        const Tensor& input, const HookChain& hooks,
-                        const ExecConfig& exec, bool first_token,
-                        Workspace& ws, const PackedDecodeWeights* packed,
-                        ThreadPool* pool) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const bool llama = config_.arch == ArchFamily::kLlama;
-  const PackedBlock* pb = block_tiles(packed, block_idx);
-  // `pos` only matters for hook context; reuse the attention position via
-  // ws.scores? Instead we thread pos through ws: simplest is to record it.
-  const std::size_t pos = ws.current_pos;
-
-  if (llama) {
-    run_linear(blk.fc1, tiles(pb, &PackedBlock::fc1), pool, input, ws.f1,
-               exec, hooks, b, LayerKind::kGateProj, pos, first_token);
-    run_linear(blk.up, tiles(pb, &PackedBlock::up), pool, input, ws.f_up,
-               exec, hooks, b, LayerKind::kUpProj, pos, first_token);
-    std::copy(ws.f1.row(0).begin(), ws.f1.row(0).end(), ws.act.row(0).begin());
-    silu(ws.act.row(0));
-    finish_output(ws.act.row(0),
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos,
-                              first_token},
-                  hooks, exec);
-    mul_inplace(ws.act.row(0), ws.f_up.row(0));
-    maybe_quantize(ws.act.row(0), fp16);
-    run_linear(blk.fc2, tiles(pb, &PackedBlock::fc2), pool, ws.act, ws.f2,
-               exec, hooks, b, LayerKind::kDownProj, pos, first_token);
-  } else {
-    run_linear(blk.fc1, tiles(pb, &PackedBlock::fc1), pool, input, ws.f1,
-               exec, hooks, b, LayerKind::kFc1, pos, first_token);
-    std::copy(ws.f1.row(0).begin(), ws.f1.row(0).end(), ws.act.row(0).begin());
-    if (config_.activation == Activation::kRelu) {
-      relu(ws.act.row(0));
-    } else {
-      gelu(ws.act.row(0));
-    }
-    finish_output(ws.act.row(0),
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos,
-                              first_token},
-                  hooks, exec);
-    run_linear(blk.fc2, tiles(pb, &PackedBlock::fc2), pool, ws.act, ws.f2,
-               exec, hooks, b, LayerKind::kFc2, pos, first_token);
-  }
-}
 
 void TransformerLM::forward_position(int token, std::size_t pos,
                                      KvCache& cache, const HookChain& hooks,
@@ -336,202 +440,8 @@ void TransformerLM::forward_position(int token, std::size_t pos,
                                      bool first_token_phase, Workspace& ws,
                                      std::span<float> logits,
                                      const PackedDecodeWeights* packed) const {
-  const bool fp16 = exec.fp16;
-  FT2_CHECK_MSG(cache.length() == pos,
-                "cache length " << cache.length() << " != pos " << pos);
-  FT2_CHECK(pos < config_.max_seq);
-  FT2_CHECK(token >= 0 &&
-            static_cast<std::size_t>(token) < config_.vocab_size);
-  FT2_CHECK(logits.empty() || logits.size() == config_.vocab_size);
-  check_packed(packed);
-  // The pool only runs packed tiles; the unpacked path runs the row GEMV
-  // (KernelOps::gemv_row) on the calling thread.
-  ThreadPool* pool = packed != nullptr ? &exec_pool(exec) : nullptr;
-  ws.current_pos = pos;
-
-  // Embedding (+ learned positions for OPT).
-  auto x = ws.x.row(0);
-  auto emb = weights_.tok_emb.row(static_cast<std::size_t>(token));
-  std::copy(emb.begin(), emb.end(), x.begin());
-  if (config_.position == PositionKind::kLearned) {
-    add_inplace(x, weights_.pos_emb.row(pos));
-  }
-  maybe_quantize(x, fp16);
-
-  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
-    const auto& blk = weights_.blocks[bi];
-    apply_norm_row(blk.norm1, ws.x.row(0), ws.h.row(0));
-    maybe_quantize(ws.h.row(0), fp16);
-
-    attention(blk, bi, pos, cache, hooks, exec, first_token_phase, ws, packed,
-              pool);
-
-    if (config_.parallel_block) {
-      // GPT-J: MLP reads the same normed input; single residual add.
-      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws, packed, pool);
-      add_inplace(x, ws.o.row(0));
-      add_inplace(x, ws.f2.row(0));
-      maybe_quantize(x, fp16);
-    } else {
-      add_inplace(x, ws.o.row(0));
-      maybe_quantize(x, fp16);
-      apply_norm_row(blk.norm2, ws.x.row(0), ws.h.row(0));
-      maybe_quantize(ws.h.row(0), fp16);
-      mlp(blk, bi, ws.h, hooks, exec, first_token_phase, ws, packed, pool);
-      add_inplace(x, ws.f2.row(0));
-      maybe_quantize(x, fp16);
-    }
-  }
-  cache.advance();
-
-  if (logits.empty()) return;
-  lm_head(ws.x.row(0), exec, ws, packed, pool, logits);
-}
-
-void TransformerLM::lm_head(std::span<const float> x, const ExecConfig& exec,
-                            Workspace& ws, const PackedDecodeWeights* packed,
-                            ThreadPool* pool, std::span<float> logits) const {
-  apply_norm_row(weights_.final_norm, x, ws.final_h.row(0));
-  maybe_quantize(ws.final_h.row(0), exec.fp16);
-  // Always the non-chunked kernel, with no quantization and no hooks on
-  // logits; packed tiles share linear_forward_row's accumulation order.
-  if (packed != nullptr) {
-    linear_forward_span_packed(ws.final_h, 1, packed->lm_head, ws.logits,
-                               *pool);
-    const auto row = ws.logits.row(0);
-    std::copy(row.begin(), row.end(), logits.begin());
-  } else {
-    linear_forward_row(ws.final_h.row(0), weights_.lm_head.w, {}, logits);
-  }
-}
-
-void TransformerLM::check_packed(const PackedDecodeWeights* packed) const {
-  if (packed != nullptr) {
-    FT2_CHECK_MSG(packed->blocks.size() == config_.n_blocks,
-                  "packed weights built for a different model");
-  }
-}
-
-void TransformerLM::attention_span(const BlockWeights& blk,
-                                   std::size_t block_idx, std::size_t pos0,
-                                   std::size_t n, KvCache& cache,
-                                   const HookChain& hooks,
-                                   const ExecConfig& exec, bool first_token,
-                                   Workspace& ws, ThreadPool& pool,
-                                   const PackedDecodeWeights* packed) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const PackedBlock* pb = block_tiles(packed, block_idx);
-  run_linear_span(blk.q, tiles(pb, &PackedBlock::q), ws.h, n, ws.q, exec,
-                  pool, hooks, b, LayerKind::kQProj, pos0, first_token);
-  run_linear_span(blk.k, tiles(pb, &PackedBlock::k), ws.h, n, ws.k, exec,
-                  pool, hooks, b, LayerKind::kKProj, pos0, first_token);
-  run_linear_span(blk.v, tiles(pb, &PackedBlock::v), ws.h, n, ws.v, exec,
-                  pool, hooks, b, LayerKind::kVProj, pos0, first_token);
-
-  const std::size_t n_heads = config_.n_heads;
-  const std::size_t head_dim = config_.head_dim();
-  if (config_.position == PositionKind::kRotary) {
-    for (std::size_t r = 0; r < n; ++r) {
-      rope_apply(ws.q.row(r), n_heads, head_dim, pos0 + r, config_.rope_theta);
-      rope_apply(ws.k.row(r), n_heads, head_dim, pos0 + r, config_.rope_theta);
-      maybe_quantize(ws.q.row(r), fp16);
-      maybe_quantize(ws.k.row(r), fp16);
-    }
-  }
-
-  // All of the chunk's K/V lands in the cache before any attention row runs:
-  // row r attends over [0, pos0 + r], which includes earlier chunk rows.
-  // Hooks already ran (above), so the stored values match the sequential
-  // path, where each position's K/V is hooked, roped and stored before the
-  // next position executes.
-  for (std::size_t r = 0; r < n; ++r) {
-    cache.store(block_idx, pos0 + r, ws.k.row(r), ws.v.row(r));
-  }
-
-  // Causal attention, one independent task per chunk row (fixed loop order
-  // inside a row keeps it bit-exact with the sequential path).
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  pool.parallel_for(0, n, [&](std::size_t r) {
-    const std::size_t len = pos0 + r + 1;
-    auto out = ws.attn_out.row(r);
-    std::fill(out.begin(), out.end(), 0.0f);
-    for (std::size_t hh = 0; hh < n_heads; ++hh) {
-      const std::size_t off = hh * head_dim;
-      auto scores = ws.scores.row(r).subspan(0, len);
-      const float* qh = ws.q.row(r).data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float* kh = cache.key(block_idx, j).data() + off;
-        float dot = 0.0f;
-        for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
-        scores[j] = dot * scale;
-      }
-      maybe_quantize(scores, fp16);
-      softmax(scores);
-      maybe_quantize(scores, fp16);
-      float* oh = out.data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float p = scores[j];
-        if (p == 0.0f) continue;
-        const float* vh = cache.value(block_idx, j).data() + off;
-        for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
-      }
-    }
-    maybe_quantize(out, fp16);
-  });
-
-  run_linear_span(blk.o, tiles(pb, &PackedBlock::o), ws.attn_out, n, ws.o,
-                  exec, pool, hooks, b, LayerKind::kOutProj, pos0,
-                  first_token);
-}
-
-void TransformerLM::mlp_span(const BlockWeights& blk, std::size_t block_idx,
-                             const Tensor& input, std::size_t pos0,
-                             std::size_t n, const HookChain& hooks,
-                             const ExecConfig& exec, bool first_token,
-                             Workspace& ws, ThreadPool& pool,
-                             const PackedDecodeWeights* packed) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const bool llama = config_.arch == ArchFamily::kLlama;
-  const std::size_t d_ff = config_.d_ff;
-  std::span<float> act_view{ws.act.data(), n * d_ff};
-  const PackedBlock* pb = block_tiles(packed, block_idx);
-
-  if (llama) {
-    run_linear_span(blk.fc1, tiles(pb, &PackedBlock::fc1), input, n, ws.f1,
-                    exec, pool, hooks, b, LayerKind::kGateProj, pos0,
-                    first_token);
-    run_linear_span(blk.up, tiles(pb, &PackedBlock::up), input, n, ws.f_up,
-                    exec, pool, hooks, b, LayerKind::kUpProj, pos0,
-                    first_token);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    silu(act_view);
-    finish_output(act_view,
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos0,
-                              first_token, n, d_ff},
-                  hooks, exec);
-    mul_inplace(act_view, {ws.f_up.data(), n * d_ff});
-    maybe_quantize(act_view, fp16);
-    run_linear_span(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, n, ws.f2,
-                    exec, pool, hooks, b, LayerKind::kDownProj, pos0,
-                    first_token);
-  } else {
-    run_linear_span(blk.fc1, tiles(pb, &PackedBlock::fc1), input, n, ws.f1,
-                    exec, pool, hooks, b, LayerKind::kFc1, pos0, first_token);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    if (config_.activation == Activation::kRelu) {
-      relu(act_view);
-    } else {
-      gelu(act_view);
-    }
-    finish_output(act_view,
-                  HookContext{LayerSite{b, LayerKind::kMlpAct}, pos0,
-                              first_token, n, d_ff},
-                  hooks, exec);
-    run_linear_span(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, n, ws.f2,
-                    exec, pool, hooks, b, LayerKind::kFc2, pos0, first_token);
-  }
+  forward_span({&token, 1}, pos, cache, hooks, exec, first_token_phase, ws,
+               logits, packed);
 }
 
 void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
@@ -540,282 +450,23 @@ void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
                                  bool first_token_phase, Workspace& ws,
                                  std::span<float> logits,
                                  const PackedDecodeWeights* packed) const {
-  const std::size_t n = tokens.size();
-  const bool fp16 = exec.fp16;
-  FT2_CHECK(n > 0);
-  FT2_CHECK_MSG(cache.length() == pos0,
-                "cache length " << cache.length() << " != pos0 " << pos0);
-  FT2_CHECK(pos0 + n <= config_.max_seq);
-  FT2_CHECK(logits.empty() || logits.size() == config_.vocab_size);
-  check_packed(packed);
-  ws.ensure_chunk_capacity(config_, n);
-  ws.current_pos = pos0;
-  ThreadPool& pool = exec_pool(exec);
-
-  for (std::size_t r = 0; r < n; ++r) {
-    const int token = tokens[r];
-    FT2_CHECK(token >= 0 &&
-              static_cast<std::size_t>(token) < config_.vocab_size);
-    auto x = ws.x.row(r);
-    auto emb = weights_.tok_emb.row(static_cast<std::size_t>(token));
-    std::copy(emb.begin(), emb.end(), x.begin());
-    if (config_.position == PositionKind::kLearned) {
-      add_inplace(x, weights_.pos_emb.row(pos0 + r));
-    }
-    maybe_quantize(x, fp16);
-  }
-
-  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
-    const auto& blk = weights_.blocks[bi];
-    for (std::size_t r = 0; r < n; ++r) {
-      apply_norm_row(blk.norm1, ws.x.row(r), ws.h.row(r));
-      maybe_quantize(ws.h.row(r), fp16);
-    }
-
-    attention_span(blk, bi, pos0, n, cache, hooks, exec, first_token_phase,
-                   ws, pool, packed);
-
-    if (config_.parallel_block) {
-      mlp_span(blk, bi, ws.h, pos0, n, hooks, exec, first_token_phase, ws,
-               pool, packed);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    } else {
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        maybe_quantize(x, fp16);
-        apply_norm_row(blk.norm2, ws.x.row(r), ws.h.row(r));
-        maybe_quantize(ws.h.row(r), fp16);
-      }
-      mlp_span(blk, bi, ws.h, pos0, n, hooks, exec, first_token_phase, ws,
-               pool, packed);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    }
-  }
-  cache.advance(n);
-
-  if (logits.empty()) return;
-  // Only the last span position's logits are observable: generate() ignores
-  // intermediate prefill logits, so the blocked path never computes them.
-  lm_head(ws.x.row(n - 1), exec, ws, packed, &pool, logits);
-}
-
-void TransformerLM::attention_batch(const BlockWeights& blk,
-                                    std::size_t block_idx,
-                                    std::span<DecodeSlot> slots,
-                                    const ExecConfig& exec, Workspace& ws,
-                                    ThreadPool& pool,
-                                    const PackedDecodeWeights* packed) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const std::size_t n = slots.size();
-  const PackedBlock* pb = block_tiles(packed, block_idx);
-  run_linear_batch(blk.q, tiles(pb, &PackedBlock::q), ws.h, slots, ws.q, exec,
-                   pool, b, LayerKind::kQProj);
-  run_linear_batch(blk.k, tiles(pb, &PackedBlock::k), ws.h, slots, ws.k, exec,
-                   pool, b, LayerKind::kKProj);
-  run_linear_batch(blk.v, tiles(pb, &PackedBlock::v), ws.h, slots, ws.v, exec,
-                   pool, b, LayerKind::kVProj);
-
-  const std::size_t n_heads = config_.n_heads;
-  const std::size_t head_dim = config_.head_dim();
-  if (config_.position == PositionKind::kRotary) {
-    for (std::size_t r = 0; r < n; ++r) {
-      rope_apply(ws.q.row(r), n_heads, head_dim, slots[r].pos,
-                 config_.rope_theta);
-      rope_apply(ws.k.row(r), n_heads, head_dim, slots[r].pos,
-                 config_.rope_theta);
-      maybe_quantize(ws.q.row(r), fp16);
-      maybe_quantize(ws.k.row(r), fp16);
-    }
-  }
-
-  for (std::size_t r = 0; r < n; ++r) {
-    slots[r].cache->store(block_idx, slots[r].pos, ws.k.row(r), ws.v.row(r));
-  }
-
-  // Causal attention, one independent task per slot — each row reads only
-  // its own sequence's cache, with the sequential path's fixed loop order.
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  pool.parallel_for(0, n, [&](std::size_t r) {
-    const KvCache& cache = *slots[r].cache;
-    const std::size_t len = slots[r].pos + 1;
-    auto out = ws.attn_out.row(r);
-    std::fill(out.begin(), out.end(), 0.0f);
-    for (std::size_t hh = 0; hh < n_heads; ++hh) {
-      const std::size_t off = hh * head_dim;
-      auto scores = ws.scores.row(r).subspan(0, len);
-      const float* qh = ws.q.row(r).data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float* kh = cache.key(block_idx, j).data() + off;
-        float dot = 0.0f;
-        for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
-        scores[j] = dot * scale;
-      }
-      maybe_quantize(scores, fp16);
-      softmax(scores);
-      maybe_quantize(scores, fp16);
-      float* oh = out.data() + off;
-      for (std::size_t j = 0; j < len; ++j) {
-        const float p = scores[j];
-        if (p == 0.0f) continue;
-        const float* vh = cache.value(block_idx, j).data() + off;
-        for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
-      }
-    }
-    maybe_quantize(out, fp16);
-  });
-
-  run_linear_batch(blk.o, tiles(pb, &PackedBlock::o), ws.attn_out, slots,
-                   ws.o, exec, pool, b, LayerKind::kOutProj);
-}
-
-void TransformerLM::mlp_batch(const BlockWeights& blk, std::size_t block_idx,
-                              const Tensor& input,
-                              std::span<DecodeSlot> slots,
-                              const ExecConfig& exec, Workspace& ws,
-                              ThreadPool& pool,
-                              const PackedDecodeWeights* packed) const {
-  const bool fp16 = exec.fp16;
-  const int b = static_cast<int>(block_idx);
-  const bool llama = config_.arch == ArchFamily::kLlama;
-  const std::size_t n = slots.size();
-  const std::size_t d_ff = config_.d_ff;
-  std::span<float> act_view{ws.act.data(), n * d_ff};
-  const PackedBlock* pb = block_tiles(packed, block_idx);
-
-  // Per-slot MlpAct finish: the activation is elementwise, so row r holds
-  // exactly the values the sequential path hands this slot's chain (the
-  // quantize/protect sweep is fused per row when the slot's chain accepts).
-  const auto finish_act = [&] {
-    for (std::size_t r = 0; r < n; ++r) {
-      HookContext ctx{LayerSite{b, LayerKind::kMlpAct}, slots[r].pos,
-                      /*first_token_phase=*/false};
-      finish_output(ws.act.row(r), ctx, *slots[r].hooks, exec);
-    }
-  };
-
-  if (llama) {
-    run_linear_batch(blk.fc1, tiles(pb, &PackedBlock::fc1), input, slots,
-                     ws.f1, exec, pool, b, LayerKind::kGateProj);
-    run_linear_batch(blk.up, tiles(pb, &PackedBlock::up), input, slots,
-                     ws.f_up, exec, pool, b, LayerKind::kUpProj);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    silu(act_view);
-    finish_act();
-    mul_inplace(act_view, {ws.f_up.data(), n * d_ff});
-    maybe_quantize(act_view, fp16);
-    run_linear_batch(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, slots,
-                     ws.f2, exec, pool, b, LayerKind::kDownProj);
-  } else {
-    run_linear_batch(blk.fc1, tiles(pb, &PackedBlock::fc1), input, slots,
-                     ws.f1, exec, pool, b, LayerKind::kFc1);
-    std::copy_n(ws.f1.data(), n * d_ff, ws.act.data());
-    if (config_.activation == Activation::kRelu) {
-      relu(act_view);
-    } else {
-      gelu(act_view);
-    }
-    finish_act();
-    run_linear_batch(blk.fc2, tiles(pb, &PackedBlock::fc2), ws.act, slots,
-                     ws.f2, exec, pool, b, LayerKind::kFc2);
-  }
+  const Segment seg{0, pos0, tokens, &cache, &hooks, first_token_phase, logits};
+  RowEngine(*this, {&seg, 1}, exec, ws, packed).run();
 }
 
 void TransformerLM::forward_batch(std::span<DecodeSlot> slots,
                                   const ExecConfig& exec, Workspace& ws,
                                   const PackedDecodeWeights* packed) const {
-  const std::size_t n = slots.size();
-  if (n == 0) return;
-  const bool fp16 = exec.fp16;
-  for (const DecodeSlot& s : slots) {
-    FT2_CHECK(s.cache != nullptr && s.hooks != nullptr);
-    FT2_CHECK_MSG(s.cache->length() == s.pos,
-                  "slot cache length " << s.cache->length() << " != pos "
-                                       << s.pos);
-    FT2_CHECK(s.pos < config_.max_seq);
-    FT2_CHECK(s.token >= 0 &&
-              static_cast<std::size_t>(s.token) < config_.vocab_size);
+  if (slots.empty()) return;
+  std::vector<Segment> segs;
+  segs.reserve(slots.size());
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const DecodeSlot& s = slots[i];
     FT2_CHECK(s.logits.size() == config_.vocab_size);
+    segs.push_back({i, s.pos, {&s.token, 1}, s.cache, s.hooks,
+                    /*first_token=*/false, s.logits});
   }
-  check_packed(packed);
-  ws.ensure_chunk_capacity(config_, n);
-  ThreadPool& pool = exec_pool(exec);
-
-  for (std::size_t r = 0; r < n; ++r) {
-    auto x = ws.x.row(r);
-    auto emb =
-        weights_.tok_emb.row(static_cast<std::size_t>(slots[r].token));
-    std::copy(emb.begin(), emb.end(), x.begin());
-    if (config_.position == PositionKind::kLearned) {
-      add_inplace(x, weights_.pos_emb.row(slots[r].pos));
-    }
-    maybe_quantize(x, fp16);
-  }
-
-  for (std::size_t bi = 0; bi < config_.n_blocks; ++bi) {
-    const auto& blk = weights_.blocks[bi];
-    for (std::size_t r = 0; r < n; ++r) {
-      apply_norm_row(blk.norm1, ws.x.row(r), ws.h.row(r));
-      maybe_quantize(ws.h.row(r), fp16);
-    }
-
-    attention_batch(blk, bi, slots, exec, ws, pool, packed);
-
-    if (config_.parallel_block) {
-      mlp_batch(blk, bi, ws.h, slots, exec, ws, pool, packed);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    } else {
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.o.row(r));
-        maybe_quantize(x, fp16);
-        apply_norm_row(blk.norm2, ws.x.row(r), ws.h.row(r));
-        maybe_quantize(ws.h.row(r), fp16);
-      }
-      mlp_batch(blk, bi, ws.h, slots, exec, ws, pool, packed);
-      for (std::size_t r = 0; r < n; ++r) {
-        auto x = ws.x.row(r);
-        add_inplace(x, ws.f2.row(r));
-        maybe_quantize(x, fp16);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < n; ++r) slots[r].cache->advance();
-
-  // LM head: every slot's logits are observable each decode step. The
-  // sequential path always uses the non-chunked kernel here, so the batch
-  // does too (packed tiles share that accumulation order). No quantization
-  // and no hooks on logits — exactly like forward_position.
-  for (std::size_t r = 0; r < n; ++r) {
-    apply_norm_row(weights_.final_norm, ws.x.row(r), ws.final_h.row(r));
-    maybe_quantize(ws.final_h.row(r), fp16);
-  }
-  if (packed != nullptr) {
-    linear_forward_span_packed(ws.final_h, n, packed->lm_head, ws.logits,
-                               pool);
-  } else {
-    linear_forward_span(ws.final_h, n, weights_.lm_head.w, {}, ws.logits,
-                        /*chunked_accum=*/false, pool);
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    auto row = ws.logits.row(r);
-    std::copy(row.begin(), row.end(), slots[r].logits.begin());
-  }
+  RowEngine(*this, segs, exec, ws, packed).run();
 }
 
 PackedDecodeWeights::PackedDecodeWeights(const TransformerLM& model) {
@@ -871,13 +522,8 @@ void forward_prefill_chunk(const TransformerLM& model,
   // chunks skip the LM head entirely.
   const std::span<float> out =
       pos + n == tokens.size() ? logits : std::span<float>{};
-  if (n == 1) {
-    model.forward_position(tokens[pos], pos, cache, hooks, exec,
-                           /*first_token_phase=*/true, ws, out, packed);
-  } else {
-    model.forward_span(tokens.subspan(pos, n), pos, cache, hooks, exec,
-                       /*first_token_phase=*/true, ws, out, packed);
-  }
+  model.forward_span(tokens.subspan(pos, n), pos, cache, hooks, exec,
+                     /*first_token_phase=*/true, ws, out, packed);
 }
 
 std::size_t run_prefill(const TransformerLM& model,
@@ -976,7 +622,7 @@ GenerateResult InferenceSession::generate(std::span<const int> prompt,
   std::span<float> logits{logits_.data(), logits_.size()};
 
   // Prefill: the "first token generation" phase, processed in blocked
-  // chunks (bit-exact with the sequential path at any chunk size).
+  // chunks (bit-exact at any chunk size).
   const std::size_t pos =
       run_prefill(model_, prompt, options, cache_, hooks_, ws_, logits);
   result.positions_run = pos;

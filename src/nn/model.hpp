@@ -1,17 +1,22 @@
 // Decoder-only transformer inference engine with hookable layer outputs.
 //
-// The engine has two execution paths against the same KV cache:
-//   - forward_position: one position at a time (incremental decode, and the
-//     reference prefill path);
-//   - forward_span: a blocked prefill that pushes a CHUNK of prompt
-//     positions through each layer as an MxK * KxN GEMM parallelised over a
-//     thread pool, with causal attention rows computed per position.
-// The blocked path is bit-exact with running forward_position over the same
-// positions: every output element is one dot product with a fixed
-// accumulation order computed by exactly one task, cross-position dataflow
-// only passes through the KV cache (stored after hooks, exactly like the
-// sequential path), and hooks observe each site's values in increasing
-// position order.
+// One row-segment engine runs every forward. Its rows are grouped into
+// segments: consecutive rows that hold consecutive positions of one
+// sequence, with that sequence's KV cache and hook chain. Each linear is
+// one GEMM over all rows, parallelised over a thread pool; attention
+// stores every row's K/V, then runs one causal attention task per row over
+// its own segment's cache. Three entry points build the segments:
+//   - forward_span: one segment of a chunk of prompt positions (blocked
+//     prefill);
+//   - forward_position: forward_span over one position (incremental
+//     decode of a single session);
+//   - forward_batch: one single-row segment per sequence (batched decode).
+// Results never depend on the grouping or the pool size: every output
+// element is one dot product with a fixed accumulation order computed by
+// exactly one task, cross-row dataflow only passes through the KV caches
+// (stored after hooks), and each chain observes each site's values in
+// increasing position order. tests/nn/forward_oracle_test.cpp checks all
+// three against a naive scalar forward.
 //
 // When FP16 execution is modelled, every observable tensor — linear outputs,
 // activation outputs, attention output, residual stream, norm outputs — is
@@ -37,9 +42,8 @@ namespace ft2 {
 
 class ThreadPool;  // common/thread_pool.hpp
 
-/// Scratch buffers reused across positions. Rows 1..capacity-1 are only
-/// used by the blocked prefill and the batched decode; the sequential path
-/// always works in row 0.
+/// Scratch buffers reused across forwards: one row per engine row (a
+/// prefill chunk's positions, or one row per batched-decode sequence).
 struct Workspace {
   Tensor x;         // [cap, d] residual stream
   Tensor h;         // [cap, d] normed input
@@ -50,8 +54,7 @@ struct Workspace {
   Tensor f2;        // [cap, d]
   Tensor scores;    // [cap, max_seq]
   Tensor final_h;   // [cap, d]
-  Tensor logits;    // [cap, vocab] (batched decode LM head)
-  std::size_t current_pos = 0;  // position being processed (hook context)
+  Tensor logits;    // [cap, vocab] LM head rows
 
   explicit Workspace(const ModelConfig& config, std::size_t chunk_capacity = 1);
 
@@ -69,8 +72,9 @@ struct Workspace {
 /// reduction order, as a different GPU generation would use) — results stay
 /// semantically equivalent but differ in float rounding, which is exactly
 /// what the hardware-sensitivity experiment (Fig. 16) varies. `pool` selects
-/// the thread pool for the blocked prefill (null = process-wide pool); the
-/// pool size never affects results, only wall-clock time.
+/// the thread pool a forward runs its multi-row GEMMs and attention rows on
+/// (null = process-wide pool); the pool size never affects results, only
+/// wall-clock time.
 struct ExecConfig {
   bool fp16 = true;
   bool chunked_accum = false;
@@ -82,8 +86,8 @@ struct PackedDecodeWeights;  // defined below
 /// One sequence's slot in a batched decode step (forward_batch). The cache,
 /// hook chain and logits belong to the slot's session; forward_batch never
 /// lets dataflow cross slots — only the read-only weights and the scratch
-/// workspace rows are shared — so each sequence computes exactly what a solo
-/// forward_position call would.
+/// workspace rows are shared — so each sequence computes exactly what it
+/// would decoding alone.
 struct DecodeSlot {
   int token = -1;              ///< token to feed at this step
   std::size_t pos = 0;         ///< sequence position (== cache->length())
@@ -113,20 +117,11 @@ class TransformerLM {
                         std::span<float> logits,
                         const PackedDecodeWeights* packed = nullptr) const;
 
-  /// Backward-compatible overload taking only the fp16 flag.
-  void forward_position(int token, std::size_t pos, KvCache& cache,
-                        const HookChain& hooks, bool fp16,
-                        bool first_token_phase, Workspace& ws,
-                        std::span<float> logits) const {
-    forward_position(token, pos, cache, hooks, ExecConfig{fp16, false},
-                     first_token_phase, ws, logits);
-  }
-
   /// Blocked prefill: processes `tokens` at sequence positions
   /// [pos0, pos0 + tokens.size()) through every layer as a batched GEMM,
   /// appends the chunk's K/V to the cache in one shot and applies causal
-  /// attention per chunk row. Bit-exact with calling forward_position for
-  /// each position in order, at any pool size (see file header). Hooks fire
+  /// attention per chunk row. Bit-exact with any other split of the same
+  /// positions into chunks, at any pool size (see file header). Hooks fire
   /// once per layer site with a [n_positions x width] span view. `logits`
   /// receives the output for the LAST span position only (intermediate
   /// prefill logits are never observed by generate); pass an empty span to
@@ -159,42 +154,6 @@ class TransformerLM {
   }
 
  private:
-  // `packed` may be null (unpacked weights); the single-position paths
-  // take a `pool` only to run packed tiles.
-  void attention(const BlockWeights& blk, std::size_t block_idx,
-                 std::size_t pos, KvCache& cache, const HookChain& hooks,
-                 const ExecConfig& exec, bool first_token, Workspace& ws,
-                 const PackedDecodeWeights* packed, ThreadPool* pool) const;
-  void mlp(const BlockWeights& blk, std::size_t block_idx, const Tensor& input,
-           const HookChain& hooks, const ExecConfig& exec, bool first_token,
-           Workspace& ws, const PackedDecodeWeights* packed,
-           ThreadPool* pool) const;
-  void attention_span(const BlockWeights& blk, std::size_t block_idx,
-                      std::size_t pos0, std::size_t n, KvCache& cache,
-                      const HookChain& hooks, const ExecConfig& exec,
-                      bool first_token, Workspace& ws, ThreadPool& pool,
-                      const PackedDecodeWeights* packed) const;
-  void mlp_span(const BlockWeights& blk, std::size_t block_idx,
-                const Tensor& input, std::size_t pos0, std::size_t n,
-                const HookChain& hooks, const ExecConfig& exec,
-                bool first_token, Workspace& ws, ThreadPool& pool,
-                const PackedDecodeWeights* packed) const;
-  void attention_batch(const BlockWeights& blk, std::size_t block_idx,
-                       std::span<DecodeSlot> slots, const ExecConfig& exec,
-                       Workspace& ws, ThreadPool& pool,
-                       const PackedDecodeWeights* packed) const;
-  void mlp_batch(const BlockWeights& blk, std::size_t block_idx,
-                 const Tensor& input, std::span<DecodeSlot> slots,
-                 const ExecConfig& exec, Workspace& ws, ThreadPool& pool,
-                 const PackedDecodeWeights* packed) const;
-  void apply_norm_row(const NormWeights& nw, std::span<const float> in,
-                      std::span<float> out) const;
-  /// Final norm of residual row `x`, then the LM head into `logits`.
-  void lm_head(std::span<const float> x, const ExecConfig& exec,
-               Workspace& ws, const PackedDecodeWeights* packed,
-               ThreadPool* pool, std::span<float> logits) const;
-  void check_packed(const PackedDecodeWeights* packed) const;
-
   ModelConfig config_;
   ModelWeights weights_;
 };
@@ -233,9 +192,9 @@ struct GenerateOptions {
   float temperature = 0.0f;    ///< 0 = greedy; > 0 = softmax sampling
   std::size_t top_k = 0;       ///< 0 = all tokens; else sample among top-k
   std::uint64_t sample_seed = 1;  ///< RNG seed for sampling decode
-  /// Prompt positions processed per blocked-prefill chunk. 1 = fully
-  /// sequential reference path; 0 = the whole prompt in one chunk. Chunking
-  /// is bit-exact with the sequential path, so this is purely a speed knob.
+  /// Prompt positions processed per blocked-prefill chunk. 1 = one
+  /// position at a time; 0 = the whole prompt in one chunk. Every chunk
+  /// size gives bit-identical results, so this is purely a speed knob.
   std::size_t prefill_chunk = 32;
   ThreadPool* pool = nullptr;  ///< pool for blocked prefill (null = global)
 };
@@ -256,10 +215,10 @@ std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
 /// Runs positions [pos, pos + n) of the prefill sequence `tokens` (n from
 /// prefill_chunk_rows) in the first-token phase. The one chunk dispatch
 /// every prefill path uses — run_prefill, ServeEngine's budgeted chunks
-/// and its recompute replay — so their rules cannot drift: a 1-wide chunk
-/// goes through forward_position, any wider one through forward_span, and
-/// `logits` is written only by the chunk that ends `tokens` (earlier chunks
-/// skip the LM head). `packed` (optional) feeds every GEMM of the chunk.
+/// and its recompute replay — so their rules cannot drift: every chunk goes
+/// through forward_span, and `logits` is written only by the chunk that
+/// ends `tokens` (earlier chunks skip the LM head). `packed` (optional)
+/// feeds every GEMM of the chunk.
 void forward_prefill_chunk(const TransformerLM& model,
                            std::span<const int> tokens, std::size_t pos,
                            std::size_t n, KvCache& cache,
@@ -325,7 +284,7 @@ class InferenceSession {
 
   /// Greedy generation. Prompt tokens are prefilled in blocked chunks of
   /// `options.prefill_chunk` positions (the "first token generation" phase
-  /// of the paper) — bit-exact with sequential prefill; hooks observe every
+  /// of the paper) — bit-exact at any chunk size; hooks observe every
   /// position. Decode then continues one position at a time.
   GenerateResult generate(std::span<const int> prompt,
                           const GenerateOptions& options);

@@ -130,13 +130,6 @@ void kouter_span(const Tensor& x, std::size_t rows, std::size_t n,
 
 }  // namespace
 
-void linear_forward_row_chunked(std::span<const float> x, const Tensor& w,
-                                std::span<const float> bias,
-                                std::span<float> y) {
-  FT2_ASSERT(x.size() == w.dim(1) && y.size() == w.dim(0));
-  chunked_row_range(x, w, bias, y, 0, w.dim(0));
-}
-
 PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
     : n(w.dim(0)),
       k(w.dim(1)),

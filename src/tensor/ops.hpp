@@ -24,23 +24,19 @@ void linear_forward(const Tensor& x, const Tensor& w,
 void linear_forward_row(std::span<const float> x, const Tensor& w,
                         std::span<const float> bias, std::span<float> y);
 
-/// Single-row version with the dot product accumulated in 8-wide partial
-/// sums and a pairwise lane reduction: a different reduction order from
-/// linear_forward_row, standing in for a different GPU generation's tiling
-/// (the Fig. 16 hardware-sensitivity axis).
-void linear_forward_row_chunked(std::span<const float> x, const Tensor& w,
-                                std::span<const float> bias,
-                                std::span<float> y);
-
 class ThreadPool;  // common/thread_pool.hpp
 
 /// Blocked multi-row GEMM: y.row(r) = W * x.row(r) + b for r in [0, rows),
 /// parallelised over `pool` (rows and, for small row counts, output-column
 /// tiles). Every output element is produced by exactly one task using the
-/// same accumulation order as linear_forward_row (or the chunked variant),
-/// so results are bit-exact with the sequential per-row calls at any pool
-/// size and on every dispatch tier (tensor/dispatch.hpp). `x` and `y` may
-/// have more than `rows` rows (workspace capacity).
+/// same accumulation order as linear_forward_row, so results are bit-exact
+/// with per-row calls at any pool size and on every dispatch tier
+/// (tensor/dispatch.hpp). `chunked_accum` instead accumulates each dot
+/// product in 8-wide partial sums with a pairwise lane reduction: a
+/// different reduction order, standing in for a different GPU generation's
+/// tiling (the Fig. 16 hardware-sensitivity axis), equally independent of
+/// rows and pool size. `x` and `y` may have more than `rows` rows
+/// (workspace capacity).
 ///
 /// When `epi` is non-null the fused store epilogue (quantize + protection)
 /// is applied to each output tile in-register as it is stored

@@ -1,9 +1,11 @@
-// Bit-exactness guarantees of the blocked prefill (forward_span) against
-// the sequential reference path (forward_position):
+// Chunk-size invariance of the blocked prefill (forward_span), with
+// position-at-a-time forward_position runs as the baseline. Both run the
+// same engine; tests/nn/forward_oracle_test.cpp is the independent
+// reference. The guarantees:
 //   - identical last-position logits and interchangeable KV caches for any
 //     chunk split, any ExecConfig (fp16 x chunked_accum) and any pool size;
 //   - hooks observe each site's rows with the same values, in the same
-//     position order, as the sequential path;
+//     position order, as position-at-a-time runs;
 //   - fault-injection campaign outcomes are invariant to the chunk size.
 #include <gtest/gtest.h>
 

@@ -135,7 +135,7 @@ TEST_P(ModelArchTest, IncrementalMatchesBatchedForwardInFp32) {
   HookChain hooks;
   std::vector<float> logits(model.config().vocab_size);
   for (std::size_t pos = 0; pos < tokens.size(); ++pos) {
-    model.forward_position(tokens[pos], pos, cache, hooks, /*fp16=*/false,
+    model.forward_position(tokens[pos], pos, cache, hooks, ExecConfig{false},
                            /*first_token_phase=*/true, ws, logits);
     for (std::size_t v = 0; v < logits.size(); ++v) {
       EXPECT_NEAR(logits[v], batched.at(pos, v), 2e-4f)
@@ -152,8 +152,8 @@ TEST_P(ModelArchTest, Fp16ModeQuantizesButStaysClose) {
   HookChain hooks;
   std::vector<float> l16(model.config().vocab_size);
   std::vector<float> l32(model.config().vocab_size);
-  model.forward_position(3, 0, c16, hooks, true, true, ws, l16);
-  model.forward_position(3, 0, c32, hooks, false, true, ws, l32);
+  model.forward_position(3, 0, c16, hooks, ExecConfig{true}, true, ws, l16);
+  model.forward_position(3, 0, c32, hooks, ExecConfig{false}, true, ws, l32);
   for (std::size_t v = 0; v < l16.size(); ++v) {
     EXPECT_NEAR(l16[v], l32[v], 0.05f) << v;
   }
@@ -193,12 +193,12 @@ TEST_P(ModelArchTest, HookMutationReachesTheLogits) {
   std::vector<float> bumped(model.config().vocab_size);
 
   HookChain plain;
-  model.forward_position(3, 0, c1, plain, true, true, ws, base);
+  model.forward_position(3, 0, c1, plain, ExecConfig{true}, true, ws, base);
 
   BumpVHook hook;
   HookChain chain;
   const auto reg = chain.add(hook);
-  model.forward_position(3, 0, c2, chain, true, true, ws, bumped);
+  model.forward_position(3, 0, c2, chain, ExecConfig{true}, true, ws, bumped);
 
   float diff = 0.0f;
   for (std::size_t v = 0; v < base.size(); ++v) {
@@ -224,15 +224,15 @@ TEST(Model, RejectsBadTokensAndPositions) {
   Workspace ws(model.config());
   HookChain hooks;
   std::vector<float> logits(model.config().vocab_size);
-  EXPECT_THROW(model.forward_position(-1, 0, cache, hooks, true, true, ws,
-                                      logits),
+  EXPECT_THROW(model.forward_position(-1, 0, cache, hooks, ExecConfig{true},
+                                      true, ws, logits),
                Error);
-  EXPECT_THROW(model.forward_position(1000, 0, cache, hooks, true, true, ws,
-                                      logits),
+  EXPECT_THROW(model.forward_position(1000, 0, cache, hooks, ExecConfig{true},
+                                      true, ws, logits),
                Error);
   // Position must equal cache length.
-  EXPECT_THROW(model.forward_position(1, 3, cache, hooks, true, true, ws,
-                                      logits),
+  EXPECT_THROW(model.forward_position(1, 3, cache, hooks, ExecConfig{true},
+                                      true, ws, logits),
                Error);
 }
 
