@@ -1,15 +1,17 @@
-// Serve engine under synthetic production load: paged KV + scheduler vs.
-// the dense FIFO baseline at equal KV memory.
+// Serve engine under synthetic production load: small KV blocks + scheduler
+// vs. a dense FIFO baseline at equal KV memory.
 //
 // Two engines run the SAME open-loop trace (bursty Poisson arrivals,
 // bounded-Pareto heavy-tail prompt lengths, a shared system prompt on half
 // the requests, an interactive high-priority slice):
 //
-//  * dense — paged off, max_batch = B, full prefill at admission: the
-//    pre-scheduler engine, whose KV budget is B dense max_seq caches;
-//  * paged — a KvBlockPool holding EXACTLY those bytes, but 4B batch
-//    slots, chunked prefill interleaved with decode, copy-on-write prefix
-//    sharing, and swap preemption under pool pressure.
+//  * dense — max_batch = B over a pool of B blocks of max_seq rows, full
+//    prefill at admission, no prefix sharing: each admitted request maps
+//    one dense max_seq block, the pre-scheduler engine's shape and KV
+//    budget;
+//  * paged — a pool of 16-row blocks holding EXACTLY those bytes, but 4B
+//    batch slots, chunked prefill interleaved with decode, copy-on-write
+//    prefix sharing, and swap preemption under pool pressure.
 //
 // Acceptance bars (exit nonzero when missed, full mode):
 //  * the paged engine sustains >= 2x the dense engine's peak concurrent
@@ -138,7 +140,6 @@ int main(int argc, char** argv) {
 
   ServeOptions paged_opts;
   paged_opts.max_batch = dense_batch * 4;
-  paged_opts.paged = true;
   paged_opts.kv_block_rows = block_rows;
   paged_opts.kv_pool_blocks = pool_blocks;
   paged_opts.prefill_chunk_budget = 32;
@@ -164,7 +165,8 @@ int main(int argc, char** argv) {
   MetricsRegistry dense_registry;
   ServeOptions dense_opts;
   dense_opts.max_batch = dense_batch;
-  dense_opts.paged = false;
+  dense_opts.kv_block_rows = cfg.max_seq;
+  dense_opts.kv_pool_blocks = dense_batch;
   dense_opts.obs.metrics = &dense_registry;
   ServeEngine dense_engine(model, dense_opts);
   const LoadReport dense = run_load(dense_engine, load);

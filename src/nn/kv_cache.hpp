@@ -1,7 +1,7 @@
 // Per-block key/value cache for incremental decoding.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -13,23 +13,20 @@ namespace ft2 {
 /// Stores keys and values (post-RoPE) for every processed position of every
 /// block. Layout per block: [rows, d_model] with head-major columns.
 ///
-/// Three storage modes:
-///  * plain — one owned [max_seq, d_model] tensor pair per block (the
-///    default for solo generation);
-///  * forked — rows [0, prefix_len) are read through an immutable,
-///    ref-counted prefix cache shared with other forks, and only a short
-///    appendable tail is owned. Forking is O(tail) allocation: no max_seq
-///    memcpy, no max_seq zero-init. The fault-injection campaign forks one
-///    fault-free prefix into every trial this way.
+/// Two storage modes, one per consumer:
+///  * plain — one owned [max_seq, d_model] tensor pair per block: solo
+///    sessions (generation and campaign trials, which fork a snapshot by
+///    copying its rows in with append_rows) and compact snapshots
+///    (prefix_copy);
 ///  * paged — rows live in fixed-size ref-counted blocks of a KvBlockPool,
 ///    resolved through a per-cache block table. Physical memory grows in
 ///    block-sized steps with the stored length (reserve_rows), blocks can
 ///    be shared across live caches (adopt_shared_prefix), and a store into
 ///    a shared block copies it first (copy-on-write). The serve engine's
-///    paged allocator; see nn/kv_pool.hpp.
+///    allocator; see nn/kv_pool.hpp.
 ///
-/// All three modes present the same read/append interface, so the
-/// attention kernels and forward_batch never see which one they run on.
+/// Both modes present the same read/append interface, so the attention
+/// kernels and forward_batch never see which one they run on.
 class KvCache {
  public:
   using BlockId = KvBlockPool::BlockId;
@@ -67,8 +64,6 @@ class KvCache {
       length_ = other.length_;
       keys_ = std::move(other.keys_);
       values_ = std::move(other.values_);
-      prefix_ = std::move(other.prefix_);
-      prefix_len_ = other.prefix_len_;
       pool_ = other.pool_;
       block_rows_ = other.block_rows_;
       table_ = std::move(other.table_);
@@ -88,8 +83,6 @@ class KvCache {
         length_(other.length_),
         keys_(other.keys_),
         values_(other.values_),
-        prefix_(other.prefix_),
-        prefix_len_(other.prefix_len_),
         pool_(other.pool_),
         block_rows_(other.block_rows_),
         table_(other.table_) {
@@ -107,43 +100,28 @@ class KvCache {
   /// snapshot or a preemption swap-out needs to retain, at a fraction of
   /// the full cache's footprint. Works for plain and paged caches.
   KvCache prefix_copy(std::size_t n) const {
-    FT2_CHECK(prefix_ == nullptr && n <= length_);
-    const std::size_t n_layers = pool_ != nullptr ? pool_->n_layers()
-                                                  : keys_.size();
-    KvCache out(n_layers, n, d_model_);
-    for (std::size_t b = 0; b < n_layers; ++b) {
-      for (std::size_t pos = 0; pos < n; ++pos) {
-        const auto k = key(b, pos);
-        const auto v = value(b, pos);
-        std::copy(k.begin(), k.end(), out.keys_[b].row(pos).begin());
-        std::copy(v.begin(), v.end(), out.values_[b].row(pos).begin());
+    KvCache out(n_layers(), n, d_model_);
+    out.append_rows(*this, n);
+    return out;
+  }
+
+  /// Appends rows [length(), length() + n) of every block, read from the
+  /// same positions of `src`, then advances by `n`: a campaign fork copies
+  /// a snapshot's prefix in, a swap-resumed request restores its evicted
+  /// rows, prefix_copy fills its compact copy. A paged destination must
+  /// already back those rows (reserve_rows); a store into a shared block
+  /// copies it first, as any store does.
+  void append_rows(const KvCache& src, std::size_t n) {
+    FT2_CHECK(src.n_layers() == n_layers() && src.d_model_ == d_model_);
+    FT2_CHECK(length_ + n <= src.length_ && length_ + n <= physical_rows());
+    const std::size_t layers = n_layers();
+    for (std::size_t pos = length_; pos < length_ + n; ++pos) {
+      for (std::size_t b = 0; b < layers; ++b) {
+        store(b, pos, src.key(b, pos), src.value(b, pos));
       }
     }
-    out.length_ = n;
-    return out;
+    advance(n);
   }
-
-  /// Creates a forked cache: rows [0, prefix_len) are served read-only from
-  /// `prefix` (shared, never copied) and `tail_rows` appendable rows are
-  /// owned. length() starts at prefix_len; store()/advance() continue from
-  /// there exactly as if the prefix had been computed in place.
-  static KvCache forked(std::shared_ptr<const KvCache> prefix,
-                        std::size_t prefix_len, std::size_t tail_rows) {
-    FT2_CHECK(prefix != nullptr && prefix->prefix_ == nullptr &&
-              prefix->pool_ == nullptr);
-    FT2_CHECK(prefix_len <= prefix->length_);
-    KvCache out(prefix->keys_.size(), tail_rows, prefix->d_model_);
-    out.prefix_ = std::move(prefix);
-    out.prefix_len_ = prefix_len;
-    out.max_seq_ = prefix_len + tail_rows;
-    out.length_ = prefix_len;
-    return out;
-  }
-
-  /// True for caches created by forked(). Forked caches cannot be reset or
-  /// re-prefilled from position 0 — make a fresh cache instead.
-  bool forked() const { return prefix_ != nullptr; }
-  std::size_t prefix_len() const { return prefix_len_; }
 
   /// True for caches created by paged().
   bool paged() const { return pool_ != nullptr; }
@@ -151,7 +129,6 @@ class KvCache {
   const std::vector<BlockId>& block_table() const { return table_; }
 
   void reset() {
-    FT2_ASSERT(prefix_ == nullptr);
     if (pool_ != nullptr) {
       for (const BlockId b : table_) pool_->release(b);
       table_.clear();
@@ -170,7 +147,6 @@ class KvCache {
     }
     keys_.clear();
     values_.clear();
-    prefix_.reset();
     length_ = 0;
   }
 
@@ -226,8 +202,7 @@ class KvCache {
   /// for a position before advance() is called.
   void store(std::size_t block, std::size_t pos, std::span<const float> k,
              std::span<const float> v) {
-    FT2_ASSERT(pos >= prefix_len_ && pos < max_seq_ && k.size() == d_model_ &&
-               v.size() == d_model_);
+    FT2_ASSERT(pos < max_seq_ && k.size() == d_model_ && v.size() == d_model_);
     if (pool_ != nullptr) {
       const std::size_t bi = pos / block_rows_;
       const std::size_t r = pos % block_rows_;
@@ -239,9 +214,8 @@ class KvCache {
       std::copy(v.begin(), v.end(), vd.begin());
       return;
     }
-    std::copy(k.begin(), k.end(), keys_[block].row(pos - prefix_len_).begin());
-    std::copy(v.begin(), v.end(),
-              values_[block].row(pos - prefix_len_).begin());
+    std::copy(k.begin(), k.end(), keys_[block].row(pos).begin());
+    std::copy(v.begin(), v.end(), values_[block].row(pos).begin());
   }
 
   void advance() {
@@ -261,24 +235,21 @@ class KvCache {
       return pool_->key_row(block, table_[pos / block_rows_],
                             pos % block_rows_);
     }
-    return pos < prefix_len_ ? prefix_->keys_[block].row(pos)
-                             : keys_[block].row(pos - prefix_len_);
+    return keys_[block].row(pos);
   }
   std::span<const float> value(std::size_t block, std::size_t pos) const {
     if (pool_ != nullptr) {
       return pool_->value_row(block, table_[pos / block_rows_],
                               pos % block_rows_);
     }
-    return pos < prefix_len_ ? prefix_->values_[block].row(pos)
-                             : values_[block].row(pos - prefix_len_);
+    return values_[block].row(pos);
   }
 
   /// Bytes of K/V storage mapped by this cache. Plain mode: the dense
-  /// allocation. Forked mode: only the owned tail (the shared prefix is
-  /// attributed once to the snapshot that owns it). Paged mode: the mapped
-  /// blocks — a block shared with other caches is counted here by each
-  /// sharer; the serve engine deduplicates by block id when it reports
-  /// pool-resident bytes (shared blocks counted once).
+  /// allocation. Paged mode: the mapped blocks — a block shared with other
+  /// caches is counted here by each sharer; the serve engine deduplicates
+  /// by block id when it reports pool-resident bytes (shared blocks counted
+  /// once).
   std::size_t memory_bytes() const {
     if (pool_ != nullptr) return table_.size() * pool_->block_bytes();
     std::size_t rows = 0;
@@ -288,6 +259,10 @@ class KvCache {
 
  private:
   KvCache() = default;
+
+  std::size_t n_layers() const {
+    return pool_ != nullptr ? pool_->n_layers() : keys_.size();
+  }
 
   /// Copy-on-write: a store into a block mapped by more than one cache
   /// first copies it into a fresh private block. Called once per appended
@@ -310,10 +285,6 @@ class KvCache {
   std::size_t length_ = 0;
   std::vector<Tensor> keys_;
   std::vector<Tensor> values_;
-  /// Shared immutable prefix (forked mode only): rows [0, prefix_len_) of
-  /// every block resolve into this cache; owned tensors hold the tail.
-  std::shared_ptr<const KvCache> prefix_;
-  std::size_t prefix_len_ = 0;
   /// Paged mode: pool + block table (logical block index -> pool block).
   KvBlockPool* pool_ = nullptr;
   std::size_t block_rows_ = 1;

@@ -8,8 +8,12 @@
 // length instead of being a dense max_seq allocation up front — the pool,
 // not max_seq capacity, is what bounds concurrent sequences.
 //
+// A pool serves the paged caches of one ServeEngine: its requests' caches,
+// its prefix registry's block references and copies of those caches. Solo
+// sessions, campaign forks and snapshots use plain dense caches instead.
+//
 // Blocks are ref-counted: several caches may map the same block (shared
-// prompt prefixes across live serve requests, and plain KvCache copies).
+// prompt prefixes across live serve requests, and copies of a paged cache).
 // Shared blocks are immutable from a writer's point of view — a cache that
 // stores into a block with more than one reference first copies it into a
 // fresh private block (copy-on-write), so a sharer can never observe

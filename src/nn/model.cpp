@@ -613,9 +613,6 @@ GenerateResult InferenceSession::generate(std::span<const int> prompt,
                                           const GenerateOptions& options) {
   FT2_CHECK(!prompt.empty());
   GenerateResult result;
-  // A session may alternate between forked trials and full generations; a
-  // forked cache only owns its tail, so full runs start from a fresh cache.
-  if (cache_.forked()) cache_ = model_.make_cache();
   cache_.reset();
   GenerationScope scope(hooks_);
 
@@ -638,7 +635,6 @@ GenerateResult InferenceSession::generate_recorded(
     const std::function<void(std::size_t)>& on_boundary) {
   FT2_CHECK(!prompt.empty());
   GenerateResult result;
-  if (cache_.forked()) cache_ = model_.make_cache();
   cache_.reset();
   GenerationScope scope(hooks_);
 
@@ -689,11 +685,10 @@ GenerateResult InferenceSession::resume_from(
                            static_cast<std::ptrdiff_t>(s + 1));
   result.positions_run = pos;  // prefill + decode forwards before the fork
 
-  // O(tail) fork: rows [0, pos) are shared with the snapshot; the owned
-  // tail covers exactly the forwards this continuation can still run.
-  const std::size_t horizon =
-      std::min(snap.prompt_len + options.max_new_tokens - 1, max_seq);
-  cache_ = KvCache::forked(snap.cache, pos, horizon > pos ? horizon - pos : 0);
+  // Fork: the session's own cache takes a copy of the snapshot's rows
+  // [0, pos); the snapshot stays untouched, so concurrent forks share it.
+  cache_.reset();
+  cache_.append_rows(*snap.cache, pos);
 
   GenerationScope scope(hooks_);
   if (on_resume) on_resume();

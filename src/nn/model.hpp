@@ -253,7 +253,8 @@ int sample_from_logits(std::span<const float> logits, float temperature,
 /// serves EVERY token boundary of the run: forking at position p only needs
 /// rows [0, p), which are a prefix of the recorded rows. The snapshot keeps
 /// a compact copy (first stored rows only, not max_seq) behind a
-/// shared_ptr, so any number of concurrent forks share it without copying.
+/// shared_ptr; it is never written after recording, so any number of
+/// concurrent forks (one per campaign worker) read it at once.
 struct SessionSnapshot {
   std::size_t prompt_len = 0;  ///< prefilled positions (prompt, truncated)
   GenerateOptions options;     ///< options the recorded run used
@@ -304,9 +305,9 @@ class InferenceSession {
       const std::function<void(std::size_t)>& on_boundary = {});
 
   /// Forks this session from a recorded generation at sequence position
-  /// `pos` (in [snap.prompt_len, snap.last_boundary()]): the KV cache
-  /// adopts the snapshot's rows [0, pos) as an immutable shared prefix
-  /// (O(tail) setup, no prefix copy), the sampling RNG resumes mid-stream,
+  /// `pos` (in [snap.prompt_len, snap.last_boundary()]): the session's
+  /// own KV cache is reset and takes a copy of the snapshot's rows
+  /// [0, pos) (KvCache::append_rows), the sampling RNG resumes mid-stream,
   /// and generation continues with the recorded tokens up to `pos` already
   /// emitted. With the same hooks and hook state as the recorded run this
   /// reproduces its result bit for bit; with a fault injector registered it

@@ -129,10 +129,8 @@ LoadReport run_load(ServeEngine& engine,
                                   engine.active_requests());
     report.peak_queue_depth =
         std::max(report.peak_queue_depth, engine.queue_depth());
-    if (engine.kv_pool() != nullptr) {
-      report.peak_kv_blocks =
-          std::max(report.peak_kv_blocks, engine.kv_pool()->used_blocks());
-    }
+    report.peak_kv_blocks =
+        std::max(report.peak_kv_blocks, engine.kv_pool()->used_blocks());
   };
 
   while (next < load.size() || engine.active_requests() > 0 ||

@@ -85,7 +85,7 @@ struct LoadReport {
   double gap_p99_ms = 0.0;
   std::size_t peak_active = 0;  ///< concurrent slot-holders observed
   std::size_t peak_queue_depth = 0;
-  std::size_t peak_kv_blocks = 0;  ///< paged engines only
+  std::size_t peak_kv_blocks = 0;  ///< KV pool blocks in use, observed
   std::size_t preemptions = 0;
   std::size_t shared_prefix_rows = 0;
 };

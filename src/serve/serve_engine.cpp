@@ -31,6 +31,21 @@ std::uint64_t prefix_digest(std::span<const int> tokens, bool fp16,
   mix(chunked_accum ? 5 : 7);
   return h;
 }
+
+/// Validates the engine knobs and resolves kv_pool_blocks = 0 to one full
+/// max_seq sequence per batch slot, so that default never preempts.
+ServeOptions resolve_pool_size(const ModelConfig& cfg, ServeOptions o) {
+  FT2_CHECK_MSG(o.max_batch >= 1, "max_batch must be at least 1");
+  FT2_CHECK_MSG(o.kv_block_rows >= 1, "kv_block_rows must be >= 1");
+  const std::size_t per_seq =
+      (cfg.max_seq + o.kv_block_rows - 1) / o.kv_block_rows;
+  if (o.kv_pool_blocks == 0) o.kv_pool_blocks = o.max_batch * per_seq;
+  FT2_CHECK_MSG(o.kv_pool_blocks >= per_seq,
+                "kv_pool_blocks " << o.kv_pool_blocks
+                                  << " cannot hold one max_seq sequence ("
+                                  << per_seq << " blocks)");
+  return o;
+}
 }  // namespace
 
 /// One in-flight generation. Everything a solo InferenceSession owns lives
@@ -98,26 +113,10 @@ void ServeEngine::erase_ptr(std::vector<Request*>& list, Request* req) {
 
 ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
     : model_(model),
-      options_(options),
-      ws_(model.config(), std::max<std::size_t>(options.max_batch, 1)) {
-  FT2_CHECK_MSG(options_.max_batch >= 1, "max_batch must be at least 1");
-  if (options_.paged) {
-    const ModelConfig& cfg = model_.config();
-    FT2_CHECK_MSG(options_.kv_block_rows >= 1, "kv_block_rows must be >= 1");
-    const std::size_t per_seq =
-        (cfg.max_seq + options_.kv_block_rows - 1) / options_.kv_block_rows;
-    if (options_.kv_pool_blocks == 0) {
-      // Capacity parity with the dense engine: every slot can hold a full
-      // max_seq sequence, so the default configuration never preempts.
-      options_.kv_pool_blocks = options_.max_batch * per_seq;
-    }
-    FT2_CHECK_MSG(options_.kv_pool_blocks >= per_seq,
-                  "kv_pool_blocks " << options_.kv_pool_blocks
-                                    << " cannot hold one max_seq sequence ("
-                                    << per_seq << " blocks)");
-    pool_storage_.emplace(cfg.n_blocks, cfg.d_model, options_.kv_pool_blocks,
-                          options_.kv_block_rows);
-  }
+      options_(resolve_pool_size(model.config(), options)),
+      kv_pool_(model.config().n_blocks, model.config().d_model,
+               options_.kv_pool_blocks, options_.kv_block_rows),
+      ws_(model.config(), options_.max_batch) {
   if (options_.pack_weights) packed_.emplace(model_);
   tracer_ = options_.obs.tracer != nullptr ? options_.obs.tracer
                                            : &Tracer::global();
@@ -177,12 +176,10 @@ RequestId ServeEngine::submit(std::span<const int> prompt,
                              << options_.max_queue_depth << " reached");
   }
   const RequestId id = next_id_++;
-  KvCache cache = pool_storage_.has_value()
-                      ? KvCache::paged(*pool_storage_, model_.config().max_seq)
-                      : model_.make_cache();
   auto [it, inserted] = requests_.emplace(
-      id, std::make_unique<Request>(id, model_, prompt, options,
-                                    std::move(cache)));
+      id, std::make_unique<Request>(
+              id, model_, prompt, options,
+              KvCache::paged(kv_pool_, model_.config().max_seq)));
   Request& req = *it->second;
   req.sched = SchedEntry{id, sched.priority, sched.deadline_ms, next_seq_++};
   req.on_token = sched.on_token;
@@ -221,39 +218,29 @@ const RequestStats& ServeEngine::request_stats(RequestId id) const {
 }
 
 std::size_t ServeEngine::resident_cache_bytes() const {
+  // Distinct pool blocks mapped by unfinished requests: a block shared by
+  // several requests (copy-on-write prefix sharing) counts once.
+  std::vector<char> seen(kv_pool_.total_blocks(), 0);
+  std::size_t distinct = 0;
   std::size_t total = 0;
-  if (pool_storage_.has_value()) {
-    // Distinct pool blocks mapped by unfinished requests: a block shared by
-    // several requests (copy-on-write prefix sharing) counts once.
-    std::vector<char> seen(pool_storage_->total_blocks(), 0);
-    std::size_t distinct = 0;
-    for (const auto& [id, req] : requests_) {
-      if (req->done) continue;
-      for (const KvCache::BlockId b : req->cache.block_table()) {
-        if (!seen[b]) {
-          seen[b] = 1;
-          ++distinct;
-        }
-      }
-      if (req->swapped.has_value()) total += req->swapped->memory_bytes();
-    }
-    total += distinct * pool_storage_->block_bytes();
-    return total;
-  }
   for (const auto& [id, req] : requests_) {
-    if (!req->done) total += req->cache.memory_bytes();
+    if (req->done) continue;
+    for (const KvCache::BlockId b : req->cache.block_table()) {
+      if (!seen[b]) {
+        seen[b] = 1;
+        ++distinct;
+      }
+    }
+    if (req->swapped.has_value()) total += req->swapped->memory_bytes();
   }
-  return total;
+  return total + distinct * kv_pool_.block_bytes();
 }
 
 void ServeEngine::update_kv_gauges() {
-  if (!pool_storage_.has_value()) return;
-  metrics_.kv_blocks_used.set(
-      static_cast<double>(pool_storage_->used_blocks()));
-  metrics_.kv_blocks_free.set(
-      static_cast<double>(pool_storage_->free_blocks()));
-  metrics_.kv_bytes_resident.set(static_cast<double>(
-      pool_storage_->used_blocks() * pool_storage_->block_bytes()));
+  metrics_.kv_blocks_used.set(static_cast<double>(kv_pool_.used_blocks()));
+  metrics_.kv_blocks_free.set(static_cast<double>(kv_pool_.free_blocks()));
+  metrics_.kv_bytes_resident.set(
+      static_cast<double>(kv_pool_.used_blocks() * kv_pool_.block_bytes()));
 }
 
 void ServeEngine::emit_token(Request& req, int token) {
@@ -342,20 +329,15 @@ void ServeEngine::drop_one_prefix_entry() {
   for (auto it = prefix_cache_.begin(); it != prefix_cache_.end(); ++it) {
     if (it->second.last_use < victim->second.last_use) victim = it;
   }
-  if (pool_storage_.has_value()) {
-    for (const KvCache::BlockId b : victim->second.blocks) {
-      pool_storage_->release(b);
-    }
-  }
+  for (const KvCache::BlockId b : victim->second.blocks) kv_pool_.release(b);
   prefix_cache_.erase(victim);
 }
 
 void ServeEngine::try_adopt_prefix(Request& req) {
-  if (!options_.share_prefix || !pool_storage_.has_value()) return;
   // Shared positions skip their hook dispatches along with their compute,
   // so only hook-free requests may adopt (see the bit-exactness contract).
-  if (!req.hooks.empty()) return;
-  const std::size_t bs = pool_storage_->block_rows();
+  if (!options_.share_prefix || !req.hooks.empty()) return;
+  const std::size_t bs = kv_pool_.block_rows();
   const std::size_t P = req.prefill_len(model_.config().max_seq);
   if (P < 2) return;
   // Longest full-block prefix that still leaves the last prompt position to
@@ -386,9 +368,8 @@ void ServeEngine::try_adopt_prefix(Request& req) {
 }
 
 void ServeEngine::register_prefix(Request& req) {
-  if (!options_.share_prefix || !pool_storage_.has_value()) return;
-  if (!req.hooks.empty()) return;
-  const std::size_t bs = pool_storage_->block_rows();
+  if (!options_.share_prefix || !req.hooks.empty()) return;
+  const std::size_t bs = kv_pool_.block_rows();
   const std::size_t P = req.prefill_len(model_.config().max_seq);
   if (P < 2) return;
   const std::size_t nb = (P - 1) / bs;
@@ -411,7 +392,7 @@ void ServeEngine::register_prefix(Request& req) {
   entry.blocks.assign(req.cache.block_table().begin(),
                       req.cache.block_table().begin() +
                           static_cast<std::ptrdiff_t>(nb));
-  for (const KvCache::BlockId b : entry.blocks) pool_storage_->add_ref(b);
+  for (const KvCache::BlockId b : entry.blocks) kv_pool_.add_ref(b);
   entry.fp16 = req.options.fp16;
   entry.chunked_accum = req.options.chunked_accum;
   entry.last_use = ++prefix_clock_;
@@ -472,7 +453,7 @@ bool ServeEngine::reserve_rows_or_evict(Request& req, std::size_t rows) {
       continue;
     }
     FT2_CHECK_MSG(options_.preempt != PreemptMode::kNone,
-                  "KvBlockPool exhausted (" << pool_storage_->total_blocks()
+                  "KvBlockPool exhausted (" << kv_pool_.total_blocks()
                                             << " blocks) with preemption off");
     // Evict a strictly worse-ordered slot-holder; when this request is
     // itself the worst, it yields its own slot back to the queue.
@@ -514,17 +495,10 @@ bool ServeEngine::begin_admission(Request& req) {
 
   if (req.swapped.has_value()) {
     // Swap resume: restore the evicted rows verbatim. No forwards, no hook
-    // dispatches, no budget cost — just block mapping plus a memcpy.
+    // dispatches, no budget cost — just block mapping plus a row copy.
     const std::size_t rows = req.swapped->length();
     if (!reserve_rows_or_evict(req, rows)) return false;
-    const std::size_t n_layers = model_.config().n_blocks;
-    for (std::size_t pos = 0; pos < rows; ++pos) {
-      for (std::size_t b = 0; b < n_layers; ++b) {
-        req.cache.store(b, pos, req.swapped->key(b, pos),
-                        req.swapped->value(b, pos));
-      }
-    }
-    req.cache.advance(rows);
+    req.cache.append_rows(*req.swapped, rows);
     req.swapped.reset();
     FT2_ASSERT(req.cache.length() == req.pos);
     return true;
@@ -668,20 +642,18 @@ void ServeEngine::admit_and_prefill() {
 void ServeEngine::decode_step() {
   if (active_.empty()) return;
 
-  if (pool_storage_.has_value()) {
-    // Every decoding sequence appends one K/V row this step; reserve them
-    // up front so pool pressure resolves through preemption instead of
-    // failing mid-forward. Work over ids: preemption edits active_.
-    std::vector<RequestId> ids;
-    ids.reserve(active_.size());
-    for (const Request* req : active_) ids.push_back(req->id);
-    for (const RequestId id : ids) {
-      Request& req = get(id);
-      if (req.phase != Request::Phase::kDecoding) continue;  // evicted above
-      reserve_rows_or_evict(req, 1);
-    }
-    if (active_.empty()) return;
+  // Every decoding sequence appends one K/V row this step; reserve them up
+  // front so pool pressure resolves through preemption instead of failing
+  // mid-forward. Work over ids: preemption edits active_.
+  std::vector<RequestId> ids;
+  ids.reserve(active_.size());
+  for (const Request* req : active_) ids.push_back(req->id);
+  for (const RequestId id : ids) {
+    Request& req = get(id);
+    if (req.phase != Request::Phase::kDecoding) continue;  // evicted above
+    reserve_rows_or_evict(req, 1);
   }
+  if (active_.empty()) return;
 
   metrics_.batch_occupancy.set(static_cast<double>(active_.size()));
   const bool timed = metrics_.decode_step_ms.enabled();

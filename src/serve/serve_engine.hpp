@@ -9,9 +9,9 @@
 // (TransformerLM::forward_batch), so weight traffic is amortized across
 // sequences.
 //
-// KV memory is paged by default: requests map fixed-size ref-counted
-// blocks from a KvBlockPool as they grow (nn/kv_pool.hpp) instead of
-// holding a dense max_seq allocation, so the pool — sized in bytes, like
+// KV memory is paged: requests map fixed-size ref-counted blocks from the
+// engine's KvBlockPool as they grow (nn/kv_pool.hpp) instead of holding a
+// dense max_seq allocation, so the pool — sized in bytes, like
 // accelerator VRAM — bounds concurrency by actual sequence length. Common
 // prompt prefixes of live hook-free requests share blocks copy-on-write
 // (shared system prompts prefill once); under pool pressure the scheduler
@@ -21,7 +21,7 @@
 // Bit-exactness contract: the engine produces, for every request, exactly
 // the token stream a solo InferenceSession::generate call with the same
 // prompt and options would produce — at any max_batch, admission order,
-// pool size, paged on or off, prefill budget, and across swap-preemption.
+// pool size, KV block size, prefill budget, and across swap-preemption.
 // Hook traffic (begin / per-site dispatches in execution order / end),
 // sampling RNG draws and protection statistics are also identical, with
 // two documented exceptions: a request that adopted a shared prefix skips
@@ -69,15 +69,11 @@ struct ServeOptions {
   /// prefill GEMMs.
   bool pack_weights = true;
 
-  /// Paged KV allocation (nn/kv_pool.hpp). Off: every request owns a dense
-  /// max_seq KvCache for its whole queued+active lifetime (the pre-paging
-  /// engine). Results are bit-exact either way.
-  bool paged = true;
-  /// Rows per KV block in paged mode.
+  /// Rows per block of the engine's KV pool (nn/kv_pool.hpp).
   std::size_t kv_block_rows = 16;
-  /// Physical blocks in the pool. 0 = capacity parity with the dense
-  /// engine: max_batch * ceil(max_seq / kv_block_rows), so the default
-  /// never preempts. Must cover at least one full sequence.
+  /// Physical blocks in the pool. 0 = one full max_seq sequence per batch
+  /// slot, max_batch * ceil(max_seq / kv_block_rows), so the default never
+  /// preempts. Must cover at least one full sequence.
   std::size_t kv_pool_blocks = 0;
 
   /// Queue-depth backpressure: submit() beyond this many queued requests
@@ -218,17 +214,14 @@ class ServeEngine {
     return active_.size() + prefilling_.size();
   }
 
-  /// K/V bytes actually resident for unfinished requests. Paged mode:
-  /// distinct pool blocks mapped by live requests (a block shared by
-  /// several requests counts ONCE) plus host-side swap copies of preempted
-  /// requests; queued requests hold no blocks. Dense mode: the max_seq
-  /// allocations of queued + active requests, as before.
+  /// K/V bytes actually resident for unfinished requests: distinct pool
+  /// blocks mapped by live requests (a block shared by several requests
+  /// counts ONCE) plus host-side swap copies of preempted requests; queued
+  /// requests hold no blocks.
   std::size_t resident_cache_bytes() const;
 
-  /// The paged block pool (null when ServeOptions::paged is off).
-  const KvBlockPool* kv_pool() const {
-    return pool_storage_.has_value() ? &*pool_storage_ : nullptr;
-  }
+  /// The engine's KV block pool; never null.
+  const KvBlockPool* kv_pool() const { return &kv_pool_; }
 
  private:
   struct Request;
@@ -292,7 +285,7 @@ class ServeEngine {
   ServeOptions options_;
   Metrics metrics_;
   Tracer* tracer_ = nullptr;
-  std::optional<KvBlockPool> pool_storage_;  ///< paged mode only
+  KvBlockPool kv_pool_;  ///< every request's KV rows
   std::optional<PackedDecodeWeights> packed_;
   Workspace ws_;
   std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;

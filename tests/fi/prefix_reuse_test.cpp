@@ -291,9 +291,9 @@ TEST(PrefixReuse, ResumeReproducesRecordedRunAtEveryBoundary) {
 }
 
 TEST(PrefixReuse, SessionReusableAfterFork) {
-  // A session whose cache is in forked mode must transparently recover when
-  // asked for a fresh generation (the campaign reuses one session per
-  // worker across forked and full trials).
+  // A session that just forked (its cache holds copied snapshot rows plus
+  // its own tail) must run a fresh generation from position 0 (the campaign
+  // reuses one session per worker across forked and full trials).
   const TransformerLM model = micro_model();
   InferenceSession session(model);
   GenerateOptions options;
@@ -309,7 +309,7 @@ TEST(PrefixReuse, SessionReusableAfterFork) {
   const auto recorded = session.generate_recorded(prompt, options, snap);
   const auto forked = session.resume_from(snap, snap.prompt_len + 2);
   EXPECT_EQ(forked.tokens, recorded.tokens);
-  const auto fresh = session.generate(prompt, options);  // plain cache again
+  const auto fresh = session.generate(prompt, options);
   EXPECT_EQ(fresh.tokens, recorded.tokens);
 }
 

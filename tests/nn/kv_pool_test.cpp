@@ -4,7 +4,8 @@
 //   - reserve_rows is all-or-nothing under pool exhaustion;
 //   - copy-on-write isolates sharers (cache copies and adopted prefixes);
 //   - adopt_shared_prefix keeps blocks alive past the donor's release;
-//   - memory accounting is block-granular.
+//   - memory accounting is block-granular;
+//   - prefix_copy / append_rows move rows between caches bit-exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -221,8 +222,19 @@ TEST(KvCachePaged, AdoptSharedPrefixOutlivesDonor) {
   EXPECT_EQ(pool.free_blocks(), pool.total_blocks());
 }
 
+TEST(KvCache, PrefixCopyIsCompact) {
+  KvCache cache(kLayers, /*max_seq=*/16, kDModel);
+  for (std::size_t pos = 0; pos < 5; ++pos) append_row(cache, pos);
+  const KvCache copy = cache.prefix_copy(3);
+  EXPECT_EQ(copy.length(), 3u);
+  EXPECT_EQ(copy.max_seq(), 3u);  // rows beyond the copy are not allocated
+  for (std::size_t pos = 0; pos < 3; ++pos) expect_row(copy, pos, "copy");
+  // [n, d] rows, keys + values, every layer.
+  EXPECT_EQ(copy.memory_bytes(), 2 * kLayers * 3 * kDModel * sizeof(float));
+}
+
 TEST(KvCachePaged, PrefixCopyMatchesStoredRows) {
-  KvBlockPool pool(kLayers, kDModel, /*total_blocks=*/2, kBlockRows);
+  KvBlockPool pool(kLayers, kDModel, /*total_blocks=*/5, kBlockRows);
   KvCache paged = KvCache::paged(pool, /*max_seq=*/4);
   ASSERT_TRUE(paged.reserve_rows(3));
   for (std::size_t pos = 0; pos < 3; ++pos) append_row(paged, pos);
@@ -233,6 +245,42 @@ TEST(KvCachePaged, PrefixCopyMatchesStoredRows) {
   EXPECT_EQ(snapshot.length(), 2u);
   for (std::size_t pos = 0; pos < 2; ++pos) {
     expect_row(snapshot, pos, "prefix_copy");
+  }
+
+  // Swap-resume: append_rows restores a dense copy into a fresh paged
+  // cache. Its first block is shared with a donor whose row 1 holds other
+  // content, so appending row 1 must copy that block first.
+  const KvCache full = paged.prefix_copy(3);
+  KvCache donor = KvCache::paged(pool, /*max_seq=*/4);
+  ASSERT_TRUE(donor.reserve_rows(2));
+  append_row(donor, 0);
+  const std::vector<float> other(kDModel, -1.0f);
+  for (std::size_t layer = 0; layer < kLayers; ++layer) {
+    donor.store(layer, 1, other, other);
+  }
+  donor.advance();
+  const KvCache::BlockId shared = donor.block_table()[0];
+
+  KvCache restored = KvCache::paged(pool, /*max_seq=*/4);
+  restored.adopt_shared_prefix(donor.block_table(), /*rows=*/1);
+  ASSERT_TRUE(restored.reserve_rows(2));
+  EXPECT_EQ(pool.ref_count(shared), 2u);
+  restored.append_rows(full, 2);
+  EXPECT_EQ(restored.length(), 3u);
+  EXPECT_NE(restored.block_table()[0], shared);  // copied on write
+  EXPECT_EQ(pool.ref_count(shared), 1u);
+  EXPECT_EQ(pool.used_blocks(), 5u);
+  for (std::size_t pos = 0; pos < 3; ++pos) {
+    expect_row(restored, pos, "append_rows");
+    expect_row(paged, pos, "source after append_rows");
+  }
+  expect_row(donor, 0, "donor after append_rows");
+  for (std::size_t layer = 0; layer < kLayers; ++layer) {
+    for (std::size_t c = 0; c < kDModel; ++c) {
+      EXPECT_EQ(donor.key(layer, 1)[c], -1.0f) << "donor key layer " << layer;
+      EXPECT_EQ(donor.value(layer, 1)[c], -1.0f)
+          << "donor value layer " << layer;
+    }
   }
 }
 

@@ -1,9 +1,11 @@
 // Paged KV storage is a pure storage substitution: for every batch size,
-// admission order, prefill budget and exec config, the paged engine
-// produces exactly the tokens, positions and hook traffic of the dense
-// engine and of solo InferenceSession::generate.
+// admission order, prefill budget, KV block size and exec config, the
+// engine produces exactly the tokens, positions and hook traffic of solo
+// InferenceSession::generate on its dense cache. A block of max_seq rows
+// is the dense layout: one block per sequence.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "serve_test_util.hpp"
@@ -29,11 +31,13 @@ TEST(PagedEquivalence, MatchesDenseAndSoloAcrossBatchesAndBudgets) {
     for (auto& o : options) o.prefill_chunk = 3;
     const auto ref = run_sessions(model, prompts, options);
 
+    const std::size_t max_seq = model.config().max_seq;
     for (std::size_t budget : {std::size_t{0}, std::size_t{3}}) {
-      for (bool paged : {false, true}) {
+      for (std::size_t block_rows : {std::size_t{1}, std::size_t{16},
+                                     max_seq}) {
         ServeOptions serve_opts;
         serve_opts.max_batch = batch;
-        serve_opts.paged = paged;
+        serve_opts.kv_block_rows = block_rows;
         serve_opts.prefill_chunk_budget = budget;
         ServeEngine engine(model, serve_opts);
         std::vector<RequestId> ids;
@@ -43,15 +47,12 @@ TEST(PagedEquivalence, MatchesDenseAndSoloAcrossBatchesAndBudgets) {
         engine.run();
         for (std::size_t r = 0; r < batch; ++r) {
           ASSERT_TRUE(engine.finished(ids[r]));
-          expect_equal_results(engine.result(ids[r]), ref[r], r,
-                               paged ? "paged" : "dense");
+          expect_equal_results(
+              engine.result(ids[r]), ref[r], r,
+              ("block_rows " + std::to_string(block_rows)).c_str());
         }
-        if (paged) {
-          ASSERT_NE(engine.kv_pool(), nullptr);
-          EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
-        } else {
-          EXPECT_EQ(engine.kv_pool(), nullptr);
-        }
+        ASSERT_NE(engine.kv_pool(), nullptr);
+        EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
       }
     }
   }

@@ -487,16 +487,6 @@ TEST(ServeScheduler, ResidentBytesCountSharedBlocksOnce) {
   const GenerateResult ref = session.generate(prompt, gen);
   expect_equal_tokens(engine.result(b), ref, 1, "resident sharer");
   expect_equal_tokens(engine.result(c), ref, 2, "resident sharer");
-
-  // Dense mode keeps the original semantics: queued requests already hold
-  // their dense max_seq cache.
-  ServeOptions dense_opts;
-  dense_opts.paged = false;
-  ServeEngine dense(model, dense_opts);
-  dense.submit(prompt, gen);
-  EXPECT_GT(dense.resident_cache_bytes(), 0u);
-  dense.run();
-  EXPECT_EQ(dense.resident_cache_bytes(), 0u);
 }
 
 TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
