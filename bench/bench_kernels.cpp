@@ -9,8 +9,10 @@
 //   bench_kernels --tiers [--json FILE]
 //       per-dispatch-tier GEMM, row-GEMV and quantize throughput (every
 //       tier the host supports, plus the fused protection epilogue's cost
-//       on the GEMM store path). The SSE tier's row GEMV is the scalar
-//       chain every tier ran before the vector row kernel existed.
+//       on the GEMM store path). The GEMMs are the benchmark model's own
+//       MLP shapes, fc1 (384x128) and fc2 (128x384), at 8 rows. The SSE
+//       tier's row GEMV is the scalar chain every tier ran before the
+//       vector row kernel existed.
 //       --json writes the bench/baselines/BENCH_kernels.json shape;
 //       without it a table prints.
 #include <benchmark/benchmark.h>
@@ -18,6 +20,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
@@ -170,55 +173,77 @@ double best_items_per_sec(double items, std::size_t reps, Fn&& fn) {
   return best;
 }
 
+/// One GEMM shape the benchmark model runs: y[rows][n] = x[rows][k] * W^T.
+struct GemmShape {
+  const char* name;
+  std::size_t n, k;
+};
+
+/// The benchmark model's two MLP GEMMs (d_model 128, d_ff 384) at a
+/// decode batch of 8 rows.
+constexpr GemmShape kGemmShapes[] = {{"fc1", 384, 128}, {"fc2", 128, 384}};
+constexpr std::size_t kGemmRows = 8;
+
+struct GemmRates {
+  double span_gflops = 0.0;    ///< span GEMM (packs tiles per call)
+  double packed_gflops = 0.0;  ///< pre-packed tiles (batched decode path)
+  double fused_gflops = 0.0;   ///< span GEMM + quantize/bounds epilogue
+};
+
 struct TierRates {
-  double gemm_gflops = 0.0;         ///< span GEMM (packs tiles per call)
-  double gemm_packed_gflops = 0.0;  ///< pre-packed tiles (batched decode path)
-  double gemm_fused_gflops = 0.0;   ///< span GEMM + quantize/bounds epilogue
-  double quantize_gelems = 0.0;     ///< quantize_span_f16 sweep
-  double gemv_gflops = 0.0;         ///< row GEMV on row-major weights
+  GemmRates gemm[std::size(kGemmShapes)];  ///< one per kGemmShapes entry
+  double quantize_gelems = 0.0;            ///< quantize_span_f16 sweep
+  double gemv_gflops = 0.0;                ///< row GEMV on row-major weights
 };
 
 /// Row GEMV shape: the benchmark model's MLP up-projection (d_ff x d_model).
 constexpr std::size_t kGemvN = 384, kGemvK = 128;
 
-TierRates measure_tier(KernelTier tier, std::size_t n, std::size_t k,
-                       std::size_t rows, std::size_t reps) {
-  set_kernel_tier(tier);
-  ThreadPool pool(1);  // single worker: kernel throughput, not pool scaling
-  Xoshiro256 rng(99);
+GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
+                       ThreadPool& pool, Xoshiro256& rng) {
+  const std::size_t n = shape.n, k = shape.k, rows = kGemmRows;
   Tensor x({rows, k}), w({n, k}), y({rows, n});
   for (float& f : x.span()) f = rng.uniform_float(-1.0f, 1.0f);
   for (float& f : w.span()) f = rng.uniform_float(-0.1f, 0.1f);
   std::vector<float> bias(n);
   for (float& f : bias) f = rng.uniform_float(-0.5f, 0.5f);
 
-  TierRates rates;
+  GemmRates rates;
   const double flops = 2.0 * static_cast<double>(n * k * rows);
-  rates.gemm_gflops = best_items_per_sec(flops, reps, [&] {
+  rates.span_gflops = best_items_per_sec(flops, reps, [&] {
     linear_forward_span(x, rows, w, bias, y, false, pool);
   }) / 1e9;
   {
     PackedLinear pl(w, bias);
-    rates.gemm_packed_gflops = best_items_per_sec(flops, reps, [&] {
+    rates.packed_gflops = best_items_per_sec(flops, reps, [&] {
       linear_forward_span_packed(x, rows, pl, y, pool);
     }) / 1e9;
   }
-  {
-    // The fused store epilogue as protected fp16 decode plans it: quantize
-    // plus in-bound range restriction (clean-path cost — values in bounds).
-    // Same span path as gemm_gflops, so the delta is pure epilogue cost.
-    KernelEpilogue epi;
-    epi.quantize = true;
-    epi.protect = KernelEpilogue::Protect::kBounds;
-    epi.correct_nan = true;
-    epi.lo = -1e6f;
-    epi.hi = 1e6f;
-    epi.lo_sub = epi.lo;
-    epi.hi_sub = epi.hi;
-    EpilogueTally tally;
-    rates.gemm_fused_gflops = best_items_per_sec(flops, reps, [&] {
-      linear_forward_span(x, rows, w, bias, y, false, pool, &epi, &tally);
-    }) / 1e9;
+  // The fused store epilogue as protected fp16 decode plans it: quantize
+  // plus in-bound range restriction (clean-path cost — values in bounds).
+  // Same span path as span_gflops, so the delta is pure epilogue cost.
+  KernelEpilogue epi;
+  epi.quantize = true;
+  epi.protect = KernelEpilogue::Protect::kBounds;
+  epi.correct_nan = true;
+  epi.lo = -1e6f;
+  epi.hi = 1e6f;
+  epi.lo_sub = epi.lo;
+  epi.hi_sub = epi.hi;
+  EpilogueTally tally;
+  rates.fused_gflops = best_items_per_sec(flops, reps, [&] {
+    linear_forward_span(x, rows, w, bias, y, false, pool, &epi, &tally);
+  }) / 1e9;
+  return rates;
+}
+
+TierRates measure_tier(KernelTier tier, std::size_t reps) {
+  set_kernel_tier(tier);
+  ThreadPool pool(1);  // single worker: kernel throughput, not pool scaling
+  Xoshiro256 rng(99);
+  TierRates rates;
+  for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
+    rates.gemm[s] = measure_gemm(kGemmShapes[s], reps, pool, rng);
   }
   {
     // Single-row linear straight from the row-major weights: the unpacked
@@ -246,29 +271,39 @@ TierRates measure_tier(KernelTier tier, std::size_t n, std::size_t k,
 }
 
 int run_tiers(const ArgParser& args) {
-  const std::size_t n = 256, k = 256, rows = 8;
   const std::size_t reps = env_size("FT2_BENCH_REPS", 5);
   const KernelTier restore = active_kernel_tier();
 
   Json tiers = Json::object();
-  Table table({"tier", "gemm GFLOP/s", "packed GFLOP/s", "fused-epi GFLOP/s",
-               "fused cost", "gemv GFLOP/s", "quantize Gelem/s"});
+  Table table({"tier", "gemm", "span GFLOP/s", "packed GFLOP/s",
+               "fused-epi GFLOP/s", "fused cost", "gemv GFLOP/s",
+               "quantize Gelem/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
-    const TierRates r = measure_tier(tier, n, k, rows, reps);
-    const double fused_cost =
-        r.gemm_gflops > 0.0 ? 1.0 - r.gemm_fused_gflops / r.gemm_gflops : 0.0;
-    table.begin_row()
-        .cell(kernel_tier_name(tier))
-        .num(r.gemm_gflops, 2)
-        .num(r.gemm_packed_gflops, 2)
-        .num(r.gemm_fused_gflops, 2)
-        .pct(fused_cost)
-        .num(r.gemv_gflops, 2)
-        .num(r.quantize_gelems, 2);
+    const TierRates r = measure_tier(tier, reps);
     Json t = Json::object();
-    t["gemm_gflops"] = r.gemm_gflops;
-    t["gemm_packed_gflops"] = r.gemm_packed_gflops;
-    t["gemm_fused_gflops"] = r.gemm_fused_gflops;
+    for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
+      const GemmRates& g = r.gemm[s];
+      const double fused_cost =
+          g.span_gflops > 0.0 ? 1.0 - g.fused_gflops / g.span_gflops : 0.0;
+      // Per-tier columns (gemv, quantize) print on the tier's first row.
+      table.begin_row()
+          .cell(s == 0 ? kernel_tier_name(tier) : "")
+          .cell(kGemmShapes[s].name)
+          .num(g.span_gflops, 2)
+          .num(g.packed_gflops, 2)
+          .num(g.fused_gflops, 2)
+          .pct(fused_cost);
+      if (s == 0) {
+        table.num(r.gemv_gflops, 2).num(r.quantize_gelems, 2);
+      } else {
+        table.cell("").cell("");
+      }
+      Json shape = Json::object();
+      shape["gemm_gflops"] = g.span_gflops;
+      shape["gemm_packed_gflops"] = g.packed_gflops;
+      shape["gemm_fused_gflops"] = g.fused_gflops;
+      t[kGemmShapes[s].name] = shape;
+    }
     t["gemv_row_gflops"] = r.gemv_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     tiers[kernel_tier_name(tier)] = t;
@@ -279,9 +314,15 @@ int run_tiers(const ArgParser& args) {
     Json out = Json::object();
     out["bench"] = "kernels";
     Json cfg = Json::object();
-    cfg["gemm_n"] = static_cast<double>(n);
-    cfg["gemm_k"] = static_cast<double>(k);
-    cfg["gemm_rows"] = static_cast<double>(rows);
+    Json shapes = Json::object();
+    for (const GemmShape& g : kGemmShapes) {
+      Json shape = Json::object();
+      shape["n"] = static_cast<double>(g.n);
+      shape["k"] = static_cast<double>(g.k);
+      shapes[g.name] = shape;
+    }
+    cfg["gemm_shapes"] = shapes;
+    cfg["gemm_rows"] = static_cast<double>(kGemmRows);
     cfg["gemv_n"] = static_cast<double>(kGemvN);
     cfg["gemv_k"] = static_cast<double>(kGemvK);
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
@@ -302,8 +343,11 @@ int run_tiers(const ArgParser& args) {
   }
   bench::print_header("kernel dispatch tiers",
                       "GEMM/quantize throughput per CPU tier");
-  std::cout << "gemm " << n << "x" << k << ", " << rows
-            << " rows, packed tiles, single worker; gemv " << kGemvN << "x"
+  std::cout << "gemm ";
+  for (const GemmShape& g : kGemmShapes) {
+    std::cout << g.name << " " << g.n << "x" << g.k << ", ";
+  }
+  std::cout << kGemmRows << " rows, single worker; gemv " << kGemvN << "x"
             << kGemvK << " row-major; best of " << reps << "\n\n";
   table.print(std::cout);
   std::cout << "\nall tiers are bit-exact (ctest -R KernelTierEquivalence); "

@@ -46,7 +46,7 @@ constexpr Template kTemplates[] = {
     {"serve.kv.blocks_free", "gauge", "KV pool blocks on the free list"},
     {"serve.kv.bytes_resident", "gauge", "bytes of mapped KV pool blocks"},
     {"serve.kernel_tier", "gauge",
-     "GEMM dispatch tier the engine runs on (0=sse 1=avx2 2=avx512)"},
+     "GEMM dispatch tier the engine runs on (0=sse 1=avx2)"},
     // protect/scheme.cpp
     {"protect.checked.<KIND>", "counter", "values range-checked"},
     {"protect.nan.<KIND>", "counter", "NaNs corrected"},

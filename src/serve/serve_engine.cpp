@@ -150,7 +150,7 @@ ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
     metrics_.kv_blocks_used = reg->gauge("serve.kv.blocks_used");
     metrics_.kv_blocks_free = reg->gauge("serve.kv.blocks_free");
     metrics_.kv_bytes_resident = reg->gauge("serve.kv.bytes_resident");
-    // Which GEMM dispatch tier this engine runs on (0=sse 1=avx2 2=avx512);
+    // Which GEMM dispatch tier this engine runs on (0=sse 1=avx2);
     // tiers are bit-exact, so this only matters for performance triage.
     reg->gauge("serve.kernel_tier")
         .set(static_cast<double>(static_cast<int>(active_kernel_tier())));

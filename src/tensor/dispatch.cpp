@@ -103,9 +103,8 @@ constexpr std::size_t kSseTileCols = 16;
 /// serializing on one dot product's add-latency chain. Explicit SSE keeps
 /// the instruction selection out of the autovectorizer's hands (and SSE
 /// mul/add round identically to their scalar counterparts, so bit-exactness
-/// is preserved by construction). The wider tiers in kernels_avx2.cpp /
-/// kernels_avx512.cpp keep this per-element sequence and only widen the
-/// column tile.
+/// is preserved by construction). The AVX2 tier in kernels_avx2.cpp keeps
+/// this per-element sequence and only widens the column tile.
 void kouter_row_sse(const float* x, const float* wt, std::size_t k,
                     const float* bias_padded, float* y, std::size_t width,
                     std::size_t flat0, const KernelEpilogue* epi,
@@ -159,30 +158,17 @@ bool cpu_has_avx2_f16c() {
 #endif
 }
 
-bool cpu_has_avx512f() {
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
 const KernelOps* compiled_ops(KernelTier tier) {
   switch (tier) {
     case KernelTier::kSse:
       return &kSseOps;
     case KernelTier::kAvx2:
       return detail::kernel_ops_avx2();
-    case KernelTier::kAvx512:
-      return detail::kernel_ops_avx512();
   }
   return nullptr;
 }
 
 const KernelOps* probe_default() {
-  if (kernel_tier_supported(KernelTier::kAvx512)) {
-    return compiled_ops(KernelTier::kAvx512);
-  }
   if (kernel_tier_supported(KernelTier::kAvx2)) {
     return compiled_ops(KernelTier::kAvx2);
   }
@@ -196,8 +182,8 @@ const KernelOps* select_initial() {
   const std::string forced = env_string("FT2_KERNEL", "auto");
   if (forced == "auto") return probe_default();
   const std::optional<KernelTier> tier = parse_kernel_tier(forced);
-  FT2_CHECK_MSG(tier.has_value(), "FT2_KERNEL='" << forced
-                                                 << "' (want sse|avx2|avx512|auto)");
+  FT2_CHECK_MSG(tier.has_value(),
+                "FT2_KERNEL='" << forced << "' (want sse|avx2|auto)");
   FT2_CHECK_MSG(kernel_tier_supported(*tier),
                 "FT2_KERNEL=" << forced << " not supported on this host ("
                               << (kernel_tier_compiled(*tier)
@@ -233,16 +219,13 @@ bool kernel_tier_supported(KernelTier tier) {
       return true;  // reference tier: SSE2 is x86-64 baseline, scalar elsewhere
     case KernelTier::kAvx2:
       return cpu_has_avx2_f16c();
-    case KernelTier::kAvx512:
-      return cpu_has_avx512f();
   }
   return false;
 }
 
 std::vector<KernelTier> supported_kernel_tiers() {
   std::vector<KernelTier> tiers;
-  for (KernelTier t :
-       {KernelTier::kSse, KernelTier::kAvx2, KernelTier::kAvx512}) {
+  for (KernelTier t : {KernelTier::kSse, KernelTier::kAvx2}) {
     if (kernel_tier_supported(t)) tiers.push_back(t);
   }
   return tiers;
@@ -265,8 +248,8 @@ void set_kernel_tier_name(std::string_view name) {
     return;
   }
   const std::optional<KernelTier> tier = parse_kernel_tier(name);
-  FT2_CHECK_MSG(tier.has_value(), "unknown kernel tier '"
-                                      << name << "' (want sse|avx2|avx512|auto)");
+  FT2_CHECK_MSG(tier.has_value(),
+                "unknown kernel tier '" << name << "' (want sse|avx2|auto)");
   set_kernel_tier(*tier);
 }
 
@@ -276,8 +259,6 @@ const char* kernel_tier_name(KernelTier tier) {
       return "sse";
     case KernelTier::kAvx2:
       return "avx2";
-    case KernelTier::kAvx512:
-      return "avx512";
   }
   return "?";
 }
@@ -285,7 +266,6 @@ const char* kernel_tier_name(KernelTier tier) {
 std::optional<KernelTier> parse_kernel_tier(std::string_view name) {
   if (name == "sse") return KernelTier::kSse;
   if (name == "avx2") return KernelTier::kAvx2;
-  if (name == "avx512") return KernelTier::kAvx512;
   return std::nullopt;
 }
 

@@ -1,27 +1,26 @@
 // Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
 //
 // The k-outer GEMM kernel, the row GEMV and the f16 quantization sweep
-// exist in three tiers — SSE (the portable reference), AVX2+F16C, and
-// AVX-512F — compiled as separate arch-flagged translation units
-// (tensor/kernels_avx2.cpp, tensor/kernels_avx512.cpp) and selected at
-// runtime from a cpuid probe. The AVX-512 tier reuses the AVX2 row GEMV.
+// exist in two tiers — SSE (the portable reference) and AVX2+F16C, the
+// latter compiled as a separate arch-flagged translation unit
+// (tensor/kernels_avx2.cpp) — selected at runtime from a cpuid probe.
 // The `FT2_KERNEL` environment variable (or `ft2 --kernel`) forces a tier.
 //
 // Bit-exactness policy: every tier accumulates each output element as the
 // same scalar chain `acc += x[i] * w[o][i]` in ascending-i order with a
-// separate multiply and add per step (never FMA). Wider tiers only widen
+// separate multiply and add per step (never FMA). The wider tier only widens
 // the column tile or row group — which output elements are grouped into
 // one register — never the per-element operation sequence, so all tiers
 // produce results bit-identical to the scalar/SSE reference and no
-// baselines need re-pinning per tier. The arch TUs are compiled with
+// baselines need re-pinning per tier. The arch TU is compiled with
 // -ffp-contract=off as a belt.
 //
 // The kernels also carry an optional fused store epilogue (KernelEpilogue):
 // f16-grid quantization plus the protection sweep (NaN→0, out-of-bound
 // clip) applied in-register as GEMM tiles are stored, instead of as
 // separate passes over the output. The epilogue's scalar reference
-// implementation lives in dispatch.cpp; vector tiers fast-path the clean
-// case and fall back to that exact scalar code for any lane group that
+// implementation lives in dispatch.cpp; the AVX2 tier fast-paths the clean
+// case and falls back to that exact scalar code for any lane group that
 // contains a NaN or an out-of-bound value, so fused results are
 // bit-identical to the hook-path quantize+range_restrict sequence.
 #pragma once
@@ -34,12 +33,11 @@
 namespace ft2 {
 
 enum class KernelTier : int {
-  kSse = 0,     ///< portable reference (SSE2 on x86-64, scalar elsewhere)
-  kAvx2 = 1,    ///< AVX2 + F16C, 32-column tiles
-  kAvx512 = 2,  ///< AVX-512F, 64-column tiles
+  kSse = 0,   ///< portable reference (SSE2 on x86-64, scalar elsewhere)
+  kAvx2 = 1,  ///< AVX2 + F16C, 32-column tiles
 };
 
-constexpr std::size_t kKernelTierCount = 3;
+constexpr std::size_t kKernelTierCount = 2;
 
 /// Fused GEMM-store epilogue request: optional f16-grid quantization
 /// followed by one protection mode. Field semantics mirror the hook path
@@ -111,7 +109,7 @@ struct KernelOps {
   /// Row GEMV straight from a row-major weight matrix `w[n][k]` (no packed
   /// tile): y[o] = bias[o] + sum_i x[i] * w[o][i], each output accumulated
   /// as the documented chain, so every tier is bit-identical to the scalar
-  /// reference. Vector tiers transpose the products of 8-wide k blocks of a
+  /// reference. The AVX2 tier transposes the products of 8-wide k blocks of a
   /// row group in registers; rows past the last full group and the k tail
   /// run the scalar chain. `bias` may be null (accumulators start at 0.0f).
   void (*gemv_row)(const float* x, const float* w, std::size_t n,
@@ -126,7 +124,7 @@ struct KernelOps {
 };
 
 /// The currently selected tier's function table. First use probes the CPU
-/// and honours `FT2_KERNEL` (sse|avx2|avx512|auto; unknown or unsupported
+/// and honours `FT2_KERNEL` (sse|avx2|auto; unknown or unsupported
 /// values throw ft2::Error).
 const KernelOps& active_kernel_ops();
 KernelTier active_kernel_tier();
@@ -141,7 +139,7 @@ std::vector<KernelTier> supported_kernel_tiers();
 /// not supported on this host. PackedLinear weights snapshot the ops table
 /// at pack time — repack after switching tiers.
 void set_kernel_tier(KernelTier tier);
-/// Parses and forces a tier by name ("sse" | "avx2" | "avx512" | "auto");
+/// Parses and forces a tier by name ("sse" | "avx2" | "auto");
 /// "auto" re-runs the default probe. Throws ft2::Error on unknown names.
 void set_kernel_tier_name(std::string_view name);
 
@@ -163,27 +161,21 @@ namespace detail {
 
 /// The scalar reference epilogue (quantize + protect, one pass). Defined in
 /// dispatch.cpp — compiled with baseline flags — and shared by every tier:
-/// the SSE tier uses it directly; the AVX2/AVX-512 tiers call it for lane
+/// the SSE tier uses it directly; the AVX2 tier calls it for lane
 /// groups containing NaN/out-of-bound values and for tile tails, keeping
 /// all std:: machinery out of the arch-flagged TUs.
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);
 
 /// The scalar reference row GEMV (KernelOps::gemv_row semantics) over rows
-/// [0, n) of `w`. The SSE tier is this function; the vector tiers call it
-/// for the rows left over after their last full row group.
+/// [0, n) of `w`. The SSE tier is this function; the AVX2 tier calls it
+/// for the rows left over after its last full row group.
 void gemv_rows_scalar(const float* x, const float* w, std::size_t n,
                       std::size_t k, const float* bias, float* y);
 
-/// The AVX2 row GEMV (kernels_avx2.cpp, 8-row groups), shared by the AVX2
-/// and AVX-512 tiers. Defined only when that TU has its arch flags.
-void gemv_row_avx2(const float* x, const float* w, std::size_t n,
-                   std::size_t k, const float* bias, float* y);
-
-/// Arch-TU registration points: each returns its function table, or null
-/// when the TU was compiled without the matching -m flags.
+/// Arch-TU registration point: the AVX2 function table, or null when
+/// kernels_avx2.cpp was compiled without its -m flags.
 const KernelOps* kernel_ops_avx2();
-const KernelOps* kernel_ops_avx512();
 
 }  // namespace detail
 

@@ -1,16 +1,16 @@
 // AVX2 + F16C dispatch tier: 32-column GEMM tiles, a row GEMV over pairs
-// of 8-row groups and an 8-wide fused store epilogue. Compiled with -mavx2
-// -mf16c -ffp-contract=off (see src/CMakeLists.txt); when those flags are
-// unavailable this TU degrades to a stub returning nullptr and the
-// dispatcher falls back to the SSE tier.
+// of 8-row groups and an 8-wide fused store epilogue. It is the only vector
+// tier: AVX-512 hosts run it too (every AVX-512F CPU has AVX2 and F16C).
+// Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
+// when those flags are unavailable this TU degrades to a stub returning
+// nullptr and the dispatcher falls back to the SSE tier.
 //
 // ODR note: because this TU is built with arch flags the rest of the build
 // lacks, it must not instantiate any vague-linkage code (templates,
 // header-inline std:: machinery) that another TU also instantiates — the
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
-// is file-local intrinsic code, apart from the plain extern row GEMV the
-// AVX-512 tier shares; slow paths call the extern, baseline-built
-// ft2::detail::epilogue_scalar_span.
+// is file-local intrinsic code; slow paths call the extern, baseline-built
+// ft2::detail::epilogue_scalar_span and ft2::detail::gemv_rows_scalar.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
@@ -174,13 +174,11 @@ inline void finish8(__m256 acc, const float* x, const float* w,
   }
 }
 
-}  // namespace
-
 /// Row GEMV: two 8-row groups per pass, so two independent in-order add
 /// chains overlap; a last single group, then the scalar chain for the
 /// remaining rows.
-void detail::gemv_row_avx2(const float* x, const float* w, std::size_t n,
-                           std::size_t k, const float* bias, float* y) {
+void gemv_row_avx2(const float* x, const float* w, std::size_t n,
+                   std::size_t k, const float* bias, float* y) {
   const std::size_t kv = k - k % 8;
   std::size_t o = 0;
   for (; o + 16 <= n; o += 16) {
@@ -215,8 +213,6 @@ void detail::gemv_row_avx2(const float* x, const float* w, std::size_t n,
                            bias != nullptr ? bias + o : nullptr, y + o);
 }
 
-namespace {
-
 void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi, EpilogueTally* tally) {
   std::size_t i = 0;
@@ -227,7 +223,7 @@ void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
 }
 
 constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", kTileCols,
-                             &kouter_row_avx2, &detail::gemv_row_avx2,
+                             &kouter_row_avx2, &gemv_row_avx2,
                              &epilogue_span_avx2};
 
 }  // namespace

@@ -9,21 +9,6 @@
 
 namespace ft2 {
 
-void linear_forward(const Tensor& x, const Tensor& w,
-                    std::span<const float> bias, Tensor& y) {
-  FT2_CHECK(x.rank() == 2 && w.rank() == 2);
-  const std::size_t m = x.dim(0);
-  const std::size_t k = x.dim(1);
-  const std::size_t n = w.dim(0);
-  FT2_CHECK_MSG(w.dim(1) == k, "linear: x cols " << k << " vs w cols "
-                                                 << w.dim(1));
-  FT2_CHECK(bias.empty() || bias.size() == n);
-  if (y.shape() != std::vector<std::size_t>{m, n}) y = Tensor({m, n});
-  for (std::size_t r = 0; r < m; ++r) {
-    linear_forward_row(x.row(r), w, bias, y.row(r));
-  }
-}
-
 void linear_forward_row(std::span<const float> x, const Tensor& w,
                         std::span<const float> bias, std::span<float> y) {
   const std::size_t n = w.dim(0);
@@ -70,8 +55,7 @@ void chunked_row_range(std::span<const float> x, const Tensor& w,
 /// wt[k][tile_cols] and their bias into bias_padded[tile_cols], both
 /// zero-padded past `width`, so the micro-kernel's inner loop reads
 /// contiguous memory. The tile width comes from the dispatch tier
-/// (tensor/dispatch.hpp): 16 columns on the SSE reference, 32 on AVX2, 64
-/// on AVX-512.
+/// (tensor/dispatch.hpp): 16 columns on the SSE reference, 32 on AVX2.
 void pack_tile(const Tensor& w, std::span<const float> bias, std::size_t o_lo,
                std::size_t width, std::size_t tile_cols, float* wt,
                float* bias_padded) {
@@ -229,12 +213,6 @@ void softmax(std::span<float> v) {
   }
   if (sum > 0.0f) {
     for (float& f : v) f /= sum;
-  }
-}
-
-void softmax_rows(float* data, std::size_t rows, std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    softmax({data + r * cols, cols});
   }
 }
 

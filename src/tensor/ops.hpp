@@ -12,15 +12,11 @@
 
 namespace ft2 {
 
-/// y[m,n] = x[m,k] * W^T (W stored [n,k], PyTorch Linear layout) + bias[n].
-/// bias may be empty.
-void linear_forward(const Tensor& x, const Tensor& w,
-                    std::span<const float> bias, Tensor& y);
-
-/// Single-row version: y[n] = W[n,k] * x[k] + b[n], straight from the
-/// row-major weights through the active tier's row GEMV
-/// (KernelOps::gemv_row). Every tier accumulates each output as the same
-/// ascending-k mul-then-add chain, so results never depend on the tier.
+/// Single-row linear: y[n] = W[n,k] * x[k] + b[n] (W stored [n,k], PyTorch
+/// Linear layout; bias may be empty), straight from the row-major weights
+/// through the active tier's row GEMV (KernelOps::gemv_row). Every tier
+/// accumulates each output as the same ascending-k mul-then-add chain, so
+/// results never depend on the tier.
 void linear_forward_row(std::span<const float> x, const Tensor& w,
                         std::span<const float> bias, std::span<float> y);
 
@@ -90,11 +86,7 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const KernelEpilogue* epi = nullptr,
                                 EpilogueTally* tally = nullptr);
 
-/// In-place numerically-stable softmax over the last `cols` elements of each
-/// row; `row_len` rows of length `cols`.
-void softmax_rows(float* data, std::size_t rows, std::size_t cols);
-
-/// In-place softmax of one contiguous vector.
+/// In-place numerically-stable softmax of one contiguous vector.
 void softmax(std::span<float> v);
 
 /// LayerNorm: y = (x - mean) / sqrt(var + eps) * gamma + beta, per row.
@@ -132,7 +124,7 @@ void add_inplace(std::span<float> a, std::span<const float> b);
 void mul_inplace(std::span<float> a, std::span<const float> b);
 
 /// Quantizes every element onto the FP16 grid (float->half->float).
-/// Dispatched through the active kernel tier (F16C on AVX2/AVX-512 hosts);
+/// Dispatched through the active kernel tier (F16C on AVX2 hosts);
 /// all tiers are bit-exact with the scalar quantize_f16 for every input,
 /// NaN payloads included.
 void quantize_tensor_f16(Tensor& t);

@@ -494,11 +494,5 @@ TEST(ForwardOracle, EngineMatchesNaiveForwardOnAvx2) {
   expect_engine_matches_oracle(KernelTier::kAvx2);
 }
 
-TEST(ForwardOracle, EngineMatchesNaiveForwardOnAvx512) {
-  require_tier(KernelTier::kAvx512);
-  if (IsSkipped()) return;
-  expect_engine_matches_oracle(KernelTier::kAvx512);
-}
-
 }  // namespace
 }  // namespace ft2

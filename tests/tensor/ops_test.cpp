@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "numeric/f16.hpp"
 
 namespace ft2 {
@@ -17,8 +18,9 @@ TEST(Ops, LinearForwardMatchesNaive) {
   for (float& f : w.span()) f = rng.uniform_float(-1.0f, 1.0f);
   std::vector<float> bias = {0.1f, -0.2f, 0.3f, 0.0f};
 
-  Tensor y;
-  linear_forward(x, w, bias, y);
+  Tensor y({3, 4});
+  linear_forward_span(x, 3, w, bias, y, /*chunked_accum=*/false,
+                      ThreadPool::global());
   ASSERT_EQ(y.dim(0), 3u);
   ASSERT_EQ(y.dim(1), 4u);
   for (std::size_t r = 0; r < 3; ++r) {
@@ -31,16 +33,18 @@ TEST(Ops, LinearForwardMatchesNaive) {
 }
 
 TEST(Ops, LinearShapeMismatchThrows) {
-  Tensor x({2, 3}), w({4, 5}), y;
-  EXPECT_THROW(linear_forward(x, w, {}, y), Error);
+  Tensor x({2, 3}), w({4, 5}), y({2, 4});
+  EXPECT_THROW(linear_forward_span(x, 2, w, {}, y, /*chunked_accum=*/false,
+                                   ThreadPool::global()),
+               Error);
 }
 
 TEST(Ops, SoftmaxRowsSumToOne) {
   Xoshiro256 rng(2);
   Tensor t({4, 7});
   for (float& f : t.span()) f = rng.uniform_float(-5.0f, 5.0f);
-  softmax_rows(t.data(), 4, 7);
   for (std::size_t r = 0; r < 4; ++r) {
+    softmax(t.row(r));
     float sum = 0.0f;
     for (float f : t.row(r)) {
       EXPECT_GE(f, 0.0f);

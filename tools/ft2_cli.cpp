@@ -28,7 +28,7 @@
 //   ft2 kernel-info [--check]
 //   ft2 perf [--gpu a100|h100]
 //
-// Every command accepts --kernel sse|avx2|avx512|auto to force the GEMM
+// Every command accepts --kernel sse|avx2|auto to force the GEMM
 // dispatch tier (equivalent to FT2_KERNEL; tiers are bit-exact, see
 // docs/PERFORMANCE.md).
 //
@@ -1456,7 +1456,7 @@ int usage() {
       "  ft2 scheme-names [--long]\n"
       "  ft2 kernel-info [--check]\n"
       "  ft2 perf [--gpu a100|h100]\n"
-      "global: --kernel sse|avx2|avx512|auto forces the dispatch tier\n"
+      "global: --kernel sse|avx2|auto forces the dispatch tier\n"
       "        (same as FT2_KERNEL; see docs/PERFORMANCE.md)\n"
       "        --telemetry-port P serves live /metrics, /snapshot.json and\n"
       "        /healthz on 127.0.0.1:P while the workload runs (0 picks an\n"
