@@ -7,12 +7,13 @@
 //   bench_kernels [google-benchmark flags]
 //       the registered BM_* microbenchmarks (default mode);
 //   bench_kernels --tiers [--json FILE]
-//       per-dispatch-tier GEMM, row-GEMV and quantize throughput (every
-//       tier the host supports, plus the fused protection epilogue's cost
-//       on the GEMM store path). The GEMMs are the benchmark model's own
-//       MLP shapes, fc1 (384x128) and fc2 (128x384), at 8 rows. The SSE
-//       tier's row GEMV is the scalar chain every tier ran before the
-//       vector row kernel existed.
+//       per-dispatch-tier GEMM, row-GEMV, quantize and protection-epilogue
+//       throughput (every tier the host supports). The epilogue is an FT2
+//       bounds plan (quantize + NaN fix + clip) swept over a 16x384 span,
+//       the sweep every protected site runs after its GEMM. The GEMMs are
+//       the benchmark model's own MLP shapes, fc1 (384x128) and fc2
+//       (128x384), at 8 rows. The SSE tier's row GEMV is the scalar chain
+//       every tier ran before the vector row kernel existed.
 //       --json writes the bench/baselines/BENCH_kernels.json shape;
 //       without it a table prints.
 #include <benchmark/benchmark.h>
@@ -187,17 +188,19 @@ constexpr std::size_t kGemmRows = 8;
 struct GemmRates {
   double span_gflops = 0.0;    ///< span GEMM (packs tiles per call)
   double packed_gflops = 0.0;  ///< pre-packed tiles (batched decode path)
-  double fused_gflops = 0.0;   ///< span GEMM + quantize/bounds epilogue
 };
 
 struct TierRates {
   GemmRates gemm[std::size(kGemmShapes)];  ///< one per kGemmShapes entry
   double quantize_gelems = 0.0;            ///< quantize_span_f16 sweep
+  double epilogue_gelems = 0.0;            ///< FT2 bounds epilogue sweep
   double gemv_gflops = 0.0;                ///< row GEMV on row-major weights
 };
 
 /// Row GEMV shape: the benchmark model's MLP up-projection (d_ff x d_model).
 constexpr std::size_t kGemvN = 384, kGemvK = 128;
+/// Epilogue span: 16 rows of the benchmark model's d_ff-wide fc1 output.
+constexpr std::size_t kEpilogueRows = 16, kEpilogueCols = 384;
 
 GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
                        ThreadPool& pool, Xoshiro256& rng) {
@@ -219,28 +222,36 @@ GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
       linear_forward_span_packed(x, rows, pl, y, pool);
     }) / 1e9;
   }
-  // The fused store epilogue as protected fp16 decode plans it: quantize
-  // plus in-bound range restriction (clean-path cost — values in bounds).
-  // Same span path as span_gflops, so the delta is pure epilogue cost.
+  return rates;
+}
+
+/// The epilogue as protected fp16 FT2 decode plans it after the first
+/// token: quantize, then NaN fix and clip against constant bounds. Values
+/// stay inside the bounds, so this is the clean-path cost every protected
+/// site pays per output element.
+double measure_epilogue(const KernelOps& ops, std::size_t reps,
+                        Xoshiro256& rng) {
+  std::vector<float> v(kEpilogueRows * kEpilogueCols);
+  for (float& f : v) f = rng.uniform_float(-4.0f, 4.0f);
   KernelEpilogue epi;
   epi.quantize = true;
   epi.protect = KernelEpilogue::Protect::kBounds;
   epi.correct_nan = true;
-  epi.lo = -1e6f;
-  epi.hi = 1e6f;
+  epi.lo = -8.0f;
+  epi.hi = 8.0f;
   epi.lo_sub = epi.lo;
   epi.hi_sub = epi.hi;
   EpilogueTally tally;
-  rates.fused_gflops = best_items_per_sec(flops, reps, [&] {
-    linear_forward_span(x, rows, w, bias, y, false, pool, &epi, &tally);
+  return best_items_per_sec(static_cast<double>(v.size()), reps, [&] {
+    ops.epilogue_span(v.data(), v.size(), 0, epi, &tally);
   }) / 1e9;
-  return rates;
 }
 
 TierRates measure_tier(KernelTier tier, std::size_t reps) {
   set_kernel_tier(tier);
   ThreadPool pool(1);  // single worker: kernel throughput, not pool scaling
   Xoshiro256 rng(99);
+  const KernelOps& ops = kernel_ops_for(tier);
   TierRates rates;
   for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
     rates.gemm[s] = measure_gemm(kGemmShapes[s], reps, pool, rng);
@@ -254,7 +265,6 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
     for (float& f : xg) f = rng.uniform_float(-1.0f, 1.0f);
     for (float& f : bg) f = rng.uniform_float(-0.5f, 0.5f);
     const double gemv_flops = 2.0 * static_cast<double>(kGemvN * kGemvK);
-    const KernelOps& ops = kernel_ops_for(tier);
     rates.gemv_gflops = best_items_per_sec(gemv_flops, reps, [&] {
       ops.gemv_row(xg.data(), wg.data(), kGemvN, kGemvK, bg.data(),
                    yg.data());
@@ -267,6 +277,7 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
         static_cast<double>(v.size()), reps,
         [&] { quantize_span_f16(v); }) / 1e9;
   }
+  rates.epilogue_gelems = measure_epilogue(ops, reps, rng);
   return rates;
 }
 
@@ -276,36 +287,34 @@ int run_tiers(const ArgParser& args) {
 
   Json tiers = Json::object();
   Table table({"tier", "gemm", "span GFLOP/s", "packed GFLOP/s",
-               "fused-epi GFLOP/s", "fused cost", "gemv GFLOP/s",
-               "quantize Gelem/s"});
+               "gemv GFLOP/s", "quantize Gelem/s", "epilogue Gelem/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, reps);
     Json t = Json::object();
     for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
       const GemmRates& g = r.gemm[s];
-      const double fused_cost =
-          g.span_gflops > 0.0 ? 1.0 - g.fused_gflops / g.span_gflops : 0.0;
-      // Per-tier columns (gemv, quantize) print on the tier's first row.
+      // Per-tier columns (gemv, quantize, epilogue) print on the tier's
+      // first row.
       table.begin_row()
           .cell(s == 0 ? kernel_tier_name(tier) : "")
           .cell(kGemmShapes[s].name)
           .num(g.span_gflops, 2)
-          .num(g.packed_gflops, 2)
-          .num(g.fused_gflops, 2)
-          .pct(fused_cost);
+          .num(g.packed_gflops, 2);
       if (s == 0) {
-        table.num(r.gemv_gflops, 2).num(r.quantize_gelems, 2);
+        table.num(r.gemv_gflops, 2)
+            .num(r.quantize_gelems, 2)
+            .num(r.epilogue_gelems, 2);
       } else {
-        table.cell("").cell("");
+        table.cell("").cell("").cell("");
       }
       Json shape = Json::object();
       shape["gemm_gflops"] = g.span_gflops;
       shape["gemm_packed_gflops"] = g.packed_gflops;
-      shape["gemm_fused_gflops"] = g.fused_gflops;
       t[kGemmShapes[s].name] = shape;
     }
     t["gemv_row_gflops"] = r.gemv_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
+    t["epilogue_gelems_per_sec"] = r.epilogue_gelems;
     tiers[kernel_tier_name(tier)] = t;
   }
   set_kernel_tier(restore);
@@ -326,6 +335,8 @@ int run_tiers(const ArgParser& args) {
     cfg["gemv_n"] = static_cast<double>(kGemvN);
     cfg["gemv_k"] = static_cast<double>(kGemvK);
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
+    cfg["epilogue_rows"] = static_cast<double>(kEpilogueRows);
+    cfg["epilogue_cols"] = static_cast<double>(kEpilogueCols);
     cfg["reps"] = static_cast<double>(reps);
     cfg["threads"] = 1.0;
     out["config"] = cfg;
@@ -348,7 +359,9 @@ int run_tiers(const ArgParser& args) {
     std::cout << g.name << " " << g.n << "x" << g.k << ", ";
   }
   std::cout << kGemmRows << " rows, single worker; gemv " << kGemvN << "x"
-            << kGemvK << " row-major; best of " << reps << "\n\n";
+            << kGemvK << " row-major; epilogue " << kEpilogueRows << "x"
+            << kEpilogueCols << " ft2 bounds plan; best of " << reps
+            << "\n\n";
   table.print(std::cout);
   std::cout << "\nall tiers are bit-exact (ctest -R KernelTierEquivalence); "
                "pick with FT2_KERNEL or --kernel\n";

@@ -23,6 +23,10 @@ class ArgParser {
   bool has(const std::string& name) const { return values_.contains(name); }
 
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// Numeric getters. A present value must parse in full, with nothing
+  /// before or after the number, and be in range (get_size: a
+  /// non-negative decimal integer; get_double: anything strtod accepts);
+  /// otherwise they throw ft2::Error naming the option.
   std::size_t get_size(const std::string& name, std::size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
 

@@ -90,12 +90,13 @@ class OutputHook {
   virtual void on_generation_end() {}
 
   /// Fused-epilogue negotiation (tensor/dispatch.hpp). The engine offers
-  /// the FIRST hook of a chain the chance to run its work inside the GEMM
-  /// store epilogue instead of via on_output. A hook that can express its
-  /// on_output semantics as a KernelEpilogue fills `epi` in (the engine has
-  /// already set epi.quantize for the execution mode) and returns true; the
+  /// the FIRST hook of a chain the chance to run its work in the epilogue
+  /// sweep, one sweep right after each site's GEMM, instead of via
+  /// on_output. A hook that can express its on_output semantics as a
+  /// KernelEpilogue fills `epi` in (the engine has already set
+  /// epi.quantize for the execution mode) and returns true; the
   /// engine then skips its on_output for this dispatch and calls
-  /// absorb_fused with the finished values and the kernel's tally, where
+  /// absorb_fused with the finished values and the sweep's tally, where
   /// the hook must reproduce the exact accounting its on_output would have
   /// produced. Only the first hook is offered fusion, so later hooks always
   /// observe fully quantized+protected values, and any chain led by a
@@ -218,7 +219,7 @@ class HookChain {
   }
   /// Dispatches to every hook EXCEPT the first — the engine calls this
   /// after a fused dispatch where the first hook's work already ran in the
-  /// kernel epilogue (and was absorbed via absorb_fused).
+  /// epilogue sweep (and was absorbed via absorb_fused).
   void dispatch_tail(const HookContext& ctx, std::span<float> values) const {
     for (std::size_t i = 1; i < state_->entries.size(); ++i) {
       state_->entries[i].second->on_output(ctx, values);

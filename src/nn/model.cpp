@@ -51,27 +51,26 @@ inline void maybe_quantize(std::span<float> v, bool fp16) {
   if (fp16) quantize_span_f16(v);
 }
 
-/// Fusion plan for one hook dispatch: whether any store-epilogue work runs
-/// in the kernel (tensor/dispatch.hpp) and which hook, if any, supplied
-/// the protection half.
+/// Fusion plan for one hook dispatch: whether any epilogue work runs in
+/// the post-GEMM sweep (tensor/dispatch.hpp) and which hook, if any,
+/// supplied the protection half.
 struct FusedPlan {
   bool active = false;          ///< any fused work (quantize and/or protect)
   OutputHook* provider = nullptr;  ///< first hook, when it accepted fusion
   KernelEpilogue epi;
 };
 
-/// Negotiates the fused store epilogue for one dispatch. Fusion covers the
+/// Negotiates the fused epilogue for one dispatch. Fusion covers the
 /// engine's own FP16 quantize pass plus — when the chain's FIRST hook
 /// accepts plan_fused — the protection sweep. Chains led by a non-fusing
 /// hook (e.g. a campaign's fault injector, which must corrupt values
-/// BEFORE protection sees them), chunked-accumulation mode, and the
-/// FT2_FUSED_EPILOGUE=0 kill switch all fall back to the legacy two-pass
-/// path; results are bit-identical either way.
+/// BEFORE protection sees them) and the FT2_FUSED_EPILOGUE=0 kill switch
+/// fall back to the two-pass path; results are bit-identical either way.
 inline FusedPlan plan_output_fusion(const HookChain& hooks,
                                     const HookContext& ctx,
                                     const ExecConfig& exec) {
   FusedPlan plan;
-  if (exec.chunked_accum || !fused_epilogue_enabled()) return plan;
+  if (!fused_epilogue_enabled()) return plan;
   plan.epi.quantize = exec.fp16;
   OutputHook* first = hooks.first_hook();
   if (first != nullptr && first->plan_fused(ctx, plan.epi)) {
@@ -81,24 +80,11 @@ inline FusedPlan plan_output_fusion(const HookChain& hooks,
   return plan;
 }
 
-/// Completes hook dispatch of values an active plan's epilogue already ran
-/// on: the providing hook absorbs the kernel's tally, the rest of the
-/// chain sees the finished values.
-inline void dispatch_fused(const FusedPlan& plan, const HookContext& ctx,
-                           const HookChain& hooks, std::span<float> values,
-                           const EpilogueTally& tally) {
-  if (plan.provider != nullptr) {
-    plan.provider->absorb_fused(ctx, values, plan.epi, tally);
-    hooks.dispatch_tail(ctx, values);
-  } else {
-    hooks.dispatch(ctx, values);
-  }
-}
-
-/// Applies the negotiated plan to an already-computed span (sites whose
-/// producer is not a fused GEMM: row-GEMV linears, activation outputs,
-/// one segment of a multi-sequence GEMM) in one sweep, then completes hook
-/// dispatch. With no active plan this is the legacy quantize + dispatch.
+/// Finishes one dispatch of a computed site output (a linear's GEMM rows
+/// or an activation, one segment's span). With an active plan the
+/// epilogue runs as one sweep, the providing hook absorbs its tally and
+/// the rest of the chain sees the finished values; without one this is
+/// the two-pass quantize + dispatch.
 inline void finish_output(std::span<float> values, const HookContext& ctx,
                           const HookChain& hooks, const ExecConfig& exec) {
   const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
@@ -111,7 +97,12 @@ inline void finish_output(std::span<float> values, const HookContext& ctx,
   active_kernel_ops().epilogue_span(
       values.data(), values.size(), 0, plan.epi,
       plan.provider != nullptr ? &tally : nullptr);
-  dispatch_fused(plan, ctx, hooks, values, tally);
+  if (plan.provider != nullptr) {
+    plan.provider->absorb_fused(ctx, values, plan.epi, tally);
+    hooks.dispatch_tail(ctx, values);
+  } else {
+    hooks.dispatch(ctx, values);
+  }
 }
 
 ThreadPool& exec_pool(const ExecConfig& exec) {
@@ -123,28 +114,17 @@ ThreadPool& exec_pool(const ExecConfig& exec) {
 /// row, the repacking span GEMM otherwise (and for every chunked-accum
 /// call, whose chain lives there). Each reduction mode has one
 /// accumulation order across all three, so the choice never changes a
-/// bit. Only the non-chunked packed and span GEMMs are k-outer and take
-/// `epi` (see k_outer_gemm).
+/// bit.
 void gemm_rows(const Tensor& w, std::span<const float> bias,
                const PackedLinear* pl, const Tensor& in, std::size_t rows,
-               Tensor& out, bool chunked_accum, ThreadPool& pool,
-               const KernelEpilogue* epi = nullptr,
-               EpilogueTally* tally = nullptr) {
+               Tensor& out, bool chunked_accum, ThreadPool& pool) {
   if (pl != nullptr && !chunked_accum) {
-    linear_forward_span_packed(in, rows, *pl, out, pool, epi, tally);
+    linear_forward_span_packed(in, rows, *pl, out, pool);
   } else if (rows == 1 && !chunked_accum) {
     linear_forward_row(in.row(0), w, bias, out.row(0));
   } else {
-    linear_forward_span(in, rows, w, bias, out, chunked_accum, pool, epi,
-                        tally);
+    linear_forward_span(in, rows, w, bias, out, chunked_accum, pool);
   }
-}
-
-/// Whether gemm_rows runs a k-outer kernel (packed or span GEMM), the
-/// kind that can apply a fused store epilogue.
-inline bool k_outer_gemm(const PackedLinear* pl, std::size_t rows,
-                         bool chunked_accum) {
-  return !chunked_accum && (pl != nullptr || rows > 1);
 }
 
 /// A run of consecutive workspace rows that belong to one sequence: rows
@@ -280,31 +260,17 @@ class RowEngine {
     maybe_quantize(out, exec_.fp16);
   }
 
-  /// One linear site: one GEMM over all rows, then quantization and hook
-  /// dispatch per segment. With a single segment on a k-outer kernel the
-  /// negotiated epilogue runs inside the GEMM store instead.
+  /// One linear site: one GEMM over all rows as plain math, then the
+  /// epilogue and hook dispatch per segment.
   void linear(const LinearWeights& lw, PackedLinear PackedBlock::*layer,
               const Tensor& in, Tensor& out, LayerKind kind) {
     const PackedLinear* pl = tiles_ != nullptr ? &(tiles_->*layer) : nullptr;
-    const bool chunked = exec_.chunked_accum;
-    if (segs_.size() == 1 && k_outer_gemm(pl, rows_, chunked)) {
-      const Segment& s = segs_[0];
-      const HookContext ctx = context(s, kind, out.dim(1));
-      const FusedPlan plan = plan_output_fusion(*s.hooks, ctx, exec_);
-      if (plan.active) {
-        EpilogueTally tally;
-        gemm_rows(lw.w, lw.bias_span(), pl, in, rows_, out, chunked, pool_,
-                  &plan.epi, plan.provider != nullptr ? &tally : nullptr);
-        dispatch_fused(plan, ctx, *s.hooks, {out.data(), rows_ * out.dim(1)},
-                       tally);
-        return;
-      }
-    }
-    gemm_rows(lw.w, lw.bias_span(), pl, in, rows_, out, chunked, pool_);
+    gemm_rows(lw.w, lw.bias_span(), pl, in, rows_, out, exec_.chunked_accum,
+              pool_);
     finish(out, kind);
   }
 
-  /// Per-segment quantize + hook dispatch of a computed site output.
+  /// Per-segment epilogue + hook dispatch of a computed site output.
   void finish(Tensor& out, LayerKind kind) const {
     const std::size_t width = out.dim(1);
     for (const Segment& s : segs_) {

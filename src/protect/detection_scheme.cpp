@@ -72,8 +72,8 @@ void RangeRestrictScheme::detect_and_correct(const HookContext& ctx,
 bool RangeRestrictScheme::plan_epilogue(const HookContext& ctx,
                                         KernelEpilogue& epi) const {
   // Mirror detect_and_correct branch for branch: every mode below is
-  // elementwise with constant per-site bounds, so it can run inside the
-  // kernel's store epilogue. absorb_epilogue handles the one non-elementwise
+  // elementwise with constant per-site bounds, so it can run in the
+  // post-GEMM epilogue sweep. absorb_epilogue handles the one non-elementwise
   // piece (first-token observe_span) over the finished span.
   if (spec_.online && ctx.first_token_phase) {
     epi.protect = KernelEpilogue::Protect::kFirstToken;

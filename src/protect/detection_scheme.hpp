@@ -76,9 +76,9 @@ class DetectionScheme {
   /// detect_and_correct can be expressed as a per-element KernelEpilogue
   /// (quantize → NaN fix → clip against constant bounds) fills in `epi`
   /// (everything except `quantize` and `record_events`, which the driver
-  /// owns) and returns true; the GEMM kernel then applies the protection
-  /// in-register as tiles are stored, and the driver calls absorb_epilogue
-  /// with the finished span plus the kernel's tally. The contract is strict
+  /// owns) and returns true; the engine then applies the protection in one
+  /// sweep right after each site's GEMM, and the driver calls
+  /// absorb_epilogue with the finished span plus the sweep's tally. The contract is strict
   /// bit-equality: planned epilogue + absorb must reproduce exactly the
   /// values, counts and clip events detect_and_correct would have produced
   /// on the same dispatch. Schemes with cross-element logic (checksums,

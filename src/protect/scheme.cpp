@@ -237,7 +237,7 @@ void ProtectionHook::absorb_fused(const HookContext& ctx,
                                   std::span<const float> values,
                                   const KernelEpilogue& epi,
                                   const EpilogueTally& tally) {
-  // Mirror of on_output's accounting, fed from the kernel tally instead of
+  // Mirror of on_output's accounting, fed from the epilogue tally instead of
   // detect_and_correct. Kept in lockstep: same delta merge order, same
   // counter increments, same first-detect rule, same event attribution
   // (position = ctx.position + flat_index / row_width).

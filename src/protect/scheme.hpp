@@ -159,7 +159,7 @@ class ProtectionHook : public OutputHook {
   /// hook path) and sets epi.record_events when clip magnitudes or the
   /// clip log need per-event originals. absorb_fused reproduces on_output's
   /// accounting — per-kind tallies, protect.* counters, clip events,
-  /// first-detect — exactly, from the kernel's tally.
+  /// first-detect — exactly, from the epilogue sweep's tally.
   bool plan_fused(const HookContext& ctx, KernelEpilogue& epi) override;
   void absorb_fused(const HookContext& ctx, std::span<const float> values,
                     const KernelEpilogue& epi,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <optional>
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
@@ -116,8 +117,8 @@ ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
       options_(resolve_pool_size(model.config(), options)),
       kv_pool_(model.config().n_blocks, model.config().d_model,
                options_.kv_pool_blocks, options_.kv_block_rows),
+      packed_(model),
       ws_(model.config(), options_.max_batch) {
-  if (options_.pack_weights) packed_.emplace(model_);
   tracer_ = options_.obs.tracer != nullptr ? options_.obs.tracer
                                            : &Tracer::global();
   MetricsRegistry* reg =
@@ -525,7 +526,7 @@ bool ServeEngine::begin_admission(Request& req) {
       if (!reserve_rows_or_evict(req, n)) return false;
       // No logits: the replayed sequence's next token is already sampled.
       forward_prefill_chunk(model_, fed, pos, n, req.cache, req.hooks,
-                            exec_for(req.options), ws_, {}, packed());
+                            exec_for(req.options), ws_, {}, &packed_);
       pos += n;
       // Replayed positions are engine work but not solo-equivalent
       // positions: result.positions_run already counted them.
@@ -561,7 +562,7 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
   }
   forward_prefill_chunk(model_, prompt, req.next_prefill, n, req.cache,
                         req.hooks, exec_for(req.options), ws_,
-                        {req.logits.data(), req.logits.size()}, packed());
+                        {req.logits.data(), req.logits.size()}, &packed_);
   req.next_prefill += n;
   req.pos += n;
   req.result.positions_run += n;
@@ -699,7 +700,7 @@ void ServeEngine::decode_step() {
                                  {req->logits.data(), req->logits.size()}});
     }
     const ExecConfig exec{(idx & 1u) != 0, (idx & 2u) != 0, options_.pool};
-    model_.forward_batch(slots, exec, ws_, packed());
+    model_.forward_batch(slots, exec, ws_, &packed_);
     ++counters_.decode_steps;
     counters_.decode_rows += slots.size();
     metrics_.decode_steps.inc();

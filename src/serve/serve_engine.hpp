@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -59,15 +58,6 @@ class ThreadPool;
 struct ServeOptions {
   std::size_t max_batch = 8;   ///< max sequences holding slots per step
   ThreadPool* pool = nullptr;  ///< pool for GEMM fan-out (null = global)
-  /// Pre-pack every weight matrix into k-outer GEMM tiles at engine
-  /// construction (PackedDecodeWeights). The tiles feed every forward the
-  /// engine runs: batched decode, budgeted prefill chunks (the fused FT2
-  /// first-token epilogue included), 1-wide chunks, recompute replays and
-  /// the LM head. Pure layout: results are bit-exact either way. The
-  /// tiles are a snapshot, so disable to observe weight mutations made
-  /// after engine construction (e.g. ScopedWeightFault) in the decode AND
-  /// prefill GEMMs.
-  bool pack_weights = true;
 
   /// Rows per block of the engine's KV pool (nn/kv_pool.hpp).
   std::size_t kv_block_rows = 16;
@@ -233,10 +223,6 @@ class ServeEngine {
   /// Prefill execution config of a request: its own knobs, on its own pool
   /// or else the engine's.
   ExecConfig exec_for(const GenerateOptions& o) const;
-  /// Packed tiles for every forward (null when pack_weights is off).
-  const PackedDecodeWeights* packed() const {
-    return packed_.has_value() ? &*packed_ : nullptr;
-  }
   void finish_prefill(Request& req);
   bool reserve_rows_or_evict(Request& req, std::size_t rows);
   bool preempt_one(const Request* except, const SchedEntry* limit);
@@ -286,7 +272,12 @@ class ServeEngine {
   Metrics metrics_;
   Tracer* tracer_ = nullptr;
   KvBlockPool kv_pool_;  ///< every request's KV rows
-  std::optional<PackedDecodeWeights> packed_;
+  /// Every weight matrix pre-packed into k-outer GEMM tiles at
+  /// construction. The tiles feed every forward the engine runs: batched
+  /// decode, budgeted prefill chunks, 1-wide chunks, recompute replays and
+  /// the LM head. They are a snapshot: weight mutations made after
+  /// construction (e.g. ScopedWeightFault) need a new engine.
+  PackedDecodeWeights packed_;
   Workspace ws_;
   std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
   Scheduler scheduler_;              ///< queued requests (policy order)

@@ -1,6 +1,5 @@
 #include "tensor/dispatch.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -13,25 +12,6 @@
 #include "numeric/f16.hpp"
 
 namespace ft2 {
-
-void EpilogueTally::merge(EpilogueTally&& other) {
-  nan += other.nan;
-  oob += other.oob;
-  if (!other.events.empty()) {
-    if (events.empty()) {
-      events = std::move(other.events);
-    } else {
-      events.insert(events.end(), other.events.begin(), other.events.end());
-    }
-  }
-}
-
-void EpilogueTally::sort_events() {
-  std::sort(events.begin(), events.end(),
-            [](const EpilogueEvent& a, const EpilogueEvent& b) {
-              return a.index < b.index;
-            });
-}
 
 namespace detail {
 
@@ -106,9 +86,7 @@ constexpr std::size_t kSseTileCols = 16;
 /// is preserved by construction). The AVX2 tier in kernels_avx2.cpp keeps
 /// this per-element sequence and only widens the column tile.
 void kouter_row_sse(const float* x, const float* wt, std::size_t k,
-                    const float* bias_padded, float* y, std::size_t width,
-                    std::size_t flat0, const KernelEpilogue* epi,
-                    EpilogueTally* tally) {
+                    const float* bias_padded, float* y, std::size_t width) {
   float acc[kSseTileCols];
 #if defined(__SSE2__)
   __m128 acc0 = _mm_loadu_ps(bias_padded);
@@ -135,9 +113,6 @@ void kouter_row_sse(const float* x, const float* wt, std::size_t k,
     for (std::size_t j = 0; j < kSseTileCols; ++j) acc[j] += xi * wr[j];
   }
 #endif
-  if (epi != nullptr) {
-    detail::epilogue_scalar_span(acc, width, flat0, *epi, tally);
-  }
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
 }
 

@@ -15,13 +15,14 @@
 // baselines need re-pinning per tier. The arch TU is compiled with
 // -ffp-contract=off as a belt.
 //
-// The kernels also carry an optional fused store epilogue (KernelEpilogue):
-// f16-grid quantization plus the protection sweep (NaN→0, out-of-bound
-// clip) applied in-register as GEMM tiles are stored, instead of as
-// separate passes over the output. The epilogue's scalar reference
-// implementation lives in dispatch.cpp; the AVX2 tier fast-paths the clean
-// case and falls back to that exact scalar code for any lane group that
-// contains a NaN or an out-of-bound value, so fused results are
+// The protection epilogue (KernelEpilogue) is not part of the GEMM: every
+// GEMM stores plain math, and the engine then runs the epilogue — f16-grid
+// quantization plus the protection sweep (NaN→0, out-of-bound clip) — as
+// one sweep right after each site's GEMM (KernelOps::epilogue_span),
+// instead of as separate quantize and hook passes. The epilogue's scalar
+// reference implementation lives in dispatch.cpp; the AVX2 tier fast-paths
+// the clean case and falls back to that exact scalar code for any lane
+// group that contains a NaN or an out-of-bound value, so fused results are
 // bit-identical to the hook-path quantize+range_restrict sequence.
 #pragma once
 
@@ -39,7 +40,7 @@ enum class KernelTier : int {
 
 constexpr std::size_t kKernelTierCount = 2;
 
-/// Fused GEMM-store epilogue request: optional f16-grid quantization
+/// Fused epilogue request: optional f16-grid quantization
 /// followed by one protection mode. Field semantics mirror the hook path
 /// (quantize_span_f16 + RangeRestrictScheme::detect_and_correct) exactly —
 /// the epilogue is only ever planned by a scheme that guarantees the two
@@ -73,18 +74,14 @@ struct EpilogueEvent {
   float original = 0.0f;
 };
 
-/// Per-dispatch epilogue accounting, merged across GEMM tiles. Counter
-/// merges are order-insensitive integer adds; events are sorted by flat
-/// index after a parallel GEMM so the order matches the hook path's
-/// sequential sweep.
+/// Accounting of one epilogue sweep. The sweep runs in ascending flat
+/// index, so events arrive in the order of the hook path's sequential
+/// sweep.
 struct EpilogueTally {
   std::size_t nan = 0;  ///< NaNs counted (and zeroed unless detect_only)
   std::size_t oob = 0;  ///< out-of-bound values counted (clipped unless
                         ///< detect_only)
   std::vector<EpilogueEvent> events;  ///< only when epi.record_events
-
-  void merge(EpilogueTally&& other);
-  void sort_events();
 };
 
 /// One dispatch tier's kernel function table. All tiers share semantics and
@@ -97,14 +94,10 @@ struct KernelOps {
 
   /// k-outer micro-kernel: one input row `x[k]` against one packed weight
   /// tile `wt[k][tile_cols]` (zero-padded), accumulators seeded from
-  /// `bias_padded[tile_cols]`. Applies `epi` (may be null) to the
-  /// accumulators and stores the first `width` lanes to `y`. `flat0` is the
-  /// flat index of y[0] within the dispatched span (event attribution).
-  /// `tally` may be null only when `epi` is null or carries no protection.
+  /// `bias_padded[tile_cols]`. Stores the first `width` lanes to `y`.
   void (*kouter_row)(const float* x, const float* wt, std::size_t k,
-                     const float* bias_padded, float* y, std::size_t width,
-                     std::size_t flat0, const KernelEpilogue* epi,
-                     EpilogueTally* tally) = nullptr;
+                     const float* bias_padded, float* y,
+                     std::size_t width) = nullptr;
 
   /// Row GEMV straight from a row-major weight matrix `w[n][k]` (no packed
   /// tile): y[o] = bias[o] + sum_i x[i] * w[o][i], each output accumulated
@@ -115,9 +108,11 @@ struct KernelOps {
   void (*gemv_row)(const float* x, const float* w, std::size_t n,
                    std::size_t k, const float* bias, float* y) = nullptr;
 
-  /// One-sweep epilogue over a contiguous span (the non-GEMM-fused path:
-  /// single-row linears, activation outputs, quantize_span_f16). Applies
-  /// `epi` in place to v[0..n); `flat0` offsets event indices.
+  /// One-sweep epilogue over a contiguous span, run right after a site's
+  /// producer (every linear's GEMM, activation outputs) and by
+  /// quantize_span_f16. Applies `epi` in place to v[0..n); `flat0` offsets
+  /// event indices. `tally` may be null only when `epi` carries no
+  /// protection.
   void (*epilogue_span)(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi,
                         EpilogueTally* tally) = nullptr;
@@ -150,10 +145,12 @@ std::optional<KernelTier> parse_kernel_tier(std::string_view name);
 /// unsupported on this host.
 const KernelOps& kernel_ops_for(KernelTier tier);
 
-/// Global switch for the fused store epilogue (default on; `FT2_FUSED_EPILOGUE=0`
-/// or the setter turn it off). Off, the engine runs the legacy two-pass
-/// path (separate quantize sweep + hook-path protection) — results are
-/// bit-identical either way; the switch exists for A/B tests and triage.
+/// Global switch for the fused epilogue (default on; `FT2_FUSED_EPILOGUE=0`
+/// or the setter turn it off). On, quantization and the first hook's
+/// protection run as one epilogue_span sweep after each site's GEMM; off,
+/// the engine runs the two-pass path (separate quantize sweep + hook-path
+/// protection). Results are bit-identical either way; the switch exists
+/// for A/B tests and triage.
 bool fused_epilogue_enabled();
 void set_fused_epilogue_enabled(bool on);
 
@@ -162,7 +159,7 @@ namespace detail {
 /// The scalar reference epilogue (quantize + protect, one pass). Defined in
 /// dispatch.cpp — compiled with baseline flags — and shared by every tier:
 /// the SSE tier uses it directly; the AVX2 tier calls it for lane
-/// groups containing NaN/out-of-bound values and for tile tails, keeping
+/// groups containing NaN/out-of-bound values and for span tails, keeping
 /// all std:: machinery out of the arch-flagged TUs.
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);

@@ -1,5 +1,5 @@
 // AVX2 + F16C dispatch tier: 32-column GEMM tiles, a row GEMV over pairs
-// of 8-row groups and an 8-wide fused store epilogue. It is the only vector
+// of 8-row groups and an 8-wide epilogue sweep. It is the only vector
 // tier: AVX-512 hosts run it too (every AVX-512F CPU has AVX2 and F16C).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
 // when those flags are unavailable this TU degrades to a stub returning
@@ -48,46 +48,52 @@ inline __m256 quantize8(__m256 v) {
   return q;
 }
 
-/// Applies `epi` to 8 raw accumulator lanes and stores them to y. The fast
-/// path quantizes and screens in-register; any group containing a NaN or
+/// A sweep's epilogue plan, unpacked once into locals so the compiler can
+/// keep it in registers across the loop (stores to the swept floats may
+/// alias the caller's KernelEpilogue, but never these).
+struct Screen {
+  bool quantize;
+  bool any;        ///< any lane test at all (protection planned)
+  bool bounds;     ///< out-of-bound lanes are dirty (kBounds)
+  bool nan_dirty;  ///< NaN lanes are dirty (every mode but kBounds
+                   ///< without correct_nan, where NaNs pass uncounted)
+  __m256 hi, lo;
+};
+
+Screen make_screen(const KernelEpilogue& epi) {
+  const bool bounds = epi.protect == Protect::kBounds;
+  return Screen{epi.quantize, epi.protect != Protect::kNone, bounds,
+                !bounds || epi.correct_nan, _mm256_set1_ps(epi.hi),
+                _mm256_set1_ps(epi.lo)};
+}
+
+/// Applies the epilogue in place to the 8 lanes at v. The fast path
+/// quantizes and screens in-register; any group containing a NaN or
 /// out-of-bound lane re-runs the scalar reference epilogue on the raw
 /// (pre-quantize) lanes, so tallies, events and corrected values are
 /// bit-identical to the scalar path.
-inline void store8(__m256 acc, float* y, std::size_t flat0,
-                   const KernelEpilogue* epi, EpilogueTally* tally) {
-  if (epi == nullptr) {
-    _mm256_storeu_ps(y, acc);
-    return;
-  }
-  const __m256 q = epi->quantize ? quantize8(acc) : acc;
-  int dirty = 0;
-  if (epi->protect != Protect::kNone) {
-    const __m256 unord = _mm256_cmp_ps(q, q, _CMP_UNORD_Q);
-    __m256 bad = unord;
-    if (epi->protect == Protect::kBounds) {
-      const __m256 oob = _mm256_or_ps(
-          _mm256_cmp_ps(q, _mm256_set1_ps(epi->hi), _CMP_GT_OQ),
-          _mm256_cmp_ps(q, _mm256_set1_ps(epi->lo), _CMP_LT_OQ));
-      // Without correct_nan, NaN lanes pass through uncounted (the
-      // quantized lane already carries the canonical NaN) — not dirty.
-      bad = epi->correct_nan ? _mm256_or_ps(oob, unord) : oob;
+inline void epilogue8(float* v, std::size_t flat0, const Screen& s,
+                      const KernelEpilogue& epi, EpilogueTally* tally) {
+  const __m256 raw = _mm256_loadu_ps(v);
+  const __m256 q = s.quantize ? quantize8(raw) : raw;
+  if (s.any) {
+    __m256 bad = _mm256_setzero_ps();
+    if (s.nan_dirty) bad = _mm256_cmp_ps(q, q, _CMP_UNORD_Q);
+    if (s.bounds) {
+      bad = _mm256_or_ps(
+          bad, _mm256_or_ps(_mm256_cmp_ps(q, s.hi, _CMP_GT_OQ),
+                            _mm256_cmp_ps(q, s.lo, _CMP_LT_OQ)));
     }
-    dirty = _mm256_movemask_ps(bad);
+    if (_mm256_movemask_ps(bad) != 0) {
+      detail::epilogue_scalar_span(v, 8, flat0, epi, tally);
+      return;
+    }
   }
-  if (dirty == 0) {
-    _mm256_storeu_ps(y, q);
-    return;
-  }
-  float lanes[8];
-  _mm256_storeu_ps(lanes, acc);
-  detail::epilogue_scalar_span(lanes, 8, flat0, *epi, tally);
-  _mm256_storeu_ps(y, _mm256_loadu_ps(lanes));
+  _mm256_storeu_ps(v, q);
 }
 
 void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
-                     const float* bias_padded, float* y, std::size_t width,
-                     std::size_t flat0, const KernelEpilogue* epi,
-                     EpilogueTally* tally) {
+                     const float* bias_padded, float* y, std::size_t width) {
   __m256 a0 = _mm256_loadu_ps(bias_padded);
   __m256 a1 = _mm256_loadu_ps(bias_padded + 8);
   __m256 a2 = _mm256_loadu_ps(bias_padded + 16);
@@ -101,21 +107,18 @@ void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
     a3 = _mm256_add_ps(a3, _mm256_mul_ps(xi, _mm256_loadu_ps(wr + 24)));
   }
   if (width == kTileCols) {
-    store8(a0, y, flat0, epi, tally);
-    store8(a1, y + 8, flat0 + 8, epi, tally);
-    store8(a2, y + 16, flat0 + 16, epi, tally);
-    store8(a3, y + 24, flat0 + 24, epi, tally);
+    _mm256_storeu_ps(y, a0);
+    _mm256_storeu_ps(y + 8, a1);
+    _mm256_storeu_ps(y + 16, a2);
+    _mm256_storeu_ps(y + 24, a3);
     return;
   }
-  // Tail tile: spill, run the scalar epilogue over the live lanes, copy out.
+  // Tail tile: spill, copy out the live lanes.
   float acc[kTileCols];
   _mm256_storeu_ps(acc, a0);
   _mm256_storeu_ps(acc + 8, a1);
   _mm256_storeu_ps(acc + 16, a2);
   _mm256_storeu_ps(acc + 24, a3);
-  if (epi != nullptr) {
-    detail::epilogue_scalar_span(acc, width, flat0, *epi, tally);
-  }
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
 }
 
@@ -215,10 +218,9 @@ void gemv_row_avx2(const float* x, const float* w, std::size_t n,
 
 void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi, EpilogueTally* tally) {
+  const Screen s = make_screen(epi);
   std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    store8(_mm256_loadu_ps(v + i), v + i, flat0 + i, &epi, tally);
-  }
+  for (; i + 8 <= n; i += 8) epilogue8(v + i, flat0 + i, s, epi, tally);
   if (i < n) detail::epilogue_scalar_span(v + i, n - i, flat0 + i, epi, tally);
 }
 

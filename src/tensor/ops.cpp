@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/thread_pool.hpp"
 #include "numeric/f16.hpp"
@@ -80,36 +79,22 @@ struct TileView {
 /// width); `tile(g, o_lo, width)` supplies the group's packed weights,
 /// which the task runs against every row through the kernel.
 /// Partitioning is per output element, so any pool size produces identical
-/// results. Epilogue tallies are accumulated per task and merged under a
-/// lock; event order is restored by a flat-index sort after the join, so
-/// the fused accounting is deterministic at any pool size and matches a
-/// sequential sweep of the output span.
+/// results.
 template <class TileFn>
 void kouter_span(const Tensor& x, std::size_t rows, std::size_t n,
                  std::size_t k, const KernelOps& ops, Tensor& y,
-                 ThreadPool& pool, const KernelEpilogue* epi,
-                 EpilogueTally* tally, const TileFn& tile) {
+                 ThreadPool& pool, const TileFn& tile) {
   const std::size_t tile_cols = ops.tile_cols;
   const std::size_t col_groups = (n + tile_cols - 1) / tile_cols;
-  std::mutex tally_mu;
   pool.parallel_for(0, col_groups, [&](std::size_t g) {
     const std::size_t o_lo = g * tile_cols;
     const std::size_t width = std::min(tile_cols, n - o_lo);
     const TileView t = tile(g, o_lo, width);
-    EpilogueTally local;
-    EpilogueTally* local_ptr = tally != nullptr ? &local : nullptr;
     for (std::size_t r = 0; r < rows; ++r) {
       ops.kouter_row(x.row(r).data(), t.wt, k, t.bias_padded,
-                     y.row(r).data() + o_lo, width, r * n + o_lo, epi,
-                     local_ptr);
-    }
-    if (local_ptr != nullptr &&
-        (local.nan != 0 || local.oob != 0 || !local.events.empty())) {
-      const std::lock_guard<std::mutex> lock(tally_mu);
-      tally->merge(std::move(local));
+                     y.row(r).data() + o_lo, width);
     }
   });
-  if (tally != nullptr) tally->sort_events();
 }
 
 }  // namespace
@@ -133,8 +118,7 @@ PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
 
 void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const PackedLinear& pl, Tensor& y,
-                                ThreadPool& pool, const KernelEpilogue* epi,
-                                EpilogueTally* tally) {
+                                ThreadPool& pool) {
   FT2_CHECK(x.rank() == 2 && y.rank() == 2);
   FT2_CHECK(rows <= x.dim(0) && rows <= y.dim(0));
   FT2_CHECK_MSG(x.dim(1) == pl.k && y.dim(1) == pl.n,
@@ -142,7 +126,7 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                     << pl.n << "," << pl.k << "] y cols " << y.dim(1));
   if (rows == 0) return;
   const std::size_t tile_cols = pl.tile_cols;
-  kouter_span(x, rows, pl.n, pl.k, *pl.ops, y, pool, epi, tally,
+  kouter_span(x, rows, pl.n, pl.k, *pl.ops, y, pool,
               [&](std::size_t g, std::size_t, std::size_t) {
                 return TileView{pl.tiles.data() + g * pl.k * tile_cols,
                                 pl.bias.data() + g * tile_cols};
@@ -151,8 +135,7 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
 
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
-                         bool chunked_accum, ThreadPool& pool,
-                         const KernelEpilogue* epi, EpilogueTally* tally) {
+                         bool chunked_accum, ThreadPool& pool) {
   FT2_CHECK(x.rank() == 2 && y.rank() == 2 && w.rank() == 2);
   FT2_CHECK(rows <= x.dim(0) && rows <= y.dim(0));
   const std::size_t n = w.dim(0);
@@ -161,9 +144,6 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                 "linear_forward_span: x [" << x.dim(0) << "," << x.dim(1)
                                            << "] w [" << n << "," << w.dim(1)
                                            << "] y cols " << y.dim(1));
-  FT2_CHECK_MSG(epi == nullptr || !chunked_accum,
-                "linear_forward_span: fused epilogue requires the k-outer "
-                "path (chunked_accum must be off)");
   if (rows == 0) return;
 
   if (chunked_accum) {
@@ -189,7 +169,7 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
   // (amortized over all chunk rows), then runs the shared k-outer body.
   const KernelOps& ops = active_kernel_ops();
   const std::size_t tile_cols = ops.tile_cols;
-  kouter_span(x, rows, n, k, ops, y, pool, epi, tally,
+  kouter_span(x, rows, n, k, ops, y, pool,
               [&](std::size_t, std::size_t o_lo, std::size_t width) {
                 thread_local std::vector<float> scratch;
                 scratch.resize((k + 1) * tile_cols);

@@ -32,19 +32,11 @@ class ThreadPool;  // common/thread_pool.hpp
 /// different reduction order, standing in for a different GPU generation's
 /// tiling (the Fig. 16 hardware-sensitivity axis), equally independent of
 /// rows and pool size. `x` and `y` may have more than `rows` rows
-/// (workspace capacity).
-///
-/// When `epi` is non-null the fused store epilogue (quantize + protection)
-/// is applied to each output tile in-register as it is stored
-/// (non-chunked path only; chunked_accum requires epi == nullptr).
-/// Epilogue accounting lands in `tally` (required whenever epi carries
-/// protection), with clip events sorted by flat index r * n + o so the
-/// order matches a sequential sweep of y's first `rows` rows.
+/// (workspace capacity). The output is plain math: quantization and
+/// protection run afterwards, as one KernelOps::epilogue_span sweep.
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
-                         bool chunked_accum, ThreadPool& pool,
-                         const KernelEpilogue* epi = nullptr,
-                         EpilogueTally* tally = nullptr);
+                         bool chunked_accum, ThreadPool& pool);
 
 /// One weight matrix packed once into the k-outer micro-kernel's
 /// transposed column tiles (bias pre-padded per tile). linear_forward_span
@@ -76,15 +68,11 @@ struct PackedLinear {
 
 /// Packed counterpart of linear_forward_span (non-chunked accumulation
 /// only): y.row(r) = W * x.row(r) + b for r in [0, rows). Bit-exact with
-/// linear_forward_row at any pool size. `epi` / `tally` carry the fused
-/// store epilogue exactly as in linear_forward_span; both functions run
-/// the same per-tile body, so packed and repacked results, tallies and
-/// event order are identical.
+/// linear_forward_row at any pool size. Both functions run the same
+/// per-tile body, so packed and repacked results are identical.
 void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const PackedLinear& pl, Tensor& y,
-                                ThreadPool& pool,
-                                const KernelEpilogue* epi = nullptr,
-                                EpilogueTally* tally = nullptr);
+                                ThreadPool& pool);
 
 /// In-place numerically-stable softmax of one contiguous vector.
 void softmax(std::span<float> v);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/check.hpp"
 
 namespace ft2 {
@@ -47,6 +50,45 @@ TEST(Cli, MissingValueThrows) {
 
 TEST(Cli, FlagWithValueThrows) {
   EXPECT_THROW(parse({"--protect=1"}, {{"protect", false}}), Error);
+}
+
+/// Runs `get` and requires an ft2::Error whose message names `option`.
+template <class Get>
+void expect_rejected(const Get& get, const std::string& option) {
+  try {
+    get();
+    ADD_FAILURE() << "expected ft2::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--" + option), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Cli, GarbageNumbersThrowNamingTheOption) {
+  const std::map<std::string, bool> spec{{"trials", true}, {"rate", true}};
+  // strtoull negates "-1" to 2^64 - 1; "abc" used to read as 0.
+  for (const char* bad : {"-1", "-0", "abc", "", " 5", "5x", "1.5", "0x10",
+                          "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    const std::string arg = std::string("--trials=") + bad;
+    const auto args = parse({arg.c_str()}, spec);
+    expect_rejected([&] { args.get_size("trials", 0); }, "trials");
+  }
+  for (const char* bad : {"abc", "", " 0.5", "0.5x", "1e999", "--1"}) {
+    SCOPED_TRACE(bad);
+    const std::string arg = std::string("--rate=") + bad;
+    const auto args = parse({arg.c_str()}, spec);
+    expect_rejected([&] { args.get_double("rate", 0.0); }, "rate");
+  }
+}
+
+TEST(Cli, NumbersAtTheEdgesParse) {
+  const auto args = parse({"--trials=0", "--big=18446744073709551615",
+                           "--rate=-2.5e-3"},
+                          {{"trials", true}, {"big", true}, {"rate", true}});
+  EXPECT_EQ(args.get_size("trials", 7), 0u);
+  EXPECT_EQ(args.get_size("big", 0), std::numeric_limits<std::size_t>::max());
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0.0), -2.5e-3);
 }
 
 TEST(Cli, MultiplePositionals) {

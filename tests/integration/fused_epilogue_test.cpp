@@ -1,8 +1,9 @@
 // Fused-epilogue end-to-end equivalence: protected generation and full
-// fault-injection campaigns must be bit-identical with the fused GEMM-store
-// epilogue on and off. The fused path moves quantization and range
-// restriction from post-GEMM sweeps into the kernel's store epilogue; this
-// suite pins the "results never change" contract at the system level —
+// fault-injection campaigns must be bit-identical with the fused epilogue
+// on and off. The fused path folds quantization and range restriction into
+// one sweep right after each site's GEMM instead of a quantize pass plus
+// the hook chain; this suite pins the "results never change" contract at
+// the system level —
 // tokens, per-kind protection stats, clip events, first-detect positions,
 // protect.* counters, campaign outcomes and detection counts.
 #include <gtest/gtest.h>
@@ -76,7 +77,7 @@ struct ProtectedRun {
 };
 
 ProtectedRun run_protected(const TransformerLM& model, SchemeKind scheme,
-                           bool fused) {
+                           bool fused, bool chunked_accum = false) {
   FusedGuard guard;
   set_fused_epilogue_enabled(fused);
   const auto spec = scheme_spec(scheme, model.config());
@@ -92,6 +93,7 @@ ProtectedRun run_protected(const TransformerLM& model, SchemeKind scheme,
   GenerateOptions opts;
   opts.max_new_tokens = 8;
   opts.eos_token = -1;
+  opts.chunked_accum = chunked_accum;
 
   ProtectedRun run;
   run.result = session.generate(test_prompt(), opts);
@@ -160,6 +162,27 @@ TEST(FusedEpilogue, OnlineFt2GenerationIdenticalFusedOnOff) {
                                                /*fused=*/false);
   ASSERT_GT(fused.online_valid, 0u) << "first-token phase observed no bounds";
   expect_runs_identical(fused, hook_path);
+}
+
+TEST(FusedEpilogue, ChunkedAccumGenerationIdenticalFusedOnOff) {
+  // The epilogue sweep runs after the GEMM whatever its reduction order, so
+  // chunked-accumulation runs fuse too and must match the hook path: an
+  // offline scheme clipping constantly, and online FT2.
+  const TransformerLM model = micro_model();
+  for (SchemeKind scheme : {SchemeKind::kFt2Offline, SchemeKind::kFt2}) {
+    SCOPED_TRACE(scheme_name(scheme));
+    const ProtectedRun fused = run_protected(model, scheme, /*fused=*/true,
+                                             /*chunked_accum=*/true);
+    const ProtectedRun hook_path = run_protected(
+        model, scheme, /*fused=*/false, /*chunked_accum=*/true);
+    if (scheme == SchemeKind::kFt2Offline) {
+      ASSERT_FALSE(fused.clips.empty()) << "tight bounds produced no clips";
+    } else {
+      ASSERT_GT(fused.online_valid, 0u)
+          << "first-token phase observed no bounds";
+    }
+    expect_runs_identical(fused, hook_path);
+  }
 }
 
 TEST(FusedEpilogue, DetectOnlySchemeIdenticalFusedOnOff) {

@@ -371,39 +371,6 @@ TEST(ServeEngine, CountersAreConsistentWithWorkDone) {
   EXPECT_EQ(engine.resident_cache_bytes(), 0u);  // all retired
 }
 
-TEST(ServeEngine, PackedWeightsOffIsStillBitExact) {
-  const TransformerLM model = micro_model(ArchFamily::kGptj);
-  const std::size_t batch = 5;
-  auto prompts = mixed_prompts(model, 3);
-  auto options = mixed_options(batch);
-  // Multi-chunk prefills on the unpacked path: 40 positions in chunks of
-  // 8, and prefill_chunk + 1 positions (a 1-wide last chunk).
-  const int vocab = static_cast<int>(model.config().vocab_size);
-  for (const std::size_t len : {40u, 9u}) {
-    std::vector<int> prompt = {Vocab::kBos};
-    while (prompt.size() < len) {
-      prompt.push_back(static_cast<int>(prompt.size() * 11 + len) % vocab);
-    }
-    prompts.push_back(std::move(prompt));
-  }
-  options[3].prefill_chunk = 8;
-  options[4].prefill_chunk = 8;
-  const auto ref = run_sessions(model, prompts, options);
-
-  ServeOptions serve_opts;
-  serve_opts.pack_weights = false;
-  serve_opts.prefill_chunk_budget = 8;
-  ServeEngine engine(model, serve_opts);
-  std::vector<RequestId> ids;
-  for (std::size_t r = 0; r < batch; ++r) {
-    ids.push_back(engine.submit(prompts[r], options[r]));
-  }
-  engine.run();
-  for (std::size_t r = 0; r < batch; ++r) {
-    expect_equal_results(engine.result(ids[r]), ref[r], r, "unpacked");
-  }
-}
-
 TEST(ServeEngine, MixedExecConfigsBatchTogether) {
   const TransformerLM model = micro_model(ArchFamily::kLlama);
   const std::size_t batch = 4;
