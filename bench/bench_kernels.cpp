@@ -7,8 +7,12 @@
 //   bench_kernels [google-benchmark flags]
 //       the registered BM_* microbenchmarks (default mode);
 //   bench_kernels --tiers [--json FILE]
-//       per-dispatch-tier GEMM, row-GEMV, quantize and protection-epilogue
-//       throughput (every tier the host supports). The epilogue is an FT2
+//       per-dispatch-tier GEMM, row-GEMV, attention-core, quantize and
+//       protection-epilogue throughput (every tier the host supports).
+//       The attention core is one decode row's Q·K (strided row GEMV) and
+//       P·V (axpy_rows) over 256 cached keys of the benchmark model (8
+//       heads x 16, rows 128 floats apart), walked in the 16-row runs of
+//       a paged cache of 16-row blocks. The epilogue is an FT2
 //       bounds plan (quantize + NaN fix + clip) swept over a 16x384 span,
 //       the sweep every protected site runs after its GEMM. The GEMMs are
 //       the benchmark model's own MLP shapes, fc1 (384x128) and fc2
@@ -195,10 +199,15 @@ struct TierRates {
   double quantize_gelems = 0.0;            ///< quantize_span_f16 sweep
   double epilogue_gelems = 0.0;            ///< FT2 bounds epilogue sweep
   double gemv_gflops = 0.0;                ///< row GEMV on row-major weights
+  double attention_gflops = 0.0;           ///< Q·K + P·V of one decode row
 };
 
 /// Row GEMV shape: the benchmark model's MLP up-projection (d_ff x d_model).
 constexpr std::size_t kGemvN = 384, kGemvK = 128;
+/// Attention core: one decode row over kAttnKeys cached keys, kAttnHeads
+/// heads of kAttnHeadDim, read in kAttnRun-row runs (paged blocks).
+constexpr std::size_t kAttnKeys = 256, kAttnHeads = 8, kAttnHeadDim = 16,
+                      kAttnRun = 16;
 /// Epilogue span: 16 rows of the benchmark model's d_ff-wide fc1 output.
 constexpr std::size_t kEpilogueRows = 16, kEpilogueCols = 384;
 
@@ -247,6 +256,45 @@ double measure_epilogue(const KernelOps& ops, std::size_t reps,
   }) / 1e9;
 }
 
+/// Attention's two products for one decode row, per head and per run as
+/// the forward engine calls them: Q·K scores by the strided row GEMV, then
+/// the probability-weighted sum of value rows by axpy_rows. Softmax (the
+/// same scalar code on every tier) runs once up front to give realistic
+/// probabilities and is not timed.
+double measure_attention(const KernelOps& ops, std::size_t reps,
+                         Xoshiro256& rng) {
+  const std::size_t d = kAttnHeads * kAttnHeadDim;
+  std::vector<float> keys(kAttnKeys * d), values(kAttnKeys * d), q(d);
+  std::vector<float> scores(kAttnKeys), probs(kAttnHeads * kAttnKeys);
+  std::vector<float> out(d);
+  for (float& f : keys) f = rng.uniform_float(-1.0f, 1.0f);
+  for (float& f : values) f = rng.uniform_float(-1.0f, 1.0f);
+  for (float& f : q) f = rng.uniform_float(-1.0f, 1.0f);
+  for (std::size_t h = 0; h < kAttnHeads; ++h) {
+    const std::span<float> p(probs.data() + h * kAttnKeys, kAttnKeys);
+    for (float& f : p) f = rng.uniform_float(-4.0f, 4.0f);
+    softmax(p);
+  }
+  const double flops = 2.0 * 2.0 * static_cast<double>(kAttnKeys * d);
+  return best_items_per_sec(flops, reps, [&] {
+    std::fill(out.begin(), out.end(), 0.0f);
+    for (std::size_t off = 0; off < d; off += kAttnHeadDim) {
+      const float* p = probs.data() + off / kAttnHeadDim * kAttnKeys;
+      for (std::size_t j = 0; j < kAttnKeys; j += kAttnRun) {
+        ops.gemv_row(q.data() + off, keys.data() + j * d + off, d, kAttnRun,
+                     kAttnHeadDim, nullptr, scores.data() + j);
+      }
+      for (std::size_t j = 0; j < kAttnKeys; j += kAttnRun) {
+        ops.axpy_rows(p + j, values.data() + j * d + off, d, kAttnRun,
+                      kAttnHeadDim, out.data() + off);
+      }
+    }
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }) / 1e9;
+}
+
 TierRates measure_tier(KernelTier tier, std::size_t reps) {
   set_kernel_tier(tier);
   ThreadPool pool(1);  // single worker: kernel throughput, not pool scaling
@@ -266,7 +314,7 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
     for (float& f : bg) f = rng.uniform_float(-0.5f, 0.5f);
     const double gemv_flops = 2.0 * static_cast<double>(kGemvN * kGemvK);
     rates.gemv_gflops = best_items_per_sec(gemv_flops, reps, [&] {
-      ops.gemv_row(xg.data(), wg.data(), kGemvN, kGemvK, bg.data(),
+      ops.gemv_row(xg.data(), wg.data(), kGemvK, kGemvN, kGemvK, bg.data(),
                    yg.data());
     }) / 1e9;
   }
@@ -277,6 +325,7 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
         static_cast<double>(v.size()), reps,
         [&] { quantize_span_f16(v); }) / 1e9;
   }
+  rates.attention_gflops = measure_attention(ops, reps, rng);
   rates.epilogue_gelems = measure_epilogue(ops, reps, rng);
   return rates;
 }
@@ -287,14 +336,15 @@ int run_tiers(const ArgParser& args) {
 
   Json tiers = Json::object();
   Table table({"tier", "gemm", "span GFLOP/s", "packed GFLOP/s",
-               "gemv GFLOP/s", "quantize Gelem/s", "epilogue Gelem/s"});
+               "gemv GFLOP/s", "attention GFLOP/s", "quantize Gelem/s",
+               "epilogue Gelem/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, reps);
     Json t = Json::object();
     for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
       const GemmRates& g = r.gemm[s];
-      // Per-tier columns (gemv, quantize, epilogue) print on the tier's
-      // first row.
+      // Per-tier columns (gemv, attention, quantize, epilogue) print on
+      // the tier's first row.
       table.begin_row()
           .cell(s == 0 ? kernel_tier_name(tier) : "")
           .cell(kGemmShapes[s].name)
@@ -302,10 +352,11 @@ int run_tiers(const ArgParser& args) {
           .num(g.packed_gflops, 2);
       if (s == 0) {
         table.num(r.gemv_gflops, 2)
+            .num(r.attention_gflops, 2)
             .num(r.quantize_gelems, 2)
             .num(r.epilogue_gelems, 2);
       } else {
-        table.cell("").cell("").cell("");
+        table.cell("").cell("").cell("").cell("");
       }
       Json shape = Json::object();
       shape["gemm_gflops"] = g.span_gflops;
@@ -313,6 +364,7 @@ int run_tiers(const ArgParser& args) {
       t[kGemmShapes[s].name] = shape;
     }
     t["gemv_row_gflops"] = r.gemv_gflops;
+    t["attention_gflops"] = r.attention_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     t["epilogue_gelems_per_sec"] = r.epilogue_gelems;
     tiers[kernel_tier_name(tier)] = t;
@@ -334,6 +386,10 @@ int run_tiers(const ArgParser& args) {
     cfg["gemm_rows"] = static_cast<double>(kGemmRows);
     cfg["gemv_n"] = static_cast<double>(kGemvN);
     cfg["gemv_k"] = static_cast<double>(kGemvK);
+    cfg["attention_keys"] = static_cast<double>(kAttnKeys);
+    cfg["attention_heads"] = static_cast<double>(kAttnHeads);
+    cfg["attention_head_dim"] = static_cast<double>(kAttnHeadDim);
+    cfg["attention_run_rows"] = static_cast<double>(kAttnRun);
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
     cfg["epilogue_rows"] = static_cast<double>(kEpilogueRows);
     cfg["epilogue_cols"] = static_cast<double>(kEpilogueCols);
@@ -359,7 +415,9 @@ int run_tiers(const ArgParser& args) {
     std::cout << g.name << " " << g.n << "x" << g.k << ", ";
   }
   std::cout << kGemmRows << " rows, single worker; gemv " << kGemvN << "x"
-            << kGemvK << " row-major; epilogue " << kEpilogueRows << "x"
+            << kGemvK << " row-major; attention " << kAttnKeys << " keys x "
+            << kAttnHeads << " heads x " << kAttnHeadDim << " in "
+            << kAttnRun << "-row runs; epilogue " << kEpilogueRows << "x"
             << kEpilogueCols << " ft2 bounds plan; best of " << reps
             << "\n\n";
   table.print(std::cout);

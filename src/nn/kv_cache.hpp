@@ -26,7 +26,9 @@ namespace ft2 {
 ///    allocator; see nn/kv_pool.hpp.
 ///
 /// Both modes present the same read/append interface, so the attention
-/// kernels and forward_batch never see which one they run on.
+/// kernels and forward_batch never see which one they run on: attention
+/// walks the cache one contiguous run of rows at a time
+/// (contiguous_rows).
 class KvCache {
  public:
   using BlockId = KvBlockPool::BlockId;
@@ -228,6 +230,15 @@ class KvCache {
   void advance(std::size_t n) {
     FT2_ASSERT(length_ + n <= max_seq_);
     length_ += n;
+  }
+
+  /// Rows from `pos` on that sit back to back, d_model floats apart, in
+  /// every layer's key and value storage: the rest of pos's block when
+  /// paged, the rest of the cache when plain. Attention reads a run of
+  /// rows through one key()/value() pointer.
+  std::size_t contiguous_rows(std::size_t pos) const {
+    FT2_ASSERT(pos < max_seq_);
+    return pool_ != nullptr ? block_rows_ - pos % block_rows_ : max_seq_ - pos;
   }
 
   std::span<const float> key(std::size_t block, std::size_t pos) const {

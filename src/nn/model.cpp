@@ -301,32 +301,34 @@ class RowEngine {
     }
 
     // Causal attention, one independent task per row with a fixed loop
-    // order inside it.
+    // order inside it. Per head, Q·K and P·V walk the cache one contiguous
+    // run of rows at a time, one kernel call per run: the row GEMV with
+    // lanes over keys, then the row sum with lanes over head dims. Both
+    // keep the scalar chains, so runs never change a bit.
+    const KernelOps& ops = active_kernel_ops();
+    const std::size_t d = c_.d_model;
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
     pool_.parallel_for(0, rows_, [&](std::size_t r) {
       const KvCache& cache = *seg(r).cache;
       const std::size_t len = pos(r) + 1;
       auto out = ws_.attn_out.row(r);
       std::fill(out.begin(), out.end(), 0.0f);
-      for (std::size_t hh = 0; hh < n_heads; ++hh) {
-        const std::size_t off = hh * head_dim;
-        auto scores = ws_.scores.row(r).subspan(0, len);
+      const auto scores = ws_.scores.row(r).subspan(0, len);
+      for (std::size_t off = 0; off < d; off += head_dim) {
         const float* qh = ws_.q.row(r).data() + off;
-        for (std::size_t j = 0; j < len; ++j) {
-          const float* kh = cache.key(block_, j).data() + off;
-          float dot = 0.0f;
-          for (std::size_t i = 0; i < head_dim; ++i) dot += qh[i] * kh[i];
-          scores[j] = dot * scale;
+        for (std::size_t j = 0, n = 0; j < len; j += n) {
+          n = std::min(cache.contiguous_rows(j), len - j);
+          ops.gemv_row(qh, cache.key(block_, j).data() + off, d, n, head_dim,
+                       nullptr, scores.data() + j);
         }
+        for (float& s : scores) s *= scale;
         maybe_quantize(scores, exec_.fp16);
         softmax(scores);
         maybe_quantize(scores, exec_.fp16);
-        float* oh = out.data() + off;
-        for (std::size_t j = 0; j < len; ++j) {
-          const float p = scores[j];
-          if (p == 0.0f) continue;
-          const float* vh = cache.value(block_, j).data() + off;
-          for (std::size_t i = 0; i < head_dim; ++i) oh[i] += p * vh[i];
+        for (std::size_t j = 0, n = 0; j < len; j += n) {
+          n = std::min(cache.contiguous_rows(j), len - j);
+          ops.axpy_rows(scores.data() + j, cache.value(block_, j).data() + off,
+                        d, n, head_dim, out.data() + off);
         }
       }
       maybe_quantize(out, exec_.fp16);

@@ -59,13 +59,24 @@ void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
   }
 }
 
-void gemv_rows_scalar(const float* x, const float* w, std::size_t n,
-                      std::size_t k, const float* bias, float* y) {
+void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
+                      std::size_t n, std::size_t k, const float* bias,
+                      float* y) {
   for (std::size_t o = 0; o < n; ++o) {
-    const float* row = w + o * k;
+    const float* row = w + o * ldw;
     float acc = bias == nullptr ? 0.0f : bias[o];
     for (std::size_t i = 0; i < k; ++i) acc += row[i] * x[i];
     y[o] = acc;
+  }
+}
+
+void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
+                      std::size_t n, std::size_t k, float* y) {
+  for (std::size_t j = 0; j < n; ++j) {
+    const float pj = p[j];
+    if (pj == 0.0f) continue;
+    const float* row = v + j * ldv;
+    for (std::size_t i = 0; i < k; ++i) y[i] += pj * row[i];
   }
 }
 
@@ -123,7 +134,7 @@ void epilogue_span_sse(float* v, std::size_t n, std::size_t flat0,
 
 constexpr KernelOps kSseOps{KernelTier::kSse, "sse", kSseTileCols,
                             &kouter_row_sse, &detail::gemv_rows_scalar,
-                            &epilogue_span_sse};
+                            &detail::axpy_rows_scalar, &epilogue_span_sse};
 
 bool cpu_has_avx2_f16c() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))

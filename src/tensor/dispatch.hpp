@@ -1,9 +1,9 @@
 // Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
 //
-// The k-outer GEMM kernel, the row GEMV and the f16 quantization sweep
-// exist in two tiers — SSE (the portable reference) and AVX2+F16C, the
-// latter compiled as a separate arch-flagged translation unit
-// (tensor/kernels_avx2.cpp) — selected at runtime from a cpuid probe.
+// The k-outer GEMM kernel, the row GEMV, attention's P·V row sum and the
+// f16 quantization sweep exist in two tiers — SSE (the portable reference)
+// and AVX2+F16C, the latter compiled as a separate arch-flagged translation
+// unit (tensor/kernels_avx2.cpp) — selected at runtime from a cpuid probe.
 // The `FT2_KERNEL` environment variable (or `ft2 --kernel`) forces a tier.
 //
 // Bit-exactness policy: every tier accumulates each output element as the
@@ -13,7 +13,10 @@
 // one register — never the per-element operation sequence, so all tiers
 // produce results bit-identical to the scalar/SSE reference and no
 // baselines need re-pinning per tier. The arch TU is compiled with
-// -ffp-contract=off as a belt.
+// -ffp-contract=off as a belt. Attention's P·V row sum follows the same
+// rule with the roles swapped: each output element is the chain
+// `y[i] += p[j] * v[j][i]` over ascending j (zero p[j] skipped), and the
+// vector tier puts output elements side by side in its lanes.
 //
 // The protection epilogue (KernelEpilogue) is not part of the GEMM: every
 // GEMM stores plain math, and the engine then runs the epilogue — f16-grid
@@ -99,14 +102,29 @@ struct KernelOps {
                      const float* bias_padded, float* y,
                      std::size_t width) = nullptr;
 
-  /// Row GEMV straight from a row-major weight matrix `w[n][k]` (no packed
-  /// tile): y[o] = bias[o] + sum_i x[i] * w[o][i], each output accumulated
-  /// as the documented chain, so every tier is bit-identical to the scalar
-  /// reference. The AVX2 tier transposes the products of 8-wide k blocks of a
-  /// row group in registers; rows past the last full group and the k tail
-  /// run the scalar chain. `bias` may be null (accumulators start at 0.0f).
-  void (*gemv_row)(const float* x, const float* w, std::size_t n,
-                   std::size_t k, const float* bias, float* y) = nullptr;
+  /// Row GEMV straight from a row-major matrix whose rows sit `ldw` floats
+  /// apart (ldw >= k; no packed tile): y[o] = bias[o] + sum_i x[i] *
+  /// w[o * ldw + i] for o in [0, n), each output accumulated as the
+  /// documented chain, so every tier is bit-identical to the scalar
+  /// reference. Linears pass their own weights (ldw = k); attention passes
+  /// one head's slice of a run of cached keys (ldw = d_model), so the Q·K
+  /// scores of a run are one call. The AVX2 tier transposes the products
+  /// of 8-wide k blocks of a row group in registers; rows past the last
+  /// full group and the k tail run the scalar chain. `bias` may be null
+  /// (accumulators start at 0.0f).
+  void (*gemv_row)(const float* x, const float* w, std::size_t ldw,
+                   std::size_t n, std::size_t k, const float* bias,
+                   float* y) = nullptr;
+
+  /// Probability-weighted row sum, attention's P·V over one run of cached
+  /// values: for j ascending in [0, n), skipping p[j] == 0.0f (either
+  /// sign), y[i] += p[j] * v[j * ldv + i] for i in [0, k). Each y[i] is
+  /// its own ascending-j mul-then-add chain, so lanes over i never
+  /// reorder it. The skip decides whether a zero probability meets an Inf
+  /// or NaN value (0 * Inf is NaN), so every tier keeps it. The AVX2 tier
+  /// holds y in registers across j.
+  void (*axpy_rows)(const float* p, const float* v, std::size_t ldv,
+                    std::size_t n, std::size_t k, float* y) = nullptr;
 
   /// One-sweep epilogue over a contiguous span, run right after a site's
   /// producer (every linear's GEMM, activation outputs) and by
@@ -165,10 +183,18 @@ void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);
 
 /// The scalar reference row GEMV (KernelOps::gemv_row semantics) over rows
-/// [0, n) of `w`. The SSE tier is this function; the AVX2 tier calls it
-/// for the rows left over after its last full row group.
-void gemv_rows_scalar(const float* x, const float* w, std::size_t n,
-                      std::size_t k, const float* bias, float* y);
+/// [0, n) of `w`, `ldw` floats apart. The SSE tier is this function; the
+/// AVX2 tier calls it for the rows left over after its last full row
+/// group.
+void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
+                      std::size_t n, std::size_t k, const float* bias,
+                      float* y);
+
+/// The scalar reference P·V row sum (KernelOps::axpy_rows semantics). The
+/// SSE tier is this function; the AVX2 tier calls it for the columns left
+/// over after its last 8-wide lane group.
+void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
+                      std::size_t n, std::size_t k, float* y);
 
 /// Arch-TU registration point: the AVX2 function table, or null when
 /// kernels_avx2.cpp was compiled without its -m flags.

@@ -1,6 +1,7 @@
 // AVX2 + F16C dispatch tier: 32-column GEMM tiles, a row GEMV over pairs
-// of 8-row groups and an 8-wide epilogue sweep. It is the only vector
-// tier: AVX-512 hosts run it too (every AVX-512F CPU has AVX2 and F16C).
+// of 8-row groups, a P·V row sum over 16 and 8 output columns and an
+// 8-wide epilogue sweep. It is the only vector tier: AVX-512 hosts run it
+// too (every AVX-512F CPU has AVX2 and F16C).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
 // when those flags are unavailable this TU degrades to a stub returning
 // nullptr and the dispatcher falls back to the SSE tier.
@@ -10,7 +11,8 @@
 // header-inline std:: machinery) that another TU also instantiates — the
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
 // is file-local intrinsic code; slow paths call the extern, baseline-built
-// ft2::detail::epilogue_scalar_span and ft2::detail::gemv_rows_scalar.
+// ft2::detail::epilogue_scalar_span, ft2::detail::gemv_rows_scalar and
+// ft2::detail::axpy_rows_scalar.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
@@ -136,18 +138,18 @@ inline void transpose4x4_halves(const __m256 p[4], __m256 c[4]) {
 }
 
 /// Products of one 8-row group and one 8-wide k block: lane j of c[i] is
-/// w[j][i] * x[i] (rows `k` floats apart). Each product is the same single
-/// rounding the scalar chain performs, formed in row layout and then
+/// w[j][i] * x[i] (rows `ldw` floats apart). Each product is the same
+/// single rounding the scalar chain performs, formed in row layout and then
 /// transposed. Rows j and j + 4 share a register (low / high half) from the
 /// load on, so the transpose needs only in-lane shuffles.
-inline void block_columns8(const float* w, std::size_t k, const float* x,
+inline void block_columns8(const float* w, std::size_t ldw, const float* x,
                            __m256 c[8]) {
   const __m256 x_lo = _mm256_loadu2_m128(x, x);
   const __m256 x_hi = _mm256_loadu2_m128(x + 4, x + 4);
   __m256 p_lo[4], p_hi[4];
   for (std::size_t j = 0; j < 4; ++j) {
-    const float* lo = w + j * k;
-    const float* hi = w + (j + 4) * k;
+    const float* lo = w + j * ldw;
+    const float* hi = w + (j + 4) * ldw;
     p_lo[j] = _mm256_mul_ps(_mm256_loadu2_m128(hi, lo), x_lo);
     p_hi[j] = _mm256_mul_ps(_mm256_loadu2_m128(hi + 4, lo + 4), x_hi);
   }
@@ -163,7 +165,8 @@ inline __m256 seed8(const float* bias, std::size_t o) {
 /// Continues each lane's chain over the k tail [kv, k) and stores the
 /// 8 outputs.
 inline void finish8(__m256 acc, const float* x, const float* w,
-                    std::size_t k, std::size_t kv, float* y) {
+                    std::size_t ldw, std::size_t k, std::size_t kv,
+                    float* y) {
   if (kv == k) {
     _mm256_storeu_ps(y, acc);
     return;
@@ -171,7 +174,7 @@ inline void finish8(__m256 acc, const float* x, const float* w,
   float lanes[8];
   _mm256_storeu_ps(lanes, acc);
   for (std::size_t j = 0; j < 8; ++j) {
-    const float* row = w + j * k;
+    const float* row = w + j * ldw;
     for (std::size_t i = kv; i < k; ++i) lanes[j] += row[i] * x[i];
     y[j] = lanes[j];
   }
@@ -180,40 +183,73 @@ inline void finish8(__m256 acc, const float* x, const float* w,
 /// Row GEMV: two 8-row groups per pass, so two independent in-order add
 /// chains overlap; a last single group, then the scalar chain for the
 /// remaining rows.
-void gemv_row_avx2(const float* x, const float* w, std::size_t n,
-                   std::size_t k, const float* bias, float* y) {
+void gemv_row_avx2(const float* x, const float* w, std::size_t ldw,
+                   std::size_t n, std::size_t k, const float* bias,
+                   float* y) {
   const std::size_t kv = k - k % 8;
   std::size_t o = 0;
   for (; o + 16 <= n; o += 16) {
-    const float* w0 = w + o * k;
-    const float* w1 = w0 + 8 * k;
+    const float* w0 = w + o * ldw;
+    const float* w1 = w0 + 8 * ldw;
     __m256 a0 = seed8(bias, o);
     __m256 a1 = seed8(bias, o + 8);
     for (std::size_t i = 0; i < kv; i += 8) {
       __m256 c0[8], c1[8];
-      block_columns8(w0 + i, k, x + i, c0);
-      block_columns8(w1 + i, k, x + i, c1);
+      block_columns8(w0 + i, ldw, x + i, c0);
+      block_columns8(w1 + i, ldw, x + i, c1);
       for (std::size_t j = 0; j < 8; ++j) {
         a0 = _mm256_add_ps(a0, c0[j]);
         a1 = _mm256_add_ps(a1, c1[j]);
       }
     }
-    finish8(a0, x, w0, k, kv, y + o);
-    finish8(a1, x, w1, k, kv, y + o + 8);
+    finish8(a0, x, w0, ldw, k, kv, y + o);
+    finish8(a1, x, w1, ldw, k, kv, y + o + 8);
   }
   if (o + 8 <= n) {
-    const float* w0 = w + o * k;
+    const float* w0 = w + o * ldw;
     __m256 a0 = seed8(bias, o);
     for (std::size_t i = 0; i < kv; i += 8) {
       __m256 c0[8];
-      block_columns8(w0 + i, k, x + i, c0);
+      block_columns8(w0 + i, ldw, x + i, c0);
       for (std::size_t j = 0; j < 8; ++j) a0 = _mm256_add_ps(a0, c0[j]);
     }
-    finish8(a0, x, w0, k, kv, y + o);
+    finish8(a0, x, w0, ldw, k, kv, y + o);
     o += 8;
   }
-  detail::gemv_rows_scalar(x, w + o * k, n - o, k,
+  detail::gemv_rows_scalar(x, w + o * ldw, ldw, n - o, k,
                            bias != nullptr ? bias + o : nullptr, y + o);
+}
+
+/// P·V row sum: lanes over output columns, 16 then 8 at a time, each held
+/// in registers across every row j of the run; the scalar reference runs
+/// the column tail.
+void axpy_rows_avx2(const float* p, const float* v, std::size_t ldv,
+                    std::size_t n, std::size_t k, float* y) {
+  std::size_t i = 0;
+  for (; i + 16 <= k; i += 16) {
+    __m256 y0 = _mm256_loadu_ps(y + i);
+    __m256 y1 = _mm256_loadu_ps(y + i + 8);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (p[j] == 0.0f) continue;
+      const __m256 pj = _mm256_set1_ps(p[j]);
+      const float* row = v + j * ldv + i;
+      y0 = _mm256_add_ps(y0, _mm256_mul_ps(pj, _mm256_loadu_ps(row)));
+      y1 = _mm256_add_ps(y1, _mm256_mul_ps(pj, _mm256_loadu_ps(row + 8)));
+    }
+    _mm256_storeu_ps(y + i, y0);
+    _mm256_storeu_ps(y + i + 8, y1);
+  }
+  if (i + 8 <= k) {
+    __m256 y0 = _mm256_loadu_ps(y + i);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (p[j] == 0.0f) continue;
+      y0 = _mm256_add_ps(y0, _mm256_mul_ps(_mm256_set1_ps(p[j]),
+                                           _mm256_loadu_ps(v + j * ldv + i)));
+    }
+    _mm256_storeu_ps(y + i, y0);
+    i += 8;
+  }
+  if (i < k) detail::axpy_rows_scalar(p, v + i, ldv, n, k - i, y + i);
 }
 
 void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
@@ -226,7 +262,7 @@ void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
 
 constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", kTileCols,
                              &kouter_row_avx2, &gemv_row_avx2,
-                             &epilogue_span_avx2};
+                             &axpy_rows_avx2, &epilogue_span_avx2};
 
 }  // namespace
 

@@ -14,7 +14,7 @@ void linear_forward_row(std::span<const float> x, const Tensor& w,
   const std::size_t k = w.dim(1);
   FT2_ASSERT(x.size() == k && y.size() == n);
   FT2_ASSERT(bias.empty() || bias.size() == n);
-  active_kernel_ops().gemv_row(x.data(), w.data(), n, k,
+  active_kernel_ops().gemv_row(x.data(), w.data(), k, n, k,
                                bias.empty() ? nullptr : bias.data(), y.data());
 }
 

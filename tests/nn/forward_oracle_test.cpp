@@ -13,8 +13,10 @@
 // tallies. Entry points: forward_position, forward_span at chunk sizes 1, 3
 // and the whole prompt, and forward_batch with slots at mixed positions.
 // The grid covers OPT, GPT-J, Llama and Qwen2 configs, fp16 and
-// chunked_accum on and off, unpacked and packed weights, and every kernel
-// tier the host supports.
+// chunked_accum on and off, unpacked and packed weights, plain caches and
+// paged caches of 3-row blocks (attention then walks runs that end inside
+// an 8-key group; head_dim 10 leaves a k tail), and every kernel tier the
+// host supports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -62,6 +64,12 @@ TransformerLM oracle_model(Family f) {
   return TransformerLM(c, init_weights(c, rng));
 }
 
+/// A plain cache, or a paged one over `pool` when it is given.
+KvCache make_cache(const TransformerLM& model, KvBlockPool* pool) {
+  return pool != nullptr ? KvCache::paged(*pool, model.config().max_seq)
+                         : model.make_cache();
+}
+
 std::vector<std::uint32_t> bits(std::span<const float> v) {
   std::vector<std::uint32_t> out;
   for (const float f : v) out.push_back(f32_bits(f));
@@ -103,8 +111,9 @@ class NaiveForward {
     }
     const std::vector<float> fh = norm(w_.final_norm, x);
     std::vector<float> logits(c_.vocab_size);
-    detail::gemv_rows_scalar(fh.data(), w_.lm_head.w.data(), c_.vocab_size,
-                             c_.d_model, nullptr, logits.data());
+    detail::gemv_rows_scalar(fh.data(), w_.lm_head.w.data(), c_.d_model,
+                             c_.vocab_size, c_.d_model, nullptr,
+                             logits.data());
     return logits;
   }
 
@@ -155,7 +164,7 @@ class NaiveForward {
     const auto bias = lw.bias_span();
     std::vector<float> y(n);
     if (!exec_.chunked_accum) {
-      detail::gemv_rows_scalar(in.data(), lw.w.data(), n, k,
+      detail::gemv_rows_scalar(in.data(), lw.w.data(), k, n, k,
                                bias.empty() ? nullptr : bias.data(), y.data());
     } else {
       for (std::size_t o = 0; o < n; ++o) {
@@ -383,13 +392,19 @@ void expect_engine_matches_oracle(KernelTier tier) {
           // The NaN poked at position 8 reaches protection in decode.
           EXPECT_EQ(ref_probes[0]->protect.stats().nan_corrected,
                     inject ? 1u : 0u);
-          for (const PackedDecodeWeights* packed : {
-                   static_cast<const PackedDecodeWeights*>(nullptr), &tiles}) {
+          using Leg = std::pair<const PackedDecodeWeights*, bool>;
+          for (const auto& [packed, paged] :
+               {Leg{nullptr, false}, Leg{&tiles, false}, Leg{nullptr, true},
+                Leg{&tiles, true}}) {
             SCOPED_TRACE(::testing::Message()
                          << kernel_tier_name(tier) << " family "
                          << static_cast<int>(fam) << " fp16=" << fp16
                          << " chunked=" << chunked << " inject=" << inject
-                         << " packed=" << (packed != nullptr));
+                         << " packed=" << (packed != nullptr)
+                         << " paged=" << paged);
+            // 3-row blocks: enough for every sequence of the leg at once.
+            KvBlockPool kv_pool(c.n_blocks, c.d_model, 32, 3);
+            KvBlockPool* pool_or_null = paged ? &kv_pool : nullptr;
             std::vector<float> logits(c.vocab_size);
             // Single-sequence entry points on seqs[0] (7 prompt positions:
             // chunk 3 leaves a 1-wide last chunk).
@@ -401,7 +416,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
               Seq got = want;
               got.logits.clear();
               Probe probe(c, inject);
-              KvCache cache = model.make_cache();
+              KvCache cache = make_cache(model, pool_or_null);
               Workspace ws(c);
               const std::span<const int> prompt(want.prompt);
               for (std::size_t p = 0; p < prompt.size();) {
@@ -412,6 +427,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
                 const std::span<float> out =
                     p + n == prompt.size() ? std::span<float>(logits)
                                            : std::span<float>{};
+                ASSERT_TRUE(cache.reserve_rows(n));
                 if (chunk == kPositionPath) {
                   model.forward_position(prompt[p], p, cache, probe.chain,
                                          exec, true, ws, out, packed);
@@ -423,6 +439,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
               }
               got.logits.push_back(bits(logits));
               for (const int t : want.decode) {
+                ASSERT_TRUE(cache.reserve_rows(1));
                 model.forward_position(t, cache.length(), cache, probe.chain,
                                        exec, false, ws, logits, packed);
                 got.logits.push_back(bits(logits));
@@ -443,8 +460,10 @@ void expect_engine_matches_oracle(KernelTier tier) {
             for (std::size_t i = 0; i < n_seq; ++i) {
               Probe& p =
                   *probes.emplace_back(std::make_unique<Probe>(c, inject));
-              KvCache& cache = caches.emplace_back(model.make_cache());
+              KvCache& cache =
+                  caches.emplace_back(make_cache(model, pool_or_null));
               got[i].logits.clear();
+              ASSERT_TRUE(cache.reserve_rows(got[i].prompt.size()));
               model.forward_span(got[i].prompt, 0, cache, p.chain, exec, true,
                                  ws, slot_logits[i], packed);
               got[i].logits.push_back(bits(slot_logits[i]));
@@ -455,6 +474,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
             for (const auto& step : steps) {
               std::vector<DecodeSlot> slots;
               for (const std::size_t i : step) {
+                ASSERT_TRUE(caches[i].reserve_rows(1));
                 slots.push_back({got[i].decode[taken[i]++],
                                  caches[i].length(), &caches[i],
                                  &probes[i]->chain, slot_logits[i]});

@@ -5,7 +5,9 @@
 //   - copy-on-write isolates sharers (cache copies and adopted prefixes);
 //   - adopt_shared_prefix keeps blocks alive past the donor's release;
 //   - memory accounting is block-granular;
-//   - prefix_copy / append_rows move rows between caches bit-exactly.
+//   - prefix_copy / append_rows move rows between caches bit-exactly;
+//   - contiguous_rows splits a cache into runs that attention can read
+//     through one key()/value() pointer each.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -302,6 +304,94 @@ TEST(KvCachePaged, ReleaseStorageKeepsCacheReusable) {
   append_row(cache, 1);
   expect_row(cache, 0, "refill after release");
   expect_row(cache, 1, "refill after release");
+}
+
+
+/// Walks rows [0, len) the way attention does, one run of
+/// contiguous_rows at a time, and checks that every row is visited exactly
+/// once, that no run crosses a paged block, and that each row of a run is
+/// reachable from the run's first key()/value() pointer at d_model strides
+/// in every layer, holding the content stored for it.
+void expect_runs_cover(const KvCache& cache, std::size_t len,
+                       std::size_t block_rows, const char* what) {
+  std::vector<int> visits(len, 0);
+  for (std::size_t j = 0, n = 0; j < len; j += n) {
+    n = std::min(cache.contiguous_rows(j), len - j);
+    ASSERT_GT(n, 0u) << what;
+    if (cache.paged()) {
+      EXPECT_LE(j % block_rows + n, block_rows) << what << ": run at " << j;
+    }
+    for (std::size_t layer = 0; layer < kLayers; ++layer) {
+      const float* k0 = cache.key(layer, j).data();
+      const float* v0 = cache.value(layer, j).data();
+      for (std::size_t t = 0; t < n; ++t) {
+        EXPECT_EQ(k0 + t * kDModel, cache.key(layer, j + t).data())
+            << what << ": key row " << j + t << " outside run at " << j;
+        EXPECT_EQ(v0 + t * kDModel, cache.value(layer, j + t).data())
+            << what << ": value row " << j + t << " outside run at " << j;
+        for (std::size_t c = 0; c < kDModel; ++c) {
+          EXPECT_EQ(k0[t * kDModel + c], fill(layer, j + t, c, false)) << what;
+          EXPECT_EQ(v0[t * kDModel + c], fill(layer, j + t, c, true)) << what;
+        }
+      }
+    }
+    for (std::size_t t = 0; t < n; ++t) ++visits[j + t];
+  }
+  for (std::size_t p = 0; p < len; ++p) {
+    EXPECT_EQ(visits[p], 1) << what << ": row " << p;
+  }
+}
+
+TEST(KvCache, ContiguousRowsCoverEveryRowOnce) {
+  const std::size_t max_seq = 11;
+  KvCache cache(kLayers, max_seq, kDModel);
+  for (std::size_t pos = 0; pos < max_seq; ++pos) {
+    append_row(cache, pos);
+    EXPECT_EQ(cache.contiguous_rows(pos), max_seq - pos);
+  }
+  for (std::size_t len = 1; len <= max_seq; ++len) {
+    expect_runs_cover(cache, len, max_seq, "plain");
+  }
+}
+
+TEST(KvCachePaged, ContiguousRowsCoverEveryRowOnce) {
+  const std::size_t max_seq = 37;
+  for (const std::size_t block_rows : {1, 3, 16}) {
+    SCOPED_TRACE(::testing::Message() << "block_rows " << block_rows);
+    KvBlockPool pool(kLayers, kDModel, /*total_blocks=*/2 * max_seq,
+                     block_rows);
+    KvCache cache = KvCache::paged(pool, max_seq);
+    for (std::size_t pos = 0; pos < max_seq; ++pos) {
+      ASSERT_TRUE(cache.reserve_rows(1));
+      append_row(cache, pos);
+      EXPECT_EQ(cache.contiguous_rows(pos), block_rows - pos % block_rows);
+    }
+    for (std::size_t len = 1; len <= max_seq; ++len) {
+      expect_runs_cover(cache, len, block_rows, "paged");
+    }
+
+    // A sharer adopts a prefix that ends mid-block (for block_rows > 1),
+    // then appends past it: the tail block is copied on write, and the
+    // runs follow the sharer's own table.
+    const std::size_t shared = block_rows == 1 ? 5 : 2 * block_rows - 1;
+    KvCache sharer = KvCache::paged(pool, max_seq);
+    sharer.adopt_shared_prefix(
+        std::span(cache.block_table()).first((shared + block_rows - 1) /
+                                             block_rows),
+        shared);
+    expect_runs_cover(sharer, shared, block_rows, "adopted prefix");
+    for (std::size_t pos = shared; pos < max_seq; ++pos) {
+      ASSERT_TRUE(sharer.reserve_rows(1));
+      append_row(sharer, pos);
+    }
+    if (block_rows > 1) {
+      EXPECT_NE(sharer.block_table()[shared / block_rows],
+                cache.block_table()[shared / block_rows]);
+    }
+    for (std::size_t len = 1; len <= max_seq; ++len) {
+      expect_runs_cover(sharer, len, block_rows, "sharer after appends");
+    }
+  }
 }
 
 }  // namespace

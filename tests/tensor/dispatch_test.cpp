@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -222,7 +223,7 @@ void expect_tier_row_gemv_bit_exact(KernelTier tier) {
         Tensor y_ref({1, shape.n});
         gemm_scalar_ref(x, 1, w, b, y_ref);
         std::vector<float> y(shape.n), y_linear(shape.n);
-        ops.gemv_row(x.data(), w.data(), shape.n, shape.k,
+        ops.gemv_row(x.data(), w.data(), shape.k, shape.n, shape.k,
                      with_bias ? bias.data() : nullptr, y.data());
         linear_forward_row(x.row(0), w, b, y_linear);
         for (std::size_t o = 0; o < shape.n; ++o) {
@@ -247,6 +248,205 @@ TEST(KernelTierEquivalence, SseRowGemvMatchesScalarReference) {
 TEST(KernelTierEquivalence, Avx2RowGemvMatchesScalarReference) {
   FT2_REQUIRE_TIER(KernelTier::kAvx2);
   expect_tier_row_gemv_bit_exact(KernelTier::kAvx2);
+}
+
+// --- Attention kernels: strided row GEMV (Q·K) and axpy_rows (P·V) -------
+
+const float kInf = std::numeric_limits<float>::infinity();
+const float kNanPayload = f32_from_bits(0x7FC01234u);
+
+/// A row-major [n, ldw] matrix whose padding columns [k, ldw) hold NaN: a
+/// kernel that reads past k poisons its outputs.
+std::vector<float> strided_rows(std::size_t n, std::size_t k, std::size_t ldw,
+                                Xoshiro256& rng) {
+  std::vector<float> w(n * ldw, std::numeric_limits<float>::quiet_NaN());
+  for (std::size_t o = 0; o < n; ++o) {
+    fill_uniform({w.data() + o * ldw, k}, rng, -1.0f, 1.0f);
+  }
+  return w;
+}
+
+/// The chain gemv_row documents, over rows `ldw` floats apart.
+std::vector<float> strided_gemv_ref(const std::vector<float>& x,
+                                    const std::vector<float>& w,
+                                    std::size_t ldw, std::size_t n,
+                                    std::size_t k, const float* bias) {
+  std::vector<float> y(n);
+  for (std::size_t o = 0; o < n; ++o) {
+    float acc = bias == nullptr ? 0.0f : bias[o];
+    for (std::size_t i = 0; i < k; ++i) acc += w[o * ldw + i] * x[i];
+    y[o] = acc;
+  }
+  return y;
+}
+
+/// The tier's row GEMV with a row stride ldw > k, the shape attention runs
+/// it in (one head's slice of a run of cached keys). Special values go into
+/// x (clean rows) and into the rows (clean x) in turn, so every output has
+/// at most one NaN source and bit comparison stays well defined.
+void expect_tier_strided_gemv_bit_exact(KernelTier tier) {
+  const KernelOps& ops = kernel_ops_for(tier);
+  Xoshiro256 rng(47);
+  for (const std::size_t n : {1, 7, 8, 9, 17}) {
+    for (const std::size_t k : {1, 7, 8, 10, 16}) {
+      for (const std::size_t ldw : {k + 1, k + 6, 4 * k + 3}) {
+        std::vector<float> bias(n);
+        fill_uniform(bias, rng, -0.5f, 0.5f);
+        const std::vector<float> clean_w = strided_rows(n, k, ldw, rng);
+        // Rows with specials: row o carries case o % 6 of row_gemv_inputs
+        // (clean, NaN payload, +Inf, -Inf, +Inf meeting -Inf, subnormal).
+        std::vector<float> special_w = clean_w;
+        const auto special_rows = row_gemv_inputs(k, rng);
+        for (std::size_t o = 0; o < n; ++o) {
+          const std::vector<float>& row = special_rows[o % 6];
+          std::copy(row.begin(), row.end(), special_w.begin() + o * ldw);
+        }
+        std::vector<float> clean_x(k);
+        fill_uniform(clean_x, rng, -2.0f, 2.0f);
+        std::vector<std::pair<std::vector<float>, const std::vector<float>*>>
+            cases;
+        for (const auto& x : row_gemv_inputs(k, rng)) {
+          cases.emplace_back(x, &clean_w);
+        }
+        cases.emplace_back(clean_x, &special_w);
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+          const std::vector<float>& x = cases[c].first;
+          const std::vector<float>& w = *cases[c].second;
+          for (const float* b : {static_cast<const float*>(nullptr),
+                                 static_cast<const float*>(bias.data())}) {
+            const std::vector<float> want =
+                strided_gemv_ref(x, w, ldw, n, k, b);
+            std::vector<float> got(n);
+            ops.gemv_row(x.data(), w.data(), ldw, n, k, b, got.data());
+            for (std::size_t o = 0; o < n; ++o) {
+              ASSERT_EQ(f32_bits(got[o]), f32_bits(want[o]))
+                  << kernel_tier_name(tier) << " strided gemv mismatch at "
+                  << o << " (n=" << n << " k=" << k << " ldw=" << ldw
+                  << " case " << c << " bias=" << (b != nullptr) << ")";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTierEquivalence, SseStridedRowGemvMatchesScalarReference) {
+  expect_tier_strided_gemv_bit_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, Avx2StridedRowGemvMatchesScalarReference) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_strided_gemv_bit_exact(KernelTier::kAvx2);
+}
+
+/// The chain axpy_rows documents: y[i] += p[j] * v[j][i], ascending j,
+/// zero p[j] skipped.
+void axpy_rows_ref(const std::vector<float>& p, const std::vector<float>& v,
+                   std::size_t ldv, std::size_t k, std::vector<float>& y) {
+  for (std::size_t j = 0; j < p.size(); ++j) {
+    if (p[j] == 0.0f) continue;
+    for (std::size_t i = 0; i < k; ++i) y[i] += p[j] * v[j * ldv + i];
+  }
+}
+
+/// One P·V case: probabilities with +0 and -0 entries whose value rows are
+/// all Inf/NaN (only the zero skip keeps them out), rows with nonzero
+/// probability carrying one +Inf, a -Inf meeting it in the same column,
+/// a NaN payload in another column and subnormals, and a y that already
+/// holds partial sums.
+struct AxpyCase {
+  std::vector<float> p, v, y;
+};
+
+AxpyCase axpy_case(std::size_t n, std::size_t k, std::size_t ldv,
+                   Xoshiro256& rng) {
+  AxpyCase c;
+  c.p.resize(n);
+  fill_uniform(c.p, rng, 0.0f, 1.0f);
+  c.v = strided_rows(n, k, ldv, rng);
+  c.y.resize(k);
+  fill_uniform(c.y, rng, -1.0f, 1.0f);
+  for (std::size_t j = 0; j < n; ++j) {
+    float* row = c.v.data() + j * ldv;
+    switch (j % 5) {
+      case 1:  // +0 probability against a row of infinities and NaNs
+      case 3:  // -0 probability, same
+        c.p[j] = j % 5 == 1 ? 0.0f : -0.0f;
+        for (std::size_t i = 0; i < k; ++i) {
+          row[i] = i % 3 == 0 ? kInf : i % 3 == 1 ? -kInf : kNanPayload;
+        }
+        break;
+      case 4:  // subnormal values and a subnormal probability
+        for (std::size_t i = 0; i < k; ++i) {
+          row[i] *= std::numeric_limits<float>::denorm_min() * 64.0f;
+        }
+        if (j == 4) c.p[j] = std::numeric_limits<float>::denorm_min();
+        break;
+      default:
+        break;
+    }
+  }
+  // Nonzero-probability rows 0, 2 (and 5, 7 when present): column 0 sees
+  // +Inf then -Inf, column k - 1 a NaN payload (k > 1 keeps them apart).
+  if (k > 1) {
+    c.v[0] = kInf;
+    if (n > 2) c.v[2 * ldv] = -kInf;
+    if (n > 5) c.v[5 * ldv + k - 1] = kNanPayload;
+  }
+  return c;
+}
+
+/// The tier's axpy_rows against the scalar chain, over run lengths and
+/// widths with 16-, 8- and scalar-column tails, with a row stride ldv > k
+/// (NaN padding past k); splitting a run into two calls must not change a
+/// bit either, since attention calls it once per contiguous cache run.
+void expect_tier_axpy_rows_bit_exact(KernelTier tier) {
+  const KernelOps& ops = kernel_ops_for(tier);
+  Xoshiro256 rng(53);
+  for (const std::size_t n : {1, 2, 4, 7, 9, 17}) {
+    for (const std::size_t k : {1, 7, 8, 10, 16, 17, 33}) {
+      const std::size_t ldv = k + 5;
+      const AxpyCase c = axpy_case(n, k, ldv, rng);
+      std::vector<float> want = c.y;
+      axpy_rows_ref(c.p, c.v, ldv, k, want);
+      std::vector<float> got = c.y;
+      ops.axpy_rows(c.p.data(), c.v.data(), ldv, n, k, got.data());
+      for (std::size_t i = 0; i < k; ++i) {
+        ASSERT_EQ(f32_bits(got[i]), f32_bits(want[i]))
+            << kernel_tier_name(tier) << " axpy_rows mismatch at " << i
+            << " (n=" << n << " k=" << k << ")";
+      }
+      // The zero skip: columns no nonzero-probability row poisons stay
+      // finite although every zero-probability row is Inf/NaN.
+      for (std::size_t i = 1; i + 1 < k; ++i) {
+        ASSERT_TRUE(std::isfinite(got[i]))
+            << kernel_tier_name(tier) << " zero probability reached an "
+            << "Inf/NaN value at column " << i << " (n=" << n << " k=" << k
+            << ")";
+      }
+      for (std::size_t split = 0; split <= n; ++split) {
+        std::vector<float> two = c.y;
+        ops.axpy_rows(c.p.data(), c.v.data(), ldv, split, k, two.data());
+        ops.axpy_rows(c.p.data() + split, c.v.data() + split * ldv, ldv,
+                      n - split, k, two.data());
+        for (std::size_t i = 0; i < k; ++i) {
+          ASSERT_EQ(f32_bits(two[i]), f32_bits(got[i]))
+              << kernel_tier_name(tier) << " axpy_rows split at " << split
+              << " differs at " << i << " (n=" << n << " k=" << k << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTierEquivalence, SseAxpyRowsMatchesScalarReference) {
+  expect_tier_axpy_rows_bit_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, Avx2AxpyRowsMatchesScalarReference) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_axpy_rows_bit_exact(KernelTier::kAvx2);
 }
 
 /// Records every hook dispatch in order, values as bit patterns so NaN

@@ -44,10 +44,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <thread>
 
@@ -1353,6 +1355,48 @@ int kernel_check() {
       }
     }
 
+    // Attention kernels on one head's slice of a run of cached rows,
+    // d_model floats apart: the strided row GEMV (Q·K; 19 keys leave a
+    // row tail after two 8-row groups, head_dim 10 a k tail) and
+    // axpy_rows (P·V). Row 4 holds an Inf, rows 2 and 5 NaNs behind a +0
+    // and a -0 probability (only the zero skip keeps them out of P·V).
+    std::size_t attn_bad = 0;
+    {
+      const std::size_t keys = 19, head = 10, ld = 3 * head, off = head;
+      const float inf = std::numeric_limits<float>::infinity();
+      const float nan = std::numeric_limits<float>::quiet_NaN();
+      std::vector<float> kv(keys * ld), qh(head), p(keys);
+      for (float& v : kv) v = next_float();
+      for (float& v : qh) v = next_float();
+      for (float& v : p) v = std::fabs(next_float()) / 4.0f;
+      kv[4 * ld + off + 3] = inf;
+      for (const std::size_t j : {std::size_t{2}, std::size_t{5}}) {
+        for (std::size_t i = 0; i < head; ++i) kv[j * ld + off + i] = nan;
+      }
+      p[2] = 0.0f;
+      p[5] = -0.0f;
+      const float* rows = kv.data() + off;
+      const KernelOps& ops = active_kernel_ops();
+      std::vector<float> s(keys);
+      ops.gemv_row(qh.data(), rows, ld, keys, head, nullptr, s.data());
+      for (std::size_t j = 0; j < keys; ++j) {
+        float acc = 0.0f;
+        for (std::size_t i = 0; i < head; ++i) acc += rows[j * ld + i] * qh[i];
+        if (f32_bits(s[j]) != f32_bits(acc)) ++attn_bad;
+      }
+      std::vector<float> y(head, 0.5f), y_ref(head, 0.5f);
+      ops.axpy_rows(p.data(), rows, ld, keys, head, y.data());
+      for (std::size_t j = 0; j < keys; ++j) {
+        if (p[j] == 0.0f) continue;
+        for (std::size_t i = 0; i < head; ++i) {
+          y_ref[i] += p[j] * rows[j * ld + i];
+        }
+      }
+      for (std::size_t i = 0; i < head; ++i) {
+        if (f32_bits(y[i]) != f32_bits(y_ref[i])) ++attn_bad;
+      }
+    }
+
     // Quantize: every f16 seed pattern in f32 form plus NaN payloads and
     // rounding/overflow boundaries, dispatched vs scalar quantize_f16.
     std::vector<float> q;
@@ -1377,13 +1421,14 @@ int kernel_check() {
       if (f32_bits(q[i]) != f32_bits(q_ref[i])) ++quant_bad;
     }
 
-    if (gemm_bad != 0 || quant_bad != 0) {
+    if (gemm_bad != 0 || attn_bad != 0 || quant_bad != 0) {
       ++failures;
       std::cout << name << ": FAIL (" << gemm_bad << " gemm mismatches, "
-                << quant_bad << " quantize mismatches)\n";
+                << attn_bad << " attention mismatches, " << quant_bad
+                << " quantize mismatches)\n";
     } else {
-      std::cout << name << ": OK (gemm + packed gemm + row gemv + quantize "
-                           "bit-exact)\n";
+      std::cout << name << ": OK (gemm + packed gemm + row gemv + strided "
+                           "gemv + axpy_rows + quantize bit-exact)\n";
     }
   }
   set_kernel_tier(restore);
