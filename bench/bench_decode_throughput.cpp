@@ -5,8 +5,8 @@
 // sequential InferenceSession::generate calls back to back. Every batched
 // token stream is checked against the sequential output first — batching is
 // bit-exact by construction, so the batch size is a pure throughput knob.
-// The win comes from the pre-packed k-outer GEMM tiles plus amortizing each
-// weight-matrix pass over B sequences per decode step.
+// Both sides run the model's packed k-outer GEMM tiles; the win comes from
+// amortizing each weight-matrix pass over B sequences per decode step.
 //
 //   FT2_BENCH_DECODE_TOKENS  decode length per request  (default 64)
 //   FT2_BENCH_REPS           timed repetitions, best-of (default 3)

@@ -18,7 +18,7 @@ int main() {
 
   const auto p = bench::prepare("opt-sm", DatasetKind::kSynthQA, s.inputs);
   // Weight campaigns mutate the model; work on a private copy.
-  TransformerLM model(p.model->config(), p.model->weights());
+  TransformerLM model = *p.model;
 
   Table table({"fault model", "scheme", "SDC rate (95% CI)"});
   for (FaultModel fm :

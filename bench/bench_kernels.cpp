@@ -7,7 +7,7 @@
 //   bench_kernels [google-benchmark flags]
 //       the registered BM_* microbenchmarks (default mode);
 //   bench_kernels --tiers [--json FILE]
-//       per-dispatch-tier GEMM, row-GEMV, attention-core, quantize and
+//       per-dispatch-tier packed-GEMM, attention-core, quantize and
 //       protection-epilogue throughput (every tier the host supports).
 //       The attention core is one decode row's Q·K (strided row GEMV) and
 //       P·V (axpy_rows) over 256 cached keys of the benchmark model (8
@@ -16,16 +16,17 @@
 //       bounds plan (quantize + NaN fix + clip) swept over a 16x384 span,
 //       the sweep every protected site runs after its GEMM. The GEMMs are
 //       the benchmark model's own MLP shapes, fc1 (384x128) and fc2
-//       (128x384), at 8 rows. The SSE tier's row GEMV is the scalar chain
-//       every tier ran before the vector row kernel existed.
-//       --json writes the bench/baselines/BENCH_kernels.json shape;
-//       without it a table prints.
+//       (128x384), on packed tiles at 8 rows (a decode batch) and at 1
+//       row (a solo decode step or campaign trial).
+//       --json writes the bench/baselines/BENCH_kernels.json shape, host
+//       included; without it a table prints.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <thread>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
@@ -63,21 +64,22 @@ void BM_QuantizeSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeSpan)->Arg(64)->Arg(256)->Arg(1024);
 
-void BM_LinearForwardRow(benchmark::State& state) {
+void BM_LinearOneRow(benchmark::State& state) {
   const std::size_t d = static_cast<std::size_t>(state.range(0));
-  Tensor w({d, d});
-  std::vector<float> x(d), y(d);
+  Tensor w({d, d}), x({1, d}), y({1, d});
   Xoshiro256 rng(3);
   for (float& f : w.span()) f = rng.uniform_float(-0.1f, 0.1f);
-  for (float& f : x) f = rng.uniform_float(-1.0f, 1.0f);
+  for (float& f : x.span()) f = rng.uniform_float(-1.0f, 1.0f);
+  const PackedLinear pl(w, {});
+  ThreadPool pool(1);
   for (auto _ : state) {
-    linear_forward_row(x, w, {}, y);
+    linear_forward_span_packed(x, 1, pl, y, pool);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(d * d));
 }
-BENCHMARK(BM_LinearForwardRow)->Arg(48)->Arg(64)->Arg(256);
+BENCHMARK(BM_LinearOneRow)->Arg(48)->Arg(64)->Arg(256);
 
 void BM_Softmax(benchmark::State& state) {
   std::vector<float> v(static_cast<std::size_t>(state.range(0)));
@@ -185,25 +187,22 @@ struct GemmShape {
 };
 
 /// The benchmark model's two MLP GEMMs (d_model 128, d_ff 384) at a
-/// decode batch of 8 rows.
+/// decode batch of 8 rows, and at one row.
 constexpr GemmShape kGemmShapes[] = {{"fc1", 384, 128}, {"fc2", 128, 384}};
 constexpr std::size_t kGemmRows = 8;
 
 struct GemmRates {
-  double span_gflops = 0.0;    ///< span GEMM (packs tiles per call)
-  double packed_gflops = 0.0;  ///< pre-packed tiles (batched decode path)
+  double packed_gflops = 0.0;      ///< kGemmRows rows (batched decode)
+  double packed_row_gflops = 0.0;  ///< one row (solo decode, trials)
 };
 
 struct TierRates {
   GemmRates gemm[std::size(kGemmShapes)];  ///< one per kGemmShapes entry
   double quantize_gelems = 0.0;            ///< quantize_span_f16 sweep
   double epilogue_gelems = 0.0;            ///< FT2 bounds epilogue sweep
-  double gemv_gflops = 0.0;                ///< row GEMV on row-major weights
   double attention_gflops = 0.0;           ///< Q·K + P·V of one decode row
 };
 
-/// Row GEMV shape: the benchmark model's MLP up-projection (d_ff x d_model).
-constexpr std::size_t kGemvN = 384, kGemvK = 128;
 /// Attention core: one decode row over kAttnKeys cached keys, kAttnHeads
 /// heads of kAttnHeadDim, read in kAttnRun-row runs (paged blocks).
 constexpr std::size_t kAttnKeys = 256, kAttnHeads = 8, kAttnHeadDim = 16,
@@ -221,16 +220,14 @@ GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
   for (float& f : bias) f = rng.uniform_float(-0.5f, 0.5f);
 
   GemmRates rates;
-  const double flops = 2.0 * static_cast<double>(n * k * rows);
-  rates.span_gflops = best_items_per_sec(flops, reps, [&] {
-    linear_forward_span(x, rows, w, bias, y, false, pool);
+  const double flops = 2.0 * static_cast<double>(n * k);
+  const PackedLinear pl(w, bias);
+  rates.packed_gflops = best_items_per_sec(flops * rows, reps, [&] {
+    linear_forward_span_packed(x, rows, pl, y, pool);
   }) / 1e9;
-  {
-    PackedLinear pl(w, bias);
-    rates.packed_gflops = best_items_per_sec(flops, reps, [&] {
-      linear_forward_span_packed(x, rows, pl, y, pool);
-    }) / 1e9;
-  }
+  rates.packed_row_gflops = best_items_per_sec(flops, reps, [&] {
+    linear_forward_span_packed(x, 1, pl, y, pool);
+  }) / 1e9;
   return rates;
 }
 
@@ -295,6 +292,27 @@ double measure_attention(const KernelOps& ops, std::size_t reps,
   }) / 1e9;
 }
 
+/// The machine the rates were measured on: CPU model (from
+/// /proc/cpuinfo, "unknown" elsewhere) and hardware threads.
+Json host_json() {
+  std::string cpu = "unknown";
+  std::ifstream info("/proc/cpuinfo");
+  for (std::string line; std::getline(info, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        cpu = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  Json host = Json::object();
+  host["cpu"] = cpu;
+  host["hardware_threads"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+  return host;
+}
+
 TierRates measure_tier(KernelTier tier, std::size_t reps) {
   set_kernel_tier(tier);
   ThreadPool pool(1);  // single worker: kernel throughput, not pool scaling
@@ -303,20 +321,6 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
   TierRates rates;
   for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
     rates.gemm[s] = measure_gemm(kGemmShapes[s], reps, pool, rng);
-  }
-  {
-    // Single-row linear straight from the row-major weights: the unpacked
-    // forward_position path (sessions, campaign trials).
-    Tensor wg({kGemvN, kGemvK});
-    std::vector<float> xg(kGemvK), yg(kGemvN), bg(kGemvN);
-    for (float& f : wg.span()) f = rng.uniform_float(-0.1f, 0.1f);
-    for (float& f : xg) f = rng.uniform_float(-1.0f, 1.0f);
-    for (float& f : bg) f = rng.uniform_float(-0.5f, 0.5f);
-    const double gemv_flops = 2.0 * static_cast<double>(kGemvN * kGemvK);
-    rates.gemv_gflops = best_items_per_sec(gemv_flops, reps, [&] {
-      ops.gemv_row(xg.data(), wg.data(), kGemvK, kGemvN, kGemvK, bg.data(),
-                   yg.data());
-    }) / 1e9;
   }
   {
     std::vector<float> v(1u << 16);
@@ -335,35 +339,32 @@ int run_tiers(const ArgParser& args) {
   const KernelTier restore = active_kernel_tier();
 
   Json tiers = Json::object();
-  Table table({"tier", "gemm", "span GFLOP/s", "packed GFLOP/s",
-               "gemv GFLOP/s", "attention GFLOP/s", "quantize Gelem/s",
-               "epilogue Gelem/s"});
+  Table table({"tier", "gemm", "packed GFLOP/s", "1-row GFLOP/s",
+               "attention GFLOP/s", "quantize Gelem/s", "epilogue Gelem/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, reps);
     Json t = Json::object();
     for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
       const GemmRates& g = r.gemm[s];
-      // Per-tier columns (gemv, attention, quantize, epilogue) print on
-      // the tier's first row.
+      // Per-tier columns (attention, quantize, epilogue) print on the
+      // tier's first row.
       table.begin_row()
           .cell(s == 0 ? kernel_tier_name(tier) : "")
           .cell(kGemmShapes[s].name)
-          .num(g.span_gflops, 2)
-          .num(g.packed_gflops, 2);
+          .num(g.packed_gflops, 2)
+          .num(g.packed_row_gflops, 2);
       if (s == 0) {
-        table.num(r.gemv_gflops, 2)
-            .num(r.attention_gflops, 2)
+        table.num(r.attention_gflops, 2)
             .num(r.quantize_gelems, 2)
             .num(r.epilogue_gelems, 2);
       } else {
-        table.cell("").cell("").cell("").cell("");
+        table.cell("").cell("").cell("");
       }
       Json shape = Json::object();
-      shape["gemm_gflops"] = g.span_gflops;
       shape["gemm_packed_gflops"] = g.packed_gflops;
+      shape["gemm_packed_1row_gflops"] = g.packed_row_gflops;
       t[kGemmShapes[s].name] = shape;
     }
-    t["gemv_row_gflops"] = r.gemv_gflops;
     t["attention_gflops"] = r.attention_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     t["epilogue_gelems_per_sec"] = r.epilogue_gelems;
@@ -384,8 +385,7 @@ int run_tiers(const ArgParser& args) {
     }
     cfg["gemm_shapes"] = shapes;
     cfg["gemm_rows"] = static_cast<double>(kGemmRows);
-    cfg["gemv_n"] = static_cast<double>(kGemvN);
-    cfg["gemv_k"] = static_cast<double>(kGemvK);
+    cfg["tile_cols"] = static_cast<double>(kTileCols);
     cfg["attention_keys"] = static_cast<double>(kAttnKeys);
     cfg["attention_heads"] = static_cast<double>(kAttnHeads);
     cfg["attention_head_dim"] = static_cast<double>(kAttnHeadDim);
@@ -396,6 +396,7 @@ int run_tiers(const ArgParser& args) {
     cfg["reps"] = static_cast<double>(reps);
     cfg["threads"] = 1.0;
     out["config"] = cfg;
+    out["host"] = host_json();
     out["tiers"] = tiers;
     out["default_tier"] = kernel_tier_name(active_kernel_tier());
     const std::string path = args.get("json", "");
@@ -414,8 +415,8 @@ int run_tiers(const ArgParser& args) {
   for (const GemmShape& g : kGemmShapes) {
     std::cout << g.name << " " << g.n << "x" << g.k << ", ";
   }
-  std::cout << kGemmRows << " rows, single worker; gemv " << kGemvN << "x"
-            << kGemvK << " row-major; attention " << kAttnKeys << " keys x "
+  std::cout << kGemmRows << " rows and 1 row, single worker; attention "
+            << kAttnKeys << " keys x "
             << kAttnHeads << " heads x " << kAttnHeadDim << " in "
             << kAttnRun << "-row runs; epilogue " << kEpilogueRows << "x"
             << kEpilogueCols << " ft2 bounds plan; best of " << reps

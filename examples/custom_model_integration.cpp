@@ -29,8 +29,8 @@ int main() {
   config.max_seq = 96;
 
   Xoshiro256 rng(2024);
-  TransformerLM model(config, init_weights(config, rng));
-  std::cout << "custom model: " << model.weights().parameter_count()
+  ModelWeights weights = init_weights(config, rng);
+  std::cout << "custom model: " << parameter_count(config)
             << " parameters, " << config.n_blocks << " blocks\n";
 
   // 2. Critical layers come from the architecture alone — before training.
@@ -39,7 +39,8 @@ int main() {
   for (LayerKind k : critical) std::cout << " " << layer_kind_name(k);
   std::cout << "\n\n";
 
-  // 3. Train on the QA task.
+  // 3. Train on the QA task: training updates the row-major weights, and
+  //    the inference model packs them once training is done.
   const auto gen = make_generator(DatasetKind::kSynthQA);
   TrainerConfig tc;
   tc.steps = env_size("FT2_TRAIN_STEPS", 800);
@@ -48,9 +49,11 @@ int main() {
   tc.seed = 5;
   std::cout << "training";
   const auto report =
-      train_model(model, {gen.get()}, tc, [](std::size_t step, float) {
-        if ((step + 1) % 100 == 0) std::cout << "." << std::flush;
-      });
+      train_model(config, weights, {gen.get()}, tc,
+                  [](std::size_t step, float) {
+                    if ((step + 1) % 100 == 0) std::cout << "." << std::flush;
+                  });
+  const TransformerLM model(config, std::move(weights));
   std::cout << " done: " << report.steps_run << " steps, accuracy "
             << Table::format(report.final_accuracy, 3) << "\n\n";
 
@@ -83,7 +86,7 @@ int main() {
   // 5. Checkpoint round trip.
   const std::string path =
       (std::filesystem::temp_directory_path() / "my-llama.ft2m").string();
-  save_checkpoint(path, model.config(), model.weights());
+  save_checkpoint(path, model.config(), model.export_weights());
   std::cout << "\ncheckpoint saved to " << path << " ("
             << std::filesystem::file_size(path) << " bytes)\n";
   std::remove(path.c_str());

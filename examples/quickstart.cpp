@@ -17,7 +17,7 @@ int main() {
   // 1. A generative model. ensure_model trains and caches it on first use.
   const auto model = ensure_model("llama-sm");
   std::cout << "model: " << model->config().name << " ("
-            << model->weights().parameter_count() << " parameters)\n";
+            << parameter_count(model->config()) << " parameters)\n";
 
   // FT2's critical-layer heuristic, straight from the architecture graph.
   Ft2Protector protector(*model);

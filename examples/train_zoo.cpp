@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       table.begin_row()
           .cell(entry.name)
           .cell(entry.paper_name)
-          .count(model->weights().parameter_count())
+          .count(parameter_count(model->config()))
           .cell(gen->name())
           .pct(acc, 1);
     }

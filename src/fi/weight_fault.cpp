@@ -44,9 +44,9 @@ WeightFaultPlan WeightFaultSpace::sample(FaultModel model, ValueType vtype,
 
 ScopedWeightFault::ScopedWeightFault(TransformerLM& model,
                                      const WeightFaultPlan& plan) {
-  LinearWeights& lw = linear_at(model.weights(), model.config(), plan.site);
-  FT2_CHECK(plan.row < lw.w.dim(0) && plan.col < lw.w.dim(1));
-  target_ = &lw.w.at(plan.row, plan.col);
+  PackedLinear& pl = model.linear(plan.site);
+  FT2_CHECK(plan.row < pl.n && plan.col < pl.k);
+  target_ = &pl.at(plan.row, plan.col);
   original_ = *target_;
   faulty_ = apply_bit_flips(original_, plan.flips, plan.vtype);
   *target_ = faulty_;

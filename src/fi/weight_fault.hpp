@@ -43,7 +43,10 @@ class WeightFaultSpace {
 };
 
 /// RAII: applies the bit flip to the live weight on construction and
-/// restores the original value on destruction.
+/// restores the original value on destruction. The flip lands in the
+/// model's packed tiles (PackedLinear::at), the one copy of the weights,
+/// so every forward path sees it: sessions, campaigns and every
+/// ServeEngine over the model, including engines built before the fault.
 class ScopedWeightFault {
  public:
   ScopedWeightFault(TransformerLM& model, const WeightFaultPlan& plan);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -109,6 +110,16 @@ void validate_config(const ModelConfig& c, const std::string& path) {
                 "checkpoint " << path << ": enum field out of range");
 }
 
+std::string dims_string(const std::vector<std::size_t>& dims) {
+  std::ostringstream os;
+  os << "[";
+  for (std::size_t i = 0; i < dims.size(); ++i) {
+    os << (i ? ", " : "") << dims[i];
+  }
+  os << "]";
+  return os.str();
+}
+
 }  // namespace
 
 void save_checkpoint(const std::string& path, const ModelConfig& config,
@@ -144,16 +155,31 @@ void load_checkpoint(const std::string& path, ModelConfig& config,
                                          << version);
   config = read_config(is);
   validate_config(config, path);
+  const auto n = read_pod<std::uint64_t>(is);
+
+  // The data alone takes 4 bytes per parameter: a config that declares
+  // more than the file holds is corrupt, and is refused before anything
+  // is allocated for it.
+  const std::streamoff here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::streamoff end = is.tellg();
+  is.seekg(here);
+  const auto left =
+      static_cast<std::size_t>(here >= 0 && end > here ? end - here : 0);
+  FT2_CHECK_MSG(parameter_count(config) <= left / sizeof(float),
+                "checkpoint " << path << " declares "
+                              << parameter_count(config)
+                              << " parameters but holds " << left
+                              << " bytes of data");
 
   // Allocate weight storage of the right shapes, then overwrite by name.
   Xoshiro256 rng(0);
   weights = init_weights(config, rng);
   auto params = weights.named_parameters();
-
-  const auto n = read_pod<std::uint64_t>(is);
   FT2_CHECK_MSG(n == params.size(), "checkpoint has " << n
                                                       << " params, model has "
                                                       << params.size());
+  std::vector<bool> seen(params.size(), false);
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::string name = read_string(is);
     const auto rank = read_pod<std::uint32_t>(is);
@@ -167,19 +193,18 @@ void load_checkpoint(const std::string& path, ModelConfig& config,
                                                << name << " in " << path);
     }
 
-    Tensor* target = nullptr;
-    for (auto& [pname, t] : params) {
-      if (pname == name) {
-        target = t;
-        break;
-      }
-    }
-    FT2_CHECK_MSG(target != nullptr, "unknown parameter in checkpoint: "
+    std::size_t p = 0;
+    while (p < params.size() && params[p].first != name) ++p;
+    FT2_CHECK_MSG(p < params.size(), "unknown parameter in checkpoint: "
                                          << name);
+    // n == params.size() and no repeats: every parameter appears once.
+    FT2_CHECK_MSG(!seen[p], "parameter " << name << " appears twice in "
+                                         << path);
+    seen[p] = true;
+    Tensor* target = params[p].second;
     FT2_CHECK_MSG(target->shape() == shape,
                   "shape mismatch for " << name << ": checkpoint "
-                                        << Tensor(shape).shape_string()
-                                        << " vs model "
+                                        << dims_string(shape) << " vs model "
                                         << target->shape_string());
     is.read(reinterpret_cast<char*>(target->data()),
             static_cast<std::streamsize>(target->numel() * sizeof(float)));

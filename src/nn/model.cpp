@@ -40,9 +40,77 @@ void Workspace::ensure_chunk_capacity(const ModelConfig& config,
   *this = Workspace(config, rows);
 }
 
+namespace {
+
+/// Packs one linear and frees its row-major storage.
+PackedLinear pack_and_free(LinearWeights& lw) {
+  PackedLinear pl(lw.w, lw.bias_span());
+  lw = LinearWeights{};
+  return pl;
+}
+
+LinearWeights unpack(const PackedLinear& pl) {
+  LinearWeights lw;
+  lw.w = pl.unpack_weight();
+  lw.has_bias = pl.has_bias;
+  if (pl.has_bias) lw.b = pl.unpack_bias();
+  return lw;
+}
+
+}  // namespace
+
+PackedDecodeWeights::PackedDecodeWeights(const ModelConfig& config,
+                                         ModelWeights& weights) {
+  FT2_CHECK(weights.blocks.size() == config.n_blocks);
+  blocks.resize(config.n_blocks);
+  for (std::size_t b = 0; b < config.n_blocks; ++b) {
+    for (const LayerKind kind : config.block_layers()) {
+      if (!is_linear_layer(kind)) continue;
+      block_linear(blocks[b], config, kind) =
+          pack_and_free(block_linear(weights.blocks[b], config, kind));
+    }
+  }
+  lm_head = pack_and_free(weights.lm_head);
+}
+
+PackedDecodeWeights::PackedDecodeWeights(const TransformerLM& model)
+    : PackedDecodeWeights(model.tiles()) {}
+
 TransformerLM::TransformerLM(ModelConfig config, ModelWeights weights)
-    : config_(std::move(config)), weights_(std::move(weights)) {
-  FT2_CHECK(weights_.blocks.size() == config_.n_blocks);
+    : config_(std::move(config)), tiles_(config_, weights) {
+  dense_.tok_emb = std::move(weights.tok_emb);
+  dense_.pos_emb = std::move(weights.pos_emb);
+  dense_.final_norm = std::move(weights.final_norm);
+  for (BlockWeights& blk : weights.blocks) {
+    dense_.norm1.push_back(std::move(blk.norm1));
+    dense_.norm2.push_back(std::move(blk.norm2));
+  }
+}
+
+PackedLinear& TransformerLM::linear(const LayerSite& site) {
+  FT2_CHECK(site.block >= 0 &&
+            static_cast<std::size_t>(site.block) < config_.n_blocks);
+  return block_linear(tiles_.blocks[static_cast<std::size_t>(site.block)],
+                      config_, site.kind);
+}
+
+ModelWeights TransformerLM::export_weights() const {
+  ModelWeights w;
+  w.tok_emb = dense_.tok_emb;
+  w.pos_emb = dense_.pos_emb;
+  w.final_norm = dense_.final_norm;
+  w.lm_head = unpack(tiles_.lm_head);
+  w.blocks.resize(config_.n_blocks);
+  for (std::size_t b = 0; b < config_.n_blocks; ++b) {
+    for (const LayerKind kind : config_.block_layers()) {
+      if (!is_linear_layer(kind)) continue;
+      block_linear(w.blocks[b], config_, kind) =
+          unpack(block_linear(tiles_.blocks[b], config_, kind));
+    }
+    w.blocks[b].norm1 = dense_.norm1[b];
+    w.blocks[b].norm2 = dense_.norm2[b];
+  }
+  return w;
 }
 
 namespace {
@@ -109,24 +177,6 @@ ThreadPool& exec_pool(const ExecConfig& exec) {
   return exec.pool != nullptr ? *exec.pool : ThreadPool::global();
 }
 
-/// One GEMM over the first `rows` rows of `in`, on the kernel the shape
-/// calls for: pre-packed tiles when given, the row GEMV for one unpacked
-/// row, the repacking span GEMM otherwise (and for every chunked-accum
-/// call, whose chain lives there). Each reduction mode has one
-/// accumulation order across all three, so the choice never changes a
-/// bit.
-void gemm_rows(const Tensor& w, std::span<const float> bias,
-               const PackedLinear* pl, const Tensor& in, std::size_t rows,
-               Tensor& out, bool chunked_accum, ThreadPool& pool) {
-  if (pl != nullptr && !chunked_accum) {
-    linear_forward_span_packed(in, rows, *pl, out, pool);
-  } else if (rows == 1 && !chunked_accum) {
-    linear_forward_row(in.row(0), w, bias, out.row(0));
-  } else {
-    linear_forward_span(in, rows, w, bias, out, chunked_accum, pool);
-  }
-}
-
 /// A run of consecutive workspace rows that belong to one sequence: rows
 /// [row0, row0 + tokens.size()) hold positions [pos0, pos0 +
 /// tokens.size()) of the sequence whose cache and hook chain it carries.
@@ -155,18 +205,16 @@ class RowEngine {
  public:
   RowEngine(const TransformerLM& model, std::span<const Segment> segs,
             const ExecConfig& exec, Workspace& ws,
-            const PackedDecodeWeights* packed)
+            const PackedDecodeWeights& tiles)
       : c_(model.config()),
-        w_(model.weights()),
+        w_(model.dense()),
         segs_(segs),
         exec_(exec),
         ws_(ws),
-        packed_(packed),
+        tiles_(tiles),
         pool_(exec_pool(exec)) {
-    if (packed != nullptr) {
-      FT2_CHECK_MSG(packed->blocks.size() == c_.n_blocks,
-                    "packed weights built for a different model");
-    }
+    FT2_CHECK_MSG(tiles.blocks.size() == c_.n_blocks,
+                  "packed weights built for a different model");
     for (std::size_t i = 0; i < segs.size(); ++i) {
       const Segment& s = segs[i];
       FT2_CHECK(s.n() > 0 && s.row0 == seg_of_row_.size());
@@ -201,9 +249,8 @@ class RowEngine {
     }
 
     for (block_ = 0; block_ < c_.n_blocks; ++block_) {
-      const BlockWeights& blk = w_.blocks[block_];
-      tiles_ = packed_ != nullptr ? &packed_->blocks[block_] : nullptr;
-      norm_rows(blk.norm1);
+      const PackedBlock& blk = tiles_.blocks[block_];
+      norm_rows(w_.norm1[block_]);
       attention(blk);
       if (c_.parallel_block) {
         // GPT-J: the MLP reads the same normed input; one residual add.
@@ -218,7 +265,7 @@ class RowEngine {
           add_inplace(ws_.x.row(r), ws_.o.row(r));
           maybe_quantize(ws_.x.row(r), fp16);
         }
-        norm_rows(blk.norm2);
+        norm_rows(w_.norm2[block_]);
         mlp(blk);
         for (std::size_t r = 0; r < rows_; ++r) {
           add_inplace(ws_.x.row(r), ws_.f2.row(r));
@@ -260,13 +307,12 @@ class RowEngine {
     maybe_quantize(out, exec_.fp16);
   }
 
-  /// One linear site: one GEMM over all rows as plain math, then the
-  /// epilogue and hook dispatch per segment.
-  void linear(const LinearWeights& lw, PackedLinear PackedBlock::*layer,
-              const Tensor& in, Tensor& out, LayerKind kind) {
-    const PackedLinear* pl = tiles_ != nullptr ? &(tiles_->*layer) : nullptr;
-    gemm_rows(lw.w, lw.bias_span(), pl, in, rows_, out, exec_.chunked_accum,
-              pool_);
+  /// One linear site: one packed GEMM over all rows as plain math, then
+  /// the epilogue and hook dispatch per segment.
+  void linear(const PackedLinear& pl, const Tensor& in, Tensor& out,
+              LayerKind kind) {
+    linear_forward_span_packed(in, rows_, pl, out, pool_,
+                               exec_.chunked_accum);
     finish(out, kind);
   }
 
@@ -279,10 +325,10 @@ class RowEngine {
     }
   }
 
-  void attention(const BlockWeights& blk) {
-    linear(blk.q, &PackedBlock::q, ws_.h, ws_.q, LayerKind::kQProj);
-    linear(blk.k, &PackedBlock::k, ws_.h, ws_.k, LayerKind::kKProj);
-    linear(blk.v, &PackedBlock::v, ws_.h, ws_.v, LayerKind::kVProj);
+  void attention(const PackedBlock& blk) {
+    linear(blk.q, ws_.h, ws_.q, LayerKind::kQProj);
+    linear(blk.k, ws_.h, ws_.k, LayerKind::kKProj);
+    linear(blk.v, ws_.h, ws_.v, LayerKind::kVProj);
 
     // Every row's K/V lands in its cache before any row attends: a row
     // attends over [0, its position], which covers the earlier rows of its
@@ -334,18 +380,16 @@ class RowEngine {
       maybe_quantize(out, exec_.fp16);
     });
 
-    linear(blk.o, &PackedBlock::o, ws_.attn_out, ws_.o, LayerKind::kOutProj);
+    linear(blk.o, ws_.attn_out, ws_.o, LayerKind::kOutProj);
   }
 
   /// OPT / GPT-J: fc1 -> ReLU or GELU -> fc2. Llama family: gate (fc1) and
   /// up -> SiLU(gate) * up -> down (fc2).
-  void mlp(const BlockWeights& blk) {
+  void mlp(const PackedBlock& blk) {
     const bool llama = c_.arch == ArchFamily::kLlama;
-    linear(blk.fc1, &PackedBlock::fc1, ws_.h, ws_.f1,
+    linear(blk.fc1, ws_.h, ws_.f1,
            llama ? LayerKind::kGateProj : LayerKind::kFc1);
-    if (llama) {
-      linear(blk.up, &PackedBlock::up, ws_.h, ws_.f_up, LayerKind::kUpProj);
-    }
+    if (llama) linear(blk.up, ws_.h, ws_.f_up, LayerKind::kUpProj);
     const std::span<float> act{ws_.act.data(), rows_ * c_.d_ff};
     std::copy_n(ws_.f1.data(), act.size(), act.data());
     if (llama) {
@@ -360,7 +404,7 @@ class RowEngine {
       mul_inplace(act, {ws_.f_up.data(), act.size()});
       maybe_quantize(act, exec_.fp16);
     }
-    linear(blk.fc2, &PackedBlock::fc2, ws_.act, ws_.f2,
+    linear(blk.fc2, ws_.act, ws_.f2,
            llama ? LayerKind::kDownProj : LayerKind::kFc2);
   }
 
@@ -376,9 +420,8 @@ class RowEngine {
                ws_.final_h.row(m++));
     }
     if (m == 0) return;
-    gemm_rows(w_.lm_head.w, {},
-              packed_ != nullptr ? &packed_->lm_head : nullptr, ws_.final_h,
-              m, ws_.logits, /*chunked_accum=*/false, pool_);
+    linear_forward_span_packed(ws_.final_h, m, tiles_.lm_head, ws_.logits,
+                               pool_);
     m = 0;
     for (const Segment& s : segs_) {
       if (s.logits.empty()) continue;
@@ -388,16 +431,15 @@ class RowEngine {
   }
 
   const ModelConfig& c_;
-  const ModelWeights& w_;
+  const DenseWeights& w_;
   std::span<const Segment> segs_;
   const ExecConfig& exec_;
   Workspace& ws_;
-  const PackedDecodeWeights* packed_;
+  const PackedDecodeWeights& tiles_;
   ThreadPool& pool_;
   std::vector<std::size_t> seg_of_row_;  ///< segment index of each row
   std::size_t rows_ = 0;
   std::size_t block_ = 0;                ///< block being run
-  const PackedBlock* tiles_ = nullptr;   ///< its packed tiles, if any
 };
 
 }  // namespace
@@ -406,25 +448,23 @@ void TransformerLM::forward_position(int token, std::size_t pos,
                                      KvCache& cache, const HookChain& hooks,
                                      const ExecConfig& exec,
                                      bool first_token_phase, Workspace& ws,
-                                     std::span<float> logits,
-                                     const PackedDecodeWeights* packed) const {
+                                     std::span<float> logits) const {
   forward_span({&token, 1}, pos, cache, hooks, exec, first_token_phase, ws,
-               logits, packed);
+               logits);
 }
 
 void TransformerLM::forward_span(std::span<const int> tokens, std::size_t pos0,
                                  KvCache& cache, const HookChain& hooks,
                                  const ExecConfig& exec,
                                  bool first_token_phase, Workspace& ws,
-                                 std::span<float> logits,
-                                 const PackedDecodeWeights* packed) const {
+                                 std::span<float> logits) const {
   const Segment seg{0, pos0, tokens, &cache, &hooks, first_token_phase, logits};
-  RowEngine(*this, {&seg, 1}, exec, ws, packed).run();
+  RowEngine(*this, {&seg, 1}, exec, ws, tiles_).run();
 }
 
 void TransformerLM::forward_batch(std::span<DecodeSlot> slots,
                                   const ExecConfig& exec, Workspace& ws,
-                                  const PackedDecodeWeights* packed) const {
+                                  const PackedDecodeWeights* tiles) const {
   if (slots.empty()) return;
   std::vector<Segment> segs;
   segs.reserve(slots.size());
@@ -434,37 +474,7 @@ void TransformerLM::forward_batch(std::span<DecodeSlot> slots,
     segs.push_back({i, s.pos, {&s.token, 1}, s.cache, s.hooks,
                     /*first_token=*/false, s.logits});
   }
-  RowEngine(*this, segs, exec, ws, packed).run();
-}
-
-PackedDecodeWeights::PackedDecodeWeights(const TransformerLM& model) {
-  const ModelConfig& config = model.config();
-  const ModelWeights& w = model.weights();
-  const bool llama = config.arch == ArchFamily::kLlama;
-  blocks.reserve(config.n_blocks);
-  for (std::size_t bi = 0; bi < config.n_blocks; ++bi) {
-    const BlockWeights& blk = w.blocks[bi];
-    Block p;
-    p.q = PackedLinear(blk.q.w, blk.q.bias_span());
-    p.k = PackedLinear(blk.k.w, blk.k.bias_span());
-    p.v = PackedLinear(blk.v.w, blk.v.bias_span());
-    p.o = PackedLinear(blk.o.w, blk.o.bias_span());
-    p.fc1 = PackedLinear(blk.fc1.w, blk.fc1.bias_span());
-    if (llama) p.up = PackedLinear(blk.up.w, blk.up.bias_span());
-    p.fc2 = PackedLinear(blk.fc2.w, blk.fc2.bias_span());
-    blocks.push_back(std::move(p));
-  }
-  lm_head = PackedLinear(w.lm_head.w, {});
-}
-
-std::size_t PackedDecodeWeights::memory_bytes() const {
-  std::size_t total = lm_head.memory_bytes();
-  for (const Block& b : blocks) {
-    total += b.q.memory_bytes() + b.k.memory_bytes() + b.v.memory_bytes() +
-             b.o.memory_bytes() + b.fc1.memory_bytes() + b.up.memory_bytes() +
-             b.fc2.memory_bytes();
-  }
-  return total;
+  RowEngine(*this, segs, exec, ws, tiles != nullptr ? *tiles : tiles_).run();
 }
 
 InferenceSession::InferenceSession(const TransformerLM& model)
@@ -483,15 +493,14 @@ void forward_prefill_chunk(const TransformerLM& model,
                            std::span<const int> tokens, std::size_t pos,
                            std::size_t n, KvCache& cache,
                            const HookChain& hooks, const ExecConfig& exec,
-                           Workspace& ws, std::span<float> logits,
-                           const PackedDecodeWeights* packed) {
+                           Workspace& ws, std::span<float> logits) {
   FT2_CHECK(n > 0 && pos + n <= tokens.size());
   // Logits are only needed from the chunk that ends the sequence; earlier
   // chunks skip the LM head entirely.
   const std::span<float> out =
       pos + n == tokens.size() ? logits : std::span<float>{};
   model.forward_span(tokens.subspan(pos, n), pos, cache, hooks, exec,
-                     /*first_token_phase=*/true, ws, out, packed);
+                     /*first_token_phase=*/true, ws, out);
 }
 
 std::size_t run_prefill(const TransformerLM& model,

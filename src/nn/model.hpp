@@ -3,9 +3,9 @@
 // One row-segment engine runs every forward. Its rows are grouped into
 // segments: consecutive rows that hold consecutive positions of one
 // sequence, with that sequence's KV cache and hook chain. Each linear is
-// one GEMM over all rows, parallelised over a thread pool; attention
-// stores every row's K/V, then runs one causal attention task per row over
-// its own segment's cache. Three entry points build the segments:
+// one GEMM over all rows on the model's packed weight tiles, parallelised
+// over a thread pool; attention stores every row's K/V, then runs one
+// causal attention task per row over its own segment's cache. Three entry points build the segments:
 //   - forward_span: one segment of a chunk of prompt positions (blocked
 //     prefill);
 //   - forward_position: forward_span over one position (incremental
@@ -81,7 +81,37 @@ struct ExecConfig {
   ThreadPool* pool = nullptr;
 };
 
-struct PackedDecodeWeights;  // defined below
+class TransformerLM;
+
+/// A model's linears — attention projections, MLP and LM head — packed
+/// into k-outer GEMM tiles (tensor/ops.hpp): the one form a TransformerLM
+/// keeps them in. Every forward runs its linear sites from these tiles.
+struct PackedDecodeWeights {
+  struct Block {
+    PackedLinear q, k, v, o;
+    PackedLinear fc1, up, fc2;  ///< up only for Llama-family gate/up/down
+  };
+  std::vector<Block> blocks;
+  PackedLinear lm_head;
+
+  /// Packs every linear of `weights`, freeing each row-major tensor right
+  /// after packing it, so the peak grows by at most one linear. The
+  /// embeddings and norms stay in `weights`.
+  PackedDecodeWeights(const ModelConfig& config, ModelWeights& weights);
+
+  /// A copy of `model`'s own tiles.
+  explicit PackedDecodeWeights(const TransformerLM& model);
+};
+
+/// The parameters a TransformerLM keeps row-major: the embeddings and the
+/// norms, each read one row or one vector at a time.
+struct DenseWeights {
+  Tensor tok_emb;  ///< [vocab, d]
+  Tensor pos_emb;  ///< [max_seq, d], learned-position models only
+  NormWeights final_norm;
+  std::vector<NormWeights> norm1, norm2;  ///< per block; norm2 unused when
+                                          ///< parallel_block
+};
 
 /// One sequence's slot in a batched decode step (forward_batch). The cache,
 /// hook chain and logits belong to the slot's session; forward_batch never
@@ -96,26 +126,38 @@ struct DecodeSlot {
   std::span<float> logits;     ///< [vocab_size] output for this sequence
 };
 
+/// An inference model. Its linears live only as packed tiles (tiles()),
+/// packed once at construction; ModelWeights is the row-major interchange
+/// form it is built from and exports back to (checkpoints, digests,
+/// training).
 class TransformerLM {
  public:
+  /// Packs every linear of `weights` (see PackedDecodeWeights) and keeps
+  /// the embeddings and norms.
   TransformerLM(ModelConfig config, ModelWeights weights);
 
   const ModelConfig& config() const { return config_; }
-  ModelWeights& weights() { return weights_; }
-  const ModelWeights& weights() const { return weights_; }
+  const PackedDecodeWeights& tiles() const { return tiles_; }
+  const DenseWeights& dense() const { return dense_; }
+
+  /// One linear site's tiles, writable: a weight fault edits the element
+  /// in place, and every later forward on any path sees it.
+  PackedLinear& linear(const LayerSite& site);
+
+  /// The weights unpacked to the row-major interchange form: bit-identical
+  /// to the ModelWeights this model was built from, plus any weight edit
+  /// made since (checkpoint save, weights_digest_hex).
+  ModelWeights export_weights() const;
 
   /// Computes logits for the token at sequence position `pos`.
   /// Preconditions: cache.length() == pos. Appends this position's K/V to
   /// the cache and advances it. `logits` must have vocab_size elements, or
   /// be empty to skip the LM head. Hooks fire for every observable layer
-  /// output. `packed` (optional) supplies pre-packed GEMM tiles, run on
-  /// `exec.pool` — a pure layout cache that must match this model's
-  /// current weights; results are bit-exact either way.
+  /// output.
   void forward_position(int token, std::size_t pos, KvCache& cache,
                         const HookChain& hooks, const ExecConfig& exec,
                         bool first_token_phase, Workspace& ws,
-                        std::span<float> logits,
-                        const PackedDecodeWeights* packed = nullptr) const;
+                        std::span<float> logits) const;
 
   /// Blocked prefill: processes `tokens` at sequence positions
   /// [pos0, pos0 + tokens.size()) through every layer as a batched GEMM,
@@ -125,14 +167,11 @@ class TransformerLM {
   /// once per layer site with a [n_positions x width] span view. `logits`
   /// receives the output for the LAST span position only (intermediate
   /// prefill logits are never observed by generate); pass an empty span to
-  /// skip the LM head entirely. `packed` (optional) supplies pre-packed
-  /// GEMM tiles for every linear layer and the LM head, with the fused
-  /// epilogue applied in the packed kernel exactly as in the repacking one.
+  /// skip the LM head entirely.
   void forward_span(std::span<const int> tokens, std::size_t pos0,
                     KvCache& cache, const HookChain& hooks,
                     const ExecConfig& exec, bool first_token_phase,
-                    Workspace& ws, std::span<float> logits,
-                    const PackedDecodeWeights* packed = nullptr) const;
+                    Workspace& ws, std::span<float> logits) const;
 
   /// Batched decode: advances every slot's sequence by one position in a
   /// single pass, stacking the B slots' rows into a B x K * K x N GEMM per
@@ -143,11 +182,11 @@ class TransformerLM {
   /// would produce (batching is invisible to per-sequence state).
   /// Bit-exact with calling forward_position once per slot, at any batch
   /// size and pool size. Decode always runs with first_token_phase ==
-  /// false. `packed` (optional) supplies pre-packed GEMM tiles — a pure
-  /// layout cache that must match this model's current weights.
+  /// false. `tiles` (optional) are run instead of the model's own; null
+  /// means the model's.
   void forward_batch(std::span<DecodeSlot> slots, const ExecConfig& exec,
                      Workspace& ws,
-                     const PackedDecodeWeights* packed = nullptr) const;
+                     const PackedDecodeWeights* tiles = nullptr) const;
 
   KvCache make_cache() const {
     return KvCache(config_.n_blocks, config_.max_seq, config_.d_model);
@@ -155,29 +194,8 @@ class TransformerLM {
 
  private:
   ModelConfig config_;
-  ModelWeights weights_;
-};
-
-/// Pre-packed k-outer GEMM tiles for every linear layer of one model
-/// (attention projections, MLP, LM head), consumed by forward_batch,
-/// forward_span and forward_position. The serve engine re-runs each
-/// layer's GEMM every decode step and every prefill chunk; packing once
-/// here removes the per-call repack of linear_forward_span. Packing is
-/// pure layout — results, hook traffic and fused-epilogue tallies stay
-/// bit-exact. Snapshot semantics: weights mutated after construction
-/// (e.g. ScopedWeightFault) are not reflected in any path fed these
-/// tiles, decode or prefill; rebuild to observe them.
-struct PackedDecodeWeights {
-  struct Block {
-    PackedLinear q, k, v, o;
-    PackedLinear fc1, up, fc2;  ///< up only for Llama-family gate/up/down
-  };
-  std::vector<Block> blocks;
-  PackedLinear lm_head;
-
-  explicit PackedDecodeWeights(const TransformerLM& model);
-
-  std::size_t memory_bytes() const;
+  DenseWeights dense_;
+  PackedDecodeWeights tiles_;
 };
 
 /// Decoding options. Default is greedy (temperature 0), which every
@@ -217,18 +235,16 @@ std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
 /// every prefill path uses — run_prefill, ServeEngine's budgeted chunks
 /// and its recompute replay — so their rules cannot drift: every chunk goes
 /// through forward_span, and `logits` is written only by the chunk that
-/// ends `tokens` (earlier chunks skip the LM head). `packed` (optional)
-/// feeds every GEMM of the chunk.
+/// ends `tokens` (earlier chunks skip the LM head).
 void forward_prefill_chunk(const TransformerLM& model,
                            std::span<const int> tokens, std::size_t pos,
                            std::size_t n, KvCache& cache,
                            const HookChain& hooks, const ExecConfig& exec,
-                           Workspace& ws, std::span<float> logits,
-                           const PackedDecodeWeights* packed = nullptr);
+                           Workspace& ws, std::span<float> logits);
 
 /// Runs the blocked prompt prefill exactly as InferenceSession::generate
 /// does: forward_prefill_chunk over chunks of `options.prefill_chunk`
-/// positions, unpacked. Does NOT bracket the hook chain with begin/end —
+/// positions. Does NOT bracket the hook chain with begin/end —
 /// the caller owns the generation scope. Returns the number of prompt
 /// positions run (the prompt is truncated to the model's max_seq).
 std::size_t run_prefill(const TransformerLM& model,

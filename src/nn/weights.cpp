@@ -78,6 +78,23 @@ ModelWeights init_weights(const ModelConfig& config, Xoshiro256& rng) {
   return w;
 }
 
+std::size_t parameter_count(const ModelConfig& config) {
+  const std::size_t d = config.d_model;
+  const std::size_t ff = config.d_ff;
+  const bool llama = config.arch == ArchFamily::kLlama;
+  const std::size_t norm = config.norm == NormKind::kLayerNorm ? 2 * d : d;
+  const std::size_t qkv_bias =
+      config.linear_bias || config.qkv_bias ? 3 * d : 0;
+  const std::size_t bias =
+      config.linear_bias ? d + ff + d + (llama ? ff : 0) : 0;
+  const std::size_t per_block =
+      4 * d * d + (llama ? 3 : 2) * d * ff + qkv_bias + bias +
+      (config.parallel_block ? 1 : 2) * norm;
+  std::size_t n = config.vocab_size * d + norm + config.vocab_size * d;
+  if (config.position == PositionKind::kLearned) n += config.max_seq * d;
+  return n + config.n_blocks * per_block;
+}
+
 std::vector<std::pair<std::string, Tensor*>> ModelWeights::named_parameters() {
   std::vector<std::pair<std::string, Tensor*>> out;
   auto add = [&out](const std::string& name, Tensor& t) {
@@ -129,32 +146,8 @@ LinearWeights& linear_at(ModelWeights& weights, const ModelConfig& config,
                          const LayerSite& site) {
   FT2_CHECK(site.block >= 0 &&
             static_cast<std::size_t>(site.block) < weights.blocks.size());
-  auto& blk = weights.blocks[static_cast<std::size_t>(site.block)];
-  const bool llama = config.arch == ArchFamily::kLlama;
-  switch (site.kind) {
-    case LayerKind::kQProj: return blk.q;
-    case LayerKind::kKProj: return blk.k;
-    case LayerKind::kVProj: return blk.v;
-    case LayerKind::kOutProj: return blk.o;
-    case LayerKind::kFc1:
-      FT2_CHECK(!llama);
-      return blk.fc1;
-    case LayerKind::kFc2:
-      FT2_CHECK(!llama);
-      return blk.fc2;
-    case LayerKind::kGateProj:
-      FT2_CHECK(llama);
-      return blk.fc1;
-    case LayerKind::kDownProj:
-      FT2_CHECK(llama);
-      return blk.fc2;
-    case LayerKind::kUpProj:
-      FT2_CHECK(llama);
-      return blk.up;
-    default:
-      break;
-  }
-  throw Error("linear_at: not a linear layer kind");
+  return block_linear(weights.blocks[static_cast<std::size_t>(site.block)],
+                      config, site.kind);
 }
 
 std::uint64_t weights_digest(const ModelWeights& weights) {

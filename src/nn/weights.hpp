@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/config.hpp"
 #include "tensor/tensor.hpp"
@@ -51,10 +52,47 @@ struct ModelWeights {
   std::size_t parameter_count() const;
 };
 
+/// The number of floats init_weights(config) allocates, computed without
+/// allocating. Cannot overflow for dimensions of at most 2^20 each.
+std::size_t parameter_count(const ModelConfig& config);
+
 /// Allocates and randomly initializes weights for `config` (GPT-2-style
 /// init: N(0, 0.02), residual-output projections scaled by 1/sqrt(2L),
 /// norms at identity).
 ModelWeights init_weights(const ModelConfig& config, Xoshiro256& rng);
+
+/// The linear of kind `kind` in one block's set of linears: a
+/// BlockWeights, or the packed PackedDecodeWeights::Block (nn/model.hpp),
+/// which names its members alike. Throws ft2::Error for a kind that is
+/// not a linear of `config`'s architecture.
+template <class Block>
+auto& block_linear(Block& blk, const ModelConfig& config, LayerKind kind) {
+  const bool llama = config.arch == ArchFamily::kLlama;
+  switch (kind) {
+    case LayerKind::kQProj: return blk.q;
+    case LayerKind::kKProj: return blk.k;
+    case LayerKind::kVProj: return blk.v;
+    case LayerKind::kOutProj: return blk.o;
+    case LayerKind::kFc1:
+      FT2_CHECK(!llama);
+      return blk.fc1;
+    case LayerKind::kFc2:
+      FT2_CHECK(!llama);
+      return blk.fc2;
+    case LayerKind::kGateProj:
+      FT2_CHECK(llama);
+      return blk.fc1;
+    case LayerKind::kDownProj:
+      FT2_CHECK(llama);
+      return blk.fc2;
+    case LayerKind::kUpProj:
+      FT2_CHECK(llama);
+      return blk.up;
+    default:
+      break;
+  }
+  throw Error("not a linear layer kind");
+}
 
 /// Access the LinearWeights of a (block, linear-kind) site.
 LinearWeights& linear_at(ModelWeights& weights, const ModelConfig& config,

@@ -117,7 +117,6 @@ ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
       options_(resolve_pool_size(model.config(), options)),
       kv_pool_(model.config().n_blocks, model.config().d_model,
                options_.kv_pool_blocks, options_.kv_block_rows),
-      packed_(model),
       ws_(model.config(), options_.max_batch) {
   tracer_ = options_.obs.tracer != nullptr ? options_.obs.tracer
                                            : &Tracer::global();
@@ -526,7 +525,7 @@ bool ServeEngine::begin_admission(Request& req) {
       if (!reserve_rows_or_evict(req, n)) return false;
       // No logits: the replayed sequence's next token is already sampled.
       forward_prefill_chunk(model_, fed, pos, n, req.cache, req.hooks,
-                            exec_for(req.options), ws_, {}, &packed_);
+                            exec_for(req.options), ws_, {});
       pos += n;
       // Replayed positions are engine work but not solo-equivalent
       // positions: result.positions_run already counted them.
@@ -562,7 +561,7 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
   }
   forward_prefill_chunk(model_, prompt, req.next_prefill, n, req.cache,
                         req.hooks, exec_for(req.options), ws_,
-                        {req.logits.data(), req.logits.size()}, &packed_);
+                        {req.logits.data(), req.logits.size()});
   req.next_prefill += n;
   req.pos += n;
   req.result.positions_run += n;
@@ -700,7 +699,7 @@ void ServeEngine::decode_step() {
                                  {req->logits.data(), req->logits.size()}});
     }
     const ExecConfig exec{(idx & 1u) != 0, (idx & 2u) != 0, options_.pool};
-    model_.forward_batch(slots, exec, ws_, &packed_);
+    model_.forward_batch(slots, exec, ws_);
     ++counters_.decode_steps;
     counters_.decode_rows += slots.size();
     metrics_.decode_steps.inc();

@@ -272,12 +272,6 @@ class ServeEngine {
   Metrics metrics_;
   Tracer* tracer_ = nullptr;
   KvBlockPool kv_pool_;  ///< every request's KV rows
-  /// Every weight matrix pre-packed into k-outer GEMM tiles at
-  /// construction. The tiles feed every forward the engine runs: batched
-  /// decode, budgeted prefill chunks, 1-wide chunks, recompute replays and
-  /// the LM head. They are a snapshot: weight mutations made after
-  /// construction (e.g. ScopedWeightFault) need a new engine.
-  PackedDecodeWeights packed_;
   Workspace ws_;
   std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;
   Scheduler scheduler_;              ///< queued requests (policy order)

@@ -84,44 +84,40 @@ void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
 
 namespace {
 
-constexpr std::size_t kSseTileCols = 16;
-
 /// k-outer micro-kernel, reference tier: one input row against a packed
 /// weight tile. Each output element accumulates x[i] * w[o][i] in
-/// ascending-i order with a separate mul and add per step — the exact
-/// per-element operation sequence of linear_forward_row — but the 16
-/// accumulators are independent, so the lanes run in parallel instead of
-/// serializing on one dot product's add-latency chain. Explicit SSE keeps
-/// the instruction selection out of the autovectorizer's hands (and SSE
-/// mul/add round identically to their scalar counterparts, so bit-exactness
-/// is preserved by construction). The AVX2 tier in kernels_avx2.cpp keeps
-/// this per-element sequence and only widens the column tile.
+/// ascending-i order with a separate mul and add per step, but the 32
+/// accumulators (eight 4-lane registers) are independent, so the lanes
+/// run in parallel instead of serializing on one dot product's add-latency
+/// chain, and the tile is read once, front to back. Explicit SSE keeps the
+/// instruction selection out of the autovectorizer's hands (and SSE
+/// mul/add round identically to their scalar counterparts, so
+/// bit-exactness is preserved by construction). The AVX2 tier in
+/// kernels_avx2.cpp keeps this per-element sequence in 8-lane registers.
 void kouter_row_sse(const float* x, const float* wt, std::size_t k,
                     const float* bias_padded, float* y, std::size_t width) {
-  float acc[kSseTileCols];
+  float acc[kTileCols];
 #if defined(__SSE2__)
-  __m128 acc0 = _mm_loadu_ps(bias_padded);
-  __m128 acc1 = _mm_loadu_ps(bias_padded + 4);
-  __m128 acc2 = _mm_loadu_ps(bias_padded + 8);
-  __m128 acc3 = _mm_loadu_ps(bias_padded + 12);
+  __m128 a[kTileCols / 4];
+  for (std::size_t j = 0; j < kTileCols / 4; ++j) {
+    a[j] = _mm_loadu_ps(bias_padded + 4 * j);
+  }
   for (std::size_t i = 0; i < k; ++i) {
     const __m128 xi = _mm_set1_ps(x[i]);
-    const float* wr = wt + i * kSseTileCols;
-    acc0 = _mm_add_ps(acc0, _mm_mul_ps(xi, _mm_loadu_ps(wr)));
-    acc1 = _mm_add_ps(acc1, _mm_mul_ps(xi, _mm_loadu_ps(wr + 4)));
-    acc2 = _mm_add_ps(acc2, _mm_mul_ps(xi, _mm_loadu_ps(wr + 8)));
-    acc3 = _mm_add_ps(acc3, _mm_mul_ps(xi, _mm_loadu_ps(wr + 12)));
+    const float* wr = wt + i * kTileCols;
+    for (std::size_t j = 0; j < kTileCols / 4; ++j) {
+      a[j] = _mm_add_ps(a[j], _mm_mul_ps(xi, _mm_loadu_ps(wr + 4 * j)));
+    }
   }
-  _mm_storeu_ps(acc + 0, acc0);
-  _mm_storeu_ps(acc + 4, acc1);
-  _mm_storeu_ps(acc + 8, acc2);
-  _mm_storeu_ps(acc + 12, acc3);
+  for (std::size_t j = 0; j < kTileCols / 4; ++j) {
+    _mm_storeu_ps(acc + 4 * j, a[j]);
+  }
 #else
-  for (std::size_t j = 0; j < kSseTileCols; ++j) acc[j] = bias_padded[j];
+  for (std::size_t j = 0; j < kTileCols; ++j) acc[j] = bias_padded[j];
   for (std::size_t i = 0; i < k; ++i) {
     const float xi = x[i];
-    const float* wr = wt + i * kSseTileCols;
-    for (std::size_t j = 0; j < kSseTileCols; ++j) acc[j] += xi * wr[j];
+    const float* wr = wt + i * kTileCols;
+    for (std::size_t j = 0; j < kTileCols; ++j) acc[j] += xi * wr[j];
   }
 #endif
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
@@ -132,8 +128,8 @@ void epilogue_span_sse(float* v, std::size_t n, std::size_t flat0,
   detail::epilogue_scalar_span(v, n, flat0, epi, tally);
 }
 
-constexpr KernelOps kSseOps{KernelTier::kSse, "sse", kSseTileCols,
-                            &kouter_row_sse, &detail::gemv_rows_scalar,
+constexpr KernelOps kSseOps{KernelTier::kSse, "sse", &kouter_row_sse,
+                            &detail::gemv_rows_scalar,
                             &detail::axpy_rows_scalar, &epilogue_span_sse};
 
 bool cpu_has_avx2_f16c() {

@@ -9,12 +9,14 @@
 // Bit-exactness policy: every tier accumulates each output element as the
 // same scalar chain `acc += x[i] * w[o][i]` in ascending-i order with a
 // separate multiply and add per step (never FMA). The wider tier only widens
-// the column tile or row group — which output elements are grouped into
-// one register — never the per-element operation sequence, so all tiers
-// produce results bit-identical to the scalar/SSE reference and no
-// baselines need re-pinning per tier. The arch TU is compiled with
-// -ffp-contract=off as a belt. Attention's P·V row sum follows the same
-// rule with the roles swapped: each output element is the chain
+// the register group — which output elements share one register — never
+// the per-element operation sequence, so all tiers produce results
+// bit-identical to the scalar/SSE reference and no baselines need
+// re-pinning per tier. Packed weight tiles have one width for every tier
+// (kTileCols), so tiles never depend on the active tier either. The arch
+// TU is compiled with -ffp-contract=off as a belt. Attention's P·V row sum
+// follows the same rule with the roles swapped: each output element is the
+// chain
 // `y[i] += p[j] * v[j][i]` over ascending j (zero p[j] skipped), and the
 // vector tier puts output elements side by side in its lanes.
 //
@@ -38,10 +40,14 @@ namespace ft2 {
 
 enum class KernelTier : int {
   kSse = 0,   ///< portable reference (SSE2 on x86-64, scalar elsewhere)
-  kAvx2 = 1,  ///< AVX2 + F16C, 32-column tiles
+  kAvx2 = 1,  ///< AVX2 + F16C
 };
 
 constexpr std::size_t kKernelTierCount = 2;
+
+/// Columns per packed weight tile, on every tier: AVX2 holds a tile row's
+/// accumulators in four 8-lane registers, SSE in eight 4-lane registers.
+constexpr std::size_t kTileCols = 32;
 
 /// Fused epilogue request: optional f16-grid quantization
 /// followed by one protection mode. Field semantics mirror the hook path
@@ -88,16 +94,14 @@ struct EpilogueTally {
 };
 
 /// One dispatch tier's kernel function table. All tiers share semantics and
-/// bit-exact results; they differ in column-tile width and instruction set.
+/// bit-exact results; they differ in instruction set.
 struct KernelOps {
   KernelTier tier = KernelTier::kSse;
   const char* name = "sse";
-  /// Columns per packed weight tile (accumulator registers per row pass).
-  std::size_t tile_cols = 16;
 
   /// k-outer micro-kernel: one input row `x[k]` against one packed weight
-  /// tile `wt[k][tile_cols]` (zero-padded), accumulators seeded from
-  /// `bias_padded[tile_cols]`. Stores the first `width` lanes to `y`.
+  /// tile `wt[k][kTileCols]` (zero-padded), accumulators seeded from
+  /// `bias_padded[kTileCols]`. Stores the first `width` lanes to `y`.
   void (*kouter_row)(const float* x, const float* wt, std::size_t k,
                      const float* bias_padded, float* y,
                      std::size_t width) = nullptr;
@@ -106,12 +110,11 @@ struct KernelOps {
   /// apart (ldw >= k; no packed tile): y[o] = bias[o] + sum_i x[i] *
   /// w[o * ldw + i] for o in [0, n), each output accumulated as the
   /// documented chain, so every tier is bit-identical to the scalar
-  /// reference. Linears pass their own weights (ldw = k); attention passes
-  /// one head's slice of a run of cached keys (ldw = d_model), so the Q·K
-  /// scores of a run are one call. The AVX2 tier transposes the products
-  /// of 8-wide k blocks of a row group in registers; rows past the last
-  /// full group and the k tail run the scalar chain. `bias` may be null
-  /// (accumulators start at 0.0f).
+  /// reference. Attention passes one head's slice of a run of cached keys
+  /// (ldw = d_model), so the Q·K scores of a run are one call. The AVX2
+  /// tier transposes the products of 8-wide k blocks of a row group in
+  /// registers; rows past the last full group and the k tail run the
+  /// scalar chain. `bias` may be null (accumulators start at 0.0f).
   void (*gemv_row)(const float* x, const float* w, std::size_t ldw,
                    std::size_t n, std::size_t k, const float* bias,
                    float* y) = nullptr;
@@ -149,8 +152,8 @@ bool kernel_tier_supported(KernelTier tier);
 std::vector<KernelTier> supported_kernel_tiers();
 
 /// Forces a tier (CLI --kernel, tests). Throws ft2::Error when the tier is
-/// not supported on this host. PackedLinear weights snapshot the ops table
-/// at pack time — repack after switching tiers.
+/// not supported on this host. Takes effect on the next kernel call:
+/// packed weights hold no tier state, so nothing needs repacking.
 void set_kernel_tier(KernelTier tier);
 /// Parses and forces a tier by name ("sse" | "avx2" | "auto");
 /// "auto" re-runs the default probe. Throws ft2::Error on unknown names.

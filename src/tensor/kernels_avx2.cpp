@@ -1,7 +1,7 @@
-// AVX2 + F16C dispatch tier: 32-column GEMM tiles, a row GEMV over pairs
-// of 8-row groups, a P·V row sum over 16 and 8 output columns and an
-// 8-wide epilogue sweep. It is the only vector tier: AVX-512 hosts run it
-// too (every AVX-512F CPU has AVX2 and F16C).
+// AVX2 + F16C dispatch tier: a GEMM tile in four registers, a row GEMV
+// over pairs of 8-row groups, a P·V row sum over 16 and 8 output columns
+// and an 8-wide epilogue sweep. It is the only vector tier: AVX-512 hosts
+// run it too (every AVX-512F CPU has AVX2 and F16C).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
 // when those flags are unavailable this TU degrades to a stub returning
 // nullptr and the dispatcher falls back to the SSE tier.
@@ -16,7 +16,7 @@
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
-// the SSE reference per element; only the column-tile width differs. The
+// the SSE reference per element; only the register width differs. The
 // F16C round-trip (VCVTPS2PH RNE / VCVTPH2PS) matches the software f16
 // conversion bit-for-bit for every non-NaN input — including subnormals,
 // the 65504/65520 overflow boundary and round-to-nearest-even ties — and
@@ -32,8 +32,6 @@ namespace ft2 {
 namespace {
 
 using Protect = KernelEpilogue::Protect;
-
-constexpr std::size_t kTileCols = 32;
 
 inline __m256 quantize8(__m256 v) {
   __m256 q = _mm256_cvtph_ps(
@@ -260,9 +258,9 @@ void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
   if (i < n) detail::epilogue_scalar_span(v + i, n - i, flat0 + i, epi, tally);
 }
 
-constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", kTileCols,
-                             &kouter_row_avx2, &gemv_row_avx2,
-                             &axpy_rows_avx2, &epilogue_span_avx2};
+constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", &kouter_row_avx2,
+                             &gemv_row_avx2, &axpy_rows_avx2,
+                             &epilogue_span_avx2};
 
 }  // namespace
 

@@ -8,176 +8,106 @@
 
 namespace ft2 {
 
-void linear_forward_row(std::span<const float> x, const Tensor& w,
-                        std::span<const float> bias, std::span<float> y) {
-  const std::size_t n = w.dim(0);
-  const std::size_t k = w.dim(1);
-  FT2_ASSERT(x.size() == k && y.size() == n);
-  FT2_ASSERT(bias.empty() || bias.size() == n);
-  active_kernel_ops().gemv_row(x.data(), w.data(), k, n, k,
-                               bias.empty() ? nullptr : bias.data(), y.data());
-}
-
 namespace {
 
-/// Chunked-accumulation dot products for output columns [o_lo, o_hi) of one
-/// row: 8-wide partial sums with a pairwise lane reduction (the Fig. 16
-/// alternate-reduction-order mode).
-void chunked_row_range(std::span<const float> x, const Tensor& w,
-                       std::span<const float> bias, std::span<float> y,
-                       std::size_t o_lo, std::size_t o_hi) {
-  const std::size_t k = w.dim(1);
-  const float* wd = w.data();
-  for (std::size_t o = o_lo; o < o_hi; ++o) {
-    const float* row = wd + o * k;
-    float partial[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-    std::size_t i = 0;
-    for (; i + 8 <= k; i += 8) {
-      for (std::size_t lane = 0; lane < 8; ++lane) {
-        partial[lane] += row[i + lane] * x[i + lane];
-      }
-    }
-    float acc = bias.empty() ? 0.0f : bias[o];
-    for (; i < k; ++i) acc += row[i] * x[i];
-    // Pairwise tree reduction of the lanes.
-    partial[0] += partial[4];
-    partial[1] += partial[5];
-    partial[2] += partial[6];
-    partial[3] += partial[7];
-    partial[0] += partial[2];
-    partial[1] += partial[3];
-    y[o] = acc + partial[0] + partial[1];
-  }
-}
+/// Multiply-adds below which a GEMM task costs less than handing it to a
+/// pool worker (~10 us of kernel time).
+constexpr std::size_t kMinTaskMacs = std::size_t{1} << 17;
 
-/// Writes weight columns [o_lo, o_lo + width) transposed into
-/// wt[k][tile_cols] and their bias into bias_padded[tile_cols], both
-/// zero-padded past `width`, so the micro-kernel's inner loop reads
-/// contiguous memory. The tile width comes from the dispatch tier
-/// (tensor/dispatch.hpp): 16 columns on the SSE reference, 32 on AVX2.
-void pack_tile(const Tensor& w, std::span<const float> bias, std::size_t o_lo,
-               std::size_t width, std::size_t tile_cols, float* wt,
-               float* bias_padded) {
-  const std::size_t k = w.dim(1);
-  std::fill_n(wt, k * tile_cols, 0.0f);
-  std::fill_n(bias_padded, tile_cols, 0.0f);
+/// The chunked-accumulation chain over one tile for one input row: per
+/// column, eight k-strided partial sums (partial l takes the inputs
+/// i = l mod 8 of the full 8-wide k blocks), the k tail accumulated onto
+/// the bias, then a pairwise reduction of the partials. Columns are the
+/// innermost loop, so each column keeps its own chain.
+void chunked_tile_row(const float* x, const float* wt, std::size_t k,
+                      const float* bias_padded, float* y, std::size_t width) {
+  float part[8][kTileCols] = {};
+  std::size_t i = 0;
+  for (; i + 8 <= k; i += 8) {
+    for (std::size_t l = 0; l < 8; ++l) {
+      const float xi = x[i + l];
+      const float* wr = wt + (i + l) * kTileCols;
+      for (std::size_t j = 0; j < kTileCols; ++j) part[l][j] += wr[j] * xi;
+    }
+  }
+  float acc[kTileCols];
+  std::copy_n(bias_padded, kTileCols, acc);
+  for (; i < k; ++i) {
+    const float* wr = wt + i * kTileCols;
+    for (std::size_t j = 0; j < kTileCols; ++j) acc[j] += wr[j] * x[i];
+  }
   for (std::size_t j = 0; j < width; ++j) {
-    const float* src = w.data() + (o_lo + j) * k;
-    for (std::size_t i = 0; i < k; ++i) wt[i * tile_cols + j] = src[i];
-    if (!bias.empty()) bias_padded[j] = bias[o_lo + j];
+    const float p0 = (part[0][j] + part[4][j]) + (part[2][j] + part[6][j]);
+    const float p1 = (part[1][j] + part[5][j]) + (part[3][j] + part[7][j]);
+    y[j] = acc[j] + p0 + p1;
   }
-}
-
-/// One column group's packed weights, as the micro-kernel reads them.
-struct TileView {
-  const float* wt;           ///< [k x tile_cols]
-  const float* bias_padded;  ///< [tile_cols]
-};
-
-/// The k-outer span GEMM shared by the packed and repacking paths: one task
-/// per tile_cols-wide column group g, covering columns [o_lo, o_lo +
-/// width); `tile(g, o_lo, width)` supplies the group's packed weights,
-/// which the task runs against every row through the kernel.
-/// Partitioning is per output element, so any pool size produces identical
-/// results.
-template <class TileFn>
-void kouter_span(const Tensor& x, std::size_t rows, std::size_t n,
-                 std::size_t k, const KernelOps& ops, Tensor& y,
-                 ThreadPool& pool, const TileFn& tile) {
-  const std::size_t tile_cols = ops.tile_cols;
-  const std::size_t col_groups = (n + tile_cols - 1) / tile_cols;
-  pool.parallel_for(0, col_groups, [&](std::size_t g) {
-    const std::size_t o_lo = g * tile_cols;
-    const std::size_t width = std::min(tile_cols, n - o_lo);
-    const TileView t = tile(g, o_lo, width);
-    for (std::size_t r = 0; r < rows; ++r) {
-      ops.kouter_row(x.row(r).data(), t.wt, k, t.bias_padded,
-                     y.row(r).data() + o_lo, width);
-    }
-  });
 }
 
 }  // namespace
 
 PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
-    : n(w.dim(0)),
-      k(w.dim(1)),
-      ops(&active_kernel_ops()),
-      tile_cols(ops->tile_cols) {
+    : n(w.dim(0)), k(w.dim(1)), has_bias(!bias_in.empty()) {
   FT2_CHECK(w.rank() == 2);
   FT2_CHECK(bias_in.empty() || bias_in.size() == n);
-  const std::size_t groups = (n + tile_cols - 1) / tile_cols;
-  tiles.resize(groups * k * tile_cols);
-  bias.resize(groups * tile_cols);
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t o_lo = g * tile_cols;
-    pack_tile(w, bias_in, o_lo, std::min(tile_cols, n - o_lo), tile_cols,
-              tiles.data() + g * k * tile_cols, bias.data() + g * tile_cols);
+  const std::size_t groups = (n + kTileCols - 1) / kTileCols;
+  tiles.assign(groups * k * kTileCols, 0.0f);
+  bias.assign(groups * kTileCols, 0.0f);
+  for (std::size_t o = 0; o < n; ++o) {
+    for (std::size_t i = 0; i < k; ++i) at(o, i) = w.at(o, i);
   }
+  std::copy(bias_in.begin(), bias_in.end(), bias.begin());
+}
+
+Tensor PackedLinear::unpack_weight() const {
+  Tensor w({n, k});
+  for (std::size_t o = 0; o < n; ++o) {
+    for (std::size_t i = 0; i < k; ++i) w.at(o, i) = at(o, i);
+  }
+  return w;
+}
+
+Tensor PackedLinear::unpack_bias() const {
+  Tensor b({n});
+  std::copy_n(bias.data(), n, b.data());
+  return b;
 }
 
 void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const PackedLinear& pl, Tensor& y,
-                                ThreadPool& pool) {
+                                ThreadPool& pool, bool chunked_accum) {
   FT2_CHECK(x.rank() == 2 && y.rank() == 2);
   FT2_CHECK(rows <= x.dim(0) && rows <= y.dim(0));
   FT2_CHECK_MSG(x.dim(1) == pl.k && y.dim(1) == pl.n,
                 "linear_forward_span_packed: x cols " << x.dim(1) << " w ["
                     << pl.n << "," << pl.k << "] y cols " << y.dim(1));
   if (rows == 0) return;
-  const std::size_t tile_cols = pl.tile_cols;
-  kouter_span(x, rows, pl.n, pl.k, *pl.ops, y, pool,
-              [&](std::size_t g, std::size_t, std::size_t) {
-                return TileView{pl.tiles.data() + g * pl.k * tile_cols,
-                                pl.bias.data() + g * tile_cols};
-              });
+  const auto kernel =
+      chunked_accum ? &chunked_tile_row : active_kernel_ops().kouter_row;
+  const std::size_t groups = (pl.n + kTileCols - 1) / kTileCols;
+  // Fan out only as far as every task keeps enough work to pay for its
+  // dispatch: a one-row decode GEMM runs inline. Which task runs a tile
+  // never changes a result.
+  const std::size_t tasks =
+      std::clamp<std::size_t>(rows * pl.n * pl.k / kMinTaskMacs, 1, groups);
+  pool.parallel_for(0, tasks, [&](std::size_t t) {
+    for (std::size_t g = t * groups / tasks; g < (t + 1) * groups / tasks;
+         ++g) {
+      const std::size_t o_lo = g * kTileCols;
+      const std::size_t width = std::min(kTileCols, pl.n - o_lo);
+      const float* wt = pl.tiles.data() + g * pl.k * kTileCols;
+      for (std::size_t r = 0; r < rows; ++r) {
+        kernel(x.row(r).data(), wt, pl.k, pl.bias.data() + o_lo,
+               y.row(r).data() + o_lo, width);
+      }
+    }
+  });
 }
 
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
                          bool chunked_accum, ThreadPool& pool) {
-  FT2_CHECK(x.rank() == 2 && y.rank() == 2 && w.rank() == 2);
-  FT2_CHECK(rows <= x.dim(0) && rows <= y.dim(0));
-  const std::size_t n = w.dim(0);
-  const std::size_t k = w.dim(1);
-  FT2_CHECK_MSG(x.dim(1) == k && y.dim(1) == n,
-                "linear_forward_span: x [" << x.dim(0) << "," << x.dim(1)
-                                           << "] w [" << n << "," << w.dim(1)
-                                           << "] y cols " << y.dim(1));
-  if (rows == 0) return;
-
-  if (chunked_accum) {
-    // Sensitivity-study mode: keep the reference tiling. Split output
-    // columns when rows alone cannot feed the pool.
-    const std::size_t workers = std::max<std::size_t>(pool.size(), 1);
-    std::size_t col_tiles = 1;
-    if (rows < 2 * workers) {
-      col_tiles = std::min(n, (2 * workers + rows - 1) / rows);
-    }
-    const std::size_t tile_cols = (n + col_tiles - 1) / col_tiles;
-    pool.parallel_for(0, rows * col_tiles, [&](std::size_t task) {
-      const std::size_t r = task / col_tiles;
-      const std::size_t t = task % col_tiles;
-      const std::size_t o_lo = t * tile_cols;
-      const std::size_t o_hi = std::min(n, o_lo + tile_cols);
-      chunked_row_range(x.row(r), w, bias, y.row(r), o_lo, o_hi);
-    });
-    return;
-  }
-
-  // Fast path: each task packs its weight tile into per-thread scratch
-  // (amortized over all chunk rows), then runs the shared k-outer body.
-  const KernelOps& ops = active_kernel_ops();
-  const std::size_t tile_cols = ops.tile_cols;
-  kouter_span(x, rows, n, k, ops, y, pool,
-              [&](std::size_t, std::size_t o_lo, std::size_t width) {
-                thread_local std::vector<float> scratch;
-                scratch.resize((k + 1) * tile_cols);
-                float* bias_padded = scratch.data() + k * tile_cols;
-                pack_tile(w, bias, o_lo, width, tile_cols, scratch.data(),
-                          bias_padded);
-                return TileView{scratch.data(), bias_padded};
-              });
+  linear_forward_span_packed(x, rows, PackedLinear(w, bias), y, pool,
+                             chunked_accum);
 }
 
 void softmax(std::span<float> v) {

@@ -12,67 +12,63 @@
 
 namespace ft2 {
 
-/// Single-row linear: y[n] = W[n,k] * x[k] + b[n] (W stored [n,k], PyTorch
-/// Linear layout; bias may be empty), straight from the row-major weights
-/// through the active tier's row GEMV (KernelOps::gemv_row). Every tier
-/// accumulates each output as the same ascending-k mul-then-add chain, so
-/// results never depend on the tier.
-void linear_forward_row(std::span<const float> x, const Tensor& w,
-                        std::span<const float> bias, std::span<float> y);
-
 class ThreadPool;  // common/thread_pool.hpp
 
-/// Blocked multi-row GEMM: y.row(r) = W * x.row(r) + b for r in [0, rows),
-/// parallelised over `pool` (rows and, for small row counts, output-column
-/// tiles). Every output element is produced by exactly one task using the
-/// same accumulation order as linear_forward_row, so results are bit-exact
-/// with per-row calls at any pool size and on every dispatch tier
-/// (tensor/dispatch.hpp). `chunked_accum` instead accumulates each dot
-/// product in 8-wide partial sums with a pairwise lane reduction: a
-/// different reduction order, standing in for a different GPU generation's
-/// tiling (the Fig. 16 hardware-sensitivity axis), equally independent of
-/// rows and pool size. `x` and `y` may have more than `rows` rows
-/// (workspace capacity). The output is plain math: quantization and
-/// protection run afterwards, as one KernelOps::epilogue_span sweep.
+/// One weight matrix W[n, k] (PyTorch Linear layout: y = W x + b) in the
+/// k-outer micro-kernel's layout, the only form a model keeps its linears
+/// in (nn/model.hpp). Output columns are grouped kTileCols at a time; each
+/// group is one tile, stored transposed as [k x kTileCols] floats so the
+/// kernel's inner loop reads contiguous memory, with its bias padded to
+/// kTileCols. Past the last output both are zero. Weight element (output
+/// o, input i) sits at tiles[offset(o, i)]. The layout is the same on
+/// every kernel tier, and packing never changes an output's accumulation
+/// order.
+struct PackedLinear {
+  std::size_t n = 0;         ///< output features
+  std::size_t k = 0;         ///< input features
+  bool has_bias = false;     ///< packed from a non-empty bias
+  std::vector<float> tiles;  ///< per tile: [k x kTileCols], zero-padded
+  std::vector<float> bias;   ///< per tile: [kTileCols], zero-padded
+
+  PackedLinear() = default;
+  /// Packs `w` [n, k] and `bias_in` ([n], or empty for no bias).
+  PackedLinear(const Tensor& w, std::span<const float> bias_in);
+
+  /// Index of weight element (output o, input i) in `tiles`.
+  std::size_t offset(std::size_t o, std::size_t i) const {
+    return (o / kTileCols) * k * kTileCols + i * kTileCols + o % kTileCols;
+  }
+  float& at(std::size_t o, std::size_t i) { return tiles[offset(o, i)]; }
+  float at(std::size_t o, std::size_t i) const { return tiles[offset(o, i)]; }
+
+  /// The row-major weight [n, k] and bias [n] the tiles were packed from.
+  Tensor unpack_weight() const;
+  Tensor unpack_bias() const;
+};
+
+/// Blocked multi-row GEMM on packed tiles: y.row(r) = W * x.row(r) + b for
+/// r in [0, rows), with the tiles split over `pool` into as many tasks as
+/// the work pays for (a one-row GEMM of the benchmark model's size runs
+/// inline). Every output element is one chain computed by exactly one
+/// task, so results are bit-exact at any row count, pool size and dispatch
+/// tier (tensor/dispatch.hpp): the documented ascending-k mul-then-add
+/// chain. `chunked_accum` instead
+/// accumulates each output in eight k-strided partial sums with a pairwise
+/// reduction: a different reduction order, standing in for a different
+/// GPU generation's tiling (the Fig. 16 hardware-sensitivity axis),
+/// equally independent of rows, pool and tier. `x` and `y` may have more
+/// than `rows` rows (workspace capacity). The output is plain math:
+/// quantization and protection run afterwards, as one
+/// KernelOps::epilogue_span sweep.
+void linear_forward_span_packed(const Tensor& x, std::size_t rows,
+                                const PackedLinear& pl, Tensor& y,
+                                ThreadPool& pool, bool chunked_accum = false);
+
+/// One-off GEMM on row-major weights (tests, benches): packs `w` and
+/// `bias` (may be empty), then runs linear_forward_span_packed.
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
                          bool chunked_accum, ThreadPool& pool);
-
-/// One weight matrix packed once into the k-outer micro-kernel's
-/// transposed column tiles (bias pre-padded per tile). linear_forward_span
-/// repacks each tile on every call; callers that re-run the same layer
-/// many times (batched decode every step, prefill every chunk) pack once
-/// here instead. Packing only changes memory layout, never the per-element
-/// accumulation order, so the packed path stays bit-exact with
-/// linear_forward_row.
-/// Snapshot semantics: mutating `w` after packing (e.g. a weight fault) is
-/// not reflected — construct a fresh PackedLinear instead. The tile width
-/// and kernel are snapshotted from the active dispatch tier at pack time;
-/// repack after set_kernel_tier.
-struct PackedLinear {
-  std::size_t n = 0;          ///< output features
-  std::size_t k = 0;          ///< input features
-  const KernelOps* ops = nullptr;  ///< dispatch tier the tiles were packed for
-  std::size_t tile_cols = 0;  ///< ops->tile_cols at pack time
-  std::vector<float> tiles;   ///< per tile: [k x tile_cols], zero-padded
-  std::vector<float> bias;    ///< per tile: [tile_cols], zero-padded
-
-  PackedLinear() = default;
-  PackedLinear(const Tensor& w, std::span<const float> bias_in);
-
-  bool empty() const { return n == 0; }
-  std::size_t memory_bytes() const {
-    return (tiles.size() + bias.size()) * sizeof(float);
-  }
-};
-
-/// Packed counterpart of linear_forward_span (non-chunked accumulation
-/// only): y.row(r) = W * x.row(r) + b for r in [0, rows). Bit-exact with
-/// linear_forward_row at any pool size. Both functions run the same
-/// per-tile body, so packed and repacked results are identical.
-void linear_forward_span_packed(const Tensor& x, std::size_t rows,
-                                const PackedLinear& pl, Tensor& y,
-                                ThreadPool& pool);
 
 /// In-place numerically-stable softmax of one contiguous vector.
 void softmax(std::span<float> v);

@@ -275,10 +275,8 @@ void mlp_forward(const ModelConfig& cfg, const BlockWeights& blk,
   add_bias(fwd.f2, blk.fc2);
 }
 
-ForwardCache run_forward(const TransformerLM& model,
+ForwardCache run_forward(const ModelConfig& cfg, const ModelWeights& w,
                          const std::vector<int>& tokens) {
-  const ModelConfig& cfg = model.config();
-  const ModelWeights& w = model.weights();
   const std::size_t t_len = tokens.size();
   FT2_CHECK(t_len >= 2 && t_len <= cfg.max_seq);
 
@@ -532,21 +530,20 @@ void mlp_backward(const ModelConfig& cfg, const BlockWeights& blk,
 
 }  // namespace
 
-float forward_loss(const TransformerLM& model, const TrainSequence& seq) {
-  const ForwardCache cache = run_forward(model, seq.tokens);
+float forward_loss(const ModelConfig& config, const ModelWeights& weights,
+                   const TrainSequence& seq) {
+  const ForwardCache cache = run_forward(config, weights, seq.tokens);
   return loss_and_dlogits(cache, seq, nullptr);
 }
 
-Tensor forward_logits(const TransformerLM& model,
+Tensor forward_logits(const ModelConfig& config, const ModelWeights& weights,
                       const std::vector<int>& tokens) {
-  return run_forward(model, tokens).logits;
+  return run_forward(config, weights, tokens).logits;
 }
 
-float forward_backward(const TransformerLM& model, const TrainSequence& seq,
-                       GradStore& grads) {
-  const ModelConfig& cfg = model.config();
-  const ModelWeights& w = model.weights();
-  const ForwardCache cache = run_forward(model, seq.tokens);
+float forward_backward(const ModelConfig& cfg, const ModelWeights& w,
+                       const TrainSequence& seq, GradStore& grads) {
+  const ForwardCache cache = run_forward(cfg, w, seq.tokens);
 
   Tensor dlogits;
   const float loss = loss_and_dlogits(cache, seq, &dlogits);

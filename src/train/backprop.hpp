@@ -1,8 +1,9 @@
 // Teacher-forced forward + manual backward pass over one sequence.
 //
-// Training runs in FP32 on full [T, d] matrices (no KV cache, no hooks);
-// inference uses the hooked incremental path in nn/model.*. Both share the
-// same weights, so a trained model is directly usable by the fault-
+// Training runs in FP32 on full [T, d] matrices (no KV cache, no hooks),
+// on the row-major ModelWeights; inference uses the hooked incremental path
+// in nn/model.*, on a TransformerLM built from those weights (which packs
+// them). A trained model is therefore directly usable by the fault-
 // injection engine. Gradient correctness is pinned down by finite-difference
 // tests (tests/train/backprop_test.cpp).
 #pragma once
@@ -10,7 +11,7 @@
 #include <span>
 #include <vector>
 
-#include "nn/model.hpp"
+#include "nn/weights.hpp"
 #include "train/grad_store.hpp"
 
 namespace ft2 {
@@ -26,15 +27,16 @@ struct TrainSequence {
 /// Runs forward + backward for `seq`, accumulating parameter gradients into
 /// `grads` and returning the (weighted mean) cross-entropy loss. The loss
 /// normalizer is the sum of loss weights of this sequence.
-float forward_backward(const TransformerLM& model, const TrainSequence& seq,
-                       GradStore& grads);
+float forward_backward(const ModelConfig& config, const ModelWeights& weights,
+                       const TrainSequence& seq, GradStore& grads);
 
 /// Forward-only loss (used by evaluation and the finite-difference tests).
-float forward_loss(const TransformerLM& model, const TrainSequence& seq);
+float forward_loss(const ModelConfig& config, const ModelWeights& weights,
+                   const TrainSequence& seq);
 
 /// Full-sequence logits [T, vocab] from the training (batched, FP32)
 /// forward path. Used to cross-validate the incremental inference engine.
-Tensor forward_logits(const TransformerLM& model,
+Tensor forward_logits(const ModelConfig& config, const ModelWeights& weights,
                       const std::vector<int>& tokens);
 
 }  // namespace ft2

@@ -48,7 +48,8 @@ double evaluate_accuracy(const TransformerLM& model,
   return n == 0 ? 0.0 : static_cast<double>(correct) / static_cast<double>(n);
 }
 
-double evaluate_perplexity(const TransformerLM& model,
+double evaluate_perplexity(const ModelConfig& model_config,
+                           const ModelWeights& weights,
                            const DatasetGenerator& gen, std::size_t n,
                            std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -57,7 +58,7 @@ double evaluate_perplexity(const TransformerLM& model,
   for (std::size_t i = 0; i < n; ++i) {
     const Sample sample = gen.generate(rng);
     TrainSequence seq = make_train_sequence(sample, 0.0f);
-    loss_sum += static_cast<double>(forward_loss(model, seq));
+    loss_sum += static_cast<double>(forward_loss(model_config, weights, seq));
     ++count;
   }
   if (count == 0) return 0.0;
@@ -65,7 +66,7 @@ double evaluate_perplexity(const TransformerLM& model,
 }
 
 TrainReport train_model(
-    TransformerLM& model,
+    const ModelConfig& model_config, ModelWeights& weights,
     const std::vector<const DatasetGenerator*>& tasks,
     const TrainerConfig& config,
     const std::function<void(std::size_t, float)>& progress) {
@@ -83,8 +84,8 @@ TrainReport train_model(
       cumulative.push_back(acc);
     }
   }
-  GradStore grads(model.weights());
-  Adam adam(model.weights(), AdamConfig{});
+  GradStore grads(weights);
+  Adam adam(weights, AdamConfig{});
   Xoshiro256 rng(config.seed);
 
   TrainReport report;
@@ -106,7 +107,7 @@ TrainReport train_model(
       const Sample sample = task->generate(rng);
       const TrainSequence seq =
           make_train_sequence(sample, config.prompt_loss_weight);
-      loss_sum += forward_backward(model, seq, grads);
+      loss_sum += forward_backward(model_config, weights, seq, grads);
     }
     grads.scale(1.0f / static_cast<float>(config.batch_size));
 
@@ -128,6 +129,7 @@ TrainReport train_model(
                            (step + 1) % config.eval_every == 0 &&
                            step + 1 >= config.min_steps;
     if (check_now) {
+      const TransformerLM model(model_config, weights);
       double acc = 0.0;
       for (const auto* task : tasks) {
         acc += evaluate_accuracy(model, *task, config.eval_samples,
@@ -140,6 +142,7 @@ TrainReport train_model(
   }
 
   if (report.final_accuracy == 0.0) {
+    const TransformerLM model(model_config, weights);
     double acc = 0.0;
     for (const auto* task : tasks) {
       acc += evaluate_accuracy(model, *task, config.eval_samples, 9999);

@@ -43,9 +43,10 @@ double evaluate_accuracy(const TransformerLM& model,
                          const DatasetGenerator& gen, std::size_t n,
                          std::uint64_t seed, std::size_t max_new_tokens = 24);
 
-/// Answer-token perplexity of `model` on fresh samples from `gen`
-/// (exp of the mean cross-entropy over answer positions).
-double evaluate_perplexity(const TransformerLM& model,
+/// Answer-token perplexity of the row-major `weights` on fresh samples
+/// from `gen` (exp of the mean cross-entropy over answer positions).
+double evaluate_perplexity(const ModelConfig& model_config,
+                           const ModelWeights& weights,
                            const DatasetGenerator& gen, std::size_t n,
                            std::uint64_t seed);
 
@@ -55,10 +56,13 @@ struct TrainReport {
   double final_accuracy = 0.0;  ///< mean accuracy across the task mix
 };
 
-/// Trains `model` on a uniform mixture of the given dataset generators.
+/// Trains the row-major `weights` of a `model_config` model in place on a
+/// uniform mixture of the given dataset generators. Each accuracy check
+/// runs on a TransformerLM built from a copy of the weights; hand the
+/// trained model over by building one from `weights` the same way.
 /// `progress` (optional) receives (step, loss) for logging.
 TrainReport train_model(
-    TransformerLM& model,
+    const ModelConfig& model_config, ModelWeights& weights,
     const std::vector<const DatasetGenerator*>& tasks,
     const TrainerConfig& config,
     const std::function<void(std::size_t, float)>& progress = {});

@@ -207,8 +207,7 @@ std::size_t generation_tokens(DatasetKind kind) {
 std::shared_ptr<TransformerLM> train_zoo_model(const ZooEntry& entry,
                                                bool quiet) {
   Xoshiro256 rng(entry.seed);
-  auto model = std::make_shared<TransformerLM>(
-      entry.config, init_weights(entry.config, rng));
+  ModelWeights weights = init_weights(entry.config, rng);
 
   std::vector<std::unique_ptr<DatasetGenerator>> gens;
   std::vector<const DatasetGenerator*> tasks;
@@ -219,11 +218,11 @@ std::shared_ptr<TransformerLM> train_zoo_model(const ZooEntry& entry,
 
   if (!quiet) {
     std::cerr << "[zoo] training " << entry.name << " ("
-              << model->weights().parameter_count() << " params) ..."
+              << parameter_count(entry.config) << " params) ..."
               << std::endl;
   }
   const auto report = train_model(
-      *model, tasks, entry.trainer,
+      entry.config, weights, tasks, entry.trainer,
       quiet ? std::function<void(std::size_t, float)>{}
             : [](std::size_t step, float loss) {
                 if ((step + 1) % 200 == 0) {
@@ -235,7 +234,7 @@ std::shared_ptr<TransformerLM> train_zoo_model(const ZooEntry& entry,
     std::cerr << "[zoo] " << entry.name << ": " << report.steps_run
               << " steps, accuracy " << report.final_accuracy << std::endl;
   }
-  return model;
+  return std::make_shared<TransformerLM>(entry.config, std::move(weights));
 }
 
 std::shared_ptr<const TransformerLM> ensure_model(const std::string& name,
@@ -268,7 +267,7 @@ std::shared_ptr<const TransformerLM> ensure_model(const std::string& name,
     auto trained = train_zoo_model(entry, quiet);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
-    save_checkpoint(path, trained->config(), trained->weights());
+    save_checkpoint(path, trained->config(), trained->export_weights());
     if (!quiet) std::cerr << "[zoo] saved " << path << std::endl;
     model = trained;
   }

@@ -211,7 +211,7 @@ TEST(CampaignReport, ShardSplitMergeMatchesWholeRunExactly) {
     for (std::size_t i = 0; i < shards; ++i) {
       ShardManifest m;
       m.model = "micro";
-      m.model_digest = weights_digest_hex(model.weights());
+      m.model_digest = weights_digest_hex(model.export_weights());
       m.dataset = "synthqa";
       m.scheme = scheme.display();
       m.fault_model = fault_model_name(config.fault_model);

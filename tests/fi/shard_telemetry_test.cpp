@@ -242,7 +242,7 @@ TEST(ShardTelemetry, WorkerEmitsDecodableFramesAndStaysBitIdentical) {
 
   ShardManifest manifest;
   manifest.model = "micro";
-  manifest.model_digest = weights_digest_hex(model.weights());
+  manifest.model_digest = weights_digest_hex(model.export_weights());
   manifest.dataset = "synthqa";
   manifest.scheme = scheme.display();
   manifest.fault_model = fault_model_name(config.fault_model);
@@ -345,7 +345,7 @@ TEST(ShardTelemetry, BrokenPipeNeverFailsTheShard) {
 
   ShardManifest manifest;
   manifest.model = "micro";
-  manifest.model_digest = weights_digest_hex(model.weights());
+  manifest.model_digest = weights_digest_hex(model.export_weights());
   manifest.dataset = "synthqa";
   manifest.scheme = scheme.display();
   manifest.fault_model = fault_model_name(config.fault_model);

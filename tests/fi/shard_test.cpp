@@ -53,7 +53,7 @@ struct ShardFixture {
     const auto ranges = partition_trials(total_trials(), count);
     ShardManifest m;
     m.model = "micro";
-    m.model_digest = weights_digest_hex(model.weights());
+    m.model_digest = weights_digest_hex(model.export_weights());
     m.dataset = "synthqa";
     m.scheme = scheme.display();
     m.fault_model = fault_model_name(config.fault_model);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/ft2.hpp"
+#include "numeric/f16.hpp"
+
 namespace ft2 {
 namespace {
 
@@ -62,15 +68,170 @@ TEST(WeightFault, ScopedFaultAppliesAndRestores) {
   plan.flips.count = 1;
   plan.flips.bits[0] = 15;  // sign flip
 
-  LinearWeights& lw = linear_at(model.weights(), model.config(), plan.site);
-  const float before = lw.w.at(3, 5);
+  const PackedLinear& pl = model.linear(plan.site);
+  const float before = pl.at(3, 5);
   {
     ScopedWeightFault fault(model, plan);
-    EXPECT_EQ(lw.w.at(3, 5), fault.faulty_value());
+    EXPECT_EQ(pl.at(3, 5), fault.faulty_value());
     EXPECT_EQ(fault.original_value(), before);
-    EXPECT_NE(lw.w.at(3, 5), before);
+    EXPECT_NE(pl.at(3, 5), before);
   }
-  EXPECT_EQ(lw.w.at(3, 5), before);
+  EXPECT_EQ(pl.at(3, 5), before);
+}
+
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out;
+  for (const float f : v) out.push_back(f32_bits(f));
+  return out;
+}
+
+/// d_model 8, d_ff 20: the gate projection is a 20 x 8 matrix, one tile
+/// of kTileCols columns with 20 of them live.
+ModelConfig odd_config() {
+  ModelConfig c = micro_config();
+  c.d_model = 8;
+  c.d_ff = 20;
+  return c;
+}
+
+TEST(WeightFault, FlipsExactlyTheIntendedTileElementAndRestoresTheTiles) {
+  const ModelConfig c = odd_config();
+  Xoshiro256 rng(19);
+  TransformerLM model(c, init_weights(c, rng));
+  const LayerSite site{1, LayerKind::kGateProj};
+  const PackedLinear& pl = model.linear(site);
+  ASSERT_EQ(pl.n, 20u);
+  ASSERT_EQ(pl.k, 8u);
+  const std::vector<std::uint32_t> clean_tiles = bits(pl.tiles);
+  const std::vector<std::uint32_t> clean_w = bits(pl.unpack_weight().span());
+  for (std::size_t row = 0; row < pl.n; ++row) {
+    for (std::size_t col = 0; col < pl.k; ++col) {
+      SCOPED_TRACE(::testing::Message() << "row " << row << " col " << col);
+      WeightFaultPlan plan;
+      plan.site = site;
+      plan.row = row;
+      plan.col = col;
+      plan.flips.count = 1;
+      plan.flips.bits[0] = 15;  // sign flip: never a no-op on a nonzero
+      {
+        const ScopedWeightFault fault(model, plan);
+        // The tile offset: g * k * 32 + col * 32 + row % 32, g = row / 32.
+        const std::size_t offset =
+            (row / kTileCols) * pl.k * kTileCols + col * kTileCols +
+            row % kTileCols;
+        const std::vector<std::uint32_t> tiles = bits(pl.tiles);
+        for (std::size_t i = 0; i < tiles.size(); ++i) {
+          if (i == offset) {
+            EXPECT_EQ(tiles[i], f32_bits(fault.faulty_value()));
+            EXPECT_NE(tiles[i], clean_tiles[i]);
+          } else {
+            ASSERT_EQ(tiles[i], clean_tiles[i]) << "tile index " << i;
+          }
+        }
+        const std::vector<std::uint32_t> w = bits(pl.unpack_weight().span());
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          if (i == row * pl.k + col) {
+            EXPECT_NE(w[i], clean_w[i]);
+          } else {
+            ASSERT_EQ(w[i], clean_w[i]) << "weight index " << i;
+          }
+        }
+      }
+      ASSERT_EQ(bits(pl.tiles), clean_tiles);
+    }
+  }
+}
+
+/// Logits of a 6-position prefill and three decode steps.
+std::vector<std::uint32_t> run_logits(const TransformerLM& model, bool fp16) {
+  const ExecConfig exec{fp16, false, nullptr};
+  KvCache cache = model.make_cache();
+  Workspace ws(model.config());
+  HookChain hooks;
+  std::vector<float> logits(model.config().vocab_size);
+  const std::vector<int> prompt = {1, 7, 4, 9, 2, 5};
+  model.forward_span(prompt, 0, cache, hooks, exec, true, ws, logits);
+  std::vector<std::uint32_t> out = bits(logits);
+  for (const int token : {3, 8, 6}) {
+    model.forward_position(token, cache.length(), cache, hooks, exec, false,
+                           ws, logits);
+    const std::vector<std::uint32_t> step = bits(logits);
+    out.insert(out.end(), step.begin(), step.end());
+  }
+  return out;
+}
+
+TEST(WeightFault, FaultedModelMatchesAModelBuiltFromFlippedWeights) {
+  const ModelConfig c = odd_config();
+  Xoshiro256 rng(23);
+  const ModelWeights clean = init_weights(c, rng);
+  TransformerLM model(c, clean);
+  for (const LayerKind kind : c.block_layers()) {
+    if (!is_linear_layer(kind)) continue;
+    SCOPED_TRACE(layer_kind_name(kind));
+    WeightFaultPlan plan;
+    plan.site = {1, kind};
+    // The last row and column: inside the partial tile for n = 20.
+    plan.row = c.layer_output_dim(kind) - 1;
+    plan.col = (kind == LayerKind::kDownProj ? c.d_ff : c.d_model) - 1;
+    plan.flips.count = 1;
+    plan.flips.bits[0] = f16::kExponentHigh;
+
+    ModelWeights flipped = clean;
+    float& w = linear_at(flipped, c, plan.site).w.at(plan.row, plan.col);
+    w = apply_bit_flips(w, plan.flips, plan.vtype);
+    const TransformerLM reference(c, std::move(flipped));
+
+    const ScopedWeightFault fault(model, plan);
+    for (const bool fp16 : {false, true}) {
+      EXPECT_EQ(run_logits(model, fp16), run_logits(reference, fp16))
+          << "fp16=" << fp16;
+    }
+  }
+}
+
+TEST(WeightFault, ServeEngineBuiltBeforeTheFaultSeesIt) {
+  TransformerLM model = micro_model();
+  ServeOptions options;
+  options.share_prefix = false;
+  ServeEngine engine(model, options);
+
+  const auto samples =
+      make_generator(DatasetKind::kSynthQA)->generate_many(3, 4);
+  const auto inputs = prepare_eval_inputs(model, samples, 8, false);
+  GenerateOptions opts;
+  opts.max_new_tokens = 8;
+  opts.eos_token = -1;
+  std::vector<GenerateResult> clean;
+  for (const EvalInput& input : inputs) {
+    InferenceSession session(model);
+    clean.push_back(session.generate(input.prompt, opts));
+  }
+
+  WeightFaultPlan plan;
+  plan.site = {0, LayerKind::kOutProj};
+  plan.row = 0;
+  plan.col = 0;
+  plan.flips.count = 1;
+  plan.flips.bits[0] = f16::kExponentHigh;
+  const ScopedWeightFault fault(model, plan);
+
+  std::vector<RequestId> ids;
+  for (const EvalInput& input : inputs) {
+    ids.push_back(engine.submit(input.prompt, opts));
+  }
+  engine.run();
+  bool changed = false;
+  for (std::size_t r = 0; r < inputs.size(); ++r) {
+    InferenceSession session(model);
+    const GenerateResult solo = session.generate(inputs[r].prompt, opts);
+    const GenerateResult& served = engine.result(ids[r]);
+    EXPECT_EQ(served.tokens, solo.tokens) << "request " << r;
+    EXPECT_EQ(served.positions_run, solo.positions_run) << "request " << r;
+    changed = changed || served.tokens != clean[r].tokens;
+  }
+  // The fault reached the engine: some request's answer changed.
+  EXPECT_TRUE(changed);
 }
 
 TEST(WeightFault, FaultChangesGeneration) {

@@ -27,7 +27,7 @@ class EndToEnd : public ::testing::Test {
     c.d_ff = 80;
     c.max_seq = 96;
     Xoshiro256 rng(77);
-    model_ = new TransformerLM(c, init_weights(c, rng));
+    ModelWeights weights = init_weights(c, rng);
 
     const auto gen = make_generator(DatasetKind::kSynthQA);
     TrainerConfig tc;
@@ -38,7 +38,8 @@ class EndToEnd : public ::testing::Test {
     tc.eval_samples = 32;
     tc.target_accuracy = 0.97;
     tc.seed = 7;
-    report_ = train_model(*model_, {gen.get()}, tc);
+    report_ = train_model(c, weights, {gen.get()}, tc);
+    model_ = new TransformerLM(c, std::move(weights));
   }
 
   static void TearDownTestSuite() {

@@ -153,7 +153,7 @@ TEST_P(ZooConfigTest, CheckpointRoundTripPreservesGeneration) {
   const std::string path =
       (std::filesystem::temp_directory_path() / (GetParam() + "_prop.ft2m"))
           .string();
-  save_checkpoint(path, model.config(), model.weights());
+  save_checkpoint(path, model.config(), model.export_weights());
   ModelConfig config;
   ModelWeights weights;
   load_checkpoint(path, config, weights);

@@ -13,10 +13,12 @@
 // tallies. Entry points: forward_position, forward_span at chunk sizes 1, 3
 // and the whole prompt, and forward_batch with slots at mixed positions.
 // The grid covers OPT, GPT-J, Llama and Qwen2 configs, fp16 and
-// chunked_accum on and off, unpacked and packed weights, plain caches and
-// paged caches of 3-row blocks (attention then walks runs that end inside
-// an 8-key group; head_dim 10 leaves a k tail), and every kernel tier the
-// host supports.
+// chunked_accum on and off, plain caches and paged caches of 3-row blocks
+// (attention then walks runs that end inside an 8-key group; head_dim 10
+// leaves a k tail), and every kernel tier the host supports. The oracle
+// reads the row-major weights the model exports; forward_batch runs the
+// model's own tiles on the plain leg and a PackedDecodeWeights copy passed
+// in on the paged leg.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -80,7 +82,7 @@ std::vector<std::uint32_t> bits(std::span<const float> v) {
 class NaiveForward {
  public:
   NaiveForward(const TransformerLM& model, const ExecConfig& exec)
-      : w_(model.weights()), c_(model.config()), exec_(exec),
+      : w_(model.export_weights()), c_(model.config()), exec_(exec),
         keys_(c_.n_blocks), values_(c_.n_blocks) {}
 
   /// Runs the next position and returns its logits.
@@ -247,7 +249,7 @@ class NaiveForward {
     return linear(blk.fc2, act, s, LayerKind::kFc2);
   }
 
-  const ModelWeights& w_;
+  const ModelWeights w_;
   const ModelConfig& c_;
   ExecConfig exec_;
   std::vector<std::vector<float>> keys_, values_;
@@ -392,15 +394,12 @@ void expect_engine_matches_oracle(KernelTier tier) {
           // The NaN poked at position 8 reaches protection in decode.
           EXPECT_EQ(ref_probes[0]->protect.stats().nan_corrected,
                     inject ? 1u : 0u);
-          using Leg = std::pair<const PackedDecodeWeights*, bool>;
-          for (const auto& [packed, paged] :
-               {Leg{nullptr, false}, Leg{&tiles, false}, Leg{nullptr, true},
-                Leg{&tiles, true}}) {
+          for (const bool paged : {false, true}) {
+            const PackedDecodeWeights* batch_tiles = paged ? &tiles : nullptr;
             SCOPED_TRACE(::testing::Message()
                          << kernel_tier_name(tier) << " family "
                          << static_cast<int>(fam) << " fp16=" << fp16
                          << " chunked=" << chunked << " inject=" << inject
-                         << " packed=" << (packed != nullptr)
                          << " paged=" << paged);
             // 3-row blocks: enough for every sequence of the leg at once.
             KvBlockPool kv_pool(c.n_blocks, c.d_model, 32, 3);
@@ -430,10 +429,10 @@ void expect_engine_matches_oracle(KernelTier tier) {
                 ASSERT_TRUE(cache.reserve_rows(n));
                 if (chunk == kPositionPath) {
                   model.forward_position(prompt[p], p, cache, probe.chain,
-                                         exec, true, ws, out, packed);
+                                         exec, true, ws, out);
                 } else {
                   model.forward_span(prompt.subspan(p, n), p, cache,
-                                     probe.chain, exec, true, ws, out, packed);
+                                     probe.chain, exec, true, ws, out);
                 }
                 p += n;
               }
@@ -441,7 +440,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
               for (const int t : want.decode) {
                 ASSERT_TRUE(cache.reserve_rows(1));
                 model.forward_position(t, cache.length(), cache, probe.chain,
-                                       exec, false, ws, logits, packed);
+                                       exec, false, ws, logits);
                 got.logits.push_back(bits(logits));
               }
               expect_same(want, *ref_probes[0], refs[0], got, probe, cache,
@@ -465,7 +464,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
               got[i].logits.clear();
               ASSERT_TRUE(cache.reserve_rows(got[i].prompt.size()));
               model.forward_span(got[i].prompt, 0, cache, p.chain, exec, true,
-                                 ws, slot_logits[i], packed);
+                                 ws, slot_logits[i]);
               got[i].logits.push_back(bits(slot_logits[i]));
             }
             const std::vector<std::vector<std::size_t>> steps = {
@@ -479,7 +478,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
                                  caches[i].length(), &caches[i],
                                  &probes[i]->chain, slot_logits[i]});
               }
-              model.forward_batch(slots, exec, ws, packed);
+              model.forward_batch(slots, exec, ws, batch_tiles);
               for (const std::size_t i : step) {
                 got[i].logits.push_back(bits(slot_logits[i]));
               }

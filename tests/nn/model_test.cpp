@@ -128,7 +128,8 @@ TEST_P(ModelArchTest, IncrementalMatchesBatchedForwardInFp32) {
   const TransformerLM model = make_model(GetParam());
   const std::vector<int> tokens = {1, 7, 2, 9, 4, 11};
 
-  const Tensor batched = forward_logits(model, tokens);
+  const Tensor batched =
+      forward_logits(model.config(), model.export_weights(), tokens);
 
   KvCache cache = model.make_cache();
   Workspace ws(model.config());
@@ -248,10 +249,9 @@ TEST(Model, ParameterCountsDifferByArch) {
   const auto opt = make_model(ArchFamily::kOpt);
   const auto llama = make_model(ArchFamily::kLlama);
   // Llama has a third MLP matrix but no biases/pos-emb; both positive.
-  EXPECT_GT(opt.weights().parameter_count(), 0u);
-  EXPECT_GT(llama.weights().parameter_count(), 0u);
-  EXPECT_NE(opt.weights().parameter_count(),
-            llama.weights().parameter_count());
+  EXPECT_GT(parameter_count(opt.config()), 0u);
+  EXPECT_GT(parameter_count(llama.config()), 0u);
+  EXPECT_NE(parameter_count(opt.config()), parameter_count(llama.config()));
 }
 
 }  // namespace

@@ -149,16 +149,16 @@ TEST(Perplexity, TrainedModelBeatsRandom) {
   c.d_ff = 32;
   c.max_seq = 96;
   Xoshiro256 rng(15);
-  TransformerLM model(c, init_weights(c, rng));
+  ModelWeights weights = init_weights(c, rng);
   const auto gen = make_generator(DatasetKind::kSynthQA);
 
-  const double before = evaluate_perplexity(model, *gen, 16, 5);
+  const double before = evaluate_perplexity(c, weights, *gen, 16, 5);
   TrainerConfig tc;
   tc.steps = 60;
   tc.warmup_steps = 5;
   tc.eval_every = 0;
-  train_model(model, {gen.get()}, tc);
-  const double after = evaluate_perplexity(model, *gen, 16, 5);
+  train_model(c, weights, {gen.get()}, tc);
+  const double after = evaluate_perplexity(c, weights, *gen, 16, 5);
   EXPECT_LT(after, before * 0.8);
   EXPECT_GT(after, 1.0);
 }

@@ -1,10 +1,9 @@
 // Packed prefill in the serve engine: every prefill forward (budgeted
 // chunks, 1-wide chunks, recompute replays, the last chunk's LM head) runs
-// from the engine's pre-packed tiles, with the fused protection epilogue in
-// the packed kernel. Each case compares hooked requests against solo
-// InferenceSession::generate (which stays on the unpacked path) bit for
-// bit: tokens, per-kind ProtectionStats, clip events, first-detect position
-// and online bounds.
+// from the model's packed tiles, with the fused protection epilogue swept
+// after each GEMM. Each case compares hooked requests against solo
+// InferenceSession::generate bit for bit: tokens, per-kind
+// ProtectionStats, clip events, first-detect position and online bounds.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -255,11 +254,11 @@ TEST(ServeEnginePackedPrefill, RecomputeReplayRunsBesideHookedRequests) {
   EXPECT_GT(counters.prefill_positions, 30u + 26u + 25u);
 }
 
-TEST(ServeEnginePackedPrefill, PrefillReadsTheConstructionTimeSnapshot) {
-  // Packed tiles are a snapshot: a weight mutation after engine
-  // construction reaches neither decode nor prefill. With one generated
-  // token, every observed value comes from prefill, so the served traffic
-  // matching the ORIGINAL weights proves prefill ran from the tiles.
+TEST(ServeEnginePackedPrefill, PrefillReadsTheModelsTiles) {
+  // The engine keeps no weights of its own: a weight mutation after engine
+  // construction reaches its prefill. With one generated token, every
+  // observed value comes from prefill, so the served traffic matching the
+  // MUTATED weights proves prefill ran from the model's tiles.
   TransformerLM model = micro_model(ArchFamily::kLlama);
   const std::vector<int> prompt = long_prompt(model, 19, 11);
   GenerateOptions opts;
@@ -273,22 +272,21 @@ TEST(ServeEnginePackedPrefill, PrefillReadsTheConstructionTimeSnapshot) {
     return session.generate(prompt, opts);
   };
   SiteRecorder original;
-  const GenerateResult ref = solo(original);
+  solo(original);
 
   ServeEngine engine(model);
   SiteRecorder served;
   const RequestId id = engine.submit(prompt, opts);
   const auto reg = engine.hooks(id).add(served);
 
-  Tensor& w = model.weights().blocks[0].q.w;
-  for (float& v : w.span()) v *= 3.0f;
+  for (float& v : model.linear({0, LayerKind::kQProj}).tiles) v *= 3.0f;
   SiteRecorder mutated;
-  solo(mutated);
+  const GenerateResult mutated_ref = solo(mutated);
   ASSERT_FALSE(mutated.by_site() == original.by_site());
 
   engine.run();
-  expect_equal_results(engine.result(id), ref, 0, "snapshot");
-  expect_same_traffic(original, served, 0, "snapshot");
+  expect_equal_results(engine.result(id), mutated_ref, 0, "mutated");
+  expect_same_traffic(mutated, served, 0, "mutated");
 }
 
 }  // namespace

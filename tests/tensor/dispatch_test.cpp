@@ -62,9 +62,36 @@ void gemm_scalar_ref(const Tensor& x, std::size_t rows, const Tensor& w,
   }
 }
 
-/// Runs the span + packed GEMM paths on `tier` over shapes that exercise
-/// full tiles and tail tiles on every tier width, demanding bit-equality
-/// with the scalar reference.
+/// The chunked-accumulation chain on row-major weights: eight k-strided
+/// partial sums, the k tail on the bias, then the pairwise reduction.
+void chunked_scalar_ref(const Tensor& x, std::size_t rows, const Tensor& w,
+                        std::span<const float> bias, Tensor& y) {
+  const std::size_t n = w.dim(0), k = w.dim(1);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t o = 0; o < n; ++o) {
+      const float* xr = x.row(r).data();
+      const float* wr = w.row(o).data();
+      float part[8] = {};
+      std::size_t i = 0;
+      for (; i + 8 <= k; i += 8) {
+        for (std::size_t l = 0; l < 8; ++l) part[l] += wr[i + l] * xr[i + l];
+      }
+      float acc = bias.empty() ? 0.0f : bias[o];
+      for (; i < k; ++i) acc += wr[i] * xr[i];
+      part[0] += part[4];
+      part[1] += part[5];
+      part[2] += part[6];
+      part[3] += part[7];
+      part[0] += part[2];
+      part[1] += part[3];
+      y.row(r)[o] = acc + part[0] + part[1];
+    }
+  }
+}
+
+/// Runs the GEMM on `tier` over shapes with full tiles, a partial last
+/// tile and k tails, demanding bit-equality with the scalar reference, in
+/// both reduction modes.
 void expect_tier_gemm_bit_exact(KernelTier tier) {
   TierGuard guard;
   set_kernel_tier(tier);
@@ -90,14 +117,13 @@ void expect_tier_gemm_bit_exact(KernelTier tier) {
             << shape.n << " k=" << shape.k << " rows=" << rows << ")";
       }
 
-      // Packed path: tiles snapshot the active tier at pack time.
-      PackedLinear pl(w, bias);
-      ASSERT_EQ(pl.ops->tier, tier);
-      Tensor y_packed({rows, shape.n});
-      linear_forward_span_packed(x, rows, pl, y_packed, pool);
+      // The same weights in chunked-accumulation mode.
+      const PackedLinear pl(w, bias);
+      chunked_scalar_ref(x, rows, w, bias, y_ref);
+      linear_forward_span_packed(x, rows, pl, y, pool, /*chunked_accum=*/true);
       for (std::size_t i = 0; i < y_ref.numel(); ++i) {
-        ASSERT_EQ(f32_bits(y_packed[i]), f32_bits(y_ref[i]))
-            << kernel_tier_name(tier) << " packed mismatch at " << i;
+        ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
+            << kernel_tier_name(tier) << " chunked mismatch at " << i;
       }
     }
   }
@@ -196,7 +222,7 @@ std::vector<std::vector<float>> row_gemv_inputs(std::size_t k,
 /// The tier's row GEMV over shapes with n and k tails for the 8-row group,
 /// the 16-row pass and the 8-wide k block, n < 8 and k < 8
 /// included, with an empty and a non-empty bias. Demands bit-equality with
-/// the scalar reference, both directly and through linear_forward_row.
+/// the scalar reference.
 void expect_tier_row_gemv_bit_exact(KernelTier tier) {
   TierGuard guard;
   set_kernel_tier(tier);
@@ -222,18 +248,13 @@ void expect_tier_row_gemv_bit_exact(KernelTier tier) {
                                              : std::span<const float>{};
         Tensor y_ref({1, shape.n});
         gemm_scalar_ref(x, 1, w, b, y_ref);
-        std::vector<float> y(shape.n), y_linear(shape.n);
+        std::vector<float> y(shape.n);
         ops.gemv_row(x.data(), w.data(), shape.k, shape.n, shape.k,
                      with_bias ? bias.data() : nullptr, y.data());
-        linear_forward_row(x.row(0), w, b, y_linear);
         for (std::size_t o = 0; o < shape.n; ++o) {
           ASSERT_EQ(f32_bits(y[o]), f32_bits(y_ref[o]))
               << kernel_tier_name(tier) << " row gemv mismatch at " << o
               << " (n=" << shape.n << " k=" << shape.k << " input " << v
-              << " bias=" << with_bias << ")";
-          ASSERT_EQ(f32_bits(y_linear[o]), f32_bits(y_ref[o]))
-              << kernel_tier_name(tier) << " linear_forward_row mismatch at "
-              << o << " (n=" << shape.n << " k=" << shape.k << " input " << v
               << " bias=" << with_bias << ")";
         }
       }
@@ -497,15 +518,13 @@ TransformerLM tail_model(ArchFamily arch) {
 }
 
 /// Logits and hook traffic of six forward_position calls (four in the
-/// first-token phase), from the row-major weights (packed == null) or from
-/// packed tiles.
+/// first-token phase).
 struct PositionRun {
   std::vector<std::uint32_t> logits;
   std::vector<TrafficRecorder::Dispatch> traffic;
 };
 
-PositionRun run_positions(const TransformerLM& model, const ExecConfig& exec,
-                          const PackedDecodeWeights* packed) {
+PositionRun run_positions(const TransformerLM& model, const ExecConfig& exec) {
   KvCache cache = model.make_cache();
   Workspace ws(model.config());
   TrafficRecorder recorder;
@@ -517,31 +536,36 @@ PositionRun run_positions(const TransformerLM& model, const ExecConfig& exec,
   for (std::size_t pos = 0; pos < 6; ++pos) {
     const int token = static_cast<int>(pos * 11 + 3) % vocab;
     model.forward_position(token, pos, cache, hooks, exec, pos < 4, ws,
-                           logits, packed);
+                           logits);
     for (const float f : logits) run.logits.push_back(f32_bits(f));
   }
   run.traffic = std::move(recorder.dispatches);
   return run;
 }
 
-TEST(KernelTierEquivalence, ForwardPositionUnpackedMatchesPackedOnEveryTier) {
+/// One model's tiles, packed once, run one row at a time under every
+/// supported tier: logits and hook traffic match the SSE reference's.
+TEST(KernelTierEquivalence, ForwardPositionMatchesAcrossTiers) {
   TierGuard guard;
   ThreadPool pool(2);
-  for (const KernelTier tier : supported_kernel_tiers()) {
-    set_kernel_tier(tier);
-    for (const ArchFamily arch : {ArchFamily::kOpt, ArchFamily::kLlama}) {
-      const TransformerLM model = tail_model(arch);
-      const PackedDecodeWeights packed(model);  // tiles of the active tier
-      for (const bool fp16 : {false, true}) {
-        SCOPED_TRACE(::testing::Message()
-                     << kernel_tier_name(tier) << " arch "
-                     << static_cast<int>(arch) << " fp16=" << fp16);
-        const ExecConfig exec{fp16, false, &pool};
-        const PositionRun unpacked = run_positions(model, exec, nullptr);
-        const PositionRun tiles = run_positions(model, exec, &packed);
-        EXPECT_EQ(unpacked.logits, tiles.logits);
-        ASSERT_FALSE(unpacked.traffic.empty());
-        EXPECT_EQ(unpacked.traffic, tiles.traffic);
+  for (const ArchFamily arch : {ArchFamily::kOpt, ArchFamily::kLlama}) {
+    const TransformerLM model = tail_model(arch);
+    for (const bool fp16 : {false, true}) {
+      for (const bool chunked : {false, true}) {
+        const ExecConfig exec{fp16, chunked, &pool};
+        set_kernel_tier(KernelTier::kSse);
+        const PositionRun ref = run_positions(model, exec);
+        ASSERT_FALSE(ref.traffic.empty());
+        for (const KernelTier tier : supported_kernel_tiers()) {
+          SCOPED_TRACE(::testing::Message()
+                       << kernel_tier_name(tier) << " arch "
+                       << static_cast<int>(arch) << " fp16=" << fp16
+                       << " chunked=" << chunked);
+          set_kernel_tier(tier);
+          const PositionRun run = run_positions(model, exec);
+          EXPECT_EQ(run.logits, ref.logits);
+          EXPECT_EQ(run.traffic, ref.traffic);
+        }
       }
     }
   }
@@ -717,26 +741,11 @@ TEST(KernelDispatch, SetTierNameSwitchesAndAutoRestores) {
   TierGuard guard;
   set_kernel_tier_name("sse");
   EXPECT_EQ(active_kernel_tier(), KernelTier::kSse);
-  EXPECT_EQ(active_kernel_ops().tile_cols, 16u);
   set_kernel_tier_name("auto");
   // auto re-probes to the widest supported tier.
   EXPECT_EQ(active_kernel_tier(), supported_kernel_tiers().back());
   EXPECT_THROW(set_kernel_tier_name("bogus"), Error);
   EXPECT_THROW(set_kernel_tier_name("avx512"), Error);
-}
-
-TEST(KernelDispatch, PackedLinearSnapshotsTierAtPackTime) {
-  TierGuard guard;
-  Tensor w({20, 8});
-  Xoshiro256 rng(5);
-  fill_uniform(w.span(), rng, -1.0f, 1.0f);
-  set_kernel_tier_name("sse");
-  PackedLinear pl(w, {});
-  EXPECT_EQ(pl.ops->tier, KernelTier::kSse);
-  EXPECT_EQ(pl.tile_cols, 16u);
-  // Switching tiers afterwards does not mutate existing packs.
-  set_kernel_tier_name("auto");
-  EXPECT_EQ(pl.ops->tier, KernelTier::kSse);
 }
 
 TEST(KernelDispatch, FusedEpilogueToggle) {

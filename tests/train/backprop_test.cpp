@@ -51,16 +51,16 @@ class GradCheckTest : public ::testing::TestWithParam<ArchFamily> {};
 TEST_P(GradCheckTest, AnalyticMatchesFiniteDifference) {
   const ModelConfig config = grad_config(GetParam());
   Xoshiro256 rng(31);
-  TransformerLM model(config, init_weights(config, rng));
+  ModelWeights weights = init_weights(config, rng);
   const TrainSequence seq = test_sequence();
 
-  GradStore grads(model.weights());
-  const float loss = forward_backward(model, seq, grads);
+  GradStore grads(weights);
+  const float loss = forward_backward(config, weights, seq, grads);
   EXPECT_GT(loss, 0.0f);
   EXPECT_TRUE(std::isfinite(loss));
 
   // Check a deterministic subsample of coordinates of every parameter.
-  auto params = model.weights().named_parameters();
+  auto params = weights.named_parameters();
   const double eps = 1e-3;
   std::size_t checked = 0;
   for (std::size_t p = 0; p < params.size(); ++p) {
@@ -70,9 +70,11 @@ TEST_P(GradCheckTest, AnalyticMatchesFiniteDifference) {
     for (std::size_t i = 0; i < t.numel(); i += stride) {
       const float saved = t[i];
       t[i] = saved + static_cast<float>(eps);
-      const double lp = static_cast<double>(forward_loss(model, seq));
+      const double lp =
+          static_cast<double>(forward_loss(config, weights, seq));
       t[i] = saved - static_cast<float>(eps);
-      const double lm = static_cast<double>(forward_loss(model, seq));
+      const double lm =
+          static_cast<double>(forward_loss(config, weights, seq));
       t[i] = saved;
       const double numeric = (lp - lm) / (2.0 * eps);
       const double analytic = static_cast<double>(g[i]);
@@ -88,13 +90,13 @@ TEST_P(GradCheckTest, AnalyticMatchesFiniteDifference) {
 TEST_P(GradCheckTest, ZeroWeightPositionsGetNoGradient) {
   const ModelConfig config = grad_config(GetParam());
   Xoshiro256 rng(5);
-  TransformerLM model(config, init_weights(config, rng));
+  ModelWeights weights = init_weights(config, rng);
 
   // All weights zero -> loss 0 and all grads 0.
   TrainSequence seq = test_sequence();
   seq.loss_weight.assign(seq.loss_weight.size(), 0.0f);
-  GradStore grads(model.weights());
-  const float loss = forward_backward(model, seq, grads);
+  GradStore grads(weights);
+  const float loss = forward_backward(config, weights, seq, grads);
   EXPECT_EQ(loss, 0.0f);
   for (std::size_t p = 0; p < grads.size(); ++p) {
     for (float f : grads.grad_at(p).span()) EXPECT_EQ(f, 0.0f);
@@ -104,14 +106,14 @@ TEST_P(GradCheckTest, ZeroWeightPositionsGetNoGradient) {
 TEST_P(GradCheckTest, GradientsAccumulateAcrossSequences) {
   const ModelConfig config = grad_config(GetParam());
   Xoshiro256 rng(6);
-  TransformerLM model(config, init_weights(config, rng));
+  ModelWeights weights = init_weights(config, rng);
   const TrainSequence seq = test_sequence();
 
-  GradStore once(model.weights());
-  forward_backward(model, seq, once);
-  GradStore twice(model.weights());
-  forward_backward(model, seq, twice);
-  forward_backward(model, seq, twice);
+  GradStore once(weights);
+  forward_backward(config, weights, seq, once);
+  GradStore twice(weights);
+  forward_backward(config, weights, seq, twice);
+  forward_backward(config, weights, seq, twice);
 
   for (std::size_t p = 0; p < once.size(); ++p) {
     const auto& g1 = once.grad_at(p);

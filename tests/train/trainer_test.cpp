@@ -88,7 +88,7 @@ TEST(Trainer, LossDecreasesOnTinyTask) {
   c.d_ff = 32;
   c.max_seq = 96;
   Xoshiro256 rng(9);
-  TransformerLM model(c, init_weights(c, rng));
+  ModelWeights weights = init_weights(c, rng);
 
   const auto gen = make_generator(DatasetKind::kSynthQA);
   TrainerConfig tc;
@@ -103,7 +103,7 @@ TEST(Trainer, LossDecreasesOnTinyTask) {
   float first_loss = -1.0f;
   std::vector<float> losses;
   const auto report = train_model(
-      model, {gen.get()}, tc, [&](std::size_t, float loss) {
+      c, weights, {gen.get()}, tc, [&](std::size_t, float loss) {
         if (first_loss < 0.0f) first_loss = loss;
         losses.push_back(loss);
       });

@@ -334,7 +334,7 @@ int cmd_campaign(const std::string& model_name, const ArgParser& args) {
   TraceCollector trace(jsonl_sink.is_open() ? &jsonl_sink : nullptr);
   if (args.has("weights")) {
     // Persistent weight-fault mode needs a mutable model copy.
-    TransformerLM mutable_model(model->config(), model->weights());
+    TransformerLM mutable_model = *model;
     result = run_weight_fault_campaign(mutable_model, inputs, scheme, bounds,
                                        config);
   } else {
@@ -468,7 +468,7 @@ ShardManifest make_shard_manifest(const std::string& model_name,
                                  << setup.shards << " shards");
   ShardManifest manifest;
   manifest.model = model_name;
-  manifest.model_digest = weights_digest_hex(setup.model->weights());
+  manifest.model_digest = weights_digest_hex(setup.model->export_weights());
   manifest.dataset = dataset_name(setup.dataset);
   manifest.scheme = setup.scheme.display();
   manifest.fault_model = fault_model_name(setup.config.fault_model);
@@ -1302,9 +1302,11 @@ int cmd_perf(const ArgParser& args) {
   return 0;
 }
 
-/// Per-tier bit-equality self-test: every host-supported tier must
-/// reproduce the scalar reference GEMM chain (acc += x[i]*w[o][i],
-/// ascending i, no FMA) and the scalar quantize_f16 grid exactly.
+/// Per-tier bit-equality self-test: on every host-supported tier, the
+/// packed GEMM must reproduce the scalar reference chain (acc += x[i] *
+/// w[o][i], ascending i, no FMA) and the packed chunked-accumulation chain
+/// its scalar reference, both on row-major weights; the attention kernels
+/// and the quantize sweep their scalar references too.
 int kernel_check() {
   const KernelTier restore = active_kernel_tier();
   int failures = 0;
@@ -1313,9 +1315,11 @@ int kernel_check() {
     set_kernel_tier(tier);
     const char* name = kernel_tier_name(tier);
 
-    // GEMM: odd shape so every tier exercises full tiles plus a tail tile.
+    // GEMM: odd shape, so the tiles end in a partial tile and the k tail
+    // of the chunked chain is not empty.
     const std::size_t rows = 3, n = 100, k = 33;
     Tensor x({rows, k}), w({n, k}), y({rows, n}), y_ref({rows, n});
+    Tensor y_chunked({rows, n}), y_chunked_ref({rows, n});
     std::vector<float> bias(n);
     std::uint64_t sm = 0xF72F72F7ULL;
     auto next_float = [&sm]() {
@@ -1332,27 +1336,28 @@ int kernel_check() {
         const float* wr = w.row(o).data();
         for (std::size_t i = 0; i < k; ++i) acc += xr[i] * wr[i];
         y_ref.row(r)[o] = acc;
+        // Chunked: eight k-strided partial sums, the k tail on the bias,
+        // then the pairwise reduction.
+        float part[8] = {};
+        std::size_t i = 0;
+        for (; i + 8 <= k; i += 8) {
+          for (std::size_t l = 0; l < 8; ++l) part[l] += wr[i + l] * xr[i + l];
+        }
+        acc = bias[o];
+        for (; i < k; ++i) acc += wr[i] * xr[i];
+        y_chunked_ref.row(r)[o] = acc + ((part[0] + part[4]) +
+                                         (part[2] + part[6])) +
+                                  ((part[1] + part[5]) + (part[3] + part[7]));
       }
     }
-    linear_forward_span(x, rows, w, bias, y, /*chunked_accum=*/false, pool);
+    const PackedLinear pl(w, bias);
+    linear_forward_span_packed(x, rows, pl, y, pool);
+    linear_forward_span_packed(x, rows, pl, y_chunked, pool,
+                               /*chunked_accum=*/true);
     std::size_t gemm_bad = 0;
     for (std::size_t i = 0; i < y_ref.numel(); ++i) {
       if (f32_bits(y[i]) != f32_bits(y_ref[i])) ++gemm_bad;
-    }
-    // Packed path packs for the now-active tier; must match too.
-    PackedLinear pl(w, bias);
-    Tensor y_packed({rows, n});
-    linear_forward_span_packed(x, rows, pl, y_packed, pool);
-    for (std::size_t i = 0; i < y_ref.numel(); ++i) {
-      if (f32_bits(y_packed[i]) != f32_bits(y_ref[i])) ++gemm_bad;
-    }
-    // Row GEMV on the row-major weights (the unpacked single-row path).
-    std::vector<float> y_row(n);
-    for (std::size_t r = 0; r < rows; ++r) {
-      linear_forward_row(x.row(r), w, bias, y_row);
-      for (std::size_t o = 0; o < n; ++o) {
-        if (f32_bits(y_row[o]) != f32_bits(y_ref.row(r)[o])) ++gemm_bad;
-      }
+      if (f32_bits(y_chunked[i]) != f32_bits(y_chunked_ref[i])) ++gemm_bad;
     }
 
     // Attention kernels on one head's slice of a run of cached rows,
@@ -1427,8 +1432,8 @@ int kernel_check() {
                 << attn_bad << " attention mismatches, " << quant_bad
                 << " quantize mismatches)\n";
     } else {
-      std::cout << name << ": OK (gemm + packed gemm + row gemv + strided "
-                           "gemv + axpy_rows + quantize bit-exact)\n";
+      std::cout << name << ": OK (packed gemm + packed chunked gemm + "
+                           "strided gemv + axpy_rows + quantize bit-exact)\n";
     }
   }
   set_kernel_tier(restore);
@@ -1436,18 +1441,17 @@ int kernel_check() {
 }
 
 int cmd_kernel_info(const ArgParser& args) {
-  Table table({"tier", "compiled", "cpu", "active", "tile cols"});
+  Table table({"tier", "compiled", "cpu", "active"});
   for (std::size_t t = 0; t < kKernelTierCount; ++t) {
     const KernelTier tier = static_cast<KernelTier>(t);
-    const bool sup = kernel_tier_supported(tier);
     table.begin_row()
         .cell(kernel_tier_name(tier))
         .cell(kernel_tier_compiled(tier) ? "yes" : "no")
-        .cell(sup ? "yes" : "no")
-        .cell(tier == active_kernel_tier() ? "*" : "")
-        .cell(sup ? std::to_string(kernel_ops_for(tier).tile_cols) : "-");
+        .cell(kernel_tier_supported(tier) ? "yes" : "no")
+        .cell(tier == active_kernel_tier() ? "*" : "");
   }
   table.print(std::cout);
+  std::cout << "tile cols: " << kTileCols << " (every tier)\n";
   std::cout << "fused epilogue: " << (fused_epilogue_enabled() ? "on" : "off")
             << "\n";
   if (!args.has("check")) return 0;
