@@ -3,7 +3,9 @@
 #include <array>
 #include <chrono>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 
 #include "common/thread_pool.hpp"
 #include "data/matcher.hpp"
@@ -58,7 +60,8 @@ GenerateOptions fixed_length_options(std::size_t gen_tokens, ValueType vtype,
 }
 
 /// Buckets for campaign.prefix.reused_positions: powers of two up to 2048
-/// skipped positions (prefill + fault-free decode prefix per forked trial).
+/// skipped positions per forked trial (prefill + fault-free decode prefix,
+/// plus the recorded tail a rejoined fork skips).
 std::span<const double> reused_positions_buckets() {
   static const std::vector<double> buckets = exponential_buckets(1.0, 2.0, 12);
   return buckets;
@@ -239,6 +242,7 @@ CampaignResult run_campaign_range_impl(
     HistogramMetric trial_ms;
     Counter prefix_hit;   ///< trials forked from the fault-free snapshot
     Counter prefix_miss;  ///< trials that fell back to the full run
+    Counter prefix_rejoined;  ///< forks ended back on the recording
     HistogramMetric prefix_reused;  ///< positions skipped per forked trial
   } cm;
   if (reg != nullptr) {
@@ -257,6 +261,7 @@ CampaignResult run_campaign_range_impl(
     if (config.prefix_reuse) {
       cm.prefix_hit = reg->counter("campaign.prefix.hit");
       cm.prefix_miss = reg->counter("campaign.prefix.miss");
+      cm.prefix_rejoined = reg->counter("campaign.prefix.rejoined");
       cm.prefix_reused = reg->histogram("campaign.prefix.reused_positions",
                                         reused_positions_buckets());
     }
@@ -267,11 +272,16 @@ CampaignResult run_campaign_range_impl(
 
   // Trials run in windows of a few pool widths; each window's records are
   // delivered in trial order after it joins (see TrialCallback), so at most
-  // one window of records is ever buffered.
-  const std::size_t window = 4 * std::max<std::size_t>(pool.size(), 1);
+  // one window of records is ever buffered. A window splits into one
+  // contiguous chunk per worker, and each chunk runs on that worker's own
+  // session, so a trial reuses a cache and workspace instead of zero-filling
+  // new ones.
+  const std::size_t workers = std::max<std::size_t>(pool.size(), 1);
+  const std::size_t window = 4 * workers;
+  std::vector<std::unique_ptr<InferenceSession>> sessions(workers);
   std::size_t window_lo = first_trial;
   std::vector<TrialRecord> window_records;
-  const auto run_trial = [&](std::size_t trial) {
+  const auto run_trial = [&](std::size_t trial, InferenceSession& session) {
     using TrialClock = std::chrono::steady_clock;
     // Trials are timed for the histogram AND for TrialRecord::trial_ms;
     // the clock reads are nanoseconds against millisecond-scale trials.
@@ -306,7 +316,6 @@ CampaignResult run_campaign_range_impl(
     if (config.drift_monitor) {
       drift.emplace(protection, DriftMonitorOptions{0.10, ObsSinks{reg, nullptr}});
     }
-    InferenceSession session(model);
     std::vector<HookRegistration> regs;
     regs.reserve(injectors.size() + 2);
     for (auto& injector : injectors) regs.push_back(session.hooks().add(injector));
@@ -320,6 +329,16 @@ CampaignResult run_campaign_range_impl(
     // the last executed forward clamp to the final boundary: zero forwards
     // run, the injector never fires, and the restored hook state carries
     // the full run's detections — exactly what full replay produces.
+    //
+    // A fork also ends early once it is back on the recording: its K/V
+    // rows and tokens match (resume_from checks those), every injector has
+    // fired, and the scheme's state matches the recording's at that
+    // boundary. Everything after is then the recording's, so the trial
+    // takes its result and ProtectionHook::rejoin adds the remainder's
+    // accounting. A fault masked before it reaches the KV cache or the
+    // next token (most last-block faults) ends here. A drift monitor only
+    // observes, so it does not hold a fork back: like the skipped prefix,
+    // the skipped tail is not in its headroom samples.
     GenerateResult result;
     bool forked = false;
     if (reuse) {
@@ -331,13 +350,36 @@ CampaignResult run_campaign_range_impl(
       if (rec.snap.valid() && first_pos >= rec.snap.prompt_len) {
         const std::size_t fork_pos =
             std::min(first_pos, rec.snap.last_boundary());
-        result = session.resume_from(rec.snap, fork_pos, [&] {
-          protection.restore_state(
-              rec.hook_at[fork_pos - rec.snap.prompt_len]);
-        });
+        std::optional<std::size_t> rejoined_at;
+        result = session.resume_from(
+            rec.snap, fork_pos,
+            [&] {
+              protection.restore_state(
+                  rec.hook_at[fork_pos - rec.snap.prompt_len]);
+            },
+            [&](std::size_t b) {
+              for (const auto& injector : injectors) {
+                if (!injector.fired()) return false;
+              }
+              if (!protection.scheme().state_matches(
+                      rec.hook_at[b].scheme.get())) {
+                return false;
+              }
+              rejoined_at = b;
+              return true;
+            });
+        std::size_t reused = fork_pos;
+        if (rejoined_at.has_value()) {
+          const std::size_t at = rec.snap.prompt_len + *rejoined_at;
+          protection.rejoin(std::span<const ProtectionState>(rec.hook_at)
+                                .subspan(*rejoined_at),
+                            at);
+          reused += rec.snap.result.positions_run - at;
+          cm.prefix_rejoined.inc();
+        }
         forked = true;
         cm.prefix_hit.inc();
-        cm.prefix_reused.observe(static_cast<double>(fork_pos));
+        cm.prefix_reused.observe(static_cast<double>(reused));
       }
     }
     if (!forked) {
@@ -391,7 +433,19 @@ CampaignResult run_campaign_range_impl(
   for (; window_lo < last_trial; window_lo += window) {
     const std::size_t window_hi = std::min(last_trial, window_lo + window);
     if (on_trial) window_records.assign(window_hi - window_lo, TrialRecord{});
-    pool.parallel_for(window_lo, window_hi, run_trial);
+    const std::size_t n = window_hi - window_lo;
+    const std::size_t chunks = std::min(workers, n);
+    const std::size_t per_chunk = (n + chunks - 1) / chunks;
+    pool.parallel_for(0, chunks, [&](std::size_t c) {
+      if (sessions[c] == nullptr) {
+        sessions[c] = std::make_unique<InferenceSession>(model);
+      }
+      const std::size_t lo = window_lo + c * per_chunk;
+      const std::size_t hi = std::min(window_hi, lo + per_chunk);
+      for (std::size_t trial = lo; trial < hi; ++trial) {
+        run_trial(trial, *sessions[c]);
+      }
+    });
     if (on_trial) {
       for (const TrialRecord& record : window_records) on_trial(record);
     }

@@ -67,11 +67,16 @@ struct CampaignConfig {
   /// and fork every decode-phase trial from the snapshot at its first
   /// injection position instead of replaying prefill plus the fault-free
   /// decode prefix from token 0. Trials whose first fault lands in the
-  /// prefill fall back to the full run. Like `prefill_chunk` and `pool`
-  /// this is a pure throughput knob: outcomes, per-trial records,
-  /// detections and protect.* counters are bit-identical on or off (a
-  /// single-fault trial is bit-identical to the fault-free run up to its
-  /// injection position, so nothing skipped could have differed).
+  /// prefill fall back to the full run. A fork also ends as soon as it is
+  /// bit-identical to the recording again — same K/V rows and tokens,
+  /// every injector fired, the scheme's state equal to the recording's
+  /// (DetectionScheme::state_matches) — and takes the recording's result
+  /// and remaining accounting (campaign.prefix.rejoined). Like
+  /// `prefill_chunk` and `pool` this is a pure throughput knob: outcomes,
+  /// per-trial records, detections and protect.* counters are
+  /// bit-identical on or off (a single-fault trial is bit-identical to the
+  /// fault-free run up to its injection position, and from a rejoin on, so
+  /// nothing skipped could have differed).
   bool prefix_reuse = true;
   /// Record per-trial ClipEvents (layer kind, position, original value) on
   /// each trial's protection hook so TrialRecord::clips carries them. Off
@@ -80,8 +85,10 @@ struct CampaignConfig {
   bool capture_clips = false;
   /// Attach a BoundDriftMonitor behind each trial's protection hook,
   /// publishing protect.headroom.* to the campaign registry. Strictly
-  /// observational: outcomes, detections and protect.* counters are
-  /// bit-identical with the monitor on or off.
+  /// observational: outcomes, detections, protect.* and campaign.*
+  /// counters are bit-identical with the monitor on or off. It samples the
+  /// forwards a trial runs, so under prefix_reuse a fork's skipped prefix
+  /// and rejoined tail are not in its samples.
   bool drift_monitor = false;
 };
 

@@ -1,6 +1,7 @@
 // Per-block key/value cache for incremental decoding.
 #pragma once
 
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -254,6 +255,24 @@ class KvCache {
                               pos % block_rows_);
     }
     return values_[block].row(pos);
+  }
+
+  /// True when position `pos` holds bit-identical keys and values in every
+  /// layer of this cache and of `other` (both must store it). Compares
+  /// bits, not floats: NaN payloads and signed zeros count.
+  bool same_row(const KvCache& other, std::size_t pos) const {
+    FT2_CHECK(other.n_layers() == n_layers() && other.d_model_ == d_model_);
+    FT2_CHECK(pos < length_ && pos < other.length_);
+    const std::size_t bytes = d_model_ * sizeof(float);
+    for (std::size_t b = 0; b < n_layers(); ++b) {
+      if (std::memcmp(key(b, pos).data(), other.key(b, pos).data(), bytes) !=
+              0 ||
+          std::memcmp(value(b, pos).data(), other.value(b, pos).data(),
+                      bytes) != 0) {
+        return false;
+      }
+    }
+    return true;
   }
 
   /// Bytes of K/V storage mapped by this cache. Plain mode: the dense

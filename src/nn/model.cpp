@@ -346,41 +346,57 @@ class RowEngine {
       seg(r).cache->store(block_, pos(r), ws_.k.row(r), ws_.v.row(r));
     }
 
-    // Causal attention, one independent task per row with a fixed loop
-    // order inside it. Per head, Q·K and P·V walk the cache one contiguous
-    // run of rows at a time, one kernel call per run: the row GEMV with
-    // lanes over keys, then the row sum with lanes over head dims. Both
-    // keep the scalar chains, so runs never change a bit.
-    const KernelOps& ops = active_kernel_ops();
+    // Causal attention: every row is independent, with a fixed loop order
+    // inside it, so rows fan out over the pool in contiguous groups, only
+    // as many as keep enough work per task (a short decode batch runs
+    // inline). Per head, Q·K and P·V walk the cache one contiguous run of
+    // rows at a time, one kernel call per run: the row GEMV with lanes
+    // over keys, then the row sum with lanes over head dims. Both keep the
+    // scalar chains, so runs never change a bit.
     const std::size_t d = c_.d_model;
-    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-    pool_.parallel_for(0, rows_, [&](std::size_t r) {
-      const KvCache& cache = *seg(r).cache;
-      const std::size_t len = pos(r) + 1;
-      auto out = ws_.attn_out.row(r);
-      std::fill(out.begin(), out.end(), 0.0f);
-      const auto scores = ws_.scores.row(r).subspan(0, len);
-      for (std::size_t off = 0; off < d; off += head_dim) {
-        const float* qh = ws_.q.row(r).data() + off;
-        for (std::size_t j = 0, n = 0; j < len; j += n) {
-          n = std::min(cache.contiguous_rows(j), len - j);
-          ops.gemv_row(qh, cache.key(block_, j).data() + off, d, n, head_dim,
-                       nullptr, scores.data() + j);
-        }
-        for (float& s : scores) s *= scale;
-        maybe_quantize(scores, exec_.fp16);
-        softmax(scores);
-        maybe_quantize(scores, exec_.fp16);
-        for (std::size_t j = 0, n = 0; j < len; j += n) {
-          n = std::min(cache.contiguous_rows(j), len - j);
-          ops.axpy_rows(scores.data() + j, cache.value(block_, j).data() + off,
-                        d, n, head_dim, out.data() + off);
-        }
+    std::size_t macs = 0;
+    for (std::size_t r = 0; r < rows_; ++r) macs += 2 * d * (pos(r) + 1);
+    const std::size_t tasks = pool_task_count(macs, rows_);
+    pool_.parallel_for(0, tasks, [&](std::size_t t) {
+      for (std::size_t r = t * rows_ / tasks; r < (t + 1) * rows_ / tasks;
+           ++r) {
+        attend_row(r);
       }
-      maybe_quantize(out, exec_.fp16);
     });
 
     linear(blk.o, ws_.attn_out, ws_.o, LayerKind::kOutProj);
+  }
+
+  /// Causal attention of row `r` over its segment's cache, into
+  /// ws_.attn_out.row(r).
+  void attend_row(std::size_t r) const {
+    const KernelOps& ops = active_kernel_ops();
+    const std::size_t d = c_.d_model;
+    const std::size_t head_dim = c_.head_dim();
+    const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+    const KvCache& cache = *seg(r).cache;
+    const std::size_t len = pos(r) + 1;
+    auto out = ws_.attn_out.row(r);
+    std::fill(out.begin(), out.end(), 0.0f);
+    const auto scores = ws_.scores.row(r).subspan(0, len);
+    for (std::size_t off = 0; off < d; off += head_dim) {
+      const float* qh = ws_.q.row(r).data() + off;
+      for (std::size_t j = 0, n = 0; j < len; j += n) {
+        n = std::min(cache.contiguous_rows(j), len - j);
+        ops.gemv_row(qh, cache.key(block_, j).data() + off, d, n, head_dim,
+                     nullptr, scores.data() + j);
+      }
+      for (float& s : scores) s *= scale;
+      maybe_quantize(scores, exec_.fp16);
+      softmax(scores);
+      maybe_quantize(scores, exec_.fp16);
+      for (std::size_t j = 0, n = 0; j < len; j += n) {
+        n = std::min(cache.contiguous_rows(j), len - j);
+        ops.axpy_rows(scores.data() + j, cache.value(block_, j).data() + off,
+                      d, n, head_dim, out.data() + off);
+      }
+    }
+    maybe_quantize(out, exec_.fp16);
   }
 
   /// OPT / GPT-J: fc1 -> ReLU or GELU -> fc2. Llama family: gate (fc1) and
@@ -556,7 +572,7 @@ int sample_from_logits(std::span<const float> logits, float temperature,
 void InferenceSession::decode_loop(
     const GenerateOptions& options, std::size_t first_step, std::size_t pos,
     Xoshiro256& sampler, GenerateResult& result,
-    const std::function<void(std::size_t)>& on_token,
+    const std::function<bool(std::size_t)>& on_token,
     const std::function<void(std::size_t)>& after_forward) {
   const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
   const std::size_t max_seq = model_.config().max_seq;
@@ -573,7 +589,7 @@ void InferenceSession::decode_loop(
             : static_cast<int>(argmax(logits));
     if (options.eos_token >= 0 && next == options.eos_token) break;
     result.tokens.push_back(next);
-    if (on_token) on_token(step);
+    if (on_token && on_token(step)) break;
     if (step + 1 == options.max_new_tokens || pos >= max_seq) {
       result.hit_max = true;
       break;
@@ -629,7 +645,10 @@ GenerateResult InferenceSession::generate_recorded(
   decode_loop(
       options, 0, pos, sampler, result,
       /*on_token=*/
-      [&](std::size_t) { snap.rng_at.push_back(sampler.state()); },
+      [&](std::size_t) {
+        snap.rng_at.push_back(sampler.state());
+        return false;
+      },
       /*after_forward=*/
       [&](std::size_t step) {
         if (on_boundary) on_boundary(step + 1);
@@ -646,7 +665,8 @@ GenerateResult InferenceSession::generate_recorded(
 
 GenerateResult InferenceSession::resume_from(
     const SessionSnapshot& snap, std::size_t pos,
-    const std::function<void()>& on_resume) {
+    const std::function<void()>& on_resume,
+    const std::function<bool(std::size_t)>& rejoin) {
   FT2_CHECK(snap.valid());
   FT2_CHECK_MSG(pos >= snap.prompt_len && pos <= snap.last_boundary(),
                 "fork position " << pos << " outside ["
@@ -685,8 +705,35 @@ GenerateResult InferenceSession::resume_from(
                           /*first_token_phase=*/false, ws_, logits);
   ++pos;
   ++result.positions_run;
-  decode_loop(options, s + 1, pos, sampler, result, {}, {});
-  return result;
+
+  // Rejoin watch: `on_record` stays true while every forward since the fork
+  // stored the recording's K/V rows and every token since is the recorded
+  // one, drawn from the same sampler state (a NaN-poisoned draw falls back
+  // without consuming the RNG); once false it stays false (a differing row
+  // is never rewritten). Without a callback nothing is compared.
+  const KvCache& recorded = *snap.cache;
+  const auto row_matches = [&](std::size_t p) {
+    return p < recorded.length() && cache_.same_row(recorded, p);
+  };
+  bool on_record = rejoin && row_matches(pos - 1);
+  bool rejoined = false;
+  decode_loop(
+      options, s + 1, pos, sampler, result,
+      /*on_token=*/
+      [&](std::size_t step) {
+        on_record = on_record && step < snap.result.tokens.size() &&
+                    result.tokens.back() == snap.result.tokens[step] &&
+                    sampler.state() == snap.rng_at[step];
+        // Rejoin only where the recording still has forwards to skip.
+        rejoined = on_record && step + 1 < snap.result.tokens.size() &&
+                   rejoin(step);
+        return rejoined;
+      },
+      /*after_forward=*/
+      [&](std::size_t step) {
+        on_record = on_record && row_matches(snap.prompt_len + step);
+      });
+  return rejoined ? snap.result : result;
 }
 
 }  // namespace ft2

@@ -333,18 +333,34 @@ class InferenceSession {
   /// the cache/RNG restored, before the first forward — restore hook state
   /// (ProtectionHook::restore_state) there, so the begin reset cannot
   /// clobber it.
-  GenerateResult resume_from(const SessionSnapshot& snap, std::size_t pos,
-                             const std::function<void()>& on_resume = {});
+  ///
+  /// `rejoin` (optional) lets a fork end as soon as it is back on the
+  /// recording. It is asked at every boundary b (position prompt_len + b)
+  /// the fork reaches with forwards still to run, as long as every forward
+  /// since the fork stored K/V rows bit-identical to the recording's and
+  /// every token chosen since equals the recorded one, with the sampler
+  /// in the recorded state. The session's own state then equals the
+  /// recording's at b. Whether the hooks' state does too is the
+  /// callback's call (in a campaign: every injector fired and
+  /// DetectionScheme::state_matches). Returning true ends the fork with
+  /// the recorded result, which is exactly what running on would produce.
+  /// The hooks then hold the fork's accounting up to b only; add the
+  /// recording's remainder (ProtectionHook::rejoin).
+  GenerateResult resume_from(
+      const SessionSnapshot& snap, std::size_t pos,
+      const std::function<void()>& on_resume = {},
+      const std::function<bool(std::size_t)>& rejoin = {});
 
  private:
   /// The decode loop shared by generate / generate_recorded / resume_from
   /// (one structure, so the three paths cannot drift). `on_token(step)`
-  /// fires right after a token is pushed; `after_forward(step)` after the
-  /// forward that ends iteration `step`.
+  /// fires right after a token is pushed and ends the loop by returning
+  /// true; `after_forward(step)` fires after the forward that ends
+  /// iteration `step`.
   void decode_loop(const GenerateOptions& options, std::size_t first_step,
                    std::size_t pos, Xoshiro256& sampler,
                    GenerateResult& result,
-                   const std::function<void(std::size_t)>& on_token,
+                   const std::function<bool(std::size_t)>& on_token,
                    const std::function<void(std::size_t)>& after_forward);
 
   const TransformerLM& model_;

@@ -73,8 +73,10 @@ constexpr Template kTemplates[] = {
      "trials forked from the fault-free prefix snapshot"},
     {"campaign.prefix.miss", "counter",
      "trials that fell back to a full run"},
+    {"campaign.prefix.rejoined", "counter",
+     "forked trials ended early, bit-identical to the recording again"},
     {"campaign.prefix.reused_positions", "histogram",
-     "positions skipped per forked trial"},
+     "positions skipped per forked trial (prefix plus rejoined tail)"},
     // fi/shard.cpp
     {"campaign.shard.resumed", "counter",
      "trials recovered from an existing shard log on resume"},

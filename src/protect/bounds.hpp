@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <vector>
@@ -82,6 +83,16 @@ class BoundStore {
     for (std::size_t i = 0; i < bounds_.size(); ++i) {
       bounds_[i].merge(other.bounds_[i]);
     }
+  }
+
+  /// True when both stores hold the same bits at every site.
+  bool bitwise_equal(const BoundStore& other) const {
+    static_assert(sizeof(Bounds) == 3 * sizeof(float), "Bounds has padding");
+    return n_blocks_ == other.n_blocks_ &&
+           bounds_.size() == other.bounds_.size() &&
+           (bounds_.empty() ||
+            std::memcmp(bounds_.data(), other.bounds_.data(),
+                        bounds_.size() * sizeof(Bounds)) == 0);
   }
 
   /// Number of sites with valid (observed) bounds.

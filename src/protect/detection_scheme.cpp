@@ -137,6 +137,11 @@ void RangeRestrictScheme::restore_state(const SchemeState* state) {
   online_bounds_ = range->online_bounds;
 }
 
+bool RangeRestrictScheme::state_matches(const SchemeState* recorded) const {
+  const auto* range = dynamic_cast<const RangeSchemeState*>(recorded);
+  return range != nullptr && online_bounds_.bitwise_equal(range->online_bounds);
+}
+
 // ---------------------------------------------------------------------------
 // Parameters
 

@@ -115,6 +115,18 @@ class DetectionScheme {
   /// accumulated. `state` may be null (no-op).
   virtual void restore_state(const SchemeState* state) { (void)state; }
 
+  /// True when this scheme's state equals the capture_state() snapshot
+  /// `recorded` (may be null) so closely that every dispatch from here on
+  /// corrects, tallies and logs exactly as it did after the capture, and
+  /// the scheme publishes no private metric that the driver's standard
+  /// accounting would miss. Prefix-reuse campaigns end a fork on it
+  /// (ProtectionHook::rejoin). Defaults to false: a scheme that cannot
+  /// tell never rejoins.
+  virtual bool state_matches(const SchemeState* recorded) const {
+    (void)recorded;
+    return false;
+  }
+
   /// Bounds views for monitors/tests; schemes without the corresponding
   /// store return a shared empty store.
   virtual const BoundStore& online_bounds() const { return empty_bounds(); }
@@ -157,6 +169,9 @@ class RangeRestrictScheme final : public DetectionScheme {
                        const EpilogueTally& tally) override;
   std::shared_ptr<const SchemeState> capture_state() const override;
   void restore_state(const SchemeState* state) override;
+  /// Bitwise comparison of the online bounds (the offline ones never
+  /// change).
+  bool state_matches(const SchemeState* recorded) const override;
   const BoundStore& online_bounds() const override { return online_bounds_; }
   const BoundStore& offline_bounds() const override { return offline_bounds_; }
 

@@ -132,20 +132,25 @@ ProtectionState ProtectionHook::capture_state() const {
   return state;
 }
 
+void ProtectionHook::add_skipped(std::size_t kind,
+                                 const ProtectionStats& delta) {
+  if (delta.values_checked == 0 && delta.nan_corrected == 0 &&
+      delta.oob_corrected == 0) {
+    return;
+  }
+  kind_stats_[kind].merge(delta);
+  // Publish the skipped forwards' increments so the registry counters
+  // advance exactly as a full from-scratch run would have.
+  KindMetrics& km = kind_metrics_[kind];
+  km.checked.inc(delta.values_checked);
+  km.nan.inc(delta.nan_corrected);
+  km.oob.inc(delta.oob_corrected);
+}
+
 void ProtectionHook::restore_state(const ProtectionState& state) {
   scheme_->restore_state(state.scheme.get());
   for (std::size_t k = 0; k < kLayerKindCount; ++k) {
-    const ProtectionStats& s = state.kind_stats[k];
-    if (s.values_checked == 0 && s.nan_corrected == 0 && s.oob_corrected == 0) {
-      continue;
-    }
-    kind_stats_[k].merge(s);
-    // Publish the skipped prefix's increments so the registry counters
-    // advance exactly as a full from-scratch run would have.
-    KindMetrics& km = kind_metrics_[k];
-    km.checked.inc(s.values_checked);
-    km.nan.inc(s.nan_corrected);
-    km.oob.inc(s.oob_corrected);
+    add_skipped(k, state.kind_stats[k]);
   }
   clip_log_ = state.clips;
   if (state.first_detect_pos >= 0 &&
@@ -155,6 +160,43 @@ void ProtectionHook::restore_state(const ProtectionState& state) {
   for (const ClipEvent& clip : state.clips) {
     kind_metrics_[static_cast<std::size_t>(clip.kind)].clip_magnitude.observe(
         std::abs(static_cast<double>(clip.original)));
+  }
+}
+
+void ProtectionHook::rejoin(std::span<const ProtectionState> remainder,
+                            std::size_t position) {
+  FT2_CHECK(!remainder.empty());
+  const ProtectionState& from = remainder.front();
+  const ProtectionState& to = remainder.back();
+  for (std::size_t k = 0; k < kLayerKindCount; ++k) {
+    const ProtectionStats& a = from.kind_stats[k];
+    const ProtectionStats& b = to.kind_stats[k];
+    ProtectionStats delta;
+    delta.values_checked = b.values_checked - a.values_checked;
+    delta.nan_corrected = b.nan_corrected - a.nan_corrected;
+    delta.oob_corrected = b.oob_corrected - a.oob_corrected;
+    add_skipped(k, delta);
+  }
+  FT2_CHECK(from.clips.size() <= to.clips.size());
+  for (std::size_t i = from.clips.size(); i < to.clips.size(); ++i) {
+    const ClipEvent& clip = to.clips[i];
+    kind_metrics_[static_cast<std::size_t>(clip.kind)].clip_magnitude.observe(
+        std::abs(static_cast<double>(clip.original)));
+    if (capture_clips_) clip_log_.push_back(clip);
+  }
+  if (first_detect_pos_ >= 0) return;
+  const auto detections = [](const ProtectionState& state) {
+    std::size_t n = 0;
+    for (const ProtectionStats& s : state.kind_stats) {
+      n += s.nan_corrected + s.oob_corrected;
+    }
+    return n;
+  };
+  for (std::size_t i = 1; i < remainder.size(); ++i) {
+    if (detections(remainder[i]) > detections(remainder[i - 1])) {
+      first_detect_pos_ = static_cast<long long>(position + i - 1);
+      return;
+    }
   }
 }
 

@@ -27,6 +27,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -218,6 +219,23 @@ class ProtectionHook : public OutputHook {
   /// on_resume hook.
   void restore_state(const ProtectionState& state);
 
+  /// Ends a prefix-reuse fork that rejoined the fault-free recording
+  /// (InferenceSession::resume_from's `rejoin`): adds the accounting the
+  /// hook would have done over the recording's remaining forwards, as if
+  /// it had run them. `remainder` holds the recording's states from the
+  /// rejoin boundary (front) to the end of the run (back); the forward
+  /// that ends remainder[i] ran at position `position + i - 1`. Adds the
+  /// per-kind tally growth from front to back and publishes it to the
+  /// protect.* counters, appends the clip events logged after front (to
+  /// the clip log while capture is on, to the clip-magnitude histograms
+  /// always), and, when this hook has not detected yet, takes the first
+  /// remainder forward whose NaN/out-of-bound tallies grew as its first
+  /// detection. Only valid when the scheme's state matches front's
+  /// (DetectionScheme::state_matches), so every remaining dispatch would
+  /// have behaved as recorded.
+  void rejoin(std::span<const ProtectionState> remainder,
+              std::size_t position);
+
   /// Memory footprint of the per-site state this scheme stores (paper
   /// §5.2.2 — two bound floats per protected layer instance for the
   /// range-restriction family; checksum schemes report their calibration
@@ -235,6 +253,10 @@ class ProtectionHook : public OutputHook {
     Counter oob;
     HistogramMetric clip_magnitude;
   };
+
+  /// Adds tallies of forwards the hook skipped (a restored prefix, a
+  /// rejoined remainder) to one kind, and publishes them.
+  void add_skipped(std::size_t kind, const ProtectionStats& delta);
 
   ModelConfig config_;
   std::unique_ptr<DetectionScheme> scheme_;

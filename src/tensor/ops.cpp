@@ -10,10 +10,6 @@ namespace ft2 {
 
 namespace {
 
-/// Multiply-adds below which a GEMM task costs less than handing it to a
-/// pool worker (~10 us of kernel time).
-constexpr std::size_t kMinTaskMacs = std::size_t{1} << 17;
-
 /// The chunked-accumulation chain over one tile for one input row: per
 /// column, eight k-strided partial sums (partial l takes the inputs
 /// i = l mod 8 of the full 8-wide k blocks), the k tail accumulated onto
@@ -44,6 +40,14 @@ void chunked_tile_row(const float* x, const float* wt, std::size_t k,
 }
 
 }  // namespace
+
+std::size_t pool_task_count(std::size_t macs, std::size_t pieces) {
+  // Multiply-adds below which a task costs less than handing it to a pool
+  // worker (~10 us of kernel time).
+  constexpr std::size_t kMinTaskMacs = std::size_t{1} << 17;
+  return std::clamp<std::size_t>(macs / kMinTaskMacs, 1,
+                                 std::max<std::size_t>(pieces, 1));
+}
 
 PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
     : n(w.dim(0)), k(w.dim(1)), has_bias(!bias_in.empty()) {
@@ -87,8 +91,7 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
   // Fan out only as far as every task keeps enough work to pay for its
   // dispatch: a one-row decode GEMM runs inline. Which task runs a tile
   // never changes a result.
-  const std::size_t tasks =
-      std::clamp<std::size_t>(rows * pl.n * pl.k / kMinTaskMacs, 1, groups);
+  const std::size_t tasks = pool_task_count(rows * pl.n * pl.k, groups);
   pool.parallel_for(0, tasks, [&](std::size_t t) {
     for (std::size_t g = t * groups / tasks; g < (t + 1) * groups / tasks;
          ++g) {

@@ -64,6 +64,12 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                                 const PackedLinear& pl, Tensor& y,
                                 ThreadPool& pool, bool chunked_accum = false);
 
+/// Pool tasks for `macs` multiply-adds of work that splits into at most
+/// `pieces` independent parts: as many as keep ~2^17 multiply-adds (~10 us
+/// of kernel time) per task, so small work runs inline instead of paying
+/// a pool dispatch. Always in [1, max(pieces, 1)].
+std::size_t pool_task_count(std::size_t macs, std::size_t pieces);
+
 /// One-off GEMM on row-major weights (tests, benches): packs `w` and
 /// `bias` (may be empty), then runs linear_forward_span_packed.
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,

@@ -742,13 +742,17 @@ int cmd_campaign_shard(const std::string& model_name, const ArgParser& args,
   }
 
   if (args.has("verify")) {
-    // In-process reference: the same campaign run whole, in this process.
-    // Merged-shard records must match it bit for bit (timing aside).
+    // In-process reference: the same campaign run whole, in this process,
+    // with prefix reuse off — every trial a full replay from token 0. The
+    // workers fork and rejoin the fault-free recording, so merged-shard
+    // records matching it bit for bit (timing aside) also checks reuse.
     FT2_CHECK_MSG(merge.complete() && failures == 0,
                   "--verify needs a complete merge with no failed workers");
+    CampaignConfig reference_config = setup.config;
+    reference_config.prefix_reuse = false;
     TraceCollector reference;
     run_campaign(*setup.model, setup.inputs, setup.scheme, setup.bounds,
-                 setup.config, reference.callback());
+                 reference_config, reference.callback());
     std::vector<TrialRecord> expect = reference.records();
     std::vector<TrialRecord> got = merge.records;
     strip_timing(expect);
