@@ -12,9 +12,10 @@
 //       The attention core is one decode row's Q·K (strided row GEMV) and
 //       P·V (axpy_rows) over 256 cached keys of the benchmark model (8
 //       heads x 16, rows 128 floats apart), walked in the 16-row runs of
-//       a paged cache of 16-row blocks. The epilogue is an FT2
-//       bounds plan (quantize + NaN fix + clip) swept over a 16x384 span,
-//       the sweep every protected site runs after its GEMM. The GEMMs are
+//       a paged cache of 16-row blocks. The epilogue is the kernel's
+//       full FT2 plan (quantize + NaN fix + clip) swept once over a
+//       16x384 span; a protected site does the same work as a quantize
+//       sweep after its GEMM and a clip sweep inside its hook. The GEMMs are
 //       the benchmark model's own MLP shapes, fc1 (384x128) and fc2
 //       (128x384), on packed tiles at 8 rows (a decode batch) and at 1
 //       row (a solo decode step or campaign trial).
@@ -231,10 +232,10 @@ GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
   return rates;
 }
 
-/// The epilogue as protected fp16 FT2 decode plans it after the first
-/// token: quantize, then NaN fix and clip against constant bounds. Values
-/// stay inside the bounds, so this is the clean-path cost every protected
-/// site pays per output element.
+/// The epilogue's full plan for protected fp16 FT2 decode after the first
+/// token: quantize, then NaN fix and clip against constant bounds, in one
+/// sweep. Values stay inside the bounds, so this is the clean-path kernel
+/// cost per output element.
 double measure_epilogue(const KernelOps& ops, std::size_t reps,
                         Xoshiro256& rng) {
   std::vector<float> v(kEpilogueRows * kEpilogueCols);

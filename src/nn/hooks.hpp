@@ -32,9 +32,6 @@
 
 namespace ft2 {
 
-struct KernelEpilogue;  // tensor/dispatch.hpp
-struct EpilogueTally;
-
 /// Context describing one hook invocation: which site produced the output
 /// and which sequence-position range (positions index prompt tokens 0..P-1
 /// followed by generated tokens P..). `n_positions == 1` for the sequential
@@ -81,41 +78,15 @@ class OutputHook {
   /// and quantized. `values` is the [ctx.n_positions x width] row-major
   /// output view; hooks may mutate it in place. Position-agnostic hooks can
   /// treat `values` as one flat array (rows are contiguous and ordered);
-  /// position-sensitive hooks use ctx.row()/ctx.position_at().
+  /// position-sensitive hooks use ctx.row()/ctx.position_at(). This is
+  /// the only path a hook's work takes: the engine runs no hook work of its
+  /// own, so each hook sees exactly what the hooks before it left.
   virtual void on_output(const HookContext& ctx, std::span<float> values) = 0;
 
   /// Called once when a generation run starts / ends (lets schemes reset
   /// per-inference state such as online bounds).
   virtual void on_generation_begin() {}
   virtual void on_generation_end() {}
-
-  /// Fused-epilogue negotiation (tensor/dispatch.hpp). The engine offers
-  /// the FIRST hook of a chain the chance to run its work in the epilogue
-  /// sweep, one sweep right after each site's GEMM, instead of via
-  /// on_output. A hook that can express its on_output semantics as a
-  /// KernelEpilogue fills `epi` in (the engine has already set
-  /// epi.quantize for the execution mode) and returns true; the
-  /// engine then skips its on_output for this dispatch and calls
-  /// absorb_fused with the finished values and the sweep's tally, where
-  /// the hook must reproduce the exact accounting its on_output would have
-  /// produced. Only the first hook is offered fusion, so later hooks always
-  /// observe fully quantized+protected values, and any chain led by a
-  /// non-fusing hook (e.g. a fault injector) transparently falls back to
-  /// the hook path — results are bit-identical either way.
-  virtual bool plan_fused(const HookContext& ctx, KernelEpilogue& epi) {
-    (void)ctx;
-    (void)epi;
-    return false;
-  }
-  virtual void absorb_fused(const HookContext& ctx,
-                            std::span<const float> values,
-                            const KernelEpilogue& epi,
-                            const EpilogueTally& tally) {
-    (void)ctx;
-    (void)values;
-    (void)epi;
-    (void)tally;
-  }
 };
 
 namespace detail {
@@ -211,19 +182,6 @@ class HookChain {
   }
   void dispatch(const HookContext& ctx, std::span<float> values) const {
     for (const auto& [id, h] : state_->entries) h->on_output(ctx, values);
-  }
-
-  /// First registered hook (the only fusion candidate), or null when empty.
-  OutputHook* first_hook() const {
-    return state_->entries.empty() ? nullptr : state_->entries.front().second;
-  }
-  /// Dispatches to every hook EXCEPT the first — the engine calls this
-  /// after a fused dispatch where the first hook's work already ran in the
-  /// epilogue sweep (and was absorbed via absorb_fused).
-  void dispatch_tail(const HookContext& ctx, std::span<float> values) const {
-    for (std::size_t i = 1; i < state_->entries.size(); ++i) {
-      state_->entries[i].second->on_output(ctx, values);
-    }
   }
 
  private:

@@ -119,60 +119,6 @@ inline void maybe_quantize(std::span<float> v, bool fp16) {
   if (fp16) quantize_span_f16(v);
 }
 
-/// Fusion plan for one hook dispatch: whether any epilogue work runs in
-/// the post-GEMM sweep (tensor/dispatch.hpp) and which hook, if any,
-/// supplied the protection half.
-struct FusedPlan {
-  bool active = false;          ///< any fused work (quantize and/or protect)
-  OutputHook* provider = nullptr;  ///< first hook, when it accepted fusion
-  KernelEpilogue epi;
-};
-
-/// Negotiates the fused epilogue for one dispatch. Fusion covers the
-/// engine's own FP16 quantize pass plus — when the chain's FIRST hook
-/// accepts plan_fused — the protection sweep. Chains led by a non-fusing
-/// hook (e.g. a campaign's fault injector, which must corrupt values
-/// BEFORE protection sees them) and the FT2_FUSED_EPILOGUE=0 kill switch
-/// fall back to the two-pass path; results are bit-identical either way.
-inline FusedPlan plan_output_fusion(const HookChain& hooks,
-                                    const HookContext& ctx,
-                                    const ExecConfig& exec) {
-  FusedPlan plan;
-  if (!fused_epilogue_enabled()) return plan;
-  plan.epi.quantize = exec.fp16;
-  OutputHook* first = hooks.first_hook();
-  if (first != nullptr && first->plan_fused(ctx, plan.epi)) {
-    plan.provider = first;
-  }
-  plan.active = plan.epi.quantize || plan.provider != nullptr;
-  return plan;
-}
-
-/// Finishes one dispatch of a computed site output (a linear's GEMM rows
-/// or an activation, one segment's span). With an active plan the
-/// epilogue runs as one sweep, the providing hook absorbs its tally and
-/// the rest of the chain sees the finished values; without one this is
-/// the two-pass quantize + dispatch.
-inline void finish_output(std::span<float> values, const HookContext& ctx,
-                          const HookChain& hooks, const ExecConfig& exec) {
-  const FusedPlan plan = plan_output_fusion(hooks, ctx, exec);
-  if (!plan.active) {
-    maybe_quantize(values, exec.fp16);
-    hooks.dispatch(ctx, values);
-    return;
-  }
-  EpilogueTally tally;
-  active_kernel_ops().epilogue_span(
-      values.data(), values.size(), 0, plan.epi,
-      plan.provider != nullptr ? &tally : nullptr);
-  if (plan.provider != nullptr) {
-    plan.provider->absorb_fused(ctx, values, plan.epi, tally);
-    hooks.dispatch_tail(ctx, values);
-  } else {
-    hooks.dispatch(ctx, values);
-  }
-}
-
 ThreadPool& exec_pool(const ExecConfig& exec) {
   return exec.pool != nullptr ? *exec.pool : ThreadPool::global();
 }
@@ -308,7 +254,7 @@ class RowEngine {
   }
 
   /// One linear site: one packed GEMM over all rows as plain math, then
-  /// the epilogue and hook dispatch per segment.
+  /// the quantize sweep and hook dispatch per segment.
   void linear(const PackedLinear& pl, const Tensor& in, Tensor& out,
               LayerKind kind) {
     linear_forward_span_packed(in, rows_, pl, out, pool_,
@@ -316,12 +262,15 @@ class RowEngine {
     finish(out, kind);
   }
 
-  /// Per-segment epilogue + hook dispatch of a computed site output.
+  /// Finishes a computed site output (a linear's GEMM rows or an
+  /// activation) per segment: the quantize sweep, then the segment's hook
+  /// chain.
   void finish(Tensor& out, LayerKind kind) const {
     const std::size_t width = out.dim(1);
     for (const Segment& s : segs_) {
-      finish_output({out.row(s.row0).data(), s.n() * width},
-                    context(s, kind, width), *s.hooks, exec_);
+      const std::span<float> values{out.row(s.row0).data(), s.n() * width};
+      maybe_quantize(values, exec_.fp16);
+      s.hooks->dispatch(context(s, kind, width), values);
     }
   }
 

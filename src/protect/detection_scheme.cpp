@@ -1,11 +1,11 @@
 #include "protect/detection_scheme.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 #include "protect/abft_linear.hpp"
 #include "protect/adaptive.hpp"
-#include "tensor/dispatch.hpp"
 
 namespace ft2 {
 
@@ -69,62 +69,6 @@ void RangeRestrictScheme::detect_and_correct(const HookContext& ctx,
   }
 }
 
-bool RangeRestrictScheme::plan_epilogue(const HookContext& ctx,
-                                        KernelEpilogue& epi) const {
-  // Mirror detect_and_correct branch for branch: every mode below is
-  // elementwise with constant per-site bounds, so it can run in the
-  // post-GEMM epilogue sweep. absorb_epilogue handles the one non-elementwise
-  // piece (first-token observe_span) over the finished span.
-  if (spec_.online && ctx.first_token_phase) {
-    epi.protect = KernelEpilogue::Protect::kFirstToken;
-    return true;
-  }
-  const Bounds& raw = spec_.online ? online_bounds_.at(ctx.site)
-                                   : offline_bounds_.at(ctx.site);
-  const Bounds scaled = raw.scaled(spec_.bound_scale);
-  epi.detect_only = spec_.detect_only;
-  if (!scaled.valid()) {
-    // range_restrict with invalid bounds: NaN-only correction, or nothing
-    // at all (not even values_checked) without correct_nan.
-    epi.protect = spec_.correct_nan ? KernelEpilogue::Protect::kNanOnly
-                                    : KernelEpilogue::Protect::kNone;
-    return true;
-  }
-  epi.protect = KernelEpilogue::Protect::kBounds;
-  epi.correct_nan = spec_.correct_nan;
-  epi.lo = scaled.lo;
-  epi.hi = scaled.hi;
-  switch (spec_.policy) {
-    case ClipPolicy::kToBound:
-      epi.lo_sub = scaled.lo;
-      epi.hi_sub = scaled.hi;
-      break;
-    case ClipPolicy::kToZero:
-      epi.lo_sub = 0.0f;
-      epi.hi_sub = 0.0f;
-      break;
-    case ClipPolicy::kToTypical:
-      epi.lo_sub = scaled.typical;
-      epi.hi_sub = scaled.typical;
-      break;
-  }
-  return true;
-}
-
-void RangeRestrictScheme::absorb_epilogue(const HookContext& ctx,
-                                          std::span<const float> values,
-                                          const KernelEpilogue& epi,
-                                          const EpilogueTally& tally) {
-  (void)tally;
-  if (epi.protect == KernelEpilogue::Protect::kFirstToken) {
-    // The kernel already zeroed NaNs; fold the finished span into the
-    // online bounds in flat order — the exact observe_span call (on
-    // identical data) the hook path makes. Doing this here rather than in
-    // the kernel keeps ±0 min/max ordering out of the parallel tiles.
-    online_bounds_.at(ctx.site).observe_span(values);
-  }
-}
-
 std::shared_ptr<const SchemeState> RangeRestrictScheme::capture_state() const {
   auto state = std::make_shared<RangeSchemeState>();
   state->online_bounds = online_bounds_;
@@ -161,9 +105,9 @@ float scheme_param_float(const SchemeParams& params, const std::string& key,
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const float value = std::strtof(raw->c_str(), &end);
-  FT2_CHECK_MSG(end != raw->c_str() && *end == '\0',
+  FT2_CHECK_MSG(end != raw->c_str() && *end == '\0' && std::isfinite(value),
                 "scheme " << scheme << ": parameter " << key << "='" << *raw
-                          << "' is not a number");
+                          << "' is not a finite number");
   return value;
 }
 
@@ -203,6 +147,28 @@ void require_known_params(const SchemeParams& params,
 
 namespace {
 
+/// scheme_param_float that also rejects a value outside the parameter's
+/// domain (`ok`, described by `want`), naming the scheme and parameter.
+template <typename Pred>
+float checked_param(const SchemeParams& params, const std::string& key,
+                    float fallback, std::string_view scheme, Pred ok,
+                    const char* want) {
+  const float value = scheme_param_float(params, key, fallback, scheme);
+  FT2_CHECK_MSG(ok(value), "scheme " << scheme << ": parameter " << key
+                                     << "=" << value << " out of range (want "
+                                     << want << ")");
+  return value;
+}
+
+/// Bound scaling: a zero, negative or NaN factor would invalidate or
+/// collapse every bound (Bounds::scaled).
+float scale_param(const SchemeParams& params, float fallback,
+                  std::string_view scheme) {
+  return checked_param(
+      params, "scale", fallback, scheme, [](float v) { return v > 0.0f; },
+      "> 0");
+}
+
 SchemeInfo range_scheme_info(SchemeKind kind, std::string summary,
                              bool needs_offline_bounds) {
   SchemeInfo info;
@@ -213,8 +179,7 @@ SchemeInfo range_scheme_info(SchemeKind kind, std::string summary,
                      BoundStore offline) -> std::unique_ptr<DetectionScheme> {
     require_known_params(params, {"scale", "detect_only"}, scheme_name(kind));
     SchemeSpec spec = scheme_spec(kind, config);
-    spec.bound_scale =
-        scheme_param_float(params, "scale", spec.bound_scale, spec.name);
+    spec.bound_scale = scale_param(params, spec.bound_scale, spec.name);
     spec.detect_only =
         scheme_param_bool(params, "detect_only", spec.detect_only, spec.name);
     return std::make_unique<RangeRestrictScheme>(config, std::move(spec),
@@ -254,10 +219,10 @@ SchemeRegistry::SchemeRegistry() {
                    BoundStore) -> std::unique_ptr<DetectionScheme> {
       require_known_params(params, {"margin", "scale"}, "abft-linear");
       AbftLinearOptions options;
-      options.margin =
-          scheme_param_float(params, "margin", options.margin, "abft-linear");
-      options.scale =
-          scheme_param_float(params, "scale", options.scale, "abft-linear");
+      options.margin = checked_param(
+          params, "margin", options.margin, "abft-linear",
+          [](float v) { return v >= 0.0f; }, ">= 0");
+      options.scale = scale_param(params, options.scale, "abft-linear");
       return std::make_unique<AbftLinearScheme>(config, options);
     };
     add(std::move(info));
@@ -272,10 +237,10 @@ SchemeRegistry::SchemeRegistry() {
                    BoundStore) -> std::unique_ptr<DetectionScheme> {
       require_known_params(params, {"threshold", "scale"}, "ft2-adaptive");
       AdaptiveFt2Options options;
-      options.threshold = scheme_param_float(params, "threshold",
-                                             options.threshold, "ft2-adaptive");
-      options.scale =
-          scheme_param_float(params, "scale", options.scale, "ft2-adaptive");
+      options.threshold = checked_param(
+          params, "threshold", options.threshold, "ft2-adaptive",
+          [](float v) { return v >= 0.0f && v <= 1.0f; }, "in [0, 1]");
+      options.scale = scale_param(params, options.scale, "ft2-adaptive");
       return std::make_unique<AdaptiveFt2Scheme>(config, options);
     };
     add(std::move(info));

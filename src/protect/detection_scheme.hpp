@@ -66,42 +66,13 @@ class DetectionScheme {
   /// (values_checked / nan_corrected / oob_corrected for this dispatch
   /// only) and call `observer->on_oob(original, index)` (null-checked) for
   /// every out-of-bound correction so the driver can log clip events and
-  /// magnitudes.
+  /// magnitudes. Elementwise clipping belongs in range_restrict, which
+  /// runs on the active kernel tier and does both reports when handed
+  /// `&delta` and `observer`.
   virtual void detect_and_correct(const HookContext& ctx,
                                   std::span<float> values,
                                   ProtectionStats& delta,
                                   ClipObserver* observer) = 0;
-
-  /// Fused-epilogue negotiation (tensor/dispatch.hpp). A scheme whose
-  /// detect_and_correct can be expressed as a per-element KernelEpilogue
-  /// (quantize → NaN fix → clip against constant bounds) fills in `epi`
-  /// (everything except `quantize` and `record_events`, which the driver
-  /// owns) and returns true; the engine then applies the protection in one
-  /// sweep right after each site's GEMM, and the driver calls
-  /// absorb_epilogue with the finished span plus the sweep's tally. The contract is strict
-  /// bit-equality: planned epilogue + absorb must reproduce exactly the
-  /// values, counts and clip events detect_and_correct would have produced
-  /// on the same dispatch. Schemes with cross-element logic (checksums,
-  /// adaptive re-profiling) simply return false and keep the hook path.
-  virtual bool plan_epilogue(const HookContext& ctx,
-                             KernelEpilogue& epi) const {
-    (void)ctx;
-    (void)epi;
-    return false;
-  }
-  /// Post-dispatch completion of a planned epilogue: `values` is the
-  /// finished (quantized/corrected) span. RangeRestrictScheme uses this to
-  /// fold first-token spans into its online bounds — over the final values
-  /// in flat order, exactly as the hook path's observe_span would.
-  virtual void absorb_epilogue(const HookContext& ctx,
-                               std::span<const float> values,
-                               const KernelEpilogue& epi,
-                               const EpilogueTally& tally) {
-    (void)ctx;
-    (void)values;
-    (void)epi;
-    (void)tally;
-  }
 
   /// Snapshot of scheme-private state at a token boundary (null when the
   /// scheme carries none).
@@ -162,11 +133,6 @@ class RangeRestrictScheme final : public DetectionScheme {
   void detect_and_correct(const HookContext& ctx, std::span<float> values,
                           ProtectionStats& delta,
                           ClipObserver* observer) override;
-  bool plan_epilogue(const HookContext& ctx,
-                     KernelEpilogue& epi) const override;
-  void absorb_epilogue(const HookContext& ctx, std::span<const float> values,
-                       const KernelEpilogue& epi,
-                       const EpilogueTally& tally) override;
   std::shared_ptr<const SchemeState> capture_state() const override;
   void restore_state(const SchemeState* state) override;
   /// Bitwise comparison of the online bounds (the offline ones never
@@ -184,7 +150,10 @@ class RangeRestrictScheme final : public DetectionScheme {
 using SchemeParams = std::map<std::string, std::string>;
 
 /// Factory helpers for parameter validation/conversion. Unknown keys and
-/// malformed values throw ft2::Error naming the scheme.
+/// malformed values (for floats: anything but a finite number, so `nan`,
+/// `inf` and overflowing literals such as `1e40` too) throw ft2::Error
+/// naming the scheme. The built-in factories also reject values outside a
+/// parameter's domain: `scale` > 0, `margin` >= 0, `threshold` in [0, 1].
 float scheme_param_float(const SchemeParams& params, const std::string& key,
                          float fallback, std::string_view scheme);
 bool scheme_param_bool(const SchemeParams& params, const std::string& key,

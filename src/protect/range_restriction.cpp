@@ -2,62 +2,49 @@
 
 #include <cmath>
 
+#include "tensor/dispatch.hpp"
+
 namespace ft2 {
 
 void range_restrict(std::span<float> values, const Bounds& bounds,
                     ClipPolicy policy, bool correct_nan,
                     ProtectionStats* stats, bool detect_only,
                     ClipObserver* observer) {
+  using Protect = KernelEpilogue::Protect;
+  KernelEpilogue epi;
+  epi.detect_only = detect_only;
+  epi.record_events = observer != nullptr;
   if (!bounds.valid()) {
-    if (correct_nan) {
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        if (!std::isnan(values[i])) continue;
-        if (!detect_only) values[i] = 0.0f;
-        ++n;
-        if (observer != nullptr) observer->on_nan(i);
-      }
-      if (stats != nullptr) {
-        stats->values_checked += values.size();
-        stats->nan_corrected += n;
-      }
-    }
-    return;
-  }
-  std::size_t nan_fixed = 0;
-  std::size_t oob_fixed = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    float& v = values[i];
-    if (std::isnan(v)) {
-      if (correct_nan) {
-        if (!detect_only) v = 0.0f;
-        ++nan_fixed;
-        if (observer != nullptr) observer->on_nan(i);
-      }
-      continue;
-    }
-    if (v > bounds.hi || v < bounds.lo) {
-      if (observer != nullptr) observer->on_oob(v, i);
-      if (!detect_only) {
-        switch (policy) {
-          case ClipPolicy::kToBound:
-            v = v > bounds.hi ? bounds.hi : bounds.lo;
-            break;
-          case ClipPolicy::kToZero:
-            v = 0.0f;
-            break;
-          case ClipPolicy::kToTypical:
-            v = bounds.typical;
-            break;
-        }
-      }
-      ++oob_fixed;
+    if (!correct_nan) return;
+    epi.protect = Protect::kNanOnly;
+  } else {
+    epi.protect = Protect::kBounds;
+    epi.correct_nan = correct_nan;
+    epi.lo = bounds.lo;
+    epi.hi = bounds.hi;
+    switch (policy) {
+      case ClipPolicy::kToBound:
+        epi.lo_sub = bounds.lo;
+        epi.hi_sub = bounds.hi;
+        break;
+      case ClipPolicy::kToZero:
+        epi.lo_sub = epi.hi_sub = 0.0f;
+        break;
+      case ClipPolicy::kToTypical:
+        epi.lo_sub = epi.hi_sub = bounds.typical;
+        break;
     }
   }
+  EpilogueTally tally;
+  active_kernel_ops().epilogue_span(values.data(), values.size(), 0, epi,
+                                    &tally);
   if (stats != nullptr) {
     stats->values_checked += values.size();
-    stats->nan_corrected += nan_fixed;
-    stats->oob_corrected += oob_fixed;
+    stats->nan_corrected += tally.nan;
+    stats->oob_corrected += tally.oob;
+  }
+  for (const EpilogueEvent& event : tally.events) {
+    observer->on_oob(event.original, event.index);
   }
 }
 

@@ -35,16 +35,16 @@ struct ProtectionStats {
 };
 
 /// Optional per-event observer for range_restrict: called once per
-/// corrected (or, in detect_only mode, detected) value with the ORIGINAL
-/// pre-correction value and its index into the dispatched span (callers
-/// with multi-position spans map the index back to a sequence position).
-/// Observers only observe — the correction result is identical with or
-/// without one. Used to feed protect.* clip-magnitude histograms without
-/// burdening the common no-observer path.
+/// out-of-bound value corrected (or, in detect_only mode, detected) with
+/// the ORIGINAL pre-correction value and its index into the dispatched span
+/// (callers with multi-position spans map the index back to a sequence
+/// position), in ascending index order. Observers only observe — the
+/// correction result is identical with or without one. Used to feed
+/// protect.* clip-magnitude histograms without burdening the common
+/// no-observer path.
 class ClipObserver {
  public:
   virtual ~ClipObserver() = default;
-  virtual void on_nan(std::size_t index) { (void)index; }
   virtual void on_oob(float original, std::size_t index) {
     (void)original;
     (void)index;
@@ -53,9 +53,13 @@ class ClipObserver {
 
 /// Applies range restriction in place. Infinities count as out-of-bound.
 /// When `correct_nan` is false NaNs pass through untouched (schemes without
-/// NaN handling). `stats` may be null. With `detect_only` the pass counts
-/// violations without modifying any value (detector mode). `observer`, when
-/// non-null, is notified of every NaN / out-of-bound event.
+/// NaN handling). Invalid (never-observed) bounds degrade to NaN-only
+/// correction, or to nothing at all without `correct_nan`. `stats` may be
+/// null. With `detect_only` the pass counts violations without modifying
+/// any value (detector mode). `observer`, when non-null, is notified of
+/// every out-of-bound event. The sweep is the active kernel tier's
+/// KernelOps::epilogue_span (tensor/dispatch.hpp) with quantization off;
+/// every tier gives bit-identical values, counts and events.
 void range_restrict(std::span<float> values, const Bounds& bounds,
                     ClipPolicy policy, bool correct_nan,
                     ProtectionStats* stats, bool detect_only = false,

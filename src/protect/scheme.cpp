@@ -5,7 +5,6 @@
 
 #include "protect/critical.hpp"
 #include "protect/detection_scheme.hpp"
-#include "tensor/dispatch.hpp"
 
 namespace ft2 {
 
@@ -262,55 +261,6 @@ void ProtectionHook::on_output(const HookContext& ctx,
   km.checked.inc(delta.values_checked);
   km.nan.inc(delta.nan_corrected);
   km.oob.inc(delta.oob_corrected);
-}
-
-bool ProtectionHook::plan_fused(const HookContext& ctx, KernelEpilogue& epi) {
-  const std::size_t kind = static_cast<std::size_t>(ctx.site.kind);
-  if (!covered_mask_[kind]) return false;
-  if (!scheme_->plan_epilogue(ctx, epi)) return false;
-  // Per-event originals are only needed where the hook path would have
-  // passed an observer (clip-magnitude histogram live, or clip capture on).
-  epi.record_events =
-      kind_metrics_[kind].clip_magnitude.enabled() || capture_clips_;
-  return true;
-}
-
-void ProtectionHook::absorb_fused(const HookContext& ctx,
-                                  std::span<const float> values,
-                                  const KernelEpilogue& epi,
-                                  const EpilogueTally& tally) {
-  // Mirror of on_output's accounting, fed from the epilogue tally instead of
-  // detect_and_correct. Kept in lockstep: same delta merge order, same
-  // counter increments, same first-detect rule, same event attribution
-  // (position = ctx.position + flat_index / row_width).
-  const std::size_t kind = static_cast<std::size_t>(ctx.site.kind);
-  ProtectionStats& kind_tally = kind_stats_[kind];
-  KindMetrics& km = kind_metrics_[kind];
-
-  ProtectionStats delta;
-  if (epi.protect != KernelEpilogue::Protect::kNone) {
-    delta.values_checked = values.size();
-  }
-  delta.nan_corrected = tally.nan;
-  delta.oob_corrected = tally.oob;
-  scheme_->absorb_epilogue(ctx, values, epi, tally);
-  if ((delta.nan_corrected != 0 || delta.oob_corrected != 0) &&
-      first_detect_pos_ < 0) {
-    first_detect_pos_ = static_cast<long long>(ctx.position);
-  }
-  kind_tally.merge(delta);
-  km.checked.inc(delta.values_checked);
-  km.nan.inc(delta.nan_corrected);
-  km.oob.inc(delta.oob_corrected);
-  const std::size_t row_width = ctx.width(values.size());
-  for (const EpilogueEvent& event : tally.events) {
-    km.clip_magnitude.observe(std::abs(static_cast<double>(event.original)));
-    if (capture_clips_) {
-      clip_log_.push_back(ClipEvent{ctx.site.kind,
-                                    ctx.position + event.index / row_width,
-                                    event.original});
-    }
-  }
 }
 
 std::size_t ProtectionHook::bound_memory_bytes() const {

@@ -155,17 +155,6 @@ class ProtectionHook : public OutputHook {
   void on_generation_begin() override;
   void on_output(const HookContext& ctx, std::span<float> values) override;
 
-  /// Fused-epilogue negotiation: delegates to the scheme's plan_epilogue
-  /// for covered sites (uncovered sites and non-fusable schemes keep the
-  /// hook path) and sets epi.record_events when clip magnitudes or the
-  /// clip log need per-event originals. absorb_fused reproduces on_output's
-  /// accounting — per-kind tallies, protect.* counters, clip events,
-  /// first-detect — exactly, from the epilogue sweep's tally.
-  bool plan_fused(const HookContext& ctx, KernelEpilogue& epi) override;
-  void absorb_fused(const HookContext& ctx, std::span<const float> values,
-                    const KernelEpilogue& epi,
-                    const EpilogueTally& tally) override;
-
   /// Total corrections across all layer kinds. The tallies are kept per
   /// kind internally; this façade sums them, preserving the exact values
   /// the single-struct accounting produced.

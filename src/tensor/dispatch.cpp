@@ -23,14 +23,6 @@ void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
     switch (epi.protect) {
       case Protect::kNone:
         break;
-      case Protect::kFirstToken:
-        // First-token phase corrects NaN unconditionally (detect_only does
-        // not apply — mirrors RangeRestrictScheme's first-token branch).
-        if (std::isnan(q)) {
-          ++tally->nan;
-          q = 0.0f;
-        }
-        break;
       case Protect::kNanOnly:
         if (std::isnan(q)) {
           ++tally->nan;
@@ -40,7 +32,7 @@ void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
       case Protect::kBounds:
         if (std::isnan(q)) {
           // NaNs pass through silently (uncounted) when the scheme does not
-          // correct them — exactly range_restrict's behaviour.
+          // correct them.
           if (epi.correct_nan) {
             ++tally->nan;
             if (!epi.detect_only) q = 0.0f;
@@ -158,7 +150,6 @@ const KernelOps* probe_default() {
 }
 
 std::atomic<const KernelOps*> g_active_ops{nullptr};
-std::atomic<int> g_fused_enabled{-1};  // -1 = read FT2_FUSED_EPILOGUE lazily
 
 const KernelOps* select_initial() {
   const std::string forced = env_string("FT2_KERNEL", "auto");
@@ -258,17 +249,6 @@ const KernelOps& kernel_ops_for(KernelTier tier) {
   return *compiled_ops(tier);
 }
 
-bool fused_epilogue_enabled() {
-  int v = g_fused_enabled.load(std::memory_order_acquire);
-  if (v < 0) {
-    v = env_flag("FT2_FUSED_EPILOGUE", true) ? 1 : 0;
-    g_fused_enabled.store(v, std::memory_order_release);
-  }
-  return v != 0;
-}
-
-void set_fused_epilogue_enabled(bool on) {
-  g_fused_enabled.store(on ? 1 : 0, std::memory_order_release);
-}
+bool fused_epilogue_enabled() { return false; }
 
 }  // namespace ft2

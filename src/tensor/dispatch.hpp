@@ -20,15 +20,16 @@
 // `y[i] += p[j] * v[j][i]` over ascending j (zero p[j] skipped), and the
 // vector tier puts output elements side by side in its lanes.
 //
-// The protection epilogue (KernelEpilogue) is not part of the GEMM: every
-// GEMM stores plain math, and the engine then runs the epilogue — f16-grid
-// quantization plus the protection sweep (NaN→0, out-of-bound clip) — as
-// one sweep right after each site's GEMM (KernelOps::epilogue_span),
-// instead of as separate quantize and hook passes. The epilogue's scalar
-// reference implementation lives in dispatch.cpp; the AVX2 tier fast-paths
-// the clean case and falls back to that exact scalar code for any lane
-// group that contains a NaN or an out-of-bound value, so fused results are
-// bit-identical to the hook-path quantize+range_restrict sequence.
+// The epilogue (KernelEpilogue) is not part of the GEMM: every GEMM stores
+// plain math, and KernelOps::epilogue_span sweeps the stored span
+// afterwards. It serves two callers: the f16-grid quantization the engine
+// runs right after each site's GEMM (quantize_span_f16), and range
+// restriction (protect/range_restriction.hpp: NaN→0, out-of-bound clip),
+// which protection hooks run on their dispatched spans. The epilogue's
+// scalar reference implementation lives in dispatch.cpp; the AVX2 tier
+// fast-paths the clean case and falls back to that exact scalar code for
+// any lane group that contains a NaN or an out-of-bound value, so every
+// tier produces bit-identical values, tallies and events.
 #pragma once
 
 #include <cstddef>
@@ -49,20 +50,17 @@ constexpr std::size_t kKernelTierCount = 2;
 /// accumulators in four 8-lane registers, SSE in eight 4-lane registers.
 constexpr std::size_t kTileCols = 32;
 
-/// Fused epilogue request: optional f16-grid quantization
-/// followed by one protection mode. Field semantics mirror the hook path
-/// (quantize_span_f16 + RangeRestrictScheme::detect_and_correct) exactly —
-/// the epilogue is only ever planned by a scheme that guarantees the two
-/// produce bit-identical values, tallies and events.
+/// Epilogue request: optional f16-grid quantization followed by one
+/// protection mode. quantize_span_f16 asks for quantization alone;
+/// range_restrict folds its bounds and ClipPolicy into a protection mode
+/// with quantization off.
 struct KernelEpilogue {
-  /// Protection applied after quantization (order matters: bounds are
-  /// checked against the quantized value, as the hook path does).
+  /// Protection applied after quantization (bounds are checked against
+  /// the quantized value).
   enum class Protect {
-    kNone = 0,    ///< no protection work (quantize-only fusion)
-    kNanOnly,     ///< invalid bounds: count/correct NaN only
-    kBounds,      ///< full range restriction against [lo, hi]
-    kFirstToken,  ///< FT2 first-token phase: NaN→0 always (bounds observed
-                  ///< by the scheme's absorb over the finished span)
+    kNone = 0,  ///< no protection work (quantize only)
+    kNanOnly,   ///< invalid bounds: count/correct NaN only
+    kBounds,    ///< full range restriction against [lo, hi]
   };
 
   bool quantize = false;     ///< f16 round-trip first (fp16 execution)
@@ -71,21 +69,20 @@ struct KernelEpilogue {
   bool detect_only = false;  ///< count violations without modifying
   float lo = 0.0f, hi = 0.0f;          ///< kBounds: scaled bounds
   float lo_sub = 0.0f, hi_sub = 0.0f;  ///< clip replacement per side
-                                       ///< (ClipPolicy folded in by planner)
+                                       ///< (ClipPolicy folded in)
   bool record_events = false;  ///< collect (index, original) per clip
 };
 
 /// One out-of-bound event observed by the epilogue: flat index into the
-/// dispatched span and the pre-correction (post-quantize) value — the same
-/// pair the hook path's ClipObserver::on_oob receives.
+/// swept span and the pre-correction (post-quantize) value — the pair
+/// range_restrict replays into ClipObserver::on_oob.
 struct EpilogueEvent {
   std::size_t index = 0;
   float original = 0.0f;
 };
 
 /// Accounting of one epilogue sweep. The sweep runs in ascending flat
-/// index, so events arrive in the order of the hook path's sequential
-/// sweep.
+/// index, so events arrive in index order.
 struct EpilogueTally {
   std::size_t nan = 0;  ///< NaNs counted (and zeroed unless detect_only)
   std::size_t oob = 0;  ///< out-of-bound values counted (clipped unless
@@ -129,11 +126,10 @@ struct KernelOps {
   void (*axpy_rows)(const float* p, const float* v, std::size_t ldv,
                     std::size_t n, std::size_t k, float* y) = nullptr;
 
-  /// One-sweep epilogue over a contiguous span, run right after a site's
-  /// producer (every linear's GEMM, activation outputs) and by
-  /// quantize_span_f16. Applies `epi` in place to v[0..n); `flat0` offsets
-  /// event indices. `tally` may be null only when `epi` carries no
-  /// protection.
+  /// One-sweep epilogue over a contiguous span: quantize_span_f16 (run
+  /// right after every site's producer) and range_restrict call it.
+  /// Applies `epi` in place to v[0..n); `flat0` offsets event indices.
+  /// `tally` may be null only when `epi` carries no protection.
   void (*epilogue_span)(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi,
                         EpilogueTally* tally) = nullptr;
@@ -166,14 +162,10 @@ std::optional<KernelTier> parse_kernel_tier(std::string_view name);
 /// unsupported on this host.
 const KernelOps& kernel_ops_for(KernelTier tier);
 
-/// Global switch for the fused epilogue (default on; `FT2_FUSED_EPILOGUE=0`
-/// or the setter turn it off). On, quantization and the first hook's
-/// protection run as one epilogue_span sweep after each site's GEMM; off,
-/// the engine runs the two-pass path (separate quantize sweep + hook-path
-/// protection). Results are bit-identical either way; the switch exists
-/// for A/B tests and triage.
+/// Always false: protection runs only through the hook chain, never fused
+/// into the post-GEMM sweep. Kept for the benchmark driver's host line
+/// until it drops the field (ROADMAP item 4).
 bool fused_epilogue_enabled();
-void set_fused_epilogue_enabled(bool on);
 
 namespace detail {
 

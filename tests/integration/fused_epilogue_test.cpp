@@ -1,13 +1,16 @@
-// Fused-epilogue end-to-end equivalence: protected generation and full
-// fault-injection campaigns must be bit-identical with the fused epilogue
-// on and off. The fused path folds quantization and range restriction into
-// one sweep right after each site's GEMM instead of a quantize pass plus
-// the hook chain; this suite pins the "results never change" contract at
-// the system level —
-// tokens, per-kind protection stats, clip events, first-detect positions,
-// protect.* counters, campaign outcomes and detection counts.
+// Protection on the epilogue kernel, end to end: range restriction runs on
+// the active kernel tier's epilogue sweep (KernelOps::epilogue_span) inside
+// every protection hook, so protected generation and full fault-injection
+// campaigns must be bit-identical on every supported tier. Each case runs
+// on the SSE reference tier first and then on every supported tier, and
+// pins the "results never change" contract at the system level — tokens,
+// per-kind protection stats, clip events, first-detect positions, online
+// bounds, protect.* counters, campaign outcomes and per-trial records.
+// (The suite keeps its name from when it compared a fused post-GEMM
+// protection sweep against the hook path.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/ft2.hpp"
@@ -15,19 +18,29 @@
 namespace ft2 {
 namespace {
 
-/// Restores the fused switch and active tier on scope exit.
-class FusedGuard {
+/// Restores the active tier on scope exit.
+class TierGuard {
  public:
-  FusedGuard() : tier_(active_kernel_tier()), on_(fused_epilogue_enabled()) {}
-  ~FusedGuard() {
-    set_kernel_tier(tier_);
-    set_fused_epilogue_enabled(on_);
-  }
+  TierGuard() : tier_(active_kernel_tier()) {}
+  ~TierGuard() { set_kernel_tier(tier_); }
 
  private:
   KernelTier tier_;
-  bool on_;
 };
+
+/// Runs `run` on the SSE reference tier, then on every supported tier, and
+/// hands each tier's result and the reference to `expect`.
+template <typename Run, typename Expect>
+void expect_every_tier_matches_sse(const Run& run, const Expect& expect) {
+  TierGuard guard;
+  set_kernel_tier(KernelTier::kSse);
+  const auto reference = run();
+  for (KernelTier tier : supported_kernel_tiers()) {
+    SCOPED_TRACE(kernel_tier_name(tier));
+    set_kernel_tier(tier);
+    expect(run(), reference);
+  }
+}
 
 TransformerLM micro_model() {
   ModelConfig c;
@@ -52,8 +65,8 @@ std::vector<int> test_prompt() {
 }
 
 /// Artificially tight bounds at every site of the spec's coverage so a
-/// clean generation clips constantly — the fused kernel's dirty-lane slow
-/// path and event recording get exercised hard, not just the clean path.
+/// clean generation clips constantly — the kernel's dirty-lane slow path
+/// and event recording get exercised hard, not just the clean path.
 BoundStore tight_bounds(const TransformerLM& model, const SchemeSpec& spec) {
   BoundStore bounds(model.config());
   for (std::size_t b = 0; b < model.config().n_blocks; ++b) {
@@ -76,11 +89,17 @@ struct ProtectedRun {
   std::size_t online_valid = 0;
 };
 
+struct RunOptions {
+  bool chunked_accum = false;
+  bool detect_only = false;
+  /// Registered after the protection hook when non-null.
+  OutputHook* after = nullptr;
+};
+
 ProtectedRun run_protected(const TransformerLM& model, SchemeKind scheme,
-                           bool fused, bool chunked_accum = false) {
-  FusedGuard guard;
-  set_fused_epilogue_enabled(fused);
-  const auto spec = scheme_spec(scheme, model.config());
+                           const RunOptions& options = {}) {
+  auto spec = scheme_spec(scheme, model.config());
+  spec.detect_only = options.detect_only;
   BoundStore bounds;
   if (spec.needs_offline_bounds) bounds = tight_bounds(model, spec);
 
@@ -90,10 +109,12 @@ ProtectedRun run_protected(const TransformerLM& model, SchemeKind scheme,
 
   InferenceSession session(model);
   const auto reg = session.hooks().add(hook);
+  HookRegistration after_reg;
+  if (options.after != nullptr) after_reg = session.hooks().add(*options.after);
   GenerateOptions opts;
   opts.max_new_tokens = 8;
   opts.eos_token = -1;
-  opts.chunked_accum = chunked_accum;
+  opts.chunked_accum = options.chunked_accum;
 
   ProtectedRun run;
   run.result = session.generate(test_prompt(), opts);
@@ -105,6 +126,12 @@ ProtectedRun run_protected(const TransformerLM& model, SchemeKind scheme,
   run.metrics = metrics.snapshot();
   run.online_valid = hook.online_bounds().valid_count();
   return run;
+}
+
+std::size_t total_oob(const ProtectedRun& run) {
+  std::size_t n = 0;
+  for (const auto& s : run.kind_stats) n += s.oob_corrected;
+  return n;
 }
 
 void expect_runs_identical(const ProtectedRun& a, const ProtectedRun& b) {
@@ -136,150 +163,150 @@ void expect_runs_identical(const ProtectedRun& a, const ProtectedRun& b) {
   }
 }
 
-TEST(FusedEpilogue, OfflineProtectedGenerationIdenticalFusedOnOff) {
+TEST(FusedEpilogue, OfflineProtectedGenerationIdenticalAcrossTiers) {
   const TransformerLM model = micro_model();
-  const ProtectedRun fused = run_protected(model, SchemeKind::kFt2Offline,
-                                           /*fused=*/true);
-  const ProtectedRun hook_path = run_protected(model, SchemeKind::kFt2Offline,
-                                               /*fused=*/false);
-  // The tight bounds must actually clip, or this test proves nothing.
-  std::size_t total_oob = 0;
-  for (const auto& s : fused.kind_stats) total_oob += s.oob_corrected;
-  ASSERT_GT(total_oob, 0u) << "tight bounds produced no clips";
-  ASSERT_FALSE(fused.clips.empty());
-  expect_runs_identical(fused, hook_path);
+  expect_every_tier_matches_sse(
+      [&] { return run_protected(model, SchemeKind::kFt2Offline); },
+      [](const ProtectedRun& run, const ProtectedRun& reference) {
+        // The tight bounds must actually clip, or this test proves nothing.
+        ASSERT_GT(total_oob(run), 0u) << "tight bounds produced no clips";
+        ASSERT_FALSE(run.clips.empty());
+        expect_runs_identical(run, reference);
+      });
 }
 
-TEST(FusedEpilogue, OnlineFt2GenerationIdenticalFusedOnOff) {
-  // FT2 online: the first-token phase observes bounds through the fused
-  // absorb path (post-correction values, flat order) — online bounds, the
-  // protection they drive afterwards, and all accounting must match the
-  // hook path exactly.
+TEST(FusedEpilogue, OnlineFt2GenerationIdenticalAcrossTiers) {
+  // FT2 online: the first-token phase observes bounds over the corrected
+  // values in flat order; online bounds, the protection they drive
+  // afterwards, and all accounting must match the SSE reference exactly.
   const TransformerLM model = micro_model();
-  const ProtectedRun fused = run_protected(model, SchemeKind::kFt2,
-                                           /*fused=*/true);
-  const ProtectedRun hook_path = run_protected(model, SchemeKind::kFt2,
-                                               /*fused=*/false);
-  ASSERT_GT(fused.online_valid, 0u) << "first-token phase observed no bounds";
-  expect_runs_identical(fused, hook_path);
+  expect_every_tier_matches_sse(
+      [&] { return run_protected(model, SchemeKind::kFt2); },
+      [](const ProtectedRun& run, const ProtectedRun& reference) {
+        ASSERT_GT(run.online_valid, 0u)
+            << "first-token phase observed no bounds";
+        expect_runs_identical(run, reference);
+      });
 }
 
-TEST(FusedEpilogue, ChunkedAccumGenerationIdenticalFusedOnOff) {
-  // The epilogue sweep runs after the GEMM whatever its reduction order, so
-  // chunked-accumulation runs fuse too and must match the hook path: an
-  // offline scheme clipping constantly, and online FT2.
+TEST(FusedEpilogue, ChunkedAccumGenerationIdenticalAcrossTiers) {
+  // Chunked accumulation changes the GEMM's reduction order, not the
+  // protection that follows it: an offline scheme clipping constantly,
+  // and online FT2.
   const TransformerLM model = micro_model();
   for (SchemeKind scheme : {SchemeKind::kFt2Offline, SchemeKind::kFt2}) {
     SCOPED_TRACE(scheme_name(scheme));
-    const ProtectedRun fused = run_protected(model, scheme, /*fused=*/true,
-                                             /*chunked_accum=*/true);
-    const ProtectedRun hook_path = run_protected(
-        model, scheme, /*fused=*/false, /*chunked_accum=*/true);
-    if (scheme == SchemeKind::kFt2Offline) {
-      ASSERT_FALSE(fused.clips.empty()) << "tight bounds produced no clips";
-    } else {
-      ASSERT_GT(fused.online_valid, 0u)
-          << "first-token phase observed no bounds";
-    }
-    expect_runs_identical(fused, hook_path);
+    expect_every_tier_matches_sse(
+        [&] {
+          return run_protected(model, scheme, {.chunked_accum = true});
+        },
+        [&](const ProtectedRun& run, const ProtectedRun& reference) {
+          if (scheme == SchemeKind::kFt2Offline) {
+            ASSERT_FALSE(run.clips.empty())
+                << "tight bounds produced no clips";
+          } else {
+            ASSERT_GT(run.online_valid, 0u)
+                << "first-token phase observed no bounds";
+          }
+          expect_runs_identical(run, reference);
+        });
   }
 }
 
-TEST(FusedEpilogue, DetectOnlySchemeIdenticalFusedOnOff) {
+TEST(FusedEpilogue, DetectOnlySchemeIdenticalAcrossTiers) {
   // detect_only: violations are counted but values pass through unchanged.
   const TransformerLM model = micro_model();
-  FusedGuard guard;
-  auto run = [&](bool fused) {
-    set_fused_epilogue_enabled(fused);
-    auto spec = scheme_spec(SchemeKind::kFt2Offline, model.config());
-    spec.detect_only = true;
-    ProtectionHook hook(model.config(), spec, tight_bounds(model, spec));
-    InferenceSession session(model);
-    const auto reg = session.hooks().add(hook);
-    GenerateOptions opts;
-    opts.max_new_tokens = 6;
-    opts.eos_token = -1;
-    const auto result = session.generate(test_prompt(), opts);
-    return std::make_pair(result.tokens, hook.stats());
-  };
-  const auto fused = run(true);
-  const auto hook_path = run(false);
-  EXPECT_EQ(fused.first, hook_path.first);
-  ASSERT_GT(fused.second.oob_corrected, 0u);
-  EXPECT_EQ(fused.second.values_checked, hook_path.second.values_checked);
-  EXPECT_EQ(fused.second.nan_corrected, hook_path.second.nan_corrected);
-  EXPECT_EQ(fused.second.oob_corrected, hook_path.second.oob_corrected);
+  expect_every_tier_matches_sse(
+      [&] {
+        return run_protected(model, SchemeKind::kFt2Offline,
+                             {.detect_only = true});
+      },
+      [](const ProtectedRun& run, const ProtectedRun& reference) {
+        ASSERT_GT(total_oob(run), 0u);
+        expect_runs_identical(run, reference);
+      });
 }
 
-TEST(FusedEpilogue, CampaignOutcomesIdenticalFusedOnOff) {
-  // Campaigns register the injector hook ahead of the protection hook, so
-  // fused planning structurally falls back to the hook path at injected
-  // sites — but the fault-free prefix recording and every non-first-hook
-  // interaction still route through the fused engine paths. Outcomes,
-  // detections and per-trial records must not move.
+TEST(FusedEpilogue, CampaignOutcomesIdenticalAcrossTiers) {
+  // Campaigns register the injector ahead of the protection hook, so
+  // protection sees the corrupted values and clamps them on the active
+  // tier. abft-linear's fallback clamp and ft2-adaptive's enforcement run
+  // range_restrict too, so their outcomes depend on the tier as much as
+  // FT2's do. Outcomes, detections and per-trial records must not move.
   const TransformerLM model = micro_model();
   const auto samples =
       make_generator(DatasetKind::kSynthQA)->generate_many(3, 5);
   const auto inputs = prepare_eval_inputs(model, samples, 6, false);
-  const auto spec = scheme_spec(SchemeKind::kFt2, model.config());
 
   CampaignConfig config;
   config.fault_model = FaultModel::kExponentBit;
   config.trials_per_input = 10;
   config.gen_tokens = 6;
 
-  FusedGuard guard;
-  auto run = [&] {
-    std::vector<TrialRecord> trace;
-    const CampaignResult result = run_campaign(
-        model, inputs, spec, BoundStore{}, config,
-        [&](const TrialRecord& r) { trace.push_back(r); });
-    std::sort(trace.begin(), trace.end(),
-              [](const TrialRecord& a, const TrialRecord& b) {
-                return a.trial < b.trial;
-              });
-    return std::make_pair(result, std::move(trace));
-  };
-  set_fused_epilogue_enabled(true);
-  const auto fused = run();
-  set_fused_epilogue_enabled(false);
-  const auto hook_path = run();
-
-  EXPECT_EQ(fused.first.trials, hook_path.first.trials);
-  EXPECT_EQ(fused.first.sdc, hook_path.first.sdc);
-  EXPECT_EQ(fused.first.masked_identical, hook_path.first.masked_identical);
-  EXPECT_EQ(fused.first.masked_semantic, hook_path.first.masked_semantic);
-  EXPECT_EQ(fused.first.not_injected, hook_path.first.not_injected);
-  ASSERT_EQ(fused.second.size(), hook_path.second.size());
-  for (std::size_t t = 0; t < fused.second.size(); ++t) {
-    EXPECT_EQ(fused.second[t].outcome, hook_path.second[t].outcome)
-        << "trial " << t;
-    EXPECT_EQ(fused.second[t].detections, hook_path.second[t].detections)
-        << "trial " << t;
-    EXPECT_EQ(fused.second[t].detect_position,
-              hook_path.second[t].detect_position)
-        << "trial " << t;
-    EXPECT_EQ(fused.second[t].generated_text, hook_path.second[t].generated_text)
-        << "trial " << t;
+  for (const char* name : {"ft2", "abft-linear", "ft2-adaptive"}) {
+    SCOPED_TRACE(name);
+    const SchemeRef scheme = SchemeRef::parse(name);
+    auto run = [&] {
+      std::vector<TrialRecord> trace;
+      const CampaignResult result = run_campaign(
+          model, inputs, scheme, BoundStore{}, config,
+          [&](const TrialRecord& r) { trace.push_back(r); });
+      std::sort(trace.begin(), trace.end(),
+                [](const TrialRecord& a, const TrialRecord& b) {
+                  return a.trial < b.trial;
+                });
+      return std::make_pair(result, std::move(trace));
+    };
+    expect_every_tier_matches_sse(run, [](const auto& got, const auto& ref) {
+      EXPECT_EQ(got.first.trials, ref.first.trials);
+      EXPECT_EQ(got.first.sdc, ref.first.sdc);
+      EXPECT_EQ(got.first.masked_identical, ref.first.masked_identical);
+      EXPECT_EQ(got.first.masked_semantic, ref.first.masked_semantic);
+      EXPECT_EQ(got.first.not_injected, ref.first.not_injected);
+      ASSERT_EQ(got.second.size(), ref.second.size());
+      for (std::size_t t = 0; t < got.second.size(); ++t) {
+        EXPECT_EQ(got.second[t].outcome, ref.second[t].outcome)
+            << "trial " << t;
+        EXPECT_EQ(got.second[t].detections, ref.second[t].detections)
+            << "trial " << t;
+        EXPECT_EQ(got.second[t].detect_position, ref.second[t].detect_position)
+            << "trial " << t;
+        EXPECT_EQ(got.second[t].generated_text, ref.second[t].generated_text)
+            << "trial " << t;
+      }
+    });
   }
 }
 
-TEST(FusedEpilogue, TierSwitchKeepsProtectedGenerationIdentical) {
-  // Cross-tier x fused: the same protected generation on every supported
-  // tier, fused on, must match the SSE hook-path reference token for token
-  // and count for count.
-  const TransformerLM model = micro_model();
-  FusedGuard guard;
-  set_kernel_tier(KernelTier::kSse);
-  const ProtectedRun reference = run_protected(model, SchemeKind::kFt2Offline,
-                                               /*fused=*/false);
-  for (KernelTier tier : supported_kernel_tiers()) {
-    set_kernel_tier(tier);
-    const ProtectedRun fused = run_protected(model, SchemeKind::kFt2Offline,
-                                             /*fused=*/true);
-    SCOPED_TRACE(kernel_tier_name(tier));
-    expect_runs_identical(fused, reference);
+/// Switches the active kernel tier on every dispatch it sees, cycling
+/// through every supported tier.
+class TierCycler final : public OutputHook {
+ public:
+  void on_output(const HookContext& ctx, std::span<float> values) override {
+    (void)ctx;
+    (void)values;
+    const std::vector<KernelTier> tiers = supported_kernel_tiers();
+    set_kernel_tier(tiers[next_++ % tiers.size()]);
   }
+
+ private:
+  std::size_t next_ = 0;
+};
+
+TEST(FusedEpilogue, TierSwitchKeepsProtectedGenerationIdentical) {
+  // Switching tiers mid-generation, between any two site dispatches, must
+  // not change a protected generation: kernels and packed weights hold no
+  // tier state, so every mix of tiers matches the SSE reference token for
+  // token and count for count.
+  const TransformerLM model = micro_model();
+  TierGuard guard;
+  set_kernel_tier(KernelTier::kSse);
+  const ProtectedRun reference = run_protected(model, SchemeKind::kFt2Offline);
+  TierCycler cycler;
+  const ProtectedRun switched =
+      run_protected(model, SchemeKind::kFt2Offline, {.after = &cycler});
+  ASSERT_GT(total_oob(reference), 0u);
+  expect_runs_identical(switched, reference);
 }
 
 }  // namespace

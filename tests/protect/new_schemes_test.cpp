@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -309,6 +310,35 @@ TEST(SchemeRef, FactoryRejectsUnknownAndMalformedParams) {
   EXPECT_THROW(
       SchemeRef::parse("ft2-adaptive:threshold=abc").instantiate(config),
       Error);
+  // Non-finite values (1e40 overflows float to inf) and values outside a
+  // parameter's domain: a scale <= 0 or NaN would invalidate or collapse
+  // every bound instead of failing loudly.
+  for (const char* bad :
+       {"ft2:scale=nan", "ft2:scale=inf", "ft2:scale=-inf", "ft2:scale=1e40",
+        "ft2:scale=-1", "ft2:scale=0", "none:scale=0", "abft-linear:scale=0",
+        "abft-linear:scale=-2", "abft-linear:margin=-1",
+        "abft-linear:margin=nan", "ft2-adaptive:scale=-1",
+        "ft2-adaptive:threshold=-0.1", "ft2-adaptive:threshold=1.5",
+        "ft2-adaptive:threshold=inf"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(SchemeRef::parse(bad).instantiate(config), Error);
+  }
+  // The error names the scheme and the parameter.
+  try {
+    SchemeRef::parse("ft2-adaptive:threshold=2").instantiate(config);
+    ADD_FAILURE() << "threshold=2 accepted";
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("ft2-adaptive"), std::string::npos) << what;
+    EXPECT_NE(what.find("threshold"), std::string::npos) << what;
+  }
+  // Domain edges are accepted.
+  EXPECT_NO_THROW(
+      SchemeRef::parse("abft-linear:margin=0,scale=0.5").instantiate(config));
+  EXPECT_NO_THROW(
+      SchemeRef::parse("ft2-adaptive:threshold=0").instantiate(config));
+  EXPECT_NO_THROW(
+      SchemeRef::parse("ft2-adaptive:threshold=1").instantiate(config));
   // Offline schemes refuse to instantiate without profiled bounds.
   EXPECT_THROW(SchemeRef::parse("ranger").instantiate(config), Error);
   EXPECT_TRUE(SchemeRef::parse("ranger").needs_offline_bounds());

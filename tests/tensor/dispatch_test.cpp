@@ -2,7 +2,7 @@
 //
 // The bit-exactness policy says every kernel tier — the SSE reference and
 // AVX2 — produces bit-identical GEMM results, quantization grids and
-// fused-epilogue outcomes. These tests pin that promise on whatever tiers
+// epilogue outcomes. These tests pin that promise on whatever tiers
 // the host supports; tiers the host cannot run are skipped with a reason
 // (the per-tier TESTs exist so a skip is visible in ctest output rather
 // than silently shrinking a loop).
@@ -27,19 +27,15 @@
 namespace ft2 {
 namespace {
 
-/// Restores the active tier and the fused-epilogue switch on scope exit so
-/// a failing test cannot leak a forced tier into the rest of the suite.
+/// Restores the active tier on scope exit so a failing test cannot leak a
+/// forced tier into the rest of the suite.
 class TierGuard {
  public:
-  TierGuard() : tier_(active_kernel_tier()), fused_(fused_epilogue_enabled()) {}
-  ~TierGuard() {
-    set_kernel_tier(tier_);
-    set_fused_epilogue_enabled(fused_);
-  }
+  TierGuard() : tier_(active_kernel_tier()) {}
+  ~TierGuard() { set_kernel_tier(tier_); }
 
  private:
   KernelTier tier_;
-  bool fused_;
 };
 
 void fill_uniform(std::span<float> v, Xoshiro256& rng, float lo, float hi) {
@@ -571,7 +567,7 @@ TEST(KernelTierEquivalence, ForwardPositionMatchesAcrossTiers) {
   }
 }
 
-// --- Fused epilogue vs the hook path ---------------------------------------
+// --- Epilogue and range_restrict vs a naive oracle ------------------------
 
 /// Collects (index, original) pairs exactly as the epilogue's event stream
 /// does, for comparison against EpilogueTally::events.
@@ -582,6 +578,60 @@ class RecordingObserver final : public ClipObserver {
   }
   std::vector<EpilogueEvent> events;
 };
+
+/// Naive range restriction, one element at a time with no kernel in sight:
+/// the reference range_restrict and epilogue_span must match on every
+/// tier, the way ForwardOracle keeps NaiveForward for the engine.
+void naive_range_restrict(std::span<float> values, const Bounds& bounds,
+                          ClipPolicy policy, bool correct_nan,
+                          ProtectionStats* stats, bool detect_only,
+                          ClipObserver* observer) {
+  if (!bounds.valid()) {
+    if (correct_nan) {
+      std::size_t n = 0;
+      for (float& v : values) {
+        if (!std::isnan(v)) continue;
+        if (!detect_only) v = 0.0f;
+        ++n;
+      }
+      stats->values_checked += values.size();
+      stats->nan_corrected += n;
+    }
+    return;
+  }
+  std::size_t nan_fixed = 0;
+  std::size_t oob_fixed = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    float& v = values[i];
+    if (std::isnan(v)) {
+      if (correct_nan) {
+        if (!detect_only) v = 0.0f;
+        ++nan_fixed;
+      }
+      continue;
+    }
+    if (v > bounds.hi || v < bounds.lo) {
+      if (observer != nullptr) observer->on_oob(v, i);
+      if (!detect_only) {
+        switch (policy) {
+          case ClipPolicy::kToBound:
+            v = v > bounds.hi ? bounds.hi : bounds.lo;
+            break;
+          case ClipPolicy::kToZero:
+            v = 0.0f;
+            break;
+          case ClipPolicy::kToTypical:
+            v = bounds.typical;
+            break;
+        }
+      }
+      ++oob_fixed;
+    }
+  }
+  stats->values_checked += values.size();
+  stats->nan_corrected += nan_fixed;
+  stats->oob_corrected += oob_fixed;
+}
 
 /// One adversarial input span: NaNs, infinities, values straddling the
 /// bounds, and clean values, with f16-rounding sensitive magnitudes.
@@ -600,9 +650,31 @@ std::vector<float> adversarial_span(std::size_t n, Xoshiro256& rng) {
   return v;
 }
 
-/// For every tier and every epilogue mode the planner can emit, the
-/// epilogue_span must reproduce quantize_span_f16 + range_restrict exactly:
-/// values (bitwise), counts, and the per-event (index, original) stream.
+/// Values (bitwise), counts and the per-event (index, original) stream of
+/// one tier's result against the oracle's.
+void expect_matches_oracle(std::span<const float> got,
+                           std::span<const float> expect, std::size_t nan,
+                           std::size_t oob,
+                           const std::vector<EpilogueEvent>& events,
+                           const ProtectionStats& ref_stats,
+                           const RecordingObserver& ref_events) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(f32_bits(got[i]), f32_bits(expect[i])) << "value " << i;
+  }
+  EXPECT_EQ(nan, ref_stats.nan_corrected);
+  EXPECT_EQ(oob, ref_stats.oob_corrected);
+  ASSERT_EQ(events.size(), ref_events.events.size());
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    EXPECT_EQ(events[e].index, ref_events.events[e].index);
+    EXPECT_EQ(f32_bits(events[e].original),
+              f32_bits(ref_events.events[e].original));
+  }
+}
+
+/// For every tier and every clip configuration, the quantizing
+/// epilogue_span sweep and range_restrict (on pre-quantized values) must
+/// reproduce quantize_f16 + the naive oracle exactly: values (bitwise),
+/// counts, and the per-event (index, original) stream.
 TEST(KernelTierEquivalence, EpilogueMatchesQuantizePlusRangeRestrict) {
   TierGuard guard;
   Xoshiro256 rng(11);
@@ -614,19 +686,35 @@ TEST(KernelTierEquivalence, EpilogueMatchesQuantizePlusRangeRestrict) {
            {ClipPolicy::kToBound, ClipPolicy::kToZero, ClipPolicy::kToTypical}) {
         for (bool detect_only : {false, true}) {
           for (bool correct_nan : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << kernel_tier_name(tier) << " policy="
+                         << static_cast<int>(policy) << " detect_only="
+                         << detect_only << " correct_nan=" << correct_nan
+                         << " q=" << quantize);
             const std::vector<float> input = adversarial_span(301, rng);
-
-            // Hook path: quantize sweep (scalar) then range_restrict.
-            std::vector<float> expect = input;
+            std::vector<float> quantized = input;
             if (quantize) {
-              for (float& f : expect) f = quantize_f16(f);
+              for (float& f : quantized) f = quantize_f16(f);
             }
+
+            std::vector<float> expect = quantized;
             ProtectionStats ref_stats;
             RecordingObserver ref_events;
-            range_restrict(expect, bounds, policy, correct_nan, &ref_stats,
-                           detect_only, &ref_events);
+            naive_range_restrict(expect, bounds, policy, correct_nan,
+                                 &ref_stats, detect_only, &ref_events);
 
-            // Fused path: one epilogue_span sweep on the dispatched tier.
+            // range_restrict on the active tier.
+            std::vector<float> restricted = quantized;
+            ProtectionStats stats;
+            RecordingObserver events;
+            range_restrict(restricted, bounds, policy, correct_nan, &stats,
+                           detect_only, &events);
+            EXPECT_EQ(stats.values_checked, ref_stats.values_checked);
+            expect_matches_oracle(restricted, expect, stats.nan_corrected,
+                                  stats.oob_corrected, events.events,
+                                  ref_stats, ref_events);
+
+            // One quantize + protect epilogue_span sweep on the tier.
             KernelEpilogue epi;
             epi.quantize = quantize;
             epi.protect = KernelEpilogue::Protect::kBounds;
@@ -647,25 +735,12 @@ TEST(KernelTierEquivalence, EpilogueMatchesQuantizePlusRangeRestrict) {
                 break;
             }
             epi.record_events = true;
-            std::vector<float> fused = input;
+            std::vector<float> swept = input;
             EpilogueTally tally;
-            active_kernel_ops().epilogue_span(fused.data(), fused.size(),
+            active_kernel_ops().epilogue_span(swept.data(), swept.size(),
                                               /*flat0=*/0, epi, &tally);
-
-            for (std::size_t i = 0; i < fused.size(); ++i) {
-              ASSERT_EQ(f32_bits(fused[i]), f32_bits(expect[i]))
-                  << kernel_tier_name(tier) << " value " << i << " policy="
-                  << static_cast<int>(policy) << " detect_only=" << detect_only
-                  << " correct_nan=" << correct_nan << " q=" << quantize;
-            }
-            EXPECT_EQ(tally.nan, ref_stats.nan_corrected);
-            EXPECT_EQ(tally.oob, ref_stats.oob_corrected);
-            ASSERT_EQ(tally.events.size(), ref_events.events.size());
-            for (std::size_t e = 0; e < tally.events.size(); ++e) {
-              EXPECT_EQ(tally.events[e].index, ref_events.events[e].index);
-              EXPECT_EQ(f32_bits(tally.events[e].original),
-                        f32_bits(ref_events.events[e].original));
-            }
+            expect_matches_oracle(swept, expect, tally.nan, tally.oob,
+                                  tally.events, ref_stats, ref_events);
           }
         }
       }
@@ -673,48 +748,43 @@ TEST(KernelTierEquivalence, EpilogueMatchesQuantizePlusRangeRestrict) {
   }
 }
 
-/// kNanOnly mirrors range_restrict with invalid bounds (NaN-only pass);
-/// kFirstToken corrects NaN even in detect_only (the scheme's first-token
-/// branch ignores the detector flag).
-TEST(KernelTierEquivalence, NanOnlyAndFirstTokenModes) {
+/// kNanOnly, and range_restrict with invalid bounds, mirror the oracle's
+/// NaN-only pass, counting without correcting under detect_only.
+TEST(KernelTierEquivalence, NanOnlyMode) {
   TierGuard guard;
   Xoshiro256 rng(13);
   for (KernelTier tier : supported_kernel_tiers()) {
     set_kernel_tier(tier);
-    const std::vector<float> input = adversarial_span(97, rng);
-
-    {
+    for (bool detect_only : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << kernel_tier_name(tier)
+                                        << " detect_only=" << detect_only);
+      const std::vector<float> input = adversarial_span(97, rng);
       std::vector<float> expect = input;
       ProtectionStats ref_stats;
-      range_restrict(expect, Bounds{}, ClipPolicy::kToBound,
-                     /*correct_nan=*/true, &ref_stats, /*detect_only=*/false);
+      const RecordingObserver no_events;
+      naive_range_restrict(expect, Bounds{}, ClipPolicy::kToBound,
+                           /*correct_nan=*/true, &ref_stats, detect_only,
+                           nullptr);
+
+      std::vector<float> restricted = input;
+      ProtectionStats stats;
+      RecordingObserver events;
+      range_restrict(restricted, Bounds{}, ClipPolicy::kToBound,
+                     /*correct_nan=*/true, &stats, detect_only, &events);
+      EXPECT_EQ(stats.values_checked, ref_stats.values_checked);
+      expect_matches_oracle(restricted, expect, stats.nan_corrected,
+                            stats.oob_corrected, events.events, ref_stats,
+                            no_events);
+
       KernelEpilogue epi;
       epi.protect = KernelEpilogue::Protect::kNanOnly;
-      std::vector<float> fused = input;
+      epi.detect_only = detect_only;
+      std::vector<float> swept = input;
       EpilogueTally tally;
-      active_kernel_ops().epilogue_span(fused.data(), fused.size(), 0, epi,
+      active_kernel_ops().epilogue_span(swept.data(), swept.size(), 0, epi,
                                         &tally);
-      for (std::size_t i = 0; i < fused.size(); ++i) {
-        ASSERT_EQ(f32_bits(fused[i]), f32_bits(expect[i]));
-      }
-      EXPECT_EQ(tally.nan, ref_stats.nan_corrected);
-      EXPECT_EQ(tally.oob, 0u);
-    }
-
-    {
-      std::vector<float> expect = input;
-      const std::size_t nan_count = correct_nan_to_zero(expect);
-      KernelEpilogue epi;
-      epi.protect = KernelEpilogue::Protect::kFirstToken;
-      epi.detect_only = true;  // must be ignored in first-token mode
-      std::vector<float> fused = input;
-      EpilogueTally tally;
-      active_kernel_ops().epilogue_span(fused.data(), fused.size(), 0, epi,
-                                        &tally);
-      for (std::size_t i = 0; i < fused.size(); ++i) {
-        ASSERT_EQ(f32_bits(fused[i]), f32_bits(expect[i]));
-      }
-      EXPECT_EQ(tally.nan, nan_count);
+      expect_matches_oracle(swept, expect, tally.nan, tally.oob, tally.events,
+                            ref_stats, no_events);
     }
   }
 }
@@ -746,14 +816,6 @@ TEST(KernelDispatch, SetTierNameSwitchesAndAutoRestores) {
   EXPECT_EQ(active_kernel_tier(), supported_kernel_tiers().back());
   EXPECT_THROW(set_kernel_tier_name("bogus"), Error);
   EXPECT_THROW(set_kernel_tier_name("avx512"), Error);
-}
-
-TEST(KernelDispatch, FusedEpilogueToggle) {
-  TierGuard guard;
-  set_fused_epilogue_enabled(false);
-  EXPECT_FALSE(fused_epilogue_enabled());
-  set_fused_epilogue_enabled(true);
-  EXPECT_TRUE(fused_epilogue_enabled());
 }
 
 }  // namespace

@@ -1456,8 +1456,6 @@ int cmd_kernel_info(const ArgParser& args) {
   }
   table.print(std::cout);
   std::cout << "tile cols: " << kTileCols << " (every tier)\n";
-  std::cout << "fused epilogue: " << (fused_epilogue_enabled() ? "on" : "off")
-            << "\n";
   if (!args.has("check")) return 0;
   const int failures = kernel_check();
   if (failures != 0) {
