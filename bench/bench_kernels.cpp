@@ -19,11 +19,23 @@
 //       the benchmark model's own MLP shapes, fc1 (384x128) and fc2
 //       (128x384), on packed tiles at 8 rows (a decode batch) and at 1
 //       row (a solo decode step or campaign trial).
+//       The exponential is exp_span over 4096 floats in [-16, 0] (softmax's
+//       range); softmax is softmax_rows over 8 rows of 200 (one decode
+//       row's heads at position 199); SiLU is silu over a 16x384 span.
 //       --json writes the bench/baselines/BENCH_kernels.json shape, host
 //       included; without it a table prints.
+//   bench_kernels --exp-sweep
+//       every tier's exp_span against detail::expf_ref and against
+//       std::exp on all 2^32 float bit patterns (NaN payloads included),
+//       on up to 4 threads; prints the mismatch counts and exits nonzero
+//       if any tier differs from expf_ref. Takes ~30 s on 4 cores.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -202,6 +214,9 @@ struct TierRates {
   double quantize_gelems = 0.0;            ///< quantize_span_f16 sweep
   double epilogue_gelems = 0.0;            ///< FT2 bounds epilogue sweep
   double attention_gflops = 0.0;           ///< Q·K + P·V of one decode row
+  double exp_gelems = 0.0;                 ///< exp_span
+  double softmax_gelems = 0.0;             ///< softmax_rows, 8 x 200
+  double silu_gelems = 0.0;                ///< silu over 16 x 384
 };
 
 /// Attention core: one decode row over kAttnKeys cached keys, kAttnHeads
@@ -210,6 +225,10 @@ constexpr std::size_t kAttnKeys = 256, kAttnHeads = 8, kAttnHeadDim = 16,
                       kAttnRun = 16;
 /// Epilogue span: 16 rows of the benchmark model's d_ff-wide fc1 output.
 constexpr std::size_t kEpilogueRows = 16, kEpilogueCols = 384;
+/// Exponential span length; softmax block (one decode row's heads at
+/// position kSoftmaxCols - 1). SiLU runs over the epilogue's span shape.
+constexpr std::size_t kExpElems = 4096, kSoftmaxRows = 8,
+                      kSoftmaxCols = 200;
 
 GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
                        ThreadPool& pool, Xoshiro256& rng) {
@@ -256,9 +275,8 @@ double measure_epilogue(const KernelOps& ops, std::size_t reps,
 
 /// Attention's two products for one decode row, per head and per run as
 /// the forward engine calls them: Q·K scores by the strided row GEMV, then
-/// the probability-weighted sum of value rows by axpy_rows. Softmax (the
-/// same scalar code on every tier) runs once up front to give realistic
-/// probabilities and is not timed.
+/// the probability-weighted sum of value rows by axpy_rows. Softmax runs
+/// once up front to give realistic probabilities and is not timed.
 double measure_attention(const KernelOps& ops, std::size_t reps,
                          Xoshiro256& rng) {
   const std::size_t d = kAttnHeads * kAttnHeadDim;
@@ -332,7 +350,106 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
   }
   rates.attention_gflops = measure_attention(ops, reps, rng);
   rates.epilogue_gelems = measure_epilogue(ops, reps, rng);
+  {
+    std::vector<float> x(kExpElems), y(kExpElems);
+    for (float& f : x) f = rng.uniform_float(-16.0f, 0.0f);
+    rates.exp_gelems = best_items_per_sec(static_cast<double>(x.size()), reps,
+                                          [&] {
+      ops.exp_span(x.data(), y.data(), x.size());
+      benchmark::DoNotOptimize(y.data());
+    }) / 1e9;
+  }
+  {
+    // Each rep restores the scores, as attention rewrites them per row.
+    std::vector<float> scores(kSoftmaxRows * kSoftmaxCols), v(scores.size());
+    for (float& f : scores) f = rng.uniform_float(-4.0f, 4.0f);
+    rates.softmax_gelems = best_items_per_sec(
+        static_cast<double>(v.size()), reps, [&] {
+          std::copy(scores.begin(), scores.end(), v.begin());
+          softmax_rows(v.data(), kSoftmaxRows, kSoftmaxCols);
+          benchmark::DoNotOptimize(v.data());
+        }) / 1e9;
+  }
+  {
+    std::vector<float> act(kEpilogueRows * kEpilogueCols), v(act.size());
+    for (float& f : act) f = rng.uniform_float(-4.0f, 4.0f);
+    rates.silu_gelems = best_items_per_sec(static_cast<double>(v.size()),
+                                           reps, [&] {
+      std::copy(act.begin(), act.end(), v.begin());
+      silu(v);
+      benchmark::DoNotOptimize(v.data());
+    }) / 1e9;
+  }
   return rates;
+}
+
+/// Mismatch counts of one tier's exp_span over all 2^32 inputs.
+struct ExpSweepCounts {
+  std::atomic<std::uint64_t> vs_ref{0};
+  std::atomic<std::uint64_t> vs_libm{0};
+};
+
+int run_exp_sweep() {
+  const std::vector<KernelTier> tiers = supported_kernel_tiers();
+  std::vector<ExpSweepCounts> counts(tiers.size());
+  std::atomic<std::uint64_t> ref_vs_libm{0};
+  const std::size_t threads = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, 4);
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  constexpr std::size_t kChunk = 4096;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&, t] {
+      std::vector<float> x(kChunk), y(kChunk), ref(kChunk), libm(kChunk);
+      std::vector<std::uint64_t> tier_ref(tiers.size()), tier_libm(tiers.size());
+      std::uint64_t own_ref_vs_libm = 0;
+      for (std::uint64_t b0 = t * kChunk; b0 < kAll; b0 += threads * kChunk) {
+        for (std::size_t i = 0; i < kChunk; ++i) {
+          x[i] = std::bit_cast<float>(static_cast<std::uint32_t>(b0 + i));
+          ref[i] = detail::expf_ref(x[i]);
+          libm[i] = std::exp(x[i]);
+          own_ref_vs_libm += std::bit_cast<std::uint32_t>(ref[i]) !=
+                             std::bit_cast<std::uint32_t>(libm[i]);
+        }
+        for (std::size_t k = 0; k < tiers.size(); ++k) {
+          kernel_ops_for(tiers[k]).exp_span(x.data(), y.data(), kChunk);
+          for (std::size_t i = 0; i < kChunk; ++i) {
+            const std::uint32_t got = std::bit_cast<std::uint32_t>(y[i]);
+            tier_ref[k] += got != std::bit_cast<std::uint32_t>(ref[i]);
+            tier_libm[k] += got != std::bit_cast<std::uint32_t>(libm[i]);
+          }
+        }
+      }
+      for (std::size_t k = 0; k < tiers.size(); ++k) {
+        counts[k].vs_ref += tier_ref[k];
+        counts[k].vs_libm += tier_libm[k];
+      }
+      ref_vs_libm += own_ref_vs_libm;
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+
+  std::cout << "exp sweep: every tier's exp_span against expf_ref and "
+               "std::exp\nall "
+            << kAll << " float bit patterns, " << threads << " threads, "
+            << secs << " s\n\n";
+  Table table({"tier", "mismatches vs expf_ref", "mismatches vs std::exp"});
+  bool ok = true;
+  for (std::size_t k = 0; k < tiers.size(); ++k) {
+    table.begin_row()
+        .cell(kernel_tier_name(tiers[k]))
+        .cell(std::to_string(counts[k].vs_ref.load()))
+        .cell(std::to_string(counts[k].vs_libm.load()));
+    ok = ok && counts[k].vs_ref.load() == 0;
+  }
+  table.print(std::cout);
+  std::cout << "\nexpf_ref vs std::exp: " << ref_vs_libm.load()
+            << " mismatches (host libm)\n";
+  return ok ? 0 : 1;
 }
 
 int run_tiers(const ArgParser& args) {
@@ -341,14 +458,15 @@ int run_tiers(const ArgParser& args) {
 
   Json tiers = Json::object();
   Table table({"tier", "gemm", "packed GFLOP/s", "1-row GFLOP/s",
-               "attention GFLOP/s", "quantize Gelem/s", "epilogue Gelem/s"});
+               "attention GFLOP/s", "quantize Gelem/s", "epilogue Gelem/s",
+               "exp Gelem/s", "softmax Gelem/s", "silu Gelem/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, reps);
     Json t = Json::object();
     for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
       const GemmRates& g = r.gemm[s];
-      // Per-tier columns (attention, quantize, epilogue) print on the
-      // tier's first row.
+      // Per-tier columns (attention through silu) print on the tier's
+      // first row.
       table.begin_row()
           .cell(s == 0 ? kernel_tier_name(tier) : "")
           .cell(kGemmShapes[s].name)
@@ -357,9 +475,12 @@ int run_tiers(const ArgParser& args) {
       if (s == 0) {
         table.num(r.attention_gflops, 2)
             .num(r.quantize_gelems, 2)
-            .num(r.epilogue_gelems, 2);
+            .num(r.epilogue_gelems, 2)
+            .num(r.exp_gelems, 3)
+            .num(r.softmax_gelems, 3)
+            .num(r.silu_gelems, 3);
       } else {
-        table.cell("").cell("").cell("");
+        for (int c = 0; c < 6; ++c) table.cell("");
       }
       Json shape = Json::object();
       shape["gemm_packed_gflops"] = g.packed_gflops;
@@ -369,6 +490,9 @@ int run_tiers(const ArgParser& args) {
     t["attention_gflops"] = r.attention_gflops;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     t["epilogue_gelems_per_sec"] = r.epilogue_gelems;
+    t["exp_gelems_per_sec"] = r.exp_gelems;
+    t["softmax_gelems_per_sec"] = r.softmax_gelems;
+    t["silu_gelems_per_sec"] = r.silu_gelems;
     tiers[kernel_tier_name(tier)] = t;
   }
   set_kernel_tier(restore);
@@ -394,6 +518,9 @@ int run_tiers(const ArgParser& args) {
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
     cfg["epilogue_rows"] = static_cast<double>(kEpilogueRows);
     cfg["epilogue_cols"] = static_cast<double>(kEpilogueCols);
+    cfg["exp_elems"] = static_cast<double>(kExpElems);
+    cfg["softmax_rows"] = static_cast<double>(kSoftmaxRows);
+    cfg["softmax_cols"] = static_cast<double>(kSoftmaxCols);
     cfg["reps"] = static_cast<double>(reps);
     cfg["threads"] = 1.0;
     out["config"] = cfg;
@@ -420,8 +547,10 @@ int run_tiers(const ArgParser& args) {
             << kAttnKeys << " keys x "
             << kAttnHeads << " heads x " << kAttnHeadDim << " in "
             << kAttnRun << "-row runs; epilogue " << kEpilogueRows << "x"
-            << kEpilogueCols << " ft2 bounds plan; best of " << reps
-            << "\n\n";
+            << kEpilogueCols << " ft2 bounds plan; exp " << kExpElems
+            << " floats; softmax " << kSoftmaxRows << "x" << kSoftmaxCols
+            << "; silu " << kEpilogueRows << "x" << kEpilogueCols
+            << "; best of " << reps << "\n\n";
   table.print(std::cout);
   std::cout << "\nall tiers are bit-exact (ctest -R KernelTierEquivalence); "
                "pick with FT2_KERNEL or --kernel\n";
@@ -432,8 +561,12 @@ int run_tiers(const ArgParser& args) {
 }  // namespace ft2
 
 int main(int argc, char** argv) {
-  // --tiers intercepts before google-benchmark sees the arguments.
+  // --tiers and --exp-sweep intercept before google-benchmark sees the
+  // arguments.
   for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--exp-sweep") {
+      return ft2::run_exp_sweep();
+    }
     if (std::string_view(argv[i]) == "--tiers") {
       const ft2::ArgParser args(argc - 1, argv + 1,
                                 {{"tiers", false}, {"json", true}});

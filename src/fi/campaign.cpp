@@ -208,6 +208,10 @@ CampaignResult run_campaign_range_impl(
   struct PrefixRecording {
     SessionSnapshot snap;
     std::vector<ProtectionState> hook_at;  ///< per token boundary
+    /// With config.drift_monitor: the recording's drift samples and, per
+    /// token boundary, how many of them precede it.
+    std::vector<DriftSample> drift;
+    std::vector<std::size_t> drift_at;
   };
   std::vector<PrefixRecording> recordings;
   const bool reuse =
@@ -223,10 +227,24 @@ CampaignResult run_campaign_range_impl(
       protection.set_clip_capture(true);
       InferenceSession session(model);
       const HookRegistration reg = session.hooks().add(protection);
+      // The recording's monitor publishes into a registry nobody reads:
+      // forks replay its samples into their own monitors instead.
+      MetricsRegistry unread;
+      std::optional<BoundDriftMonitor> drift;
+      HookRegistration drift_reg;
+      if (config.drift_monitor) {
+        drift.emplace(protection,
+                      DriftMonitorOptions{0.10, ObsSinks{&unread, nullptr}});
+        drift->set_sample_capture(true);
+        drift_reg = session.hooks().add(*drift);
+      }
       rec.hook_at.reserve(config.gen_tokens);
       session.generate_recorded(
-          inputs[i].prompt, trial_options, rec.snap,
-          [&](std::size_t) { rec.hook_at.push_back(protection.capture_state()); });
+          inputs[i].prompt, trial_options, rec.snap, [&](std::size_t) {
+            rec.hook_at.push_back(protection.capture_state());
+            if (drift.has_value()) rec.drift_at.push_back(drift->samples().size());
+          });
+      if (drift.has_value()) rec.drift = drift->samples();
     });
   }
 
@@ -337,8 +355,9 @@ CampaignResult run_campaign_range_impl(
     // takes its result and ProtectionHook::rejoin adds the remainder's
     // accounting. A fault masked before it reaches the KV cache or the
     // next token (most last-block faults) ends here. A drift monitor only
-    // observes, so it does not hold a fork back: like the skipped prefix,
-    // the skipped tail is not in its headroom samples.
+    // observes, so it does not hold a fork back: it replays the
+    // recording's samples of the skipped prefix on resume and of the
+    // skipped tail on rejoin, so its headroom matches a full replay.
     GenerateResult result;
     bool forked = false;
     if (reuse) {
@@ -350,12 +369,16 @@ CampaignResult run_campaign_range_impl(
       if (rec.snap.valid() && first_pos >= rec.snap.prompt_len) {
         const std::size_t fork_pos =
             std::min(first_pos, rec.snap.last_boundary());
+        const std::size_t fork_b = fork_pos - rec.snap.prompt_len;
         std::optional<std::size_t> rejoined_at;
         result = session.resume_from(
             rec.snap, fork_pos,
             [&] {
-              protection.restore_state(
-                  rec.hook_at[fork_pos - rec.snap.prompt_len]);
+              protection.restore_state(rec.hook_at[fork_b]);
+              if (drift.has_value()) {
+                drift->replay(std::span<const DriftSample>(rec.drift).first(
+                    rec.drift_at[fork_b]));
+              }
             },
             [&](std::size_t b) {
               for (const auto& injector : injectors) {
@@ -366,6 +389,12 @@ CampaignResult run_campaign_range_impl(
                 return false;
               }
               rejoined_at = b;
+              // Still inside the generation, so the monitor publishes the
+              // tail with its own samples when the generation ends.
+              if (drift.has_value()) {
+                drift->replay(std::span<const DriftSample>(rec.drift).subspan(
+                    rec.drift_at[b]));
+              }
               return true;
             });
         std::size_t reused = fork_pos;

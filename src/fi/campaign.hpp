@@ -86,9 +86,10 @@ struct CampaignConfig {
   /// Attach a BoundDriftMonitor behind each trial's protection hook,
   /// publishing protect.headroom.* to the campaign registry. Strictly
   /// observational: outcomes, detections, protect.* and campaign.*
-  /// counters are bit-identical with the monitor on or off. It samples the
-  /// forwards a trial runs, so under prefix_reuse a fork's skipped prefix
-  /// and rejoined tail are not in its samples.
+  /// counters are bit-identical with the monitor on or off. Under
+  /// prefix_reuse the recording logs its samples and a fork replays those
+  /// of its skipped prefix and rejoined tail, so protect.headroom.* is the
+  /// same with reuse on or off.
   bool drift_monitor = false;
 };
 

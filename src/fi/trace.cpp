@@ -45,17 +45,23 @@ std::string bits_string(const BitFlips& flips) {
 
 BitFlips bits_from_string(const std::string& text) {
   BitFlips flips;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t plus = text.find('+', start);
-    if (plus == std::string::npos) plus = text.size();
+  if (text.empty()) return flips;
+  // '+'-separated bit indices, each one or two decimal digits below 32;
+  // an empty piece (a leading, doubled or trailing '+') is malformed.
+  for (std::size_t start = 0;;) {
+    const std::size_t plus = text.find('+', start);
+    const std::string piece = text.substr(start, plus - start);
     FT2_CHECK_MSG(flips.count < static_cast<int>(flips.bits.size()),
                   "too many bit flips in '" << text << "'");
-    flips.bits[static_cast<std::size_t>(flips.count++)] =
-        std::atoi(text.substr(start, plus - start).c_str());
+    FT2_CHECK_MSG(!piece.empty() && piece.size() <= 2 &&
+                      piece.find_first_not_of("0123456789") ==
+                          std::string::npos &&
+                      std::stoi(piece) < 32,
+                  "bad bit index '" << piece << "' in '" << text << "'");
+    flips.bits[static_cast<std::size_t>(flips.count++)] = std::stoi(piece);
+    if (plus == std::string::npos) return flips;
     start = plus + 1;
   }
-  return flips;
 }
 
 /// %.9g float encoding: round-trips every float exactly and — unlike a

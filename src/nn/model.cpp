@@ -30,7 +30,7 @@ Workspace::Workspace(const ModelConfig& config, std::size_t chunk_capacity)
       f_up(f1.shape()),
       act(f1.shape()),
       f2(x.shape()),
-      scores(shape2(x.dim(0), config.max_seq)),
+      scores(shape2(1, config.n_heads * config.max_seq)),
       final_h(x.shape()),
       logits(shape2(x.dim(0), config.vocab_size)) {}
 
@@ -298,18 +298,20 @@ class RowEngine {
     // Causal attention: every row is independent, with a fixed loop order
     // inside it, so rows fan out over the pool in contiguous groups, only
     // as many as keep enough work per task (a short decode batch runs
-    // inline). Per head, Q·K and P·V walk the cache one contiguous run of
-    // rows at a time, one kernel call per run: the row GEMV with lanes
-    // over keys, then the row sum with lanes over head dims. Both keep the
-    // scalar chains, so runs never change a bit.
+    // inline) and no more than the pool has workers. Each task attends
+    // its rows one after another in its own scores row.
     const std::size_t d = c_.d_model;
     std::size_t macs = 0;
     for (std::size_t r = 0; r < rows_; ++r) macs += 2 * d * (pos(r) + 1);
-    const std::size_t tasks = pool_task_count(macs, rows_);
+    const std::size_t tasks = std::min(pool_task_count(macs, rows_),
+                                       std::max<std::size_t>(pool_.size(), 1));
+    if (ws_.scores.dim(0) < tasks) {
+      ws_.scores = Tensor(shape2(tasks, ws_.scores.dim(1)));
+    }
     pool_.parallel_for(0, tasks, [&](std::size_t t) {
       for (std::size_t r = t * rows_ / tasks; r < (t + 1) * rows_ / tasks;
            ++r) {
-        attend_row(r);
+        attend_row(r, ws_.scores.row(t));
       }
     });
 
@@ -317,32 +319,46 @@ class RowEngine {
   }
 
   /// Causal attention of row `r` over its segment's cache, into
-  /// ws_.attn_out.row(r).
-  void attend_row(std::size_t r) const {
+  /// ws_.attn_out.row(r), in four passes over all heads at once: Q·K of
+  /// every head into a [n_heads][len] block of `scratch`, one scale pass
+  /// and quantize sweep over the block, softmax_rows, another quantize
+  /// sweep, then P·V. Q·K and P·V walk the cache one contiguous run of
+  /// rows at a time and visit every head per run: the row GEMV with lanes
+  /// over keys, then the row sum with lanes over head dims. Every element
+  /// keeps its scalar chain (ascending keys per score and per output), so
+  /// neither runs nor the head order change a bit.
+  void attend_row(std::size_t r, std::span<float> scratch) const {
     const KernelOps& ops = active_kernel_ops();
     const std::size_t d = c_.d_model;
+    const std::size_t n_heads = c_.n_heads;
     const std::size_t head_dim = c_.head_dim();
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
     const KvCache& cache = *seg(r).cache;
     const std::size_t len = pos(r) + 1;
+    const float* q = ws_.q.row(r).data();
+    const std::span<float> scores = scratch.first(n_heads * len);
+    for (std::size_t j = 0, n = 0; j < len; j += n) {
+      n = std::min(cache.contiguous_rows(j), len - j);
+      const float* keys = cache.key(block_, j).data();
+      for (std::size_t h = 0; h < n_heads; ++h) {
+        const std::size_t off = h * head_dim;
+        ops.gemv_row(q + off, keys + off, d, n, head_dim, nullptr,
+                     scores.data() + h * len + j);
+      }
+    }
+    for (float& s : scores) s *= scale;
+    maybe_quantize(scores, exec_.fp16);
+    softmax_rows(scores.data(), n_heads, len);
+    maybe_quantize(scores, exec_.fp16);
     auto out = ws_.attn_out.row(r);
     std::fill(out.begin(), out.end(), 0.0f);
-    const auto scores = ws_.scores.row(r).subspan(0, len);
-    for (std::size_t off = 0; off < d; off += head_dim) {
-      const float* qh = ws_.q.row(r).data() + off;
-      for (std::size_t j = 0, n = 0; j < len; j += n) {
-        n = std::min(cache.contiguous_rows(j), len - j);
-        ops.gemv_row(qh, cache.key(block_, j).data() + off, d, n, head_dim,
-                     nullptr, scores.data() + j);
-      }
-      for (float& s : scores) s *= scale;
-      maybe_quantize(scores, exec_.fp16);
-      softmax(scores);
-      maybe_quantize(scores, exec_.fp16);
-      for (std::size_t j = 0, n = 0; j < len; j += n) {
-        n = std::min(cache.contiguous_rows(j), len - j);
-        ops.axpy_rows(scores.data() + j, cache.value(block_, j).data() + off,
-                      d, n, head_dim, out.data() + off);
+    for (std::size_t j = 0, n = 0; j < len; j += n) {
+      n = std::min(cache.contiguous_rows(j), len - j);
+      const float* values = cache.value(block_, j).data();
+      for (std::size_t h = 0; h < n_heads; ++h) {
+        const std::size_t off = h * head_dim;
+        ops.axpy_rows(scores.data() + h * len + j, values + off, d, n,
+                      head_dim, out.data() + off);
       }
     }
     maybe_quantize(out, exec_.fp16);

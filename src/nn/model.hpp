@@ -43,7 +43,8 @@ namespace ft2 {
 class ThreadPool;  // common/thread_pool.hpp
 
 /// Scratch buffers reused across forwards: one row per engine row (a
-/// prefill chunk's positions, or one row per batched-decode sequence).
+/// prefill chunk's positions, or one row per batched-decode sequence),
+/// except `scores`, which holds one row per attention task.
 struct Workspace {
   Tensor x;         // [cap, d] residual stream
   Tensor h;         // [cap, d] normed input
@@ -52,7 +53,8 @@ struct Workspace {
   Tensor o;         // [cap, d]
   Tensor f1, f_up, act;  // [cap, d_ff]
   Tensor f2;        // [cap, d]
-  Tensor scores;    // [cap, max_seq]
+  Tensor scores;    // [tasks, n_heads * max_seq]: one [n_heads][len]
+                    // block per attention task; grows to the task count
   Tensor final_h;   // [cap, d]
   Tensor logits;    // [cap, vocab] LM head rows
 

@@ -1,6 +1,9 @@
 #include "protect/bounds_io.hpp"
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -37,28 +40,67 @@ void save_bounds(const std::string& path, const BoundStore& bounds) {
   FT2_CHECK_MSG(os.good(), "bounds write failed: " << path);
 }
 
+namespace {
+
+/// A whole-token float: strtof must consume all of `token`, and NaN is
+/// not a bound.
+float parse_bound_float(const std::string& token, const std::string& where) {
+  char* end = nullptr;
+  const float value = std::strtof(token.c_str(), &end);
+  FT2_CHECK_MSG(!token.empty() && end == token.c_str() + token.size() &&
+                    !std::isnan(value),
+                where << ": '" << token << "' is not a float");
+  return value;
+}
+
+}  // namespace
+
 BoundStore load_bounds(const std::string& path, const ModelConfig& config) {
   std::ifstream is(path);
   FT2_CHECK_MSG(is.good(), "cannot open bounds file: " << path);
-  std::string magic, version;
-  std::size_t n_blocks = 0;
-  is >> magic >> version >> n_blocks;
-  FT2_CHECK_MSG(magic == "ft2-bounds" && version == "v1",
-                "bad bounds header in " << path);
-  FT2_CHECK_MSG(n_blocks == config.n_blocks,
-                "bounds file has " << n_blocks << " blocks, model has "
-                                   << config.n_blocks);
+  std::string line;
+  std::getline(is, line);
+  {
+    std::istringstream header(line);
+    std::string magic, version, n_str, extra;
+    header >> magic >> version >> n_str;
+    FT2_CHECK_MSG(magic == "ft2-bounds" && version == "v1" &&
+                      !(header >> extra),
+                  "bad bounds header in " << path);
+    FT2_CHECK_MSG(n_str == std::to_string(config.n_blocks),
+                  "bounds file has " << n_str << " blocks, model has "
+                                     << config.n_blocks);
+  }
   BoundStore bounds(config);
-  std::size_t block;
-  std::string kind_name, lo_str, hi_str, ty_str;
-  while (is >> block >> kind_name >> lo_str >> hi_str >> ty_str) {
-    FT2_CHECK_MSG(block < n_blocks, "bounds block out of range: " << block);
-    const LayerKind kind = layer_kind_from_name(kind_name);
+  for (std::size_t line_no = 2; std::getline(is, line); ++line_no) {
+    const std::string where = path + " line " + std::to_string(line_no);
+    std::istringstream fields(line);
+    std::string block_str, kind_name, lo_str, hi_str, ty_str, extra;
+    FT2_CHECK_MSG((fields >> block_str >> kind_name >> lo_str >> hi_str >>
+                   ty_str) &&
+                      !(fields >> extra),
+                  where << ": want '<block> <kind> <lo> <hi> <typical>'");
+    // strtoul alone would accept a sign; an overflow reads as ULONG_MAX.
+    char* end = nullptr;
+    const unsigned long block = std::strtoul(block_str.c_str(), &end, 10);
+    FT2_CHECK_MSG(std::isdigit(static_cast<unsigned char>(block_str[0])) &&
+                      *end == '\0' && block < config.n_blocks,
+                  where << ": block '" << block_str << "' not in [0, "
+                        << config.n_blocks << ")");
+    LayerKind kind;
+    try {
+      kind = layer_kind_from_name(kind_name);
+    } catch (const Error& e) {
+      throw Error(where + ": " + e.what());
+    }
+    // Every entry loaded so far is valid, and a fresh store's are not.
     Bounds& bd = bounds.at({static_cast<int>(block), kind});
-    bd.lo = std::strtof(lo_str.c_str(), nullptr);
-    bd.hi = std::strtof(hi_str.c_str(), nullptr);
-    bd.typical = std::strtof(ty_str.c_str(), nullptr);
-    FT2_CHECK_MSG(bd.valid(), "invalid bounds entry in " << path);
+    FT2_CHECK_MSG(!bd.valid(), where << ": second entry for block " << block
+                                     << " " << kind_name);
+    bd.lo = parse_bound_float(lo_str, where);
+    bd.hi = parse_bound_float(hi_str, where);
+    bd.typical = parse_bound_float(ty_str, where);
+    FT2_CHECK_MSG(bd.valid(), where << ": invalid bounds entry");
   }
   return bounds;
 }

@@ -42,6 +42,7 @@ BoundDriftMonitor::BoundDriftMonitor(const ProtectionHook& protection,
 
 void BoundDriftMonitor::on_generation_begin() {
   for (Bounds& b : observed_) b = Bounds{};
+  samples_.clear();
 }
 
 void BoundDriftMonitor::on_generation_end() {
@@ -89,9 +90,6 @@ void BoundDriftMonitor::on_output(const HookContext& ctx,
     mn = std::min(mn, v);  // NaN compares false: contributes to neither
     mx = std::max(mx, v);
   }
-  Bounds& seen = observed_[kind];
-  seen.lo = std::min(seen.lo, mn);
-  seen.hi = std::max(seen.hi, mx);
   double usage = 0.0;
   if (mx > 0.0f && enforced.hi > 0.0f) {
     usage = std::max(usage, static_cast<double>(mx) /
@@ -101,8 +99,19 @@ void BoundDriftMonitor::on_output(const HookContext& ctx,
     usage = std::max(usage, static_cast<double>(mn) /
                                 static_cast<double>(enforced.lo));
   }
+  add(DriftSample{ctx.site.kind, mn, mx, std::max(0.0, 1.0 - usage)});
+}
 
-  const double headroom = std::max(0.0, 1.0 - usage);
+void BoundDriftMonitor::replay(std::span<const DriftSample> samples) {
+  for (const DriftSample& sample : samples) add(sample);
+}
+
+void BoundDriftMonitor::add(const DriftSample& sample) {
+  const std::size_t kind = static_cast<std::size_t>(sample.kind);
+  Bounds& seen = observed_[kind];
+  seen.lo = std::min(seen.lo, sample.lo);
+  seen.hi = std::max(seen.hi, sample.hi);
+  const double headroom = sample.headroom;
   std::vector<std::uint64_t>& local = local_counts_[kind];
   if (!local.empty()) {
     // Same "le" bucketing HistogramCell::add applies; headroom <= 1 means
@@ -116,6 +125,7 @@ void BoundDriftMonitor::on_output(const HookContext& ctx,
   }
   ++total_dispatches_;
   if (headroom <= options_.near_clip_threshold) ++near_clip_dispatches_;
+  if (capture_samples_) samples_.push_back(sample);
 }
 
 }  // namespace ft2

@@ -18,6 +18,8 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "nn/hooks.hpp"
 #include "obs/metrics.hpp"
@@ -39,6 +41,16 @@ struct DriftMonitorOptions {
 
 /// Histogram buckets for bound-usage headroom in [0, 1].
 std::vector<double> headroom_buckets();
+
+/// One monitored dispatch, as the monitor accumulated it: the span's
+/// extremes and its headroom. Replaying a sample accumulates exactly what
+/// observing the dispatch did.
+struct DriftSample {
+  LayerKind kind = LayerKind::kQProj;
+  float lo = 0.0f;  ///< span minimum (+inf if the span held only NaN)
+  float hi = 0.0f;  ///< span maximum (-inf if the span held only NaN)
+  double headroom = 1.0;
+};
 
 class BoundDriftMonitor : public OutputHook {
  public:
@@ -72,7 +84,24 @@ class BoundDriftMonitor : public OutputHook {
   /// threshold of a bound (0 when nothing was monitored yet).
   double near_clip_fraction() const;
 
+  /// Logs every sample of the current generation (cleared when one
+  /// begins), for a prefix-reuse recording to hand to its forks. Off by
+  /// default: the common path stays allocation-free.
+  void set_sample_capture(bool on) { capture_samples_ = on; }
+  /// The samples logged this generation while capture is on.
+  const std::vector<DriftSample>& samples() const { return samples_; }
+
+  /// Accumulates `samples` in order as if this monitor had observed their
+  /// dispatches itself: observed bounds, local histogram counts and sum,
+  /// dispatch and near-clip counts. A prefix-reuse fork replays the
+  /// recording's prefix on resume (after on_generation_begin) and the
+  /// recording's remainder when it rejoins (before on_generation_end), so
+  /// its headroom samples match a full replay's.
+  void replay(std::span<const DriftSample> samples);
+
  private:
+  void add(const DriftSample& sample);
+
   const ProtectionHook& protection_;
   DriftMonitorOptions options_;
   std::array<bool, kLayerKindCount> covered_mask_{};
@@ -87,6 +116,8 @@ class BoundDriftMonitor : public OutputHook {
   std::vector<double> headroom_uppers_;
   std::array<std::vector<std::uint64_t>, kLayerKindCount> local_counts_{};
   std::array<double, kLayerKindCount> local_sums_{};
+  bool capture_samples_ = false;
+  std::vector<DriftSample> samples_;
 };
 
 }  // namespace ft2

@@ -1,7 +1,9 @@
 #include "tensor/dispatch.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -72,6 +74,48 @@ void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
   }
 }
 
+const std::uint64_t kExpfTable[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+
+float expf_ref(float x) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(x);
+  if ((bits & 0x7fffffffu) >= kExpfSpecialAbsBits) {
+    if (bits == 0xff800000u) return 0.0f;                      // -inf
+    if ((bits & 0x7fffffffu) >= 0x7f800000u) return x + x;     // inf, NaN
+    if (x > 0x1.62e42ep6f) return std::numeric_limits<float>::infinity();
+    if (x < -0x1.9fe368p6f) return 0.0f;
+  }
+  const double xd = static_cast<double>(x);
+  // Each step is its own rounding: the TU has no FMA target, so nothing
+  // here contracts, and the four fused steps are explicit.
+  const double z = kExpfInvLn2N * xd;
+  double kd = z + kExpfShift;
+  const std::uint64_t ki = std::bit_cast<std::uint64_t>(kd);
+  kd -= kExpfShift;
+  const double r = std::fma(kExpfInvLn2N, xd, -kd);
+  const double s =
+      std::bit_cast<double>(kExpfTable[ki % 32] + (ki << 47));
+  const double p = std::fma(kExpfC0, r, kExpfC1);
+  double y = std::fma(kExpfC2, r, 1.0);
+  y = std::fma(p, r * r, y);
+  return static_cast<float>(y * s);
+}
+
+void exp_span_scalar(const float* x, float* y, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) y[i] = expf_ref(x[i]);
+}
+
 }  // namespace detail
 
 namespace {
@@ -120,13 +164,16 @@ void epilogue_span_sse(float* v, std::size_t n, std::size_t flat0,
   detail::epilogue_scalar_span(v, n, flat0, epi, tally);
 }
 
-constexpr KernelOps kSseOps{KernelTier::kSse, "sse", &kouter_row_sse,
-                            &detail::gemv_rows_scalar,
-                            &detail::axpy_rows_scalar, &epilogue_span_sse};
+constexpr KernelOps kSseOps{
+    KernelTier::kSse,          "sse",
+    &kouter_row_sse,           &detail::gemv_rows_scalar,
+    &detail::axpy_rows_scalar, &epilogue_span_sse,
+    &detail::exp_span_scalar};
 
-bool cpu_has_avx2_f16c() {
+bool cpu_has_avx2_f16c_fma() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("f16c") &&
+         __builtin_cpu_supports("fma");
 #else
   return false;
 #endif
@@ -191,7 +238,7 @@ bool kernel_tier_supported(KernelTier tier) {
     case KernelTier::kSse:
       return true;  // reference tier: SSE2 is x86-64 baseline, scalar elsewhere
     case KernelTier::kAvx2:
-      return cpu_has_avx2_f16c();
+      return cpu_has_avx2_f16c_fma();
   }
   return false;
 }

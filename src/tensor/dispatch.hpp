@@ -1,8 +1,9 @@
 // Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
 //
-// The k-outer GEMM kernel, the row GEMV, attention's P·V row sum and the
-// f16 quantization sweep exist in two tiers — SSE (the portable reference)
-// and AVX2+F16C, the latter compiled as a separate arch-flagged translation
+// The k-outer GEMM kernel, the row GEMV, attention's P·V row sum, the f16
+// quantization sweep and the exponential exist in two tiers — SSE (the
+// portable reference) and AVX2+F16C+FMA, the latter compiled as a separate
+// arch-flagged translation
 // unit (tensor/kernels_avx2.cpp) — selected at runtime from a cpuid probe.
 // The `FT2_KERNEL` environment variable (or `ft2 --kernel`) forces a tier.
 //
@@ -20,6 +21,17 @@
 // `y[i] += p[j] * v[j][i]` over ascending j (zero p[j] skipped), and the
 // vector tier puts output elements side by side in its lanes.
 //
+// Exponential contract: every model exponential (softmax, SiLU, the
+// training loss) is detail::expf_ref, glibc's expf algorithm: a 32-entry
+// 2^(i/32) table and a cubic in double precision, with FMA at the four
+// sites glibc's FMA build fuses. It equals glibc 2.36's x86-64 std::exp on
+// all 2^32 float inputs (bench_kernels --exp-sweep), so adopting it changed
+// no recorded output, and it makes results independent of the host's
+// libm. KernelOps::exp_span is the span form: the SSE tier loops over
+// expf_ref; the AVX2 tier runs the same double-precision steps four lanes
+// at a time. FMA appears only in these exp functions, never in an
+// accumulation chain.
+//
 // The epilogue (KernelEpilogue) is not part of the GEMM: every GEMM stores
 // plain math, and KernelOps::epilogue_span sweeps the stored span
 // afterwards. It serves two callers: the f16-grid quantization the engine
@@ -33,6 +45,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -41,7 +54,7 @@ namespace ft2 {
 
 enum class KernelTier : int {
   kSse = 0,   ///< portable reference (SSE2 on x86-64, scalar elsewhere)
-  kAvx2 = 1,  ///< AVX2 + F16C
+  kAvx2 = 1,  ///< AVX2 + F16C + FMA
 };
 
 constexpr std::size_t kKernelTierCount = 2;
@@ -133,6 +146,11 @@ struct KernelOps {
   void (*epilogue_span)(float* v, std::size_t n, std::size_t flat0,
                         const KernelEpilogue& epi,
                         EpilogueTally* tally) = nullptr;
+
+  /// y[i] = detail::expf_ref(x[i]) for i in [0, n), bit for bit on every
+  /// tier. `x` and `y` may be the same array (in-place), but must not
+  /// otherwise overlap.
+  void (*exp_span)(const float* x, float* y, std::size_t n) = nullptr;
 };
 
 /// The currently selected tier's function table. First use probes the CPU
@@ -190,6 +208,34 @@ void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
 /// over after its last 8-wide lane group.
 void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
                       std::size_t n, std::size_t k, float* y);
+
+/// The reference exponential, glibc 2.36's expf (sysdeps/ieee754/flt-32/
+/// e_expf.c) as its FMA build computes it. For x with |x| >= 88 or not a
+/// number: -inf gives +0, inf and NaN give x + x, x > 0x1.62e42ep6f gives
+/// +inf and x < -0x1.9fe368p6f gives +0; other such x take the main path.
+/// Main path, in double: z = InvLn2N * x, kd = z + Shift (rounds z to an
+/// integer k in its low bits), r = fma(InvLn2N, x, -(kd - Shift)),
+/// s = 2^(k/32) from the table, then
+/// (float)((fma(fma(C0, r, C1), r * r, fma(C2, r, 1.0))) * s).
+/// Compiled with baseline flags: its fma calls are libm's, exact on any
+/// host.
+float expf_ref(float x);
+
+/// expf_ref's constants, shared with the AVX2 tier. kExpfTable[i] is the
+/// bit pattern of 2^(i/32) minus i << 47, so adding k << 47 to entry
+/// k % 32 scales it by 2^(k / 32) (glibc's __exp2f_data.tab).
+extern const std::uint64_t kExpfTable[32];
+inline constexpr double kExpfInvLn2N = 0x1.71547652b82fep+5;  // 32 / ln 2
+inline constexpr double kExpfShift = 0x1.8p+52;
+inline constexpr double kExpfC0 = 0x1.c6af84b912394p-20;
+inline constexpr double kExpfC1 = 0x1.ebfce50fac4f3p-13;
+inline constexpr double kExpfC2 = 0x1.62e42ff0c52d6p-6;
+/// Bit patterns at and above which |x| takes expf_ref's special path
+/// (88.0f, i.e. glibc's abstop >= 0x42b).
+inline constexpr std::uint32_t kExpfSpecialAbsBits = 0x42b00000u;
+
+/// The reference exp_span (the SSE tier): expf_ref per element.
+void exp_span_scalar(const float* x, float* y, std::size_t n);
 
 /// Arch-TU registration point: the AVX2 function table, or null when
 /// kernels_avx2.cpp was compiled without its -m flags.

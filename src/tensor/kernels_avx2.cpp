@@ -1,7 +1,8 @@
-// AVX2 + F16C dispatch tier: a GEMM tile in four registers, a row GEMV
-// over pairs of 8-row groups, a P·V row sum over 16 and 8 output columns
-// and an 8-wide epilogue sweep. It is the only vector tier: AVX-512 hosts
-// run it too (every AVX-512F CPU has AVX2 and F16C).
+// AVX2 + F16C + FMA dispatch tier: a GEMM tile in four registers, a row
+// GEMV over pairs of 8-row groups, a P·V row sum over 16 and 8 output
+// columns, an 8-wide epilogue sweep and an 8-wide exponential. It is the
+// only vector tier: AVX-512 hosts run it too (every AVX-512F CPU has AVX2,
+// F16C and FMA).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
 // when those flags are unavailable this TU degrades to a stub returning
 // nullptr and the dispatcher falls back to the SSE tier.
@@ -17,6 +18,10 @@
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
 // the SSE reference per element; only the register width differs. The
+// exponential alone carries target("fma"): it is expf_ref's step sequence
+// (tensor/dispatch.hpp), whose four fused steps are part of the reference,
+// and a lane group on expf_ref's special path calls ft2::detail::
+// exp_span_scalar. The
 // F16C round-trip (VCVTPS2PH RNE / VCVTPH2PS) matches the software f16
 // conversion bit-for-bit for every non-NaN input — including subnormals,
 // the 65504/65520 overflow boundary and round-to-nearest-even ties — and
@@ -258,9 +263,66 @@ void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
   if (i < n) detail::epilogue_scalar_span(v + i, n - i, flat0 + i, epi, tally);
 }
 
-constexpr KernelOps kAvx2Ops{KernelTier::kAvx2, "avx2", &kouter_row_avx2,
-                             &gemv_row_avx2, &axpy_rows_avx2,
-                             &epilogue_span_avx2};
+/// expf_ref's main path on four lanes: the same double-precision steps,
+/// the same four fused ones (VFMSUB for r, VFMADD for the cubic), the table
+/// read by a 64-bit gather. Valid only for lanes below the special-path
+/// threshold.
+__attribute__((target("fma"))) inline __m128 exp4(__m128 x) {
+  const __m256d xd = _mm256_cvtps_pd(x);
+  const __m256d inv_ln2n = _mm256_set1_pd(detail::kExpfInvLn2N);
+  const __m256d shift = _mm256_set1_pd(detail::kExpfShift);
+  __m256d kd = _mm256_add_pd(_mm256_mul_pd(inv_ln2n, xd), shift);
+  const __m256i ki = _mm256_castpd_si256(kd);
+  kd = _mm256_sub_pd(kd, shift);
+  const __m256d r = _mm256_fmsub_pd(inv_ln2n, xd, kd);
+  const __m256i t = _mm256_i64gather_epi64(
+      reinterpret_cast<const long long*>(detail::kExpfTable),
+      _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8);
+  const __m256d s =
+      _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64(ki, 47)));
+  const __m256d p = _mm256_fmadd_pd(_mm256_set1_pd(detail::kExpfC0), r,
+                                    _mm256_set1_pd(detail::kExpfC1));
+  __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(detail::kExpfC2), r,
+                              _mm256_set1_pd(1.0));
+  y = _mm256_fmadd_pd(p, _mm256_mul_pd(r, r), y);
+  return _mm256_cvtpd_ps(_mm256_mul_pd(y, s));
+}
+
+/// exp of the 8 floats at x into y (x == y allowed). A group with any
+/// lane on expf_ref's special path (|x| >= 88, inf, NaN) runs expf_ref
+/// for all eight.
+__attribute__((target("fma"))) inline void exp8(const float* x, float* y) {
+  const __m256 v = _mm256_loadu_ps(x);
+  const __m256i abs_bits = _mm256_and_si256(_mm256_castps_si256(v),
+                                            _mm256_set1_epi32(0x7fffffff));
+  const __m256i special = _mm256_cmpgt_epi32(
+      abs_bits,
+      _mm256_set1_epi32(static_cast<int>(detail::kExpfSpecialAbsBits - 1)));
+  if (_mm256_movemask_epi8(special) != 0) {
+    detail::exp_span_scalar(x, y, 8);
+    return;
+  }
+  const __m128 lo = exp4(_mm256_castps256_ps128(v));
+  const __m128 hi = exp4(_mm256_extractf128_ps(v, 1));
+  _mm256_storeu_ps(y, _mm256_set_m128(hi, lo));
+}
+
+/// 8 lanes per step; the tail runs through a zero-padded group.
+__attribute__((target("fma"))) void exp_span_avx2(const float* x, float* y,
+                                                  std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) exp8(x + i, y + i);
+  if (i == n) return;
+  float lanes[8] = {};
+  for (std::size_t j = i; j < n; ++j) lanes[j - i] = x[j];
+  exp8(lanes, lanes);
+  for (std::size_t j = i; j < n; ++j) y[j] = lanes[j - i];
+}
+
+constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,  "avx2",
+                             &kouter_row_avx2,   &gemv_row_avx2,
+                             &axpy_rows_avx2,    &epilogue_span_avx2,
+                             &exp_span_avx2};
 
 }  // namespace
 

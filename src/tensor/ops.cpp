@@ -113,21 +113,43 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                              chunked_accum);
 }
 
-void softmax(std::span<float> v) {
-  if (v.empty()) return;
-  float mx = v[0];
-  for (float f : v) mx = std::max(mx, f);
-  // If the row holds NaN/inf only, the standard stable softmax still runs;
-  // NaNs propagate, which is the faithful FP behaviour under injection.
-  float sum = 0.0f;
-  for (float& f : v) {
-    f = std::exp(f - mx);
-    sum += f;
-  }
-  if (sum > 0.0f) {
-    for (float& f : v) f /= sum;
+void softmax_rows(float* v, std::size_t m, std::size_t n) {
+  if (n == 0) return;
+  const auto exp_span = active_kernel_ops().exp_span;
+  // Rows go kGroup at a time so their max and sum chains interleave; each
+  // chain still runs over its own row in ascending order.
+  constexpr std::size_t kGroup = 8;
+  float mx[kGroup];
+  float sum[kGroup];
+  for (std::size_t r0 = 0; r0 < m; r0 += kGroup) {
+    const std::size_t g = std::min(kGroup, m - r0);
+    float* rows = v + r0 * n;
+    // If a row holds NaN/inf only, the standard stable softmax still runs;
+    // NaNs propagate, which is the faithful FP behaviour under injection.
+    for (std::size_t h = 0; h < g; ++h) mx[h] = rows[h * n];
+    for (std::size_t j = 1; j < n; ++j) {
+      for (std::size_t h = 0; h < g; ++h) {
+        mx[h] = std::max(mx[h], rows[h * n + j]);
+      }
+    }
+    for (std::size_t h = 0; h < g; ++h) {
+      float* row = rows + h * n;
+      for (std::size_t j = 0; j < n; ++j) row[j] -= mx[h];
+    }
+    exp_span(rows, rows, g * n);
+    for (std::size_t h = 0; h < g; ++h) sum[h] = 0.0f;
+    for (std::size_t j = 0; j < n; ++j) {
+      for (std::size_t h = 0; h < g; ++h) sum[h] += rows[h * n + j];
+    }
+    for (std::size_t h = 0; h < g; ++h) {
+      if (!(sum[h] > 0.0f)) continue;
+      float* row = rows + h * n;
+      for (std::size_t j = 0; j < n; ++j) row[j] /= sum[h];
+    }
   }
 }
+
+void softmax(std::span<float> v) { softmax_rows(v.data(), 1, v.size()); }
 
 void layernorm_row(std::span<const float> in, std::span<const float> gamma,
                    std::span<const float> beta, float eps,
@@ -177,7 +199,9 @@ void rmsnorm_rows(const Tensor& x, std::span<const float> gamma, float eps,
   }
 }
 
-float sigmoid_scalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+float sigmoid_scalar(float x) {
+  return 1.0f / (1.0f + detail::expf_ref(-x));
+}
 
 float gelu_scalar(float x) {
   // GPT-2/J tanh approximation.
@@ -185,7 +209,13 @@ float gelu_scalar(float x) {
   return 0.5f * x * (1.0f + std::tanh(c * (x + 0.044715f * x * x * x)));
 }
 
-float silu_scalar(float x) { return x * sigmoid_scalar(x); }
+float silu_scalar(float x) {
+  // A NaN x meets sigmoid's NaN (x quieted, sign flipped) in the product;
+  // which of two NaN operands a multiply returns depends on how it was
+  // compiled, so the NaN case names its result.
+  const float s = sigmoid_scalar(x);
+  return std::isnan(x) ? s : x * s;
+}
 
 void relu(std::span<float> v) {
   for (float& f : v) f = std::max(f, 0.0f);
@@ -196,7 +226,21 @@ void gelu(std::span<float> v) {
 }
 
 void silu(std::span<float> v) {
-  for (float& f : v) f = silu_scalar(f);
+  // silu_scalar's expression, with the exponentials of a chunk in one
+  // exp_span call.
+  const auto exp_span = active_kernel_ops().exp_span;
+  constexpr std::size_t kChunk = 256;
+  float e[kChunk];
+  for (std::size_t i0 = 0; i0 < v.size(); i0 += kChunk) {
+    const std::size_t n = std::min(kChunk, v.size() - i0);
+    float* x = v.data() + i0;
+    for (std::size_t i = 0; i < n; ++i) e[i] = -x[i];
+    exp_span(e, e, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float s = 1.0f / (1.0f + e[i]);
+      x[i] = std::isnan(x[i]) ? s : x[i] * s;
+    }
+  }
 }
 
 void rope_apply(std::span<float> qk, std::size_t n_heads, std::size_t head_dim,

@@ -76,8 +76,16 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
                          bool chunked_accum, ThreadPool& pool);
 
-/// In-place numerically-stable softmax of one contiguous vector.
+/// In-place numerically-stable softmax of one contiguous vector: the
+/// running max over the row (std::max from the first element), the
+/// exponentials of x - max through the active tier's exp_span, their sum
+/// in ascending order and, when that sum is positive, a division by it.
 void softmax(std::span<float> v);
+
+/// softmax of each of the `m` contiguous rows of `n` floats at `v`. The
+/// rows' max and sum chains interleave, but every row's result equals
+/// softmax of that row alone, bit for bit.
+void softmax_rows(float* v, std::size_t m, std::size_t n);
 
 /// LayerNorm: y = (x - mean) / sqrt(var + eps) * gamma + beta, per row.
 void layernorm_rows(const Tensor& x, std::span<const float> gamma,
@@ -100,7 +108,10 @@ void gelu(std::span<float> v);   // tanh approximation (GPT-style)
 void silu(std::span<float> v);   // x * sigmoid(x)
 
 float gelu_scalar(float x);
+/// x * sigmoid_scalar(x), and sigmoid_scalar(x) itself for a NaN x;
+/// silu() computes the same per element.
 float silu_scalar(float x);
+/// 1 / (1 + detail::expf_ref(-x)).
 float sigmoid_scalar(float x);
 
 /// Rotary position embedding applied in place to a [n_heads * head_dim]

@@ -354,9 +354,10 @@ float loss_and_dlogits(const ForwardCache& cache, const TrainSequence& seq,
     auto row = cache.logits.row(t);
     float mx = row[0];
     for (float f : row) mx = std::max(mx, f);
+    for (std::size_t j = 0; j < vocab; ++j) probs[j] = row[j] - mx;
+    active_kernel_ops().exp_span(probs.data(), probs.data(), vocab);
     double sum = 0.0;
     for (std::size_t j = 0; j < vocab; ++j) {
-      probs[j] = std::exp(row[j] - mx);
       sum += static_cast<double>(probs[j]);
     }
     const double logz = std::log(sum) + static_cast<double>(mx);

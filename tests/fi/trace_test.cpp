@@ -166,6 +166,24 @@ TEST(Trace, JsonlAndJsonRoundTrip) {
   EXPECT_EQ(jsonl_of(from_json), jl.str());
 }
 
+TEST(Trace, BitsFieldRejectsMalformedIndices) {
+  const auto read_bits = [](const std::string& bits) {
+    std::istringstream is("{\"trial\": 4, \"layer\": \"FC1\", \"bits\": \"" +
+                          bits + "\"}\n");
+    return read_trial_records_jsonl(is);
+  };
+  for (const char* bad : {"abc", "99", "32", "1+", "+1", "1++2", "3x", "-1",
+                          " 3", "007"}) {
+    EXPECT_THROW(read_bits(bad), Error) << "'" << bad << "'";
+  }
+  const auto ok = read_bits("0+31");
+  ASSERT_EQ(ok.size(), 1u);
+  ASSERT_EQ(ok[0].plan.flips.count, 2);
+  EXPECT_EQ(ok[0].plan.flips.bits[0], 0);
+  EXPECT_EQ(ok[0].plan.flips.bits[1], 31);
+  EXPECT_EQ(read_bits("")[0].plan.flips.count, 0);
+}
+
 TEST(Trace, MissingTrailingFieldsDefault) {
   // Logs recorded before a field existed still load: a pre-forensics JSONL
   // line without the newer keys parses with defaults.

@@ -242,7 +242,10 @@ TEST(Model, WorkspaceShapes) {
   Workspace ws(c);
   EXPECT_EQ(ws.x.dim(1), c.d_model);
   EXPECT_EQ(ws.f1.dim(1), c.d_ff);
-  EXPECT_EQ(ws.scores.dim(1), c.max_seq);
+  // One [n_heads][len] score block per attention task; a fresh workspace
+  // holds one task's row.
+  EXPECT_EQ(ws.scores.dim(0), 1u);
+  EXPECT_EQ(ws.scores.dim(1), c.n_heads * c.max_seq);
 }
 
 TEST(Model, ParameterCountsDifferByArch) {

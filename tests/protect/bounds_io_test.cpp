@@ -70,6 +70,53 @@ TEST(BoundsIo, RejectsGarbage) {
   EXPECT_THROW(load_bounds("/nonexistent/bounds", config2()), Error);
 }
 
+TEST(BoundsIo, RejectsMalformedEntriesNamingTheLine) {
+  // Each body follows a valid header and one valid entry, so a loader that
+  // stops early or skips a bad line would return a partial store.
+  const std::string good = "1 UP_PROJ -0x1p+0 0x1p+1 0x0p+0\n";
+  const char* const bad_lines[] = {
+      "0 V_PROJ abc def ghi",                    // not floats (read as 0)
+      "x V_PROJ -0x1p+0 0x1p+0 0x0p+0",          // block not a number
+      "0 V_PROJ -0x1p+0 0x1p+0",                 // line cut short
+      "1 UP_PROJ -0x1p+0 0x1p+0 0x0p+0",         // site given twice
+      "0 V_PROJ -0x1p+0 0x1p+0 nan",             // NaN typical
+      "0 V_PROJ -0x1p+0 1.5x 0x0p+0",            // float with a tail
+      "0 V_PROJ -0x1p+0 0x1p+0 0x0p+0 extra",    // trailing token
+      "2 V_PROJ -0x1p+0 0x1p+0 0x0p+0",          // block out of range
+      "0 NOT_A_LAYER -0x1p+0 0x1p+0 0x0p+0",     // unknown kind
+      "",                                        // blank line
+  };
+  const std::string path = tmp("ft2_bounds_malformed.txt");
+  for (const char* bad : bad_lines) {
+    {
+      std::ofstream os(path, std::ios::trunc);
+      os << "ft2-bounds v1 2\n" << good << bad << "\n";
+    }
+    try {
+      load_bounds(path, config2());
+      ADD_FAILURE() << "accepted: '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Header problems: extra header tokens, a block count that is not the
+  // model's.
+  for (const char* header : {"ft2-bounds v1 2 x", "ft2-bounds v1 02"}) {
+    {
+      std::ofstream os(path, std::ios::trunc);
+      os << header << "\n" << good;
+    }
+    EXPECT_THROW(load_bounds(path, config2()), Error) << header;
+  }
+  {
+    std::ofstream os(path, std::ios::trunc);
+    os << "ft2-bounds v1 2\n" << good;
+  }
+  EXPECT_TRUE(load_bounds(path, config2()).at({1, LayerKind::kUpProj}).valid());
+  std::remove(path.c_str());
+}
+
 TEST(BoundsIo, LayerKindNamesRoundTrip) {
   for (std::size_t k = 0; k < kLayerKindCount; ++k) {
     const auto kind = static_cast<LayerKind>(k);

@@ -789,7 +789,200 @@ TEST(KernelTierEquivalence, NanOnlyMode) {
   }
 }
 
+// --- Exponential, softmax and SiLU -----------------------------------------
+
+/// exp_span inputs: every fp16 value as a float, a strided sweep of all
+/// float bit patterns, signed zeros and infinities, NaN payloads of both
+/// signs (quiet and signalling), subnormals, and every threshold of
+/// expf_ref's special path with its neighbouring floats.
+std::vector<float> exp_inputs() {
+  std::vector<float> in;
+  for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+    in.push_back(f16::from_bits(static_cast<std::uint16_t>(h)).to_float());
+  }
+  for (std::uint64_t b = 0; b < (std::uint64_t{1} << 32); b += 65521) {
+    in.push_back(f32_from_bits(static_cast<std::uint32_t>(b)));
+  }
+  for (const std::uint32_t bits :
+       {0x00000000u, 0x80000000u, 0x7f800000u, 0xff800000u, 0x7fc00000u,
+        0xffc00000u, 0x7fc01234u, 0xffc54321u, 0x7f800001u, 0xff800001u,
+        0x7fbfffffu, 0xffbfffffu, 0x00000001u, 0x80000001u, 0x007fffffu,
+        0x807fffffu, 0x00400000u, 0x80400000u}) {
+    in.push_back(f32_from_bits(bits));
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float t : {88.0f, -88.0f, 0x1.62e42ep6f, -0x1.9fe368p6f}) {
+    float lo = t, hi = t;
+    for (int i = 0; i < 4; ++i) {
+      in.push_back(lo);
+      in.push_back(hi);
+      lo = std::nextafter(lo, -inf);
+      hi = std::nextafter(hi, inf);
+    }
+  }
+  return in;
+}
+
+void expect_tier_exp_span_exact(KernelTier tier) {
+  const KernelOps& ops = kernel_ops_for(tier);
+  const std::vector<float> in = exp_inputs();
+  std::vector<float> out(in.size());
+  ops.exp_span(in.data(), out.data(), in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    ASSERT_EQ(f32_bits(out[i]), f32_bits(detail::expf_ref(in[i])))
+        << kernel_tier_name(tier) << " exp of bits 0x" << std::hex
+        << f32_bits(in[i]);
+  }
+  // Every span length 0..17, out of place and in place, at offsets that
+  // put specials in and out of the 8-lane groups; a guard float after the
+  // span must stay untouched.
+  const float guard = 12345.0f;
+  for (std::size_t n = 0; n <= 17; ++n) {
+    for (std::size_t at = in.size() - 64; at + n <= in.size(); at += 7) {
+      std::vector<float> x(in.begin() + static_cast<std::ptrdiff_t>(at),
+                           in.begin() + static_cast<std::ptrdiff_t>(at + n));
+      std::vector<float> y(n + 1, guard), z = x;
+      z.push_back(guard);
+      ops.exp_span(x.data(), y.data(), n);
+      ops.exp_span(z.data(), z.data(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t want = f32_bits(detail::expf_ref(x[i]));
+        ASSERT_EQ(f32_bits(y[i]), want) << "n=" << n << " i=" << i;
+        ASSERT_EQ(f32_bits(z[i]), want) << "in place, n=" << n << " i=" << i;
+      }
+      ASSERT_EQ(y[n], guard);
+      ASSERT_EQ(z[n], guard);
+    }
+  }
+}
+
+TEST(KernelTierEquivalence, SseExpSpanMatchesReference) {
+  expect_tier_exp_span_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, Avx2ExpSpanMatchesReference) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_exp_span_exact(KernelTier::kAvx2);
+}
+
+/// The softmax contract, one row at a time: running std::max from the
+/// first element, expf_ref(x - max), an ascending float sum, and a
+/// division only when that sum is positive.
+void softmax_rows_naive(std::vector<float>& v, std::size_t m, std::size_t n) {
+  for (std::size_t h = 0; h < m; ++h) {
+    float* row = v.data() + h * n;
+    float mx = row[0];
+    for (std::size_t j = 0; j < n; ++j) mx = std::max(mx, row[j]);
+    float sum = 0.0f;
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = detail::expf_ref(row[j] - mx);
+      sum += row[j];
+    }
+    if (sum > 0.0f) {
+      for (std::size_t j = 0; j < n; ++j) row[j] /= sum;
+    }
+  }
+}
+
+/// SiLU's contract: x * sigmoid(x), and sigmoid's own NaN for a NaN x.
+float silu_naive(float x) {
+  const float s = 1.0f / (1.0f + detail::expf_ref(-x));
+  return std::isnan(x) ? s : x * s;
+}
+
+void expect_tier_softmax_silu_exact(KernelTier tier) {
+  TierGuard guard;
+  set_kernel_tier(tier);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Xoshiro256 rng(2027);
+  for (std::size_t m = 1; m <= 9; ++m) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                                std::size_t{7}, std::size_t{9},
+                                std::size_t{33}, std::size_t{200}}) {
+      std::vector<float> v(m * n);
+      fill_uniform(v, rng, -12.0f, 12.0f);
+      // Row h gets case h % 7: plain, NaN first, NaN later, +inf, -inf,
+      // all -inf (NaN sum, no divide), a +-0 maximum.
+      for (std::size_t h = 0; h < m; ++h) {
+        float* row = v.data() + h * n;
+        switch (h % 7) {
+          case 1: row[0] = nan; break;
+          case 2: row[n - 1] = nan; break;
+          case 3: row[n / 2] = inf; break;
+          case 4: row[0] = -inf; break;
+          case 5: std::fill(row, row + n, -inf); break;
+          case 6:
+            for (std::size_t j = 0; j < n; ++j) row[j] = -std::fabs(row[j]);
+            row[0] = -0.0f;
+            row[n - 1] = 0.0f;
+            break;
+          default: break;
+        }
+      }
+      std::vector<float> want = v;
+      softmax_rows_naive(want, m, n);
+      std::vector<float> got = v;
+      softmax_rows(got.data(), m, n);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(f32_bits(got[i]), f32_bits(want[i]))
+            << kernel_tier_name(tier) << " softmax_rows m=" << m
+            << " n=" << n << " at " << i;
+      }
+      // softmax of each row alone is the same function.
+      std::vector<float> single = v;
+      for (std::size_t h = 0; h < m; ++h) {
+        softmax(std::span<float>(single.data() + h * n, n));
+      }
+      for (std::size_t i = 0; i < single.size(); ++i) {
+        ASSERT_EQ(f32_bits(single[i]), f32_bits(want[i])) << "softmax at " << i;
+      }
+    }
+  }
+
+  std::vector<float> x;
+  for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+    x.push_back(f16::from_bits(static_cast<std::uint16_t>(h)).to_float());
+  }
+  for (const float f : {inf, -inf, nan, -nan, 0.0f, -0.0f, 88.0f, -88.0f,
+                        0x1.62e42ep6f, -0x1.62e42ep6f, 0x1.9fe368p6f,
+                        -0x1.9fe368p6f, f32_from_bits(0x7fc01234u),
+                        f32_from_bits(0x00000001u)}) {
+    x.push_back(f);
+  }
+  std::vector<float> got = x;
+  silu(got);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const std::uint32_t want = f32_bits(silu_naive(x[i]));
+    ASSERT_EQ(f32_bits(got[i]), want)
+        << kernel_tier_name(tier) << " silu of bits 0x" << std::hex
+        << f32_bits(x[i]);
+    ASSERT_EQ(f32_bits(silu_scalar(x[i])), want) << "silu_scalar";
+  }
+}
+
+TEST(KernelTierEquivalence, SseSoftmaxRowsAndSiluMatchScalar) {
+  expect_tier_softmax_silu_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, Avx2SoftmaxRowsAndSiluMatchScalar) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_softmax_silu_exact(KernelTier::kAvx2);
+}
+
 // --- Dispatch plumbing ------------------------------------------------------
+
+TEST(KernelDispatch, ExpRefGoldenValues) {
+  // Host-independent values of glibc's algorithm. The first two are the
+  // inputs where a build without the four fused steps rounds differently.
+  EXPECT_EQ(f32_bits(detail::expf_ref(f32_from_bits(0x4202422fu))),
+            0x56fc9f1cu);
+  EXPECT_EQ(f32_bits(detail::expf_ref(f32_from_bits(0xc27c65d9u))),
+            0x11fa2993u);
+  EXPECT_EQ(f32_bits(detail::expf_ref(0.0f)), f32_bits(1.0f));
+  EXPECT_EQ(f32_bits(detail::expf_ref(-std::numeric_limits<float>::infinity())),
+            0u);
+}
 
 TEST(KernelDispatch, TierNamesRoundTrip) {
   EXPECT_EQ(parse_kernel_tier("sse"), KernelTier::kSse);

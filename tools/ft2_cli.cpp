@@ -1310,7 +1310,8 @@ int cmd_perf(const ArgParser& args) {
 /// packed GEMM must reproduce the scalar reference chain (acc += x[i] *
 /// w[o][i], ascending i, no FMA) and the packed chunked-accumulation chain
 /// its scalar reference, both on row-major weights; the attention kernels
-/// and the quantize sweep their scalar references too.
+/// and the quantize sweep their scalar references too, and exp_span
+/// detail::expf_ref.
 int kernel_check() {
   const KernelTier restore = active_kernel_tier();
   int failures = 0;
@@ -1430,14 +1431,35 @@ int kernel_check() {
       if (f32_bits(q[i]) != f32_bits(q_ref[i])) ++quant_bad;
     }
 
-    if (gemm_bad != 0 || attn_bad != 0 || quant_bad != 0) {
+    // exp_span: the same inputs plus expf_ref's thresholds, out of place
+    // and in place (an odd length leaves a tail), against expf_ref.
+    std::vector<float> e = q;
+    for (const std::uint32_t bits :
+         {0x42b00000u, 0xc2b00000u, 0x42b17217u, 0x42b17218u, 0xc2cff1b4u,
+          0xc2cff1b5u, 0xff800000u, 0x7f800000u, 0x80000001u}) {
+      e.push_back(f32_from_bits(bits));
+    }
+    std::vector<float> e_out(e.size());
+    active_kernel_ops().exp_span(e.data(), e_out.data(), e.size());
+    std::vector<float> e_in = e;
+    active_kernel_ops().exp_span(e_in.data(), e_in.data(), e_in.size());
+    std::size_t exp_bad = 0;
+    for (std::size_t i = 0; i < e.size(); ++i) {
+      const std::uint32_t want = f32_bits(detail::expf_ref(e[i]));
+      if (f32_bits(e_out[i]) != want) ++exp_bad;
+      if (f32_bits(e_in[i]) != want) ++exp_bad;
+    }
+
+    if (gemm_bad != 0 || attn_bad != 0 || quant_bad != 0 || exp_bad != 0) {
       ++failures;
       std::cout << name << ": FAIL (" << gemm_bad << " gemm mismatches, "
                 << attn_bad << " attention mismatches, " << quant_bad
-                << " quantize mismatches)\n";
+                << " quantize mismatches, " << exp_bad
+                << " exp_span mismatches)\n";
     } else {
       std::cout << name << ": OK (packed gemm + packed chunked gemm + "
-                           "strided gemv + axpy_rows + quantize bit-exact)\n";
+                           "strided gemv + axpy_rows + quantize + exp_span "
+                           "bit-exact)\n";
     }
   }
   set_kernel_tier(restore);
