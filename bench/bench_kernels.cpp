@@ -9,10 +9,13 @@
 //   bench_kernels --tiers [--json FILE]
 //       per-dispatch-tier packed-GEMM, attention-core, quantize and
 //       protection-epilogue throughput (every tier the host supports).
-//       The attention core is one decode row's Q·K (strided row GEMV) and
-//       P·V (axpy_rows) over 256 cached keys of the benchmark model (8
-//       heads x 16, rows 128 floats apart), walked in the 16-row runs of
-//       a paged cache of 16-row blocks. The epilogue is the kernel's
+//       The attention core is the benchmark model's (8 heads x 16, keys
+//       head-interleaved) at two shapes, each timed as three passes: Q·K
+//       (qk_heads), the column softmax (softmax_columns, scores restored
+//       each rep) and P·V (pv_heads). "serve" is one decode row over 256
+//       cached keys in the 16-row runs of a paged cache; "campaign" is the
+//       rows of a campaign trial's decode, 64 to 80 keys, each one plain
+//       run. The epilogue is the kernel's
 //       full FT2 plan (quantize + NaN fix + clip) swept once over a
 //       16x384 span; a protected site does the same work as a quantize
 //       sweep after its GEMM and a clip sweep inside its hook. The GEMMs are
@@ -20,8 +23,7 @@
 //       (128x384), on packed tiles at 8 rows (a decode batch) and at 1
 //       row (a solo decode step or campaign trial).
 //       The exponential is exp_span over 4096 floats in [-16, 0] (softmax's
-//       range); softmax is softmax_rows over 8 rows of 200 (one decode
-//       row's heads at position 199); SiLU is silu over a 16x384 span.
+//       range); SiLU is silu over a 16x384 span.
 //       --json writes the bench/baselines/BENCH_kernels.json shape, host
 //       included; without it a table prints.
 //   bench_kernels --exp-sweep
@@ -209,26 +211,39 @@ struct GemmRates {
   double packed_row_gflops = 0.0;  ///< one row (solo decode, trials)
 };
 
+/// One attention shape: a decode row over every key count in [keys_lo,
+/// keys_hi], the cache read in runs of `run` rows (0: one plain run).
+struct AttnShape {
+  const char* name;
+  std::size_t keys_lo, keys_hi, run;
+};
+
+/// The benchmark model's heads; a serve decode row deep in a paged cache
+/// of 16-row blocks, and a campaign trial's decode rows (64-token prompt,
+/// 16 generated tokens) on a plain cache.
+constexpr std::size_t kAttnHeads = 8, kAttnHeadDim = 16;
+constexpr AttnShape kAttnShapes[] = {{"serve", 256, 256, 16},
+                                     {"campaign", 64, 80, 0}};
+
+struct AttnRates {
+  double qk_gflops = 0.0;       ///< qk_heads, 2 flops per multiply-add
+  double softmax_gelems = 0.0;  ///< softmax_columns, scores per second
+  double pv_gflops = 0.0;       ///< pv_heads, 2 flops per multiply-add
+};
+
 struct TierRates {
   GemmRates gemm[std::size(kGemmShapes)];  ///< one per kGemmShapes entry
+  AttnRates attention[std::size(kAttnShapes)];  ///< per kAttnShapes entry
   double quantize_gelems = 0.0;            ///< quantize_span_f16 sweep
   double epilogue_gelems = 0.0;            ///< FT2 bounds epilogue sweep
-  double attention_gflops = 0.0;           ///< Q·K + P·V of one decode row
   double exp_gelems = 0.0;                 ///< exp_span
-  double softmax_gelems = 0.0;             ///< softmax_rows, 8 x 200
   double silu_gelems = 0.0;                ///< silu over 16 x 384
 };
 
-/// Attention core: one decode row over kAttnKeys cached keys, kAttnHeads
-/// heads of kAttnHeadDim, read in kAttnRun-row runs (paged blocks).
-constexpr std::size_t kAttnKeys = 256, kAttnHeads = 8, kAttnHeadDim = 16,
-                      kAttnRun = 16;
 /// Epilogue span: 16 rows of the benchmark model's d_ff-wide fc1 output.
 constexpr std::size_t kEpilogueRows = 16, kEpilogueCols = 384;
-/// Exponential span length; softmax block (one decode row's heads at
-/// position kSoftmaxCols - 1). SiLU runs over the epilogue's span shape.
-constexpr std::size_t kExpElems = 4096, kSoftmaxRows = 8,
-                      kSoftmaxCols = 200;
+/// Exponential span length. SiLU runs over the epilogue's span shape.
+constexpr std::size_t kExpElems = 4096;
 
 GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
                        ThreadPool& pool, Xoshiro256& rng) {
@@ -273,42 +288,63 @@ double measure_epilogue(const KernelOps& ops, std::size_t reps,
   }) / 1e9;
 }
 
-/// Attention's two products for one decode row, per head and per run as
-/// the forward engine calls them: Q·K scores by the strided row GEMV, then
-/// the probability-weighted sum of value rows by axpy_rows. Softmax runs
-/// once up front to give realistic probabilities and is not timed.
-double measure_attention(const KernelOps& ops, std::size_t reps,
-                         Xoshiro256& rng) {
-  const std::size_t d = kAttnHeads * kAttnHeadDim;
-  std::vector<float> keys(kAttnKeys * d), values(kAttnKeys * d), q(d);
-  std::vector<float> scores(kAttnKeys), probs(kAttnHeads * kAttnKeys);
+/// Attention's three passes over one shape's rows, as the forward engine
+/// runs them: Q·K per run of cached keys into the [keys][heads] score
+/// block, the column softmax over the block, then P·V per run.
+AttnRates measure_attention(const KernelOps& ops, const AttnShape& shape,
+                            std::size_t reps, Xoshiro256& rng) {
+  const std::size_t h = kAttnHeads, d = kAttnHeads * kAttnHeadDim;
+  const std::size_t max_keys = shape.keys_hi;
+  std::vector<float> keys(max_keys * d), values(max_keys * d), q(d);
+  std::vector<float> raw(max_keys * h), scores(raw.size()), probs(raw.size());
   std::vector<float> out(d);
   for (float& f : keys) f = rng.uniform_float(-1.0f, 1.0f);
   for (float& f : values) f = rng.uniform_float(-1.0f, 1.0f);
   for (float& f : q) f = rng.uniform_float(-1.0f, 1.0f);
-  for (std::size_t h = 0; h < kAttnHeads; ++h) {
-    const std::span<float> p(probs.data() + h * kAttnKeys, kAttnKeys);
-    for (float& f : p) f = rng.uniform_float(-4.0f, 4.0f);
-    softmax(p);
+  for (float& f : raw) f = rng.uniform_float(-4.0f, 4.0f);
+  probs = raw;
+  softmax_columns(probs.data(), max_keys, h);
+  std::size_t rows = 0;  // sum of the key counts the shape attends over
+  for (std::size_t len = shape.keys_lo; len <= shape.keys_hi; ++len) {
+    rows += len;
   }
-  const double flops = 2.0 * 2.0 * static_cast<double>(kAttnKeys * d);
-  return best_items_per_sec(flops, reps, [&] {
-    std::fill(out.begin(), out.end(), 0.0f);
-    for (std::size_t off = 0; off < d; off += kAttnHeadDim) {
-      const float* p = probs.data() + off / kAttnHeadDim * kAttnKeys;
-      for (std::size_t j = 0; j < kAttnKeys; j += kAttnRun) {
-        ops.gemv_row(q.data() + off, keys.data() + j * d + off, d, kAttnRun,
-                     kAttnHeadDim, nullptr, scores.data() + j);
-      }
-      for (std::size_t j = 0; j < kAttnKeys; j += kAttnRun) {
-        ops.axpy_rows(p + j, values.data() + j * d + off, d, kAttnRun,
-                      kAttnHeadDim, out.data() + off);
-      }
+  const auto runs = [&](std::size_t len, auto&& fn) {
+    const std::size_t run = shape.run == 0 ? len : shape.run;
+    for (std::size_t j = 0; j < len; j += run) fn(j, std::min(run, len - j));
+  };
+  const double macs = static_cast<double>(rows * d);
+  AttnRates rates;
+  rates.qk_gflops = 2.0 * best_items_per_sec(macs, reps, [&] {
+    for (std::size_t len = shape.keys_lo; len <= shape.keys_hi; ++len) {
+      runs(len, [&](std::size_t j, std::size_t n) {
+        ops.qk_heads(q.data(), keys.data() + j * d, n, h, kAttnHeadDim,
+                     scores.data() + j * h);
+      });
     }
     benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
+  }) / 1e9;
+  rates.softmax_gelems = best_items_per_sec(
+      static_cast<double>(rows * h), reps, [&] {
+        for (std::size_t len = shape.keys_lo; len <= shape.keys_hi; ++len) {
+          std::copy_n(raw.begin(), len * h, scores.begin());
+          softmax_columns(scores.data(), len, h);
+        }
+        benchmark::DoNotOptimize(scores.data());
+        benchmark::ClobberMemory();
+      }) / 1e9;
+  rates.pv_gflops = 2.0 * best_items_per_sec(macs, reps, [&] {
+    for (std::size_t len = shape.keys_lo; len <= shape.keys_hi; ++len) {
+      std::fill(out.begin(), out.end(), 0.0f);
+      runs(len, [&](std::size_t j, std::size_t n) {
+        ops.pv_heads(probs.data() + j * h, values.data() + j * d, n, h,
+                     kAttnHeadDim, out.data());
+      });
+    }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }) / 1e9;
+  return rates;
 }
 
 /// The machine the rates were measured on: CPU model (from
@@ -348,7 +384,9 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
         static_cast<double>(v.size()), reps,
         [&] { quantize_span_f16(v); }) / 1e9;
   }
-  rates.attention_gflops = measure_attention(ops, reps, rng);
+  for (std::size_t s = 0; s < std::size(kAttnShapes); ++s) {
+    rates.attention[s] = measure_attention(ops, kAttnShapes[s], reps, rng);
+  }
   rates.epilogue_gelems = measure_epilogue(ops, reps, rng);
   {
     std::vector<float> x(kExpElems), y(kExpElems);
@@ -358,17 +396,6 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
       ops.exp_span(x.data(), y.data(), x.size());
       benchmark::DoNotOptimize(y.data());
     }) / 1e9;
-  }
-  {
-    // Each rep restores the scores, as attention rewrites them per row.
-    std::vector<float> scores(kSoftmaxRows * kSoftmaxCols), v(scores.size());
-    for (float& f : scores) f = rng.uniform_float(-4.0f, 4.0f);
-    rates.softmax_gelems = best_items_per_sec(
-        static_cast<double>(v.size()), reps, [&] {
-          std::copy(scores.begin(), scores.end(), v.begin());
-          softmax_rows(v.data(), kSoftmaxRows, kSoftmaxCols);
-          benchmark::DoNotOptimize(v.data());
-        }) / 1e9;
   }
   {
     std::vector<float> act(kEpilogueRows * kEpilogueCols), v(act.size());
@@ -458,14 +485,16 @@ int run_tiers(const ArgParser& args) {
 
   Json tiers = Json::object();
   Table table({"tier", "gemm", "packed GFLOP/s", "1-row GFLOP/s",
-               "attention GFLOP/s", "quantize Gelem/s", "epilogue Gelem/s",
-               "exp Gelem/s", "softmax Gelem/s", "silu Gelem/s"});
+               "quantize Gelem/s", "epilogue Gelem/s", "exp Gelem/s",
+               "silu Gelem/s"});
+  Table attn_table({"tier", "attention", "Q·K GFLOP/s", "softmax Gelem/s",
+                    "P·V GFLOP/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, reps);
     Json t = Json::object();
     for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
       const GemmRates& g = r.gemm[s];
-      // Per-tier columns (attention through silu) print on the tier's
+      // Per-tier columns (quantize through silu) print on the tier's
       // first row.
       table.begin_row()
           .cell(s == 0 ? kernel_tier_name(tier) : "")
@@ -473,25 +502,37 @@ int run_tiers(const ArgParser& args) {
           .num(g.packed_gflops, 2)
           .num(g.packed_row_gflops, 2);
       if (s == 0) {
-        table.num(r.attention_gflops, 2)
-            .num(r.quantize_gelems, 2)
+        table.num(r.quantize_gelems, 2)
             .num(r.epilogue_gelems, 2)
             .num(r.exp_gelems, 3)
-            .num(r.softmax_gelems, 3)
             .num(r.silu_gelems, 3);
       } else {
-        for (int c = 0; c < 6; ++c) table.cell("");
+        for (int c = 0; c < 4; ++c) table.cell("");
       }
       Json shape = Json::object();
       shape["gemm_packed_gflops"] = g.packed_gflops;
       shape["gemm_packed_1row_gflops"] = g.packed_row_gflops;
       t[kGemmShapes[s].name] = shape;
     }
-    t["attention_gflops"] = r.attention_gflops;
+    Json attention = Json::object();
+    for (std::size_t s = 0; s < std::size(kAttnShapes); ++s) {
+      const AttnRates& a = r.attention[s];
+      attn_table.begin_row()
+          .cell(s == 0 ? kernel_tier_name(tier) : "")
+          .cell(kAttnShapes[s].name)
+          .num(a.qk_gflops, 2)
+          .num(a.softmax_gelems, 3)
+          .num(a.pv_gflops, 2);
+      Json shape = Json::object();
+      shape["qk_gflops"] = a.qk_gflops;
+      shape["softmax_gelems_per_sec"] = a.softmax_gelems;
+      shape["pv_gflops"] = a.pv_gflops;
+      attention[kAttnShapes[s].name] = shape;
+    }
+    t["attention"] = attention;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     t["epilogue_gelems_per_sec"] = r.epilogue_gelems;
     t["exp_gelems_per_sec"] = r.exp_gelems;
-    t["softmax_gelems_per_sec"] = r.softmax_gelems;
     t["silu_gelems_per_sec"] = r.silu_gelems;
     tiers[kernel_tier_name(tier)] = t;
   }
@@ -511,16 +552,21 @@ int run_tiers(const ArgParser& args) {
     cfg["gemm_shapes"] = shapes;
     cfg["gemm_rows"] = static_cast<double>(kGemmRows);
     cfg["tile_cols"] = static_cast<double>(kTileCols);
-    cfg["attention_keys"] = static_cast<double>(kAttnKeys);
+    Json attn_shapes = Json::object();
+    for (const AttnShape& a : kAttnShapes) {
+      Json shape = Json::object();
+      shape["keys_lo"] = static_cast<double>(a.keys_lo);
+      shape["keys_hi"] = static_cast<double>(a.keys_hi);
+      shape["run_rows"] = static_cast<double>(a.run);
+      attn_shapes[a.name] = shape;
+    }
+    cfg["attention_shapes"] = attn_shapes;
     cfg["attention_heads"] = static_cast<double>(kAttnHeads);
     cfg["attention_head_dim"] = static_cast<double>(kAttnHeadDim);
-    cfg["attention_run_rows"] = static_cast<double>(kAttnRun);
     cfg["quantize_elems"] = static_cast<double>(1u << 16);
     cfg["epilogue_rows"] = static_cast<double>(kEpilogueRows);
     cfg["epilogue_cols"] = static_cast<double>(kEpilogueCols);
     cfg["exp_elems"] = static_cast<double>(kExpElems);
-    cfg["softmax_rows"] = static_cast<double>(kSoftmaxRows);
-    cfg["softmax_cols"] = static_cast<double>(kSoftmaxCols);
     cfg["reps"] = static_cast<double>(reps);
     cfg["threads"] = 1.0;
     out["config"] = cfg;
@@ -543,15 +589,25 @@ int run_tiers(const ArgParser& args) {
   for (const GemmShape& g : kGemmShapes) {
     std::cout << g.name << " " << g.n << "x" << g.k << ", ";
   }
-  std::cout << kGemmRows << " rows and 1 row, single worker; attention "
-            << kAttnKeys << " keys x "
-            << kAttnHeads << " heads x " << kAttnHeadDim << " in "
-            << kAttnRun << "-row runs; epilogue " << kEpilogueRows << "x"
-            << kEpilogueCols << " ft2 bounds plan; exp " << kExpElems
-            << " floats; softmax " << kSoftmaxRows << "x" << kSoftmaxCols
-            << "; silu " << kEpilogueRows << "x" << kEpilogueCols
-            << "; best of " << reps << "\n\n";
+  std::cout << kGemmRows << " rows and 1 row, single worker; epilogue "
+            << kEpilogueRows << "x" << kEpilogueCols
+            << " ft2 bounds plan; exp " << kExpElems << " floats; silu "
+            << kEpilogueRows << "x" << kEpilogueCols << "; best of " << reps
+            << "\n\n";
   table.print(std::cout);
+  std::cout << "\nattention " << kAttnHeads << " heads x " << kAttnHeadDim;
+  for (const AttnShape& a : kAttnShapes) {
+    std::cout << "; " << a.name << " " << a.keys_lo;
+    if (a.keys_hi != a.keys_lo) std::cout << "-" << a.keys_hi;
+    std::cout << " keys in ";
+    if (a.run == 0) {
+      std::cout << "one run";
+    } else {
+      std::cout << a.run << "-row runs";
+    }
+  }
+  std::cout << "\n\n";
+  attn_table.print(std::cout);
   std::cout << "\nall tiers are bit-exact (ctest -R KernelTierEquivalence); "
                "pick with FT2_KERNEL or --kernel\n";
   return 0;

@@ -227,14 +227,12 @@ CampaignResult run_campaign_range_impl(
       protection.set_clip_capture(true);
       InferenceSession session(model);
       const HookRegistration reg = session.hooks().add(protection);
-      // The recording's monitor publishes into a registry nobody reads:
-      // forks replay its samples into their own monitors instead.
-      MetricsRegistry unread;
+      // The recording's monitor publishes nothing: forks replay its
+      // samples into their own monitors instead.
       std::optional<BoundDriftMonitor> drift;
       HookRegistration drift_reg;
       if (config.drift_monitor) {
-        drift.emplace(protection,
-                      DriftMonitorOptions{0.10, ObsSinks{&unread, nullptr}});
+        drift.emplace(protection);
         drift->set_sample_capture(true);
         drift_reg = session.hooks().add(*drift);
       }

@@ -12,7 +12,11 @@
 namespace ft2 {
 
 /// Stores keys and values (post-RoPE) for every processed position of every
-/// block. Layout per block: [rows, d_model] with head-major columns.
+/// block: per block, [rows, d_model]. The cache is a row store: it copies
+/// rows in and out as given and knows nothing of their column layout. The
+/// forward engine (nn/model.cpp) stores key rows head-interleaved and
+/// value rows head-major (see key() and value()); every copy between
+/// caches (append_rows, prefix_copy, copy-on-write) moves rows verbatim.
 ///
 /// Two storage modes, one per consumer:
 ///  * plain — one owned [max_seq, d_model] tensor pair per block: solo
@@ -242,6 +246,10 @@ class KvCache {
     return pool_ != nullptr ? block_rows_ - pos % block_rows_ : max_seq_ - pos;
   }
 
+  /// Key row `pos` of `block`. Rows the forward engine stored are
+  /// head-interleaved: element (head h, dim i) sits at i * n_heads + h
+  /// (interleave_heads), which lets attention's Q·K put heads in vector
+  /// lanes. Value rows are head-major: element (h, i) at h * head_dim + i.
   std::span<const float> key(std::size_t block, std::size_t pos) const {
     if (pool_ != nullptr) {
       return pool_->key_row(block, table_[pos / block_rows_],

@@ -143,7 +143,11 @@ using PackedBlock = PackedDecodeWeights::Block;
 /// The one forward engine behind forward_position, forward_span and
 /// forward_batch. Embedding, norms, residuals and RoPE run per row; every
 /// linear is one GEMM over all rows; attention stores every row's K/V,
-/// then attends each row over its own segment's cache. Cross-row dataflow
+/// then attends each row over its own segment's cache. The engine owns the
+/// cache's key layout: it stores each key row head-interleaved (element
+/// (head h, dim i) at i * n_heads + h) after RoPE and the quantize sweep,
+/// so K_PROJ hooks see canonical head-major keys, and it stores value rows
+/// as projected. Cross-row dataflow
 /// only passes through the caches, so a row computes exactly what the
 /// same position run alone would, in any grouping and at any pool size.
 /// Hooks see one dispatch per segment and site, in segment order.
@@ -282,7 +286,9 @@ class RowEngine {
     // Every row's K/V lands in its cache before any row attends: a row
     // attends over [0, its position], which covers the earlier rows of its
     // own segment. Hooks already ran, so the stored values are the hooked
-    // ones, exactly as when each position runs alone.
+    // ones, exactly as when each position runs alone. Keys are stored
+    // head-interleaved (see attend_row); the row's attention output, not
+    // yet written, holds the reordered key until the store copies it.
     const std::size_t n_heads = c_.n_heads;
     const std::size_t head_dim = c_.head_dim();
     for (std::size_t r = 0; r < rows_; ++r) {
@@ -292,7 +298,8 @@ class RowEngine {
         maybe_quantize(ws_.q.row(r), exec_.fp16);
         maybe_quantize(ws_.k.row(r), exec_.fp16);
       }
-      seg(r).cache->store(block_, pos(r), ws_.k.row(r), ws_.v.row(r));
+      interleave_heads(ws_.k.row(r), n_heads, head_dim, ws_.attn_out.row(r));
+      seg(r).cache->store(block_, pos(r), ws_.attn_out.row(r), ws_.v.row(r));
     }
 
     // Causal attention: every row is independent, with a fixed loop order
@@ -319,47 +326,43 @@ class RowEngine {
   }
 
   /// Causal attention of row `r` over its segment's cache, into
-  /// ws_.attn_out.row(r), in four passes over all heads at once: Q·K of
-  /// every head into a [n_heads][len] block of `scratch`, one scale pass
-  /// and quantize sweep over the block, softmax_rows, another quantize
-  /// sweep, then P·V. Q·K and P·V walk the cache one contiguous run of
-  /// rows at a time and visit every head per run: the row GEMV with lanes
-  /// over keys, then the row sum with lanes over head dims. Every element
-  /// keeps its scalar chain (ascending keys per score and per output), so
-  /// neither runs nor the head order change a bit.
+  /// ws_.attn_out.row(r), in four passes over all heads at once. Cached
+  /// keys are head-interleaved: element (head h, dim i) of a key sits at
+  /// i * n_heads + h (interleave_heads), so one dim of every head is
+  /// contiguous; values keep the projection's head-major layout. The
+  /// query, reordered the same way, borrows the output row until P·V
+  /// zeroes it. Per contiguous run of cached rows, KernelOps::qk_heads
+  /// writes every head's scores into a [len][n_heads] block of `scratch`
+  /// (lanes over heads); one scale pass and quantize sweep go over the
+  /// block, softmax_columns normalizes each head's column, another
+  /// quantize sweep follows, and KernelOps::pv_heads adds each run's
+  /// probability-weighted values. Every element keeps its scalar chain
+  /// (ascending dims per score, ascending keys per max, sum and output),
+  /// so neither runs nor lanes change a bit.
   void attend_row(std::size_t r, std::span<float> scratch) const {
     const KernelOps& ops = active_kernel_ops();
-    const std::size_t d = c_.d_model;
     const std::size_t n_heads = c_.n_heads;
     const std::size_t head_dim = c_.head_dim();
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
     const KvCache& cache = *seg(r).cache;
     const std::size_t len = pos(r) + 1;
-    const float* q = ws_.q.row(r).data();
-    const std::span<float> scores = scratch.first(n_heads * len);
+    const auto out = ws_.attn_out.row(r);
+    interleave_heads(ws_.q.row(r), n_heads, head_dim, out);
+    const std::span<float> scores = scratch.first(len * n_heads);
     for (std::size_t j = 0, n = 0; j < len; j += n) {
       n = std::min(cache.contiguous_rows(j), len - j);
-      const float* keys = cache.key(block_, j).data();
-      for (std::size_t h = 0; h < n_heads; ++h) {
-        const std::size_t off = h * head_dim;
-        ops.gemv_row(q + off, keys + off, d, n, head_dim, nullptr,
-                     scores.data() + h * len + j);
-      }
+      ops.qk_heads(out.data(), cache.key(block_, j).data(), n, n_heads,
+                   head_dim, scores.data() + j * n_heads);
     }
     for (float& s : scores) s *= scale;
     maybe_quantize(scores, exec_.fp16);
-    softmax_rows(scores.data(), n_heads, len);
+    softmax_columns(scores.data(), len, n_heads);
     maybe_quantize(scores, exec_.fp16);
-    auto out = ws_.attn_out.row(r);
     std::fill(out.begin(), out.end(), 0.0f);
     for (std::size_t j = 0, n = 0; j < len; j += n) {
       n = std::min(cache.contiguous_rows(j), len - j);
-      const float* values = cache.value(block_, j).data();
-      for (std::size_t h = 0; h < n_heads; ++h) {
-        const std::size_t off = h * head_dim;
-        ops.axpy_rows(scores.data() + h * len + j, values + off, d, n,
-                      head_dim, out.data() + off);
-      }
+      ops.pv_heads(scores.data() + j * n_heads, cache.value(block_, j).data(),
+                   n, n_heads, head_dim, out.data());
     }
     maybe_quantize(out, exec_.fp16);
   }

@@ -21,8 +21,7 @@ BoundDriftMonitor::BoundDriftMonitor(const ProtectionHook& protection,
     : protection_(protection),
       options_(options),
       headroom_uppers_(headroom_buckets()) {
-  MetricsRegistry* reg = options_.obs.metrics != nullptr ? options_.obs.metrics
-                                                         : default_metrics();
+  MetricsRegistry* reg = options_.obs.metrics;
   for (LayerKind k : protection_.spec().covered) {
     const std::size_t kind = static_cast<std::size_t>(k);
     covered_mask_[kind] = true;

@@ -34,8 +34,9 @@ struct DriftMonitorOptions {
   /// (the numerator of protect.headroom.near_clip_frac).
   double near_clip_threshold = 0.10;
   /// Observability sinks; `obs.metrics` receives the protect.headroom.*
-  /// exports, nullptr selects the process default (or no publishing when
-  /// metrics are disabled).
+  /// exports. Null publishes nothing, as for every hook (obs/sinks.hpp):
+  /// the monitor still accumulates its own counts, observed bounds and
+  /// samples.
   ObsSinks obs;
 };
 

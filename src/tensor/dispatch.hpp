@@ -1,6 +1,6 @@
 // Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
 //
-// The k-outer GEMM kernel, the row GEMV, attention's P·V row sum, the f16
+// The k-outer GEMM kernel, attention's Q·K and P·V kernels, the f16
 // quantization sweep and the exponential exist in two tiers — SSE (the
 // portable reference) and AVX2+F16C+FMA, the latter compiled as a separate
 // arch-flagged translation
@@ -15,11 +15,11 @@
 // bit-identical to the scalar/SSE reference and no baselines need
 // re-pinning per tier. Packed weight tiles have one width for every tier
 // (kTileCols), so tiles never depend on the active tier either. The arch
-// TU is compiled with -ffp-contract=off as a belt. Attention's P·V row sum
-// follows the same rule with the roles swapped: each output element is the
-// chain
-// `y[i] += p[j] * v[j][i]` over ascending j (zero p[j] skipped), and the
-// vector tier puts output elements side by side in its lanes.
+// TU is compiled with -ffp-contract=off as a belt. Attention's kernels
+// follow the same rule on head-interleaved keys (see qk_heads): each score
+// is the chain `s += k[i] * q[i]` over ascending head dims, each output
+// element the chain `y += p[j] * v[j]` over ascending keys (zero p[j]
+// skipped), and the vector tier puts heads side by side in its lanes.
 //
 // Exponential contract: every model exponential (softmax, SiLU, the
 // training loss) is detail::expf_ref, glibc's expf algorithm: a 32-entry
@@ -116,28 +116,33 @@ struct KernelOps {
                      const float* bias_padded, float* y,
                      std::size_t width) = nullptr;
 
-  /// Row GEMV straight from a row-major matrix whose rows sit `ldw` floats
-  /// apart (ldw >= k; no packed tile): y[o] = bias[o] + sum_i x[i] *
-  /// w[o * ldw + i] for o in [0, n), each output accumulated as the
-  /// documented chain, so every tier is bit-identical to the scalar
-  /// reference. Attention passes one head's slice of a run of cached keys
-  /// (ldw = d_model), so the Q·K scores of a run are one call. The AVX2
-  /// tier transposes the products of 8-wide k blocks of a row group in
-  /// registers; rows past the last full group and the k tail run the
-  /// scalar chain. `bias` may be null (accumulators start at 0.0f).
-  void (*gemv_row)(const float* x, const float* w, std::size_t ldw,
-                   std::size_t n, std::size_t k, const float* bias,
-                   float* y) = nullptr;
+  /// Attention's Q·K over one run of `n` cached keys, every head at once.
+  /// Keys are head-interleaved (nn/kv_cache.hpp): element (head h, dim i)
+  /// of key j sits at k[j * d + i * n_heads + h], d = n_heads * head_dim,
+  /// and `q` is the query in the same layout. Writes the [n][n_heads]
+  /// score block s[j * n_heads + h] = sum over ascending i of
+  /// k[j * d + i * n_heads + h] * q[i * n_heads + h], each chain starting
+  /// from 0.0f with a separate multiply and add per step. The AVX2 tier
+  /// holds 8 heads (then 4) of several keys in its lanes; leftover heads
+  /// run the scalar chain.
+  void (*qk_heads)(const float* q, const float* k, std::size_t n,
+                   std::size_t n_heads, std::size_t head_dim,
+                   float* s) = nullptr;
 
-  /// Probability-weighted row sum, attention's P·V over one run of cached
-  /// values: for j ascending in [0, n), skipping p[j] == 0.0f (either
-  /// sign), y[i] += p[j] * v[j * ldv + i] for i in [0, k). Each y[i] is
-  /// its own ascending-j mul-then-add chain, so lanes over i never
-  /// reorder it. The skip decides whether a zero probability meets an Inf
-  /// or NaN value (0 * Inf is NaN), so every tier keeps it. The AVX2 tier
-  /// holds y in registers across j.
-  void (*axpy_rows)(const float* p, const float* v, std::size_t ldv,
-                    std::size_t n, std::size_t k, float* y) = nullptr;
+  /// Attention's P·V over one run of `n` cached values (rows d = n_heads *
+  /// head_dim floats apart, head-major as projected): for j ascending in
+  /// [0, n) and every head h, skipping p[j * n_heads + h] == 0.0f (either
+  /// sign), y[h * head_dim + c] += p[j * n_heads + h] * v[j * d + h *
+  /// head_dim + c] for c in [0, head_dim). Each y element is its own
+  /// ascending-j mul-then-add chain. The skip decides whether a zero
+  /// probability meets an Inf or NaN value (0 * Inf is NaN), so every tier
+  /// keeps it. `y` must hold no -0.0f: the AVX2 tier adds a masked +0.0f in
+  /// place of a skipped product, which equals skipping for any other
+  /// value, and attention starts every output at +0.0f, which a sum never
+  /// turns into -0.0f.
+  void (*pv_heads)(const float* p, const float* v, std::size_t n,
+                   std::size_t n_heads, std::size_t head_dim,
+                   float* y) = nullptr;
 
   /// One-sweep epilogue over a contiguous span: quantize_span_f16 (run
   /// right after every site's producer) and range_restrict call it.
@@ -195,19 +200,30 @@ namespace detail {
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);
 
-/// The scalar reference row GEMV (KernelOps::gemv_row semantics) over rows
-/// [0, n) of `w`, `ldw` floats apart. The SSE tier is this function; the
-/// AVX2 tier calls it for the rows left over after its last full row
-/// group.
+/// The scalar row GEMV: y[o] = bias[o] + sum over ascending i of
+/// w[o * ldw + i] * x[i] for o in [0, n), one mul-then-add chain per
+/// output from bias[o] (0.0f when `bias` is null). No tier calls it; it is
+/// the GEMM chain written out, the forward oracle's linear layer in tests.
 void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
                       std::size_t n, std::size_t k, const float* bias,
                       float* y);
 
-/// The scalar reference P·V row sum (KernelOps::axpy_rows semantics). The
-/// SSE tier is this function; the AVX2 tier calls it for the columns left
-/// over after its last 8-wide lane group.
-void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
-                      std::size_t n, std::size_t k, float* y);
+/// The scalar reference Q·K over heads [h0, n_heads) (KernelOps::qk_heads
+/// semantics for those columns of the score block). The SSE tier is this
+/// function with h0 = 0; the AVX2 tier calls it for the heads left over
+/// after its last 8- or 4-head group.
+void qk_heads_scalar(const float* q, const float* k, std::size_t n,
+                     std::size_t n_heads, std::size_t head_dim,
+                     std::size_t h0, float* s);
+
+/// The scalar reference P·V over heads [h0, h1) and head dims [c0,
+/// head_dim) (KernelOps::pv_heads semantics for those outputs). The SSE
+/// tier is this function over every head and dim; the AVX2 tier calls it
+/// for the dims and heads its vector passes leave over.
+void pv_heads_scalar(const float* p, const float* v, std::size_t n,
+                     std::size_t n_heads, std::size_t head_dim,
+                     std::size_t h0, std::size_t h1, std::size_t c0,
+                     float* y);
 
 /// The reference exponential, glibc 2.36's expf (sysdeps/ieee754/flt-32/
 /// e_expf.c) as its FMA build computes it. For x with |x| >= 88 or not a
@@ -217,8 +233,11 @@ void axpy_rows_scalar(const float* p, const float* v, std::size_t ldv,
 /// integer k in its low bits), r = fma(InvLn2N, x, -(kd - Shift)),
 /// s = 2^(k/32) from the table, then
 /// (float)((fma(fma(C0, r, C1), r * r, fma(C2, r, 1.0))) * s).
-/// Compiled with baseline flags: its fma calls are libm's, exact on any
-/// host.
+/// Two copies of these steps exist, picked once by a CPU probe: on an FMA
+/// host the fused steps are FMA instructions, elsewhere libm's fma calls
+/// (exact on any host, but several times slower). Both are compiled with
+/// contraction off, so only those four steps fuse, and they agree on every
+/// input.
 float expf_ref(float x);
 
 /// expf_ref's constants, shared with the AVX2 tier. kExpfTable[i] is the

@@ -1,6 +1,6 @@
-// AVX2 + F16C + FMA dispatch tier: a GEMM tile in four registers, a row
-// GEMV over pairs of 8-row groups, a P·V row sum over 16 and 8 output
-// columns, an 8-wide epilogue sweep and an 8-wide exponential. It is the
+// AVX2 + F16C + FMA dispatch tier: a GEMM tile in four registers,
+// attention's Q·K and P·V with heads in lanes, an 8-wide epilogue sweep
+// and an 8-wide exponential. It is the
 // only vector tier: AVX-512 hosts run it too (every AVX-512F CPU has AVX2,
 // F16C and FMA).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
@@ -12,8 +12,8 @@
 // header-inline std:: machinery) that another TU also instantiates — the
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
 // is file-local intrinsic code; slow paths call the extern, baseline-built
-// ft2::detail::epilogue_scalar_span, ft2::detail::gemv_rows_scalar and
-// ft2::detail::axpy_rows_scalar.
+// ft2::detail::epilogue_scalar_span, ft2::detail::qk_heads_scalar and
+// ft2::detail::pv_heads_scalar.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
@@ -127,132 +127,165 @@ void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
 }
 
-/// In-lane 4x4 transpose: lane j of each 128-bit half of c[i] takes
-/// element i of that half of p[j].
-inline void transpose4x4_halves(const __m256 p[4], __m256 c[4]) {
-  const __m256 t0 = _mm256_unpacklo_ps(p[0], p[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(p[0], p[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(p[2], p[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(p[2], p[3]);
-  c[0] = _mm256_shuffle_ps(t0, t2, 0x44);
-  c[1] = _mm256_shuffle_ps(t0, t2, 0xEE);
-  c[2] = _mm256_shuffle_ps(t1, t3, 0x44);
-  c[3] = _mm256_shuffle_ps(t1, t3, 0xEE);
-}
+/// One lane width of the attention kernels: 8 heads (or head dims) in a
+/// 256-bit register, or 4 in a 128-bit one.
+struct Lanes8 {
+  using V = __m256;
+  static constexpr std::size_t kWidth = 8;
+  static V zero() { return _mm256_setzero_ps(); }
+  static V load(const float* p) { return _mm256_loadu_ps(p); }
+  static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  static V set1(float x) { return _mm256_set1_ps(x); }
+  static V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static V bit_and(V a, V b) { return _mm256_and_ps(a, b); }
+  /// All-ones in lanes that are not ±0 (NaN lanes included).
+  static V nonzero(V a) { return _mm256_cmp_ps(a, zero(), _CMP_NEQ_UQ); }
+};
 
-/// Products of one 8-row group and one 8-wide k block: lane j of c[i] is
-/// w[j][i] * x[i] (rows `ldw` floats apart). Each product is the same
-/// single rounding the scalar chain performs, formed in row layout and then
-/// transposed. Rows j and j + 4 share a register (low / high half) from the
-/// load on, so the transpose needs only in-lane shuffles.
-inline void block_columns8(const float* w, std::size_t ldw, const float* x,
-                           __m256 c[8]) {
-  const __m256 x_lo = _mm256_loadu2_m128(x, x);
-  const __m256 x_hi = _mm256_loadu2_m128(x + 4, x + 4);
-  __m256 p_lo[4], p_hi[4];
-  for (std::size_t j = 0; j < 4; ++j) {
-    const float* lo = w + j * ldw;
-    const float* hi = w + (j + 4) * ldw;
-    p_lo[j] = _mm256_mul_ps(_mm256_loadu2_m128(hi, lo), x_lo);
-    p_hi[j] = _mm256_mul_ps(_mm256_loadu2_m128(hi + 4, lo + 4), x_hi);
+struct Lanes4 {
+  using V = __m128;
+  static constexpr std::size_t kWidth = 4;
+  static V zero() { return _mm_setzero_ps(); }
+  static V load(const float* p) { return _mm_loadu_ps(p); }
+  static void store(float* p, V v) { _mm_storeu_ps(p, v); }
+  static V set1(float x) { return _mm_set1_ps(x); }
+  static V add(V a, V b) { return _mm_add_ps(a, b); }
+  static V mul(V a, V b) { return _mm_mul_ps(a, b); }
+  static V bit_and(V a, V b) { return _mm_and_ps(a, b); }
+  static V nonzero(V a) { return _mm_cmp_ps(a, zero(), _CMP_NEQ_UQ); }
+};
+
+/// Scores of kKeys consecutive keys for one group of L::kWidth heads:
+/// `q`, `k` and `s` point at the group's first head, keys sit `d` floats
+/// apart. Each lane is one score's chain over ascending head dims; the
+/// kKeys chains are independent, so they overlap in the pipeline.
+template <class L, std::size_t kKeys>
+inline void qk_keys(const float* q, const float* k, std::size_t d,
+                    std::size_t n_heads, std::size_t head_dim, float* s) {
+  typename L::V acc[kKeys];
+  for (std::size_t t = 0; t < kKeys; ++t) acc[t] = L::zero();
+  for (std::size_t i = 0; i < head_dim; ++i) {
+    const typename L::V qi = L::load(q + i * n_heads);
+    const float* ki = k + i * n_heads;
+    for (std::size_t t = 0; t < kKeys; ++t) {
+      acc[t] = L::add(acc[t], L::mul(L::load(ki + t * d), qi));
+    }
   }
-  transpose4x4_halves(p_lo, c);
-  transpose4x4_halves(p_hi, c + 4);
+  for (std::size_t t = 0; t < kKeys; ++t) L::store(s + t * n_heads, acc[t]);
 }
 
-/// Accumulators of rows [o, o + 8): the bias, or 0.0f without one.
-inline __m256 seed8(const float* bias, std::size_t o) {
-  return bias != nullptr ? _mm256_loadu_ps(bias + o) : _mm256_setzero_ps();
+/// Q·K of one head group over a run of n keys: 8 keys in flight, then
+/// 4, 2 and 1 for the run's tail.
+template <class L>
+inline void qk_group(const float* q, const float* k, std::size_t n,
+                     std::size_t n_heads, std::size_t head_dim, float* s) {
+  const std::size_t d = n_heads * head_dim;
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    qk_keys<L, 8>(q, k + j * d, d, n_heads, head_dim, s + j * n_heads);
+  }
+  if (j + 4 <= n) {
+    qk_keys<L, 4>(q, k + j * d, d, n_heads, head_dim, s + j * n_heads);
+    j += 4;
+  }
+  if (j + 2 <= n) {
+    qk_keys<L, 2>(q, k + j * d, d, n_heads, head_dim, s + j * n_heads);
+    j += 2;
+  }
+  if (j < n) qk_keys<L, 1>(q, k + j * d, d, n_heads, head_dim, s + j * n_heads);
 }
 
-/// Continues each lane's chain over the k tail [kv, k) and stores the
-/// 8 outputs.
-inline void finish8(__m256 acc, const float* x, const float* w,
-                    std::size_t ldw, std::size_t k, std::size_t kv,
+/// Q·K with lanes over heads: 8-head groups, then a 4-head group; the
+/// scalar reference runs the heads left over.
+void qk_heads_avx2(const float* q, const float* k, std::size_t n,
+                   std::size_t n_heads, std::size_t head_dim, float* s) {
+  std::size_t h = 0;
+  for (; h + 8 <= n_heads; h += 8) {
+    qk_group<Lanes8>(q + h, k + h, n, n_heads, head_dim, s + h);
+  }
+  if (h + 4 <= n_heads) {
+    qk_group<Lanes4>(q + h, k + h, n, n_heads, head_dim, s + h);
+    h += 4;
+  }
+  if (h < n_heads) detail::qk_heads_scalar(q, k, n, n_heads, head_dim, h, s);
+}
+
+/// P·V of four heads over a run of n keys, for kVecs groups of L::kWidth
+/// dims from dim c0 of each head: `p`, `v` and `y` point at the first
+/// head. The 4 * kVecs accumulators stay in registers across the run.
+/// A zero probability's product is masked to +0.0f, which leaves an
+/// output that is not -0.0f unchanged, exactly as skipping it does.
+template <class L, std::size_t kVecs>
+inline void pv_pass(const float* p, const float* v, std::size_t n,
+                    std::size_t n_heads, std::size_t head_dim, std::size_t c0,
                     float* y) {
-  if (kv == k) {
-    _mm256_storeu_ps(y, acc);
-    return;
+  constexpr std::size_t kW = L::kWidth;
+  const std::size_t d = n_heads * head_dim;
+  typename L::V acc[4][kVecs];
+  for (std::size_t g = 0; g < 4; ++g) {
+    for (std::size_t b = 0; b < kVecs; ++b) {
+      acc[g][b] = L::load(y + g * head_dim + c0 + b * kW);
+    }
   }
-  float lanes[8];
-  _mm256_storeu_ps(lanes, acc);
-  for (std::size_t j = 0; j < 8; ++j) {
-    const float* row = w + j * ldw;
-    for (std::size_t i = kv; i < k; ++i) lanes[j] += row[i] * x[i];
-    y[j] = lanes[j];
-  }
-}
-
-/// Row GEMV: two 8-row groups per pass, so two independent in-order add
-/// chains overlap; a last single group, then the scalar chain for the
-/// remaining rows.
-void gemv_row_avx2(const float* x, const float* w, std::size_t ldw,
-                   std::size_t n, std::size_t k, const float* bias,
-                   float* y) {
-  const std::size_t kv = k - k % 8;
-  std::size_t o = 0;
-  for (; o + 16 <= n; o += 16) {
-    const float* w0 = w + o * ldw;
-    const float* w1 = w0 + 8 * ldw;
-    __m256 a0 = seed8(bias, o);
-    __m256 a1 = seed8(bias, o + 8);
-    for (std::size_t i = 0; i < kv; i += 8) {
-      __m256 c0[8], c1[8];
-      block_columns8(w0 + i, ldw, x + i, c0);
-      block_columns8(w1 + i, ldw, x + i, c1);
-      for (std::size_t j = 0; j < 8; ++j) {
-        a0 = _mm256_add_ps(a0, c0[j]);
-        a1 = _mm256_add_ps(a1, c1[j]);
+  for (std::size_t j = 0; j < n; ++j) {
+    const float* pj = p + j * n_heads;
+    const float* vj = v + j * d + c0;
+    for (std::size_t g = 0; g < 4; ++g) {
+      const typename L::V pg = L::set1(pj[g]);
+      const typename L::V keep = L::nonzero(pg);
+      for (std::size_t b = 0; b < kVecs; ++b) {
+        const typename L::V x =
+            L::mul(pg, L::load(vj + g * head_dim + b * kW));
+        acc[g][b] = L::add(acc[g][b], L::bit_and(x, keep));
       }
     }
-    finish8(a0, x, w0, ldw, k, kv, y + o);
-    finish8(a1, x, w1, ldw, k, kv, y + o + 8);
   }
-  if (o + 8 <= n) {
-    const float* w0 = w + o * ldw;
-    __m256 a0 = seed8(bias, o);
-    for (std::size_t i = 0; i < kv; i += 8) {
-      __m256 c0[8];
-      block_columns8(w0 + i, ldw, x + i, c0);
-      for (std::size_t j = 0; j < 8; ++j) a0 = _mm256_add_ps(a0, c0[j]);
+  for (std::size_t g = 0; g < 4; ++g) {
+    for (std::size_t b = 0; b < kVecs; ++b) {
+      L::store(y + g * head_dim + c0 + b * kW, acc[g][b]);
     }
-    finish8(a0, x, w0, ldw, k, kv, y + o);
-    o += 8;
   }
-  detail::gemv_rows_scalar(x, w + o * ldw, ldw, n - o, k,
-                           bias != nullptr ? bias + o : nullptr, y + o);
 }
 
-/// P·V row sum: lanes over output columns, 16 then 8 at a time, each held
-/// in registers across every row j of the run; the scalar reference runs
-/// the column tail.
-void axpy_rows_avx2(const float* p, const float* v, std::size_t ldv,
-                    std::size_t n, std::size_t k, float* y) {
-  std::size_t i = 0;
-  for (; i + 16 <= k; i += 16) {
-    __m256 y0 = _mm256_loadu_ps(y + i);
-    __m256 y1 = _mm256_loadu_ps(y + i + 8);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (p[j] == 0.0f) continue;
-      const __m256 pj = _mm256_set1_ps(p[j]);
-      const float* row = v + j * ldv + i;
-      y0 = _mm256_add_ps(y0, _mm256_mul_ps(pj, _mm256_loadu_ps(row)));
-      y1 = _mm256_add_ps(y1, _mm256_mul_ps(pj, _mm256_loadu_ps(row + 8)));
-    }
-    _mm256_storeu_ps(y + i, y0);
-    _mm256_storeu_ps(y + i + 8, y1);
+/// The vector passes over one 4-head group: dims 16, then 8, then 4 at a
+/// time. Returns the dims they cover.
+inline std::size_t pv_group(const float* p, const float* v, std::size_t n,
+                            std::size_t n_heads, std::size_t head_dim,
+                            float* y) {
+  std::size_t c = 0;
+  for (; c + 16 <= head_dim; c += 16) {
+    pv_pass<Lanes8, 2>(p, v, n, n_heads, head_dim, c, y);
   }
-  if (i + 8 <= k) {
-    __m256 y0 = _mm256_loadu_ps(y + i);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (p[j] == 0.0f) continue;
-      y0 = _mm256_add_ps(y0, _mm256_mul_ps(_mm256_set1_ps(p[j]),
-                                           _mm256_loadu_ps(v + j * ldv + i)));
-    }
-    _mm256_storeu_ps(y + i, y0);
-    i += 8;
+  if (c + 8 <= head_dim) {
+    pv_pass<Lanes8, 1>(p, v, n, n_heads, head_dim, c, y);
+    c += 8;
   }
-  if (i < k) detail::axpy_rows_scalar(p, v + i, ldv, n, k - i, y + i);
+  if (c + 4 <= head_dim) {
+    pv_pass<Lanes4, 1>(p, v, n, n_heads, head_dim, c, y);
+    c += 4;
+  }
+  return c;
+}
+
+/// P·V four heads per pass; the scalar reference runs the dims and heads
+/// the vector passes leave over.
+void pv_heads_avx2(const float* p, const float* v, std::size_t n,
+                   std::size_t n_heads, std::size_t head_dim, float* y) {
+  const std::size_t hv = n_heads - n_heads % 4;
+  std::size_t cv = 0;  // dims the vector passes cover, in every head
+  for (std::size_t h = 0; h < hv; h += 4) {
+    const float* ph = p + h;
+    const float* vh = v + h * head_dim;
+    float* yh = y + h * head_dim;
+    cv = pv_group(ph, vh, n, n_heads, head_dim, yh);
+  }
+  if (hv > 0 && cv < head_dim) {
+    detail::pv_heads_scalar(p, v, n, n_heads, head_dim, 0, hv, cv, y);
+  }
+  if (hv < n_heads) {
+    detail::pv_heads_scalar(p, v, n, n_heads, head_dim, hv, n_heads, 0, y);
+  }
 }
 
 void epilogue_span_avx2(float* v, std::size_t n, std::size_t flat0,
@@ -320,8 +353,8 @@ __attribute__((target("fma"))) void exp_span_avx2(const float* x, float* y,
 }
 
 constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,  "avx2",
-                             &kouter_row_avx2,   &gemv_row_avx2,
-                             &axpy_rows_avx2,    &epilogue_span_avx2,
+                             &kouter_row_avx2,   &qk_heads_avx2,
+                             &pv_heads_avx2,     &epilogue_span_avx2,
                              &exp_span_avx2};
 
 }  // namespace

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/thread_pool.hpp"
 #include "numeric/f16.hpp"
 
@@ -113,43 +117,104 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                              chunked_accum);
 }
 
-void softmax_rows(float* v, std::size_t m, std::size_t n) {
-  if (n == 0) return;
-  const auto exp_span = active_kernel_ops().exp_span;
-  // Rows go kGroup at a time so their max and sum chains interleave; each
-  // chain still runs over its own row in ascending order.
-  constexpr std::size_t kGroup = 8;
-  float mx[kGroup];
-  float sum[kGroup];
-  for (std::size_t r0 = 0; r0 < m; r0 += kGroup) {
-    const std::size_t g = std::min(kGroup, m - r0);
-    float* rows = v + r0 * n;
-    // If a row holds NaN/inf only, the standard stable softmax still runs;
-    // NaNs propagate, which is the faithful FP behaviour under injection.
-    for (std::size_t h = 0; h < g; ++h) mx[h] = rows[h * n];
-    for (std::size_t j = 1; j < n; ++j) {
-      for (std::size_t h = 0; h < g; ++h) {
-        mx[h] = std::max(mx[h], rows[h * n + j]);
-      }
+namespace {
+
+// Column passes of softmax_columns. Each column of the [n][m] block keeps
+// its own chains over ascending rows; the SSE forms put 4 columns side by
+// side in a register (8 in two), which leaves every chain as it is:
+// _mm_max_ps(x, mx) is (x > mx ? x : mx), the std::max(mx, x) of the
+// scalar form, NaN and signed zeros included.
+
+/// Subtracts the running max of one column (std::max from row 0).
+void column_max_sub(float* v, std::size_t n, std::size_t m) {
+  float mx = v[0];
+  for (std::size_t j = 1; j < n; ++j) mx = std::max(mx, v[j * m]);
+  for (std::size_t j = 0; j < n; ++j) v[j * m] -= mx;
+}
+
+/// Divides one column by its ascending sum from 0.0f, when that sum is
+/// positive.
+void column_normalize(float* v, std::size_t n, std::size_t m) {
+  float sum = 0.0f;
+  for (std::size_t j = 0; j < n; ++j) sum += v[j * m];
+  if (!(sum > 0.0f)) return;
+  for (std::size_t j = 0; j < n; ++j) v[j * m] /= sum;
+}
+
+#if defined(__SSE2__)
+/// column_max_sub of 4 * kRegs adjacent columns.
+template <std::size_t kRegs>
+void columns_max_sub(float* v, std::size_t n, std::size_t m) {
+  __m128 mx[kRegs];
+  for (std::size_t b = 0; b < kRegs; ++b) mx[b] = _mm_loadu_ps(v + 4 * b);
+  for (std::size_t j = 1; j < n; ++j) {
+    for (std::size_t b = 0; b < kRegs; ++b) {
+      mx[b] = _mm_max_ps(_mm_loadu_ps(v + j * m + 4 * b), mx[b]);
     }
-    for (std::size_t h = 0; h < g; ++h) {
-      float* row = rows + h * n;
-      for (std::size_t j = 0; j < n; ++j) row[j] -= mx[h];
-    }
-    exp_span(rows, rows, g * n);
-    for (std::size_t h = 0; h < g; ++h) sum[h] = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t h = 0; h < g; ++h) sum[h] += rows[h * n + j];
-    }
-    for (std::size_t h = 0; h < g; ++h) {
-      if (!(sum[h] > 0.0f)) continue;
-      float* row = rows + h * n;
-      for (std::size_t j = 0; j < n; ++j) row[j] /= sum[h];
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t b = 0; b < kRegs; ++b) {
+      float* x = v + j * m + 4 * b;
+      _mm_storeu_ps(x, _mm_sub_ps(_mm_loadu_ps(x), mx[b]));
     }
   }
 }
 
-void softmax(std::span<float> v) { softmax_rows(v.data(), 1, v.size()); }
+/// column_normalize of 4 * kRegs adjacent columns. A column whose sum is
+/// not positive divides by 1.0f instead, which leaves every value an
+/// exponential produces (never a signalling NaN) as it is.
+template <std::size_t kRegs>
+void columns_normalize(float* v, std::size_t n, std::size_t m) {
+  __m128 sum[kRegs];
+  for (std::size_t b = 0; b < kRegs; ++b) sum[b] = _mm_setzero_ps();
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t b = 0; b < kRegs; ++b) {
+      sum[b] = _mm_add_ps(sum[b], _mm_loadu_ps(v + j * m + 4 * b));
+    }
+  }
+  for (std::size_t b = 0; b < kRegs; ++b) {
+    const __m128 positive = _mm_cmpgt_ps(sum[b], _mm_setzero_ps());
+    sum[b] = _mm_or_ps(_mm_and_ps(positive, sum[b]),
+                       _mm_andnot_ps(positive, _mm_set1_ps(1.0f)));
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t b = 0; b < kRegs; ++b) {
+      float* x = v + j * m + 4 * b;
+      _mm_storeu_ps(x, _mm_div_ps(_mm_loadu_ps(x), sum[b]));
+    }
+  }
+}
+#endif
+
+}  // namespace
+
+void softmax_columns(float* v, std::size_t n, std::size_t m) {
+  if (n == 0) return;
+  std::size_t h = 0;
+#if defined(__SSE2__)
+  for (; h + 8 <= m; h += 8) columns_max_sub<2>(v + h, n, m);
+  if (h + 4 <= m) {
+    columns_max_sub<1>(v + h, n, m);
+    h += 4;
+  }
+#endif
+  for (; h < m; ++h) column_max_sub(v + h, n, m);
+  // If a column holds NaN/inf only, the standard stable softmax still
+  // runs; NaNs propagate, which is the faithful FP behaviour under
+  // injection.
+  active_kernel_ops().exp_span(v, v, n * m);
+  h = 0;
+#if defined(__SSE2__)
+  for (; h + 8 <= m; h += 8) columns_normalize<2>(v + h, n, m);
+  if (h + 4 <= m) {
+    columns_normalize<1>(v + h, n, m);
+    h += 4;
+  }
+#endif
+  for (; h < m; ++h) column_normalize(v + h, n, m);
+}
+
+void softmax(std::span<float> v) { softmax_columns(v.data(), v.size(), 1); }
 
 void layernorm_row(std::span<const float> in, std::span<const float> gamma,
                    std::span<const float> beta, float eps,
@@ -263,6 +328,16 @@ void rope_apply(std::span<float> qk, std::size_t n_heads, std::size_t head_dim,
       const float b = head[i + half];
       head[i] = a * c - b * s;
       head[i + half] = a * s + b * c;
+    }
+  }
+}
+
+void interleave_heads(std::span<const float> in, std::size_t n_heads,
+                      std::size_t head_dim, std::span<float> out) {
+  FT2_ASSERT(in.size() == n_heads * head_dim && out.size() == in.size());
+  for (std::size_t h = 0; h < n_heads; ++h) {
+    for (std::size_t i = 0; i < head_dim; ++i) {
+      out[i * n_heads + h] = in[h * head_dim + i];
     }
   }
 }

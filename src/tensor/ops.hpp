@@ -76,16 +76,18 @@ void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
                          bool chunked_accum, ThreadPool& pool);
 
-/// In-place numerically-stable softmax of one contiguous vector: the
-/// running max over the row (std::max from the first element), the
-/// exponentials of x - max through the active tier's exp_span, their sum
-/// in ascending order and, when that sum is positive, a division by it.
+/// In-place numerically-stable softmax of one contiguous vector:
+/// softmax_columns of an [n][1] block.
 void softmax(std::span<float> v);
 
-/// softmax of each of the `m` contiguous rows of `n` floats at `v`. The
-/// rows' max and sum chains interleave, but every row's result equals
-/// softmax of that row alone, bit for bit.
-void softmax_rows(float* v, std::size_t m, std::size_t n);
+/// In-place softmax of each of the `m` columns of the row-major [n][m]
+/// block at `v`, attention's [keys][heads] score block: per column, the
+/// running max over ascending rows (std::max from row 0), the exponentials
+/// of x - max through the active tier's exp_span, their sum in ascending
+/// order from 0.0f and, when that sum is positive, a division by it.
+/// Columns share registers (4 per SSE lane group) but never a chain, so
+/// every column's result equals softmax of that column alone, bit for bit.
+void softmax_columns(float* v, std::size_t n, std::size_t m);
 
 /// LayerNorm: y = (x - mean) / sqrt(var + eps) * gamma + beta, per row.
 void layernorm_rows(const Tensor& x, std::span<const float> gamma,
@@ -119,6 +121,13 @@ float sigmoid_scalar(float x);
 /// head using position `pos` and base theta (default 10000).
 void rope_apply(std::span<float> qk, std::size_t n_heads, std::size_t head_dim,
                 std::size_t pos, float theta = 10000.0f);
+
+/// Reorders one head-major [n_heads * head_dim] row (element (h, i) at
+/// h * head_dim + i) into attention's head-interleaved layout, element
+/// (h, i) at i * n_heads + h, so one head dim of every head is contiguous.
+/// `in` and `out` must not overlap.
+void interleave_heads(std::span<const float> in, std::size_t n_heads,
+                      std::size_t head_dim, std::span<float> out);
 
 /// Elementwise helpers.
 void add_inplace(std::span<float> a, std::span<const float> b);

@@ -330,7 +330,7 @@ Seq make_seq(std::size_t prompt_len, int salt, std::size_t vocab) {
 
 void expect_same(const Seq& want, const Probe& want_p, const NaiveForward& ref,
                  const Seq& got, const Probe& got_p, const KvCache& cache,
-                 std::size_t n_blocks) {
+                 const ModelConfig& c) {
   EXPECT_EQ(want.logits, got.logits) << "logits";
   ASSERT_FALSE(got_p.traffic.by_site.empty());
   EXPECT_TRUE(want_p.traffic.by_site == got_p.traffic.by_site)
@@ -345,9 +345,13 @@ void expect_same(const Seq& want, const Probe& want_p, const NaiveForward& ref,
   EXPECT_EQ(want_p.protect.first_detect_position(),
             got_p.protect.first_detect_position());
   ASSERT_EQ(cache.length(), ref.length());
-  for (std::size_t b = 0; b < n_blocks; ++b) {
+  for (std::size_t b = 0; b < c.n_blocks; ++b) {
     for (std::size_t p = 0; p < ref.length(); ++p) {
-      EXPECT_EQ(bits(cache.key(b, p)), bits(ref.key(b, p)))
+      // The engine stores keys head-interleaved; the oracle keeps them
+      // head-major.
+      std::vector<float> want_key(c.d_model);
+      interleave_heads(ref.key(b, p), c.n_heads, c.head_dim(), want_key);
+      EXPECT_EQ(bits(cache.key(b, p)), bits(want_key))
           << "K block " << b << " pos " << p;
       EXPECT_EQ(bits(cache.value(b, p)), bits(ref.value(b, p)))
           << "V block " << b << " pos " << p;
@@ -444,7 +448,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
                 got.logits.push_back(bits(logits));
               }
               expect_same(want, *ref_probes[0], refs[0], got, probe, cache,
-                          c.n_blocks);
+                          c);
             }
             // forward_batch over seqs[1..3] after a whole-prompt prefill;
             // steps vary the slot set and order, including one solo slot.
@@ -486,7 +490,7 @@ void expect_engine_matches_oracle(KernelTier tier) {
             for (std::size_t i = 0; i < n_seq; ++i) {
               SCOPED_TRACE(::testing::Message() << "sequence " << i + 1);
               expect_same(seqs[i + 1], *ref_probes[i + 1], refs[i + 1],
-                          got[i], *probes[i], caches[i], c.n_blocks);
+                          got[i], *probes[i], caches[i], c);
             }
           }
         }

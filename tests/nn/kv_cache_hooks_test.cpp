@@ -1,8 +1,12 @@
 // KV cache bookkeeping and hook-chain semantics.
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "core/ft2.hpp"
 #include "nn/hooks.hpp"
 #include "nn/kv_cache.hpp"
+#include "numeric/f16.hpp"
 
 namespace ft2 {
 namespace {
@@ -37,6 +41,66 @@ TEST(KvCache, ResetClearsLength) {
   cache.store(0, 0, kv, kv);
   cache.advance();
   EXPECT_EQ(cache.length(), 1u);
+}
+
+/// The K_PROJ rows of every dispatch, per block, as hooks see them.
+class KeyRecorder : public OutputHook {
+ public:
+  void on_output(const HookContext& ctx, std::span<float> values) override {
+    if (ctx.site.kind != LayerKind::kKProj) return;
+    std::vector<float>& rows = keys[ctx.site.block];
+    rows.insert(rows.end(), values.begin(), values.end());
+  }
+  std::map<int, std::vector<float>> keys;
+};
+
+/// The forward engine owns the key layout: it stores each hooked key row
+/// head-interleaved, and the cache copies rows as they are.
+TEST(KvCache, EngineStoresKeysHeadInterleavedAndCopiesRowsVerbatim) {
+  ModelConfig c;
+  c.arch = ArchFamily::kOpt;  // learned positions: stored keys are hooked
+  c.activation = Activation::kRelu;
+  c.norm = NormKind::kLayerNorm;
+  c.position = PositionKind::kLearned;
+  c.vocab_size = Vocab::shared().size();
+  c.d_model = 24;
+  c.n_heads = 3;
+  c.n_blocks = 2;
+  c.d_ff = 32;
+  c.max_seq = 16;
+  Xoshiro256 rng(31);
+  const TransformerLM model(c, init_weights(c, rng));
+  KvCache cache = model.make_cache();
+  Workspace ws(c);
+  KeyRecorder recorder;
+  HookChain hooks;
+  const auto reg = hooks.add(recorder);
+  const std::vector<int> tokens = {Vocab::kBos, 7, 3, 11, 5};
+  std::vector<float> logits(c.vocab_size);
+  model.forward_span(tokens, 0, cache, hooks, ExecConfig{}, true, ws, logits);
+
+  const std::size_t n = tokens.size();
+  for (std::size_t b = 0; b < c.n_blocks; ++b) {
+    const std::vector<float>& hooked = recorder.keys[static_cast<int>(b)];
+    ASSERT_EQ(hooked.size(), n * c.d_model);
+    for (std::size_t p = 0; p < n; ++p) {
+      std::vector<float> want(c.d_model);
+      interleave_heads({hooked.data() + p * c.d_model, c.d_model}, c.n_heads,
+                       c.head_dim(), want);
+      const auto got = cache.key(b, p);
+      for (std::size_t i = 0; i < c.d_model; ++i) {
+        ASSERT_EQ(f32_bits(got[i]), f32_bits(want[i]))
+            << "block " << b << " pos " << p << " index " << i;
+      }
+    }
+  }
+  const KvCache copy = cache.prefix_copy(n);
+  KvCache fork = model.make_cache();
+  fork.append_rows(copy, 3);
+  for (std::size_t p = 0; p < n; ++p) {
+    EXPECT_TRUE(copy.same_row(cache, p)) << "prefix_copy pos " << p;
+    if (p < 3) EXPECT_TRUE(fork.same_row(cache, p)) << "append_rows pos " << p;
+  }
 }
 
 class RecordingHook : public OutputHook {

@@ -14,6 +14,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -191,155 +193,359 @@ TEST(KernelTierEquivalence, Avx2QuantizeMatchesScalar) {
   expect_tier_quantize_bit_exact(KernelTier::kAvx2);
 }
 
-// --- Row GEMV on row-major weights -----------------------------------------
+// --- Attention kernels: Q·K, the column softmax and P·V -----------------
 
-/// One input row per special-value case. Each row holds at most one source
-/// of NaN (a NaN entry, or +Inf meeting -Inf), so every NaN's payload is
-/// fixed by a single operation and bit comparison stays well defined.
-std::vector<std::vector<float>> row_gemv_inputs(std::size_t k,
-                                                Xoshiro256& rng) {
-  std::vector<float> base(k);
-  fill_uniform(base, rng, -2.0f, 2.0f);
-  const float inf = std::numeric_limits<float>::infinity();
-  std::vector<std::vector<float>> rows(6, base);
-  rows[1][k / 2] = f32_from_bits(0x7FC01234u);  // quiet NaN with payload
-  rows[2][k - 1] = inf;
-  rows[3][0] = -inf;
-  rows[4][0] = inf;  // +Inf then -Inf: the chain turns NaN mid-row
-  rows[4][k - 1] = k > 1 ? -inf : inf;
-  for (std::size_t i = 0; i < k; ++i) {
-    // Subnormal inputs: products and partial sums stay in the
-    // gradual-underflow range.
-    rows[5][i] = base[i] * std::numeric_limits<float>::denorm_min() * 4096.0f;
-  }
-  return rows;
+const float kInf = std::numeric_limits<float>::infinity();
+const float kNanPayload = f32_from_bits(0x7FC01234u);
+const float kSubnormal = std::numeric_limits<float>::denorm_min();
+
+/// Head counts and head dims covering every lane split of the vector tier:
+/// 8- and 4-head groups and leftover scalar heads; P·V's 16-, 8- and 4-dim
+/// passes alone (16, 4) and together (12 = 8 + 4, 28 = 16 + 8 + 4), and a
+/// scalar dim tail behind them (6 = 4 + 2, 10 = 8 + 2).
+constexpr std::size_t kAttnHeadCounts[] = {1, 2, 3, 4, 8, 12};
+constexpr std::size_t kAttnHeadDims[] = {4, 6, 10, 12, 16, 28};
+/// Rows per block of the caches attention reads: plain (0), then paged.
+constexpr std::size_t kAttnBlockRows[] = {0, 3, 16};
+constexpr std::size_t kAttnMaxKeys = 17;
+
+/// A one-layer cache of kAttnMaxKeys rows: plain, or paged over its own
+/// pool of `block_rows`-row blocks (declared first, so it outlives the
+/// cache).
+struct AttnCache {
+  std::unique_ptr<KvBlockPool> pool;
+  KvCache cache;
+};
+
+AttnCache attn_cache(std::size_t block_rows, std::size_t d) {
+  if (block_rows == 0) return {nullptr, KvCache(1, kAttnMaxKeys, d)};
+  auto pool = std::make_unique<KvBlockPool>(
+      1, d, (kAttnMaxKeys + block_rows - 1) / block_rows, block_rows);
+  KvCache cache = KvCache::paged(*pool, kAttnMaxKeys);
+  EXPECT_TRUE(cache.reserve_rows(kAttnMaxKeys));
+  return {std::move(pool), std::move(cache)};
 }
 
-/// The tier's row GEMV over shapes with n and k tails for the 8-row group,
-/// the 16-row pass and the 8-wide k block, n < 8 and k < 8
-/// included, with an empty and a non-empty bias. Demands bit-equality with
-/// the scalar reference.
-void expect_tier_row_gemv_bit_exact(KernelTier tier) {
-  TierGuard guard;
-  set_kernel_tier(tier);
+/// Calls fn(j, n) for each contiguous run [j, j + n) of the first `len`
+/// rows, as the forward engine walks a cache.
+template <typename Fn>
+void for_each_run(const KvCache& cache, std::size_t len, Fn&& fn) {
+  for (std::size_t j = 0, n = 0; j < len; j += n) {
+    n = std::min(cache.contiguous_rows(j), len - j);
+    fn(j, n);
+  }
+}
+
+/// Scores of canonical (head-major) keys: s[j][h] = sum over ascending i
+/// of k[j][h][i] * q[h][i], from 0.0f.
+std::vector<float> qk_naive(const std::vector<float>& q,
+                            const std::vector<float>& keys, std::size_t len,
+                            std::size_t heads, std::size_t dim) {
+  const std::size_t d = heads * dim;
+  std::vector<float> s(len * heads);
+  for (std::size_t j = 0; j < len; ++j) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      float acc = 0.0f;
+      for (std::size_t i = 0; i < dim; ++i) {
+        acc += keys[j * d + h * dim + i] * q[h * dim + i];
+      }
+      s[j * heads + h] = acc;
+    }
+  }
+  return s;
+}
+
+/// softmax of every column of a [rows][cols] block, one column at a time:
+/// running std::max from row 0, expf_ref(x - max), an ascending sum from
+/// 0.0f, and a division only when that sum is positive.
+void softmax_columns_naive(std::vector<float>& v, std::size_t rows,
+                           std::size_t cols) {
+  for (std::size_t h = 0; h < cols; ++h) {
+    float mx = v[h];
+    for (std::size_t j = 0; j < rows; ++j) mx = std::max(mx, v[j * cols + h]);
+    float sum = 0.0f;
+    for (std::size_t j = 0; j < rows; ++j) {
+      float& x = v[j * cols + h];
+      x = detail::expf_ref(x - mx);
+      sum += x;
+    }
+    if (sum > 0.0f) {
+      for (std::size_t j = 0; j < rows; ++j) v[j * cols + h] /= sum;
+    }
+  }
+}
+
+/// P·V of canonical values from +0.0f: y[h][c] += p[j][h] * v[j][h][c],
+/// ascending j, zero p skipped.
+std::vector<float> pv_naive(const std::vector<float>& p,
+                            const std::vector<float>& values,
+                            std::size_t len, std::size_t heads,
+                            std::size_t dim) {
+  const std::size_t d = heads * dim;
+  std::vector<float> y(d, 0.0f);
+  for (std::size_t j = 0; j < len; ++j) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      const float pj = p[j * heads + h];
+      if (pj == 0.0f) continue;
+      for (std::size_t c = 0; c < dim; ++c) {
+        y[h * dim + c] += pj * values[j * d + h * dim + c];
+      }
+    }
+  }
+  return y;
+}
+
+/// Canonical keys with one special value source per score chain: key 1
+/// holds a NaN payload in the last head, key 3 a +Inf and key 6 a -Inf
+/// (meeting a +Inf later in the chain) in head 0, key 8 subnormals.
+std::vector<float> attn_keys(std::size_t heads, std::size_t dim,
+                             Xoshiro256& rng) {
+  const std::size_t d = heads * dim;
+  std::vector<float> k(kAttnMaxKeys * d);
+  fill_uniform(k, rng, -1.0f, 1.0f);
+  k[1 * d + (heads - 1) * dim + dim / 2] = kNanPayload;
+  k[3 * d] = kInf;
+  k[6 * d] = -kInf;
+  k[6 * d + dim - 1] = kInf;
+  for (std::size_t i = 0; i < d; ++i) k[8 * d + i] *= kSubnormal * 4096.0f;
+  return k;
+}
+
+/// The P·V case of one (key, head) cell: which rows carry a ±0
+/// probability (their values are all Inf/NaN, so only the skip keeps
+/// them out), a subnormal one, a NaN one, or an ordinary one.
+enum class PCell { kPlain, kPosZero, kNegZero, kSubnormal, kNan };
+
+PCell p_cell(std::size_t j, std::size_t h, std::size_t heads) {
+  if (heads > 1 && h == 1 && j == 8) return PCell::kNan;
+  switch ((j + h) % 4) {
+    case 1: return PCell::kPosZero;
+    case 3: return PCell::kNegZero;
+    case 2: return j >= 6 ? PCell::kSubnormal : PCell::kPlain;
+    default: return PCell::kPlain;
+  }
+}
+
+/// Canonical values for p_cell's cases, plus three poisons behind
+/// nonzero probabilities: head 0, dim 0 meets +Inf at key 0 and -Inf at
+/// key 2; the last head's last dim a NaN payload at its first key
+/// ≡ -h (mod 4).
+std::vector<float> attn_values(std::size_t heads, std::size_t dim,
+                               Xoshiro256& rng) {
+  const std::size_t d = heads * dim;
+  std::vector<float> v(kAttnMaxKeys * d);
+  fill_uniform(v, rng, -1.0f, 1.0f);
+  for (std::size_t j = 0; j < kAttnMaxKeys; ++j) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      float* cell = v.data() + j * d + h * dim;
+      const PCell c = p_cell(j, h, heads);
+      if (c == PCell::kPosZero || c == PCell::kNegZero) {
+        for (std::size_t i = 0; i < dim; ++i) {
+          cell[i] = i % 3 == 0 ? kInf : i % 3 == 1 ? -kInf : kNanPayload;
+        }
+      } else if (c == PCell::kSubnormal) {
+        for (std::size_t i = 0; i < dim; ++i) cell[i] *= kSubnormal * 64.0f;
+      }
+    }
+  }
+  v[0] = kInf;
+  v[2 * d] = -kInf;
+  const std::size_t last = heads - 1;
+  v[((4 - last % 4) % 4) * d + last * dim + dim - 1] = kNanPayload;
+  return v;
+}
+
+std::vector<float> attn_probs(std::size_t len, std::size_t heads,
+                              Xoshiro256& rng) {
+  std::vector<float> p(len * heads);
+  fill_uniform(p, rng, 0.0f, 1.0f);
+  for (std::size_t j = 0; j < len; ++j) {
+    for (std::size_t h = 0; h < heads; ++h) {
+      float& x = p[j * heads + h];
+      switch (p_cell(j, h, heads)) {
+        case PCell::kPosZero: x = 0.0f; break;
+        case PCell::kNegZero: x = -0.0f; break;
+        case PCell::kSubnormal: x = kSubnormal * 3.0f; break;
+        case PCell::kNan: x = kNanPayload; break;
+        case PCell::kPlain: break;
+      }
+    }
+  }
+  return p;
+}
+
+/// A [len][heads] score block whose column h takes case (h + len) % 8:
+/// plain, NaN first, NaN later, +inf, -inf, all -inf (a NaN sum, so no
+/// divide), a ±0 maximum, all subnormal.
+std::vector<float> attn_scores(std::size_t len, std::size_t heads,
+                               Xoshiro256& rng) {
+  std::vector<float> s(len * heads);
+  fill_uniform(s, rng, -12.0f, 12.0f);
+  for (std::size_t h = 0; h < heads; ++h) {
+    const auto at = [&](std::size_t j) -> float& { return s[j * heads + h]; };
+    switch ((h + len) % 8) {
+      case 1: at(0) = kNanPayload; break;
+      case 2: at(len - 1) = kNanPayload; break;
+      case 3: at(len / 2) = kInf; break;
+      case 4: at(0) = -kInf; break;
+      case 5:
+        for (std::size_t j = 0; j < len; ++j) at(j) = -kInf;
+        break;
+      case 6:
+        for (std::size_t j = 0; j < len; ++j) at(j) = -std::fabs(at(j));
+        at(0) = -0.0f;
+        at(len - 1) = 0.0f;
+        break;
+      case 7:
+        for (std::size_t j = 0; j < len; ++j) at(j) *= kSubnormal * 1024.0f;
+        break;
+      default: break;
+    }
+  }
+  return s;
+}
+
+void expect_bits_eq(const std::vector<float>& got,
+                    const std::vector<float>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(f32_bits(got[i]), f32_bits(want[i])) << what << " at " << i;
+  }
+}
+
+/// A one-layer cache holding attn_keys (stored head-interleaved, as the
+/// forward engine stores them) and attn_values.
+AttnCache filled_attn_cache(std::size_t block_rows, std::size_t heads,
+                            std::size_t dim, const std::vector<float>& keys,
+                            const std::vector<float>& values) {
+  const std::size_t d = heads * dim;
+  AttnCache ac = attn_cache(block_rows, d);
+  std::vector<float> key_row(d);
+  for (std::size_t j = 0; j < kAttnMaxKeys; ++j) {
+    interleave_heads({keys.data() + j * d, d}, heads, dim, key_row);
+    ac.cache.store(0, j, key_row, {values.data() + j * d, d});
+  }
+  ac.cache.advance(kAttnMaxKeys);
+  return ac;
+}
+
+std::string attn_shape(KernelTier tier, std::size_t heads, std::size_t dim,
+                       std::size_t block_rows, std::size_t len) {
+  return std::string(kernel_tier_name(tier)) +
+         " heads=" + std::to_string(heads) + " dim=" + std::to_string(dim) +
+         " block_rows=" + std::to_string(block_rows) +
+         " len=" + std::to_string(len);
+}
+
+/// Q·K of the tier — a row GEMV per head over keys strided by the head
+/// count — against its naive loop, over head counts, head dims, cache
+/// kinds and 1-17 keys, with a clean and a NaN-carrying query.
+void expect_tier_qk_exact(KernelTier tier) {
   const KernelOps& ops = kernel_ops_for(tier);
-  Xoshiro256 rng(43);
-  const struct {
-    std::size_t n, k;
-  } shapes[] = {{1, 1},   {3, 5},   {7, 8},     {8, 7},     {9, 16},
-                {16, 3},  {17, 9},  {31, 24},   {32, 33},   {33, 64},
-                {48, 17}, {63, 40}, {221, 128}, {128, 384}};
-  for (const auto& shape : shapes) {
-    Tensor w({shape.n, shape.k});
-    std::vector<float> bias(shape.n);
-    fill_uniform(w.span(), rng, -1.0f, 1.0f);
-    fill_uniform(bias, rng, -0.5f, 0.5f);
-    const auto inputs = row_gemv_inputs(shape.k, rng);
-    for (std::size_t v = 0; v < inputs.size(); ++v) {
-      Tensor x({1, shape.k});
-      std::copy(inputs[v].begin(), inputs[v].end(), x.span().begin());
-      for (const bool with_bias : {false, true}) {
-        const std::span<const float> b = with_bias
-                                             ? std::span<const float>(bias)
-                                             : std::span<const float>{};
-        Tensor y_ref({1, shape.n});
-        gemm_scalar_ref(x, 1, w, b, y_ref);
-        std::vector<float> y(shape.n);
-        ops.gemv_row(x.data(), w.data(), shape.k, shape.n, shape.k,
-                     with_bias ? bias.data() : nullptr, y.data());
-        for (std::size_t o = 0; o < shape.n; ++o) {
-          ASSERT_EQ(f32_bits(y[o]), f32_bits(y_ref[o]))
-              << kernel_tier_name(tier) << " row gemv mismatch at " << o
-              << " (n=" << shape.n << " k=" << shape.k << " input " << v
-              << " bias=" << with_bias << ")";
+  Xoshiro256 rng(61);
+  for (const std::size_t heads : kAttnHeadCounts) {
+    for (const std::size_t dim : kAttnHeadDims) {
+      const std::size_t d = heads * dim;
+      const std::vector<float> keys = attn_keys(heads, dim, rng);
+      const std::vector<float> values = attn_values(heads, dim, rng);
+      std::vector<float> clean_q(d);
+      fill_uniform(clean_q, rng, -2.0f, 2.0f);
+      std::vector<float> nan_q = clean_q;
+      nan_q[dim - 1] = kNanPayload;  // head 0's last dim
+      for (const std::size_t block_rows : kAttnBlockRows) {
+        const AttnCache ac =
+            filled_attn_cache(block_rows, heads, dim, keys, values);
+        for (std::size_t len = 1; len <= kAttnMaxKeys; ++len) {
+          const std::string shape =
+              attn_shape(tier, heads, dim, block_rows, len);
+          for (const std::vector<float>* q : {&clean_q, &nan_q}) {
+            std::vector<float> qi(d);
+            interleave_heads(*q, heads, dim, qi);
+            std::vector<float> s(len * heads);
+            for_each_run(ac.cache, len, [&](std::size_t j, std::size_t n) {
+              ops.qk_heads(qi.data(), ac.cache.key(0, j).data(), n, heads,
+                           dim, s.data() + j * heads);
+            });
+            expect_bits_eq(s, qk_naive(*q, keys, len, heads, dim),
+                           shape + " Q·K");
+          }
         }
       }
     }
   }
 }
 
-TEST(KernelTierEquivalence, SseRowGemvMatchesScalarReference) {
-  expect_tier_row_gemv_bit_exact(KernelTier::kSse);
-}
-
-TEST(KernelTierEquivalence, Avx2RowGemvMatchesScalarReference) {
-  FT2_REQUIRE_TIER(KernelTier::kAvx2);
-  expect_tier_row_gemv_bit_exact(KernelTier::kAvx2);
-}
-
-// --- Attention kernels: strided row GEMV (Q·K) and axpy_rows (P·V) -------
-
-const float kInf = std::numeric_limits<float>::infinity();
-const float kNanPayload = f32_from_bits(0x7FC01234u);
-
-/// A row-major [n, ldw] matrix whose padding columns [k, ldw) hold NaN: a
-/// kernel that reads past k poisons its outputs.
-std::vector<float> strided_rows(std::size_t n, std::size_t k, std::size_t ldw,
-                                Xoshiro256& rng) {
-  std::vector<float> w(n * ldw, std::numeric_limits<float>::quiet_NaN());
-  for (std::size_t o = 0; o < n; ++o) {
-    fill_uniform({w.data() + o * ldw, k}, rng, -1.0f, 1.0f);
+/// The column softmax under the tier's exp_span against its naive loop,
+/// over head counts and 1-17 keys, on hostile score blocks.
+void expect_tier_softmax_columns_exact(KernelTier tier) {
+  TierGuard guard;
+  set_kernel_tier(tier);  // softmax_columns runs the active exp_span
+  Xoshiro256 rng(62);
+  for (const std::size_t heads : kAttnHeadCounts) {
+    for (std::size_t len = 1; len <= kAttnMaxKeys; ++len) {
+      for (int rep = 0; rep < 6; ++rep) {
+        const std::vector<float> scores = attn_scores(len, heads, rng);
+        std::vector<float> want = scores;
+        softmax_columns_naive(want, len, heads);
+        std::vector<float> got = scores;
+        softmax_columns(got.data(), len, heads);
+        expect_bits_eq(got, want,
+                       std::string(kernel_tier_name(tier)) + " heads=" +
+                           std::to_string(heads) + " len=" +
+                           std::to_string(len) + " softmax");
+      }
+    }
   }
-  return w;
 }
 
-/// The chain gemv_row documents, over rows `ldw` floats apart.
-std::vector<float> strided_gemv_ref(const std::vector<float>& x,
-                                    const std::vector<float>& w,
-                                    std::size_t ldw, std::size_t n,
-                                    std::size_t k, const float* bias) {
-  std::vector<float> y(n);
-  for (std::size_t o = 0; o < n; ++o) {
-    float acc = bias == nullptr ? 0.0f : bias[o];
-    for (std::size_t i = 0; i < k; ++i) acc += w[o * ldw + i] * x[i];
-    y[o] = acc;
-  }
-  return y;
-}
-
-/// The tier's row GEMV with a row stride ldw > k, the shape attention runs
-/// it in (one head's slice of a run of cached keys). Special values go into
-/// x (clean rows) and into the rows (clean x) in turn, so every output has
-/// at most one NaN source and bit comparison stays well defined.
-void expect_tier_strided_gemv_bit_exact(KernelTier tier) {
+/// P·V of the tier — an axpy of value rows per head, zero probabilities
+/// skipped — against its naive loop from +0.0f, over head counts, head
+/// dims, cache kinds and 1-17 keys, on probabilities without a zero and
+/// on hostile probabilities and values.
+void expect_tier_pv_exact(KernelTier tier) {
   const KernelOps& ops = kernel_ops_for(tier);
-  Xoshiro256 rng(47);
-  for (const std::size_t n : {1, 7, 8, 9, 17}) {
-    for (const std::size_t k : {1, 7, 8, 10, 16}) {
-      for (const std::size_t ldw : {k + 1, k + 6, 4 * k + 3}) {
-        std::vector<float> bias(n);
-        fill_uniform(bias, rng, -0.5f, 0.5f);
-        const std::vector<float> clean_w = strided_rows(n, k, ldw, rng);
-        // Rows with specials: row o carries case o % 6 of row_gemv_inputs
-        // (clean, NaN payload, +Inf, -Inf, +Inf meeting -Inf, subnormal).
-        std::vector<float> special_w = clean_w;
-        const auto special_rows = row_gemv_inputs(k, rng);
-        for (std::size_t o = 0; o < n; ++o) {
-          const std::vector<float>& row = special_rows[o % 6];
-          std::copy(row.begin(), row.end(), special_w.begin() + o * ldw);
-        }
-        std::vector<float> clean_x(k);
-        fill_uniform(clean_x, rng, -2.0f, 2.0f);
-        std::vector<std::pair<std::vector<float>, const std::vector<float>*>>
-            cases;
-        for (const auto& x : row_gemv_inputs(k, rng)) {
-          cases.emplace_back(x, &clean_w);
-        }
-        cases.emplace_back(clean_x, &special_w);
-        for (std::size_t c = 0; c < cases.size(); ++c) {
-          const std::vector<float>& x = cases[c].first;
-          const std::vector<float>& w = *cases[c].second;
-          for (const float* b : {static_cast<const float*>(nullptr),
-                                 static_cast<const float*>(bias.data())}) {
-            const std::vector<float> want =
-                strided_gemv_ref(x, w, ldw, n, k, b);
-            std::vector<float> got(n);
-            ops.gemv_row(x.data(), w.data(), ldw, n, k, b, got.data());
-            for (std::size_t o = 0; o < n; ++o) {
-              ASSERT_EQ(f32_bits(got[o]), f32_bits(want[o]))
-                  << kernel_tier_name(tier) << " strided gemv mismatch at "
-                  << o << " (n=" << n << " k=" << k << " ldw=" << ldw
-                  << " case " << c << " bias=" << (b != nullptr) << ")";
+  Xoshiro256 rng(63);
+  for (const std::size_t heads : kAttnHeadCounts) {
+    for (const std::size_t dim : kAttnHeadDims) {
+      const std::size_t d = heads * dim;
+      const std::vector<float> keys = attn_keys(heads, dim, rng);
+      const std::vector<float> values = attn_values(heads, dim, rng);
+      for (const std::size_t block_rows : kAttnBlockRows) {
+        const AttnCache ac =
+            filled_attn_cache(block_rows, heads, dim, keys, values);
+        for (std::size_t len = 1; len <= kAttnMaxKeys; ++len) {
+          const std::string shape =
+              attn_shape(tier, heads, dim, block_rows, len);
+          // Probabilities without a zero (nothing to skip), then hostile
+          // ones.
+          std::vector<float> nonzero_p(len * heads);
+          fill_uniform(nonzero_p, rng, 0.25f, 1.0f);
+          std::vector<float> y(d, 0.0f);
+          for_each_run(ac.cache, len, [&](std::size_t j, std::size_t n) {
+            ops.pv_heads(nonzero_p.data() + j * heads,
+                         ac.cache.value(0, j).data(), n, heads, dim, y.data());
+          });
+          expect_bits_eq(y, pv_naive(nonzero_p, values, len, heads, dim),
+                         shape + " P·V without zeros");
+          const std::vector<float> p = attn_probs(len, heads, rng);
+          std::fill(y.begin(), y.end(), 0.0f);
+          for_each_run(ac.cache, len, [&](std::size_t j, std::size_t n) {
+            ops.pv_heads(p.data() + j * heads, ac.cache.value(0, j).data(),
+                         n, heads, dim, y.data());
+          });
+          expect_bits_eq(y, pv_naive(p, values, len, heads, dim),
+                         shape + " P·V");
+          // The zero skip: outputs no nonzero-probability poison reaches
+          // stay finite although every ±0-probability cell is Inf/NaN.
+          for (std::size_t h = 0; h < heads; ++h) {
+            if (heads > 1 && h == 1 && len > 8) continue;  // NaN probability
+            for (std::size_t c = 0; c < dim; ++c) {
+              const bool poisoned = (h == 0 && c == 0) ||
+                                    (h == heads - 1 && c == dim - 1);
+              if (poisoned) continue;
+              ASSERT_TRUE(std::isfinite(y[h * dim + c]))
+                  << shape << " zero probability reached an Inf/NaN value "
+                  << "at head " << h << " dim " << c;
             }
           }
         }
@@ -349,121 +555,30 @@ void expect_tier_strided_gemv_bit_exact(KernelTier tier) {
 }
 
 TEST(KernelTierEquivalence, SseStridedRowGemvMatchesScalarReference) {
-  expect_tier_strided_gemv_bit_exact(KernelTier::kSse);
+  expect_tier_qk_exact(KernelTier::kSse);
 }
 
 TEST(KernelTierEquivalence, Avx2StridedRowGemvMatchesScalarReference) {
   FT2_REQUIRE_TIER(KernelTier::kAvx2);
-  expect_tier_strided_gemv_bit_exact(KernelTier::kAvx2);
+  expect_tier_qk_exact(KernelTier::kAvx2);
 }
 
-/// The chain axpy_rows documents: y[i] += p[j] * v[j][i], ascending j,
-/// zero p[j] skipped.
-void axpy_rows_ref(const std::vector<float>& p, const std::vector<float>& v,
-                   std::size_t ldv, std::size_t k, std::vector<float>& y) {
-  for (std::size_t j = 0; j < p.size(); ++j) {
-    if (p[j] == 0.0f) continue;
-    for (std::size_t i = 0; i < k; ++i) y[i] += p[j] * v[j * ldv + i];
-  }
+TEST(KernelTierEquivalence, SseColumnSoftmaxMatchesNaiveLoop) {
+  expect_tier_softmax_columns_exact(KernelTier::kSse);
 }
 
-/// One P·V case: probabilities with +0 and -0 entries whose value rows are
-/// all Inf/NaN (only the zero skip keeps them out), rows with nonzero
-/// probability carrying one +Inf, a -Inf meeting it in the same column,
-/// a NaN payload in another column and subnormals, and a y that already
-/// holds partial sums.
-struct AxpyCase {
-  std::vector<float> p, v, y;
-};
-
-AxpyCase axpy_case(std::size_t n, std::size_t k, std::size_t ldv,
-                   Xoshiro256& rng) {
-  AxpyCase c;
-  c.p.resize(n);
-  fill_uniform(c.p, rng, 0.0f, 1.0f);
-  c.v = strided_rows(n, k, ldv, rng);
-  c.y.resize(k);
-  fill_uniform(c.y, rng, -1.0f, 1.0f);
-  for (std::size_t j = 0; j < n; ++j) {
-    float* row = c.v.data() + j * ldv;
-    switch (j % 5) {
-      case 1:  // +0 probability against a row of infinities and NaNs
-      case 3:  // -0 probability, same
-        c.p[j] = j % 5 == 1 ? 0.0f : -0.0f;
-        for (std::size_t i = 0; i < k; ++i) {
-          row[i] = i % 3 == 0 ? kInf : i % 3 == 1 ? -kInf : kNanPayload;
-        }
-        break;
-      case 4:  // subnormal values and a subnormal probability
-        for (std::size_t i = 0; i < k; ++i) {
-          row[i] *= std::numeric_limits<float>::denorm_min() * 64.0f;
-        }
-        if (j == 4) c.p[j] = std::numeric_limits<float>::denorm_min();
-        break;
-      default:
-        break;
-    }
-  }
-  // Nonzero-probability rows 0, 2 (and 5, 7 when present): column 0 sees
-  // +Inf then -Inf, column k - 1 a NaN payload (k > 1 keeps them apart).
-  if (k > 1) {
-    c.v[0] = kInf;
-    if (n > 2) c.v[2 * ldv] = -kInf;
-    if (n > 5) c.v[5 * ldv + k - 1] = kNanPayload;
-  }
-  return c;
-}
-
-/// The tier's axpy_rows against the scalar chain, over run lengths and
-/// widths with 16-, 8- and scalar-column tails, with a row stride ldv > k
-/// (NaN padding past k); splitting a run into two calls must not change a
-/// bit either, since attention calls it once per contiguous cache run.
-void expect_tier_axpy_rows_bit_exact(KernelTier tier) {
-  const KernelOps& ops = kernel_ops_for(tier);
-  Xoshiro256 rng(53);
-  for (const std::size_t n : {1, 2, 4, 7, 9, 17}) {
-    for (const std::size_t k : {1, 7, 8, 10, 16, 17, 33}) {
-      const std::size_t ldv = k + 5;
-      const AxpyCase c = axpy_case(n, k, ldv, rng);
-      std::vector<float> want = c.y;
-      axpy_rows_ref(c.p, c.v, ldv, k, want);
-      std::vector<float> got = c.y;
-      ops.axpy_rows(c.p.data(), c.v.data(), ldv, n, k, got.data());
-      for (std::size_t i = 0; i < k; ++i) {
-        ASSERT_EQ(f32_bits(got[i]), f32_bits(want[i]))
-            << kernel_tier_name(tier) << " axpy_rows mismatch at " << i
-            << " (n=" << n << " k=" << k << ")";
-      }
-      // The zero skip: columns no nonzero-probability row poisons stay
-      // finite although every zero-probability row is Inf/NaN.
-      for (std::size_t i = 1; i + 1 < k; ++i) {
-        ASSERT_TRUE(std::isfinite(got[i]))
-            << kernel_tier_name(tier) << " zero probability reached an "
-            << "Inf/NaN value at column " << i << " (n=" << n << " k=" << k
-            << ")";
-      }
-      for (std::size_t split = 0; split <= n; ++split) {
-        std::vector<float> two = c.y;
-        ops.axpy_rows(c.p.data(), c.v.data(), ldv, split, k, two.data());
-        ops.axpy_rows(c.p.data() + split, c.v.data() + split * ldv, ldv,
-                      n - split, k, two.data());
-        for (std::size_t i = 0; i < k; ++i) {
-          ASSERT_EQ(f32_bits(two[i]), f32_bits(got[i]))
-              << kernel_tier_name(tier) << " axpy_rows split at " << split
-              << " differs at " << i << " (n=" << n << " k=" << k << ")";
-        }
-      }
-    }
-  }
+TEST(KernelTierEquivalence, Avx2ColumnSoftmaxMatchesNaiveLoop) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_softmax_columns_exact(KernelTier::kAvx2);
 }
 
 TEST(KernelTierEquivalence, SseAxpyRowsMatchesScalarReference) {
-  expect_tier_axpy_rows_bit_exact(KernelTier::kSse);
+  expect_tier_pv_exact(KernelTier::kSse);
 }
 
 TEST(KernelTierEquivalence, Avx2AxpyRowsMatchesScalarReference) {
   FT2_REQUIRE_TIER(KernelTier::kAvx2);
-  expect_tier_axpy_rows_bit_exact(KernelTier::kAvx2);
+  expect_tier_pv_exact(KernelTier::kAvx2);
 }
 
 /// Records every hook dispatch in order, values as bit patterns so NaN
@@ -922,12 +1037,18 @@ void expect_tier_softmax_silu_exact(KernelTier tier) {
       }
       std::vector<float> want = v;
       softmax_rows_naive(want, m, n);
-      std::vector<float> got = v;
-      softmax_rows(got.data(), m, n);
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(f32_bits(got[i]), f32_bits(want[i]))
-            << kernel_tier_name(tier) << " softmax_rows m=" << m
-            << " n=" << n << " at " << i;
+      // The rows as the columns of an [n][m] block.
+      std::vector<float> got(m * n);
+      for (std::size_t h = 0; h < m; ++h) {
+        for (std::size_t j = 0; j < n; ++j) got[j * m + h] = v[h * n + j];
+      }
+      softmax_columns(got.data(), n, m);
+      for (std::size_t h = 0; h < m; ++h) {
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(f32_bits(got[j * m + h]), f32_bits(want[h * n + j]))
+              << kernel_tier_name(tier) << " softmax_columns m=" << m
+              << " n=" << n << " row " << h << " col " << j;
+        }
       }
       // softmax of each row alone is the same function.
       std::vector<float> single = v;

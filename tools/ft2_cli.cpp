@@ -1365,44 +1365,53 @@ int kernel_check() {
       if (f32_bits(y_chunked[i]) != f32_bits(y_chunked_ref[i])) ++gemm_bad;
     }
 
-    // Attention kernels on one head's slice of a run of cached rows,
-    // d_model floats apart: the strided row GEMV (Q·K; 19 keys leave a
-    // row tail after two 8-row groups, head_dim 10 a k tail) and
-    // axpy_rows (P·V). Row 4 holds an Inf, rows 2 and 5 NaNs behind a +0
-    // and a -0 probability (only the zero skip keeps them out of P·V).
+    // Attention kernels on one run of cached rows: 13 heads (an 8-head
+    // group, a 4-head group and a scalar head) of 14 dims (8- and 4-wide
+    // P·V passes and a 2-dim tail) over 19 keys (8 + 8 + 2 + 1 in flight),
+    // keys head-interleaved. Key and value row 4 hold an Inf, rows 2 and
+    // 5 NaNs behind +0 and -0 probabilities (only the zero skip keeps
+    // them out of P·V).
     std::size_t attn_bad = 0;
     {
-      const std::size_t keys = 19, head = 10, ld = 3 * head, off = head;
+      const std::size_t keys = 19, heads = 13, head = 14, d = heads * head;
       const float inf = std::numeric_limits<float>::infinity();
       const float nan = std::numeric_limits<float>::quiet_NaN();
-      std::vector<float> kv(keys * ld), qh(head), p(keys);
-      for (float& v : kv) v = next_float();
-      for (float& v : qh) v = next_float();
+      std::vector<float> kc(keys * d), vc(keys * d), q(d), p(keys * heads);
+      for (float& v : kc) v = next_float();
+      for (float& v : vc) v = next_float();
+      for (float& v : q) v = next_float();
       for (float& v : p) v = std::fabs(next_float()) / 4.0f;
-      kv[4 * ld + off + 3] = inf;
+      kc[4 * d + 3] = inf;
+      vc[4 * d + 3] = inf;
       for (const std::size_t j : {std::size_t{2}, std::size_t{5}}) {
-        for (std::size_t i = 0; i < head; ++i) kv[j * ld + off + i] = nan;
+        std::fill_n(kc.begin() + j * d, d, nan);
+        std::fill_n(vc.begin() + j * d, d, nan);
+        std::fill_n(p.begin() + j * heads, heads, j == 2 ? 0.0f : -0.0f);
       }
-      p[2] = 0.0f;
-      p[5] = -0.0f;
-      const float* rows = kv.data() + off;
       const KernelOps& ops = active_kernel_ops();
-      std::vector<float> s(keys);
-      ops.gemv_row(qh.data(), rows, ld, keys, head, nullptr, s.data());
+      std::vector<float> s(keys * heads);
+      ops.qk_heads(q.data(), kc.data(), keys, heads, head, s.data());
       for (std::size_t j = 0; j < keys; ++j) {
-        float acc = 0.0f;
-        for (std::size_t i = 0; i < head; ++i) acc += rows[j * ld + i] * qh[i];
-        if (f32_bits(s[j]) != f32_bits(acc)) ++attn_bad;
-      }
-      std::vector<float> y(head, 0.5f), y_ref(head, 0.5f);
-      ops.axpy_rows(p.data(), rows, ld, keys, head, y.data());
-      for (std::size_t j = 0; j < keys; ++j) {
-        if (p[j] == 0.0f) continue;
-        for (std::size_t i = 0; i < head; ++i) {
-          y_ref[i] += p[j] * rows[j * ld + i];
+        for (std::size_t h = 0; h < heads; ++h) {
+          float acc = 0.0f;
+          for (std::size_t i = 0; i < head; ++i) {
+            acc += kc[j * d + i * heads + h] * q[i * heads + h];
+          }
+          if (f32_bits(s[j * heads + h]) != f32_bits(acc)) ++attn_bad;
         }
       }
-      for (std::size_t i = 0; i < head; ++i) {
+      std::vector<float> y(d, 0.5f), y_ref(d, 0.5f);
+      ops.pv_heads(p.data(), vc.data(), keys, heads, head, y.data());
+      for (std::size_t j = 0; j < keys; ++j) {
+        for (std::size_t h = 0; h < heads; ++h) {
+          const float pj = p[j * heads + h];
+          if (pj == 0.0f) continue;
+          for (std::size_t c = 0; c < head; ++c) {
+            y_ref[h * head + c] += pj * vc[j * d + h * head + c];
+          }
+        }
+      }
+      for (std::size_t i = 0; i < d; ++i) {
         if (f32_bits(y[i]) != f32_bits(y_ref[i])) ++attn_bad;
       }
     }
@@ -1458,7 +1467,7 @@ int kernel_check() {
                 << " exp_span mismatches)\n";
     } else {
       std::cout << name << ": OK (packed gemm + packed chunked gemm + "
-                           "strided gemv + axpy_rows + quantize + exp_span "
+                           "qk_heads + pv_heads + quantize + exp_span "
                            "bit-exact)\n";
     }
   }
