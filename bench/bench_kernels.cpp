@@ -20,8 +20,10 @@
 //       16x384 span; a protected site does the same work as a quantize
 //       sweep after its GEMM and a clip sweep inside its hook. The GEMMs are
 //       the benchmark model's own MLP shapes, fc1 (384x128) and fc2
-//       (128x384), on packed tiles at 8 rows (a decode batch) and at 1
-//       row (a solo decode step or campaign trial).
+//       (128x384), on packed tiles at 1 row (a solo decode step or
+//       campaign trial), 3, 4, 8 and 16 rows (decode batches and prefill
+//       chunks): the AVX2 tier runs four rows per pass on AVX-512F hosts,
+//       so 3 and 4 rows straddle that switch.
 //       The exponential is exp_span over 4096 floats in [-16, 0] (softmax's
 //       range); SiLU is silu over a 16x384 span.
 //       --json writes the bench/baselines/BENCH_kernels.json shape, host
@@ -33,6 +35,7 @@
 //       if any tier differs from expf_ref. Takes ~30 s on 4 cores.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -41,7 +44,9 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
@@ -201,14 +206,14 @@ struct GemmShape {
   std::size_t n, k;
 };
 
-/// The benchmark model's two MLP GEMMs (d_model 128, d_ff 384) at a
-/// decode batch of 8 rows, and at one row.
+/// The benchmark model's two MLP GEMMs (d_model 128, d_ff 384), each at
+/// every row count of kGemmRows.
 constexpr GemmShape kGemmShapes[] = {{"fc1", 384, 128}, {"fc2", 128, 384}};
-constexpr std::size_t kGemmRows = 8;
+constexpr std::size_t kGemmRows[] = {1, 3, 4, 8, 16};
 
+/// Packed GEMM GFLOP/s, one per kGemmRows entry.
 struct GemmRates {
-  double packed_gflops = 0.0;      ///< kGemmRows rows (batched decode)
-  double packed_row_gflops = 0.0;  ///< one row (solo decode, trials)
+  double gflops[std::size(kGemmRows)] = {};
 };
 
 /// One attention shape: a decode row over every key count in [keys_lo,
@@ -247,8 +252,10 @@ constexpr std::size_t kExpElems = 4096;
 
 GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
                        ThreadPool& pool, Xoshiro256& rng) {
-  const std::size_t n = shape.n, k = shape.k, rows = kGemmRows;
-  Tensor x({rows, k}), w({n, k}), y({rows, n});
+  const std::size_t n = shape.n, k = shape.k;
+  const std::size_t max_rows = *std::max_element(std::begin(kGemmRows),
+                                                 std::end(kGemmRows));
+  Tensor x({max_rows, k}), w({n, k}), y({max_rows, n});
   for (float& f : x.span()) f = rng.uniform_float(-1.0f, 1.0f);
   for (float& f : w.span()) f = rng.uniform_float(-0.1f, 0.1f);
   std::vector<float> bias(n);
@@ -257,12 +264,13 @@ GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
   GemmRates rates;
   const double flops = 2.0 * static_cast<double>(n * k);
   const PackedLinear pl(w, bias);
-  rates.packed_gflops = best_items_per_sec(flops * rows, reps, [&] {
-    linear_forward_span_packed(x, rows, pl, y, pool);
-  }) / 1e9;
-  rates.packed_row_gflops = best_items_per_sec(flops, reps, [&] {
-    linear_forward_span_packed(x, 1, pl, y, pool);
-  }) / 1e9;
+  for (std::size_t i = 0; i < std::size(kGemmRows); ++i) {
+    const std::size_t rows = kGemmRows[i];
+    rates.gflops[i] =
+        best_items_per_sec(flops * static_cast<double>(rows), reps, [&] {
+          linear_forward_span_packed(x, rows, pl, y, pool);
+        }) / 1e9;
+  }
   return rates;
 }
 
@@ -348,7 +356,8 @@ AttnRates measure_attention(const KernelOps& ops, const AttnShape& shape,
 }
 
 /// The machine the rates were measured on: CPU model (from
-/// /proc/cpuinfo, "unknown" elsewhere) and hardware threads.
+/// /proc/cpuinfo, "unknown" elsewhere), hardware threads and whether the
+/// CPU has AVX-512F (which picks the AVX2 tier's GEMM body).
 Json host_json() {
   std::string cpu = "unknown";
   std::ifstream info("/proc/cpuinfo");
@@ -365,6 +374,7 @@ Json host_json() {
   host["cpu"] = cpu;
   host["hardware_threads"] =
       static_cast<double>(std::thread::hardware_concurrency());
+  host["avx512f"] = detail::cpu_has_avx512f();
   return host;
 }
 
@@ -484,36 +494,41 @@ int run_tiers(const ArgParser& args) {
   const KernelTier restore = active_kernel_tier();
 
   Json tiers = Json::object();
-  Table table({"tier", "gemm", "packed GFLOP/s", "1-row GFLOP/s",
-               "quantize Gelem/s", "epilogue Gelem/s", "exp Gelem/s",
-               "silu Gelem/s"});
+  std::vector<std::string> gemm_cols = {"tier", "gemm"};
+  for (const std::size_t rows : kGemmRows) {
+    gemm_cols.push_back(std::to_string(rows) + (rows == 1 ? " row" : " rows"));
+  }
+  Table gemm_table(gemm_cols);
+  Table table({"tier", "gemm body", "quantize Gelem/s", "epilogue Gelem/s",
+               "exp Gelem/s", "silu Gelem/s"});
   Table attn_table({"tier", "attention", "Q·K GFLOP/s", "softmax Gelem/s",
                     "P·V GFLOP/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
     const TierRates r = measure_tier(tier, reps);
+    const char* gemm_body = kernel_ops_for(tier).gemm_body;
     Json t = Json::object();
+    t["gemm_body"] = gemm_body;
     for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
       const GemmRates& g = r.gemm[s];
-      // Per-tier columns (quantize through silu) print on the tier's
-      // first row.
-      table.begin_row()
+      gemm_table.begin_row()
           .cell(s == 0 ? kernel_tier_name(tier) : "")
-          .cell(kGemmShapes[s].name)
-          .num(g.packed_gflops, 2)
-          .num(g.packed_row_gflops, 2);
-      if (s == 0) {
-        table.num(r.quantize_gelems, 2)
-            .num(r.epilogue_gelems, 2)
-            .num(r.exp_gelems, 3)
-            .num(r.silu_gelems, 3);
-      } else {
-        for (int c = 0; c < 4; ++c) table.cell("");
+          .cell(kGemmShapes[s].name);
+      Json by_rows = Json::object();
+      for (std::size_t i = 0; i < std::size(kGemmRows); ++i) {
+        gemm_table.num(g.gflops[i], 2);
+        by_rows[std::to_string(kGemmRows[i])] = g.gflops[i];
       }
       Json shape = Json::object();
-      shape["gemm_packed_gflops"] = g.packed_gflops;
-      shape["gemm_packed_1row_gflops"] = g.packed_row_gflops;
+      shape["gemm_packed_gflops_by_rows"] = by_rows;
       t[kGemmShapes[s].name] = shape;
     }
+    table.begin_row()
+        .cell(kernel_tier_name(tier))
+        .cell(gemm_body)
+        .num(r.quantize_gelems, 2)
+        .num(r.epilogue_gelems, 2)
+        .num(r.exp_gelems, 3)
+        .num(r.silu_gelems, 3);
     Json attention = Json::object();
     for (std::size_t s = 0; s < std::size(kAttnShapes); ++s) {
       const AttnRates& a = r.attention[s];
@@ -550,7 +565,11 @@ int run_tiers(const ArgParser& args) {
       shapes[g.name] = shape;
     }
     cfg["gemm_shapes"] = shapes;
-    cfg["gemm_rows"] = static_cast<double>(kGemmRows);
+    Json gemm_rows = Json::array();
+    for (const std::size_t rows : kGemmRows) {
+      gemm_rows.push_back(static_cast<double>(rows));
+    }
+    cfg["gemm_rows"] = gemm_rows;
     cfg["tile_cols"] = static_cast<double>(kTileCols);
     Json attn_shapes = Json::object();
     for (const AttnShape& a : kAttnShapes) {
@@ -589,11 +608,13 @@ int run_tiers(const ArgParser& args) {
   for (const GemmShape& g : kGemmShapes) {
     std::cout << g.name << " " << g.n << "x" << g.k << ", ";
   }
-  std::cout << kGemmRows << " rows and 1 row, single worker; epilogue "
+  std::cout << "packed GFLOP/s by rows, single worker; epilogue "
             << kEpilogueRows << "x" << kEpilogueCols
             << " ft2 bounds plan; exp " << kExpElems << " floats; silu "
             << kEpilogueRows << "x" << kEpilogueCols << "; best of " << reps
             << "\n\n";
+  gemm_table.print(std::cout);
+  std::cout << "\n";
   table.print(std::cout);
   std::cout << "\nattention " << kAttnHeads << " heads x " << kAttnHeadDim;
   for (const AttnShape& a : kAttnShapes) {

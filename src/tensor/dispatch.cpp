@@ -32,6 +32,18 @@ bool cpu_has_fma() {
 
 namespace detail {
 
+bool cpu_has_avx512f() {
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally) {
   using Protect = KernelEpilogue::Protect;
@@ -199,7 +211,7 @@ namespace {
 /// instruction selection out of the autovectorizer's hands (and SSE
 /// mul/add round identically to their scalar counterparts, so
 /// bit-exactness is preserved by construction). The AVX2 tier in
-/// kernels_avx2.cpp keeps this per-element sequence in 8-lane registers.
+/// kernels_avx2.cpp keeps this per-element sequence in wider registers.
 void kouter_row_sse(const float* x, const float* wt, std::size_t k,
                     const float* bias_padded, float* y, std::size_t width) {
   float acc[kTileCols];
@@ -244,9 +256,13 @@ void epilogue_span_sse(float* v, std::size_t n, std::size_t flat0,
   detail::epilogue_scalar_span(v, n, flat0, epi, tally);
 }
 
-constexpr KernelOps kSseOps{KernelTier::kSse,   "sse",
-                            &kouter_row_sse,    &qk_heads_sse,
-                            &pv_heads_sse,      &epilogue_span_sse,
+constexpr KernelOps kSseOps{KernelTier::kSse,
+                            "sse",
+                            &detail::kouter_rows_of<&kouter_row_sse>,
+                            "128-bit (scalar without SSE2), 1 row per pass",
+                            &qk_heads_sse,
+                            &pv_heads_sse,
+                            &epilogue_span_sse,
                             &detail::exp_span_scalar};
 
 bool cpu_has_avx2_f16c_fma() {
@@ -312,14 +328,15 @@ bool kernel_tier_compiled(KernelTier tier) {
 }
 
 bool kernel_tier_supported(KernelTier tier) {
-  if (compiled_ops(tier) == nullptr) return false;
+  // The CPU first: a tier the host cannot run never reaches its arch TU.
   switch (tier) {
     case KernelTier::kSse:
-      return true;  // reference tier: SSE2 is x86-64 baseline, scalar elsewhere
+      break;  // reference tier: SSE2 is x86-64 baseline, scalar elsewhere
     case KernelTier::kAvx2:
-      return cpu_has_avx2_f16c_fma();
+      if (!cpu_has_avx2_f16c_fma()) return false;
+      break;
   }
-  return false;
+  return compiled_ops(tier) != nullptr;
 }
 
 std::vector<KernelTier> supported_kernel_tiers() {

@@ -9,13 +9,20 @@
 //
 // Bit-exactness policy: every tier accumulates each output element as the
 // same scalar chain `acc += x[i] * w[o][i]` in ascending-i order with a
-// separate multiply and add per step (never FMA). The wider tier only widens
-// the register group — which output elements share one register — never
+// separate multiply and add per step (never FMA). A tier may change the
+// register group — which output elements share one register, its width,
+// and how many input rows one pass over a weight tile serves — but never
 // the per-element operation sequence, so all tiers produce results
 // bit-identical to the scalar/SSE reference and no baselines need
-// re-pinning per tier. Packed weight tiles have one width for every tier
-// (kTileCols), so tiles never depend on the active tier either. The arch
-// TU is compiled with -ffp-contract=off as a belt. Attention's kernels
+// re-pinning per tier or per host. Packed weight tiles have one width for
+// every tier (kTileCols), so tiles never depend on the active tier either.
+// The arch TU is compiled with -ffp-contract=off as a belt. On an AVX-512F
+// host the AVX2 tier's GEMM runs four rows per pass in 512-bit registers
+// (KernelOps::gemm_body says which body runs); that is the same tier with
+// the same results, so it adds no KernelTier and no FT2_KERNEL value. The
+// body is a target("avx512f") function inside the -mavx2 TU, so it must
+// keep internal linkage and run only behind the probe (the ODR note in
+// kernels_avx2.cpp). Attention's kernels
 // follow the same rule on head-interleaved keys (see qk_heads): each score
 // is the chain `s += k[i] * q[i]` over ascending head dims, each output
 // element the chain `y += p[j] * v[j]` over ascending keys (zero p[j]
@@ -109,12 +116,22 @@ struct KernelOps {
   KernelTier tier = KernelTier::kSse;
   const char* name = "sse";
 
-  /// k-outer micro-kernel: one input row `x[k]` against one packed weight
-  /// tile `wt[k][kTileCols]` (zero-padded), accumulators seeded from
-  /// `bias_padded[kTileCols]`. Stores the first `width` lanes to `y`.
-  void (*kouter_row)(const float* x, const float* wt, std::size_t k,
-                     const float* bias_padded, float* y,
-                     std::size_t width) = nullptr;
+  /// k-outer micro-kernel: `rows` input rows (row r at x + r * ldx, k
+  /// floats) against one packed weight tile `wt[k][kTileCols]`
+  /// (zero-padded), every row's accumulators seeded from
+  /// `bias_padded[kTileCols]`. Stores the first `width` lanes of row r to
+  /// y + r * ldy. The SSE tier runs one row per pass over the tile; the
+  /// AVX2 tier runs four rows per pass in 512-bit registers on AVX-512F
+  /// hosts (the leftover rows one at a time in 256-bit registers), and
+  /// every row one at a time elsewhere.
+  void (*kouter_rows)(const float* x, std::size_t ldx, std::size_t rows,
+                      const float* wt, std::size_t k,
+                      const float* bias_padded, float* y, std::size_t ldy,
+                      std::size_t width) = nullptr;
+
+  /// Which kouter_rows body this table runs on this host, for `ft2
+  /// kernel-info` and the kernel bench's records.
+  const char* gemm_body = "";
 
   /// Attention's Q·K over one run of `n` cached keys, every head at once.
   /// Keys are head-interleaved (nn/kv_cache.hpp): element (head h, dim i)
@@ -256,8 +273,34 @@ inline constexpr std::uint32_t kExpfSpecialAbsBits = 0x42b00000u;
 /// The reference exp_span (the SSE tier): expf_ref per element.
 void exp_span_scalar(const float* x, float* y, std::size_t n);
 
-/// Arch-TU registration point: the AVX2 function table, or null when
-/// kernels_avx2.cpp was compiled without its -m flags.
+/// A one-row GEMM body: one input row against one packed weight tile.
+using KouterRowFn = void (*)(const float* x, const float* wt, std::size_t k,
+                             const float* bias_padded, float* y,
+                             std::size_t width);
+
+/// KernelOps::kouter_rows from a one-row body: row r runs at x + r * ldx
+/// and y + r * ldy. Instantiate it only with a file-local (anonymous
+/// namespace) body: the instantiation then has internal linkage too, so a
+/// copy built in the -mavx2 TU can never stand in for another TU's.
+template <KouterRowFn Row>
+void kouter_rows_of(const float* x, std::size_t ldx, std::size_t rows,
+                    const float* wt, std::size_t k, const float* bias_padded,
+                    float* y, std::size_t ldy, std::size_t width) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    Row(x + r * ldx, wt, k, bias_padded, y + r * ldy, width);
+  }
+}
+
+/// The CPU probe for AVX-512F, read once. libgcc's probe also checks that
+/// the OS saves the ZMM and mask registers. The AVX2 tier's table picks
+/// its GEMM body from it.
+bool cpu_has_avx512f();
+
+/// Arch-TU registration point: the AVX2 function table for this host (the
+/// four-row 512-bit GEMM when cpu_has_avx512f), or null when
+/// kernels_avx2.cpp was compiled without its -m flags. It only selects
+/// between two constant tables, so it runs no vector code and is safe to
+/// call on a host without AVX2.
 const KernelOps* kernel_ops_avx2();
 
 }  // namespace detail

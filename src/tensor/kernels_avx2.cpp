@@ -1,8 +1,8 @@
-// AVX2 + F16C + FMA dispatch tier: a GEMM tile in four registers,
+// AVX2 + F16C + FMA dispatch tier: a GEMM tile row in four 256-bit
+// registers (four rows per pass in 512-bit registers on AVX-512F hosts),
 // attention's Q·K and P·V with heads in lanes, an 8-wide epilogue sweep
-// and an 8-wide exponential. It is the
-// only vector tier: AVX-512 hosts run it too (every AVX-512F CPU has AVX2,
-// F16C and FMA).
+// and an 8-wide exponential. It is the only vector tier: AVX-512 hosts run
+// it too (every AVX-512F CPU has AVX2, F16C and FMA).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
 // when those flags are unavailable this TU degrades to a stub returning
 // nullptr and the dispatcher falls back to the SSE tier.
@@ -13,11 +13,19 @@
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
 // is file-local intrinsic code; slow paths call the extern, baseline-built
 // ft2::detail::epilogue_scalar_span, ft2::detail::qk_heads_scalar and
-// ft2::detail::pv_heads_scalar.
+// ft2::detail::pv_heads_scalar. The one template used here,
+// detail::kouter_rows_of, takes a file-local body as its argument, which
+// gives each instantiation internal linkage. A function marked target("avx512f") is
+// stricter still, because its 512-bit code may run only after
+// detail::cpu_has_avx512f() said yes: it has internal linkage (never
+// inline, a template or extern, which another TU could also emit or call),
+// and it is reached only through the table that probe picks.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
-// the SSE reference per element; only the register width differs. The
+// the SSE reference per element. Only the register group changes: its
+// width, and in the 512-bit GEMM body how many input rows share one pass
+// over the weight tile; never an element's chain. The
 // exponential alone carries target("fma"): it is expf_ref's step sequence
 // (tensor/dispatch.hpp), whose four fused steps are part of the reference,
 // and a lane group on expf_ref's special path calls ft2::detail::
@@ -125,6 +133,60 @@ void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
   _mm256_storeu_ps(acc + 16, a2);
   _mm256_storeu_ps(acc + 24, a3);
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
+}
+
+/// Rows of the 512-bit GEMM body per pass. A tile row fills two 16-lane
+/// registers, so four rows hold 8 accumulators: enough independent chains
+/// to keep both vector ports busy through the add latency, where one row
+/// (two chains) is latency-bound (docs/PERFORMANCE.md).
+constexpr std::size_t kZmmRows = 4;
+
+/// Four rows against one tile in 512-bit registers: each weight row is
+/// loaded once for the four input rows, and every accumulator keeps the
+/// chain bias, then + x[r][i] * w[i][c] for ascending i, a multiply then an
+/// add. The live `width` lanes of each row are stored through a mask.
+__attribute__((target("avx512f"))) void kouter_4rows_avx512(
+    const float* x, std::size_t ldx, const float* wt, std::size_t k,
+    const float* bias_padded, float* y, std::size_t ldy,
+    std::size_t width) {
+  __m512 acc[kZmmRows][2];
+  for (std::size_t r = 0; r < kZmmRows; ++r) {
+    acc[r][0] = _mm512_loadu_ps(bias_padded);
+    acc[r][1] = _mm512_loadu_ps(bias_padded + 16);
+  }
+  for (std::size_t i = 0; i < k; ++i) {
+    const float* wr = wt + i * kTileCols;
+    const __m512 w0 = _mm512_loadu_ps(wr);
+    const __m512 w1 = _mm512_loadu_ps(wr + 16);
+    for (std::size_t r = 0; r < kZmmRows; ++r) {
+      const __m512 xi = _mm512_set1_ps(x[r * ldx + i]);
+      acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(xi, w0));
+      acc[r][1] = _mm512_add_ps(acc[r][1], _mm512_mul_ps(xi, w1));
+    }
+  }
+  const std::uint64_t live = (std::uint64_t{1} << width) - 1;  // width <= 32
+  const __mmask16 lo = static_cast<__mmask16>(live);
+  const __mmask16 hi = static_cast<__mmask16>(live >> 16);
+  for (std::size_t r = 0; r < kZmmRows; ++r) {
+    _mm512_mask_storeu_ps(y + r * ldy, lo, acc[r][0]);
+    _mm512_mask_storeu_ps(y + r * ldy + 16, hi, acc[r][1]);
+  }
+}
+
+/// The AVX-512F host's GEMM: full groups of four rows in 512-bit
+/// registers, the leftover rows through the 256-bit body.
+void kouter_rows_avx512(const float* x, std::size_t ldx, std::size_t rows,
+                        const float* wt, std::size_t k,
+                        const float* bias_padded, float* y, std::size_t ldy,
+                        std::size_t width) {
+  std::size_t r = 0;
+  for (; r + kZmmRows <= rows; r += kZmmRows) {
+    kouter_4rows_avx512(x + r * ldx, ldx, wt, k, bias_padded, y + r * ldy,
+                        ldy, width);
+  }
+  detail::kouter_rows_of<&kouter_row_avx2>(x + r * ldx, ldx, rows - r, wt,
+                                            k, bias_padded, y + r * ldy, ldy,
+                                            width);
 }
 
 /// One lane width of the attention kernels: 8 heads (or head dims) in a
@@ -352,15 +414,33 @@ __attribute__((target("fma"))) void exp_span_avx2(const float* x, float* y,
   for (std::size_t j = i; j < n; ++j) y[j] = lanes[j - i];
 }
 
-constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,  "avx2",
-                             &kouter_row_avx2,   &qk_heads_avx2,
-                             &pv_heads_avx2,     &epilogue_span_avx2,
+/// The tier's two tables: they differ only in the GEMM body.
+constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,
+                             "avx2",
+                             &detail::kouter_rows_of<&kouter_row_avx2>,
+                             "256-bit, 1 row per pass",
+                             &qk_heads_avx2,
+                             &pv_heads_avx2,
+                             &epilogue_span_avx2,
                              &exp_span_avx2};
+constexpr KernelOps kAvx2OpsZmmGemm{
+    KernelTier::kAvx2,
+    "avx2",
+    &kouter_rows_avx512,
+    "512-bit, 4 rows per pass; 256-bit for leftover rows",
+    &qk_heads_avx2,
+    &pv_heads_avx2,
+    &epilogue_span_avx2,
+    &exp_span_avx2};
 
 }  // namespace
 
 namespace detail {
-const KernelOps* kernel_ops_avx2() { return &kAvx2Ops; }
+// No runtime initialization here: the dispatcher calls this on every host
+// while it probes tiers, and this TU's own code may be VEX-encoded.
+const KernelOps* kernel_ops_avx2() {
+  return cpu_has_avx512f() ? &kAvx2OpsZmmGemm : &kAvx2Ops;
+}
 }  // namespace detail
 
 }  // namespace ft2

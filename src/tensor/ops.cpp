@@ -90,7 +90,8 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                     << pl.n << "," << pl.k << "] y cols " << y.dim(1));
   if (rows == 0) return;
   const auto kernel =
-      chunked_accum ? &chunked_tile_row : active_kernel_ops().kouter_row;
+      chunked_accum ? &detail::kouter_rows_of<&chunked_tile_row>
+                    : active_kernel_ops().kouter_rows;
   const std::size_t groups = (pl.n + kTileCols - 1) / kTileCols;
   // Fan out only as far as every task keeps enough work to pay for its
   // dispatch: a one-row decode GEMM runs inline. Which task runs a tile
@@ -101,11 +102,8 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
          ++g) {
       const std::size_t o_lo = g * kTileCols;
       const std::size_t width = std::min(kTileCols, pl.n - o_lo);
-      const float* wt = pl.tiles.data() + g * pl.k * kTileCols;
-      for (std::size_t r = 0; r < rows; ++r) {
-        kernel(x.row(r).data(), wt, pl.k, pl.bias.data() + o_lo,
-               y.row(r).data() + o_lo, width);
-      }
+      kernel(x.data(), pl.k, rows, pl.tiles.data() + g * pl.k * kTileCols,
+             pl.k, pl.bias.data() + o_lo, y.data() + o_lo, pl.n, width);
     }
   });
 }

@@ -11,7 +11,8 @@
 // Every public entry point must match the oracle bit for bit: logits,
 // stored K/V rows, per-site hook traffic and an FT2 hook's protection
 // tallies. Entry points: forward_position, forward_span at chunk sizes 1, 3
-// and the whole prompt, and forward_batch with slots at mixed positions.
+// and the whole prompt, and forward_batch with up to 6 slots at mixed
+// positions (the GEMM's four-row groups and leftover rows).
 // The grid covers OPT, GPT-J, Llama and Qwen2 configs, fp16 and
 // chunked_accum on and off, plain caches and paged caches of 3-row blocks
 // (attention then walks runs that end inside an 8-key group; head_dim 10
@@ -371,10 +372,11 @@ void expect_engine_matches_oracle(KernelTier tier) {
     const ModelConfig& c = model.config();
     const PackedDecodeWeights tiles(model);
     // Mixed prompt lengths put the batch slots at different positions.
-    std::vector<Seq> seqs = {make_seq(7, 0, c.vocab_size),
-                             make_seq(5, 1, c.vocab_size),
-                             make_seq(2, 2, c.vocab_size),
-                             make_seq(8, 3, c.vocab_size)};
+    std::vector<Seq> seqs = {
+        make_seq(7, 0, c.vocab_size), make_seq(5, 1, c.vocab_size),
+        make_seq(2, 2, c.vocab_size), make_seq(8, 3, c.vocab_size),
+        make_seq(3, 4, c.vocab_size), make_seq(6, 5, c.vocab_size),
+        make_seq(4, 6, c.vocab_size)};
     for (const bool fp16 : {false, true}) {
       for (const bool chunked : {false, true}) {
         for (const bool inject : {false, true}) {
@@ -450,8 +452,10 @@ void expect_engine_matches_oracle(KernelTier tier) {
               expect_same(want, *ref_probes[0], refs[0], got, probe, cache,
                           c);
             }
-            // forward_batch over seqs[1..3] after a whole-prompt prefill;
-            // steps vary the slot set and order, including one solo slot.
+            // forward_batch over seqs[1..6] after a whole-prompt prefill;
+            // steps vary the slot set and order: 6 and 5 slots (a
+            // four-row GEMM group and 2 or 1 leftover rows), 3, 2 and
+            // solo slots. Each sequence decodes all 3 of its tokens.
             SCOPED_TRACE("forward_batch");
             const std::size_t n_seq = seqs.size() - 1;
             std::vector<std::unique_ptr<Probe>> probes;
@@ -472,7 +476,8 @@ void expect_engine_matches_oracle(KernelTier tier) {
               got[i].logits.push_back(bits(slot_logits[i]));
             }
             const std::vector<std::vector<std::size_t>> steps = {
-                {0, 1, 2}, {1}, {2, 0}, {1, 2, 0}};
+                {0, 1, 2, 3, 4, 5}, {1}, {2, 0}, {4, 1, 2, 0, 3},
+                {3, 5, 4},          {5}};
             std::vector<std::size_t> taken(n_seq, 0);
             for (const auto& step : steps) {
               std::vector<DecodeSlot> slots;

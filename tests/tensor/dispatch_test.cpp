@@ -87,9 +87,63 @@ void chunked_scalar_ref(const Tensor& x, std::size_t rows, const Tensor& w,
   }
 }
 
+/// Checks one GEMM input on `tier` against the scalar references, in both
+/// reduction modes. `y` starts as NaN, so a row the kernel never writes
+/// fails too.
+void expect_gemm_case(KernelTier tier, const Tensor& x, std::size_t rows,
+                      const Tensor& w, std::span<const float> bias,
+                      ThreadPool& pool, const char* what) {
+  const std::size_t n = w.dim(0);
+  const float sentinel = std::numeric_limits<float>::quiet_NaN();
+  Tensor y({rows, n}), y_ref({rows, n});
+  std::fill(y.span().begin(), y.span().end(), sentinel);
+  gemm_scalar_ref(x, rows, w, bias, y_ref);
+  linear_forward_span(x, rows, w, bias, y, /*chunked_accum=*/false, pool);
+  for (std::size_t i = 0; i < y_ref.numel(); ++i) {
+    ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
+        << kernel_tier_name(tier) << " " << what << " span mismatch at row "
+        << i / n << " col " << i % n << " (n=" << n << " k=" << w.dim(1)
+        << " rows=" << rows << ")";
+  }
+
+  // The same weights in chunked-accumulation mode.
+  const PackedLinear pl(w, bias);
+  std::fill(y.span().begin(), y.span().end(), sentinel);
+  chunked_scalar_ref(x, rows, w, bias, y_ref);
+  linear_forward_span_packed(x, rows, pl, y, pool, /*chunked_accum=*/true);
+  for (std::size_t i = 0; i < y_ref.numel(); ++i) {
+    ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
+        << kernel_tier_name(tier) << " " << what << " chunked mismatch at row "
+        << i / n << " col " << i % n << " (n=" << n << " k=" << w.dim(1)
+        << " rows=" << rows << ")";
+  }
+}
+
+/// Values that stress the chain: signed zeros, subnormals, infinities,
+/// a NaN, and magnitudes whose products overflow (or, fused, would not).
+/// The NaN is x86's default NaN, the one Inf * 0 and Inf - Inf produce, so
+/// every NaN in a chain has the same bits whichever operand the hardware
+/// propagates.
+float hostile_value(Xoshiro256& rng) {
+  const float kValues[] = {
+      0.0f,     -0.0f,     1e-40f,   -1e-40f, 1.17549435e-38f, 3e38f,
+      -3e38f,   1e20f,     -1e20f,   1.0f + 0x1p-23f,
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      f32_from_bits(0xFFC00000u)};
+  // Mostly ordinary values, so many chains stay finite long enough for a
+  // reordered or fused step to show.
+  const std::uint64_t pick = rng() % 256;
+  if (pick < std::size(kValues)) return kValues[pick];
+  return rng.uniform_float(-2.0f, 2.0f);
+}
+
 /// Runs the GEMM on `tier` over shapes with full tiles, a partial last
-/// tile and k tails, demanding bit-equality with the scalar reference, in
-/// both reduction modes.
+/// tile (n = 48, 100, 257 end in 16-, 4- and 1-column tiles) and k tails,
+/// demanding bit-equality with the scalar reference in both reduction
+/// modes. Rows 1-9 and 16 give every leftover count after zero, one and
+/// two four-row groups (the AVX2 tier's 512-bit body on AVX-512F hosts).
+/// A second pass feeds hostile values into x, w and the bias.
 void expect_tier_gemm_bit_exact(KernelTier tier) {
   TierGuard guard;
   set_kernel_tier(tier);
@@ -99,30 +153,20 @@ void expect_tier_gemm_bit_exact(KernelTier tier) {
     std::size_t n, k;
   } shapes[] = {{48, 33}, {64, 64}, {100, 17}, {257, 96}};
   for (const auto& shape : shapes) {
-    for (std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
+    for (const std::size_t rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16}) {
       Tensor x({rows, shape.k}), w({shape.n, shape.k});
-      Tensor y({rows, shape.n}), y_ref({rows, shape.n});
       std::vector<float> bias(shape.n);
       fill_uniform(x.span(), rng, -2.0f, 2.0f);
       fill_uniform(w.span(), rng, -1.0f, 1.0f);
       fill_uniform(bias, rng, -0.5f, 0.5f);
-      gemm_scalar_ref(x, rows, w, bias, y_ref);
+      expect_gemm_case(tier, x, rows, w, bias, pool, "uniform");
+      if (::testing::Test::HasFatalFailure()) return;
 
-      linear_forward_span(x, rows, w, bias, y, /*chunked_accum=*/false, pool);
-      for (std::size_t i = 0; i < y_ref.numel(); ++i) {
-        ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
-            << kernel_tier_name(tier) << " span mismatch at " << i << " (n="
-            << shape.n << " k=" << shape.k << " rows=" << rows << ")";
-      }
-
-      // The same weights in chunked-accumulation mode.
-      const PackedLinear pl(w, bias);
-      chunked_scalar_ref(x, rows, w, bias, y_ref);
-      linear_forward_span_packed(x, rows, pl, y, pool, /*chunked_accum=*/true);
-      for (std::size_t i = 0; i < y_ref.numel(); ++i) {
-        ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
-            << kernel_tier_name(tier) << " chunked mismatch at " << i;
-      }
+      for (float& f : x.span()) f = hostile_value(rng);
+      for (float& f : w.span()) f = hostile_value(rng);
+      for (float& f : bias) f = hostile_value(rng);
+      expect_gemm_case(tier, x, rows, w, bias, pool, "hostile");
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }

@@ -1309,7 +1309,8 @@ int cmd_perf(const ArgParser& args) {
 /// Per-tier bit-equality self-test: on every host-supported tier, the
 /// packed GEMM must reproduce the scalar reference chain (acc += x[i] *
 /// w[o][i], ascending i, no FMA) and the packed chunked-accumulation chain
-/// its scalar reference, both on row-major weights; the attention kernels
+/// its scalar reference, both on row-major weights at 1 to 9 rows; the
+/// attention kernels
 /// and the quantize sweep their scalar references too, and exp_span
 /// detail::expf_ref.
 int kernel_check() {
@@ -1321,48 +1322,55 @@ int kernel_check() {
     const char* name = kernel_tier_name(tier);
 
     // GEMM: odd shape, so the tiles end in a partial tile and the k tail
-    // of the chunked chain is not empty.
-    const std::size_t rows = 3, n = 100, k = 33;
-    Tensor x({rows, k}), w({n, k}), y({rows, n}), y_ref({rows, n});
-    Tensor y_chunked({rows, n}), y_chunked_ref({rows, n});
-    std::vector<float> bias(n);
+    // of the chunked chain is not empty; rows 1-9, so the AVX2 tier's
+    // 512-bit four-row body (on AVX-512F hosts) runs with every leftover
+    // row count. Dividing by 509 leaves most products inexact, so a fused
+    // multiply-add rounds differently from the multiply then add.
+    const std::size_t n = 100, k = 33;
     std::uint64_t sm = 0xF72F72F7ULL;
     auto next_float = [&sm]() {
       return static_cast<float>(static_cast<std::int64_t>(
-                 splitmix64(sm) % 4001) - 2000) / 512.0f;
+                 splitmix64(sm) % 4001) - 2000) / 509.0f;
     };
-    for (float& v : x.span()) v = next_float();
-    for (float& v : w.span()) v = next_float();
-    for (float& v : bias) v = next_float();
-    for (std::size_t r = 0; r < rows; ++r) {
-      for (std::size_t o = 0; o < n; ++o) {
-        float acc = bias[o];
-        const float* xr = x.row(r).data();
-        const float* wr = w.row(o).data();
-        for (std::size_t i = 0; i < k; ++i) acc += xr[i] * wr[i];
-        y_ref.row(r)[o] = acc;
-        // Chunked: eight k-strided partial sums, the k tail on the bias,
-        // then the pairwise reduction.
-        float part[8] = {};
-        std::size_t i = 0;
-        for (; i + 8 <= k; i += 8) {
-          for (std::size_t l = 0; l < 8; ++l) part[l] += wr[i + l] * xr[i + l];
-        }
-        acc = bias[o];
-        for (; i < k; ++i) acc += wr[i] * xr[i];
-        y_chunked_ref.row(r)[o] = acc + ((part[0] + part[4]) +
-                                         (part[2] + part[6])) +
-                                  ((part[1] + part[5]) + (part[3] + part[7]));
-      }
-    }
-    const PackedLinear pl(w, bias);
-    linear_forward_span_packed(x, rows, pl, y, pool);
-    linear_forward_span_packed(x, rows, pl, y_chunked, pool,
-                               /*chunked_accum=*/true);
     std::size_t gemm_bad = 0;
-    for (std::size_t i = 0; i < y_ref.numel(); ++i) {
-      if (f32_bits(y[i]) != f32_bits(y_ref[i])) ++gemm_bad;
-      if (f32_bits(y_chunked[i]) != f32_bits(y_chunked_ref[i])) ++gemm_bad;
+    for (std::size_t rows = 1; rows <= 9; ++rows) {
+      Tensor x({rows, k}), w({n, k}), y({rows, n}), y_ref({rows, n});
+      Tensor y_chunked({rows, n}), y_chunked_ref({rows, n});
+      std::vector<float> bias(n);
+      for (float& v : x.span()) v = next_float();
+      for (float& v : w.span()) v = next_float();
+      for (float& v : bias) v = next_float();
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t o = 0; o < n; ++o) {
+          float acc = bias[o];
+          const float* xr = x.row(r).data();
+          const float* wr = w.row(o).data();
+          for (std::size_t i = 0; i < k; ++i) acc += xr[i] * wr[i];
+          y_ref.row(r)[o] = acc;
+          // Chunked: eight k-strided partial sums, the k tail on the
+          // bias, then the pairwise reduction.
+          float part[8] = {};
+          std::size_t i = 0;
+          for (; i + 8 <= k; i += 8) {
+            for (std::size_t l = 0; l < 8; ++l) {
+              part[l] += wr[i + l] * xr[i + l];
+            }
+          }
+          acc = bias[o];
+          for (; i < k; ++i) acc += wr[i] * xr[i];
+          y_chunked_ref.row(r)[o] =
+              acc + ((part[0] + part[4]) + (part[2] + part[6])) +
+              ((part[1] + part[5]) + (part[3] + part[7]));
+        }
+      }
+      const PackedLinear pl(w, bias);
+      linear_forward_span_packed(x, rows, pl, y, pool);
+      linear_forward_span_packed(x, rows, pl, y_chunked, pool,
+                                 /*chunked_accum=*/true);
+      for (std::size_t i = 0; i < y_ref.numel(); ++i) {
+        if (f32_bits(y[i]) != f32_bits(y_ref[i])) ++gemm_bad;
+        if (f32_bits(y_chunked[i]) != f32_bits(y_chunked_ref[i])) ++gemm_bad;
+      }
     }
 
     // Attention kernels on one run of cached rows: 13 heads (an 8-head
@@ -1487,6 +1495,7 @@ int cmd_kernel_info(const ArgParser& args) {
   }
   table.print(std::cout);
   std::cout << "tile cols: " << kTileCols << " (every tier)\n";
+  std::cout << "gemm: " << active_kernel_ops().gemm_body << "\n";
   if (!args.has("check")) return 0;
   const int failures = kernel_check();
   if (failures != 0) {
