@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
   paged_opts.kv_block_rows = block_rows;
   paged_opts.kv_pool_blocks = pool_blocks;
   paged_opts.prefill_chunk_budget = 32;
-  paged_opts.preempt = PreemptMode::kSwap;
   paged_opts.share_prefix = true;
 
   if (smoke) {

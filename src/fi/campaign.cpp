@@ -36,6 +36,16 @@ Outcome classify_outcome(const std::vector<int>& generated,
   return Outcome::kSdc;
 }
 
+GenerateOptions fixed_length_options(std::size_t gen_tokens, ValueType vtype,
+                                     bool chunked_accum) {
+  GenerateOptions options;
+  options.max_new_tokens = gen_tokens;
+  options.eos_token = -1;  // fixed-length generation, as in the paper
+  options.fp16 = vtype == ValueType::kF16;
+  options.chunked_accum = chunked_accum;
+  return options;
+}
+
 namespace {
 
 std::vector<int> make_prompt(const Sample& sample) {
@@ -45,18 +55,6 @@ std::vector<int> make_prompt(const Sample& sample) {
   prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
                 sample.prompt_tokens.end());
   return prompt;
-}
-
-GenerateOptions fixed_length_options(std::size_t gen_tokens, ValueType vtype,
-                                     bool chunked_accum = false,
-                                     std::size_t prefill_chunk = 32) {
-  GenerateOptions options;
-  options.max_new_tokens = gen_tokens;
-  options.eos_token = -1;  // fixed-length generation, as in the paper
-  options.fp16 = vtype == ValueType::kF16;
-  options.chunked_accum = chunked_accum;
-  options.prefill_chunk = prefill_chunk;
-  return options;
 }
 
 /// Buckets for campaign.prefix.reused_positions: powers of two up to 2048
@@ -193,9 +191,8 @@ CampaignResult run_campaign_range_impl(
                                 Outcome::kNotInjected);
   ThreadPool& pool =
       config.pool != nullptr ? *config.pool : ThreadPool::global();
-  const GenerateOptions trial_options =
-      fixed_length_options(config.gen_tokens, config.vtype,
-                           config.chunked_accum, config.prefill_chunk);
+  const GenerateOptions trial_options = fixed_length_options(
+      config.gen_tokens, config.vtype, config.chunked_accum);
 
   // Prefix reuse: one fault-free recording per input in the trial range —
   // the trial-identical generation (protection hook attached, no fault)

@@ -45,14 +45,10 @@ struct CampaignConfig {
   /// fault per inference (§2.3); values > 1 support the single-fault-
   /// assumption sensitivity extension.
   std::size_t faults_per_trial = 1;
-  /// Blocked-prefill chunk for every trial's generation (1 = sequential
-  /// reference path, 0 = whole prompt). Bit-exact at any value, so campaign
-  /// outcomes never depend on it — it is purely a throughput knob.
-  std::size_t prefill_chunk = 32;
-  /// Pool that trials fan out over (null = process-wide pool). Like
-  /// prefill_chunk, a pure throughput knob: trial partitioning is
-  /// deterministic and each trial is self-contained, so outcomes and
-  /// per-trial records are identical at any pool size.
+  /// Pool that trials fan out over (null = process-wide pool). A pure
+  /// throughput knob: trial partitioning is deterministic and each trial
+  /// is self-contained, so outcomes and per-trial records are identical
+  /// at any pool size.
   ThreadPool* pool = nullptr;
   /// Observability sinks. `obs.metrics` receives campaign.* metrics
   /// (per-outcome and per-site-kind counters, trial wall-time histogram)
@@ -71,12 +67,12 @@ struct CampaignConfig {
   /// bit-identical to the recording again — same K/V rows and tokens,
   /// every injector fired, the scheme's state equal to the recording's
   /// (DetectionScheme::state_matches) — and takes the recording's result
-  /// and remaining accounting (campaign.prefix.rejoined). Like
-  /// `prefill_chunk` and `pool` this is a pure throughput knob: outcomes,
-  /// per-trial records, detections and protect.* counters are
-  /// bit-identical on or off (a single-fault trial is bit-identical to the
-  /// fault-free run up to its injection position, and from a rejoin on, so
-  /// nothing skipped could have differed).
+  /// and remaining accounting (campaign.prefix.rejoined). Like `pool`
+  /// this is a pure throughput knob: outcomes, per-trial records,
+  /// detections and protect.* counters are bit-identical on or off (a
+  /// single-fault trial is bit-identical to the fault-free run up to its
+  /// injection position, and from a rejoin on, so nothing skipped could
+  /// have differed).
   bool prefix_reuse = true;
   /// Record per-trial ClipEvents (layer kind, position, original value) on
   /// each trial's protection hook so TrialRecord::clips carries them. Off
@@ -121,6 +117,13 @@ std::vector<int> truncate_at_eos(const std::vector<int>& tokens);
 /// Classifies a faulty generation against the reference (paper §2.3).
 Outcome classify_outcome(const std::vector<int>& generated,
                          const EvalInput& input);
+
+/// GenerateOptions of every campaign generation: `gen_tokens` tokens with
+/// no EOS stop (fixed length, as in the paper), FP16 semantics when
+/// `vtype` is kF16, the given reduction order and GenerateOptions' own
+/// prefill chunk.
+GenerateOptions fixed_length_options(std::size_t gen_tokens, ValueType vtype,
+                                     bool chunked_accum = false);
 
 /// Runs the fixed-length fault-free generation for each sample and keeps
 /// the reference outputs. When `only_correct` is set, samples whose

@@ -62,6 +62,11 @@ CampaignResult run_weight_fault_campaign_impl(
     const CampaignConfig& config) {
   FT2_CHECK(!inputs.empty());
   const WeightFaultSpace space(model.config());
+  const GenerateOptions opts = fixed_length_options(
+      config.gen_tokens, config.vtype, config.chunked_accum);
+  // One session for every trial: the fault lives in the model's tiles,
+  // which the session reads, and each generate starts from an empty cache.
+  InferenceSession session(model);
 
   CampaignResult result;
   for (std::size_t input_idx = 0; input_idx < inputs.size(); ++input_idx) {
@@ -74,13 +79,7 @@ CampaignResult run_weight_fault_campaign_impl(
 
       ScopedWeightFault fault(model, plan);
       ProtectionHook protection(model.config(), make_scheme(), ObsSinks{});
-      InferenceSession session(model);
       const HookRegistration reg = session.hooks().add(protection);
-
-      GenerateOptions opts;
-      opts.max_new_tokens = config.gen_tokens;
-      opts.eos_token = -1;
-      opts.fp16 = config.vtype == ValueType::kF16;
       const auto out = session.generate(input.prompt, opts);
 
       ++result.trials;

@@ -234,9 +234,9 @@ std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
 
 /// Runs positions [pos, pos + n) of the prefill sequence `tokens` (n from
 /// prefill_chunk_rows) in the first-token phase. The one chunk dispatch
-/// every prefill path uses — run_prefill, ServeEngine's budgeted chunks
-/// and its recompute replay — so their rules cannot drift: every chunk goes
-/// through forward_span, and `logits` is written only by the chunk that
+/// both prefill paths use — run_prefill and ServeEngine's budgeted
+/// chunks — so their rules cannot drift: every chunk goes through
+/// forward_span, and `logits` is written only by the chunk that
 /// ends `tokens` (earlier chunks skip the LM head).
 void forward_prefill_chunk(const TransformerLM& model,
                            std::span<const int> tokens, std::size_t pos,

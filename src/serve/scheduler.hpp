@@ -15,13 +15,9 @@
 //  * backpressure — submissions beyond max_queue_depth are rejected with a
 //    typed ft2::Error instead of growing the queue without bound;
 //  * preemption — when the paged KV pool runs dry, the lowest-priority
-//    slot-holder is evicted back to the queue (swap: its K/V rows move to
-//    a compact host copy and are restored verbatim on re-admission, so
-//    hook traffic and tokens stay bit-identical; recompute: its rows are
-//    dropped and re-prefilled, which re-fires prompt hooks — so a hooked
-//    request is never recomputed: the engine only picks hook-free victims
-//    in that mode, and a hooked request that yields its own slot is
-//    swapped instead);
+//    slot-holder is evicted back to the queue: its K/V rows move to a
+//    compact host copy and are restored verbatim on re-admission, so hook
+//    traffic and tokens stay bit-identical;
 //  * cancellation and per-token streaming callbacks.
 //
 // The Scheduler owns ordering decisions only; the ServeEngine owns
@@ -41,14 +37,11 @@ namespace ft2 {
 
 using RequestId = std::uint64_t;
 
-/// How the engine frees paged-KV blocks under pool pressure.
+/// How the engine frees paged-KV blocks under pool pressure. Swap is the
+/// only mechanism: copy the victim's K/V rows out to host memory and
+/// restore them verbatim on re-admission.
 enum class PreemptMode {
-  kNone,       ///< never preempt; pool exhaustion is a hard error
-  kSwap,       ///< copy K/V rows out to host memory, restore verbatim later
-  kRecompute,  ///< drop K/V rows, re-prefill on re-admission (hook-free
-               ///< victims only: replay re-fires prompt-position hooks; a
-               ///< hooked request that yields its own slot is swapped to a
-               ///< host copy instead)
+  kSwap,
 };
 
 /// Per-request scheduling options, alongside GenerateOptions.

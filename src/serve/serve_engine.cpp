@@ -83,7 +83,6 @@ struct ServeEngine::Request {
   std::size_t steps = 0;         ///< decode loop index (tokens sampled)
   int pending_token = -1;        ///< token to feed at the next batched step
   bool admitted_once = false;    ///< scope armed / admit stats recorded
-  bool needs_replay = false;     ///< recompute-preempted; re-prefill on resume
   std::optional<KvCache> swapped;  ///< swap-preempted rows (compact host copy)
   bool done = false;
   GenerateResult result;
@@ -383,10 +382,13 @@ void ServeEngine::register_prefix(Request& req) {
     it->second.last_use = ++prefix_clock_;
     return;
   }
-  while (prefix_cache_.size() >= options_.prefix_cache_entries &&
-         !prefix_cache_.empty()) {
-    drop_one_prefix_entry();
-  }
+  // No two entries end in the same block: a block sits at one table index,
+  // and a request whose prefix ends in a block it adopted shares that
+  // entry's digest, so it refreshed the entry above or the entry is gone.
+  // Each entry holds a reference on its last block, so the registry never
+  // outgrows the pool, and pool pressure (reserve_rows_or_evict) is its
+  // only cap, least recently used first.
+  FT2_ASSERT(prefix_cache_.size() < kv_pool_.total_blocks());
   PrefixEntry entry;
   entry.tokens.assign(tokens.begin(), tokens.end());
   entry.blocks.assign(req.cache.block_table().begin(),
@@ -405,17 +407,10 @@ void ServeEngine::preempt(Request& req) {
   release_slot(req);
   req.phase = Request::Phase::kQueued;
   if (req.cache.length() > 0) {
-    // Recompute replay re-fires prompt-position hooks, so a hooked request
-    // is always swapped — also when it yields its own slot in recompute
-    // mode (preempt_one never picks it as a victim there).
-    if (options_.preempt == PreemptMode::kSwap || !req.hooks.empty()) {
-      // Compact host copy of every live row; restored verbatim on resume,
-      // so hooks (and the still-armed GenerationScope) never observe the
-      // eviction.
-      req.swapped.emplace(req.cache.prefix_copy(req.cache.length()));
-    } else {
-      req.needs_replay = true;
-    }
+    // Compact host copy of every live row; restored verbatim on resume, so
+    // hooks (and the still-armed GenerationScope) never observe the
+    // eviction.
+    req.swapped.emplace(req.cache.prefix_copy(req.cache.length()));
   }
   req.cache.release_storage();
   scheduler_.enqueue(req.sched);
@@ -427,17 +422,11 @@ void ServeEngine::preempt(Request& req) {
 bool ServeEngine::preempt_one(const Request* except, const SchedEntry* limit) {
   std::vector<SchedEntry> candidates;
   candidates.reserve(prefilling_.size() + active_.size());
-  const auto consider = [&](Request* r) {
-    if (r == except) return;
-    // Recompute replay re-fires prompt-position hooks, so only hook-free
-    // requests are eligible victims in that mode.
-    if (options_.preempt == PreemptMode::kRecompute && !r->hooks.empty()) {
-      return;
+  for (const auto* list : {&prefilling_, &active_}) {
+    for (const Request* r : *list) {
+      if (r != except) candidates.push_back(r->sched);
     }
-    candidates.push_back(r->sched);
-  };
-  for (Request* r : prefilling_) consider(r);
-  for (Request* r : active_) consider(r);
+  }
   const std::optional<SchedEntry> victim =
       Scheduler::pick_victim(candidates, limit);
   if (!victim.has_value()) return false;
@@ -452,9 +441,6 @@ bool ServeEngine::reserve_rows_or_evict(Request& req, std::size_t rows) {
       drop_one_prefix_entry();
       continue;
     }
-    FT2_CHECK_MSG(options_.preempt != PreemptMode::kNone,
-                  "KvBlockPool exhausted (" << kv_pool_.total_blocks()
-                                            << " blocks) with preemption off");
     // Evict a strictly worse-ordered slot-holder; when this request is
     // itself the worst, it yields its own slot back to the queue.
     if (!preempt_one(&req, &req.sched)) {
@@ -500,39 +486,6 @@ bool ServeEngine::begin_admission(Request& req) {
     if (!reserve_rows_or_evict(req, rows)) return false;
     req.cache.append_rows(*req.swapped, rows);
     req.swapped.reset();
-    FT2_ASSERT(req.cache.length() == req.pos);
-    return true;
-  }
-
-  if (req.needs_replay) {
-    // Recompute resume: re-run every position fed before the eviction —
-    // prompt positions plus already-sampled tokens (the newest sampled
-    // token is still pending, not fed). Victims are hook-free, so the
-    // replay's chunk boundaries and first_token_phase flag only touch
-    // compute, which is bit-exact; no token is ever re-sampled.
-    std::vector<int> fed(req.prompt.begin(),
-                         req.prompt.begin() +
-                             static_cast<std::ptrdiff_t>(req.next_prefill));
-    if (req.steps > 0 && req.result.tokens.size() > 1) {
-      fed.insert(fed.end(), req.result.tokens.begin(),
-                 req.result.tokens.end() - 1);
-    }
-    FT2_ASSERT(fed.size() == req.pos);
-    std::size_t pos = 0;
-    while (pos < fed.size()) {
-      const std::size_t n =
-          prefill_chunk_rows(req.options.prefill_chunk, pos, fed.size());
-      if (!reserve_rows_or_evict(req, n)) return false;
-      // No logits: the replayed sequence's next token is already sampled.
-      forward_prefill_chunk(model_, fed, pos, n, req.cache, req.hooks,
-                            exec_for(req.options), ws_, {});
-      pos += n;
-      // Replayed positions are engine work but not solo-equivalent
-      // positions: result.positions_run already counted them.
-      counters_.prefill_positions += n;
-      metrics_.prefill_positions.inc(n);
-    }
-    req.needs_replay = false;
     FT2_ASSERT(req.cache.length() == req.pos);
   }
   // else: preempted before any row was stored — resume exactly like a

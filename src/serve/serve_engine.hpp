@@ -15,8 +15,8 @@
 // accelerator VRAM — bounds concurrency by actual sequence length. Common
 // prompt prefixes of live hook-free requests share blocks copy-on-write
 // (shared system prompts prefill once); under pool pressure the scheduler
-// preempts the lowest-priority slot-holder (swap or recompute) and resumes
-// it later, bit-exactly.
+// swaps the lowest-priority slot-holder's rows out to host memory and
+// resumes it later, bit-exactly.
 //
 // Bit-exactness contract: the engine produces, for every request, exactly
 // the token stream a solo InferenceSession::generate call with the same
@@ -24,11 +24,9 @@
 // pool size, KV block size, prefill budget, and across swap-preemption.
 // Hook traffic (begin / per-site dispatches in execution order / end),
 // sampling RNG draws and protection statistics are also identical, with
-// two documented exceptions: a request that adopted a shared prefix skips
+// one documented exception: a request that adopted a shared prefix skips
 // the prompt positions it adopted (prefix sharing is therefore offered to
-// hook-free requests only), and a recompute-preempted request re-fires
-// prompt-position hooks during replay (recompute therefore only picks
-// hook-free victims). Tokens are bit-identical in every mode.
+// hook-free requests only). Tokens are bit-identical in every case.
 //
 // Single-threaded driver: submit/step/run/cancel must be called from one
 // thread (layer GEMMs still fan out over the thread pool internally).
@@ -74,7 +72,8 @@ struct ServeOptions {
   /// unbounded (each admission prefills its whole prompt before decode —
   /// the pre-scheduler behavior).
   std::size_t prefill_chunk_budget = 0;
-  /// Eviction mechanism under paged-pool pressure (see scheduler.hpp).
+  /// Eviction mechanism under paged-pool pressure; swap is the only one
+  /// (see scheduler.hpp).
   PreemptMode preempt = PreemptMode::kSwap;
   /// Copy-on-write sharing of committed full-block prompt prefixes across
   /// live hook-free requests with matching exec config (shared system
@@ -82,10 +81,9 @@ struct ServeOptions {
   /// hook traffic stays bit-identical to a solo run. A request that
   /// adopted a prefix reports the skipped positions in
   /// RequestStats::shared_prefix_rows (its GenerateResult::positions_run
-  /// counts only positions actually computed).
+  /// counts only positions actually computed). Registered prefixes live
+  /// until pool pressure drops them, least recently used first.
   bool share_prefix = false;
-  /// Max distinct registered prefix entries (LRU beyond this).
-  std::size_t prefix_cache_entries = 256;
 
   /// Observability sinks. `obs.metrics` is the registry the engine
   /// publishes serve.* metrics to; nullptr selects the process default

@@ -5,7 +5,10 @@
 // GPU mixed-precision (FP16 storage, FP32 accumulate).
 #pragma once
 
+#include <cstddef>
+#include <new>
 #include <span>
+#include <vector>
 
 #include "tensor/dispatch.hpp"
 #include "tensor/tensor.hpp"
@@ -13,6 +16,33 @@
 namespace ft2 {
 
 class ThreadPool;  // common/thread_pool.hpp
+
+/// Allocator that starts every buffer on a 64-byte (cache-line) boundary,
+/// so where a vector lands never decides whether its vector loads split a
+/// line.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, kAlign);
+  }
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
+
+/// Floats on a 64-byte boundary (PackedLinear's tiles and bias).
+using AlignedFloats = std::vector<float, CacheLineAllocator<float>>;
 
 /// One weight matrix W[n, k] (PyTorch Linear layout: y = W x + b) in the
 /// k-outer micro-kernel's layout, the only form a model keeps its linears
@@ -27,8 +57,8 @@ struct PackedLinear {
   std::size_t n = 0;         ///< output features
   std::size_t k = 0;         ///< input features
   bool has_bias = false;     ///< packed from a non-empty bias
-  std::vector<float> tiles;  ///< per tile: [k x kTileCols], zero-padded
-  std::vector<float> bias;   ///< per tile: [kTileCols], zero-padded
+  AlignedFloats tiles;       ///< per tile: [k x kTileCols], zero-padded
+  AlignedFloats bias;        ///< per tile: [kTileCols], zero-padded
 
   PackedLinear() = default;
   /// Packs `w` [n, k] and `bias_in` ([n], or empty for no bias).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -283,6 +284,97 @@ TEST(WeightFault, CampaignRunsAndIsReproducible) {
   EXPECT_EQ(a.trials, 30u);
   EXPECT_EQ(a.sdc, b.sdc);
   EXPECT_EQ(a.masked_identical, b.masked_identical);
+}
+
+/// Outcome counts of `config`'s weight-fault trials run by hand: each
+/// trial's plan from the campaign's per-trial Philox stream, applied with
+/// ScopedWeightFault, then a fixed-length generate under the scheme's
+/// protection hook with the config's reduction order.
+CampaignResult hand_weight_campaign(TransformerLM& model,
+                                    const std::vector<EvalInput>& inputs,
+                                    const SchemeSpec& spec,
+                                    const CampaignConfig& config) {
+  const WeightFaultSpace space(model.config());
+  GenerateOptions opts;
+  opts.max_new_tokens = config.gen_tokens;
+  opts.eos_token = -1;
+  opts.fp16 = config.vtype == ValueType::kF16;
+  opts.chunked_accum = config.chunked_accum;
+  CampaignResult result;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t t = 0; t < config.trials_per_input; ++t) {
+      PhiloxStream rng(config.seed, i * config.trials_per_input + t);
+      const ScopedWeightFault fault(
+          model, space.sample(config.fault_model, config.vtype, rng));
+      ProtectionHook protection(model.config(), spec, BoundStore{});
+      InferenceSession session(model);
+      const HookRegistration reg = session.hooks().add(protection);
+      const GenerateResult out = session.generate(inputs[i].prompt, opts);
+      ++result.trials;
+      switch (classify_outcome(out.tokens, inputs[i])) {
+        case Outcome::kMaskedIdentical: ++result.masked_identical; break;
+        case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
+        case Outcome::kSdc: ++result.sdc; break;
+        case Outcome::kNotInjected: ++result.not_injected; break;
+      }
+    }
+  }
+  return result;
+}
+
+void expect_same_counts(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_EQ(a.trials, b.trials);
+  EXPECT_EQ(a.masked_identical, b.masked_identical);
+  EXPECT_EQ(a.masked_semantic, b.masked_semantic);
+  EXPECT_EQ(a.sdc, b.sdc);
+  EXPECT_EQ(a.not_injected, b.not_injected);
+}
+
+TEST(WeightFault, CampaignRunsTheConfiguredReductionOrder) {
+  const ModelConfig c = micro_config();
+  const auto samples =
+      make_generator(DatasetKind::kSynthQA)->generate_many(1, 1);
+  Xoshiro256 rng(11);
+  ModelWeights weights = init_weights(c, rng);
+  const int first = [&] {
+    const TransformerLM clean(c, weights);
+    const auto inputs = prepare_eval_inputs(clean, samples, 6, false);
+    InferenceSession session(clean);
+    return session
+        .generate(inputs[0].prompt, fixed_length_options(6, ValueType::kF32))
+        .tokens[0];
+  }();
+  // A near-tie in the LM head: a twin of the first generated token's row
+  // with one element one ulp lower, so which of the two tokens wins turns
+  // on rounding that the reduction order decides.
+  const int twin = (first + 1) % static_cast<int>(c.vocab_size);
+  for (std::size_t k = 0; k < c.d_model; ++k) {
+    weights.lm_head.w.at(twin, k) = weights.lm_head.w.at(first, k);
+  }
+  float& nudged = weights.lm_head.w.at(twin, 14);
+  nudged = std::nextafter(nudged, -INFINITY);
+  TransformerLM model(c, std::move(weights));
+  const auto inputs = prepare_eval_inputs(model, samples, 6, false);
+
+  CampaignConfig config;
+  config.fault_model = FaultModel::kExponentBit;
+  config.vtype = ValueType::kF32;
+  config.trials_per_input = 20;
+  config.gen_tokens = 6;
+  config.chunked_accum = true;
+  const auto spec = scheme_spec(SchemeKind::kFt2, model.config());
+  const CampaignResult chunked =
+      hand_weight_campaign(model, inputs, spec, config);
+  // Precondition: the reduction order moves outcomes on these trials, so
+  // a campaign that ran the default order would not match.
+  CampaignConfig plain = config;
+  plain.chunked_accum = false;
+  ASSERT_NE(chunked.masked_identical,
+            hand_weight_campaign(model, inputs, spec, plain).masked_identical);
+
+  expect_same_counts(
+      run_weight_fault_campaign(model, inputs, spec, BoundStore{}, config),
+      chunked);
 }
 
 TEST(MultiFault, MoreFaultsNeverInjectLess) {

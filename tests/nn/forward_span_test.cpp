@@ -259,6 +259,44 @@ TEST(ForwardSpan, GenerateTokensIndependentOfChunkAndPool) {
   }
 }
 
+/// Outcome counts of `config`'s trials replayed by hand: each trial's
+/// fault plans from the campaign's per-trial Philox stream, an injector
+/// per plan ahead of the scheme's protection hook, and a fixed-length
+/// generate with the given prefill chunk.
+CampaignResult hand_campaign(const TransformerLM& model,
+                             const std::vector<EvalInput>& inputs,
+                             const SchemeSpec& spec,
+                             const CampaignConfig& config,
+                             std::size_t prefill_chunk) {
+  const FaultSiteSpace space(model.config());
+  GenerateOptions opts = fixed_length_options(config.gen_tokens, config.vtype);
+  opts.prefill_chunk = prefill_chunk;
+  InferenceSession session(model);
+  CampaignResult result;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    for (std::size_t t = 0; t < config.trials_per_input; ++t) {
+      PhiloxStream rng(config.seed, i * config.trials_per_input + t);
+      InjectorHook injector(space.sample(inputs[i].prompt.size(),
+                                         config.gen_tokens,
+                                         config.fault_model, config.vtype,
+                                         rng));
+      ProtectionHook protection(model.config(), spec, BoundStore{});
+      const HookRegistration inject = session.hooks().add(injector);
+      const HookRegistration protect = session.hooks().add(protection);
+      const GenerateResult out = session.generate(inputs[i].prompt, opts);
+      ++result.trials;
+      switch (injector.fired() ? classify_outcome(out.tokens, inputs[i])
+                               : Outcome::kNotInjected) {
+        case Outcome::kMaskedIdentical: ++result.masked_identical; break;
+        case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
+        case Outcome::kSdc: ++result.sdc; break;
+        case Outcome::kNotInjected: ++result.not_injected; break;
+      }
+    }
+  }
+  return result;
+}
+
 TEST(ForwardSpan, CampaignOutcomesIndependentOfPrefillChunk) {
   const TransformerLM model = micro_model(ArchFamily::kOpt);
   const auto gen = make_generator(DatasetKind::kSynthQA);
@@ -272,18 +310,21 @@ TEST(ForwardSpan, CampaignOutcomesIndependentOfPrefillChunk) {
   base.gen_tokens = 6;
   base.seed = 99;
   for (SchemeKind scheme : {SchemeKind::kNone, SchemeKind::kFt2}) {
-    CampaignConfig sequential = base;
-    sequential.prefill_chunk = 1;
-    CampaignConfig blocked = base;
-    blocked.prefill_chunk = 8;
-    const auto a =
-        run_campaign(model, inputs, scheme, BoundStore{}, sequential);
-    const auto b = run_campaign(model, inputs, scheme, BoundStore{}, blocked);
-    EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.masked_identical, b.masked_identical);
-    EXPECT_EQ(a.masked_semantic, b.masked_semantic);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.not_injected, b.not_injected);
+    // The campaign runs GenerateOptions' default chunk; the same trials
+    // replayed one position at a time and in 8-position chunks agree.
+    const SchemeSpec spec = scheme_spec(scheme, model.config());
+    const auto campaign = run_campaign(model, inputs, scheme, BoundStore{},
+                                       base);
+    for (const std::size_t chunk : {1u, 8u}) {
+      SCOPED_TRACE(::testing::Message() << scheme_name(scheme)
+                                        << " chunk " << chunk);
+      const auto b = hand_campaign(model, inputs, spec, base, chunk);
+      EXPECT_EQ(campaign.trials, b.trials);
+      EXPECT_EQ(campaign.masked_identical, b.masked_identical);
+      EXPECT_EQ(campaign.masked_semantic, b.masked_semantic);
+      EXPECT_EQ(campaign.sdc, b.sdc);
+      EXPECT_EQ(campaign.not_injected, b.not_injected);
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <map>
 
 #include "train/backprop.hpp"
@@ -255,6 +256,37 @@ TEST(Model, ParameterCountsDifferByArch) {
   EXPECT_GT(parameter_count(opt.config()), 0u);
   EXPECT_GT(parameter_count(llama.config()), 0u);
   EXPECT_NE(parameter_count(opt.config()), parameter_count(llama.config()));
+}
+
+/// Byte offset of `p` past the last 64-byte boundary.
+std::uintptr_t cache_line_offset(const float* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 64;
+}
+
+void expect_cache_line_aligned(const PackedLinear& pl, const char* what) {
+  EXPECT_EQ(cache_line_offset(pl.tiles.data()), 0u) << what << " tiles";
+  EXPECT_EQ(cache_line_offset(pl.bias.data()), 0u) << what << " bias";
+}
+
+TEST(Model, PackedLinearsStartOnACacheLine) {
+  // The GEMM's vector tile loads split a cache line whenever a buffer
+  // starts off a 64-byte boundary, which a plain vector leaves to the
+  // allocator (a large one lands at 16 mod 64 on glibc).
+  for (const ArchFamily arch : {ArchFamily::kOpt, ArchFamily::kLlama}) {
+    const TransformerLM model = make_model(arch);
+    const char* what = arch == ArchFamily::kOpt ? "opt" : "llama";
+    const PackedDecodeWeights& w = model.tiles();
+    for (const PackedDecodeWeights::Block& b : w.blocks) {
+      for (const PackedLinear* pl :
+           {&b.q, &b.k, &b.v, &b.o, &b.fc1, &b.up, &b.fc2}) {
+        expect_cache_line_aligned(*pl, what);
+      }
+    }
+    expect_cache_line_aligned(w.lm_head, what);
+  }
+  Tensor weight({384, 128});
+  const std::vector<float> bias(384, 0.5f);
+  expect_cache_line_aligned(PackedLinear(weight, bias), "384x128");
 }
 
 }  // namespace

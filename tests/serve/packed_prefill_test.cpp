@@ -1,5 +1,5 @@
 // Packed prefill in the serve engine: every prefill forward (budgeted
-// chunks, 1-wide chunks, recompute replays, the last chunk's LM head) runs
+// chunks, 1-wide chunks, the last chunk's LM head) runs
 // from the model's packed tiles, with the fused protection epilogue swept
 // after each GEMM. Each case compares hooked requests against solo
 // InferenceSession::generate bit for bit: tokens, per-kind
@@ -95,16 +95,12 @@ void expect_same_protection(const Hooked& got, const Hooked& ref,
 }
 
 /// Runs each hooked request solo, then all of them through one engine, and
-/// compares everything. `hook_free` prompts ride along without hooks (the
-/// only requests recompute preemption may pick as victims); their token
-/// streams must match solo too.
+/// compares everything.
 void expect_serve_matches_solo(
     const TransformerLM& model, const SchemeSpec& spec,
     const BoundStore& bounds, const std::vector<std::vector<int>>& prompts,
     const std::vector<GenerateOptions>& options,
-    const std::vector<std::vector<int>>& hook_free,
-    const GenerateOptions& hook_free_options, const ServeOptions& serve_opts,
-    const char* what, ServeCounters* counters = nullptr) {
+    const ServeOptions& serve_opts, const char* what) {
   std::vector<std::unique_ptr<Hooked>> solo;
   std::vector<GenerateResult> ref;
   for (std::size_t r = 0; r < prompts.size(); ++r) {
@@ -113,30 +109,17 @@ void expect_serve_matches_solo(
     const auto regs = solo.back()->attach(session.hooks());
     ref.push_back(session.generate(prompts[r], options[r]));
   }
-  std::vector<GenerateResult> free_ref;
-  for (const auto& prompt : hook_free) {
-    InferenceSession session(model);
-    free_ref.push_back(session.generate(prompt, hook_free_options));
-  }
 
   ServeEngine engine(model, serve_opts);
   std::vector<std::unique_ptr<Hooked>> served;
   std::vector<HookRegistration> regs;
   std::vector<RequestId> ids;
-  // Hooked requests outrank the hook-free ones, so pool pressure always
-  // evicts a hook-free request rather than making a hooked one yield.
-  ServeSubmitOptions hooked_sched;
-  hooked_sched.priority = 1;
   for (std::size_t r = 0; r < prompts.size(); ++r) {
     served.push_back(std::make_unique<Hooked>(model, spec, bounds));
-    ids.push_back(engine.submit(prompts[r], options[r], hooked_sched));
+    ids.push_back(engine.submit(prompts[r], options[r]));
     for (auto& reg : served.back()->attach(engine.hooks(ids.back()))) {
       regs.push_back(std::move(reg));
     }
-  }
-  std::vector<RequestId> free_ids;
-  for (const auto& prompt : hook_free) {
-    free_ids.push_back(engine.submit(prompt, hook_free_options));
   }
   engine.run();
 
@@ -144,10 +127,6 @@ void expect_serve_matches_solo(
     expect_equal_results(engine.result(ids[r]), ref[r], r, what);
     expect_same_protection(*served[r], *solo[r], r, what);
   }
-  for (std::size_t r = 0; r < hook_free.size(); ++r) {
-    expect_equal_results(engine.result(free_ids[r]), free_ref[r], r, what);
-  }
-  if (counters != nullptr) *counters = engine.counters();
 }
 
 TEST(ServeEnginePackedPrefill, OneWideLastChunkMatchesSolo) {
@@ -163,8 +142,8 @@ TEST(ServeEnginePackedPrefill, OneWideLastChunkMatchesSolo) {
       long_prompt(model, opts.prefill_chunk + 1, 5)};
   ServeOptions serve_opts;
   serve_opts.prefill_chunk_budget = 4;  // chunks spread across steps
-  expect_serve_matches_solo(model, spec, BoundStore{}, prompts, {opts}, {},
-                            opts, serve_opts, "1-wide last chunk");
+  expect_serve_matches_solo(model, spec, BoundStore{}, prompts, {opts},
+                            serve_opts, "1-wide last chunk");
 }
 
 /// Restores the active kernel tier on scope exit.
@@ -204,7 +183,7 @@ void expect_clipping_prefill_matches_solo(ArchFamily arch) {
   }
   ASSERT_GT(prefill_clips, 0u) << "bounds too loose to clip in prefill";
 
-  expect_serve_matches_solo(model, spec, bounds, prompts, options, {}, opts,
+  expect_serve_matches_solo(model, spec, bounds, prompts, options,
                             ServeOptions{}, "clipping prefill");
 }
 
@@ -221,37 +200,6 @@ TEST(ServeEnginePackedPrefill, ClippingPrefillMatchesSoloEventForEvent) {
       expect_clipping_prefill_matches_solo(arch);
     }
   }
-}
-
-TEST(ServeEnginePackedPrefill, RecomputeReplayRunsBesideHookedRequests) {
-  const TransformerLM model = micro_model(ArchFamily::kLlama);
-  const SchemeSpec spec = scheme_spec(SchemeKind::kFt2, model.config());
-  GenerateOptions hooked;
-  hooked.prefill_chunk = 8;
-  hooked.max_new_tokens = 20;
-  hooked.eos_token = -1;
-  GenerateOptions free_opts = hooked;
-  free_opts.max_new_tokens = 24;
-  // A 12-block x 8-row pool holds one max_seq sequence: the hooked request
-  // (30 + 20 rows) and two hook-free ones (26 + 24 rows each) cannot all
-  // fit, so recompute evicts hook-free requests, which later replay their
-  // fed positions through packed prefill chunks.
-  const std::vector<std::vector<int>> prompts = {long_prompt(model, 30, 8)};
-  const std::vector<std::vector<int>> hook_free = {long_prompt(model, 26, 9),
-                                                   long_prompt(model, 25, 10)};
-  ServeOptions serve_opts;
-  serve_opts.max_batch = 3;
-  serve_opts.kv_block_rows = 8;
-  serve_opts.kv_pool_blocks = 12;
-  serve_opts.preempt = PreemptMode::kRecompute;
-  serve_opts.prefill_chunk_budget = 8;
-  ServeCounters counters;
-  expect_serve_matches_solo(model, spec, BoundStore{}, prompts, {hooked},
-                            hook_free, free_opts, serve_opts,
-                            "recompute replay", &counters);
-  EXPECT_GE(counters.preemptions, 1u);
-  // Replayed positions are prefill work beyond the three prompts.
-  EXPECT_GT(counters.prefill_positions, 30u + 26u + 25u);
 }
 
 TEST(ServeEnginePackedPrefill, PrefillReadsTheModelsTiles) {

@@ -5,12 +5,11 @@
 //     counts serve.rejected;
 //   - cancellation works queued, mid-prefill and mid-decode;
 //   - swap preemption under pool pressure is bit-exact including hook
-//     traffic; recompute preemption reproduces solo tokens, and a hooked
-//     request that yields its own slot in recompute mode is swapped, so
-//     its hooks never see a replay;
+//     traffic and protection statistics, also when a request yields its
+//     own slot, and runs every position exactly once;
 //   - copy-on-write prefix sharing reproduces solo tokens, survives
-//     registry eviction, and resident_cache_bytes counts shared blocks
-//     once.
+//     registry eviction under pool pressure, and resident_cache_bytes
+//     counts shared blocks once.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -268,7 +267,6 @@ TEST(ServeScheduler, SwapPreemptionIsBitExactWithHooks) {
   serve_opts.max_batch = 2;
   serve_opts.kv_block_rows = 8;
   serve_opts.kv_pool_blocks = 12;  // exactly one max_seq sequence
-  serve_opts.preempt = PreemptMode::kSwap;
   ServeEngine engine(model, serve_opts);
 
   std::vector<SiteRecorder> serve_rec(2);
@@ -289,52 +287,13 @@ TEST(ServeScheduler, SwapPreemptionIsBitExactWithHooks) {
   EXPECT_EQ(engine.kv_pool()->used_blocks(), 0u);
 }
 
-TEST(ServeScheduler, RecomputePreemptionMatchesSolo) {
-  const TransformerLM model = micro_model();
-  const std::vector<std::vector<int>> prompts = {long_prompt(model, 30, 3),
-                                                 long_prompt(model, 26, 4)};
-  std::vector<GenerateOptions> options(2);
-  options[0].max_new_tokens = 30;
-  options[1].max_new_tokens = 28;
-  for (auto& o : options) o.eos_token = -1;
-  const auto ref = run_sessions(model, prompts, options);
-
-  ServeOptions serve_opts;
-  serve_opts.max_batch = 2;
-  serve_opts.kv_block_rows = 8;
-  serve_opts.kv_pool_blocks = 12;
-  serve_opts.preempt = PreemptMode::kRecompute;
-  ServeEngine engine(model, serve_opts);
-  std::vector<RequestId> ids;
-  for (std::size_t r = 0; r < 2; ++r) {
-    ids.push_back(engine.submit(prompts[r], options[r]));
-  }
-  engine.run();
-
-  EXPECT_GE(engine.counters().preemptions, 1u);
-  for (std::size_t r = 0; r < 2; ++r) {
-    expect_equal_results(engine.result(ids[r]), ref[r], r, "recompute");
-    EXPECT_GE(engine.request_stats(ids[r]).preemptions +
-                  engine.request_stats(ids[1 - r]).preemptions,
-              1u);
-  }
-  // Replayed prompt positions are extra engine work, never extra result
-  // positions: counters exceed the per-result tally.
-  std::size_t result_positions = 0;
-  for (const RequestId id : ids) {
-    result_positions += engine.result(id).positions_run;
-  }
-  EXPECT_GT(engine.counters().prefill_positions +
-                engine.counters().decode_rows,
-            result_positions);
-}
-
-TEST(ServeEngine, HookedSelfPreemptionUnderRecomputeIsSwapped) {
+TEST(ServeEngine, HookedSelfPreemptionIsSwapped) {
   const TransformerLM model = micro_model();
   const SchemeSpec spec = scheme_spec(SchemeKind::kFt2, model.config());
   // Two hooked ft2 requests that each fit the 12-block x 8-row pool alone
-  // but not together. Recompute never picks a hooked victim, so the request
-  // that runs out of rows yields its own slot.
+  // but not together. The older one's decode evicts the younger, whose
+  // resume then yields its own slot until the older one finishes. Both
+  // round trips are swaps, so hooks and protection never observe them.
   const std::vector<std::vector<int>> prompts = {long_prompt(model, 30, 11),
                                                  long_prompt(model, 26, 12)};
   std::vector<GenerateOptions> options(2);
@@ -365,7 +324,6 @@ TEST(ServeEngine, HookedSelfPreemptionUnderRecomputeIsSwapped) {
   serve_opts.max_batch = 2;
   serve_opts.kv_block_rows = 8;
   serve_opts.kv_pool_blocks = 12;
-  serve_opts.preempt = PreemptMode::kRecompute;
   ServeEngine engine(model, serve_opts);
   std::vector<std::unique_ptr<Hooked>> served;
   std::vector<RequestId> ids;
@@ -396,7 +354,8 @@ TEST(ServeEngine, HookedSelfPreemptionUnderRecomputeIsSwapped) {
     expect_same_traffic(solo[r]->recorder, served[r]->recorder, r,
                         "self-preempt");
   }
-  // No replay happened: the engine ran exactly the solo positions.
+  // Swap resumes run no forwards: the engine ran exactly the solo
+  // positions.
   std::size_t result_positions = 0;
   for (const RequestId id : ids) {
     result_positions += engine.result(id).positions_run;
@@ -492,7 +451,8 @@ TEST(ServeScheduler, ResidentBytesCountSharedBlocksOnce) {
 TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
   const TransformerLM model = micro_model();
   const std::vector<int> shared_prompt = long_prompt(model, 13, 5);
-  const std::vector<int> other_prompt = long_prompt(model, 13, 77);
+  // Long enough that d cannot finish beside b in the smallest pool.
+  const std::vector<int> other_prompt = long_prompt(model, 72, 77);
   GenerateOptions gen;
   gen.max_new_tokens = 8;
   gen.eos_token = -1;
@@ -506,15 +466,18 @@ TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
   serve_opts.max_batch = 2;
   serve_opts.kv_block_rows = 4;
   serve_opts.share_prefix = true;
-  serve_opts.prefix_cache_entries = 1;  // the next registration evicts
+  // One max_seq sequence: the registered 3-block prefix, b's 2 private
+  // blocks and d's 20 (72 + 7 rows) do not fit together.
+  serve_opts.kv_pool_blocks = 24;
   ServeEngine engine(model, serve_opts);
 
   const RequestId a = engine.submit(shared_prompt, gen);
   engine.run();
 
-  // b adopts the registered prefix; d's fresh registration evicts that
-  // registry entry mid-flight. b's own block references keep the shared
-  // rows alive and its stream stays solo-exact.
+  // b adopts the registered prefix; d's decode runs the pool dry, which
+  // drops that registry entry mid-flight (then swaps d out until b is
+  // done). b's own block references keep the shared rows alive and its
+  // stream stays solo-exact.
   const RequestId b = engine.submit(shared_prompt, gen);
   const RequestId d = engine.submit(other_prompt, gen);
   engine.run();
@@ -530,6 +493,45 @@ TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
   engine.run();
   EXPECT_EQ(engine.request_stats(e).shared_prefix_rows, 0u);
   expect_equal_results(engine.result(e), shared_ref, 3, "after eviction");
+}
+
+TEST(ServeScheduler, SwapPreemptionWithSharedPrefixesRunsEachPositionOnce) {
+  const TransformerLM model = micro_model();
+  // A donor and two sharers of a 24-token opening in a 12-block x 8-row
+  // pool: 8 + 5 + 4 distinct blocks at full length do not fit, so swaps
+  // evict sharers whose adopted rows then come back as private copies.
+  const std::vector<int> common = long_prompt(model, 24, 31);
+  const std::vector<std::vector<int>> prompts = {
+      long_prompt(model, 30, 32, common), long_prompt(model, 28, 33, common),
+      long_prompt(model, 26, 34, common)};
+  GenerateOptions gen;
+  gen.max_new_tokens = 30;
+  gen.eos_token = -1;
+  const auto ref = run_sessions(
+      model, prompts, std::vector<GenerateOptions>(prompts.size(), gen));
+
+  ServeOptions serve_opts;
+  serve_opts.max_batch = 3;
+  serve_opts.kv_block_rows = 8;
+  serve_opts.kv_pool_blocks = 12;
+  serve_opts.share_prefix = true;
+  ServeEngine engine(model, serve_opts);
+  std::vector<RequestId> ids;
+  for (const auto& prompt : prompts) ids.push_back(engine.submit(prompt, gen));
+  engine.run();
+
+  EXPECT_GE(engine.counters().preemptions, 1u);
+  EXPECT_GT(engine.counters().shared_prefix_rows, 0u);
+  std::size_t result_positions = 0;
+  for (std::size_t r = 0; r < ids.size(); ++r) {
+    expect_equal_tokens(engine.result(ids[r]), ref[r], r, "swap + sharing");
+    result_positions += engine.result(ids[r]).positions_run;
+  }
+  // Neither a swap resume nor an adopted prefix runs a forward, so every
+  // position the engine ran belongs to exactly one request's result.
+  EXPECT_EQ(engine.counters().prefill_positions +
+                engine.counters().decode_rows,
+            result_positions);
 }
 
 }  // namespace

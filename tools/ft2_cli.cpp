@@ -271,39 +271,60 @@ int cmd_profile_bounds(const std::string& model_name, const ArgParser& args) {
   return 0;
 }
 
-int cmd_campaign(const std::string& model_name, const ArgParser& args) {
-  const auto model = ensure_model(model_name);
-  const DatasetKind dataset = parse_dataset(args.get("dataset", "synthqa"));
-  const SchemeRef scheme = SchemeRef::parse(args.get("scheme", "ft2"));
-  const auto gen = make_generator(dataset);
-  const std::size_t gen_tokens = generation_tokens(dataset);
+/// What `campaign` and `campaign-shard` derive from the CLI flags alone:
+/// model, dataset, scheme, inputs, bounds and the CampaignConfig fields.
+/// Deterministic end to end — model cache, input sampling, reference
+/// generations and bound profiling are all seeded — so independently
+/// launched processes agree bit for bit.
+struct CampaignSetup {
+  std::shared_ptr<const TransformerLM> model;
+  DatasetKind dataset = DatasetKind::kSynthQA;
+  SchemeRef scheme;
+  std::vector<EvalInput> inputs;
+  BoundStore bounds;
+  CampaignConfig config;
+};
+
+CampaignSetup prepare_campaign(const std::string& model_name,
+                               const ArgParser& args) {
+  CampaignSetup setup;
+  setup.model = ensure_model(model_name);
+  setup.dataset = parse_dataset(args.get("dataset", "synthqa"));
+  setup.scheme = SchemeRef::parse(args.get("scheme", "ft2"));
+  const auto gen = make_generator(setup.dataset);
+  const std::size_t gen_tokens = generation_tokens(setup.dataset);
 
   const std::size_t n_inputs = args.get_size("inputs", 12);
-  const auto samples = gen->generate_many(n_inputs * 3,
-                                          args.get_size("seed", 20250704));
-  auto inputs = prepare_eval_inputs(*model, samples, gen_tokens, true);
-  if (inputs.size() > n_inputs) inputs.resize(n_inputs);
-  FT2_CHECK_MSG(!inputs.empty(), "model answers no inputs correctly");
+  const auto samples =
+      gen->generate_many(n_inputs * 3, args.get_size("seed", 20250704));
+  setup.inputs = prepare_eval_inputs(*setup.model, samples, gen_tokens, true);
+  if (setup.inputs.size() > n_inputs) setup.inputs.resize(n_inputs);
+  FT2_CHECK_MSG(!setup.inputs.empty(), "model answers no inputs correctly");
 
-  BoundStore bounds;
-  if (scheme.needs_offline_bounds()) {
+  if (setup.scheme.needs_offline_bounds()) {
     if (args.has("bounds")) {
-      bounds = load_bounds(args.get("bounds", ""), model->config());
+      setup.bounds = load_bounds(args.get("bounds", ""),
+                                 setup.model->config());
     } else {
       OfflineProfileOptions profile;
       profile.seed = 555;
       profile.max_new_tokens = gen_tokens;
-      bounds = profile_offline_bounds(*model, *gen, profile);
+      setup.bounds = profile_offline_bounds(*setup.model, *gen, profile);
     }
   }
 
-  CampaignConfig config;
-  config.fault_model = parse_fault_model(args.get("fault-model", "exp"));
-  config.trials_per_input = args.get_size("trials", 50);
-  config.gen_tokens = gen_tokens;
-  config.seed = args.get_size("campaign-seed", 42);
-  config.faults_per_trial = args.get_size("faults", 1);
-  if (args.has("fp32")) config.vtype = ValueType::kF32;
+  setup.config.fault_model = parse_fault_model(args.get("fault-model", "exp"));
+  setup.config.trials_per_input = args.get_size("trials", 50);
+  setup.config.gen_tokens = gen_tokens;
+  setup.config.seed = args.get_size("campaign-seed", 42);
+  setup.config.faults_per_trial = args.get_size("faults", 1);
+  if (args.has("fp32")) setup.config.vtype = ValueType::kF32;
+  return setup;
+}
+
+int cmd_campaign(const std::string& model_name, const ArgParser& args) {
+  CampaignSetup setup = prepare_campaign(model_name, args);
+  CampaignConfig& config = setup.config;
 
   // Isolated registry so the snapshot contains this campaign's metrics
   // only, not whatever else ran in the process. --telemetry-port needs
@@ -334,13 +355,14 @@ int cmd_campaign(const std::string& model_name, const ArgParser& args) {
   TraceCollector trace(jsonl_sink.is_open() ? &jsonl_sink : nullptr);
   if (args.has("weights")) {
     // Persistent weight-fault mode needs a mutable model copy.
-    TransformerLM mutable_model = *model;
-    result = run_weight_fault_campaign(mutable_model, inputs, scheme, bounds,
-                                       config);
+    TransformerLM mutable_model = *setup.model;
+    result = run_weight_fault_campaign(mutable_model, setup.inputs,
+                                       setup.scheme, setup.bounds, config);
   } else {
     const bool want_trace =
         args.has("trace") || args.has("json") || args.has("jsonl");
-    result = run_campaign(*model, inputs, scheme, bounds, config,
+    result = run_campaign(*setup.model, setup.inputs, setup.scheme,
+                          setup.bounds, config,
                           want_trace ? trace.callback() : TrialCallback{});
   }
   telemetry.stop();
@@ -364,8 +386,8 @@ int cmd_campaign(const std::string& model_name, const ArgParser& args) {
   if (args.has("json")) {
     Json doc = Json::object();
     doc["model"] = model_name;
-    doc["dataset"] = dataset_name(dataset);
-    doc["scheme"] = scheme.display();
+    doc["dataset"] = dataset_name(setup.dataset);
+    doc["scheme"] = setup.scheme.display();
     doc["fault_model"] = fault_model_name(config.fault_model);
     doc["trials"] = result.trials;
     doc["sdc"] = result.sdc;
@@ -401,16 +423,8 @@ int cmd_campaign(const std::string& model_name, const ArgParser& args) {
 // --- campaign-shard ----------------------------------------------------
 
 /// Campaign state every shard worker (and the parent's --verify pass)
-/// derives from the CLI flags alone. Deterministic end to end — model
-/// cache, input sampling, reference generations and bound profiling are
-/// all seeded — so independently-launched processes agree bit-for-bit.
-struct ShardCampaignSetup {
-  std::shared_ptr<const TransformerLM> model;
-  DatasetKind dataset = DatasetKind::kSynthQA;
-  SchemeRef scheme;
-  std::vector<EvalInput> inputs;
-  BoundStore bounds;
-  CampaignConfig config;
+/// derives from the CLI flags: the campaign itself plus the shard layout.
+struct ShardCampaignSetup : CampaignSetup {
   std::size_t shards = 1;
   std::size_t total_trials = 0;
   std::string dir;
@@ -418,44 +432,13 @@ struct ShardCampaignSetup {
 
 ShardCampaignSetup prepare_shard_campaign(const std::string& model_name,
                                           const ArgParser& args) {
-  ShardCampaignSetup setup;
-  setup.model = ensure_model(model_name);
-  setup.dataset = parse_dataset(args.get("dataset", "synthqa"));
-  setup.scheme = SchemeRef::parse(args.get("scheme", "ft2"));
-  const auto gen = make_generator(setup.dataset);
-  const std::size_t gen_tokens = generation_tokens(setup.dataset);
-
-  const std::size_t n_inputs = args.get_size("inputs", 12);
-  const auto samples =
-      gen->generate_many(n_inputs * 3, args.get_size("seed", 20250704));
-  setup.inputs = prepare_eval_inputs(*setup.model, samples, gen_tokens, true);
-  if (setup.inputs.size() > n_inputs) setup.inputs.resize(n_inputs);
-  FT2_CHECK_MSG(!setup.inputs.empty(), "model answers no inputs correctly");
-
-  if (setup.scheme.needs_offline_bounds()) {
-    if (args.has("bounds")) {
-      setup.bounds = load_bounds(args.get("bounds", ""),
-                                 setup.model->config());
-    } else {
-      OfflineProfileOptions profile;
-      profile.seed = 555;
-      profile.max_new_tokens = gen_tokens;
-      setup.bounds = profile_offline_bounds(*setup.model, *gen, profile);
-    }
-  }
-
-  setup.config.fault_model = parse_fault_model(args.get("fault-model", "exp"));
-  setup.config.trials_per_input = args.get_size("trials", 50);
-  setup.config.gen_tokens = gen_tokens;
-  setup.config.seed = args.get_size("campaign-seed", 42);
-  setup.config.faults_per_trial = args.get_size("faults", 1);
-  if (args.has("fp32")) setup.config.vtype = ValueType::kF32;
-
-  setup.shards = args.get_size("shards", 2);
-  FT2_CHECK_MSG(setup.shards > 0, "--shards must be positive");
-  setup.total_trials = setup.inputs.size() * setup.config.trials_per_input;
-  setup.dir = args.get("dir", model_name + "-shards");
-  return setup;
+  CampaignSetup campaign = prepare_campaign(model_name, args);
+  const std::size_t shards = args.get_size("shards", 2);
+  FT2_CHECK_MSG(shards > 0, "--shards must be positive");
+  const std::size_t total_trials =
+      campaign.inputs.size() * campaign.config.trials_per_input;
+  return {std::move(campaign), shards, total_trials,
+          args.get("dir", model_name + "-shards")};
 }
 
 ShardManifest make_shard_manifest(const std::string& model_name,
