@@ -37,7 +37,7 @@ ArgParser::ArgParser(int argc, const char* const* argv,
     } else {
       FT2_CHECK_MSG(!has_inline_value, "option --" << arg
                                                    << " takes no value");
-      values_[arg] = "1";
+      values_[arg] = std::string("1");
     }
   }
 }

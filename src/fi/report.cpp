@@ -23,8 +23,8 @@ double sorted_quantile(const std::vector<double>& sorted, double q) {
 
 /// "[lo%, hi%]" interval cell.
 std::string ci_cell(double lo, double hi) {
-  return "[" + Table::format_pct(lo, 2) + ", " + Table::format_pct(hi, 2) +
-         "]";
+  return std::string("[").append(Table::format_pct(lo, 2)).append(", ")
+      .append(Table::format_pct(hi, 2)).append("]");
 }
 
 std::string wilson_cell(std::size_t k, std::size_t n,

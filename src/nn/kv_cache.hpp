@@ -2,12 +2,13 @@
 #pragma once
 
 #include <cstring>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "nn/kv_pool.hpp"
-#include "tensor/tensor.hpp"
 
 namespace ft2 {
 
@@ -18,96 +19,63 @@ namespace ft2 {
 /// value rows head-major (see key() and value()); every copy between
 /// caches (append_rows, prefix_copy, copy-on-write) moves rows verbatim.
 ///
-/// Two storage modes, one per consumer:
-///  * plain — one owned [max_seq, d_model] tensor pair per block: solo
-///    sessions (generation and campaign trials, which fork a snapshot by
-///    copying its rows in with append_rows) and compact snapshots
-///    (prefix_copy);
-///  * paged — rows live in fixed-size ref-counted blocks of a KvBlockPool,
-///    resolved through a per-cache block table. Physical memory grows in
-///    block-sized steps with the stored length (reserve_rows), blocks can
-///    be shared across live caches (adopt_shared_prefix), and a store into
-///    a shared block copies it first (copy-on-write). The serve engine's
-///    allocator; see nn/kv_pool.hpp.
+/// One storage path: rows live in ref-counted blocks of a KvBlockPool,
+/// resolved through the cache's block table (see nn/kv_pool.hpp). Caches
+/// differ only in where the pool comes from:
+///  * standalone (the three-argument constructor, TransformerLM::make_cache,
+///    prefix_copy): a private pool of ONE block holding all max_seq rows,
+///    mapped for the cache's whole life. Solo sessions, campaign forks (which
+///    copy a snapshot's rows in with append_rows), snapshots and swap copies
+///    need no reserve_rows, and attention reads them as one run;
+///  * paged(): blocks of the serve engine's pool, mapped as the stored
+///    length grows (reserve_rows) and shared across live caches
+///    (adopt_shared_prefix); a store into a shared block copies it first
+///    (copy-on-write).
 ///
-/// Both modes present the same read/append interface, so the attention
-/// kernels and forward_batch never see which one they run on: attention
-/// walks the cache one contiguous run of rows at a time
-/// (contiguous_rows).
+/// Attention walks a cache one contiguous run of rows at a time
+/// (contiguous_rows): the rest of a block.
 class KvCache {
  public:
   using BlockId = KvBlockPool::BlockId;
 
+  /// A standalone cache of `n_blocks` layers and `max_seq` (>= 1) rows.
   KvCache(std::size_t n_blocks, std::size_t max_seq, std::size_t d_model)
-      : max_seq_(max_seq), d_model_(d_model) {
-    keys_.reserve(n_blocks);
-    values_.reserve(n_blocks);
-    for (std::size_t b = 0; b < n_blocks; ++b) {
-      keys_.emplace_back(Tensor({max_seq, d_model}));
-      values_.emplace_back(Tensor({max_seq, d_model}));
-    }
+      : KvCache(std::make_unique<KvBlockPool>(n_blocks, d_model,
+                                              /*total_blocks=*/1, max_seq),
+                nullptr, max_seq) {
+    FT2_CHECK(reserve_rows(max_seq));
   }
 
-  /// Creates a paged cache over `pool`: no physical rows are held until
+  /// A cache over the shared `pool`: no physical rows are held until
   /// reserve_rows / adopt_shared_prefix maps blocks. `max_seq` caps the
-  /// logical length exactly like the dense constructor.
+  /// logical length exactly like the standalone constructor.
   static KvCache paged(KvBlockPool& pool, std::size_t max_seq) {
-    KvCache out;
-    out.pool_ = &pool;
-    out.block_rows_ = pool.block_rows();
-    out.max_seq_ = max_seq;
-    out.d_model_ = pool.d_model();
-    return out;
+    return KvCache(nullptr, &pool, max_seq);
   }
 
   ~KvCache() { release_storage(); }
 
-  KvCache(KvCache&& other) noexcept { *this = std::move(other); }
+  /// Move-only: caches share blocks only through adopt_shared_prefix.
+  KvCache(const KvCache&) = delete;
+  KvCache& operator=(const KvCache&) = delete;
+  KvCache(KvCache&& other) noexcept = default;
   KvCache& operator=(KvCache&& other) noexcept {
     if (this != &other) {
       release_storage();
-      max_seq_ = other.max_seq_;
-      d_model_ = other.d_model_;
-      length_ = other.length_;
-      keys_ = std::move(other.keys_);
-      values_ = std::move(other.values_);
+      own_pool_ = std::move(other.own_pool_);
       pool_ = other.pool_;
       block_rows_ = other.block_rows_;
-      table_ = std::move(other.table_);
-      other.pool_ = nullptr;
-      other.table_.clear();
-      other.length_ = 0;
+      max_seq_ = other.max_seq_;
+      length_ = std::exchange(other.length_, 0);
+      table_ = std::exchange(other.table_, {});
     }
     return *this;
   }
 
-  /// Copying a paged cache maps the same blocks with an extra reference —
-  /// both copies read the shared rows, and a store from either side copies
-  /// the touched block first (copy-on-write), so copies never alias writes.
-  KvCache(const KvCache& other)
-      : max_seq_(other.max_seq_),
-        d_model_(other.d_model_),
-        length_(other.length_),
-        keys_(other.keys_),
-        values_(other.values_),
-        pool_(other.pool_),
-        block_rows_(other.block_rows_),
-        table_(other.table_) {
-    if (pool_ != nullptr) {
-      for (const BlockId b : table_) pool_->add_ref(b);
-    }
-  }
-  KvCache& operator=(const KvCache& other) {
-    if (this != &other) *this = KvCache(other);
-    return *this;
-  }
-
-  /// Compact dense copy of the first `n` stored rows of every block
-  /// (tensors shaped [n, d_model], not [max_seq, d_model]) — what a
-  /// snapshot or a preemption swap-out needs to retain, at a fraction of
-  /// the full cache's footprint. Works for plain and paged caches.
+  /// Compact standalone copy of the first `n` (>= 1) stored rows of every
+  /// block (no max_seq slack): what a snapshot or a swap-out retains.
   KvCache prefix_copy(std::size_t n) const {
-    KvCache out(n_layers(), n, d_model_);
+    KvCache out(n_layers(), n, d_model());
     out.append_rows(*this, n);
     return out;
   }
@@ -115,11 +83,11 @@ class KvCache {
   /// Appends rows [length(), length() + n) of every block, read from the
   /// same positions of `src`, then advances by `n`: a campaign fork copies
   /// a snapshot's prefix in, a swap-resumed request restores its evicted
-  /// rows, prefix_copy fills its compact copy. A paged destination must
+  /// rows, prefix_copy fills its compact copy. The destination must
   /// already back those rows (reserve_rows); a store into a shared block
   /// copies it first, as any store does.
   void append_rows(const KvCache& src, std::size_t n) {
-    FT2_CHECK(src.n_layers() == n_layers() && src.d_model_ == d_model_);
+    FT2_CHECK(src.n_layers() == n_layers() && src.d_model() == d_model());
     FT2_CHECK(length_ + n <= src.length_ && length_ + n <= physical_rows());
     const std::size_t layers = n_layers();
     for (std::size_t pos = length_; pos < length_ + n; ++pos) {
@@ -130,54 +98,42 @@ class KvCache {
     advance(n);
   }
 
-  /// True for caches created by paged().
-  bool paged() const { return pool_ != nullptr; }
-  /// Block table of a paged cache (logical block index -> pool block id).
+  /// Block table (logical block index -> pool block id).
   const std::vector<BlockId>& block_table() const { return table_; }
 
-  void reset() {
-    if (pool_ != nullptr) {
-      for (const BlockId b : table_) pool_->release(b);
-      table_.clear();
-    }
-    length_ = 0;
-  }
+  /// Forgets every stored row but keeps the mapped blocks, so a standalone
+  /// cache stays fully backed.
+  void reset() { length_ = 0; }
 
-  /// Frees all storage (pool blocks back to the pool, owned tensors
-  /// dropped). The cache stays usable only via move-assignment afterwards;
-  /// the serve engine calls this when a request finishes so its blocks do
-  /// not outlive the accounting window.
+  /// Returns every mapped block to the pool and forgets every row; a later
+  /// reserve_rows maps blocks again. The serve engine calls this when a
+  /// request finishes or is swapped out.
   void release_storage() {
-    if (pool_ != nullptr) {
-      for (const BlockId b : table_) pool_->release(b);
-      table_.clear();
-    }
-    keys_.clear();
-    values_.clear();
+    for (const BlockId b : table_) pool_->release(b);
+    table_.clear();
     length_ = 0;
   }
 
   std::size_t length() const { return length_; }
   std::size_t max_seq() const { return max_seq_; }
 
-  /// Paged mode: rows with physical backing ([0, physical_rows())).
-  std::size_t physical_rows() const {
-    return pool_ != nullptr ? table_.size() * block_rows_ : max_seq_;
+  /// Rows with physical backing ([0, physical_rows())).
+  std::size_t physical_rows() const { return table_.size() * block_rows_; }
+
+  /// Blocks reserve_rows(n) maps.
+  std::size_t blocks_to_reserve(std::size_t n) const {
+    const std::size_t need = (length_ + n + block_rows_ - 1) / block_rows_;
+    return need > table_.size() ? need - table_.size() : 0;
   }
 
-  /// Paged mode: maps enough blocks that `n` more rows beyond length() have
-  /// physical backing. All-or-nothing: on pool exhaustion nothing is
-  /// allocated and false is returned (the scheduler evicts and retries).
-  /// No-op (true) for non-paged caches.
+  /// Maps enough blocks that `n` more rows beyond length() have physical
+  /// backing. All-or-nothing: on pool exhaustion nothing is allocated and
+  /// false is returned (the scheduler evicts and retries).
   bool reserve_rows(std::size_t n) {
-    if (pool_ == nullptr) return true;
     FT2_CHECK_MSG(length_ + n <= max_seq_,
                   "reserve_rows past max_seq " << max_seq_);
-    const std::size_t need_rows = length_ + n;
-    const std::size_t need_blocks = (need_rows + block_rows_ - 1) / block_rows_;
     const std::size_t have = table_.size();
-    if (need_blocks <= have) return true;
-    for (std::size_t i = have; i < need_blocks; ++i) {
+    for (std::size_t i = blocks_to_reserve(n); i > 0; --i) {
       BlockId b = KvBlockPool::kInvalidBlock;
       if (!pool_->try_alloc(b)) {
         while (table_.size() > have) {
@@ -191,14 +147,14 @@ class KvCache {
     return true;
   }
 
-  /// Paged mode: adopts `blocks` (adding a reference to each) as this
-  /// cache's first rows — the serve engine's copy-on-write prefix sharing.
-  /// `rows` of K/V content become readable immediately and length() starts
-  /// there; the cache must be empty. Only content covered by `rows` may be
+  /// Adopts `blocks` (adding a reference to each) as this cache's first
+  /// rows — the serve engine's copy-on-write prefix sharing. `rows` of K/V
+  /// content become readable immediately and length() starts there; the
+  /// cache must map no block yet. Only content covered by `rows` may be
   /// read, and `rows` may end mid-block (a store into that tail block
   /// triggers copy-on-write).
   void adopt_shared_prefix(std::span<const BlockId> blocks, std::size_t rows) {
-    FT2_CHECK(pool_ != nullptr && table_.empty() && length_ == 0);
+    FT2_CHECK(table_.empty() && length_ == 0);
     FT2_CHECK(rows <= blocks.size() * block_rows_ && rows <= max_seq_);
     table_.assign(blocks.begin(), blocks.end());
     for (const BlockId b : table_) pool_->add_ref(b);
@@ -209,20 +165,15 @@ class KvCache {
   /// for a position before advance() is called.
   void store(std::size_t block, std::size_t pos, std::span<const float> k,
              std::span<const float> v) {
-    FT2_ASSERT(pos < max_seq_ && k.size() == d_model_ && v.size() == d_model_);
-    if (pool_ != nullptr) {
-      const std::size_t bi = pos / block_rows_;
-      const std::size_t r = pos % block_rows_;
-      FT2_ASSERT(bi < table_.size());
-      if (block == 0) make_block_writable(bi);
-      const auto kd = pool_->key_row(block, table_[bi], r);
-      const auto vd = pool_->value_row(block, table_[bi], r);
-      std::copy(k.begin(), k.end(), kd.begin());
-      std::copy(v.begin(), v.end(), vd.begin());
-      return;
-    }
-    std::copy(k.begin(), k.end(), keys_[block].row(pos).begin());
-    std::copy(v.begin(), v.end(), values_[block].row(pos).begin());
+    FT2_ASSERT(pos < max_seq_ && k.size() == d_model() &&
+               v.size() == d_model());
+    const std::size_t bi = pos / block_rows_;
+    FT2_ASSERT(bi < table_.size());
+    if (block == 0) make_block_writable(bi);
+    const std::size_t r = pos % block_rows_;
+    std::copy(k.begin(), k.end(), pool_->key_row(block, table_[bi], r).begin());
+    std::copy(v.begin(), v.end(),
+              pool_->value_row(block, table_[bi], r).begin());
   }
 
   void advance() {
@@ -238,12 +189,11 @@ class KvCache {
   }
 
   /// Rows from `pos` on that sit back to back, d_model floats apart, in
-  /// every layer's key and value storage: the rest of pos's block when
-  /// paged, the rest of the cache when plain. Attention reads a run of
-  /// rows through one key()/value() pointer.
+  /// every layer's key and value storage: the rest of pos's block.
+  /// Attention reads a run of rows through one key()/value() pointer.
   std::size_t contiguous_rows(std::size_t pos) const {
     FT2_ASSERT(pos < max_seq_);
-    return pool_ != nullptr ? block_rows_ - pos % block_rows_ : max_seq_ - pos;
+    return block_rows_ - pos % block_rows_;
   }
 
   /// Key row `pos` of `block`. Rows the forward engine stored are
@@ -251,27 +201,20 @@ class KvCache {
   /// (interleave_heads), which lets attention's Q·K put heads in vector
   /// lanes. Value rows are head-major: element (h, i) at h * head_dim + i.
   std::span<const float> key(std::size_t block, std::size_t pos) const {
-    if (pool_ != nullptr) {
-      return pool_->key_row(block, table_[pos / block_rows_],
-                            pos % block_rows_);
-    }
-    return keys_[block].row(pos);
+    return pool_->key_row(block, table_[pos / block_rows_], pos % block_rows_);
   }
   std::span<const float> value(std::size_t block, std::size_t pos) const {
-    if (pool_ != nullptr) {
-      return pool_->value_row(block, table_[pos / block_rows_],
-                              pos % block_rows_);
-    }
-    return values_[block].row(pos);
+    return pool_->value_row(block, table_[pos / block_rows_],
+                            pos % block_rows_);
   }
 
   /// True when position `pos` holds bit-identical keys and values in every
   /// layer of this cache and of `other` (both must store it). Compares
   /// bits, not floats: NaN payloads and signed zeros count.
   bool same_row(const KvCache& other, std::size_t pos) const {
-    FT2_CHECK(other.n_layers() == n_layers() && other.d_model_ == d_model_);
+    FT2_CHECK(other.n_layers() == n_layers() && other.d_model() == d_model());
     FT2_CHECK(pos < length_ && pos < other.length_);
-    const std::size_t bytes = d_model_ * sizeof(float);
+    const std::size_t bytes = d_model() * sizeof(float);
     for (std::size_t b = 0; b < n_layers(); ++b) {
       if (std::memcmp(key(b, pos).data(), other.key(b, pos).data(), bytes) !=
               0 ||
@@ -283,24 +226,24 @@ class KvCache {
     return true;
   }
 
-  /// Bytes of K/V storage mapped by this cache. Plain mode: the dense
-  /// allocation. Paged mode: the mapped blocks — a block shared with other
+  /// Bytes of K/V storage in the mapped blocks. A block shared with other
   /// caches is counted here by each sharer; the serve engine deduplicates
-  /// by block id when it reports pool-resident bytes (shared blocks counted
-  /// once).
+  /// by block id when it reports pool-resident bytes.
   std::size_t memory_bytes() const {
-    if (pool_ != nullptr) return table_.size() * pool_->block_bytes();
-    std::size_t rows = 0;
-    for (const Tensor& k : keys_) rows += k.numel();
-    return 2 * rows * sizeof(float);
+    return table_.size() * pool_->block_bytes();
   }
 
  private:
-  KvCache() = default;
+  /// `own_pool` for a standalone cache, else the shared `pool`.
+  KvCache(std::unique_ptr<KvBlockPool> own_pool, KvBlockPool* pool,
+          std::size_t max_seq)
+      : own_pool_(std::move(own_pool)),
+        pool_(own_pool_ != nullptr ? own_pool_.get() : pool),
+        block_rows_(pool_->block_rows()),
+        max_seq_(max_seq) {}
 
-  std::size_t n_layers() const {
-    return pool_ != nullptr ? pool_->n_layers() : keys_.size();
-  }
+  std::size_t n_layers() const { return pool_->n_layers(); }
+  std::size_t d_model() const { return pool_->d_model(); }
 
   /// Copy-on-write: a store into a block mapped by more than one cache
   /// first copies it into a fresh private block. Called once per appended
@@ -318,15 +261,12 @@ class KvCache {
     table_[bi] = fresh;
   }
 
-  std::size_t max_seq_ = 0;
-  std::size_t d_model_ = 0;
+  std::unique_ptr<KvBlockPool> own_pool_;  ///< standalone caches only
+  KvBlockPool* pool_;                      ///< where every row lives
+  std::size_t block_rows_;
+  std::size_t max_seq_;
   std::size_t length_ = 0;
-  std::vector<Tensor> keys_;
-  std::vector<Tensor> values_;
-  /// Paged mode: pool + block table (logical block index -> pool block).
-  KvBlockPool* pool_ = nullptr;
-  std::size_t block_rows_ = 1;
-  std::vector<BlockId> table_;
+  std::vector<BlockId> table_;  ///< logical block index -> pool block
 };
 
 }  // namespace ft2

@@ -1,32 +1,33 @@
-// Fixed-block K/V storage pool for paged caches.
+// Fixed-block K/V storage pool: where every KvCache keeps its rows.
 //
 // A KvBlockPool owns a fixed arena of physical blocks, each holding
 // `block_rows` K/V rows for EVERY transformer layer (one [rows, d_model]
-// slab per layer for keys and one for values). A paged KvCache maps its
-// logical sequence positions onto pool blocks through a block table, so a
-// request's resident footprint grows in block-sized steps with its actual
-// length instead of being a dense max_seq allocation up front — the pool,
-// not max_seq capacity, is what bounds concurrent sequences.
+// slab per layer for keys and one for values). A KvCache maps its logical
+// sequence positions onto pool blocks through a block table.
 //
-// A pool serves the paged caches of one ServeEngine: its requests' caches,
-// its prefix registry's block references and copies of those caches. Solo
-// sessions, campaign forks and snapshots use plain dense caches instead.
+// Two kinds of owner, one storage path. The serve engine's pool serves its
+// requests' caches and its prefix registry's block references: a request's
+// resident footprint grows in block-sized steps with its actual length
+// instead of being a dense max_seq allocation up front, so the pool, not
+// max_seq capacity, bounds concurrent sequences. A standalone cache (solo
+// sessions, campaign forks, snapshots, swap copies) owns a private pool of
+// one max_seq-row block, mapped for the cache's whole life: one
+// [max_seq, d_model] key tensor and one value tensor per layer.
 //
 // Blocks are ref-counted: several caches may map the same block (shared
-// prompt prefixes across live serve requests, and copies of a paged cache).
-// Shared blocks are immutable from a writer's point of view — a cache that
-// stores into a block with more than one reference first copies it into a
-// fresh private block (copy-on-write), so a sharer can never observe
-// another sequence's writes.
+// prompt prefixes across live serve requests). Shared blocks are immutable
+// from a writer's point of view — a cache that stores into a block with
+// more than one reference first copies it into a fresh private block
+// (copy-on-write), so a sharer can never observe another sequence's
+// writes.
 //
 // Allocation is a LIFO free list: deterministic given the same operation
 // sequence, O(1) per block, no fragmentation (all blocks are the same
 // size). The pool is single-threaded like the serve engine that owns it.
 //
-// `PagedKvCache` is not a separate type: paged storage is a mode of
-// KvCache itself (KvCache::paged), so DecodeSlot, forward_batch and the
-// attention read path are untouched — kernels read rows through the same
-// key()/value() indirection and never see the block table.
+// Kernels read rows through KvCache::key()/value() and never see the block
+// table, so DecodeSlot, forward_batch and the attention read path do not
+// know which kind of pool a cache runs on.
 #pragma once
 
 #include <cstdint>
@@ -58,14 +59,12 @@ class KvBlockPool {
   std::size_t block_bytes() const {
     return 2 * n_layers_ * block_rows_ * d_model_ * sizeof(float);
   }
-  /// Total bytes of the arena.
-  std::size_t arena_bytes() const { return total_blocks() * block_bytes(); }
 
   /// Pops a free block (ref count 1). Returns false when the pool is
   /// exhausted — the caller decides whether to evict or back off.
   bool try_alloc(BlockId& out);
 
-  /// Adds a reference to a live block (prefix sharing / cache copies).
+  /// Adds a reference to a live block (prefix sharing).
   void add_ref(BlockId b) {
     FT2_ASSERT(b < refs_.size() && refs_[b] > 0);
     ++refs_[b];

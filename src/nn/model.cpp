@@ -487,6 +487,11 @@ void forward_prefill_chunk(const TransformerLM& model,
                      /*first_token_phase=*/true, ws, out);
 }
 
+std::span<const int> prefill_tokens(std::span<const int> prompt,
+                                    std::size_t max_seq) {
+  return prompt.first(std::min(prompt.size(), max_seq));
+}
+
 std::size_t run_prefill(const TransformerLM& model,
                         std::span<const int> prompt,
                         const GenerateOptions& options, KvCache& cache,
@@ -494,7 +499,7 @@ std::size_t run_prefill(const TransformerLM& model,
                         std::span<float> logits) {
   const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
   const std::span<const int> tokens =
-      prompt.first(std::min(prompt.size(), model.config().max_seq));
+      prefill_tokens(prompt, model.config().max_seq);
   for (std::size_t pos = 0; pos < tokens.size();) {
     const std::size_t n =
         prefill_chunk_rows(options.prefill_chunk, pos, tokens.size());
@@ -537,6 +542,34 @@ int sample_from_logits(std::span<const float> logits, float temperature,
   return static_cast<int>(order[k - 1]);
 }
 
+namespace {
+/// Step 4 of decode_token (and the end of a fork's first iteration).
+bool at_generation_limit(const GenerateOptions& options, std::size_t step,
+                         std::size_t pos, std::size_t max_seq) {
+  return step + 1 == options.max_new_tokens || pos >= max_seq;
+}
+}  // namespace
+
+bool decode_token(std::span<const float> logits,
+                  const GenerateOptions& options, std::size_t step,
+                  std::size_t pos, std::size_t max_seq, Xoshiro256& sampler,
+                  GenerateResult& result,
+                  const std::function<bool(std::size_t)>& on_token) {
+  // Greedy by default; NaN-poisoned logits: argmax picks the first index
+  // when all comparisons are false, which is deterministic (faithful
+  // "garbage token" behaviour).
+  const int next =
+      options.temperature > 0.0f
+          ? sample_from_logits(logits, options.temperature, options.top_k,
+                               sampler)
+          : static_cast<int>(argmax(logits));
+  if (options.eos_token >= 0 && next == options.eos_token) return false;
+  result.tokens.push_back(next);
+  if (on_token && on_token(step)) return false;
+  result.hit_max = at_generation_limit(options, step, pos, max_seq);
+  return !result.hit_max;
+}
+
 void InferenceSession::decode_loop(
     const GenerateOptions& options, std::size_t first_step, std::size_t pos,
     Xoshiro256& sampler, GenerateResult& result,
@@ -545,24 +578,12 @@ void InferenceSession::decode_loop(
   const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
   const std::size_t max_seq = model_.config().max_seq;
   std::span<float> logits{logits_.data(), logits_.size()};
-
-  // Greedy by default; NaN-poisoned logits: argmax picks the first index
-  // when all comparisons are false, which is deterministic (faithful
-  // "garbage token" behaviour).
   for (std::size_t step = first_step; step < options.max_new_tokens; ++step) {
-    const int next =
-        options.temperature > 0.0f
-            ? sample_from_logits(logits, options.temperature, options.top_k,
-                                 sampler)
-            : static_cast<int>(argmax(logits));
-    if (options.eos_token >= 0 && next == options.eos_token) break;
-    result.tokens.push_back(next);
-    if (on_token && on_token(step)) break;
-    if (step + 1 == options.max_new_tokens || pos >= max_seq) {
-      result.hit_max = true;
+    if (!decode_token(logits, options, step, pos, max_seq, sampler, result,
+                      on_token)) {
       break;
     }
-    model_.forward_position(next, pos, cache_, hooks_, exec,
+    model_.forward_position(result.tokens.back(), pos, cache_, hooks_, exec,
                             /*first_token_phase=*/false, ws_, logits);
     ++pos;
     ++result.positions_run;
@@ -663,7 +684,7 @@ GenerateResult InferenceSession::resume_from(
 
   // Tail of the recorded run's iteration s: it ended either by hitting the
   // generation limit (no forward left to run) or with the forward at `pos`.
-  if (s + 1 == options.max_new_tokens || pos >= max_seq) {
+  if (at_generation_limit(options, s, pos, max_seq)) {
     result.hit_max = true;
     return result;
   }

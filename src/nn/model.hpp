@@ -244,11 +244,15 @@ void forward_prefill_chunk(const TransformerLM& model,
                            const HookChain& hooks, const ExecConfig& exec,
                            Workspace& ws, std::span<float> logits);
 
+/// The prompt positions every prefill runs: `prompt` cut to `max_seq`.
+std::span<const int> prefill_tokens(std::span<const int> prompt,
+                                    std::size_t max_seq);
+
 /// Runs the blocked prompt prefill exactly as InferenceSession::generate
 /// does: forward_prefill_chunk over chunks of `options.prefill_chunk`
-/// positions. Does NOT bracket the hook chain with begin/end —
-/// the caller owns the generation scope. Returns the number of prompt
-/// positions run (the prompt is truncated to the model's max_seq).
+/// positions of prefill_tokens(prompt). Does NOT bracket the hook chain
+/// with begin/end — the caller owns the generation scope. Returns the
+/// number of prompt positions run.
 std::size_t run_prefill(const TransformerLM& model,
                         std::span<const int> prompt,
                         const GenerateOptions& options, KvCache& cache,
@@ -261,6 +265,19 @@ std::size_t run_prefill(const TransformerLM& model,
 /// ServeEngine so batched decode draws exactly the per-session RNG stream.
 int sample_from_logits(std::span<const float> logits, float temperature,
                        std::size_t top_k, Xoshiro256& rng);
+
+/// The per-token rule of InferenceSession's decode loop and ServeEngine's
+/// batched steps alike. Iteration `step`, on the last forward's `logits`,
+/// with the next forward at `pos`: 1. sample_from_logits at temperature >
+/// 0, else the argmax; 2. stop on EOS (not emitted); 3. push the token and
+/// call `on_token(step)` (if set), which stops by returning true; 4. stop
+/// with hit_max at max_new_tokens or `max_seq`. Returns true when the
+/// caller runs the forward of result.tokens.back() at `pos`.
+bool decode_token(std::span<const float> logits,
+                  const GenerateOptions& options, std::size_t step,
+                  std::size_t pos, std::size_t max_seq, Xoshiro256& sampler,
+                  GenerateResult& result,
+                  const std::function<bool(std::size_t)>& on_token);
 
 /// Immutable record of one completed generation, reusable as a shared
 /// fault-free prefix by forked sessions (InferenceSession::resume_from).
@@ -355,10 +372,10 @@ class InferenceSession {
 
  private:
   /// The decode loop shared by generate / generate_recorded / resume_from
-  /// (one structure, so the three paths cannot drift). `on_token(step)`
-  /// fires right after a token is pushed and ends the loop by returning
-  /// true; `after_forward(step)` fires after the forward that ends
-  /// iteration `step`.
+  /// (one structure, so the three paths cannot drift): decode_token, then
+  /// the forward. `on_token(step)` fires right after a token is pushed and
+  /// ends the loop by returning true; `after_forward(step)` fires after the
+  /// forward that ends iteration `step`.
   void decode_loop(const GenerateOptions& options, std::size_t first_step,
                    std::size_t pos, Xoshiro256& sampler,
                    GenerateResult& result,

@@ -13,6 +13,7 @@ namespace ft2 {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+using BlockId = KvCache::BlockId;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -81,7 +82,6 @@ struct ServeEngine::Request {
   std::size_t pos = 0;           ///< next forward position (= cache length)
   std::size_t next_prefill = 0;  ///< prompt positions fed so far
   std::size_t steps = 0;         ///< decode loop index (tokens sampled)
-  int pending_token = -1;        ///< token to feed at the next batched step
   bool admitted_once = false;    ///< scope armed / admit stats recorded
   std::optional<KvCache> swapped;  ///< swap-preempted rows (compact host copy)
   bool done = false;
@@ -90,18 +90,13 @@ struct ServeEngine::Request {
   Clock::time_point submit_time;
   Clock::time_point admit_time;
   Clock::time_point last_token_time;
-
-  /// Prompt length actually run (run_prefill truncates to max_seq).
-  std::size_t prefill_len(std::size_t max_seq) const {
-    return std::min(prompt.size(), max_seq);
-  }
 };
 
 /// One registered shareable prompt prefix: the engine holds a reference on
 /// every block so the K/V rows survive the producing request.
 struct ServeEngine::PrefixEntry {
   std::vector<int> tokens;  ///< exact prompt prefix (collision check)
-  std::vector<KvCache::BlockId> blocks;
+  std::vector<BlockId> blocks;
   bool fp16 = true;
   bool chunked_accum = false;
   std::uint64_t last_use = 0;  ///< prefix_clock_ stamp for LRU
@@ -157,11 +152,7 @@ ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
   update_kv_gauges();
 }
 
-ServeEngine::~ServeEngine() {
-  // Registered prefixes hold pool block references; drop them before the
-  // pool itself goes away.
-  while (!prefix_cache_.empty()) drop_one_prefix_entry();
-}
+ServeEngine::~ServeEngine() = default;
 
 RequestId ServeEngine::submit(std::span<const int> prompt,
                               const GenerateOptions& options,
@@ -224,7 +215,7 @@ std::size_t ServeEngine::resident_cache_bytes() const {
   std::size_t total = 0;
   for (const auto& [id, req] : requests_) {
     if (req->done) continue;
-    for (const KvCache::BlockId b : req->cache.block_table()) {
+    for (const BlockId b : req->cache.block_table()) {
       if (!seen[b]) {
         seen[b] = 1;
         ++distinct;
@@ -242,39 +233,30 @@ void ServeEngine::update_kv_gauges() {
       static_cast<double>(kv_pool_.used_blocks() * kv_pool_.block_bytes()));
 }
 
-void ServeEngine::emit_token(Request& req, int token) {
-  req.result.tokens.push_back(token);
-  const Clock::time_point now = Clock::now();
-  if (req.result.tokens.size() == 1) {
-    req.stats.ttft_ms = ms_between(req.submit_time, now);
-    metrics_.ttft_ms.observe(req.stats.ttft_ms);
-  } else {
-    metrics_.token_gap_ms.observe(ms_between(req.last_token_time, now));
-  }
-  req.last_token_time = now;
-  if (req.on_token) req.on_token(req.id, req.result.tokens.size() - 1, token);
+bool ServeEngine::consume_logits(Request& req) {
+  // Timing and streaming for each token decode_token pushes.
+  const auto emitted = [&](std::size_t index) {
+    const Clock::time_point now = Clock::now();
+    if (index == 0) {
+      req.stats.ttft_ms = ms_between(req.submit_time, now);
+      metrics_.ttft_ms.observe(req.stats.ttft_ms);
+    } else {
+      metrics_.token_gap_ms.observe(ms_between(req.last_token_time, now));
+    }
+    req.last_token_time = now;
+    if (req.on_token) req.on_token(req.id, index, req.result.tokens.back());
+    return false;
+  };
+  // `req.steps` is the decode loop index; `req.sampler` draws the same
+  // per-session RNG stream a solo generate would (batching never touches
+  // it).
+  return decode_token({req.logits.data(), req.logits.size()}, req.options,
+                      req.steps++, req.pos, model_.config().max_seq,
+                      req.sampler, req.result, emitted);
 }
 
-bool ServeEngine::consume_logits(Request& req) {
-  // Mirrors one iteration of InferenceSession::generate's decode loop, up
-  // to (but not including) the forward for the chosen token. `req.steps` is
-  // the loop index; `req.sampler` draws the same per-session RNG stream a
-  // solo generate would (batching never touches it).
-  const GenerateOptions& o = req.options;
-  const std::size_t step = req.steps++;
-  const std::span<const float> logits{req.logits.data(), req.logits.size()};
-  const int next =
-      o.temperature > 0.0f
-          ? sample_from_logits(logits, o.temperature, o.top_k, req.sampler)
-          : static_cast<int>(argmax(logits));
-  if (o.eos_token >= 0 && next == o.eos_token) return false;
-  emit_token(req, next);
-  if (step + 1 == o.max_new_tokens || req.pos >= model_.config().max_seq) {
-    req.result.hit_max = true;
-    return false;
-  }
-  req.pending_token = next;
-  return true;
+std::size_t ServeEngine::prefill_len(const Request& req) const {
+  return prefill_tokens(req.prompt, model_.config().max_seq).size();
 }
 
 void ServeEngine::release_slot(Request& req) {
@@ -322,14 +304,22 @@ bool ServeEngine::cancel(RequestId id) {
   return true;
 }
 
-void ServeEngine::drop_one_prefix_entry() {
-  FT2_ASSERT(!prefix_cache_.empty());
-  auto victim = prefix_cache_.begin();
+bool ServeEngine::drop_freeing_prefix_entry() {
+  const auto frees = [&](const PrefixEntry& e) {
+    return std::any_of(e.blocks.begin(), e.blocks.end(),
+                       [&](BlockId b) { return kv_pool_.ref_count(b) == 1; });
+  };
+  auto victim = prefix_cache_.end();
   for (auto it = prefix_cache_.begin(); it != prefix_cache_.end(); ++it) {
-    if (it->second.last_use < victim->second.last_use) victim = it;
+    if (frees(it->second) && (victim == prefix_cache_.end() ||
+                              it->second.last_use < victim->second.last_use)) {
+      victim = it;
+    }
   }
-  for (const KvCache::BlockId b : victim->second.blocks) kv_pool_.release(b);
+  if (victim == prefix_cache_.end()) return false;
+  for (const BlockId b : victim->second.blocks) kv_pool_.release(b);
   prefix_cache_.erase(victim);
+  return true;
 }
 
 void ServeEngine::try_adopt_prefix(Request& req) {
@@ -337,7 +327,7 @@ void ServeEngine::try_adopt_prefix(Request& req) {
   // so only hook-free requests may adopt (see the bit-exactness contract).
   if (!options_.share_prefix || !req.hooks.empty()) return;
   const std::size_t bs = kv_pool_.block_rows();
-  const std::size_t P = req.prefill_len(model_.config().max_seq);
+  const std::size_t P = prefill_len(req);
   if (P < 2) return;
   // Longest full-block prefix that still leaves the last prompt position to
   // compute (the final chunk must produce the first-token logits).
@@ -369,7 +359,7 @@ void ServeEngine::try_adopt_prefix(Request& req) {
 void ServeEngine::register_prefix(Request& req) {
   if (!options_.share_prefix || !req.hooks.empty()) return;
   const std::size_t bs = kv_pool_.block_rows();
-  const std::size_t P = req.prefill_len(model_.config().max_seq);
+  const std::size_t P = prefill_len(req);
   if (P < 2) return;
   const std::size_t nb = (P - 1) / bs;
   if (nb == 0) return;
@@ -394,7 +384,7 @@ void ServeEngine::register_prefix(Request& req) {
   entry.blocks.assign(req.cache.block_table().begin(),
                       req.cache.block_table().begin() +
                           static_cast<std::ptrdiff_t>(nb));
-  for (const KvCache::BlockId b : entry.blocks) kv_pool_.add_ref(b);
+  for (const BlockId b : entry.blocks) kv_pool_.add_ref(b);
   entry.fp16 = req.options.fp16;
   entry.chunked_accum = req.options.chunked_accum;
   entry.last_use = ++prefix_clock_;
@@ -419,41 +409,80 @@ void ServeEngine::preempt(Request& req) {
   metrics_.preemptions.inc();
 }
 
-bool ServeEngine::preempt_one(const Request* except, const SchedEntry* limit) {
-  std::vector<SchedEntry> candidates;
-  candidates.reserve(prefilling_.size() + active_.size());
+bool ServeEngine::can_make_room(const Request& req, std::size_t rows) const {
+  std::size_t freeable = kv_pool_.free_blocks();
+  const std::size_t need = req.cache.blocks_to_reserve(rows);
+  if (need <= freeable) return true;
+  // Add the blocks every reference of which is held by a registered prefix
+  // or a strictly worse-ordered slot-holder.
+  std::vector<std::uint32_t> droppable(kv_pool_.total_blocks(), 0);
+  const auto count = [&](std::span<const BlockId> blocks) {
+    for (const BlockId b : blocks) ++droppable[b];
+  };
+  for (const auto& [digest, entry] : prefix_cache_) count(entry.blocks);
   for (const auto* list : {&prefilling_, &active_}) {
     for (const Request* r : *list) {
-      if (r != except) candidates.push_back(r->sched);
+      if (Scheduler::admit_before(req.sched, r->sched)) {
+        count(r->cache.block_table());
+      }
     }
   }
-  const std::optional<SchedEntry> victim =
-      Scheduler::pick_victim(candidates, limit);
-  if (!victim.has_value()) return false;
-  preempt(get(victim->id));
-  return true;
+  for (BlockId b = 0; b < droppable.size(); ++b) {
+    if (droppable[b] != 0 && droppable[b] == kv_pool_.ref_count(b)) {
+      ++freeable;
+    }
+  }
+  return need <= freeable;
 }
 
 bool ServeEngine::reserve_rows_or_evict(Request& req, std::size_t rows) {
+  // Decide before touching the pool, so a reservation that cannot succeed
+  // drops no prefix and evicts no one on its way to failing.
+  if (!can_make_room(req, rows)) return false;
   while (!req.cache.reserve_rows(rows)) {
-    // Cheapest first: registered prefixes whose only holder is the engine.
-    if (!prefix_cache_.empty()) {
-      drop_one_prefix_entry();
-      continue;
+    // Cheapest first: registered prefixes that return a block, least
+    // recently used first; then strictly worse-ordered slot-holders.
+    // can_make_room counted exactly what the two free together, so one of
+    // them is left while the rows do not fit.
+    if (drop_freeing_prefix_entry()) continue;
+    std::vector<SchedEntry> holders;
+    for (const auto* list : {&prefilling_, &active_}) {
+      for (const Request* r : *list) holders.push_back(r->sched);
     }
-    // Evict a strictly worse-ordered slot-holder; when this request is
-    // itself the worst, it yields its own slot back to the queue.
-    if (!preempt_one(&req, &req.sched)) {
-      preempt(req);
-      return false;
-    }
+    const std::optional<SchedEntry> victim =
+        Scheduler::pick_victim(holders, &req.sched);
+    FT2_CHECK(victim.has_value());
+    preempt(get(victim->id));
   }
   return true;
 }
 
 bool ServeEngine::begin_admission(Request& req) {
-  // Slot and list membership first, so a self-preempting resume below can
-  // unwind through the one preempt() path.
+  if (req.swapped.has_value()) {
+    // Swap resume: restore the evicted rows verbatim. No forwards, no hook
+    // dispatches, no budget cost — just block mapping plus a row copy. The
+    // rows the request runs next are reserved with them: a resume that
+    // could not go on stays in the queue as it is, holding no slot and no
+    // block, instead of swapping straight back out.
+    const std::size_t rows = req.swapped->length();
+    const std::size_t prompt = prefill_len(req);
+    const std::size_t next =
+        req.next_prefill < prompt
+            ? prefill_chunk_rows(req.options.prefill_chunk, req.next_prefill,
+                                 prompt)
+            : 1;
+    if (!reserve_rows_or_evict(req, rows + next)) {
+      scheduler_.enqueue(req.sched);
+      return false;
+    }
+    req.cache.append_rows(*req.swapped, rows);
+    req.swapped.reset();
+    FT2_ASSERT(req.cache.length() == req.pos);
+  }
+  // else: a first admission, or a request preempted before any row was
+  // stored, which resumes like a fresh prefill continuation (the scope is
+  // already armed).
+
   std::size_t slot = 0;
   while (slot < slot_in_use_.size() && slot_in_use_[slot]) ++slot;
   if (slot == slot_in_use_.size()) {
@@ -476,20 +505,7 @@ bool ServeEngine::begin_admission(Request& req) {
     // and resume never re-arm the scope.
     req.scope = GenerationScope(req.hooks);
     try_adopt_prefix(req);
-    return true;
   }
-
-  if (req.swapped.has_value()) {
-    // Swap resume: restore the evicted rows verbatim. No forwards, no hook
-    // dispatches, no budget cost — just block mapping plus a row copy.
-    const std::size_t rows = req.swapped->length();
-    if (!reserve_rows_or_evict(req, rows)) return false;
-    req.cache.append_rows(*req.swapped, rows);
-    req.swapped.reset();
-    FT2_ASSERT(req.cache.length() == req.pos);
-  }
-  // else: preempted before any row was stored — resume exactly like a
-  // fresh prefill continuation (the scope is already armed).
   return true;
 }
 
@@ -499,11 +515,14 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
   // dispatch shapes, so a hooked request sees the same traffic a solo
   // generate produces no matter how the prefill_chunk_budget spreads its
   // chunks across engine steps.
-  const std::span<const int> prompt{
-      req.prompt.data(), req.prefill_len(model_.config().max_seq)};
+  const std::span<const int> prompt =
+      prefill_tokens(req.prompt, model_.config().max_seq);
   const std::size_t n = prefill_chunk_rows(req.options.prefill_chunk,
                                            req.next_prefill, prompt.size());
-  if (!reserve_rows_or_evict(req, n)) return 0;
+  if (!reserve_rows_or_evict(req, n)) {
+    preempt(req);  // the worst-ordered holder yields its own slot
+    return 0;
+  }
 
   TraceSpan span = tracer_->span("serve.prefill");
   if (span.active()) {
@@ -572,7 +591,7 @@ void ServeEngine::admit_and_prefill() {
       const std::optional<SchedEntry> e = scheduler_.pop();
       Request& req = get(e->id);
       if (!begin_admission(req)) break;  // requeued under pool pressure
-      if (req.next_prefill >= req.prefill_len(model_.config().max_seq)) {
+      if (req.next_prefill >= prefill_len(req)) {
         finish_prefill(req);  // resumed decoding request: nothing to prefill
       }
       counters_.max_active = std::max(counters_.max_active,
@@ -584,7 +603,7 @@ void ServeEngine::admit_and_prefill() {
     if (ran == 0) break;  // self-preempted under pool pressure
     spent += ran;
     if (best->phase == Request::Phase::kPrefilling &&
-        best->next_prefill >= best->prefill_len(model_.config().max_seq)) {
+        best->next_prefill >= prefill_len(*best)) {
       finish_prefill(*best);
     }
   }
@@ -604,7 +623,7 @@ void ServeEngine::decode_step() {
   for (const RequestId id : ids) {
     Request& req = get(id);
     if (req.phase != Request::Phase::kDecoding) continue;  // evicted above
-    reserve_rows_or_evict(req, 1);
+    if (!reserve_rows_or_evict(req, 1)) preempt(req);
   }
   if (active_.empty()) return;
 
@@ -647,7 +666,8 @@ void ServeEngine::decode_step() {
     if (group.empty()) continue;
     slots.clear();
     for (Request* req : group) {
-      slots.push_back(DecodeSlot{req->pending_token, req->pos, &req->cache,
+      slots.push_back(DecodeSlot{req->result.tokens.back(), req->pos,
+                                 &req->cache,
                                  &req->hooks,
                                  {req->logits.data(), req->logits.size()}});
     }

@@ -82,7 +82,8 @@ struct ServeOptions {
   /// adopted a prefix reports the skipped positions in
   /// RequestStats::shared_prefix_rows (its GenerateResult::positions_run
   /// counts only positions actually computed). Registered prefixes live
-  /// until pool pressure drops them, least recently used first.
+  /// until a reservation needs the blocks only they hold, least recently
+  /// used first.
   bool share_prefix = false;
 
   /// Observability sinks. `obs.metrics` is the registry the engine
@@ -222,18 +223,24 @@ class ServeEngine {
   /// or else the engine's.
   ExecConfig exec_for(const GenerateOptions& o) const;
   void finish_prefill(Request& req);
+  /// Whether `rows` more rows of `req` fit once every registered prefix is
+  /// dropped and every strictly worse-ordered slot-holder evicted.
+  bool can_make_room(const Request& req, std::size_t rows) const;
+  /// Maps `rows` more rows of `req`, dropping prefixes and evicting as
+  /// needed; false, having changed nothing, when can_make_room is false.
   bool reserve_rows_or_evict(Request& req, std::size_t rows);
-  bool preempt_one(const Request* except, const SchedEntry* limit);
   void preempt(Request& req);
-  void drop_one_prefix_entry();
+  /// Drops the least recently used registered prefix whose drop returns a
+  /// block to the pool; false when none would.
+  bool drop_freeing_prefix_entry();
   void try_adopt_prefix(Request& req);
   void register_prefix(Request& req);
   void decode_step();
-  /// Applies generate()'s decode-step logic to a freshly computed logits
-  /// row: sample/argmax, EOS / max_new_tokens bookkeeping. Returns false
-  /// when the request finished (no further forward needed).
+  /// decode_token on a freshly computed logits row. Returns false when the
+  /// request finished (no further forward needed).
   bool consume_logits(Request& req);
-  void emit_token(Request& req, int token);
+  /// Prompt positions the request prefills (prefill_tokens).
+  std::size_t prefill_len(const Request& req) const;
   void finish(Request& req);
   void release_slot(Request& req);
   static void erase_ptr(std::vector<Request*>& list, Request* req);

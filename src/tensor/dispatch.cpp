@@ -80,17 +80,6 @@ void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
   }
 }
 
-void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
-                      std::size_t n, std::size_t k, const float* bias,
-                      float* y) {
-  for (std::size_t o = 0; o < n; ++o) {
-    const float* row = w + o * ldw;
-    float acc = bias == nullptr ? 0.0f : bias[o];
-    for (std::size_t i = 0; i < k; ++i) acc += row[i] * x[i];
-    y[o] = acc;
-  }
-}
-
 void qk_heads_scalar(const float* q, const float* k, std::size_t n,
                      std::size_t n_heads, std::size_t head_dim,
                      std::size_t h0, float* s) {

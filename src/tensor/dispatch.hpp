@@ -217,14 +217,6 @@ namespace detail {
 void epilogue_scalar_span(float* v, std::size_t n, std::size_t flat0,
                           const KernelEpilogue& epi, EpilogueTally* tally);
 
-/// The scalar row GEMV: y[o] = bias[o] + sum over ascending i of
-/// w[o * ldw + i] * x[i] for o in [0, n), one mul-then-add chain per
-/// output from bias[o] (0.0f when `bias` is null). No tier calls it; it is
-/// the GEMM chain written out, the forward oracle's linear layer in tests.
-void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
-                      std::size_t n, std::size_t k, const float* bias,
-                      float* y);
-
 /// The scalar reference Q·K over heads [h0, n_heads) (KernelOps::qk_heads
 /// semantics for those columns of the score block). The SSE tier is this
 /// function with h0 = 0; the AVX2 tier calls it for the heads left over

@@ -6,8 +6,6 @@
 // pins the "results never change" contract at the system level — tokens,
 // per-kind protection stats, clip events, first-detect positions, online
 // bounds, protect.* counters, campaign outcomes and per-trial records.
-// (The suite keeps its name from when it compared a fused post-GEMM
-// protection sweep against the hook path.)
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -2,7 +2,7 @@
 //
 // NaiveForward is written independently of the engine: scalar, one
 // position at a time, with its own per-block K/V arrays. Linears run the
-// scalar row chain (detail::gemv_rows_scalar) or, in chunked-accumulation
+// scalar row chain (gemv_rows_scalar below) or, in chunked-accumulation
 // mode, its own copy of the 8-lane chunked chain; every observable value is
 // quantized with the scalar quantize_f16; hooks see single-position
 // contexts. Only the primitive row ops (norms, softmax, activations, RoPE)
@@ -14,12 +14,13 @@
 // and the whole prompt, and forward_batch with up to 6 slots at mixed
 // positions (the GEMM's four-row groups and leftover rows).
 // The grid covers OPT, GPT-J, Llama and Qwen2 configs, fp16 and
-// chunked_accum on and off, plain caches and paged caches of 3-row blocks
+// chunked_accum on and off, standalone caches (one block of max_seq rows:
+// attention reads one run) and caches over a shared pool of 3-row blocks
 // (attention then walks runs that end inside an 8-key group; head_dim 10
 // leaves a k tail), and every kernel tier the host supports. The oracle
 // reads the row-major weights the model exports; forward_batch runs the
-// model's own tiles on the plain leg and a PackedDecodeWeights copy passed
-// in on the paged leg.
+// model's own tiles on the standalone leg and a PackedDecodeWeights copy
+// passed in on the pooled leg.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -67,10 +68,24 @@ TransformerLM oracle_model(Family f) {
   return TransformerLM(c, init_weights(c, rng));
 }
 
-/// A plain cache, or a paged one over `pool` when it is given.
+/// A standalone cache, or one over `pool` when it is given.
 KvCache make_cache(const TransformerLM& model, KvBlockPool* pool) {
   return pool != nullptr ? KvCache::paged(*pool, model.config().max_seq)
                          : model.make_cache();
+}
+
+/// The GEMM chain written out: y[o] = bias[o] + sum over ascending i of
+/// w[o * ldw + i] * x[i] for o in [0, n), one mul-then-add chain per output
+/// from bias[o] (0.0f when `bias` is null).
+void gemv_rows_scalar(const float* x, const float* w, std::size_t ldw,
+                      std::size_t n, std::size_t k, const float* bias,
+                      float* y) {
+  for (std::size_t o = 0; o < n; ++o) {
+    const float* row = w + o * ldw;
+    float acc = bias == nullptr ? 0.0f : bias[o];
+    for (std::size_t i = 0; i < k; ++i) acc += row[i] * x[i];
+    y[o] = acc;
+  }
 }
 
 std::vector<std::uint32_t> bits(std::span<const float> v) {
@@ -114,7 +129,7 @@ class NaiveForward {
     }
     const std::vector<float> fh = norm(w_.final_norm, x);
     std::vector<float> logits(c_.vocab_size);
-    detail::gemv_rows_scalar(fh.data(), w_.lm_head.w.data(), c_.d_model,
+    gemv_rows_scalar(fh.data(), w_.lm_head.w.data(), c_.d_model,
                              c_.vocab_size, c_.d_model, nullptr,
                              logits.data());
     return logits;
@@ -167,8 +182,8 @@ class NaiveForward {
     const auto bias = lw.bias_span();
     std::vector<float> y(n);
     if (!exec_.chunked_accum) {
-      detail::gemv_rows_scalar(in.data(), lw.w.data(), k, n, k,
-                               bias.empty() ? nullptr : bias.data(), y.data());
+      gemv_rows_scalar(in.data(), lw.w.data(), k, n, k,
+                       bias.empty() ? nullptr : bias.data(), y.data());
     } else {
       for (std::size_t o = 0; o < n; ++o) {
         const float* row = lw.w.data() + o * k;

@@ -1,8 +1,10 @@
-// KvBlockPool and paged-mode KvCache semantics:
+// KvBlockPool and KvCache semantics:
 //   - block allocation is LIFO, ref-counted and exhaustion-safe;
-//   - a paged cache stores/reads bit-identically to a dense cache;
+//   - a cache over a shared pool stores/reads bit-identically to a
+//     standalone cache;
+//   - a standalone cache stays fully backed across reset();
 //   - reserve_rows is all-or-nothing under pool exhaustion;
-//   - copy-on-write isolates sharers (cache copies and adopted prefixes);
+//   - copy-on-write isolates sharers of adopted prefixes;
 //   - adopt_shared_prefix keeps blocks alive past the donor's release;
 //   - memory accounting is block-granular;
 //   - prefix_copy / append_rows move rows between caches bit-exactly;
@@ -130,8 +132,6 @@ TEST(KvCachePaged, StoreReadMatchesDense) {
   KvBlockPool pool(kLayers, kDModel, /*total_blocks=*/4, kBlockRows);
   KvCache dense(kLayers, max_seq, kDModel);
   KvCache paged = KvCache::paged(pool, max_seq);
-  EXPECT_TRUE(paged.paged());
-  EXPECT_FALSE(dense.paged());
   EXPECT_EQ(paged.physical_rows(), 0u);
 
   for (std::size_t pos = 0; pos < max_seq; ++pos) {
@@ -174,7 +174,9 @@ TEST(KvCachePaged, CopyOnWriteIsolatesSharers) {
   ASSERT_TRUE(a.reserve_rows(1));
   append_row(a, 0);  // half a block: the next store lands in a shared block
 
-  KvCache b(a);  // copy maps the same block with an extra reference
+  // b maps the same block with an extra reference.
+  KvCache b = KvCache::paged(pool, /*max_seq=*/8);
+  b.adopt_shared_prefix(a.block_table(), a.length());
   ASSERT_EQ(a.block_table(), b.block_table());
   EXPECT_EQ(pool.ref_count(a.block_table()[0]), 2u);
   EXPECT_EQ(b.length(), 1u);
@@ -187,8 +189,8 @@ TEST(KvCachePaged, CopyOnWriteIsolatesSharers) {
   EXPECT_EQ(pool.ref_count(a.block_table()[0]), 1u);
   EXPECT_EQ(pool.ref_count(b.block_table()[0]), 1u);
   expect_row(a, 0, "original after COW");
-  expect_row(b, 0, "copy reads the copied row");
-  expect_row(b, 1, "copy's private append");
+  expect_row(b, 0, "sharer reads the copied row");
+  expect_row(b, 1, "sharer's private append");
   EXPECT_EQ(a.length(), 1u);
   EXPECT_EQ(b.length(), 2u);
 }
@@ -235,22 +237,46 @@ TEST(KvCache, PrefixCopyIsCompact) {
   EXPECT_EQ(copy.memory_bytes(), 2 * kLayers * 3 * kDModel * sizeof(float));
 }
 
+TEST(KvCache, StandaloneStaysBackedAndForksFromPrefixCopy) {
+  const std::size_t max_seq = 8;
+  KvCache cache(kLayers, max_seq, kDModel);
+  EXPECT_EQ(cache.physical_rows(), max_seq);
+  for (std::size_t pos = 0; pos < 5; ++pos) append_row(cache, pos);
+  // reset() forgets the rows, not the backing: the cache refills without
+  // reserve_rows, as a session's next generate does.
+  cache.reset();
+  EXPECT_EQ(cache.length(), 0u);
+  EXPECT_EQ(cache.physical_rows(), cache.max_seq());
+  for (std::size_t pos = 0; pos < 5; ++pos) append_row(cache, pos);
+
+  // A campaign snapshot and the fork that copies its rows back in.
+  const KvCache copy = cache.prefix_copy(3);
+  EXPECT_EQ(copy.physical_rows(), 3u);
+  KvCache fork(kLayers, max_seq, kDModel);
+  fork.append_rows(copy, 3);
+  EXPECT_EQ(fork.length(), 3u);
+  for (std::size_t pos = 0; pos < 3; ++pos) {
+    EXPECT_TRUE(fork.same_row(copy, pos)) << "pos " << pos;
+    EXPECT_TRUE(fork.same_row(cache, pos)) << "pos " << pos;
+  }
+}
+
 TEST(KvCachePaged, PrefixCopyMatchesStoredRows) {
   KvBlockPool pool(kLayers, kDModel, /*total_blocks=*/5, kBlockRows);
   KvCache paged = KvCache::paged(pool, /*max_seq=*/4);
   ASSERT_TRUE(paged.reserve_rows(3));
   for (std::size_t pos = 0; pos < 3; ++pos) append_row(paged, pos);
 
-  // The swap-preemption snapshot: a compact dense copy of the first rows.
+  // The swap-preemption snapshot: a compact standalone copy of the first
+  // rows.
   const KvCache snapshot = paged.prefix_copy(2);
-  EXPECT_FALSE(snapshot.paged());
   EXPECT_EQ(snapshot.length(), 2u);
   for (std::size_t pos = 0; pos < 2; ++pos) {
     expect_row(snapshot, pos, "prefix_copy");
   }
 
-  // Swap-resume: append_rows restores a dense copy into a fresh paged
-  // cache. Its first block is shared with a donor whose row 1 holds other
+  // Swap-resume: append_rows restores a standalone copy into a fresh
+  // pooled cache. Its first block is shared with a donor whose row 1 holds other
   // content, so appending row 1 must copy that block first.
   const KvCache full = paged.prefix_copy(3);
   KvCache donor = KvCache::paged(pool, /*max_seq=*/4);
@@ -294,10 +320,9 @@ TEST(KvCachePaged, ReleaseStorageKeepsCacheReusable) {
   EXPECT_EQ(pool.used_blocks(), 2u);
 
   // What preemption does: blocks go home, the cache stays a (now empty)
-  // paged cache over the same pool and can be refilled.
+  // cache over the same pool and can be refilled.
   cache.release_storage();
   EXPECT_EQ(pool.used_blocks(), 0u);
-  EXPECT_TRUE(cache.paged());
   EXPECT_EQ(cache.length(), 0u);
   ASSERT_TRUE(cache.reserve_rows(2));
   append_row(cache, 0);
@@ -309,7 +334,7 @@ TEST(KvCachePaged, ReleaseStorageKeepsCacheReusable) {
 
 /// Walks rows [0, len) the way attention does, one run of
 /// contiguous_rows at a time, and checks that every row is visited exactly
-/// once, that no run crosses a paged block, and that each row of a run is
+/// once, that no run crosses a block, and that each row of a run is
 /// reachable from the run's first key()/value() pointer at d_model strides
 /// in every layer, holding the content stored for it.
 void expect_runs_cover(const KvCache& cache, std::size_t len,
@@ -318,9 +343,7 @@ void expect_runs_cover(const KvCache& cache, std::size_t len,
   for (std::size_t j = 0, n = 0; j < len; j += n) {
     n = std::min(cache.contiguous_rows(j), len - j);
     ASSERT_GT(n, 0u) << what;
-    if (cache.paged()) {
-      EXPECT_LE(j % block_rows + n, block_rows) << what << ": run at " << j;
-    }
+    EXPECT_LE(j % block_rows + n, block_rows) << what << ": run at " << j;
     for (std::size_t layer = 0; layer < kLayers; ++layer) {
       const float* k0 = cache.key(layer, j).data();
       const float* v0 = cache.value(layer, j).data();
@@ -350,7 +373,7 @@ TEST(KvCache, ContiguousRowsCoverEveryRowOnce) {
     EXPECT_EQ(cache.contiguous_rows(pos), max_seq - pos);
   }
   for (std::size_t len = 1; len <= max_seq; ++len) {
-    expect_runs_cover(cache, len, max_seq, "plain");
+    expect_runs_cover(cache, len, max_seq, "standalone");
   }
 }
 

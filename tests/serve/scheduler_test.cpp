@@ -292,8 +292,8 @@ TEST(ServeEngine, HookedSelfPreemptionIsSwapped) {
   const SchemeSpec spec = scheme_spec(SchemeKind::kFt2, model.config());
   // Two hooked ft2 requests that each fit the 12-block x 8-row pool alone
   // but not together. The older one's decode evicts the younger, whose
-  // resume then yields its own slot until the older one finishes. Both
-  // round trips are swaps, so hooks and protection never observe them.
+  // resume then waits in the queue until the older one finishes. The
+  // round trip is a swap, so hooks and protection never observe it.
   const std::vector<std::vector<int>> prompts = {long_prompt(model, 30, 11),
                                                  long_prompt(model, 26, 12)};
   std::vector<GenerateOptions> options(2);
@@ -335,6 +335,11 @@ TEST(ServeEngine, HookedSelfPreemptionIsSwapped) {
   engine.run();
 
   ASSERT_GE(engine.counters().preemptions, 1u);
+  // One eviction: a resume that cannot fit waits in the queue without
+  // being counted again.
+  EXPECT_EQ(engine.counters().preemptions, 1u);
+  EXPECT_EQ(engine.request_stats(ids[0]).preemptions, 0u);
+  EXPECT_EQ(engine.request_stats(ids[1]).preemptions, 1u);
   for (std::size_t r = 0; r < 2; ++r) {
     expect_equal_results(engine.result(ids[r]), ref[r], r, "self-preempt");
     for (std::size_t k = 0; k < kLayerKindCount; ++k) {
@@ -451,8 +456,9 @@ TEST(ServeScheduler, ResidentBytesCountSharedBlocksOnce) {
 TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
   const TransformerLM model = micro_model();
   const std::vector<int> shared_prompt = long_prompt(model, 13, 5);
-  // Long enough that d cannot finish beside b in the smallest pool.
-  const std::vector<int> other_prompt = long_prompt(model, 72, 77);
+  // Long enough that d cannot finish beside b in the smallest pool, nor
+  // beside the registered prefix once b is done.
+  const std::vector<int> other_prompt = long_prompt(model, 84, 77);
   GenerateOptions gen;
   gen.max_new_tokens = 8;
   gen.eos_token = -1;
@@ -467,25 +473,35 @@ TEST(ServeScheduler, SharerSurvivesRegistryEviction) {
   serve_opts.kv_block_rows = 4;
   serve_opts.share_prefix = true;
   // One max_seq sequence: the registered 3-block prefix, b's 2 private
-  // blocks and d's 20 (72 + 7 rows) do not fit together.
+  // blocks and d's 23 (84 + 7 rows) do not fit together, and the prefix and
+  // d do not either.
   serve_opts.kv_pool_blocks = 24;
   ServeEngine engine(model, serve_opts);
 
   const RequestId a = engine.submit(shared_prompt, gen);
   engine.run();
 
-  // b adopts the registered prefix; d's decode runs the pool dry, which
-  // drops that registry entry mid-flight (then swaps d out until b is
-  // done). b's own block references keep the shared rows alive and its
-  // stream stays solo-exact.
+  // b adopts the registered prefix; d's prefill runs the pool dry and
+  // swaps d out until b is done. Dropping the entry would free nothing
+  // while b holds its blocks, so it stays until d's decode needs them.
+  // b's own block references keep the shared rows alive and its stream
+  // stays solo-exact.
   const RequestId b = engine.submit(shared_prompt, gen);
   const RequestId d = engine.submit(other_prompt, gen);
+  while (!engine.finished(b)) engine.step();
+  EXPECT_EQ(engine.kv_pool()->used_blocks(), 3u);  // the entry, d queued
   engine.run();
 
   EXPECT_EQ(engine.request_stats(b).shared_prefix_rows, 12u);
   expect_equal_tokens(engine.result(a), shared_ref, 0, "registry evict");
   expect_equal_tokens(engine.result(b), shared_ref, 1, "registry evict");
   expect_equal_results(engine.result(d), other_ref, 2, "registry evict");
+  // d was evicted once, in its prefill; it stayed queued until it could
+  // go on, with no further preemption. Only d's own registered prefix is
+  // left.
+  EXPECT_EQ(engine.counters().preemptions, 1u);
+  EXPECT_EQ(engine.request_stats(d).preemptions, 1u);
+  EXPECT_EQ(engine.kv_pool()->used_blocks(), 20u);
 
   // A later identical prompt finds the shared entry gone but still runs
   // correctly, prefilling from scratch.

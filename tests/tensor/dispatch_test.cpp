@@ -249,13 +249,13 @@ const float kSubnormal = std::numeric_limits<float>::denorm_min();
 /// scalar dim tail behind them (6 = 4 + 2, 10 = 8 + 2).
 constexpr std::size_t kAttnHeadCounts[] = {1, 2, 3, 4, 8, 12};
 constexpr std::size_t kAttnHeadDims[] = {4, 6, 10, 12, 16, 28};
-/// Rows per block of the caches attention reads: plain (0), then paged.
+/// Rows per block of the caches attention reads: standalone (0: one block
+/// of kAttnMaxKeys rows), then over a shared pool.
 constexpr std::size_t kAttnBlockRows[] = {0, 3, 16};
 constexpr std::size_t kAttnMaxKeys = 17;
 
-/// A one-layer cache of kAttnMaxKeys rows: plain, or paged over its own
-/// pool of `block_rows`-row blocks (declared first, so it outlives the
-/// cache).
+/// A one-layer cache of kAttnMaxKeys rows: standalone, or over a pool of
+/// `block_rows`-row blocks (declared first, so it outlives the cache).
 struct AttnCache {
   std::unique_ptr<KvBlockPool> pool;
   KvCache cache;
