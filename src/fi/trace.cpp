@@ -1,5 +1,7 @@
 #include "fi/trace.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iterator>
@@ -76,6 +78,34 @@ float float_from_string(const std::string& text) {
   return std::strtof(text.c_str(), nullptr);
 }
 
+/// An integer field in [lo, hi] (by default a count or index up to 2^53,
+/// the largest a JSON number holds exactly): a JSON number, or text (a CSV
+/// cell, a clip position) of decimal digits with an optional '-'. A
+/// fraction, a value out of range (casting -1 or 1e300 to std::size_t is
+/// undefined behaviour) or other text throws ft2::Error.
+long long as_int(const Json& j, long long lo = 0, long long hi = 1LL << 53) {
+  long long value = 0;
+  bool ok = false;
+  if (j.is_number()) {
+    const double d = j.as_double();
+    ok = d == std::floor(d) && d >= static_cast<double>(lo) &&
+         d <= static_cast<double>(hi);
+    if (ok) value = static_cast<long long>(d);
+  } else {
+    const std::string& text = j.as_string();
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    ok = ec == std::errc() && end == last && value >= lo && value <= hi;
+  }
+  FT2_CHECK_MSG(ok, "bad integer field " << j.dump(-1) << ": want one in ["
+                                         << lo << ", " << hi << "]");
+  return value;
+}
+
+std::size_t as_count(const Json& j) {
+  return static_cast<std::size_t>(as_int(j));
+}
+
 /// "KIND@position:original;..." — compact clip-event list (no commas, so
 /// the CSV cell needs no special care beyond quoting).
 std::string clips_string(const std::vector<ClipEvent>& clips) {
@@ -104,8 +134,7 @@ std::vector<ClipEvent> clips_from_string(const std::string& text) {
                   "malformed clip event '" << item << "'");
     ClipEvent clip;
     clip.kind = layer_kind_from_name(item.substr(0, at));
-    clip.position = static_cast<std::size_t>(
-        std::strtoull(item.substr(at + 1, colon - at - 1).c_str(), nullptr, 10));
+    clip.position = as_count(Json(item.substr(at + 1, colon - at - 1)));
     clip.original = float_from_string(item.substr(colon + 1));
     clips.push_back(clip);
     start = semi + 1;
@@ -119,12 +148,17 @@ std::vector<ClipEvent> clips_from_string(const std::string& text) {
 
 double as_num(const Json& j) {
   if (j.is_number()) return j.as_double();
-  return std::strtod(j.as_string().c_str(), nullptr);
+  const std::string& text = j.as_string();
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  FT2_CHECK_MSG(!text.empty() && end == text.c_str() + text.size(),
+                "bad number '" << text << "'");
+  return value;
 }
 
 bool as_boolish(const Json& j) {
   if (j.is_bool()) return j.as_bool();
-  return as_num(j) != 0.0;
+  return as_int(j, 0, 1) != 0;
 }
 
 /// THE field-ordering source of truth: CSV columns, JSON keys and JSONL
@@ -141,19 +175,13 @@ struct TrialField {
 const std::vector<TrialField>& trial_record_fields() {
   static const std::vector<TrialField> fields = {
       {"trial", [](const TrialRecord& r) { return Json(r.trial); },
-       [](TrialRecord& r, const Json& j) {
-         r.trial = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.trial = as_count(j); },
        false},
       {"input", [](const TrialRecord& r) { return Json(r.input_index); },
-       [](TrialRecord& r, const Json& j) {
-         r.input_index = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.input_index = as_count(j); },
        false},
       {"position", [](const TrialRecord& r) { return Json(r.plan.position); },
-       [](TrialRecord& r, const Json& j) {
-         r.plan.position = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.plan.position = as_count(j); },
        false},
       {"in_first_token",
        [](const TrialRecord& r) { return Json(r.plan.in_first_token); },
@@ -162,9 +190,7 @@ const std::vector<TrialField>& trial_record_fields() {
        },
        false},
       {"block", [](const TrialRecord& r) { return Json(r.plan.site.block); },
-       [](TrialRecord& r, const Json& j) {
-         r.plan.site.block = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.plan.site.block = as_count(j); },
        false},
       {"layer",
        [](const TrialRecord& r) {
@@ -175,9 +201,7 @@ const std::vector<TrialField>& trial_record_fields() {
        },
        false},
       {"neuron", [](const TrialRecord& r) { return Json(r.plan.neuron); },
-       [](TrialRecord& r, const Json& j) {
-         r.plan.neuron = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.plan.neuron = as_count(j); },
        false},
       {"bits",
        [](const TrialRecord& r) { return Json(bits_string(r.plan.flips)); },
@@ -217,28 +241,22 @@ const std::vector<TrialField>& trial_record_fields() {
        [](TrialRecord& r, const Json& j) { r.fired = as_boolish(j); }, false},
       {"detections",
        [](const TrialRecord& r) { return Json(r.detections); },
-       [](TrialRecord& r, const Json& j) {
-         r.detections = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.detections = as_count(j); },
        false},
       {"nan_detections",
        [](const TrialRecord& r) { return Json(r.nan_detections); },
-       [](TrialRecord& r, const Json& j) {
-         r.nan_detections = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.nan_detections = as_count(j); },
        false},
       {"oob_detections",
        [](const TrialRecord& r) { return Json(r.oob_detections); },
-       [](TrialRecord& r, const Json& j) {
-         r.oob_detections = static_cast<std::size_t>(as_num(j));
-       },
+       [](TrialRecord& r, const Json& j) { r.oob_detections = as_count(j); },
        false},
       {"detect_position",
        [](const TrialRecord& r) {
          return Json(static_cast<double>(r.detect_position));
        },
        [](TrialRecord& r, const Json& j) {
-         r.detect_position = static_cast<long long>(as_num(j));
+         r.detect_position = as_int(j, -1);  // -1: never detected
        },
        false},
       {"injected_original",

@@ -190,9 +190,10 @@ class HookChain {
 
 /// RAII generation bracket: fires on_generation_begin on construction and
 /// on_generation_end exactly once on destruction (or an explicit end()).
-/// InferenceSession::generate brackets each call with one scope; the serve
-/// engine holds a scope per request from admission to completion, so hooks
-/// see the same begin/end traffic whether a request runs solo or batched.
+/// The serve engine holds a scope per request from first admission to
+/// completion (a solo InferenceSession call is a one-request engine), so
+/// hooks see the same begin/end traffic whether a request runs solo or
+/// batched.
 class GenerationScope {
  public:
   GenerationScope() = default;

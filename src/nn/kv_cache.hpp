@@ -24,13 +24,14 @@ namespace ft2 {
 /// differ only in where the pool comes from:
 ///  * standalone (the three-argument constructor, TransformerLM::make_cache,
 ///    prefix_copy): a private pool of ONE block holding all max_seq rows,
-///    mapped for the cache's whole life. Solo sessions, campaign forks (which
-///    copy a snapshot's rows in with append_rows), snapshots and swap copies
-///    need no reserve_rows, and attention reads them as one run;
+///    mapped for the cache's whole life. Snapshots and swap copies need no
+///    reserve_rows, and attention reads them as one run;
 ///  * paged(): blocks of the serve engine's pool, mapped as the stored
 ///    length grows (reserve_rows) and shared across live caches
 ///    (adopt_shared_prefix); a store into a shared block copies it first
-///    (copy-on-write).
+///    (copy-on-write). A session's engine (InferenceSession) maps one block
+///    of max_seq rows, so its requests, campaign forks included, are also
+///    read as one run.
 ///
 /// Attention walks a cache one contiguous run of rows at a time
 /// (contiguous_rows): the rest of a block.

@@ -461,53 +461,10 @@ void TransformerLM::forward_batch(std::span<DecodeSlot> slots,
   RowEngine(*this, segs, exec, ws, tiles != nullptr ? *tiles : tiles_).run();
 }
 
-InferenceSession::InferenceSession(const TransformerLM& model)
-    : model_(model),
-      cache_(model.make_cache()),
-      ws_(model.config()),
-      logits_(model.config().vocab_size) {}
-
 std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
                                std::size_t len) {
   FT2_CHECK(pos < len);
   return chunk == 0 ? len - pos : std::min(chunk, len - pos);
-}
-
-void forward_prefill_chunk(const TransformerLM& model,
-                           std::span<const int> tokens, std::size_t pos,
-                           std::size_t n, KvCache& cache,
-                           const HookChain& hooks, const ExecConfig& exec,
-                           Workspace& ws, std::span<float> logits) {
-  FT2_CHECK(n > 0 && pos + n <= tokens.size());
-  // Logits are only needed from the chunk that ends the sequence; earlier
-  // chunks skip the LM head entirely.
-  const std::span<float> out =
-      pos + n == tokens.size() ? logits : std::span<float>{};
-  model.forward_span(tokens.subspan(pos, n), pos, cache, hooks, exec,
-                     /*first_token_phase=*/true, ws, out);
-}
-
-std::span<const int> prefill_tokens(std::span<const int> prompt,
-                                    std::size_t max_seq) {
-  return prompt.first(std::min(prompt.size(), max_seq));
-}
-
-std::size_t run_prefill(const TransformerLM& model,
-                        std::span<const int> prompt,
-                        const GenerateOptions& options, KvCache& cache,
-                        const HookChain& hooks, Workspace& ws,
-                        std::span<float> logits) {
-  const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
-  const std::span<const int> tokens =
-      prefill_tokens(prompt, model.config().max_seq);
-  for (std::size_t pos = 0; pos < tokens.size();) {
-    const std::size_t n =
-        prefill_chunk_rows(options.prefill_chunk, pos, tokens.size());
-    forward_prefill_chunk(model, tokens, pos, n, cache, hooks, exec, ws,
-                          logits);
-    pos += n;
-  }
-  return tokens.size();
 }
 
 int sample_from_logits(std::span<const float> logits, float temperature,
@@ -540,189 +497,6 @@ int sample_from_logits(std::span<const float> logits, float temperature,
     if (u <= 0.0) return static_cast<int>(order[i]);
   }
   return static_cast<int>(order[k - 1]);
-}
-
-namespace {
-/// Step 4 of decode_token (and the end of a fork's first iteration).
-bool at_generation_limit(const GenerateOptions& options, std::size_t step,
-                         std::size_t pos, std::size_t max_seq) {
-  return step + 1 == options.max_new_tokens || pos >= max_seq;
-}
-}  // namespace
-
-bool decode_token(std::span<const float> logits,
-                  const GenerateOptions& options, std::size_t step,
-                  std::size_t pos, std::size_t max_seq, Xoshiro256& sampler,
-                  GenerateResult& result,
-                  const std::function<bool(std::size_t)>& on_token) {
-  // Greedy by default; NaN-poisoned logits: argmax picks the first index
-  // when all comparisons are false, which is deterministic (faithful
-  // "garbage token" behaviour).
-  const int next =
-      options.temperature > 0.0f
-          ? sample_from_logits(logits, options.temperature, options.top_k,
-                               sampler)
-          : static_cast<int>(argmax(logits));
-  if (options.eos_token >= 0 && next == options.eos_token) return false;
-  result.tokens.push_back(next);
-  if (on_token && on_token(step)) return false;
-  result.hit_max = at_generation_limit(options, step, pos, max_seq);
-  return !result.hit_max;
-}
-
-void InferenceSession::decode_loop(
-    const GenerateOptions& options, std::size_t first_step, std::size_t pos,
-    Xoshiro256& sampler, GenerateResult& result,
-    const std::function<bool(std::size_t)>& on_token,
-    const std::function<void(std::size_t)>& after_forward) {
-  const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
-  const std::size_t max_seq = model_.config().max_seq;
-  std::span<float> logits{logits_.data(), logits_.size()};
-  for (std::size_t step = first_step; step < options.max_new_tokens; ++step) {
-    if (!decode_token(logits, options, step, pos, max_seq, sampler, result,
-                      on_token)) {
-      break;
-    }
-    model_.forward_position(result.tokens.back(), pos, cache_, hooks_, exec,
-                            /*first_token_phase=*/false, ws_, logits);
-    ++pos;
-    ++result.positions_run;
-    if (after_forward) after_forward(step);
-  }
-}
-
-GenerateResult InferenceSession::generate(std::span<const int> prompt,
-                                          const GenerateOptions& options) {
-  FT2_CHECK(!prompt.empty());
-  GenerateResult result;
-  cache_.reset();
-  GenerationScope scope(hooks_);
-
-  std::span<float> logits{logits_.data(), logits_.size()};
-
-  // Prefill: the "first token generation" phase, processed in blocked
-  // chunks (bit-exact at any chunk size).
-  const std::size_t pos =
-      run_prefill(model_, prompt, options, cache_, hooks_, ws_, logits);
-  result.positions_run = pos;
-
-  Xoshiro256 sampler(options.sample_seed);
-  decode_loop(options, 0, pos, sampler, result, {}, {});
-  return result;
-}
-
-GenerateResult InferenceSession::generate_recorded(
-    std::span<const int> prompt, const GenerateOptions& options,
-    SessionSnapshot& snap,
-    const std::function<void(std::size_t)>& on_boundary) {
-  FT2_CHECK(!prompt.empty());
-  GenerateResult result;
-  cache_.reset();
-  GenerationScope scope(hooks_);
-
-  std::span<float> logits{logits_.data(), logits_.size()};
-  const std::size_t pos =
-      run_prefill(model_, prompt, options, cache_, hooks_, ws_, logits);
-  result.positions_run = pos;
-
-  snap = SessionSnapshot{};
-  snap.prompt_len = pos;
-  snap.options = options;
-  if (on_boundary) on_boundary(0);
-
-  Xoshiro256 sampler(options.sample_seed);
-  decode_loop(
-      options, 0, pos, sampler, result,
-      /*on_token=*/
-      [&](std::size_t) {
-        snap.rng_at.push_back(sampler.state());
-        return false;
-      },
-      /*after_forward=*/
-      [&](std::size_t step) {
-        if (on_boundary) on_boundary(step + 1);
-      });
-  scope.end();
-
-  snap.result = result;
-  // Retain only the rows the run actually stored (copy hygiene: no max_seq
-  // slack travels with the snapshot).
-  snap.cache = std::make_shared<const KvCache>(
-      cache_.prefix_copy(cache_.length()));
-  return result;
-}
-
-GenerateResult InferenceSession::resume_from(
-    const SessionSnapshot& snap, std::size_t pos,
-    const std::function<void()>& on_resume,
-    const std::function<bool(std::size_t)>& rejoin) {
-  FT2_CHECK(snap.valid());
-  FT2_CHECK_MSG(pos >= snap.prompt_len && pos <= snap.last_boundary(),
-                "fork position " << pos << " outside ["
-                                 << snap.prompt_len << ", "
-                                 << snap.last_boundary() << "]");
-  const GenerateOptions& options = snap.options;
-  const std::size_t s = pos - snap.prompt_len;
-  const std::size_t max_seq = model_.config().max_seq;
-
-  GenerateResult result;
-  result.tokens.assign(snap.result.tokens.begin(),
-                       snap.result.tokens.begin() +
-                           static_cast<std::ptrdiff_t>(s + 1));
-  result.positions_run = pos;  // prefill + decode forwards before the fork
-
-  // Fork: the session's own cache takes a copy of the snapshot's rows
-  // [0, pos); the snapshot stays untouched, so concurrent forks share it.
-  cache_.reset();
-  cache_.append_rows(*snap.cache, pos);
-
-  GenerationScope scope(hooks_);
-  if (on_resume) on_resume();
-
-  Xoshiro256 sampler(options.sample_seed);
-  sampler.set_state(snap.rng_at[s]);
-
-  // Tail of the recorded run's iteration s: it ended either by hitting the
-  // generation limit (no forward left to run) or with the forward at `pos`.
-  if (at_generation_limit(options, s, pos, max_seq)) {
-    result.hit_max = true;
-    return result;
-  }
-  std::span<float> logits{logits_.data(), logits_.size()};
-  const ExecConfig exec{options.fp16, options.chunked_accum, options.pool};
-  model_.forward_position(result.tokens.back(), pos, cache_, hooks_, exec,
-                          /*first_token_phase=*/false, ws_, logits);
-  ++pos;
-  ++result.positions_run;
-
-  // Rejoin watch: `on_record` stays true while every forward since the fork
-  // stored the recording's K/V rows and every token since is the recorded
-  // one, drawn from the same sampler state (a NaN-poisoned draw falls back
-  // without consuming the RNG); once false it stays false (a differing row
-  // is never rewritten). Without a callback nothing is compared.
-  const KvCache& recorded = *snap.cache;
-  const auto row_matches = [&](std::size_t p) {
-    return p < recorded.length() && cache_.same_row(recorded, p);
-  };
-  bool on_record = rejoin && row_matches(pos - 1);
-  bool rejoined = false;
-  decode_loop(
-      options, s + 1, pos, sampler, result,
-      /*on_token=*/
-      [&](std::size_t step) {
-        on_record = on_record && step < snap.result.tokens.size() &&
-                    result.tokens.back() == snap.result.tokens[step] &&
-                    sampler.state() == snap.rng_at[step];
-        // Rejoin only where the recording still has forwards to skip.
-        rejoined = on_record && step + 1 < snap.result.tokens.size() &&
-                   rejoin(step);
-        return rejoined;
-      },
-      /*after_forward=*/
-      [&](std::size_t step) {
-        on_record = on_record && row_matches(snap.prompt_len + step);
-      });
-  return rejoined ? snap.result : result;
 }
 
 }  // namespace ft2

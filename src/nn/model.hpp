@@ -232,70 +232,31 @@ struct GenerateResult {
 std::size_t prefill_chunk_rows(std::size_t chunk, std::size_t pos,
                                std::size_t len);
 
-/// Runs positions [pos, pos + n) of the prefill sequence `tokens` (n from
-/// prefill_chunk_rows) in the first-token phase. The one chunk dispatch
-/// both prefill paths use — run_prefill and ServeEngine's budgeted
-/// chunks — so their rules cannot drift: every chunk goes through
-/// forward_span, and `logits` is written only by the chunk that
-/// ends `tokens` (earlier chunks skip the LM head).
-void forward_prefill_chunk(const TransformerLM& model,
-                           std::span<const int> tokens, std::size_t pos,
-                           std::size_t n, KvCache& cache,
-                           const HookChain& hooks, const ExecConfig& exec,
-                           Workspace& ws, std::span<float> logits);
-
-/// The prompt positions every prefill runs: `prompt` cut to `max_seq`.
-std::span<const int> prefill_tokens(std::span<const int> prompt,
-                                    std::size_t max_seq);
-
-/// Runs the blocked prompt prefill exactly as InferenceSession::generate
-/// does: forward_prefill_chunk over chunks of `options.prefill_chunk`
-/// positions of prefill_tokens(prompt). Does NOT bracket the hook chain
-/// with begin/end — the caller owns the generation scope. Returns the
-/// number of prompt positions run.
-std::size_t run_prefill(const TransformerLM& model,
-                        std::span<const int> prompt,
-                        const GenerateOptions& options, KvCache& cache,
-                        const HookChain& hooks, Workspace& ws,
-                        std::span<float> logits);
-
 /// Temperature / top-k sampling over logits — the decode-step token choice
 /// for `temperature > 0`. Deterministic given `rng`; NaN-poisoned logits
-/// fall back to the argmax candidate. Shared by InferenceSession and
-/// ServeEngine so batched decode draws exactly the per-session RNG stream.
+/// fall back to the argmax candidate. Each ServeEngine request draws from
+/// its own `rng`, so batched decode draws the stream a solo run does.
 int sample_from_logits(std::span<const float> logits, float temperature,
                        std::size_t top_k, Xoshiro256& rng);
 
-/// The per-token rule of InferenceSession's decode loop and ServeEngine's
-/// batched steps alike. Iteration `step`, on the last forward's `logits`,
-/// with the next forward at `pos`: 1. sample_from_logits at temperature >
-/// 0, else the argmax; 2. stop on EOS (not emitted); 3. push the token and
-/// call `on_token(step)` (if set), which stops by returning true; 4. stop
-/// with hit_max at max_new_tokens or `max_seq`. Returns true when the
-/// caller runs the forward of result.tokens.back() at `pos`.
-bool decode_token(std::span<const float> logits,
-                  const GenerateOptions& options, std::size_t step,
-                  std::size_t pos, std::size_t max_seq, Xoshiro256& sampler,
-                  GenerateResult& result,
-                  const std::function<bool(std::size_t)>& on_token);
-
 /// Immutable record of one completed generation, reusable as a shared
-/// fault-free prefix by forked sessions (InferenceSession::resume_from).
+/// fault-free prefix by forks (InferenceSession::resume_from).
 ///
 /// A greedy (or fixed-seed sampling) generation is deterministic, and the
 /// KV cache is append-only — a position's K/V rows are written exactly once
 /// and never touched again. One snapshot of the final cache therefore
 /// serves EVERY token boundary of the run: forking at position p only needs
 /// rows [0, p), which are a prefix of the recorded rows. The snapshot keeps
-/// a compact copy (first stored rows only, not max_seq) behind a
-/// shared_ptr; it is never written after recording, so any number of
-/// concurrent forks (one per campaign worker) read it at once.
+/// a compact copy (stored rows only, not max_seq) behind a shared_ptr; it
+/// is never written after recording, so any number of concurrent forks
+/// (one per campaign worker) read it at once, and no fork copies it.
 struct SessionSnapshot {
+  std::vector<int> prompt;     ///< the recorded prompt
   std::size_t prompt_len = 0;  ///< prefilled positions (prompt, truncated)
   GenerateOptions options;     ///< options the recorded run used
   GenerateResult result;       ///< the recorded (fault-free) result
-  /// K/V rows [0, prompt_len + result.tokens.size() - 1) of the run,
-  /// stored compactly ([rows, d_model] tensors, no max_seq slack).
+  /// K/V rows [0, result.positions_run) of the run, stored compactly
+  /// ([rows, d_model] tensors, no max_seq slack).
   std::shared_ptr<const KvCache> cache;
   /// Sampling-RNG state after choosing token s (one entry per token), so a
   /// temperature > 0 fork draws exactly the suffix of the recorded stream.
@@ -311,11 +272,20 @@ struct SessionSnapshot {
   }
 };
 
-/// Stateful generation session: owns the cache, workspace and hook chain.
+class ServeEngine;  // serve/serve_engine.hpp
+
+/// Solo generation: a hook chain plus a one-request ServeEngine that the
+/// session owns for its whole life. Every call submits one request, runs
+/// the engine, copies the result out and releases the request, so solo and
+/// served generations run the same code. The engine publishes no serve.*
+/// metric or span, and runs every forward on GenerateOptions::pool.
 class InferenceSession {
  public:
   explicit InferenceSession(const TransformerLM& model);
+  ~InferenceSession();
 
+  /// The session's hooks. Each generation's request shares this chain's
+  /// entries (a HookChain copy), so hooks added here see every call.
   HookChain& hooks() { return hooks_; }
 
   /// Greedy generation. Prompt tokens are prefilled in blocked chunks of
@@ -339,14 +309,15 @@ class InferenceSession {
       SessionSnapshot& snap,
       const std::function<void(std::size_t)>& on_boundary = {});
 
-  /// Forks this session from a recorded generation at sequence position
-  /// `pos` (in [snap.prompt_len, snap.last_boundary()]): the session's
-  /// own KV cache is reset and takes a copy of the snapshot's rows
-  /// [0, pos) (KvCache::append_rows), the sampling RNG resumes mid-stream,
-  /// and generation continues with the recorded tokens up to `pos` already
-  /// emitted. With the same hooks and hook state as the recorded run this
-  /// reproduces its result bit for bit; with a fault injector registered it
-  /// produces exactly what a full from-scratch faulty run would.
+  /// Forks from a recorded generation at sequence position `pos` (in
+  /// [snap.prompt_len, snap.last_boundary()]): the recorded request as it
+  /// stood at `pos`, swapped out (ServeEngine::submit_fork). Its admission
+  /// restores rows [0, pos) from the snapshot, the sampling RNG resumes
+  /// mid-stream, and generation continues with the recorded tokens up to
+  /// `pos` already emitted. With the same hooks and hook state as the
+  /// recorded run this reproduces its result bit for bit; with a fault
+  /// injector registered it produces exactly what a full from-scratch
+  /// faulty run would.
   ///
   /// `on_resume` fires after on_generation_begin has been dispatched and
   /// the cache/RNG restored, before the first forward — restore hook state
@@ -358,7 +329,7 @@ class InferenceSession {
   /// the fork reaches with forwards still to run, as long as every forward
   /// since the fork stored K/V rows bit-identical to the recording's and
   /// every token chosen since equals the recorded one, with the sampler
-  /// in the recorded state. The session's own state then equals the
+  /// in the recorded state. The request's own state then equals the
   /// recording's at b. Whether the hooks' state does too is the
   /// callback's call (in a campaign: every injector fired and
   /// DetectionScheme::state_matches). Returning true ends the fork with
@@ -371,22 +342,11 @@ class InferenceSession {
       const std::function<bool(std::size_t)>& rejoin = {});
 
  private:
-  /// The decode loop shared by generate / generate_recorded / resume_from
-  /// (one structure, so the three paths cannot drift): decode_token, then
-  /// the forward. `on_token(step)` fires right after a token is pushed and
-  /// ends the loop by returning true; `after_forward(step)` fires after the
-  /// forward that ends iteration `step`.
-  void decode_loop(const GenerateOptions& options, std::size_t first_step,
-                   std::size_t pos, Xoshiro256& sampler,
-                   GenerateResult& result,
-                   const std::function<bool(std::size_t)>& on_token,
-                   const std::function<void(std::size_t)>& after_forward);
+  /// Shares the hooks into request `id`, runs it and releases it.
+  GenerateResult run(std::uint64_t id);
 
-  const TransformerLM& model_;
-  KvCache cache_;
-  Workspace ws_;
   HookChain hooks_;
-  std::vector<float> logits_;
+  std::unique_ptr<ServeEngine> engine_;
 };
 
 }  // namespace ft2

@@ -48,11 +48,26 @@ ServeOptions resolve_pool_size(const ModelConfig& cfg, ServeOptions o) {
                                   << per_seq << " blocks)");
   return o;
 }
+
+/// A session engine's knobs: one slot, its KV rows in one block of max_seq
+/// rows (a standalone cache's layout).
+ServeOptions solo_options(const ModelConfig& cfg) {
+  ServeOptions o;
+  o.max_batch = 1;
+  o.kv_block_rows = cfg.max_seq;
+  return o;
+}
+
+/// Where a session engine's spans go: a tracer that is never enabled.
+Tracer& inert_tracer() {
+  static Tracer tracer(1, /*enabled=*/false);
+  return tracer;
+}
 }  // namespace
 
-/// One in-flight generation. Everything a solo InferenceSession owns lives
-/// here per request — cache, hook chain, sampler, logits — so batching
-/// introduces no shared mutable state between sequences.
+/// One in-flight generation. Everything a generation owns lives here per
+/// request — cache, hook chain, sampler, logits — so batching introduces
+/// no shared mutable state between sequences.
 struct ServeEngine::Request {
   enum class Phase { kQueued, kPrefilling, kDecoding, kDone };
 
@@ -74,7 +89,7 @@ struct ServeEngine::Request {
   KvCache cache;
   std::vector<float> logits;
   Xoshiro256 sampler;
-  GenerationScope scope;  ///< armed at first admission, ended at finish
+  GenerationScope scope;  ///< armed at first admission, ended at retire
   SchedEntry sched;       ///< scheduling identity (priority/deadline/seq)
   std::function<void(RequestId, std::size_t, int)> on_token;
   Phase phase = Phase::kQueued;
@@ -82,9 +97,19 @@ struct ServeEngine::Request {
   std::size_t pos = 0;           ///< next forward position (= cache length)
   std::size_t next_prefill = 0;  ///< prompt positions fed so far
   std::size_t steps = 0;         ///< decode loop index (tokens sampled)
-  bool admitted_once = false;    ///< scope armed / admit stats recorded
-  std::optional<KvCache> swapped;  ///< swap-preempted rows (compact host copy)
-  bool done = false;
+  /// Rows [0, pos) to restore at the next admission: a swap-preempted
+  /// request's compact host copy, or the snapshot cache a fork shares.
+  std::shared_ptr<const KvCache> swapped;
+  /// submit_recorded: the snapshot filled at finish, and its callback.
+  SessionSnapshot* record = nullptr;
+  std::function<void(std::size_t)> on_boundary;
+  /// submit_fork: the snapshot forked from and its callbacks. `on_record`
+  /// is the rejoin watch: still bit-identical to the recording.
+  const SessionSnapshot* fork = nullptr;
+  std::function<void()> on_resume;
+  std::function<bool(std::size_t)> rejoin;
+  bool on_record = false;
+  bool rejoined = false;
   GenerateResult result;
   RequestStats stats;
   Clock::time_point submit_time;
@@ -107,16 +132,23 @@ void ServeEngine::erase_ptr(std::vector<Request*>& list, Request* req) {
 }
 
 ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
+    : ServeEngine(model, std::move(options), /*solo=*/false) {}
+
+ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options,
+                         bool solo)
     : model_(model),
       options_(resolve_pool_size(model.config(), options)),
+      solo_(solo),
       kv_pool_(model.config().n_blocks, model.config().d_model,
                options_.kv_pool_blocks, options_.kv_block_rows),
       ws_(model.config(), options_.max_batch) {
-  tracer_ = options_.obs.tracer != nullptr ? options_.obs.tracer
-                                           : &Tracer::global();
-  MetricsRegistry* reg =
-      options_.obs.metrics != nullptr ? options_.obs.metrics
-                                      : default_metrics();
+  tracer_ = solo_ ? &inert_tracer()
+            : options_.obs.tracer != nullptr ? options_.obs.tracer
+                                             : &Tracer::global();
+  MetricsRegistry* reg = solo_ ? nullptr
+                         : options_.obs.metrics != nullptr
+                             ? options_.obs.metrics
+                             : default_metrics();
   if (reg != nullptr) {
     metrics_.submitted = reg->counter("serve.requests.submitted");
     metrics_.completed = reg->counter("serve.requests.completed");
@@ -157,6 +189,59 @@ ServeEngine::~ServeEngine() = default;
 RequestId ServeEngine::submit(std::span<const int> prompt,
                               const GenerateOptions& options,
                               const ServeSubmitOptions& sched) {
+  return enqueue(prompt, options, sched).id;
+}
+
+RequestId ServeEngine::submit_recorded(
+    std::span<const int> prompt, const GenerateOptions& options,
+    SessionSnapshot& snap, std::function<void(std::size_t)> on_boundary) {
+  Request& req = enqueue(prompt, options, {});
+  snap = SessionSnapshot{};
+  req.record = &snap;
+  req.on_boundary = std::move(on_boundary);
+  return req.id;
+}
+
+RequestId ServeEngine::submit_fork(const SessionSnapshot& snap,
+                                   std::size_t pos,
+                                   std::function<void()> on_resume,
+                                   std::function<bool(std::size_t)> rejoin) {
+  FT2_CHECK(snap.valid());
+  FT2_CHECK_MSG(pos >= snap.prompt_len && pos <= snap.last_boundary(),
+                "fork position " << pos << " outside [" << snap.prompt_len
+                                 << ", " << snap.last_boundary() << "]");
+  Request& req = enqueue(snap.prompt, snap.options, {});
+  // The recorded request as it stood at `pos`, swapped out: its prompt
+  // prefilled, tokens 0..s sampled, the forward of token s pending, and
+  // rows [0, pos) to restore from the snapshot, which stays shared.
+  const std::size_t s = pos - snap.prompt_len;
+  req.result.tokens.assign(
+      snap.result.tokens.begin(),
+      snap.result.tokens.begin() + static_cast<std::ptrdiff_t>(s + 1));
+  req.result.positions_run = pos;
+  // The recording ran a forward at every position below its positions_run;
+  // one that ended at `pos` stopped there at its generation limit.
+  req.result.hit_max = pos == snap.result.positions_run;
+  req.pos = pos;
+  req.next_prefill = snap.prompt_len;
+  req.steps = s + 1;
+  req.sampler.set_state(snap.rng_at[s]);
+  req.swapped = snap.cache;
+  req.fork = &snap;
+  req.on_resume = std::move(on_resume);
+  req.rejoin = std::move(rejoin);
+  req.on_record = static_cast<bool>(req.rejoin);
+  return req.id;
+}
+
+void ServeEngine::release(RequestId id) {
+  FT2_CHECK_MSG(finished(id), "request " << id << " has not finished");
+  requests_.erase(id);
+}
+
+ServeEngine::Request& ServeEngine::enqueue(std::span<const int> prompt,
+                                           const GenerateOptions& options,
+                                           const ServeSubmitOptions& sched) {
   FT2_CHECK_MSG(!prompt.empty(), "empty prompt");
   if (options_.max_queue_depth > 0 &&
       scheduler_.depth() >= options_.max_queue_depth) {
@@ -178,7 +263,7 @@ RequestId ServeEngine::submit(std::span<const int> prompt,
   metrics_.submitted.inc();
   counters_.max_queue_depth =
       std::max(counters_.max_queue_depth, scheduler_.depth());
-  return id;
+  return req;
 }
 
 HookChain& ServeEngine::hooks(RequestId id) { return get(id).hooks; }
@@ -195,12 +280,13 @@ const ServeEngine::Request& ServeEngine::get(RequestId id) const {
   return *it->second;
 }
 
-bool ServeEngine::finished(RequestId id) const { return get(id).done; }
+bool ServeEngine::finished(RequestId id) const {
+  return get(id).phase == Request::Phase::kDone;
+}
 
 const GenerateResult& ServeEngine::result(RequestId id) const {
-  const Request& req = get(id);
-  FT2_CHECK_MSG(req.done, "request " << id << " has not finished");
-  return req.result;
+  FT2_CHECK_MSG(finished(id), "request " << id << " has not finished");
+  return get(id).result;
 }
 
 const RequestStats& ServeEngine::request_stats(RequestId id) const {
@@ -214,14 +300,19 @@ std::size_t ServeEngine::resident_cache_bytes() const {
   std::size_t distinct = 0;
   std::size_t total = 0;
   for (const auto& [id, req] : requests_) {
-    if (req->done) continue;
+    if (req->phase == Request::Phase::kDone) continue;
     for (const BlockId b : req->cache.block_table()) {
       if (!seen[b]) {
         seen[b] = 1;
         ++distinct;
       }
     }
-    if (req->swapped.has_value()) total += req->swapped->memory_bytes();
+    // A queued fork's rows are the snapshot's, which the engine does not own.
+    const bool own_copy =
+        req->fork == nullptr || req->swapped != req->fork->cache;
+    if (req->swapped != nullptr && own_copy) {
+      total += req->swapped->memory_bytes();
+    }
   }
   return total + distinct * kv_pool_.block_bytes();
 }
@@ -234,70 +325,105 @@ void ServeEngine::update_kv_gauges() {
 }
 
 bool ServeEngine::consume_logits(Request& req) {
-  // Timing and streaming for each token decode_token pushes.
-  const auto emitted = [&](std::size_t index) {
-    const Clock::time_point now = Clock::now();
-    if (index == 0) {
-      req.stats.ttft_ms = ms_between(req.submit_time, now);
-      metrics_.ttft_ms.observe(req.stats.ttft_ms);
-    } else {
-      metrics_.token_gap_ms.observe(ms_between(req.last_token_time, now));
-    }
-    req.last_token_time = now;
-    if (req.on_token) req.on_token(req.id, index, req.result.tokens.back());
-    return false;
-  };
-  // `req.steps` is the decode loop index; `req.sampler` draws the same
-  // per-session RNG stream a solo generate would (batching never touches
-  // it).
-  return decode_token({req.logits.data(), req.logits.size()}, req.options,
-                      req.steps++, req.pos, model_.config().max_seq,
-                      req.sampler, req.result, emitted);
+  // Iteration `step` of the per-token rule, with the next forward at
+  // req.pos. The sampler draws the same RNG stream a solo generate would
+  // (batching never touches it). Greedy by default; on NaN-poisoned logits
+  // argmax picks the first index, which is deterministic (faithful
+  // "garbage token" behaviour).
+  const GenerateOptions& o = req.options;
+  const std::size_t step = req.steps++;
+  const std::span<const float> logits{req.logits.data(), req.logits.size()};
+  const int next =
+      o.temperature > 0.0f
+          ? sample_from_logits(logits, o.temperature, o.top_k, req.sampler)
+          : static_cast<int>(argmax(logits));
+  if (o.eos_token >= 0 && next == o.eos_token) return false;  // not emitted
+  req.result.tokens.push_back(next);
+  const Clock::time_point now = Clock::now();
+  if (step == 0) {
+    req.stats.ttft_ms = ms_between(req.submit_time, now);
+    metrics_.ttft_ms.observe(req.stats.ttft_ms);
+  } else {
+    metrics_.token_gap_ms.observe(ms_between(req.last_token_time, now));
+  }
+  req.last_token_time = now;
+  if (req.on_token) req.on_token(req.id, step, next);
+  if (req.record != nullptr) req.record->rng_at.push_back(req.sampler.state());
+  if (req.on_record && rejoins(req, step)) return false;
+  req.result.hit_max =
+      step + 1 == o.max_new_tokens || req.pos >= model_.config().max_seq;
+  return !req.result.hit_max;
+}
+
+bool ServeEngine::rejoins(Request& req, std::size_t step) {
+  // Still on the recording while every forward since the fork stored the
+  // recorded K/V row (decode_step checks each) and every token since is the
+  // recorded one, drawn from the same sampler state (a NaN-poisoned draw
+  // falls back without consuming the RNG). Once off, never back on: a
+  // differing row is never rewritten.
+  const GenerateResult& recorded = req.fork->result;
+  req.on_record = step < recorded.tokens.size() &&
+                  req.result.tokens.back() == recorded.tokens[step] &&
+                  req.sampler.state() == req.fork->rng_at[step];
+  // Rejoin only where the recording still has forwards to skip.
+  req.rejoined = req.on_record && step + 1 < recorded.tokens.size() &&
+                 req.rejoin(step);
+  return req.rejoined;
 }
 
 std::size_t ServeEngine::prefill_len(const Request& req) const {
-  return prefill_tokens(req.prompt, model_.config().max_seq).size();
+  return std::min(req.prompt.size(), model_.config().max_seq);
 }
 
 void ServeEngine::release_slot(Request& req) {
   if (req.slot < slot_in_use_.size()) slot_in_use_[req.slot] = false;
 }
 
-void ServeEngine::finish(Request& req) {
+void ServeEngine::retire(Request& req) {
   req.scope.end();
   req.phase = Request::Phase::kDone;
-  req.done = true;
-  release_slot(req);
   req.stats.generated_tokens = req.result.tokens.size();
-  req.stats.decode_ms = ms_between(req.admit_time, Clock::now());
-  ++counters_.completed;
-  counters_.generated_tokens += req.result.tokens.size();
-  metrics_.completed.inc();
-  metrics_.generated_tokens.inc(req.result.tokens.size());
-  metrics_.request_decode_ms.observe(req.stats.decode_ms);
   // Registered prefixes hold their own block references, so dropping this
   // request's mappings never invalidates a shared prefix.
   req.cache.release_storage();
   req.swapped.reset();
 }
 
+void ServeEngine::finish(Request& req) {
+  release_slot(req);
+  // A rejoined fork ends with what running on would produce.
+  if (req.rejoined) req.result = req.fork->result;
+  if (req.record != nullptr) {
+    SessionSnapshot& snap = *req.record;
+    snap.prompt = req.prompt;
+    snap.prompt_len = prefill_len(req);
+    snap.options = req.options;
+    snap.result = req.result;
+    // Only the rows the run stored: no max_seq slack travels along.
+    snap.cache = std::make_shared<const KvCache>(
+        req.cache.prefix_copy(req.cache.length()));
+  }
+  req.stats.decode_ms = ms_between(req.admit_time, Clock::now());
+  ++counters_.completed;
+  counters_.generated_tokens += req.result.tokens.size();
+  metrics_.completed.inc();
+  metrics_.generated_tokens.inc(req.result.tokens.size());
+  metrics_.request_decode_ms.observe(req.stats.decode_ms);
+  retire(req);
+}
+
 bool ServeEngine::cancel(RequestId id) {
   Request& req = get(id);
-  if (req.done) return false;
+  if (req.phase == Request::Phase::kDone) return false;
   if (req.phase == Request::Phase::kQueued) {
     scheduler_.erase(id);
   } else {
-    if (req.phase == Request::Phase::kPrefilling) erase_ptr(prefilling_, &req);
-    if (req.phase == Request::Phase::kDecoding) erase_ptr(active_, &req);
+    erase_ptr(prefilling_, &req);
+    erase_ptr(active_, &req);
     release_slot(req);
   }
-  req.scope.end();
-  req.phase = Request::Phase::kDone;
-  req.done = true;
   req.result.cancelled = true;
-  req.stats.generated_tokens = req.result.tokens.size();
-  req.cache.release_storage();
-  req.swapped.reset();
+  retire(req);
   ++counters_.cancelled;
   metrics_.cancelled.inc();
   update_kv_gauges();
@@ -400,7 +526,8 @@ void ServeEngine::preempt(Request& req) {
     // Compact host copy of every live row; restored verbatim on resume, so
     // hooks (and the still-armed GenerationScope) never observe the
     // eviction.
-    req.swapped.emplace(req.cache.prefix_copy(req.cache.length()));
+    req.swapped = std::make_shared<const KvCache>(
+        req.cache.prefix_copy(req.cache.length()));
   }
   req.cache.release_storage();
   scheduler_.enqueue(req.sched);
@@ -458,26 +585,25 @@ bool ServeEngine::reserve_rows_or_evict(Request& req, std::size_t rows) {
 }
 
 bool ServeEngine::begin_admission(Request& req) {
-  if (req.swapped.has_value()) {
-    // Swap resume: restore the evicted rows verbatim. No forwards, no hook
-    // dispatches, no budget cost — just block mapping plus a row copy. The
-    // rows the request runs next are reserved with them: a resume that
-    // could not go on stays in the queue as it is, holding no slot and no
-    // block, instead of swapping straight back out.
-    const std::size_t rows = req.swapped->length();
+  if (req.swapped != nullptr) {
+    // Swap resume (a fork's first admission too): restore rows [0, pos)
+    // verbatim. No forwards, no hook dispatches, no budget cost — just
+    // block mapping plus a row copy. The rows the request runs next are
+    // reserved with them: a resume that could not go on stays in the queue
+    // as it is, holding no slot and no block, instead of swapping straight
+    // back out.
     const std::size_t prompt = prefill_len(req);
     const std::size_t next =
         req.next_prefill < prompt
             ? prefill_chunk_rows(req.options.prefill_chunk, req.next_prefill,
                                  prompt)
-            : 1;
-    if (!reserve_rows_or_evict(req, rows + next)) {
+            : (req.result.hit_max ? 0 : 1);
+    if (!reserve_rows_or_evict(req, req.pos + next)) {
       scheduler_.enqueue(req.sched);
       return false;
     }
-    req.cache.append_rows(*req.swapped, rows);
+    req.cache.append_rows(*req.swapped, req.pos);
     req.swapped.reset();
-    FT2_ASSERT(req.cache.length() == req.pos);
   }
   // else: a first admission, or a request preempted before any row was
   // stored, which resumes like a fresh prefill continuation (the scope is
@@ -495,28 +621,29 @@ bool ServeEngine::begin_admission(Request& req) {
   req.phase = Request::Phase::kPrefilling;
   prefilling_.push_back(&req);
 
-  if (!req.admitted_once) {
-    req.admitted_once = true;
+  if (!req.scope.active()) {  // first admission
     req.admit_time = Clock::now();
     req.stats.queue_ms = ms_between(req.submit_time, req.admit_time);
     req.stats.prompt_tokens = req.prompt.size();
     metrics_.queue_wait_ms.observe(req.stats.queue_ms);
     // on_generation_begin fires exactly once per request, here; preemption
-    // and resume never re-arm the scope.
+    // and resume never re-arm the scope. A fork restores its hooks' state
+    // right after, so the begin reset cannot clobber it.
     req.scope = GenerationScope(req.hooks);
-    try_adopt_prefix(req);
+    if (req.fork == nullptr) {
+      try_adopt_prefix(req);
+    } else if (req.on_resume) {
+      req.on_resume();
+    }
   }
   return true;
 }
 
 std::size_t ServeEngine::run_prefill_chunk(Request& req) {
-  // One chunk, sized and dispatched by the same helpers run_prefill
-  // (nn/model.cpp) uses. Identical chunk boundaries mean identical hook
-  // dispatch shapes, so a hooked request sees the same traffic a solo
-  // generate produces no matter how the prefill_chunk_budget spreads its
-  // chunks across engine steps.
-  const std::span<const int> prompt =
-      prefill_tokens(req.prompt, model_.config().max_seq);
+  // Chunks are cut from position 0 by the request's prefill_chunk alone,
+  // so a hooked request sees the same dispatch shapes however the
+  // prefill_chunk_budget spreads its chunks across engine steps.
+  const std::span<const int> prompt{req.prompt.data(), prefill_len(req)};
   const std::size_t n = prefill_chunk_rows(req.options.prefill_chunk,
                                            req.next_prefill, prompt.size());
   if (!reserve_rows_or_evict(req, n)) {
@@ -531,9 +658,13 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
         .tag("prompt_tokens", std::to_string(req.prompt.size()))
         .tag("positions", std::to_string(n));
   }
-  forward_prefill_chunk(model_, prompt, req.next_prefill, n, req.cache,
-                        req.hooks, exec_for(req.options), ws_,
-                        {req.logits.data(), req.logits.size()});
+  // Only the chunk that ends the prompt runs the LM head.
+  const std::span<float> logits =
+      req.next_prefill + n == prompt.size() ? std::span<float>(req.logits)
+                                            : std::span<float>{};
+  model_.forward_span(prompt.subspan(req.next_prefill, n), req.next_prefill,
+                      req.cache, req.hooks, exec_for(req.options),
+                      /*first_token_phase=*/true, ws_, logits);
   req.next_prefill += n;
   req.pos += n;
   req.result.positions_run += n;
@@ -553,6 +684,7 @@ void ServeEngine::finish_prefill(Request& req) {
     req.stats.prefill_ms = ms_between(req.admit_time, Clock::now());
     metrics_.prefill_ms.observe(req.stats.prefill_ms);
     register_prefix(req);
+    if (req.on_boundary) req.on_boundary(0);
     // max_new_tokens == 0: generate never enters the decode loop — no
     // sampling happens at all.
     if (req.options.max_new_tokens > 0 && consume_logits(req)) {
@@ -563,8 +695,13 @@ void ServeEngine::finish_prefill(Request& req) {
     }
     return;
   }
-  // Resume of a preempted decoding request: the pending token was sampled
-  // before the eviction, so it goes straight back to the decode batch.
+  // Resume of a preempted decoding request or a fork: the pending token was
+  // sampled before, so it goes straight back to the decode batch — unless
+  // it was the last (a fork at the recording's limit).
+  if (req.result.hit_max) {
+    finish(req);
+    return;
+  }
   req.phase = Request::Phase::kDecoding;
   active_.push_back(&req);
 }
@@ -671,7 +808,10 @@ void ServeEngine::decode_step() {
                                  &req->hooks,
                                  {req->logits.data(), req->logits.size()}});
     }
-    const ExecConfig exec{(idx & 1u) != 0, (idx & 2u) != 0, options_.pool};
+    // A solo engine runs every forward on the request's own pool, as its
+    // prefill does; a serving engine decodes on its own pool.
+    ExecConfig exec{(idx & 1u) != 0, (idx & 2u) != 0, options_.pool};
+    if (solo_) exec.pool = group.front()->options.pool;
     model_.forward_batch(slots, exec, ws_);
     ++counters_.decode_steps;
     counters_.decode_rows += slots.size();
@@ -690,6 +830,13 @@ void ServeEngine::decode_step() {
     ++req->pos;
     ++req->result.positions_run;
     ++req->stats.decode_steps;
+    if (req->on_boundary) req->on_boundary(req->steps);
+    if (req->on_record) {
+      const KvCache& recorded = *req->fork->cache;
+      const std::size_t p = req->pos - 1;
+      req->on_record =
+          p < recorded.length() && req->cache.same_row(recorded, p);
+    }
     if (consume_logits(*req)) {
       still_active.push_back(req);
     } else {
@@ -710,6 +857,45 @@ void ServeEngine::run() {
   while (!scheduler_.empty() || !active_.empty() || !prefilling_.empty()) {
     step();
   }
+}
+
+InferenceSession::InferenceSession(const TransformerLM& model)
+    : engine_(new ServeEngine(model, solo_options(model.config()),
+                              /*solo=*/true)) {}
+
+InferenceSession::~InferenceSession() = default;
+
+GenerateResult InferenceSession::generate(std::span<const int> prompt,
+                                          const GenerateOptions& options) {
+  return run(engine_->submit(prompt, options));
+}
+
+GenerateResult InferenceSession::generate_recorded(
+    std::span<const int> prompt, const GenerateOptions& options,
+    SessionSnapshot& snap,
+    const std::function<void(std::size_t)>& on_boundary) {
+  return run(engine_->submit_recorded(prompt, options, snap, on_boundary));
+}
+
+GenerateResult InferenceSession::resume_from(
+    const SessionSnapshot& snap, std::size_t pos,
+    const std::function<void()>& on_resume,
+    const std::function<bool(std::size_t)>& rejoin) {
+  return run(engine_->submit_fork(snap, pos, on_resume, rejoin));
+}
+
+GenerateResult InferenceSession::run(RequestId id) {
+  engine_->hooks(id) = hooks_;  // a copy shares the session's entries
+  try {
+    engine_->run();
+  } catch (...) {
+    engine_->cancel(id);  // a throwing hook leaves the engine empty
+    engine_->release(id);
+    throw;
+  }
+  GenerateResult result = engine_->result(id);
+  engine_->release(id);
+  return result;
 }
 
 }  // namespace ft2

@@ -19,9 +19,12 @@
 // resumes it later, bit-exactly.
 //
 // Bit-exactness contract: the engine produces, for every request, exactly
-// the token stream a solo InferenceSession::generate call with the same
-// prompt and options would produce — at any max_batch, admission order,
-// pool size, KV block size, prefill budget, and across swap-preemption.
+// the token stream a solo generate with the same prompt and options would
+// produce — at any max_batch, admission order, pool size, KV block size,
+// prefill budget, and across swap-preemption. A solo generate
+// (InferenceSession) is itself a one-request engine, so the contract says
+// batching is invisible; tests/nn/generate_oracle_test.cpp pins the solo
+// result against a naive loop.
 // Hook traffic (begin / per-site dispatches in execution order / end),
 // sampling RNG draws and protection statistics are also identical, with
 // one documented exception: a request that adopted a shared prefix skips
@@ -33,6 +36,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -164,6 +168,29 @@ class ServeEngine {
   RequestId submit(std::span<const int> prompt, const GenerateOptions& options,
                    const ServeSubmitOptions& sched = {});
 
+  /// Enqueues a generation that records `snap` for later forks: what
+  /// InferenceSession::generate_recorded runs (see there for `on_boundary`).
+  /// The result is bit-identical to submit()'s; `snap` is filled when the
+  /// request finishes and must outlive it.
+  RequestId submit_recorded(std::span<const int> prompt,
+                            const GenerateOptions& options,
+                            SessionSnapshot& snap,
+                            std::function<void(std::size_t)> on_boundary = {});
+
+  /// Enqueues a fork of `snap` at sequence position `pos` (a campaign
+  /// trial): the recorded request as it stood at `pos`, swapped out. Its
+  /// admission restores rows [0, pos) from the shared snap.cache through
+  /// the swap-resume path, then opens the generation scope and calls
+  /// `on_resume`. See InferenceSession::resume_from for `rejoin`; `snap`
+  /// must outlive the request.
+  RequestId submit_fork(const SessionSnapshot& snap, std::size_t pos,
+                        std::function<void()> on_resume = {},
+                        std::function<bool(std::size_t)> rejoin = {});
+
+  /// Frees a finished (or cancelled) request; its id is unknown from then
+  /// on. Throws ft2::Error for a request that has not finished.
+  void release(RequestId id);
+
   /// The request's private hook chain (valid for queued, active and
   /// finished requests).
   HookChain& hooks(RequestId id);
@@ -213,8 +240,18 @@ class ServeEngine {
   const KvBlockPool* kv_pool() const { return &kv_pool_; }
 
  private:
+  friend class InferenceSession;
   struct Request;
   struct PrefixEntry;
+
+  /// `solo`: InferenceSession's engine, which runs one request at a time,
+  /// every forward on the request's GenerateOptions::pool, and publishes no
+  /// serve.* metric or span.
+  ServeEngine(const TransformerLM& model, ServeOptions options, bool solo);
+
+  /// submit()'s checks and bookkeeping; returns the queued request.
+  Request& enqueue(std::span<const int> prompt, const GenerateOptions& options,
+                   const ServeSubmitOptions& sched);
 
   void admit_and_prefill();
   bool begin_admission(Request& req);
@@ -236,12 +273,18 @@ class ServeEngine {
   void try_adopt_prefix(Request& req);
   void register_prefix(Request& req);
   void decode_step();
-  /// decode_token on a freshly computed logits row. Returns false when the
-  /// request finished (no further forward needed).
+  /// Picks the next token from a freshly computed logits row (sampling,
+  /// EOS, the rejoin watch, max_new_tokens and max_seq). Returns false when
+  /// the request finished (no further forward needed).
   bool consume_logits(Request& req);
-  /// Prompt positions the request prefills (prefill_tokens).
+  /// A fork's rejoin watch at the token of decode step `step`: true ends
+  /// the fork with the recorded result.
+  bool rejoins(Request& req, std::size_t step);
+  /// Prompt positions the request prefills: its prompt cut to max_seq.
   std::size_t prefill_len(const Request& req) const;
   void finish(Request& req);
+  /// What finish and cancel share: end the scope, drop the rows.
+  void retire(Request& req);
   void release_slot(Request& req);
   static void erase_ptr(std::vector<Request*>& list, Request* req);
   void update_kv_gauges();
@@ -274,6 +317,7 @@ class ServeEngine {
 
   const TransformerLM& model_;
   ServeOptions options_;
+  bool solo_ = false;
   Metrics metrics_;
   Tracer* tracer_ = nullptr;
   KvBlockPool kv_pool_;  ///< every request's KV rows

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.hpp"
+
 namespace ft2 {
 namespace {
 
@@ -152,6 +158,36 @@ TEST(Campaign, RunIsReproducibleAndCountsAddUp) {
   EXPECT_EQ(a.trials,
             a.masked_identical + a.masked_semantic + a.sdc + a.not_injected);
   EXPECT_EQ(a.not_injected, 0u);  // fixed-length runs always reach the site
+}
+
+// Trials run on each worker's InferenceSession, a one-request ServeEngine
+// that publishes nothing: the campaign's registry holds no serve.* name.
+TEST(Campaign, RegistryHoldsNoServeMetrics) {
+  const TransformerLM model = micro_model();
+  const auto inputs = prepare_eval_inputs(model, qa_samples(2), 8, false);
+  MetricsRegistry registry;
+  CampaignConfig config;
+  config.trials_per_input = 12;
+  config.gen_tokens = 8;
+  config.seed = 3;
+  config.fault_model = FaultModel::kExponentBit;
+  config.obs.metrics = &registry;
+  const auto result =
+      run_campaign(model, inputs, SchemeKind::kNone, BoundStore{}, config);
+  ASSERT_EQ(result.trials, 24u);
+
+  const MetricsSnapshot snap = registry.snapshot();
+  std::vector<std::string> names;
+  for (const auto& c : snap.counters) names.push_back(c.name);
+  for (const auto& g : snap.gauges) names.push_back(g.name);
+  for (const auto& h : snap.histograms) names.push_back(h.name);
+  EXPECT_NE(std::find(names.begin(), names.end(), "campaign.trials"),
+            names.end());
+  EXPECT_NE(std::find(names.begin(), names.end(), "campaign.prefix.hit"),
+            names.end());
+  for (const std::string& name : names) {
+    EXPECT_NE(name.rfind("serve.", 0), 0u) << name;
+  }
 }
 
 TEST(Campaign, DifferentSeedsGiveDifferentFaults) {

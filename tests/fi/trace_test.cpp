@@ -184,6 +184,61 @@ TEST(Trace, BitsFieldRejectsMalformedIndices) {
   EXPECT_EQ(read_bits("")[0].plan.flips.count, 0);
 }
 
+// Integer fields parse through one checked reader: a value a bare cast
+// would turn into undefined behaviour (-1 or 1e300 into std::size_t), a
+// fraction, or text throws ft2::Error instead of reading as some number.
+TEST(Trace, IntegerFieldsRejectValuesOutsideTheirRangeInJsonl) {
+  const auto read = [](const std::string& field, const std::string& value) {
+    std::istringstream is("{\"layer\": \"FC1\", \"" + field + "\": " +
+                          value + "}\n");
+    return read_trial_records_jsonl(is);
+  };
+  for (const char* field : {"trial", "input", "position", "block", "neuron",
+                            "detections", "nan_detections",
+                            "oob_detections"}) {
+    for (const char* bad : {"-1", "1e300", "2.5", "\"abc\"", "\"\"", "true",
+                            "null"}) {
+      EXPECT_THROW(read(field, bad), Error) << field << " = " << bad;
+    }
+    EXPECT_NO_THROW(read(field, "7")) << field;
+    EXPECT_NO_THROW(read(field, "\"7\"")) << field;
+  }
+  EXPECT_EQ(read("trial", "7")[0].trial, 7u);
+  EXPECT_EQ(read("neuron", "9007199254740992")[0].plan.neuron,
+            std::size_t{1} << 53);
+  for (const char* bad : {"-2", "2.5", "1e300", "\"x\""}) {
+    EXPECT_THROW(read("detect_position", bad), Error) << bad;
+  }
+  EXPECT_EQ(read("detect_position", "-1")[0].detect_position, -1);
+  EXPECT_EQ(read("detect_position", "12")[0].detect_position, 12);
+}
+
+TEST(Trace, IntegerCellsRejectTextInCsv) {
+  const auto read = [](const std::string& header, const std::string& cell) {
+    std::istringstream is("layer," + header + "\nFC1," + cell + "\n");
+    return read_trial_records_csv(is);
+  };
+  for (const char* field : {"trial", "input", "position", "block", "neuron",
+                            "detections", "nan_detections",
+                            "oob_detections"}) {
+    for (const char* bad : {"abc", "", "-1", "2.5", "1e300", " 3", "+3", "3x",
+                            "99999999999999999999"}) {
+      EXPECT_THROW(read(field, bad), Error) << field << " = '" << bad << "'";
+    }
+    EXPECT_NO_THROW(read(field, "3")) << field;
+  }
+  EXPECT_EQ(read("position", "41")[0].plan.position, 41u);
+  EXPECT_THROW(read("detect_position", "-2"), Error);
+  EXPECT_EQ(read("detect_position", "-1")[0].detect_position, -1);
+  EXPECT_THROW(read("fired", "abc"), Error);
+  EXPECT_THROW(read("fired", "2"), Error);
+  EXPECT_TRUE(read("fired", "1")[0].fired);
+  EXPECT_THROW(read("trial_ms", "fast"), Error);
+  EXPECT_THROW(read("clips", "FC1@x:1.5"), Error);
+  EXPECT_THROW(read("clips", "FC1@-4:1.5"), Error);
+  EXPECT_EQ(read("clips", "FC1@4:1.5")[0].clips.at(0).position, 4u);
+}
+
 TEST(Trace, MissingTrailingFieldsDefault) {
   // Logs recorded before a field existed still load: a pre-forensics JSONL
   // line without the newer keys parses with defaults.

@@ -393,5 +393,133 @@ TEST(ServeEngine, MixedExecConfigsBatchTogether) {
   }
 }
 
+// release(id) frees a finished request: the id is unknown from then on.
+// A request that has not finished cannot be released.
+TEST(ServeEngine, ReleaseFreesOnlyFinishedRequests) {
+  const TransformerLM model = micro_model(ArchFamily::kOpt);
+  const auto prompts = mixed_prompts(model, 3);
+  GenerateOptions opts;
+  opts.max_new_tokens = 4;
+  opts.eos_token = -1;
+  ServeEngine engine(model);
+  const RequestId a = engine.submit(prompts[0], opts);
+  const RequestId b = engine.submit(prompts[1], opts);
+  const RequestId c = engine.submit(prompts[2], opts);
+  EXPECT_THROW(engine.release(a), Error);  // queued
+  engine.step();
+  ASSERT_FALSE(engine.finished(a));
+  EXPECT_THROW(engine.release(a), Error);  // decoding
+  EXPECT_TRUE(engine.cancel(c));
+  engine.run();
+
+  const GenerateResult kept = engine.result(a);
+  engine.release(a);
+  EXPECT_THROW(engine.result(a), Error);
+  EXPECT_THROW(engine.hooks(a), Error);
+  EXPECT_THROW(engine.finished(a), Error);
+  EXPECT_THROW(engine.request_stats(a), Error);
+  EXPECT_THROW(engine.release(a), Error);  // already gone
+  engine.release(c);                        // cancelled counts as finished
+  EXPECT_THROW(engine.result(c), Error);
+  EXPECT_EQ(engine.result(b).tokens.size(), 4u);  // others untouched
+  EXPECT_EQ(kept.tokens.size(), 4u);
+}
+
+// A session's engine publishes nothing: no serve.* metric to the process
+// registry and no span to the process tracer, while a serving engine built
+// with the same defaults publishes both.
+TEST(ServeEngine, SessionEnginesPublishNoMetricsOrSpans) {
+  MetricsRegistry* global = default_metrics();
+  if (global == nullptr) GTEST_SKIP() << "metrics disabled (FT2_METRICS=0)";
+  const TransformerLM model = micro_model(ArchFamily::kOpt);
+  const auto prompts = mixed_prompts(model, 1);
+  GenerateOptions opts;
+  opts.max_new_tokens = 3;
+  opts.eos_token = -1;
+  const auto submitted = [&] {
+    for (const auto& c : global->snapshot().counters) {
+      if (c.name == "serve.requests.submitted") return c.value;
+    }
+    return std::uint64_t{0};
+  };
+  const auto serve_spans = [] {
+    std::size_t n = 0;
+    for (const TraceEvent& e : Tracer::global().events()) {
+      n += e.name.rfind("serve.", 0) == 0 ? 1 : 0;
+    }
+    return n;
+  };
+  Tracer& tracer = Tracer::global();
+  const bool was_enabled = tracer.enabled();
+  tracer.set_enabled(true);
+  const std::uint64_t before = submitted();
+  const std::size_t spans_before = serve_spans();
+
+  InferenceSession session(model);
+  session.generate(prompts[0], opts);
+  EXPECT_EQ(submitted(), before);
+  EXPECT_EQ(serve_spans(), spans_before);
+
+  ServeEngine engine(model);
+  engine.submit(prompts[0], opts);
+  engine.run();
+  tracer.set_enabled(was_enabled);
+  EXPECT_EQ(submitted(), before + 1);
+  EXPECT_GT(serve_spans(), spans_before);
+}
+
+// A fork is a request: batched with ordinary requests on a serving engine,
+// it restores its rows through the swap-resume path (no prefill positions,
+// no eviction) and reproduces the recording, as a solo resume_from does.
+TEST(ServeEngine, ForksBatchWithRequestsAndRestoreWithoutPrefill) {
+  const TransformerLM model = micro_model(ArchFamily::kGptj);
+  const auto prompts = mixed_prompts(model, 3);
+  auto options = mixed_options(3);
+  options[0].max_new_tokens = 10;
+  SessionSnapshot snap;
+  InferenceSession recorder(model);
+  const GenerateResult recorded =
+      recorder.generate_recorded(prompts[0], options[0], snap);
+  ASSERT_TRUE(snap.valid());
+  const auto ref = run_sessions(model, prompts, options);
+
+  ServeOptions so;
+  so.max_batch = 4;
+  MetricsRegistry registry;
+  so.obs.metrics = &registry;
+  ServeEngine engine(model, so);
+  const RequestId r1 = engine.submit(prompts[1], options[1]);
+  std::vector<RequestId> forks;
+  std::vector<std::size_t> resumed;
+  for (const std::size_t pos :
+       {snap.prompt_len, snap.prompt_len + 4, snap.last_boundary()}) {
+    forks.push_back(engine.submit_fork(snap, pos, [&resumed, pos] {
+      resumed.push_back(pos);
+    }));
+  }
+  const RequestId r2 = engine.submit(prompts[2], options[2]);
+  // Queued forks hold no rows of their own: the snapshot is shared.
+  EXPECT_EQ(engine.resident_cache_bytes(), 0u);
+  engine.run();
+
+  expect_equal_results(engine.result(r1), ref[1], 1, "beside forks");
+  expect_equal_results(engine.result(r2), ref[2], 2, "beside forks");
+  for (const RequestId id : forks) {
+    expect_equal_results(engine.result(id), recorded, id, "fork");
+  }
+  EXPECT_EQ(resumed, (std::vector<std::size_t>{snap.prompt_len,
+                                               snap.prompt_len + 4,
+                                               snap.last_boundary()}));
+  // Only the two ordinary requests prefilled; every fork's rows came from
+  // the snapshot.
+  EXPECT_EQ(engine.counters().prefill_positions,
+            prompts[1].size() + prompts[2].size());
+  EXPECT_EQ(engine.counters().preemptions, 0u);
+  EXPECT_EQ(engine.counters().completed, 5u);
+  EXPECT_EQ(engine.resident_cache_bytes(), 0u);
+  EXPECT_THROW(engine.submit_fork(snap, snap.prompt_len - 1), Error);
+  EXPECT_THROW(engine.submit_fork(snap, snap.last_boundary() + 1), Error);
+}
+
 }  // namespace
 }  // namespace ft2

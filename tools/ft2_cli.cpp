@@ -323,6 +323,16 @@ CampaignSetup prepare_campaign(const std::string& model_name,
 }
 
 int cmd_campaign(const std::string& model_name, const ArgParser& args) {
+  if (args.has("weights")) {
+    // A weight-fault campaign flips one weight bit per trial and reports
+    // counts only: no trial records, metrics, spans, clips or drift. Refuse
+    // the flags it would drop, before the model loads.
+    for (const char* flag : {"jsonl", "faults", "trace", "json", "metrics-out",
+                             "trace-out", "telemetry-port", "clips", "drift"}) {
+      FT2_CHECK_MSG(!args.has(flag),
+                    "--" << flag << " does not apply to --weights campaigns");
+    }
+  }
   CampaignSetup setup = prepare_campaign(model_name, args);
   CampaignConfig& config = setup.config;
 
