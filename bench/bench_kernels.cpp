@@ -25,7 +25,11 @@
 //       chunks): the AVX2 tier runs four rows per pass on AVX-512F hosts,
 //       so 3 and 4 rows straddle that switch.
 //       The exponential is exp_span over 4096 floats in [-16, 0] (softmax's
-//       range); SiLU is silu over a 16x384 span.
+//       range); SiLU is silu over a 16x384 span. One-row decode streams
+//       every weight tile once per token, so the mode also records the
+//       tile bytes of the benchmark model's linears (the LM head
+//       included) and the rate a one-row pass over all of them reads
+//       those bytes at, plus each MLP shape's one-row rate in GB/s.
 //       --json writes the bench/baselines/BENCH_kernels.json shape, host
 //       included; without it a table prints.
 //   bench_kernels --exp-sweep
@@ -211,9 +215,11 @@ struct GemmShape {
 constexpr GemmShape kGemmShapes[] = {{"fc1", 384, 128}, {"fc2", 128, 384}};
 constexpr std::size_t kGemmRows[] = {1, 3, 4, 8, 16};
 
-/// Packed GEMM GFLOP/s, one per kGemmRows entry.
+/// Packed GEMM GFLOP/s, one per kGemmRows entry, and the one-row call's
+/// tile bytes read per second.
 struct GemmRates {
   double gflops[std::size(kGemmRows)] = {};
+  double one_row_gbytes = 0.0;
 };
 
 /// One attention shape: a decode row over every key count in [keys_lo,
@@ -243,12 +249,19 @@ struct TierRates {
   double epilogue_gelems = 0.0;            ///< FT2 bounds epilogue sweep
   double exp_gelems = 0.0;                 ///< exp_span
   double silu_gelems = 0.0;                ///< silu over 16 x 384
+  double forward_one_row_us = 0.0;  ///< every linear of the model, 1 row
+  double forward_one_row_gbytes = 0.0;  ///< their tile bytes per second
 };
 
 /// Epilogue span: 16 rows of the benchmark model's d_ff-wide fc1 output.
 constexpr std::size_t kEpilogueRows = 16, kEpilogueCols = 384;
 /// Exponential span length. SiLU runs over the epilogue's span shape.
 constexpr std::size_t kExpElems = 4096;
+
+/// Bytes of one packed linear's weight tiles (bias excluded).
+std::size_t tile_bytes(const PackedLinear& pl) {
+  return pl.tiles.size() * sizeof(pl.tiles[0]);
+}
 
 GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
                        ThreadPool& pool, Xoshiro256& rng) {
@@ -271,7 +284,49 @@ GemmRates measure_gemm(const GemmShape& shape, std::size_t reps,
           linear_forward_span_packed(x, rows, pl, y, pool);
         }) / 1e9;
   }
+  rates.one_row_gbytes = rates.gflops[0] / flops *
+                         static_cast<double>(tile_bytes(pl));
   return rates;
+}
+
+/// The linears of the benchmark model (perfbench's: Llama family, d_model
+/// 128, 8 heads, 4 blocks, d_ff 384, the shared vocabulary) in the order
+/// one decode step runs them.
+std::vector<const PackedLinear*> forward_linears(const TransformerLM& m) {
+  std::vector<const PackedLinear*> out;
+  for (const PackedDecodeWeights::Block& b : m.tiles().blocks) {
+    for (const PackedLinear* pl : {&b.q, &b.k, &b.v, &b.o, &b.fc1, &b.up,
+                                   &b.fc2}) {
+      out.push_back(pl);
+    }
+  }
+  out.push_back(&m.tiles().lm_head);
+  return out;
+}
+
+TransformerLM benchmark_model() {
+  ModelConfig c;
+  c.arch = ArchFamily::kLlama;
+  c.norm = NormKind::kRmsNorm;
+  c.position = PositionKind::kRotary;
+  c.activation = Activation::kSilu;
+  c.linear_bias = false;
+  c.vocab_size = Vocab::shared().size();
+  c.d_model = 128;
+  c.n_heads = 8;
+  c.n_blocks = 4;
+  c.d_ff = 384;
+  c.max_seq = 256;
+  Xoshiro256 rng(2026);
+  return TransformerLM(c, init_weights(c, rng));
+}
+
+std::size_t forward_tile_bytes(const TransformerLM& model) {
+  std::size_t bytes = 0;
+  for (const PackedLinear* pl : forward_linears(model)) {
+    bytes += tile_bytes(*pl);
+  }
+  return bytes;
 }
 
 /// The epilogue's full plan for protected fp16 FT2 decode after the first
@@ -378,7 +433,8 @@ Json host_json() {
   return host;
 }
 
-TierRates measure_tier(KernelTier tier, std::size_t reps) {
+TierRates measure_tier(KernelTier tier, std::size_t reps,
+                       const TransformerLM& model) {
   set_kernel_tier(tier);
   ThreadPool pool(1);  // single worker: kernel throughput, not pool scaling
   Xoshiro256 rng(99);
@@ -386,6 +442,26 @@ TierRates measure_tier(KernelTier tier, std::size_t reps) {
   TierRates rates;
   for (std::size_t s = 0; s < std::size(kGemmShapes); ++s) {
     rates.gemm[s] = measure_gemm(kGemmShapes[s], reps, pool, rng);
+  }
+  {
+    // One decode step's GEMMs back to back, as forward_position runs
+    // them: each tile is evicted by the others before it is read again
+    // whenever the model's tiles outgrow the cache that holds them.
+    const std::vector<const PackedLinear*> linears = forward_linears(model);
+    std::vector<Tensor> xs, ys;
+    for (const PackedLinear* pl : linears) {
+      xs.emplace_back(std::vector<std::size_t>{1, pl->k});
+      ys.emplace_back(std::vector<std::size_t>{1, pl->n});
+      for (float& f : xs.back().span()) f = rng.uniform_float(-1.0f, 1.0f);
+    }
+    const double per_s = best_items_per_sec(1.0, reps, [&] {
+      for (std::size_t i = 0; i < linears.size(); ++i) {
+        linear_forward_span_packed(xs[i], 1, *linears[i], ys[i], pool);
+      }
+    });
+    rates.forward_one_row_us = 1e6 / per_s;
+    rates.forward_one_row_gbytes =
+        per_s * static_cast<double>(forward_tile_bytes(model)) / 1e9;
   }
   {
     std::vector<float> v(1u << 16);
@@ -498,13 +574,16 @@ int run_tiers(const ArgParser& args) {
   for (const std::size_t rows : kGemmRows) {
     gemm_cols.push_back(std::to_string(rows) + (rows == 1 ? " row" : " rows"));
   }
+  gemm_cols.push_back("1 row GB/s");
   Table gemm_table(gemm_cols);
-  Table table({"tier", "gemm body", "quantize Gelem/s", "epilogue Gelem/s",
-               "exp Gelem/s", "silu Gelem/s"});
+  const TransformerLM model = benchmark_model();
+  Table table({"tier", "gemm body", "forward 1 row us", "forward GB/s",
+               "quantize Gelem/s", "epilogue Gelem/s", "exp Gelem/s",
+               "silu Gelem/s"});
   Table attn_table({"tier", "attention", "Q·K GFLOP/s", "softmax Gelem/s",
                     "P·V GFLOP/s"});
   for (KernelTier tier : supported_kernel_tiers()) {
-    const TierRates r = measure_tier(tier, reps);
+    const TierRates r = measure_tier(tier, reps, model);
     const char* gemm_body = kernel_ops_for(tier).gemm_body;
     Json t = Json::object();
     t["gemm_body"] = gemm_body;
@@ -518,13 +597,17 @@ int run_tiers(const ArgParser& args) {
         gemm_table.num(g.gflops[i], 2);
         by_rows[std::to_string(kGemmRows[i])] = g.gflops[i];
       }
+      gemm_table.num(g.one_row_gbytes, 2);
       Json shape = Json::object();
       shape["gemm_packed_gflops_by_rows"] = by_rows;
+      shape["one_row_tile_gbytes_per_sec"] = g.one_row_gbytes;
       t[kGemmShapes[s].name] = shape;
     }
     table.begin_row()
         .cell(kernel_tier_name(tier))
         .cell(gemm_body)
+        .num(r.forward_one_row_us, 1)
+        .num(r.forward_one_row_gbytes, 2)
         .num(r.quantize_gelems, 2)
         .num(r.epilogue_gelems, 2)
         .num(r.exp_gelems, 3)
@@ -545,6 +628,8 @@ int run_tiers(const ArgParser& args) {
       attention[kAttnShapes[s].name] = shape;
     }
     t["attention"] = attention;
+    t["forward_one_row_us"] = r.forward_one_row_us;
+    t["forward_one_row_tile_gbytes_per_sec"] = r.forward_one_row_gbytes;
     t["quantize_gelems_per_sec"] = r.quantize_gelems;
     t["epilogue_gelems_per_sec"] = r.epilogue_gelems;
     t["exp_gelems_per_sec"] = r.exp_gelems;
@@ -571,6 +656,8 @@ int run_tiers(const ArgParser& args) {
     }
     cfg["gemm_rows"] = gemm_rows;
     cfg["tile_cols"] = static_cast<double>(kTileCols);
+    cfg["tile_bytes_per_forward"] =
+        static_cast<double>(forward_tile_bytes(model));
     Json attn_shapes = Json::object();
     for (const AttnShape& a : kAttnShapes) {
       Json shape = Json::object();
@@ -610,7 +697,10 @@ int run_tiers(const ArgParser& args) {
   }
   std::cout << "packed GFLOP/s by rows, single worker; epilogue "
             << kEpilogueRows << "x" << kEpilogueCols
-            << " ft2 bounds plan; exp " << kExpElems << " floats; silu "
+            << " ft2 bounds plan; forward: every linear of the benchmark "
+               "model at 1 row, "
+            << forward_tile_bytes(model) << " tile bytes; exp " << kExpElems
+            << " floats; silu "
             << kEpilogueRows << "x" << kEpilogueCols << "; best of " << reps
             << "\n\n";
   gemm_table.print(std::cout);

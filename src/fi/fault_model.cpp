@@ -46,14 +46,20 @@ BitFlips sample_bit_flips(FaultModel model, ValueType vtype,
   return flips;
 }
 
+std::uint16_t flip_f16_bits(std::uint16_t bits, const BitFlips& flips) {
+  FT2_ASSERT(flips.count >= 1 && flips.count <= 2);
+  for (int i = 0; i < flips.count; ++i) {
+    FT2_ASSERT(flips.bits[i] >= 0 && flips.bits[i] < f16::kBits);
+    bits = static_cast<std::uint16_t>(bits ^ (1u << flips.bits[i]));
+  }
+  return bits;
+}
+
 float apply_bit_flips(float value, const BitFlips& flips, ValueType vtype) {
   FT2_ASSERT(flips.count >= 1 && flips.count <= 2);
   if (vtype == ValueType::kF16) {
-    std::uint16_t bits = f16::from_float(value).bits();
-    for (int i = 0; i < flips.count; ++i) {
-      bits = static_cast<std::uint16_t>(bits ^ (1u << flips.bits[i]));
-    }
-    return f16::from_bits(bits).to_float();
+    return f16::from_bits(flip_f16_bits(f16::from_float(value).bits(), flips))
+        .to_float();
   }
   std::uint32_t bits = f32_bits(value);
   for (int i = 0; i < flips.count; ++i) {

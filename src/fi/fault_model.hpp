@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <string>
 
 #include "common/rng.hpp"
@@ -50,9 +51,15 @@ struct BitFlips {
 BitFlips sample_bit_flips(FaultModel model, ValueType vtype,
                           PhiloxStream& rng);
 
-/// Applies `flips` to the encoding of `value` and returns the faulty value.
-/// For kF16 the value is first quantized onto the FP16 grid (it already is
-/// on the FP16 path of the engine; quantization is then a no-op).
+/// Flips `flips`' bits of a binary16 encoding: what a weight fault does to
+/// a stored weight (fi/weight_fault.hpp), with no conversion on either
+/// side.
+std::uint16_t flip_f16_bits(std::uint16_t bits, const BitFlips& flips);
+
+/// Applies `flips` to the encoding of activation `value` and returns the
+/// faulty value. For kF16 the value is first quantized onto the FP16 grid
+/// (it already is on the FP16 path of the engine; quantization is then a
+/// no-op), flipped with flip_f16_bits and widened back.
 float apply_bit_flips(float value, const BitFlips& flips, ValueType vtype);
 
 }  // namespace ft2

@@ -42,13 +42,24 @@ WeightFaultPlan WeightFaultSpace::sample(FaultModel model, ValueType vtype,
   return plan;
 }
 
+namespace {
+
+void check_weight_vtype(ValueType vtype) {
+  FT2_CHECK_MSG(vtype == ValueType::kF16,
+                "a weight fault flips a binary16 weight; the model stores no "
+                "fp32 weight to flip");
+}
+
+}  // namespace
+
 ScopedWeightFault::ScopedWeightFault(TransformerLM& model,
                                      const WeightFaultPlan& plan) {
+  check_weight_vtype(plan.vtype);
   PackedLinear& pl = model.linear(plan.site);
   FT2_CHECK(plan.row < pl.n && plan.col < pl.k);
   target_ = &pl.at(plan.row, plan.col);
   original_ = *target_;
-  faulty_ = apply_bit_flips(original_, plan.flips, plan.vtype);
+  faulty_ = flip_f16_bits(original_, plan.flips);
   *target_ = faulty_;
 }
 
@@ -61,6 +72,7 @@ CampaignResult run_weight_fault_campaign_impl(
     const std::function<std::unique_ptr<DetectionScheme>()>& make_scheme,
     const CampaignConfig& config) {
   FT2_CHECK(!inputs.empty());
+  check_weight_vtype(config.vtype);
   const WeightFaultSpace space(model.config());
   const GenerateOptions opts = fixed_length_options(
       config.gen_tokens, config.vtype, config.chunked_accum);

@@ -9,7 +9,10 @@
 // faulty outputs at every token, which the clamp keeps suppressing).
 #pragma once
 
+#include <cstdint>
+
 #include "fi/campaign.hpp"
+#include "numeric/f16.hpp"
 
 namespace ft2 {
 
@@ -18,6 +21,8 @@ struct WeightFaultPlan {
   std::size_t row = 0;     ///< output index
   std::size_t col = 0;     ///< input index
   BitFlips flips;
+  /// Weights are stored as binary16 (nn/model.hpp), so kF16 is the only
+  /// encoding a weight fault can flip; applying a kF32 plan throws.
   ValueType vtype = ValueType::kF16;
 };
 
@@ -42,11 +47,14 @@ class WeightFaultSpace {
   std::size_t total_ = 0;
 };
 
-/// RAII: applies the bit flip to the live weight on construction and
-/// restores the original value on destruction. The flip lands in the
+/// RAII: flips the planned bits of the live weight's stored binary16
+/// encoding on construction (flip_f16_bits: no rounding, no conversion)
+/// and restores the original bits on destruction. The flip lands in the
 /// model's packed tiles (PackedLinear::at), the one copy of the weights,
 /// so every forward path sees it: sessions, campaigns and every
 /// ServeEngine over the model, including engines built before the fault.
+/// Throws ft2::Error for a plan whose vtype is kF32: an FP32 weight flip
+/// has no FP32 encoding to flip.
 class ScopedWeightFault {
  public:
   ScopedWeightFault(TransformerLM& model, const WeightFaultPlan& plan);
@@ -55,18 +63,22 @@ class ScopedWeightFault {
   ScopedWeightFault(const ScopedWeightFault&) = delete;
   ScopedWeightFault& operator=(const ScopedWeightFault&) = delete;
 
-  float original_value() const { return original_; }
-  float faulty_value() const { return faulty_; }
+  std::uint16_t original_bits() const { return original_; }
+  std::uint16_t faulty_bits() const { return faulty_; }
+  /// The weight before and after the flip, widened as the kernels see it.
+  float original_value() const { return f16::from_bits(original_).to_float(); }
+  float faulty_value() const { return f16::from_bits(faulty_).to_float(); }
 
  private:
-  float* target_;
-  float original_;
-  float faulty_;
+  std::uint16_t* target_;
+  std::uint16_t original_;
+  std::uint16_t faulty_;
 };
 
 /// Statistical campaign over persistent weight faults. Mutates and restores
 /// the model's weights per trial, hence the non-const model and sequential
-/// execution.
+/// execution. Throws ft2::Error, before any trial, when config.vtype is
+/// kF32.
 CampaignResult run_weight_fault_campaign(TransformerLM& model,
                                          const std::vector<EvalInput>& inputs,
                                          const SchemeSpec& scheme,

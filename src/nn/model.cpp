@@ -49,6 +49,31 @@ PackedLinear pack_and_free(LinearWeights& lw) {
   return pl;
 }
 
+void round_norm(NormWeights& nw) {
+  quantize_tensor_f16(nw.gamma);
+  quantize_tensor_f16(nw.beta);
+}
+
+/// Rounds the parameters a TransformerLM keeps as FP32 (embeddings, norms,
+/// biases) onto the binary16 grid, each in one sweep; packing rounds the
+/// linear weights. A value already on the grid is left as it is.
+ModelWeights& round_dense_to_f16(const ModelConfig& config,
+                                 ModelWeights& weights) {
+  quantize_tensor_f16(weights.tok_emb);
+  quantize_tensor_f16(weights.pos_emb);
+  round_norm(weights.final_norm);
+  for (BlockWeights& blk : weights.blocks) {
+    for (const LayerKind kind : config.block_layers()) {
+      if (is_linear_layer(kind)) {
+        quantize_tensor_f16(block_linear(blk, config, kind).b);
+      }
+    }
+    round_norm(blk.norm1);
+    round_norm(blk.norm2);
+  }
+  return weights;
+}
+
 LinearWeights unpack(const PackedLinear& pl) {
   LinearWeights lw;
   lw.w = pl.unpack_weight();
@@ -77,7 +102,8 @@ PackedDecodeWeights::PackedDecodeWeights(const TransformerLM& model)
     : PackedDecodeWeights(model.tiles()) {}
 
 TransformerLM::TransformerLM(ModelConfig config, ModelWeights weights)
-    : config_(std::move(config)), tiles_(config_, weights) {
+    : config_(std::move(config)),
+      tiles_(config_, round_dense_to_f16(config_, weights)) {
   dense_.tok_emb = std::move(weights.tok_emb);
   dense_.pos_emb = std::move(weights.pos_emb);
   dense_.final_norm = std::move(weights.final_norm);

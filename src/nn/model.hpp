@@ -18,10 +18,14 @@
 // increasing position order. tests/nn/forward_oracle_test.cpp checks all
 // three against a naive scalar forward.
 //
-// When FP16 execution is modelled, every observable tensor — linear outputs,
-// activation outputs, attention output, residual stream, norm outputs — is
-// quantized onto the binary16 grid, so injected bit flips and range
-// restriction see exactly the values a half-precision GPU run would store.
+// Weights are always binary16 (see TransformerLM). When FP16 execution is
+// modelled, every observable tensor — linear outputs, activation outputs,
+// attention output, residual stream, norm outputs — is quantized onto the
+// binary16 grid too, so injected bit flips and range restriction see
+// exactly the values a half-precision GPU run would store. FP32 execution
+// (ExecConfig::fp16 = false, the paper's Fig. 15) keeps FP32 activations
+// over the same binary16 weights, as running an FP16 checkpoint in FP32
+// would.
 #pragma once
 
 #include <array>
@@ -69,7 +73,8 @@ struct Workspace {
 };
 
 /// Execution configuration: numeric-semantics knobs that model different
-/// hardware. `fp16` selects half-precision value semantics; `chunked_accum`
+/// hardware. `fp16` selects half-precision activation semantics (weights
+/// are binary16 either way); `chunked_accum`
 /// accumulates dot products in 8-wide partial sums (a different tiling /
 /// reduction order, as a different GPU generation would use) — results stay
 /// semantically equivalent but differ in float rounding, which is exactly
@@ -128,13 +133,17 @@ struct DecodeSlot {
   std::span<float> logits;     ///< [vocab_size] output for this sequence
 };
 
-/// An inference model. Its linears live only as packed tiles (tiles()),
-/// packed once at construction; ModelWeights is the row-major interchange
-/// form it is built from and exports back to (checkpoints, digests,
-/// training).
+/// An inference model. Every parameter is on the binary16 grid, as in the
+/// FP16 checkpoints the paper protects. Its linears live only as packed
+/// binary16 tiles (tiles()), packed once at construction; the embeddings,
+/// norms and biases are FP32 storage holding binary16 values. ModelWeights
+/// is the row-major interchange form it is built from and exports back to
+/// (checkpoints, digests, training).
 class TransformerLM {
  public:
-  /// Packs every linear of `weights` (see PackedDecodeWeights) and keeps
+  /// Rounds every parameter of `weights` to the nearest binary16 (ties to
+  /// even; a value already on the grid, like every init_weights draw, is
+  /// unchanged), packs every linear (see PackedDecodeWeights) and keeps
   /// the embeddings and norms.
   TransformerLM(ModelConfig config, ModelWeights weights);
 
@@ -142,13 +151,16 @@ class TransformerLM {
   const PackedDecodeWeights& tiles() const { return tiles_; }
   const DenseWeights& dense() const { return dense_; }
 
-  /// One linear site's tiles, writable: a weight fault edits the element
-  /// in place, and every later forward on any path sees it.
+  /// One linear site's tiles, writable: a weight fault flips bits of the
+  /// stored binary16 element in place, and every later forward on any
+  /// path sees it.
   PackedLinear& linear(const LayerSite& site);
 
-  /// The weights unpacked to the row-major interchange form: bit-identical
-  /// to the ModelWeights this model was built from, plus any weight edit
-  /// made since (checkpoint save, weights_digest_hex).
+  /// The weights unpacked to the row-major interchange form, every value
+  /// widened from the binary16 grid: bit-identical to the ModelWeights
+  /// this model was built from when those were on the grid, plus any
+  /// weight edit made since (checkpoint save, weights_digest_hex). A model
+  /// built from its own export is the same model.
   ModelWeights export_weights() const;
 
   /// Computes logits for the token at sequence position `pos`.

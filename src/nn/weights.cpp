@@ -4,14 +4,17 @@
 #include <cstdio>
 
 #include "common/check.hpp"
+#include "tensor/ops.hpp"
 
 namespace ft2 {
 namespace {
 
+/// Normal draws, rounded onto the binary16 grid in one sweep.
 void fill_normal(Tensor& t, Xoshiro256& rng, float stddev) {
   for (float& f : t.span()) {
     f = static_cast<float>(rng.normal()) * stddev;
   }
+  quantize_tensor_f16(t);
 }
 
 LinearWeights make_linear(std::size_t out, std::size_t in, bool bias,

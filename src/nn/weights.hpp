@@ -58,7 +58,8 @@ std::size_t parameter_count(const ModelConfig& config);
 
 /// Allocates and randomly initializes weights for `config` (GPT-2-style
 /// init: N(0, 0.02), residual-output projections scaled by 1/sqrt(2L),
-/// norms at identity).
+/// norms at identity). Every value is on the binary16 grid: each draw is
+/// rounded to the nearest binary16, ties to even.
 ModelWeights init_weights(const ModelConfig& config, Xoshiro256& rng);
 
 /// The linear of kind `kind` in one block's set of linears: a

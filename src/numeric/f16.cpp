@@ -62,7 +62,9 @@ float f16::to_float() const {
       out = sign | v_bits;
     }
   } else if (exp == 0x1F) {
-    out = sign | 0x7F800000u | (mant << 13);  // inf / NaN (payload kept)
+    // Inf, or NaN with its payload kept and the quiet bit set: a
+    // signalling NaN widens quiet, as F16C's VCVTPH2PS widens it.
+    out = sign | 0x7F800000u | (mant << 13) | (mant != 0 ? 0x400000u : 0u);
   } else {
     out = sign | ((exp - 15 + 127) << 23) | (mant << 13);
   }

@@ -36,6 +36,9 @@ class f16 {
   /// underflow (subnormals) and NaN handling.
   static f16 from_float(float f);
 
+  /// Exact widening. A NaN keeps its payload and sign and comes out
+  /// quiet (a signalling NaN gains the quiet bit), bit for bit as F16C's
+  /// VCVTPH2PS widens it, so every kernel tier widens weights alike.
   float to_float() const;
 
   constexpr std::uint16_t bits() const { return bits_; }

@@ -187,11 +187,19 @@ void exp_span_scalar(const float* x, float* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] = impl(x[i]);
 }
 
+void round_f16_scalar(const float* x, std::uint16_t* h, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) h[i] = f16::from_float(x[i]).bits();
+}
+
+void widen_f16_scalar(const std::uint16_t* h, float* x, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) x[i] = f16::from_bits(h[i]).to_float();
+}
+
 }  // namespace detail
 
 namespace {
 
-/// k-outer micro-kernel, reference tier: one input row against a packed
+/// k-outer micro-kernel, reference tier: one input row against a widened
 /// weight tile. Each output element accumulates x[i] * w[o][i] in
 /// ascending-i order with a separate mul and add per step, but the 32
 /// accumulators (eight 4-lane registers) are independent, so the lanes
@@ -240,19 +248,62 @@ void pv_heads_sse(const float* p, const float* v, std::size_t n,
   detail::pv_heads_scalar(p, v, n, n_heads, head_dim, 0, n_heads, 0, y);
 }
 
+/// The SSE tier's widen_f16_span: four patterns at a time in SSE2
+/// integer and float operations, bit for bit f16::to_float. A normal
+/// value rebiases its exponent by an integer add; Inf and NaN move to
+/// exponent 0xFF, a NaN keeping its payload and gaining the quiet bit; a
+/// zero or subnormal m * 2^-24 is built as 2^-14 * (1 + m / 1024) and
+/// 2^-14 subtracted, which is exact.
+void widen_f16_sse(const std::uint16_t* h, float* x, std::size_t n) {
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  const __m128i exp_mask = _mm_set1_epi32(0x7C00 << 13);
+  for (; i + 4 <= n; i += 4) {
+    const __m128i raw = _mm_unpacklo_epi16(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(h + i)),
+        _mm_setzero_si128());
+    const __m128i sign =
+        _mm_slli_epi32(_mm_and_si128(raw, _mm_set1_epi32(0x8000)), 16);
+    const __m128i em =
+        _mm_slli_epi32(_mm_and_si128(raw, _mm_set1_epi32(0x7FFF)), 13);
+    const __m128i exp = _mm_and_si128(em, exp_mask);
+    const __m128i is_special = _mm_cmpeq_epi32(exp, exp_mask);
+    const __m128i is_small = _mm_cmpeq_epi32(exp, _mm_setzero_si128());
+    const __m128i normal = _mm_add_epi32(em, _mm_set1_epi32(112 << 23));
+    const __m128i mant_zero = _mm_cmpeq_epi32(
+        _mm_andnot_si128(exp_mask, em), _mm_setzero_si128());
+    const __m128i special =
+        _mm_or_si128(_mm_add_epi32(em, _mm_set1_epi32(224 << 23)),
+                     _mm_andnot_si128(mant_zero, _mm_set1_epi32(0x400000)));
+    const __m128i small = _mm_castps_si128(_mm_sub_ps(
+        _mm_castsi128_ps(_mm_add_epi32(em, _mm_set1_epi32(113 << 23))),
+        _mm_set1_ps(0x1p-14f)));
+    __m128i out = _mm_or_si128(_mm_and_si128(is_special, special),
+                               _mm_andnot_si128(is_special, normal));
+    out = _mm_or_si128(_mm_and_si128(is_small, small),
+                       _mm_andnot_si128(is_small, out));
+    _mm_storeu_ps(x + i, _mm_castsi128_ps(_mm_or_si128(out, sign)));
+  }
+#endif
+  detail::widen_f16_scalar(h + i, x + i, n - i);
+}
+
 void epilogue_span_sse(float* v, std::size_t n, std::size_t flat0,
                        const KernelEpilogue& epi, EpilogueTally* tally) {
   detail::epilogue_scalar_span(v, n, flat0, epi, tally);
 }
 
-constexpr KernelOps kSseOps{KernelTier::kSse,
-                            "sse",
-                            &detail::kouter_rows_of<&kouter_row_sse>,
-                            "128-bit (scalar without SSE2), 1 row per pass",
-                            &qk_heads_sse,
-                            &pv_heads_sse,
-                            &epilogue_span_sse,
-                            &detail::exp_span_scalar};
+constexpr KernelOps kSseOps{
+    KernelTier::kSse,
+    "sse",
+    &detail::kouter_rows_widened<&kouter_row_sse>,
+    "128-bit (scalar without SSE2), 1 row per pass on a widened tile",
+    &qk_heads_sse,
+    &pv_heads_sse,
+    &epilogue_span_sse,
+    &detail::exp_span_scalar,
+    &detail::round_f16_scalar,
+    &widen_f16_sse};
 
 bool cpu_has_avx2_f16c_fma() {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))

@@ -1,21 +1,25 @@
 // Runtime CPU-feature dispatch for the GEMM/quantize micro-kernels.
 //
 // The k-outer GEMM kernel, attention's Q·K and P·V kernels, the f16
-// quantization sweep and the exponential exist in two tiers — SSE (the
-// portable reference) and AVX2+F16C+FMA, the latter compiled as a separate
-// arch-flagged translation
-// unit (tensor/kernels_avx2.cpp) — selected at runtime from a cpuid probe.
-// The `FT2_KERNEL` environment variable (or `ft2 --kernel`) forces a tier.
+// quantization sweep, the binary16 round and widen sweeps and the
+// exponential exist in two tiers — SSE (the portable reference) and
+// AVX2+F16C+FMA, the latter compiled as a separate arch-flagged
+// translation unit (tensor/kernels_avx2.cpp) — selected at runtime from a
+// cpuid probe. The `FT2_KERNEL` environment variable (or `ft2 --kernel`)
+// forces a tier.
 //
 // Bit-exactness policy: every tier accumulates each output element as the
 // same scalar chain `acc += x[i] * w[o][i]` in ascending-i order with a
-// separate multiply and add per step (never FMA). A tier may change the
-// register group — which output elements share one register, its width,
-// and how many input rows one pass over a weight tile serves — but never
-// the per-element operation sequence, so all tiers produce results
-// bit-identical to the scalar/SSE reference and no baselines need
-// re-pinning per tier or per host. Packed weight tiles have one width for
-// every tier (kTileCols), so tiles never depend on the active tier either.
+// separate multiply and add per step (never FMA), where w[o][i] is the
+// tile's binary16 weight widened exactly to FP32 (f16::to_float). A tier
+// may change the register group — which output elements share one
+// register, its width, and how many input rows one pass over a weight
+// tile serves — and where the widening happens (in registers, or once per
+// call into FP32 scratch), but never the per-element operation sequence,
+// so all tiers produce results bit-identical to the scalar/SSE reference
+// and no baselines need re-pinning per tier or per host. Packed weight
+// tiles have one width (kTileCols) and one rounding for every tier, so
+// tiles never depend on the active tier either.
 // The arch TU is compiled with -ffp-contract=off as a belt. On an AVX-512F
 // host the AVX2 tier's GEMM runs four rows per pass in 512-bit registers
 // (KernelOps::gemm_body says which body runs); that is the same tier with
@@ -117,17 +121,22 @@ struct KernelOps {
   const char* name = "sse";
 
   /// k-outer micro-kernel: `rows` input rows (row r at x + r * ldx, k
-  /// floats) against one packed weight tile `wt[k][kTileCols]`
+  /// floats) against one packed binary16 weight tile `wt[k][kTileCols]`
   /// (zero-padded), every row's accumulators seeded from
   /// `bias_padded[kTileCols]`. Stores the first `width` lanes of row r to
-  /// y + r * ldy. The SSE tier runs one row per pass over the tile; the
-  /// AVX2 tier runs four rows per pass in 512-bit registers on AVX-512F
-  /// hosts (the leftover rows one at a time in 256-bit registers), and
-  /// every row one at a time elsewhere.
+  /// y + r * ldy. `scratch` holds k * kTileCols floats the body may widen
+  /// the tile into. The SSE tier widens the tile into `scratch` with its
+  /// SSE2 widen sweep, then runs one row per pass over it. The AVX2 tier
+  /// widens in registers with VCVTPH2PS for up to four rows (four rows in
+  /// one pass in 512-bit registers on AVX-512F hosts, otherwise one row
+  /// per pass in 256-bit registers); for more rows its first pass also
+  /// stores the widened tile to `scratch`, and the later passes run the
+  /// same bodies on those FP32 weights (on AVX-512F hosts four rows per
+  /// pass, the leftover rows one at a time).
   void (*kouter_rows)(const float* x, std::size_t ldx, std::size_t rows,
-                      const float* wt, std::size_t k,
+                      const std::uint16_t* wt, std::size_t k,
                       const float* bias_padded, float* y, std::size_t ldy,
-                      std::size_t width) = nullptr;
+                      std::size_t width, float* scratch) = nullptr;
 
   /// Which kouter_rows body this table runs on this host, for `ft2
   /// kernel-info` and the kernel bench's records.
@@ -173,6 +182,18 @@ struct KernelOps {
   /// tier. `x` and `y` may be the same array (in-place), but must not
   /// otherwise overlap.
   void (*exp_span)(const float* x, float* y, std::size_t n) = nullptr;
+
+  /// h[i] = f16::from_float(x[i]).bits() for i in [0, n): round to nearest
+  /// even, overflow to Inf, NaN to sign | 0x7E00. Packing rounds weights
+  /// with it. The AVX2 tier uses VCVTPS2PH and blends NaN lanes onto the
+  /// canonical NaN.
+  void (*round_f16_span)(const float* x, std::uint16_t* h,
+                         std::size_t n) = nullptr;
+
+  /// x[i] = f16::from_bits(h[i]).to_float() for i in [0, n), exact, NaN
+  /// payloads kept and quieted. The AVX2 tier uses VCVTPH2PS.
+  void (*widen_f16_span)(const std::uint16_t* h, float* x,
+                         std::size_t n) = nullptr;
 };
 
 /// The currently selected tier's function table. First use probes the CPU
@@ -265,15 +286,24 @@ inline constexpr std::uint32_t kExpfSpecialAbsBits = 0x42b00000u;
 /// The reference exp_span (the SSE tier): expf_ref per element.
 void exp_span_scalar(const float* x, float* y, std::size_t n);
 
-/// A one-row GEMM body: one input row against one packed weight tile.
+/// The reference round and widen sweeps: f16::from_float and
+/// f16::to_float per element. The SSE tier's round_f16_span is the first;
+/// the tails of the vector sweeps (and the SSE tier's widen without SSE2)
+/// run the second.
+void round_f16_scalar(const float* x, std::uint16_t* h, std::size_t n);
+void widen_f16_scalar(const std::uint16_t* h, float* x, std::size_t n);
+
+/// A one-row GEMM body: one input row against one widened (FP32) weight
+/// tile.
 using KouterRowFn = void (*)(const float* x, const float* wt, std::size_t k,
                              const float* bias_padded, float* y,
                              std::size_t width);
 
-/// KernelOps::kouter_rows from a one-row body: row r runs at x + r * ldx
-/// and y + r * ldy. Instantiate it only with a file-local (anonymous
-/// namespace) body: the instantiation then has internal linkage too, so a
-/// copy built in the -mavx2 TU can never stand in for another TU's.
+/// Rows of a GEMM from a one-row body on a widened tile: row r runs at
+/// x + r * ldx and y + r * ldy. Instantiate it only with a file-local
+/// (anonymous namespace) body: the instantiation then has internal
+/// linkage too, so a copy built in the -mavx2 TU can never stand in for
+/// another TU's.
 template <KouterRowFn Row>
 void kouter_rows_of(const float* x, std::size_t ldx, std::size_t rows,
                     const float* wt, std::size_t k, const float* bias_padded,
@@ -281,6 +311,19 @@ void kouter_rows_of(const float* x, std::size_t ldx, std::size_t rows,
   for (std::size_t r = 0; r < rows; ++r) {
     Row(x + r * ldx, wt, k, bias_padded, y + r * ldy, width);
   }
+}
+
+/// KernelOps::kouter_rows from a one-row body: widens the binary16 tile
+/// into `scratch` with the active tier's widen_f16_span (exact, the bits
+/// f16::to_float gives), then runs every row on it (the SSE tier, and
+/// linear_forward_span_packed's chunked-accumulation chain).
+template <KouterRowFn Row>
+void kouter_rows_widened(const float* x, std::size_t ldx, std::size_t rows,
+                         const std::uint16_t* wt, std::size_t k,
+                         const float* bias_padded, float* y, std::size_t ldy,
+                         std::size_t width, float* scratch) {
+  active_kernel_ops().widen_f16_span(wt, scratch, k * kTileCols);
+  kouter_rows_of<Row>(x, ldx, rows, scratch, k, bias_padded, y, ldy, width);
 }
 
 /// The CPU probe for AVX-512F, read once. libgcc's probe also checks that

@@ -1,8 +1,9 @@
 // AVX2 + F16C + FMA dispatch tier: a GEMM tile row in four 256-bit
 // registers (four rows per pass in 512-bit registers on AVX-512F hosts),
-// attention's Q·K and P·V with heads in lanes, an 8-wide epilogue sweep
-// and an 8-wide exponential. It is the only vector tier: AVX-512 hosts run
-// it too (every AVX-512F CPU has AVX2, F16C and FMA).
+// its binary16 weights widened by VCVTPH2PS, attention's Q·K and P·V with
+// heads in lanes, an 8-wide epilogue sweep, 8-wide binary16 round and
+// widen sweeps and an 8-wide exponential. It is the only vector tier:
+// AVX-512 hosts run it too (every AVX-512F CPU has AVX2, F16C and FMA).
 // Compiled with -mavx2 -mf16c -ffp-contract=off (see src/CMakeLists.txt);
 // when those flags are unavailable this TU degrades to a stub returning
 // nullptr and the dispatcher falls back to the SSE tier.
@@ -13,13 +14,14 @@
 // linker could pick the AVX2 copy and crash pre-AVX2 hosts. Everything here
 // is file-local intrinsic code; slow paths call the extern, baseline-built
 // ft2::detail::epilogue_scalar_span, ft2::detail::qk_heads_scalar and
-// ft2::detail::pv_heads_scalar. The one template used here,
-// detail::kouter_rows_of, takes a file-local body as its argument, which
-// gives each instantiation internal linkage. A function marked target("avx512f") is
-// stricter still, because its 512-bit code may run only after
-// detail::cpu_has_avx512f() said yes: it has internal linkage (never
-// inline, a template or extern, which another TU could also emit or call),
-// and it is reached only through the table that probe picks.
+// ft2::detail::pv_heads_scalar. The templates used here are declared in
+// this file's anonymous namespace, or (detail::kouter_rows_of) take a
+// file-local body as their argument, which gives each instantiation
+// internal linkage. A function marked target("avx512f") is stricter still,
+// because its 512-bit code may run only after detail::cpu_has_avx512f()
+// said yes: it has internal linkage (never inline or extern, and a
+// template only inside the anonymous namespace, so no other TU can emit or
+// call it), and it is reached only through the table that probe picks.
 //
 // Bit-exactness: the accumulator update is mul-then-add per k step in
 // ascending-i order (no FMA — -mfma is deliberately absent), identical to
@@ -35,6 +37,10 @@
 // the 65504/65520 overflow boundary and round-to-nearest-even ties — and
 // NaN lanes are blended to the software path's canonical quiet NaN
 // (sign | 0x7FC00000), so vector quantization equals quantize_f16 exactly.
+// VCVTPH2PS alone widens every binary16 pattern, NaN payloads included,
+// to the bits f16::to_float gives, so the GEMM's weights are the same
+// floats whether it widens them in registers or the SSE tier widens them
+// in software.
 #include "tensor/dispatch.hpp"
 
 #if defined(__AVX2__) && defined(__F16C__)
@@ -105,19 +111,40 @@ inline void epilogue8(float* v, std::size_t flat0, const Screen& s,
   _mm256_storeu_ps(v, q);
 }
 
-void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
-                     const float* bias_padded, float* y, std::size_t width) {
+/// Eight weights of a tile row as floats: a load from a widened tile, or
+/// VCVTPH2PS from a binary16 one.
+inline __m256 load8(const float* w) { return _mm256_loadu_ps(w); }
+inline __m256 load8(const std::uint16_t* w) {
+  return _mm256_cvtph_ps(_mm_loadu_si128(reinterpret_cast<const __m128i*>(w)));
+}
+
+/// One input row against one tile, binary16 (W = std::uint16_t) or
+/// widened (W = float). With kSpill, the widened tile rows are also
+/// stored to `spill` ([k][kTileCols] floats) for the call's later rows.
+template <class W, bool kSpill>
+void kouter_row_body(const float* x, const W* wt, std::size_t k,
+                     const float* bias_padded, float* y, std::size_t width,
+                     float* spill) {
   __m256 a0 = _mm256_loadu_ps(bias_padded);
   __m256 a1 = _mm256_loadu_ps(bias_padded + 8);
   __m256 a2 = _mm256_loadu_ps(bias_padded + 16);
   __m256 a3 = _mm256_loadu_ps(bias_padded + 24);
   for (std::size_t i = 0; i < k; ++i) {
     const __m256 xi = _mm256_set1_ps(x[i]);
-    const float* wr = wt + i * kTileCols;
-    a0 = _mm256_add_ps(a0, _mm256_mul_ps(xi, _mm256_loadu_ps(wr)));
-    a1 = _mm256_add_ps(a1, _mm256_mul_ps(xi, _mm256_loadu_ps(wr + 8)));
-    a2 = _mm256_add_ps(a2, _mm256_mul_ps(xi, _mm256_loadu_ps(wr + 16)));
-    a3 = _mm256_add_ps(a3, _mm256_mul_ps(xi, _mm256_loadu_ps(wr + 24)));
+    const W* wr = wt + i * kTileCols;
+    const __m256 w0 = load8(wr), w1 = load8(wr + 8);
+    const __m256 w2 = load8(wr + 16), w3 = load8(wr + 24);
+    if constexpr (kSpill) {
+      float* sr = spill + i * kTileCols;
+      _mm256_storeu_ps(sr, w0);
+      _mm256_storeu_ps(sr + 8, w1);
+      _mm256_storeu_ps(sr + 16, w2);
+      _mm256_storeu_ps(sr + 24, w3);
+    }
+    a0 = _mm256_add_ps(a0, _mm256_mul_ps(xi, w0));
+    a1 = _mm256_add_ps(a1, _mm256_mul_ps(xi, w1));
+    a2 = _mm256_add_ps(a2, _mm256_mul_ps(xi, w2));
+    a3 = _mm256_add_ps(a3, _mm256_mul_ps(xi, w3));
   }
   if (width == kTileCols) {
     _mm256_storeu_ps(y, a0);
@@ -135,29 +162,102 @@ void kouter_row_avx2(const float* x, const float* wt, std::size_t k,
   for (std::size_t j = 0; j < width; ++j) y[j] = acc[j];
 }
 
+template <class W>
+void kouter_row_avx2(const float* x, const W* wt, std::size_t k,
+                     const float* bias_padded, float* y, std::size_t width) {
+  kouter_row_body<W, false>(x, wt, k, bias_padded, y, width, nullptr);
+}
+
+void widen_f16_span_avx2(const std::uint16_t* h, float* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) _mm256_storeu_ps(x + i, load8(h + i));
+  if (i < n) detail::widen_f16_scalar(h + i, x + i, n - i);
+}
+
+/// A group of eight with a NaN lane runs the scalar rounding, which gives
+/// a NaN the canonical sign | 0x7E00 where VCVTPS2PH keeps its payload.
+void round_f16_span_avx2(const float* x, std::uint16_t* h, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(x + i);
+    if (_mm256_movemask_ps(_mm256_cmp_ps(v, v, _CMP_UNORD_Q)) != 0) {
+      detail::round_f16_scalar(x + i, h + i, 8);
+      continue;
+    }
+    _mm_storeu_si128(
+        reinterpret_cast<__m128i*>(h + i),
+        _mm256_cvtps_ph(v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  }
+  if (i < n) detail::round_f16_scalar(x + i, h + i, n - i);
+}
+
+/// Rows a GEMM call runs straight from the binary16 tile, widening in
+/// registers. A call with more rows widens the tile once, in its first
+/// pass, which also stores the widened rows to the call's scratch; the
+/// later passes read those floats: rereading a binary16 tile costs a
+/// conversion per weight per row, a widened one none.
+constexpr std::size_t kDirectRows = 4;
+
+/// The AVX2 host's GEMM: one row per pass in 256-bit registers.
+void kouter_rows_avx2(const float* x, std::size_t ldx, std::size_t rows,
+                      const std::uint16_t* wt, std::size_t k,
+                      const float* bias_padded, float* y, std::size_t ldy,
+                      std::size_t width, float* scratch) {
+  if (rows <= kDirectRows) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      kouter_row_avx2(x + r * ldx, wt, k, bias_padded, y + r * ldy, width);
+    }
+    return;
+  }
+  kouter_row_body<std::uint16_t, true>(x, wt, k, bias_padded, y, width,
+                                       scratch);
+  detail::kouter_rows_of<&kouter_row_avx2<float>>(x + ldx, ldx, rows - 1,
+                                                   scratch, k, bias_padded,
+                                                   y + ldy, ldy, width);
+}
+
 /// Rows of the 512-bit GEMM body per pass. A tile row fills two 16-lane
 /// registers, so four rows hold 8 accumulators: enough independent chains
 /// to keep both vector ports busy through the add latency, where one row
 /// (two chains) is latency-bound (docs/PERFORMANCE.md).
 constexpr std::size_t kZmmRows = 4;
 
-/// Four rows against one tile in 512-bit registers: each weight row is
-/// loaded once for the four input rows, and every accumulator keeps the
-/// chain bias, then + x[r][i] * w[i][c] for ascending i, a multiply then an
-/// add. The live `width` lanes of each row are stored through a mask.
+/// Sixteen weights of a tile row as floats, in a 512-bit register. The
+/// binary16 form converts under an all-ones zeroing mask: GCC 12's
+/// unmasked _mm512_cvtph_ps passes an undefined register through, which
+/// -Wmaybe-uninitialized flags.
+__attribute__((target("avx512f"))) __m512 load16(const float* w) {
+  return _mm512_loadu_ps(w);
+}
+__attribute__((target("avx512f"))) __m512 load16(const std::uint16_t* w) {
+  return _mm512_maskz_cvtph_ps(
+      0xFFFF, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w)));
+}
+
+/// Four rows against one tile in 512-bit registers, binary16 or widened:
+/// each weight row is loaded (and widened) once for the four input rows,
+/// and every accumulator keeps the chain bias, then + x[r][i] * w[i][c] for
+/// ascending i, a multiply then an add. The live `width` lanes of each row
+/// are stored through a mask. With kSpill, the widened tile rows are also
+/// stored to `spill` ([k][kTileCols] floats) for the call's later rows.
+template <class W, bool kSpill = false>
 __attribute__((target("avx512f"))) void kouter_4rows_avx512(
-    const float* x, std::size_t ldx, const float* wt, std::size_t k,
-    const float* bias_padded, float* y, std::size_t ldy,
-    std::size_t width) {
+    const float* x, std::size_t ldx, const W* wt, std::size_t k,
+    const float* bias_padded, float* y, std::size_t ldy, std::size_t width,
+    float* spill = nullptr) {
   __m512 acc[kZmmRows][2];
   for (std::size_t r = 0; r < kZmmRows; ++r) {
     acc[r][0] = _mm512_loadu_ps(bias_padded);
     acc[r][1] = _mm512_loadu_ps(bias_padded + 16);
   }
   for (std::size_t i = 0; i < k; ++i) {
-    const float* wr = wt + i * kTileCols;
-    const __m512 w0 = _mm512_loadu_ps(wr);
-    const __m512 w1 = _mm512_loadu_ps(wr + 16);
+    const W* wr = wt + i * kTileCols;
+    const __m512 w0 = load16(wr);
+    const __m512 w1 = load16(wr + 16);
+    if constexpr (kSpill) {
+      _mm512_storeu_ps(spill + i * kTileCols, w0);
+      _mm512_storeu_ps(spill + i * kTileCols + 16, w1);
+    }
     for (std::size_t r = 0; r < kZmmRows; ++r) {
       const __m512 xi = _mm512_set1_ps(x[r * ldx + i]);
       acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(xi, w0));
@@ -173,20 +273,34 @@ __attribute__((target("avx512f"))) void kouter_4rows_avx512(
   }
 }
 
-/// The AVX-512F host's GEMM: full groups of four rows in 512-bit
-/// registers, the leftover rows through the 256-bit body.
+/// The AVX-512F host's GEMM. Up to four rows read the binary16 tile: one
+/// to three through the 256-bit body, four in one 512-bit pass. More rows
+/// run full groups of four in 512-bit registers, the first of them on the
+/// binary16 tile (spilling it widened to `scratch`) and the rest on the
+/// scratch, and the leftover rows through the 256-bit body on the scratch.
 void kouter_rows_avx512(const float* x, std::size_t ldx, std::size_t rows,
-                        const float* wt, std::size_t k,
+                        const std::uint16_t* wt, std::size_t k,
                         const float* bias_padded, float* y, std::size_t ldy,
-                        std::size_t width) {
-  std::size_t r = 0;
-  for (; r + kZmmRows <= rows; r += kZmmRows) {
-    kouter_4rows_avx512(x + r * ldx, ldx, wt, k, bias_padded, y + r * ldy,
-                        ldy, width);
+                        std::size_t width, float* scratch) {
+  if (rows == kZmmRows) {
+    kouter_4rows_avx512(x, ldx, wt, k, bias_padded, y, ldy, width);
+    return;
   }
-  detail::kouter_rows_of<&kouter_row_avx2>(x + r * ldx, ldx, rows - r, wt,
-                                            k, bias_padded, y + r * ldy, ldy,
-                                            width);
+  if (rows < kZmmRows) {
+    kouter_rows_avx2(x, ldx, rows, wt, k, bias_padded, y, ldy, width,
+                     scratch);
+    return;
+  }
+  kouter_4rows_avx512<std::uint16_t, true>(x, ldx, wt, k, bias_padded, y,
+                                           ldy, width, scratch);
+  std::size_t r = kZmmRows;
+  for (; r + kZmmRows <= rows; r += kZmmRows) {
+    kouter_4rows_avx512(x + r * ldx, ldx, scratch, k, bias_padded,
+                        y + r * ldy, ldy, width);
+  }
+  detail::kouter_rows_of<&kouter_row_avx2<float>>(
+      x + r * ldx, ldx, rows - r, scratch, k, bias_padded, y + r * ldy, ldy,
+      width);
 }
 
 /// One lane width of the attention kernels: 8 heads (or head dims) in a
@@ -415,23 +529,30 @@ __attribute__((target("fma"))) void exp_span_avx2(const float* x, float* y,
 }
 
 /// The tier's two tables: they differ only in the GEMM body.
-constexpr KernelOps kAvx2Ops{KernelTier::kAvx2,
-                             "avx2",
-                             &detail::kouter_rows_of<&kouter_row_avx2>,
-                             "256-bit, 1 row per pass",
-                             &qk_heads_avx2,
-                             &pv_heads_avx2,
-                             &epilogue_span_avx2,
-                             &exp_span_avx2};
+constexpr KernelOps kAvx2Ops{
+    KernelTier::kAvx2,
+    "avx2",
+    &kouter_rows_avx2,
+    "256-bit, 1 row per pass; binary16 tile widened in registers up to 4 "
+    "rows, once per call above",
+    &qk_heads_avx2,
+    &pv_heads_avx2,
+    &epilogue_span_avx2,
+    &exp_span_avx2,
+    &round_f16_span_avx2,
+    &widen_f16_span_avx2};
 constexpr KernelOps kAvx2OpsZmmGemm{
     KernelTier::kAvx2,
     "avx2",
     &kouter_rows_avx512,
-    "512-bit, 4 rows per pass; 256-bit for leftover rows",
+    "512-bit, 4 rows per pass; 256-bit for leftover rows; binary16 tile "
+    "widened in registers up to 4 rows, once per call above",
     &qk_heads_avx2,
     &pv_heads_avx2,
     &epilogue_span_avx2,
-    &exp_span_avx2};
+    &exp_span_avx2,
+    &round_f16_span_avx2,
+    &widen_f16_span_avx2};
 
 }  // namespace
 

@@ -14,11 +14,11 @@ namespace ft2 {
 
 namespace {
 
-/// The chunked-accumulation chain over one tile for one input row: per
-/// column, eight k-strided partial sums (partial l takes the inputs
-/// i = l mod 8 of the full 8-wide k blocks), the k tail accumulated onto
-/// the bias, then a pairwise reduction of the partials. Columns are the
-/// innermost loop, so each column keeps its own chain.
+/// The chunked-accumulation chain over one widened tile for one input
+/// row: per column, eight k-strided partial sums (partial l takes the
+/// inputs i = l mod 8 of the full 8-wide k blocks), the k tail accumulated
+/// onto the bias, then a pairwise reduction of the partials. Columns are
+/// the innermost loop, so each column keeps its own chain.
 void chunked_tile_row(const float* x, const float* wt, std::size_t k,
                       const float* bias_padded, float* y, std::size_t width) {
   float part[8][kTileCols] = {};
@@ -58,18 +58,30 @@ PackedLinear::PackedLinear(const Tensor& w, std::span<const float> bias_in)
   FT2_CHECK(w.rank() == 2);
   FT2_CHECK(bias_in.empty() || bias_in.size() == n);
   const std::size_t groups = (n + kTileCols - 1) / kTileCols;
-  tiles.assign(groups * k * kTileCols, 0.0f);
+  tiles.assign(groups * k * kTileCols, 0);
   bias.assign(groups * kTileCols, 0.0f);
+  // One vector sweep rounds each weight row; the scatter into the
+  // transposed tiles moves bits only.
+  const auto round = active_kernel_ops().round_f16_span;
+  std::vector<std::uint16_t> row(k);
   for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t i = 0; i < k; ++i) at(o, i) = w.at(o, i);
+    round(w.row(o).data(), row.data(), k);
+    for (std::size_t i = 0; i < k; ++i) at(o, i) = row[i];
   }
   std::copy(bias_in.begin(), bias_in.end(), bias.begin());
 }
 
+float PackedLinear::weight(std::size_t o, std::size_t i) const {
+  return f16::from_bits(at(o, i)).to_float();
+}
+
 Tensor PackedLinear::unpack_weight() const {
+  const auto widen = active_kernel_ops().widen_f16_span;
   Tensor w({n, k});
+  std::vector<std::uint16_t> row(k);
   for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t i = 0; i < k; ++i) w.at(o, i) = at(o, i);
+    for (std::size_t i = 0; i < k; ++i) row[i] = at(o, i);
+    widen(row.data(), w.row(o).data(), k);
   }
   return w;
 }
@@ -90,7 +102,7 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
                     << pl.n << "," << pl.k << "] y cols " << y.dim(1));
   if (rows == 0) return;
   const auto kernel =
-      chunked_accum ? &detail::kouter_rows_of<&chunked_tile_row>
+      chunked_accum ? &detail::kouter_rows_widened<&chunked_tile_row>
                     : active_kernel_ops().kouter_rows;
   const std::size_t groups = (pl.n + kTileCols - 1) / kTileCols;
   // Fan out only as far as every task keeps enough work to pay for its
@@ -98,12 +110,16 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
   // never changes a result.
   const std::size_t tasks = pool_task_count(rows * pl.n * pl.k, groups);
   pool.parallel_for(0, tasks, [&](std::size_t t) {
+    // The widened-tile scratch of the thread running this task.
+    thread_local AlignedFloats scratch;
+    if (scratch.size() < pl.k * kTileCols) scratch.resize(pl.k * kTileCols);
     for (std::size_t g = t * groups / tasks; g < (t + 1) * groups / tasks;
          ++g) {
       const std::size_t o_lo = g * kTileCols;
       const std::size_t width = std::min(kTileCols, pl.n - o_lo);
       kernel(x.data(), pl.k, rows, pl.tiles.data() + g * pl.k * kTileCols,
-             pl.k, pl.bias.data() + o_lo, y.data() + o_lo, pl.n, width);
+             pl.k, pl.bias.data() + o_lo, y.data() + o_lo, pl.n, width,
+             scratch.data());
     }
   });
 }

@@ -1,11 +1,13 @@
 // Numerical kernels used by the inference/training engine.
 //
-// All kernels compute in FP32. Call sites that model FP16 execution quantize
-// outputs via quantize_tensor_f16 after each observable layer, matching
-// GPU mixed-precision (FP16 storage, FP32 accumulate).
+// All kernels compute in FP32. Linear weights are stored as binary16 and
+// widened exactly in the GEMM kernels. Call sites that model FP16
+// execution quantize outputs via quantize_tensor_f16 after each observable
+// layer, matching GPU mixed-precision (FP16 storage, FP32 accumulate).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <span>
 #include <vector>
@@ -41,37 +43,51 @@ struct CacheLineAllocator {
   }
 };
 
-/// Floats on a 64-byte boundary (PackedLinear's tiles and bias).
+/// Floats on a 64-byte boundary (PackedLinear's bias).
 using AlignedFloats = std::vector<float, CacheLineAllocator<float>>;
+/// Binary16 bit patterns on a 64-byte boundary (PackedLinear's tiles).
+using AlignedHalves =
+    std::vector<std::uint16_t, CacheLineAllocator<std::uint16_t>>;
 
 /// One weight matrix W[n, k] (PyTorch Linear layout: y = W x + b) in the
 /// k-outer micro-kernel's layout, the only form a model keeps its linears
 /// in (nn/model.hpp). Output columns are grouped kTileCols at a time; each
-/// group is one tile, stored transposed as [k x kTileCols] floats so the
-/// kernel's inner loop reads contiguous memory, with its bias padded to
-/// kTileCols. Past the last output both are zero. Weight element (output
-/// o, input i) sits at tiles[offset(o, i)]. The layout is the same on
-/// every kernel tier, and packing never changes an output's accumulation
-/// order.
+/// group is one tile, stored transposed as [k x kTileCols] binary16
+/// weights (64 bytes per tile row) so the kernel's inner loop reads
+/// contiguous memory, with its FP32 bias padded to kTileCols. Past the
+/// last output both are zero. Weight element (output o, input i) sits at
+/// tiles[offset(o, i)]. Packing rounds each weight to the nearest binary16
+/// (ties to even, f16::from_float), so a weight already on that grid is
+/// stored exactly; the kernels widen it exactly (f16::to_float) and
+/// accumulate in FP32. The layout and the rounding are the same on every
+/// kernel tier, and packing never changes an output's accumulation order.
 struct PackedLinear {
   std::size_t n = 0;         ///< output features
   std::size_t k = 0;         ///< input features
   bool has_bias = false;     ///< packed from a non-empty bias
-  AlignedFloats tiles;       ///< per tile: [k x kTileCols], zero-padded
+  AlignedHalves tiles;       ///< per tile: [k x kTileCols], zero-padded
   AlignedFloats bias;        ///< per tile: [kTileCols], zero-padded
 
   PackedLinear() = default;
-  /// Packs `w` [n, k] and `bias_in` ([n], or empty for no bias).
+  /// Packs `w` [n, k], rounded to binary16, and `bias_in` ([n], or empty
+  /// for no bias), kept as given.
   PackedLinear(const Tensor& w, std::span<const float> bias_in);
 
   /// Index of weight element (output o, input i) in `tiles`.
   std::size_t offset(std::size_t o, std::size_t i) const {
     return (o / kTileCols) * k * kTileCols + i * kTileCols + o % kTileCols;
   }
-  float& at(std::size_t o, std::size_t i) { return tiles[offset(o, i)]; }
-  float at(std::size_t o, std::size_t i) const { return tiles[offset(o, i)]; }
+  /// The stored binary16 bits of weight element (output o, input i).
+  std::uint16_t& at(std::size_t o, std::size_t i) {
+    return tiles[offset(o, i)];
+  }
+  std::uint16_t at(std::size_t o, std::size_t i) const {
+    return tiles[offset(o, i)];
+  }
+  /// The weight element widened to the float every kernel multiplies by.
+  float weight(std::size_t o, std::size_t i) const;
 
-  /// The row-major weight [n, k] and bias [n] the tiles were packed from.
+  /// The row-major weight [n, k], widened, and the bias [n].
   Tensor unpack_weight() const;
   Tensor unpack_bias() const;
 };
@@ -82,7 +98,9 @@ struct PackedLinear {
 /// inline). Every output element is one chain computed by exactly one
 /// task, so results are bit-exact at any row count, pool size and dispatch
 /// tier (tensor/dispatch.hpp): the documented ascending-k mul-then-add
-/// chain. `chunked_accum` instead
+/// chain over FP32 x and the widened binary16 weights. Each pool thread
+/// keeps one FP32 scratch tile the kernel may widen a tile into.
+/// `chunked_accum` instead
 /// accumulates each output in eight k-strided partial sums with a pairwise
 /// reduction: a different reduction order, standing in for a different
 /// GPU generation's tiling (the Fig. 16 hardware-sensitivity axis),
@@ -100,8 +118,9 @@ void linear_forward_span_packed(const Tensor& x, std::size_t rows,
 /// a pool dispatch. Always in [1, max(pieces, 1)].
 std::size_t pool_task_count(std::size_t macs, std::size_t pieces);
 
-/// One-off GEMM on row-major weights (tests, benches): packs `w` and
-/// `bias` (may be empty), then runs linear_forward_span_packed.
+/// One-off GEMM on row-major weights (tests, benches): packs `w` (rounded
+/// to binary16) and `bias` (may be empty), then runs
+/// linear_forward_span_packed.
 void linear_forward_span(const Tensor& x, std::size_t rows, const Tensor& w,
                          std::span<const float> bias, Tensor& y,
                          bool chunked_accum, ThreadPool& pool);

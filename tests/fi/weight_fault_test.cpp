@@ -70,12 +70,14 @@ TEST(WeightFault, ScopedFaultAppliesAndRestores) {
   plan.flips.bits[0] = 15;  // sign flip
 
   const PackedLinear& pl = model.linear(plan.site);
-  const float before = pl.at(3, 5);
+  const std::uint16_t before = pl.at(3, 5);
   {
     ScopedWeightFault fault(model, plan);
-    EXPECT_EQ(pl.at(3, 5), fault.faulty_value());
-    EXPECT_EQ(fault.original_value(), before);
+    EXPECT_EQ(pl.at(3, 5), fault.faulty_bits());
+    EXPECT_EQ(fault.original_bits(), before);
     EXPECT_NE(pl.at(3, 5), before);
+    EXPECT_EQ(f32_bits(fault.faulty_value()),
+              f32_bits(-fault.original_value()));
   }
   EXPECT_EQ(pl.at(3, 5), before);
 }
@@ -84,6 +86,69 @@ std::vector<std::uint32_t> bits(std::span<const float> v) {
   std::vector<std::uint32_t> out;
   for (const float f : v) out.push_back(f32_bits(f));
   return out;
+}
+
+std::vector<std::uint16_t> bits(const AlignedHalves& tiles) {
+  return {tiles.begin(), tiles.end()};
+}
+
+TEST(WeightFault, FlipChangesExactlyThePlannedBitsAndRestoresThem) {
+  // Every fault model's flips, on stored binary16 weights of every sign
+  // and scale: the stored element changes by exactly the planned bits (no
+  // rounding on the way in or out), and the restore puts the original
+  // bits back.
+  TransformerLM model = micro_model();
+  const WeightFaultSpace space(model.config());
+  for (const FaultModel fm : all_fault_models()) {
+    for (std::size_t t = 0; t < 200; ++t) {
+      PhiloxStream rng(77, t);
+      const WeightFaultPlan plan = space.sample(fm, ValueType::kF16, rng);
+      std::uint16_t mask = 0;
+      for (int i = 0; i < plan.flips.count; ++i) {
+        mask = static_cast<std::uint16_t>(mask | (1u << plan.flips.bits[i]));
+      }
+      const PackedLinear& pl = model.linear(plan.site);
+      const std::uint16_t before = pl.at(plan.row, plan.col);
+      {
+        const ScopedWeightFault fault(model, plan);
+        ASSERT_EQ(pl.at(plan.row, plan.col) ^ before, mask)
+            << fault_model_name(fm) << " trial " << t;
+        EXPECT_EQ(fault.original_bits(), before);
+        EXPECT_EQ(fault.faulty_bits(), pl.at(plan.row, plan.col));
+        EXPECT_EQ(f32_bits(fault.faulty_value()),
+                  f32_bits(pl.weight(plan.row, plan.col)));
+      }
+      ASSERT_EQ(pl.at(plan.row, plan.col), before);
+    }
+  }
+}
+
+TEST(WeightFault, Fp32PlansThrow) {
+  // Weights are binary16: an FP32 weight flip has nothing to flip, so the
+  // plan and a campaign configured with it throw before touching the
+  // model.
+  TransformerLM model = micro_model();
+  const std::vector<std::uint16_t> clean = bits(model.linear({0,
+      LayerKind::kVProj}).tiles);
+  WeightFaultPlan plan;
+  plan.site = {0, LayerKind::kVProj};
+  plan.flips.count = 1;
+  plan.flips.bits[0] = 30;
+  plan.vtype = ValueType::kF32;
+  EXPECT_THROW(ScopedWeightFault(model, plan), Error);
+  EXPECT_EQ(bits(model.linear({0, LayerKind::kVProj}).tiles), clean);
+
+  const auto samples =
+      make_generator(DatasetKind::kSynthQA)->generate_many(1, 2);
+  const auto inputs = prepare_eval_inputs(model, samples, 4, false);
+  CampaignConfig config;
+  config.vtype = ValueType::kF32;
+  config.trials_per_input = 2;
+  config.gen_tokens = 4;
+  const auto spec = scheme_spec(SchemeKind::kFt2, model.config());
+  EXPECT_THROW(
+      run_weight_fault_campaign(model, inputs, spec, BoundStore{}, config),
+      Error);
 }
 
 /// d_model 8, d_ff 20: the gate projection is a 20 x 8 matrix, one tile
@@ -103,7 +168,7 @@ TEST(WeightFault, FlipsExactlyTheIntendedTileElementAndRestoresTheTiles) {
   const PackedLinear& pl = model.linear(site);
   ASSERT_EQ(pl.n, 20u);
   ASSERT_EQ(pl.k, 8u);
-  const std::vector<std::uint32_t> clean_tiles = bits(pl.tiles);
+  const std::vector<std::uint16_t> clean_tiles = bits(pl.tiles);
   const std::vector<std::uint32_t> clean_w = bits(pl.unpack_weight().span());
   for (std::size_t row = 0; row < pl.n; ++row) {
     for (std::size_t col = 0; col < pl.k; ++col) {
@@ -120,10 +185,10 @@ TEST(WeightFault, FlipsExactlyTheIntendedTileElementAndRestoresTheTiles) {
         const std::size_t offset =
             (row / kTileCols) * pl.k * kTileCols + col * kTileCols +
             row % kTileCols;
-        const std::vector<std::uint32_t> tiles = bits(pl.tiles);
+        const std::vector<std::uint16_t> tiles = bits(pl.tiles);
         for (std::size_t i = 0; i < tiles.size(); ++i) {
           if (i == offset) {
-            EXPECT_EQ(tiles[i], f32_bits(fault.faulty_value()));
+            EXPECT_EQ(tiles[i], fault.faulty_bits());
             EXPECT_NE(tiles[i], clean_tiles[i]);
           } else {
             ASSERT_EQ(tiles[i], clean_tiles[i]) << "tile index " << i;
@@ -333,32 +398,37 @@ void expect_same_counts(const CampaignResult& a, const CampaignResult& b) {
 TEST(WeightFault, CampaignRunsTheConfiguredReductionOrder) {
   const ModelConfig c = micro_config();
   const auto samples =
-      make_generator(DatasetKind::kSynthQA)->generate_many(1, 1);
+      make_generator(DatasetKind::kSynthQA)->generate_many(1, 11);
   Xoshiro256 rng(11);
   ModelWeights weights = init_weights(c, rng);
-  const int first = [&] {
-    const TransformerLM clean(c, weights);
-    const auto inputs = prepare_eval_inputs(clean, samples, 6, false);
-    InferenceSession session(clean);
-    return session
-        .generate(inputs[0].prompt, fixed_length_options(6, ValueType::kF32))
-        .tokens[0];
-  }();
-  // A near-tie in the LM head: a twin of the first generated token's row
-  // with one element one ulp lower, so which of the two tokens wins turns
-  // on rounding that the reduction order decides.
-  const int twin = (first + 1) % static_cast<int>(c.vocab_size);
-  for (std::size_t k = 0; k < c.d_model; ++k) {
-    weights.lm_head.w.at(twin, k) = weights.lm_head.w.at(first, k);
+  // A cancellation that the reduction order decides. MLP units 0 and 8
+  // get identical large gate and up rows, so they carry the same value h,
+  // and every down-projection row adds 65504 * h at input 0 and subtracts
+  // it at input 8, with +-0.5 weights on inputs 1-7 between them. The
+  // chunked chain sums inputs 0 and 8 into one partial, where they cancel
+  // exactly; the sequential chain adds inputs 1-7 onto the large running
+  // sum, which rounds their products away. Under binary16 activations the
+  // two orders then differ by many ulps of the residual stream, not by
+  // FP32 rounding that the next quantization erases, so outcomes move.
+  for (BlockWeights& blk : weights.blocks) {
+    for (std::size_t i = 0; i < c.d_model; ++i) {
+      blk.fc1.w.at(0, i) = blk.fc1.w.at(8, i) = 8.0f;
+      blk.up.w.at(0, i) = blk.up.w.at(8, i) = 8.0f;
+    }
+    for (std::size_t o = 0; o < c.d_model; ++o) {
+      blk.fc2.w.at(o, 0) = f16::kMax;
+      blk.fc2.w.at(o, 8) = -f16::kMax;
+      for (std::size_t i = 1; i < 8; ++i) {
+        blk.fc2.w.at(o, i) = (o + i) % 2 == 0 ? -0.5f : 0.5f;
+      }
+    }
   }
-  float& nudged = weights.lm_head.w.at(twin, 14);
-  nudged = std::nextafter(nudged, -INFINITY);
   TransformerLM model(c, std::move(weights));
   const auto inputs = prepare_eval_inputs(model, samples, 6, false);
 
   CampaignConfig config;
   config.fault_model = FaultModel::kExponentBit;
-  config.vtype = ValueType::kF32;
+  config.vtype = ValueType::kF16;
   config.trials_per_input = 20;
   config.gen_tokens = 6;
   config.chunked_accum = true;

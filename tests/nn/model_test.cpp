@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <map>
 
+#include "numeric/f16.hpp"
 #include "train/backprop.hpp"
+#include "zoo/zoo.hpp"
 
 namespace ft2 {
 namespace {
@@ -259,7 +262,7 @@ TEST(Model, ParameterCountsDifferByArch) {
 }
 
 /// Byte offset of `p` past the last 64-byte boundary.
-std::uintptr_t cache_line_offset(const float* p) {
+std::uintptr_t cache_line_offset(const void* p) {
   return reinterpret_cast<std::uintptr_t>(p) % 64;
 }
 
@@ -287,6 +290,65 @@ TEST(Model, PackedLinearsStartOnACacheLine) {
   Tensor weight({384, 128});
   const std::vector<float> bias(384, 0.5f);
   expect_cache_line_aligned(PackedLinear(weight, bias), "384x128");
+}
+
+/// True when `v` is its own binary16 rounding, bit for bit.
+bool on_f16_grid(float v) {
+  return std::bit_cast<std::uint32_t>(quantize_f16(v)) ==
+         std::bit_cast<std::uint32_t>(v);
+}
+
+TEST(Model, EveryParameterIsOnTheBinary16Grid) {
+  // One zoo config per architecture family: OPT, GPT-J, Llama and Qwen2
+  // (Llama with QKV biases). init_weights draws on the grid; weights
+  // pushed off it are rounded by the constructor, to nearest even; the
+  // tiles hold binary16 patterns that widen back to those values.
+  for (const char* name : {"opt-sm", "gptj-sm", "llama-sm", "qwen2-xs"}) {
+    SCOPED_TRACE(name);
+    const ModelConfig& c = zoo_entry(name).config;
+    Xoshiro256 rng(5);
+    ModelWeights drawn = init_weights(c, rng);
+    for (const auto& [param, t] : drawn.named_parameters()) {
+      for (const float v : t->span()) {
+        ASSERT_TRUE(on_f16_grid(v)) << param << " drew " << v;
+      }
+    }
+    ModelWeights off = drawn;
+    for (const auto& [param, t] : off.named_parameters()) {
+      for (float& v : t->span()) v = v * 1.0003f + 1e-6f;
+    }
+    const TransformerLM model(c, off);
+    const ModelWeights exported = model.export_weights();
+    const auto want = off.named_parameters();
+    const auto got = exported.named_parameters();
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t p = 0; p < want.size(); ++p) {
+      ASSERT_EQ(want[p].first, got[p].first);
+      const auto w = want[p].second->span();
+      const auto g = got[p].second->span();
+      ASSERT_EQ(w.size(), g.size()) << want[p].first;
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(g[i]),
+                  std::bit_cast<std::uint32_t>(quantize_f16(w[i])))
+            << want[p].first << "[" << i << "]";
+      }
+    }
+    const PackedDecodeWeights& tiles = model.tiles();
+    std::vector<const PackedLinear*> linears = {&tiles.lm_head};
+    for (const PackedDecodeWeights::Block& b : tiles.blocks) {
+      for (const PackedLinear* pl :
+           {&b.q, &b.k, &b.v, &b.o, &b.fc1, &b.up, &b.fc2}) {
+        linears.push_back(pl);
+      }
+    }
+    for (const PackedLinear* pl : linears) {
+      for (const std::uint16_t h : pl->tiles) {
+        ASSERT_TRUE(on_f16_grid(f16::from_bits(h).to_float()));
+        ASSERT_EQ(f16::from_float(f16::from_bits(h).to_float()).bits(), h);
+      }
+      for (const float b : pl->bias) ASSERT_TRUE(on_f16_grid(b));
+    }
+  }
 }
 
 }  // namespace

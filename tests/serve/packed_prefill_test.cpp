@@ -227,7 +227,9 @@ TEST(ServeEnginePackedPrefill, PrefillReadsTheModelsTiles) {
   const RequestId id = engine.submit(prompt, opts);
   const auto reg = engine.hooks(id).add(served);
 
-  for (float& v : model.linear({0, LayerKind::kQProj}).tiles) v *= 3.0f;
+  for (std::uint16_t& h : model.linear({0, LayerKind::kQProj}).tiles) {
+    h = f16::from_float(3.0f * f16::from_bits(h).to_float()).bits();
+  }
   SiteRecorder mutated;
   const GenerateResult mutated_ref = solo(mutated);
   ASSERT_FALSE(mutated.by_site() == original.by_site());

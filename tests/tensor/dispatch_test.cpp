@@ -45,7 +45,8 @@ void fill_uniform(std::span<float> v, Xoshiro256& rng, float lo, float hi) {
 }
 
 /// The documented accumulation chain: acc += x[i] * w[o][i], ascending i,
-/// separate mul and add. Every tier must reproduce this bit for bit.
+/// separate mul and add. Every tier must reproduce this bit for bit, with
+/// w the tiles' widened binary16 weights.
 void gemm_scalar_ref(const Tensor& x, std::size_t rows, const Tensor& w,
                      std::span<const float> bias, Tensor& y) {
   const std::size_t n = w.dim(0), k = w.dim(1);
@@ -87,18 +88,42 @@ void chunked_scalar_ref(const Tensor& x, std::size_t rows, const Tensor& w,
   }
 }
 
+/// Binary16 weights [n][k] packed as a model packs them, and the widened
+/// row-major weights the references multiply by. Packing rounds the
+/// widened values, which leaves every pattern but a NaN as it is; a NaN
+/// pattern is then written into the tile bits as it is, the way a weight
+/// fault writes one.
+struct HalfWeights {
+  PackedLinear packed;
+  Tensor widened;
+};
+
+HalfWeights pack_halves(const std::vector<std::uint16_t>& h, std::size_t n,
+                        std::size_t k, std::span<const float> bias) {
+  Tensor w({n, k});
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    w[i] = f16::from_bits(h[i]).to_float();
+  }
+  HalfWeights out{PackedLinear(w, bias), w};
+  for (std::size_t o = 0; o < n; ++o) {
+    for (std::size_t i = 0; i < k; ++i) out.packed.at(o, i) = h[o * k + i];
+  }
+  return out;
+}
+
 /// Checks one GEMM input on `tier` against the scalar references, in both
 /// reduction modes. `y` starts as NaN, so a row the kernel never writes
 /// fails too.
 void expect_gemm_case(KernelTier tier, const Tensor& x, std::size_t rows,
-                      const Tensor& w, std::span<const float> bias,
+                      const HalfWeights& hw, std::span<const float> bias,
                       ThreadPool& pool, const char* what) {
+  const Tensor& w = hw.widened;
   const std::size_t n = w.dim(0);
   const float sentinel = std::numeric_limits<float>::quiet_NaN();
   Tensor y({rows, n}), y_ref({rows, n});
   std::fill(y.span().begin(), y.span().end(), sentinel);
   gemm_scalar_ref(x, rows, w, bias, y_ref);
-  linear_forward_span(x, rows, w, bias, y, /*chunked_accum=*/false, pool);
+  linear_forward_span_packed(x, rows, hw.packed, y, pool);
   for (std::size_t i = 0; i < y_ref.numel(); ++i) {
     ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
         << kernel_tier_name(tier) << " " << what << " span mismatch at row "
@@ -107,10 +132,10 @@ void expect_gemm_case(KernelTier tier, const Tensor& x, std::size_t rows,
   }
 
   // The same weights in chunked-accumulation mode.
-  const PackedLinear pl(w, bias);
   std::fill(y.span().begin(), y.span().end(), sentinel);
   chunked_scalar_ref(x, rows, w, bias, y_ref);
-  linear_forward_span_packed(x, rows, pl, y, pool, /*chunked_accum=*/true);
+  linear_forward_span_packed(x, rows, hw.packed, y, pool,
+                             /*chunked_accum=*/true);
   for (std::size_t i = 0; i < y_ref.numel(); ++i) {
     ASSERT_EQ(f32_bits(y[i]), f32_bits(y_ref[i]))
         << kernel_tier_name(tier) << " " << what << " chunked mismatch at row "
@@ -119,12 +144,12 @@ void expect_gemm_case(KernelTier tier, const Tensor& x, std::size_t rows,
   }
 }
 
-/// Values that stress the chain: signed zeros, subnormals, infinities,
-/// a NaN, and magnitudes whose products overflow (or, fused, would not).
-/// The NaN is x86's default NaN, the one Inf * 0 and Inf - Inf produce, so
-/// every NaN in a chain has the same bits whichever operand the hardware
-/// propagates.
-float hostile_value(Xoshiro256& rng) {
+/// Input values that stress the chain: signed zeros, subnormals,
+/// infinities, a NaN, and magnitudes whose products overflow (or, fused,
+/// would not). The NaN is x86's default NaN, the one Inf * 0 and Inf - Inf
+/// produce, so every NaN in a chain has the same bits whichever operand
+/// the hardware propagates.
+float hostile_input(Xoshiro256& rng) {
   const float kValues[] = {
       0.0f,     -0.0f,     1e-40f,   -1e-40f, 1.17549435e-38f, 3e38f,
       -3e38f,   1e20f,     -1e20f,   1.0f + 0x1p-23f,
@@ -138,12 +163,33 @@ float hostile_value(Xoshiro256& rng) {
   return rng.uniform_float(-2.0f, 2.0f);
 }
 
+/// Binary16 weight extremes: signed zeros, the smallest and largest
+/// subnormals, the largest finite (65504), infinities and the NaN that
+/// widens to the default NaN.
+std::uint16_t hostile_weight(Xoshiro256& rng) {
+  const std::uint16_t kPatterns[] = {0x0000, 0x8000, 0x0001, 0x8001,
+                                     0x03FF, 0x83FF, 0x7BFF, 0xFBFF,
+                                     0x7C00, 0xFC00, 0xFE00};
+  const std::uint64_t pick = rng() % 256;
+  if (pick < std::size(kPatterns)) return kPatterns[pick];
+  return f16::from_float(rng.uniform_float(-1.0f, 1.0f)).bits();
+}
+
+/// Binary16 NaNs with payloads, quiet and signalling, of either sign, as a
+/// weight fault can leave them in a tile.
+constexpr std::uint16_t kNanPayloads[] = {0x7C01, 0x7D55, 0x7E00, 0x7FFF,
+                                          0xFC01, 0xFE2A, 0xFFFF};
+
 /// Runs the GEMM on `tier` over shapes with full tiles, a partial last
 /// tile (n = 48, 100, 257 end in 16-, 4- and 1-column tiles) and k tails,
 /// demanding bit-equality with the scalar reference in both reduction
-/// modes. Rows 1-9 and 16 give every leftover count after zero, one and
-/// two four-row groups (the AVX2 tier's 512-bit body on AVX-512F hosts).
-/// A second pass feeds hostile values into x, w and the bias.
+/// modes. Weights are binary16, inputs off-grid FP32, so a fused
+/// multiply-add would round differently. Rows 1-9 and 16 give every
+/// leftover count after zero, one and two four-row groups (the AVX2 tier's
+/// 512-bit body on AVX-512F hosts), and both sides of the four-row limit
+/// of the in-register widening. A second pass puts NaN payloads into the
+/// weights, and a third feeds hostile values into x, the weights and the
+/// bias.
 void expect_tier_gemm_bit_exact(KernelTier tier) {
   TierGuard guard;
   set_kernel_tier(tier);
@@ -154,20 +200,78 @@ void expect_tier_gemm_bit_exact(KernelTier tier) {
   } shapes[] = {{48, 33}, {64, 64}, {100, 17}, {257, 96}};
   for (const auto& shape : shapes) {
     for (const std::size_t rows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16}) {
-      Tensor x({rows, shape.k}), w({shape.n, shape.k});
+      Tensor x({rows, shape.k});
+      std::vector<std::uint16_t> w(shape.n * shape.k);
       std::vector<float> bias(shape.n);
       fill_uniform(x.span(), rng, -2.0f, 2.0f);
-      fill_uniform(w.span(), rng, -1.0f, 1.0f);
+      for (std::uint16_t& h : w) {
+        h = f16::from_float(rng.uniform_float(-1.0f, 1.0f)).bits();
+      }
       fill_uniform(bias, rng, -0.5f, 0.5f);
-      expect_gemm_case(tier, x, rows, w, bias, pool, "uniform");
+      expect_gemm_case(tier, x, rows, pack_halves(w, shape.n, shape.k, bias),
+                       bias, pool, "uniform");
       if (::testing::Test::HasFatalFailure()) return;
 
-      for (float& f : x.span()) f = hostile_value(rng);
-      for (float& f : w.span()) f = hostile_value(rng);
-      for (float& f : bias) f = hostile_value(rng);
-      expect_gemm_case(tier, x, rows, w, bias, pool, "hostile");
+      // NaN payloads: one weight in every other output column, on finite
+      // inputs, so each chain meets one NaN and its widened bits (quiet
+      // bit set, payload kept) reach the output whichever operand order
+      // the compiler gives a commutative add or multiply.
+      for (std::size_t o = 0; o < shape.n; o += 2) {
+        w[o * shape.k + rng() % shape.k] =
+            kNanPayloads[rng() % std::size(kNanPayloads)];
+      }
+      expect_gemm_case(tier, x, rows, pack_halves(w, shape.n, shape.k, bias),
+                       bias, pool, "nan payloads");
+      if (::testing::Test::HasFatalFailure()) return;
+
+      for (float& f : x.span()) f = hostile_input(rng);
+      for (std::uint16_t& h : w) h = hostile_weight(rng);
+      for (float& f : bias) f = hostile_input(rng);
+      expect_gemm_case(tier, x, rows, pack_halves(w, shape.n, shape.k, bias),
+                       bias, pool, "hostile");
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+/// Every binary16 pattern widens to f16::to_float's bits, NaN payloads and
+/// signalling NaNs included (VCVTPH2PS on AVX2); rounding to binary16
+/// matches f16::from_float on every float the quantize test feeds.
+void expect_tier_round_widen_exact(KernelTier tier) {
+  const KernelOps& ops = kernel_ops_for(tier);
+  std::vector<std::uint16_t> h(1u << 16);
+  for (std::uint32_t b = 0; b < h.size(); ++b) {
+    h[b] = static_cast<std::uint16_t>(b);
+  }
+  // An odd length leaves a tail after the last vector group.
+  std::vector<float> wide(h.size() - 3);
+  ops.widen_f16_span(h.data(), wide.data(), wide.size());
+  for (std::size_t b = 0; b < wide.size(); ++b) {
+    ASSERT_EQ(f32_bits(wide[b]),
+              f32_bits(f16::from_bits(h[b]).to_float()))
+        << kernel_tier_name(tier) << " widen mismatch at pattern 0x"
+        << std::hex << b;
+  }
+  std::vector<float> x;
+  for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+    x.push_back(f16::from_bits(static_cast<std::uint16_t>(b)).to_float());
+  }
+  for (const float f : {65504.0f, 65519.9f, 65520.0f, -65520.0f, 5.9e-8f,
+                        -5.9e-8f, 2.9e-8f, 1e-10f, 1.0009765f, 1.0009766f,
+                        f32_from_bits(0x7FC01234u), f32_from_bits(0xFFC00000u),
+                        f32_from_bits(0x7F800001u)}) {
+    x.push_back(f);
+  }
+  Xoshiro256 rng(5);
+  for (int i = 0; i < 4099; ++i) {
+    x.push_back(f32_from_bits(static_cast<std::uint32_t>(rng())));
+  }
+  std::vector<std::uint16_t> rounded(x.size());
+  ops.round_f16_span(x.data(), rounded.data(), x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(rounded[i], f16::from_float(x[i]).bits())
+        << kernel_tier_name(tier) << " round mismatch at input bits 0x"
+        << std::hex << f32_bits(x[i]);
   }
 }
 
@@ -226,6 +330,15 @@ TEST(KernelTierEquivalence, SseGemmMatchesScalarReference) {
 TEST(KernelTierEquivalence, Avx2GemmMatchesScalarReference) {
   FT2_REQUIRE_TIER(KernelTier::kAvx2);
   expect_tier_gemm_bit_exact(KernelTier::kAvx2);
+}
+
+TEST(KernelTierEquivalence, SseRoundAndWidenMatchF16) {
+  expect_tier_round_widen_exact(KernelTier::kSse);
+}
+
+TEST(KernelTierEquivalence, Avx2RoundAndWidenMatchF16) {
+  FT2_REQUIRE_TIER(KernelTier::kAvx2);
+  expect_tier_round_widen_exact(KernelTier::kAvx2);
 }
 
 TEST(KernelTierEquivalence, SseQuantizeMatchesScalar) {

@@ -12,10 +12,11 @@ namespace ft2 {
 namespace {
 
 TEST(Ops, LinearForwardMatchesNaive) {
+  // Weights on the binary16 grid, as packing stores them; inputs off it.
   Xoshiro256 rng(1);
   Tensor x({3, 5}), w({4, 5});
   for (float& f : x.span()) f = rng.uniform_float(-1.0f, 1.0f);
-  for (float& f : w.span()) f = rng.uniform_float(-1.0f, 1.0f);
+  for (float& f : w.span()) f = quantize_f16(rng.uniform_float(-1.0f, 1.0f));
   std::vector<float> bias = {0.1f, -0.2f, 0.3f, 0.0f};
 
   Tensor y({3, 4});
@@ -27,9 +28,36 @@ TEST(Ops, LinearForwardMatchesNaive) {
     for (std::size_t o = 0; o < 4; ++o) {
       float expect = bias[o];
       for (std::size_t i = 0; i < 5; ++i) expect += x.at(r, i) * w.at(o, i);
-      EXPECT_NEAR(y.at(r, o), expect, 1e-5f);
+      EXPECT_EQ(f32_bits(y.at(r, o)), f32_bits(expect));
     }
   }
+}
+
+TEST(Ops, PackingRoundsWeightsToBinary16) {
+  // Off-grid weights round to the nearest binary16, ties to even, NaN to
+  // the canonical quiet NaN; the bias is kept as given.
+  Tensor w({3, 4});
+  const float vals[] = {0.1f, 1.0f + 0x1p-11f, 1.0f + 3 * 0x1p-11f, 65519.0f,
+                        70000.0f, -1e-9f, 3.0f, std::nanf("7"),
+                        -0.0f, 0x1p-24f, 0x1.8p-24f, 2.5f};
+  std::copy(std::begin(vals), std::end(vals), w.span().begin());
+  const std::vector<float> bias = {0.1f, 0.2f, 0.3f};
+  const PackedLinear pl(w, bias);
+  const Tensor back = pl.unpack_weight();
+  for (std::size_t o = 0; o < 3; ++o) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(pl.at(o, i), f16::from_float(w.at(o, i)).bits());
+      EXPECT_EQ(f32_bits(back.at(o, i)), f32_bits(pl.weight(o, i)));
+    }
+  }
+  EXPECT_EQ(pl.at(0, 1), 0x3C00u);  // 1 + 2^-11: a tie, to even
+  EXPECT_EQ(pl.at(0, 2), 0x3C02u);  // 1 + 3 * 2^-11: a tie, to even
+  EXPECT_EQ(pl.at(0, 3), 0x7BFFu);  // below 65520: 65504
+  EXPECT_EQ(pl.at(1, 0), 0x7C00u);  // 70000 overflows to +Inf
+  EXPECT_EQ(pl.at(1, 3), 0x7E00u);  // NaN payload canonicalized
+  EXPECT_EQ(pl.at(2, 1), 0x0001u);  // 2^-24: smallest subnormal
+  EXPECT_EQ(pl.at(2, 2), 0x0002u);  // 1.5 * 2^-24: a tie, to even
+  EXPECT_EQ(pl.unpack_bias().span()[0], 0.1f);
 }
 
 TEST(Ops, LinearShapeMismatchThrows) {

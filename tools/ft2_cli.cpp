@@ -13,7 +13,8 @@
 //                [--metrics-out FILE.json] [--jsonl FILE.jsonl]
 //                [--trace-out FILE.json] [--drift] [--clips]
 //   ft2 campaign-shard <model> [--shards N] [--dir DIR] [--no-resume]
-//                [--verify] [--bootstrap N] [--ci-seed S] [...campaign flags]
+//                [--verify] [--bootstrap N] [--ci-seed S]
+//                [...campaign flags but --weights]
 //   ft2 serve-bench <model> [--dataset D] [--requests N] [--batch B]
 //                   [--seed S] [--scheme S] [--metrics-out FILE.json]
 //                   [--trace-out FILE.json]
@@ -332,6 +333,10 @@ int cmd_campaign(const std::string& model_name, const ArgParser& args) {
       FT2_CHECK_MSG(!args.has(flag),
                     "--" << flag << " does not apply to --weights campaigns");
     }
+    // Weights are binary16, so an FP32 weight flip has no encoding to flip.
+    FT2_CHECK_MSG(!args.has("fp32"),
+                  "--fp32 does not apply to --weights campaigns: weights are "
+                  "stored as binary16");
   }
   CampaignSetup setup = prepare_campaign(model_name, args);
   CampaignConfig& config = setup.config;
@@ -642,6 +647,11 @@ void strip_timing(std::vector<TrialRecord>& records) {
 
 int cmd_campaign_shard(const std::string& model_name, const ArgParser& args,
                        int argc, char** argv) {
+  // Shards run activation-fault campaigns only; a sharded weight-fault
+  // campaign would silently measure the wrong fault model.
+  FT2_CHECK_MSG(!args.has("weights"),
+                "--weights does not apply to campaign-shard (run weight-fault "
+                "campaigns with `ft2 campaign --weights`)");
   if (args.has("shard-index")) {
     // Worker: rebuild the campaign deterministically, then run (or
     // resume) this shard's range, streaming records to its log. When the
@@ -1302,10 +1312,10 @@ int cmd_perf(const ArgParser& args) {
 /// Per-tier bit-equality self-test: on every host-supported tier, the
 /// packed GEMM must reproduce the scalar reference chain (acc += x[i] *
 /// w[o][i], ascending i, no FMA) and the packed chunked-accumulation chain
-/// its scalar reference, both on row-major weights at 1 to 9 rows; the
-/// attention kernels
-/// and the quantize sweep their scalar references too, and exp_span
-/// detail::expf_ref.
+/// its scalar reference, both on row-major binary16-grid weights and
+/// off-grid FP32 inputs at 1 to 9 rows; the attention kernels, the
+/// quantize sweep and the binary16 round and widen sweeps their scalar
+/// references too, and exp_span detail::expf_ref.
 int kernel_check() {
   const KernelTier restore = active_kernel_tier();
   int failures = 0;
@@ -1317,8 +1327,9 @@ int kernel_check() {
     // GEMM: odd shape, so the tiles end in a partial tile and the k tail
     // of the chunked chain is not empty; rows 1-9, so the AVX2 tier's
     // 512-bit four-row body (on AVX-512F hosts) runs with every leftover
-    // row count. Dividing by 509 leaves most products inexact, so a fused
-    // multiply-add rounds differently from the multiply then add.
+    // row count. Weights sit on the binary16 grid, as packing stores them;
+    // inputs stay off it. Dividing by 509 leaves most products inexact, so
+    // a fused multiply-add rounds differently from the multiply then add.
     const std::size_t n = 100, k = 33;
     std::uint64_t sm = 0xF72F72F7ULL;
     auto next_float = [&sm]() {
@@ -1331,7 +1342,7 @@ int kernel_check() {
       Tensor y_chunked({rows, n}), y_chunked_ref({rows, n});
       std::vector<float> bias(n);
       for (float& v : x.span()) v = next_float();
-      for (float& v : w.span()) v = next_float();
+      for (float& v : w.span()) v = quantize_f16(next_float());
       for (float& v : bias) v = next_float();
       for (std::size_t r = 0; r < rows; ++r) {
         for (std::size_t o = 0; o < n; ++o) {
@@ -1433,6 +1444,30 @@ int kernel_check() {
     q.push_back(f32_from_bits(0x7F800001u));  // signalling NaN
     for (int i = 0; i < 4096; ++i) q.push_back(f32_from_bits(
         static_cast<std::uint32_t>(splitmix64(sm))));
+    // Binary16 round (packing) on the same inputs against f16::from_float,
+    // and widen (the GEMM's weights) of every pattern against
+    // f16::to_float.
+    std::size_t f16_bad = 0;
+    {
+      std::vector<std::uint16_t> h(q.size());
+      active_kernel_ops().round_f16_span(q.data(), h.data(), q.size());
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        if (h[i] != f16::from_float(q[i]).bits()) ++f16_bad;
+      }
+      h.resize(1u << 16);
+      for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+        h[b] = static_cast<std::uint16_t>(b);
+      }
+      std::vector<float> wide(h.size());
+      active_kernel_ops().widen_f16_span(h.data(), wide.data(), h.size());
+      for (std::uint32_t b = 0; b < (1u << 16); ++b) {
+        if (f32_bits(wide[b]) !=
+            f32_bits(f16::from_bits(static_cast<std::uint16_t>(b)).to_float())) {
+          ++f16_bad;
+        }
+      }
+    }
+
     std::vector<float> q_ref = q;
     for (float& v : q_ref) v = quantize_f16(v);
     quantize_span_f16(q);
@@ -1460,16 +1495,18 @@ int kernel_check() {
       if (f32_bits(e_in[i]) != want) ++exp_bad;
     }
 
-    if (gemm_bad != 0 || attn_bad != 0 || quant_bad != 0 || exp_bad != 0) {
+    if (gemm_bad != 0 || attn_bad != 0 || quant_bad != 0 || f16_bad != 0 ||
+        exp_bad != 0) {
       ++failures;
       std::cout << name << ": FAIL (" << gemm_bad << " gemm mismatches, "
                 << attn_bad << " attention mismatches, " << quant_bad
-                << " quantize mismatches, " << exp_bad
+                << " quantize mismatches, " << f16_bad
+                << " binary16 round/widen mismatches, " << exp_bad
                 << " exp_span mismatches)\n";
     } else {
       std::cout << name << ": OK (packed gemm + packed chunked gemm + "
-                           "qk_heads + pv_heads + quantize + exp_span "
-                           "bit-exact)\n";
+                           "qk_heads + pv_heads + quantize + binary16 "
+                           "round/widen + exp_span bit-exact)\n";
     }
   }
   set_kernel_tier(restore);
