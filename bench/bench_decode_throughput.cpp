@@ -12,8 +12,12 @@
 //   FT2_BENCH_REPS           timed repetitions, best-of (default 3)
 //   FT2_BENCH_DRIFT          also measure BoundDriftMonitor overhead on the
 //                            protected batched decode path (off by default)
-//   FT2_BENCH_TELEMETRY      also measure TelemetrySampler overhead on the
-//                            batched decode path (off by default)
+//   FT2_BENCH_TELEMETRY      also measure serve.* metric and TelemetrySampler
+//                            overhead on the batched decode path (off by
+//                            default)
+//
+// Neither side of the main table publishes metrics: engines publish only
+// to a registry they are given, and these are given none.
 #include <chrono>
 #include <iostream>
 #include <optional>
@@ -82,14 +86,7 @@ int main() {
   std::cout << "model: d_model=" << model.config().d_model
             << " blocks=" << model.config().n_blocks
             << " d_ff=" << model.config().d_ff << ", " << decode_tokens
-            << " decode tokens per request, best of " << reps << " runs\n";
-  // The engine publishes serve.* metrics to the process registry unless
-  // FT2_METRICS=0; comparing a run in each mode measures metric overhead
-  // (docs/OBSERVABILITY.md records the numbers).
-  std::cout << "serve metrics: "
-            << (default_metrics() != nullptr ? "on (FT2_METRICS=0 to disable)"
-                                             : "off (FT2_METRICS=0)")
-            << "\n\n";
+            << " decode tokens per request, best of " << reps << " runs\n\n";
 
   Table table({"batch", "seq ms", "batched ms", "seq tok/s", "batched tok/s",
                "speedup", "tokens"});
@@ -204,45 +201,55 @@ int main() {
   }
 
   if (env_flag("FT2_BENCH_TELEMETRY", false)) {
-    // Telemetry-sampler overhead: the batched decode run with serve.*
-    // metrics feeding a private registry, with and without a 100 ms
-    // TelemetrySampler snapshotting that registry in the background. The
-    // sampler is a pure reader, so the outputs are identical and the
-    // delta is pure sampling cost (bar: <= 1%).
+    // Metric and telemetry-sampler overhead: the batched decode run with
+    // no registry, with serve.* metrics feeding a private registry, and
+    // with a 100 ms TelemetrySampler snapshotting that registry in the
+    // background. Metrics and the sampler only observe, so the outputs are
+    // identical and each delta is pure publication / sampling cost (the
+    // sampler's bar: <= 1%). The three modes alternate within each
+    // repetition so drift over the run cannot favor one of them.
     const std::size_t batch = 4;
     const auto prompts = bench_prompts(model, batch);
     MetricsRegistry telemetry_registry;
 
-    const auto timed_run = [&](bool with_sampler) {
-      double best_ms = 0.0;
-      for (std::size_t r = 0; r < reps; ++r) {
-        TelemetrySampler::Options sampler_opts;
-        sampler_opts.interval_ms = 100;  // 10x the default scrape rate
-        TelemetrySampler sampler(&telemetry_registry, sampler_opts);
-        if (with_sampler) sampler.start();
-        ServeOptions serve_opts;
-        serve_opts.max_batch = batch;
-        serve_opts.obs.metrics = &telemetry_registry;
-        const auto t0 = std::chrono::steady_clock::now();
-        ServeEngine engine(model, serve_opts);
-        for (std::size_t i = 0; i < batch; ++i) {
-          engine.submit(prompts[i], opts);
-        }
-        engine.run();
-        const auto t1 = std::chrono::steady_clock::now();
-        sampler.stop();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (r == 0 || ms < best_ms) best_ms = ms;
+    const auto timed_run = [&](MetricsRegistry* registry, bool with_sampler) {
+      TelemetrySampler::Options sampler_opts;
+      sampler_opts.interval_ms = 100;  // 10x the default scrape rate
+      TelemetrySampler sampler(&telemetry_registry, sampler_opts);
+      if (with_sampler) sampler.start();
+      ServeOptions serve_opts;
+      serve_opts.max_batch = batch;
+      serve_opts.obs.metrics = registry;
+      const auto t0 = std::chrono::steady_clock::now();
+      ServeEngine engine(model, serve_opts);
+      for (std::size_t i = 0; i < batch; ++i) {
+        engine.submit(prompts[i], opts);
       }
-      return best_ms;
+      engine.run();
+      const auto t1 = std::chrono::steady_clock::now();
+      sampler.stop();
+      return std::chrono::duration<double, std::milli>(t1 - t0).count();
     };
 
-    const double base_ms = timed_run(false);
-    const double sampled_ms = timed_run(true);
+    double bare_ms = 0.0;
+    double base_ms = 0.0;
+    double sampled_ms = 0.0;
+    const auto keep_best = [](double& best, double ms, std::size_t r) {
+      if (r == 0 || ms < best) best = ms;
+    };
+    for (std::size_t r = 0; r < reps; ++r) {
+      keep_best(bare_ms, timed_run(nullptr, false), r);
+      keep_best(base_ms, timed_run(&telemetry_registry, false), r);
+      keep_best(sampled_ms, timed_run(&telemetry_registry, true), r);
+    }
+    const double metric_overhead =
+        bare_ms > 0.0 ? (base_ms - bare_ms) / bare_ms : 0.0;
+    std::cout << "\nserve-metric overhead (batch=" << batch << "): " << bare_ms
+              << " ms -> " << base_ms << " ms = "
+              << Table::format_pct(metric_overhead, 2) << "\n";
     const double overhead =
         base_ms > 0.0 ? (sampled_ms - base_ms) / base_ms : 0.0;
-    std::cout << "\ntelemetry-sampler overhead (batch=" << batch
+    std::cout << "telemetry-sampler overhead (batch=" << batch
               << ", 100ms interval): " << base_ms << " ms -> " << sampled_ms
               << " ms = " << Table::format_pct(overhead, 2) << " ("
               << (overhead <= 0.01 ? "meets" : "ABOVE")

@@ -16,9 +16,7 @@ double measured_first_token_fraction(const TransformerLM& model,
   const auto gen = make_generator(dataset);
   Xoshiro256 rng(404);
   const Sample sample = gen->generate(rng);
-  std::vector<int> prompt = {Vocab::kBos};
-  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                sample.prompt_tokens.end());
+  const std::vector<int> prompt = prompt_with_bos(sample);
 
   InferenceSession session(model);
   GenerateOptions opts;

@@ -24,10 +24,7 @@ int main() {
   opts.max_new_tokens = generation_tokens(DatasetKind::kSynthQA);
   opts.eos_token = -1;
   for (const auto& sample : gen->generate_many(s.inputs, 686)) {
-    std::vector<int> prompt = {Vocab::kBos};
-    prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                  sample.prompt_tokens.end());
-    session.generate(prompt, opts);
+    session.generate(prompt_with_bos(sample), opts);
   }
 
   Table table({"layer", "mean", "stddev", "min", "max", "|max| / stddev"});

@@ -17,10 +17,7 @@ std::vector<int> bench_prompt(DatasetKind dataset) {
   const auto gen = make_generator(dataset);
   Xoshiro256 rng(777);
   const Sample sample = gen->generate(rng);
-  std::vector<int> prompt = {Vocab::kBos};
-  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                sample.prompt_tokens.end());
-  return prompt;
+  return prompt_with_bos(sample);
 }
 
 void BM_Generate(benchmark::State& state, const std::string& model_name,

@@ -60,9 +60,7 @@ int main() {
   // 4. Protected inference.
   Xoshiro256 sample_rng(9);
   const Sample sample = gen->generate(sample_rng);
-  std::vector<int> prompt = {Vocab::kBos};
-  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                sample.prompt_tokens.end());
+  const std::vector<int> prompt = prompt_with_bos(sample);
 
   InferenceSession session(model);
   Ft2Protector protector(model);

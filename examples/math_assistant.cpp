@@ -27,9 +27,7 @@ RunResult solve_batch(const TransformerLM& model,
   RunResult result;
   for (std::size_t i = 0; i < problems.size(); ++i) {
     const Sample& problem = problems[i];
-    std::vector<int> prompt = {Vocab::kBos};
-    prompt.insert(prompt.end(), problem.prompt_tokens.begin(),
-                  problem.prompt_tokens.end());
+    const std::vector<int> prompt = prompt_with_bos(problem);
 
     InferenceSession session(model);
     std::optional<InjectorHook> injector;

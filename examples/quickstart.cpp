@@ -32,9 +32,7 @@ int main() {
   const auto gen = make_generator(DatasetKind::kSynthQA);
   Xoshiro256 rng(7);
   const Sample sample = gen->generate(rng);
-  std::vector<int> prompt = {Vocab::kBos};
-  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                sample.prompt_tokens.end());
+  const std::vector<int> prompt = prompt_with_bos(sample);
 
   GenerateOptions opts;
   opts.max_new_tokens = 10;

@@ -230,6 +230,15 @@ class SynthMathGenerator : public DatasetGenerator {
 
 }  // namespace
 
+std::vector<int> prompt_with_bos(const Sample& sample) {
+  std::vector<int> prompt;
+  prompt.reserve(sample.prompt_tokens.size() + 1);
+  prompt.push_back(Vocab::kBos);
+  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
+                sample.prompt_tokens.end());
+  return prompt;
+}
+
 std::vector<Sample> DatasetGenerator::generate_many(std::size_t n,
                                                     std::uint64_t seed) const {
   Xoshiro256 rng(seed);

@@ -44,6 +44,10 @@ struct Sample {
   std::vector<int> target_tokens;  ///< encoded target sentence + <eos>
 };
 
+/// The token sequence a model is prompted with: <bos>, then the sample's
+/// prompt tokens.
+std::vector<int> prompt_with_bos(const Sample& sample);
+
 class DatasetGenerator {
  public:
   virtual ~DatasetGenerator() = default;

@@ -48,15 +48,6 @@ GenerateOptions fixed_length_options(std::size_t gen_tokens, ValueType vtype,
 
 namespace {
 
-std::vector<int> make_prompt(const Sample& sample) {
-  std::vector<int> prompt;
-  prompt.reserve(sample.prompt_tokens.size() + 1);
-  prompt.push_back(Vocab::kBos);
-  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                sample.prompt_tokens.end());
-  return prompt;
-}
-
 /// Buckets for campaign.prefix.reused_positions: powers of two up to 2048
 /// skipped positions per forked trial (prefill + fault-free decode prefix,
 /// plus the recorded tail a rejoined fork skips).
@@ -102,7 +93,7 @@ std::vector<EvalInput> prepare_eval_inputs(const TransformerLM& model,
       for (std::size_t i = begin; i < end; ++i) {
         EvalInput& input = generated[i];
         input.sample = samples[i];
-        input.prompt = make_prompt(samples[i]);
+        input.prompt = prompt_with_bos(samples[i]);
         const auto result = session.generate(input.prompt, options);
         input.reference_tokens = result.tokens;
         const std::string text =
@@ -245,9 +236,8 @@ CampaignResult run_campaign_range_impl(
 
   // campaign.* handles are resolved once here (the registry mutex is only
   // taken at registration), so trial threads touch nothing but striped
-  // atomics. All handles stay inert when metrics are disabled.
-  MetricsRegistry* reg =
-      config.obs.metrics != nullptr ? config.obs.metrics : default_metrics();
+  // atomics. All handles stay inert without a registry.
+  MetricsRegistry* reg = config.obs.metrics;
   struct CampaignMetrics {
     Counter trials;
     std::array<Counter, 4> outcome;  ///< indexed by static_cast<int>(Outcome)
@@ -280,9 +270,6 @@ CampaignResult run_campaign_range_impl(
     }
   }
 
-  Tracer* tracer =
-      config.obs.tracer != nullptr ? config.obs.tracer : &Tracer::global();
-
   // Trials run in windows of a few pool widths; each window's records are
   // delivered in trial order after it joins (see TrialCallback), so at most
   // one window of records is ever buffered. A window splits into one
@@ -303,7 +290,7 @@ CampaignResult run_campaign_range_impl(
         timed ? TrialClock::now() : TrialClock::time_point{};
     const std::size_t input_idx = trial / config.trials_per_input;
     const EvalInput& input = inputs[input_idx];
-    TraceSpan trial_span = tracer->span("campaign.trial");
+    TraceSpan trial_span = trace_span(config.obs.tracer, "campaign.trial");
     if (trial_span.active()) {
       trial_span.tag("trial", std::to_string(trial))
           .tag("input", std::to_string(input_idx));
@@ -319,15 +306,14 @@ CampaignResult run_campaign_range_impl(
                             config.first_token_only));
     }
 
-    ProtectionHook protection(model.config(), make_scheme(),
-                              ObsSinks{reg, nullptr});
+    ProtectionHook protection(model.config(), make_scheme(), config.obs);
     protection.set_clip_capture(config.capture_clips);
     // The drift monitor registers AFTER protection so it observes
     // post-correction values; it never mutates them, so everything the
     // trial reports stays bit-identical with it on or off.
     std::optional<BoundDriftMonitor> drift;
     if (config.drift_monitor) {
-      drift.emplace(protection, DriftMonitorOptions{0.10, ObsSinks{reg, nullptr}});
+      drift.emplace(protection, DriftMonitorOptions{0.10, config.obs});
     }
     std::vector<HookRegistration> regs;
     regs.reserve(injectors.size() + 2);
@@ -476,15 +462,7 @@ CampaignResult run_campaign_range_impl(
   }
 
   CampaignResult result;
-  for (Outcome o : outcomes) {
-    ++result.trials;
-    switch (o) {
-      case Outcome::kMaskedIdentical: ++result.masked_identical; break;
-      case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
-      case Outcome::kSdc: ++result.sdc; break;
-      case Outcome::kNotInjected: ++result.not_injected; break;
-    }
-  }
+  for (Outcome o : outcomes) result.add(o);
   return result;
 }
 

@@ -52,10 +52,10 @@ struct CampaignConfig {
   ThreadPool* pool = nullptr;
   /// Observability sinks. `obs.metrics` receives campaign.* metrics
   /// (per-outcome and per-site-kind counters, trial wall-time histogram)
-  /// and the protect.* metrics of each trial's protection hook; null =
-  /// `default_metrics()`. `obs.tracer` receives campaign.trial spans (one
-  /// per trial: trial/input/outcome tags); null selects Tracer::global(),
-  /// inert unless FT2_TRACE is set. Both sinks are observational only:
+  /// and the protect.* metrics of each trial's protection hook.
+  /// `obs.tracer` receives campaign.trial spans (one per trial:
+  /// trial/input/outcome tags) and a shard run's campaign.shard span. Null
+  /// publishes nothing (ObsSinks). Both sinks are observational only:
   /// outcomes and trial records are bit-identical with them on or off.
   ObsSinks obs;
   /// Fault-free prefix reuse: run each input's fault-free generation once,
@@ -101,6 +101,17 @@ struct CampaignResult {
                        : static_cast<double>(sdc) / static_cast<double>(trials);
   }
   ProportionCI sdc_ci() const { return proportion_ci(sdc, trials); }
+
+  /// Counts one trial with `outcome`.
+  void add(Outcome outcome) {
+    ++trials;
+    switch (outcome) {
+      case Outcome::kMaskedIdentical: ++masked_identical; break;
+      case Outcome::kMaskedSemantic: ++masked_semantic; break;
+      case Outcome::kSdc: ++sdc; break;
+      case Outcome::kNotInjected: ++not_injected; break;
+    }
+  }
 
   void merge(const CampaignResult& other) {
     trials += other.trials;

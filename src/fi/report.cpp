@@ -30,7 +30,7 @@ std::string ci_cell(double lo, double hi) {
 std::string wilson_cell(std::size_t k, std::size_t n,
                         const CampaignReport::CiConfig& ci) {
   if (n == 0) return "-";
-  const ProportionCI w = wilson_ci(k, n, ci.z);
+  const ProportionCI w = proportion_ci(k, n, ci.z);
   return ci_cell(w.lo, w.hi);
 }
 
@@ -53,7 +53,7 @@ Json ci_pair(double lo, double hi) {
 void attach_rate_cis(Json& entry, const std::string& prefix, std::size_t k,
                      std::size_t n, const CampaignReport::CiConfig& ci) {
   if (n == 0) return;
-  const ProportionCI w = wilson_ci(k, n, ci.z);
+  const ProportionCI w = proportion_ci(k, n, ci.z);
   entry[prefix + "_wilson"] = ci_pair(w.lo, w.hi);
   const BootstrapCI b = bootstrap_proportion_ci(k, n, ci.bootstrap);
   entry[prefix + "_bootstrap"] = ci_pair(b.lo, b.hi);
@@ -73,13 +73,7 @@ CampaignReport aggregate_trial_records(
     const std::vector<TrialRecord>& records) {
   CampaignReport report;
   for (const TrialRecord& r : records) {
-    ++report.result.trials;
-    switch (r.outcome) {
-      case Outcome::kMaskedIdentical: ++report.result.masked_identical; break;
-      case Outcome::kMaskedSemantic: ++report.result.masked_semantic; break;
-      case Outcome::kSdc: ++report.result.sdc; break;
-      case Outcome::kNotInjected: ++report.result.not_injected; break;
-    }
+    report.result.add(r.outcome);
 
     const bool sdc = r.outcome == Outcome::kSdc;
     const bool detected = r.detections > 0;

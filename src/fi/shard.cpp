@@ -31,16 +31,6 @@ std::size_t manifest_size(const Json& json, const char* key) {
   return static_cast<std::size_t>(manifest_field(json, key).as_double());
 }
 
-void bump_outcome(CampaignResult& result, Outcome outcome) {
-  ++result.trials;
-  switch (outcome) {
-    case Outcome::kMaskedIdentical: ++result.masked_identical; break;
-    case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
-    case Outcome::kSdc: ++result.sdc; break;
-    case Outcome::kNotInjected: ++result.not_injected; break;
-  }
-}
-
 }  // namespace
 
 Json ShardManifest::to_json() const {
@@ -464,7 +454,7 @@ class ShardFrameEmitter {
     frame.resumed = resumed_;
     frame.final_frame = final_frame;
     frame.outcomes = outcomes_;
-    frame.metrics = metrics_->snapshot();
+    if (metrics_ != nullptr) frame.metrics = metrics_->snapshot();
     const std::string wire = encode_shard_frame(frame);
     std::size_t sent = 0;
     while (sent < wire.size()) {
@@ -521,14 +511,16 @@ ShardRunResult run_campaign_shard(const TransformerLM& model,
     }
   }
 
-  MetricsRegistry* metrics =
-      config.obs.metrics != nullptr ? config.obs.metrics : default_metrics();
-  Tracer* tracer =
-      config.obs.tracer != nullptr ? config.obs.tracer : &Tracer::global();
-  Counter resumed_counter = metrics->counter("campaign.shard.resumed");
-  Counter executed_counter = metrics->counter("campaign.shard.executed");
-  Counter torn_counter = metrics->counter("campaign.shard.torn_tail");
-  TraceSpan span = tracer->span("campaign.shard");
+  MetricsRegistry* metrics = config.obs.metrics;
+  Counter resumed_counter;
+  Counter executed_counter;
+  Counter torn_counter;
+  if (metrics != nullptr) {
+    resumed_counter = metrics->counter("campaign.shard.resumed");
+    executed_counter = metrics->counter("campaign.shard.executed");
+    torn_counter = metrics->counter("campaign.shard.torn_tail");
+  }
+  TraceSpan span = trace_span(config.obs.tracer, "campaign.shard");
   span.tag("shard", std::to_string(manifest.shard_index))
       .tag("shards", std::to_string(manifest.shard_count))
       .tag("first", std::to_string(manifest.first_trial))
@@ -551,7 +543,7 @@ ShardRunResult run_campaign_shard(const TransformerLM& model,
   if (out.torn_tail_recovered) torn_counter.inc();
   ShardFrameEmitter emitter(telemetry, manifest, metrics);
   for (const TrialRecord& r : recovered) {
-    bump_outcome(out.result, r.outcome);
+    out.result.add(r.outcome);
     emitter.record_outcome(r.outcome);
   }
   emitter.set_resumed(out.resumed);

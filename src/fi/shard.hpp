@@ -131,7 +131,8 @@ struct ShardTelemetryConfig {
 };
 
 /// One worker progress frame: shard identity + trial progress + outcome
-/// tallies + a full metrics snapshot of the worker's registry.
+/// tallies + a full metrics snapshot of the worker's registry (empty when
+/// the campaign runs without one).
 struct ShardFrame {
   std::size_t shard = 0;
   std::size_t shards = 1;
@@ -222,8 +223,9 @@ class ShardProgressBoard : public TelemetrySource {
 /// run_campaign_range(resume_from, last_trial) streaming records to the
 /// log in trial order (each line flushed as written, so a kill at any
 /// moment loses at most the line being written). Emits campaign.shard.*
-/// metrics and one campaign.shard span through `config.obs`, plus live
-/// ShardFrames per `telemetry` when enabled.
+/// metrics and one campaign.shard span through `config.obs` (null sinks
+/// publish nothing), plus live ShardFrames per `telemetry` when enabled;
+/// each frame snapshots `config.obs.metrics`.
 ShardRunResult run_campaign_shard(const TransformerLM& model,
                                   const std::vector<EvalInput>& inputs,
                                   const SchemeRef& scheme,

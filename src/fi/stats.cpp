@@ -8,10 +8,6 @@
 
 namespace ft2 {
 
-ProportionCI wilson_ci(std::size_t successes, std::size_t trials, double z) {
-  return proportion_ci(successes, trials, z);
-}
-
 namespace {
 
 /// log Binomial(n, p) pmf at k via log-gamma (stable at campaign scale,

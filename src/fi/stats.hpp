@@ -2,8 +2,9 @@
 //
 // The paper's headline SDC/Masked numbers rest on millions of injections;
 // reporting them as raw counts hides the sampling error. This module makes
-// the error bands first-class: Wilson score intervals (robust near the
-// 0%/100% edges where FT2's SDC rates live) and percentile-bootstrap
+// the error bands first-class: Wilson score intervals (numeric/stats.hpp's
+// proportion_ci, robust near the 0%/100% edges where FT2's SDC rates
+// live) and percentile-bootstrap
 // intervals resampled from a fixed Philox stream, so every reported CI is
 // bit-reproducible from (counts, seed) alone — no trial data needed.
 #pragma once
@@ -15,14 +16,6 @@
 #include "numeric/stats.hpp"
 
 namespace ft2 {
-
-/// Wilson score interval for a binomial proportion (the interval every
-/// campaign table reports). Thin wrapper over numeric/stats.hpp's
-/// proportion_ci so there is exactly one Wilson implementation; exposed
-/// here under its proper name for the report layer. `z` defaults to the
-/// 95% two-sided normal quantile.
-ProportionCI wilson_ci(std::size_t successes, std::size_t trials,
-                       double z = 1.959964);
 
 /// One deterministic draw from Binomial(n, p) using `rng`.
 ///

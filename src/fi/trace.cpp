@@ -499,23 +499,4 @@ std::vector<TrialRecord> read_trial_records_json(const Json& array) {
   return out;
 }
 
-std::map<LayerKind, TraceCollector::LayerTally> TraceCollector::sdc_by_layer()
-    const {
-  std::map<LayerKind, LayerTally> out;
-  for (const auto& r : records_) {
-    LayerTally& tally = out[r.plan.site.kind];
-    ++tally.faults;
-    if (r.outcome == Outcome::kSdc) ++tally.sdc;
-  }
-  return out;
-}
-
-std::vector<TrialRecord> TraceCollector::sdc_records() const {
-  std::vector<TrialRecord> out;
-  for (const auto& r : records_) {
-    if (r.outcome == Outcome::kSdc) out.push_back(r);
-  }
-  return out;
-}
-
 }  // namespace ft2

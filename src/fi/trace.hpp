@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <string_view>
 #include <vector>
@@ -124,21 +123,6 @@ class TraceCollector {
   /// receives).
   void write_jsonl(std::ostream& os) const;
 
-  /// SDC records only (the interesting ones for debugging).
-  std::vector<TrialRecord> sdc_records() const;
-
-  /// Per-layer-kind fault counts and SDC counts: which layers' faults
-  /// actually caused SDCs (the raw material of Fig. 6-style analyses).
-  struct LayerTally {
-    std::size_t faults = 0;
-    std::size_t sdc = 0;
-    double sdc_rate() const {
-      return faults == 0 ? 0.0
-                         : static_cast<double>(sdc) /
-                               static_cast<double>(faults);
-    }
-  };
-  std::map<LayerKind, LayerTally> sdc_by_layer() const;
 
  private:
   std::vector<TrialRecord> records_;

@@ -94,13 +94,7 @@ CampaignResult run_weight_fault_campaign_impl(
       const HookRegistration reg = session.hooks().add(protection);
       const auto out = session.generate(input.prompt, opts);
 
-      ++result.trials;
-      switch (classify_outcome(out.tokens, input)) {
-        case Outcome::kMaskedIdentical: ++result.masked_identical; break;
-        case Outcome::kMaskedSemantic: ++result.masked_semantic; break;
-        case Outcome::kSdc: ++result.sdc; break;
-        case Outcome::kNotInjected: ++result.not_injected; break;
-      }
+      result.add(classify_outcome(out.tokens, input));
     }
   }
   return result;

@@ -228,7 +228,9 @@ struct GenerateOptions {
   /// position at a time; 0 = the whole prompt in one chunk. Every chunk
   /// size gives bit-identical results, so this is purely a speed knob.
   std::size_t prefill_chunk = 32;
-  ThreadPool* pool = nullptr;  ///< pool for blocked prefill (null = global)
+  /// Pool for the generation's forwards, prefill and decode (null = the
+  /// engine's ServeOptions::pool, else the global pool).
+  ThreadPool* pool = nullptr;
 };
 
 struct GenerateResult {
@@ -289,8 +291,9 @@ class ServeEngine;  // serve/serve_engine.hpp
 /// Solo generation: a hook chain plus a one-request ServeEngine that the
 /// session owns for its whole life. Every call submits one request, runs
 /// the engine, copies the result out and releases the request, so solo and
-/// served generations run the same code. The engine publishes no serve.*
-/// metric or span, and runs every forward on GenerateOptions::pool.
+/// served generations run the same code. The engine gets no sinks, so it
+/// publishes no serve.* metric or span, and it has no pool of its own, so
+/// every forward runs on GenerateOptions::pool.
 class InferenceSession {
  public:
   explicit InferenceSession(const TransformerLM& model);

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 
@@ -185,17 +184,6 @@ void MetricsRegistry::reset() {
     }
     for (auto& s : cell->sums) s.value.store(0, std::memory_order_relaxed);
   }
-}
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-MetricsRegistry* default_metrics() {
-  static MetricsRegistry* const reg =
-      env_flag("FT2_METRICS", true) ? &MetricsRegistry::global() : nullptr;
-  return reg;
 }
 
 std::vector<double> exponential_buckets(double start, double factor,

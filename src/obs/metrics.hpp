@@ -216,21 +216,12 @@ class MetricsRegistry {
   /// Zeroes every metric (keeps registrations). Test isolation helper.
   void reset();
 
-  /// The process-wide registry.
-  static MetricsRegistry& global();
-
  private:
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<detail_obs::CounterCell>> counters_;
   std::vector<std::unique_ptr<detail_obs::GaugeCell>> gauges_;
   std::vector<std::unique_ptr<detail_obs::HistogramCell>> histograms_;
 };
-
-/// The registry instrumented subsystems use when none is supplied
-/// explicitly: &MetricsRegistry::global(), or nullptr (metrics disabled,
-/// handles inert) when the FT2_METRICS environment variable is falsy.
-/// Evaluated once per process.
-MetricsRegistry* default_metrics();
 
 /// `count` exponential bucket upper bounds: start, start*factor, ...
 std::vector<double> exponential_buckets(double start, double factor,

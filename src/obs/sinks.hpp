@@ -6,13 +6,12 @@
 // into one small value type so a new subsystem gets both sinks with a
 // single field, and call sites wire them with one assignment.
 //
-// Null semantics are owned by the consumer, matching the pre-ObsSinks
-// contract of each field:
-//  * engines/campaigns resolve a null `metrics` to `default_metrics()` and
-//    a null `tracer` to `Tracer::global()`;
-//  * hooks treat a null `metrics` as "inert handles" (no publication).
-// Sinks are observational only everywhere: outcomes, records and corrected
-// values are bit-identical whichever sinks are attached.
+// Null means off for every consumer: a null `metrics` leaves its handles
+// inert (nothing is published) and a null `tracer` opens no span
+// (trace_span()). There is no process-wide registry or tracer to fall
+// back on; a caller that wants the numbers passes the sink. Sinks are
+// observational only everywhere: outcomes, records and corrected values
+// are bit-identical whichever sinks are attached.
 #pragma once
 
 namespace ft2 {

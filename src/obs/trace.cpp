@@ -145,9 +145,4 @@ Json Tracer::to_json() const {
   return array;
 }
 
-Tracer& Tracer::global() {
-  static Tracer tracer(default_trace_capacity(), env_flag("FT2_TRACE", false));
-  return tracer;
-}
-
 }  // namespace ft2

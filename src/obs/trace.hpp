@@ -8,8 +8,8 @@
 //
 // Zero-cost when disabled: span() checks one bool and returns an inert
 // TraceSpan without reading the clock; the destructor is a null check.
-// The process-wide tracer (Tracer::global()) starts disabled and is turned
-// on with the FT2_TRACE environment variable or set_enabled(true).
+// There is no process-wide tracer: spans go to the Tracer a caller passes
+// in its ObsSinks, and trace_span() treats a null tracer as off.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,8 @@ namespace ft2 {
 
 class Json;
 
-/// Ring capacity for Tracer::global(): the FT2_TRACE_CAPACITY environment
-/// variable, or 4096 when unset/zero.
+/// Ring capacity for the CLI's --trace-out tracers: the FT2_TRACE_CAPACITY
+/// environment variable, or 4096 when unset/zero.
 std::size_t default_trace_capacity();
 
 /// Dense index of the calling thread among all threads that ever traced
@@ -132,10 +132,6 @@ class Tracer {
   /// [{"name", "start_ns", "end_ns", "dur_ms", "seq", "tags": {...}}, ...]
   Json to_json() const;
 
-  /// Process-wide tracer; enabled at startup iff FT2_TRACE is truthy, ring
-  /// capacity from FT2_TRACE_CAPACITY (default 4096).
-  static Tracer& global();
-
  private:
   friend class TraceSpan;
   void record(TraceEvent event);
@@ -149,5 +145,10 @@ class Tracer {
   std::uint64_t dropped_ = 0;
   Counter dropped_counter_;  ///< see bind_metrics(); inert when unbound
 };
+
+/// Starts a span on `tracer`; inert when `tracer` is null (tracing off).
+[[nodiscard]] inline TraceSpan trace_span(Tracer* tracer, const char* name) {
+  return tracer != nullptr ? tracer->span(name) : TraceSpan{};
+}
 
 }  // namespace ft2

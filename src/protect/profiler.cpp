@@ -23,14 +23,9 @@ BoundStore profile_offline_bounds(const TransformerLM& model,
   gen_options.max_new_tokens = options.max_new_tokens;
   gen_options.eos_token = Vocab::kEos;
   gen_options.fp16 = true;
-  gen_options.prefill_chunk = options.prefill_chunk;
 
   for (const auto& sample : samples) {
-    std::vector<int> prompt;
-    prompt.push_back(Vocab::kBos);
-    prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                  sample.prompt_tokens.end());
-    session.generate(prompt, gen_options);
+    session.generate(prompt_with_bos(sample), gen_options);
   }
 
   if (options.quantile > 0.0) {

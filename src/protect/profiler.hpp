@@ -47,9 +47,6 @@ struct OfflineProfileOptions {
   double quantile = 0.0;
   float stats_range = 16.0f;   ///< histogram range for typical/quantile
   std::size_t stats_bins = 64; ///< histogram bins for typical/quantile
-  /// Blocked-prefill chunk for the profiling runs (purely a speed knob —
-  /// chunking is bit-exact, so recorded bounds do not depend on it).
-  std::size_t prefill_chunk = 32;
 };
 
 /// Runs fault-free generations of `gen`'s samples through the model and

@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/thread_pool.hpp"
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
 namespace ft2 {
@@ -56,12 +57,6 @@ ServeOptions solo_options(const ModelConfig& cfg) {
   o.max_batch = 1;
   o.kv_block_rows = cfg.max_seq;
   return o;
-}
-
-/// Where a session engine's spans go: a tracer that is never enabled.
-Tracer& inert_tracer() {
-  static Tracer tracer(1, /*enabled=*/false);
-  return tracer;
 }
 }  // namespace
 
@@ -132,24 +127,12 @@ void ServeEngine::erase_ptr(std::vector<Request*>& list, Request* req) {
 }
 
 ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options)
-    : ServeEngine(model, std::move(options), /*solo=*/false) {}
-
-ServeEngine::ServeEngine(const TransformerLM& model, ServeOptions options,
-                         bool solo)
     : model_(model),
       options_(resolve_pool_size(model.config(), options)),
-      solo_(solo),
       kv_pool_(model.config().n_blocks, model.config().d_model,
                options_.kv_pool_blocks, options_.kv_block_rows),
       ws_(model.config(), options_.max_batch) {
-  tracer_ = solo_ ? &inert_tracer()
-            : options_.obs.tracer != nullptr ? options_.obs.tracer
-                                             : &Tracer::global();
-  MetricsRegistry* reg = solo_ ? nullptr
-                         : options_.obs.metrics != nullptr
-                             ? options_.obs.metrics
-                             : default_metrics();
-  if (reg != nullptr) {
+  if (MetricsRegistry* reg = options_.obs.metrics; reg != nullptr) {
     metrics_.submitted = reg->counter("serve.requests.submitted");
     metrics_.completed = reg->counter("serve.requests.completed");
     metrics_.rejected = reg->counter("serve.rejected");
@@ -651,7 +634,7 @@ std::size_t ServeEngine::run_prefill_chunk(Request& req) {
     return 0;
   }
 
-  TraceSpan span = tracer_->span("serve.prefill");
+  TraceSpan span = trace_span(options_.obs.tracer, "serve.prefill");
   if (span.active()) {
     span.tag("request", std::to_string(req.id))
         .tag("slot", std::to_string(req.slot))
@@ -768,7 +751,8 @@ void ServeEngine::decode_step() {
   const bool timed = metrics_.decode_step_ms.enabled();
   const Clock::time_point step_start =
       timed ? Clock::now() : Clock::time_point{};
-  TraceSpan step_span = tracer_->span("serve.decode_step");
+  TraceSpan step_span =
+      trace_span(options_.obs.tracer, "serve.decode_step");
   if (step_span.active()) {
     // Parallel CSV lists let the Chrome exporter fan this one span out onto
     // every (request, slot) track it covered.
@@ -808,11 +792,9 @@ void ServeEngine::decode_step() {
                                  &req->hooks,
                                  {req->logits.data(), req->logits.size()}});
     }
-    // A solo engine runs every forward on the request's own pool, as its
-    // prefill does; a serving engine decodes on its own pool.
-    ExecConfig exec{(idx & 1u) != 0, (idx & 2u) != 0, options_.pool};
-    if (solo_) exec.pool = group.front()->options.pool;
-    model_.forward_batch(slots, exec, ws_);
+    // The group runs on its first request's pool, as prefill does; every
+    // request of a group shares the group's fp16 and chunked_accum bits.
+    model_.forward_batch(slots, exec_for(group.front()->options), ws_);
     ++counters_.decode_steps;
     counters_.decode_rows += slots.size();
     metrics_.decode_steps.inc();
@@ -860,8 +842,7 @@ void ServeEngine::run() {
 }
 
 InferenceSession::InferenceSession(const TransformerLM& model)
-    : engine_(new ServeEngine(model, solo_options(model.config()),
-                              /*solo=*/true)) {}
+    : engine_(new ServeEngine(model, solo_options(model.config()))) {}
 
 InferenceSession::~InferenceSession() = default;
 

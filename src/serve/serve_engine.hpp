@@ -49,7 +49,6 @@
 #include "nn/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sinks.hpp"
-#include "obs/trace.hpp"
 #include "serve/scheduler.hpp"
 
 namespace ft2 {
@@ -59,7 +58,9 @@ class ThreadPool;
 /// Engine-level knobs.
 struct ServeOptions {
   std::size_t max_batch = 8;   ///< max sequences holding slots per step
-  ThreadPool* pool = nullptr;  ///< pool for GEMM fan-out (null = global)
+  /// Pool for the GEMM fan-out of requests whose GenerateOptions::pool is
+  /// null (null = global).
+  ThreadPool* pool = nullptr;
 
   /// Rows per block of the engine's KV pool (nn/kv_pool.hpp).
   std::size_t kv_block_rows = 16;
@@ -91,11 +92,8 @@ struct ServeOptions {
   bool share_prefix = false;
 
   /// Observability sinks. `obs.metrics` is the registry the engine
-  /// publishes serve.* metrics to; nullptr selects the process default
-  /// (default_metrics(): the global registry, or metrics off entirely under
-  /// FT2_METRICS=0). `obs.tracer` receives serve.prefill /
-  /// serve.decode_step spans; nullptr selects Tracer::global(), inert
-  /// unless FT2_TRACE is set. Tests pass an isolated registry.
+  /// publishes serve.* metrics to, and `obs.tracer` receives serve.prefill
+  /// / serve.decode_step spans. Null publishes nothing (ObsSinks).
   ObsSinks obs;
 };
 
@@ -240,14 +238,8 @@ class ServeEngine {
   const KvBlockPool* kv_pool() const { return &kv_pool_; }
 
  private:
-  friend class InferenceSession;
   struct Request;
   struct PrefixEntry;
-
-  /// `solo`: InferenceSession's engine, which runs one request at a time,
-  /// every forward on the request's GenerateOptions::pool, and publishes no
-  /// serve.* metric or span.
-  ServeEngine(const TransformerLM& model, ServeOptions options, bool solo);
 
   /// submit()'s checks and bookkeeping; returns the queued request.
   Request& enqueue(std::span<const int> prompt, const GenerateOptions& options,
@@ -256,8 +248,8 @@ class ServeEngine {
   void admit_and_prefill();
   bool begin_admission(Request& req);
   std::size_t run_prefill_chunk(Request& req);
-  /// Prefill execution config of a request: its own knobs, on its own pool
-  /// or else the engine's.
+  /// Execution config of a request's forwards, prefill and decode alike:
+  /// its own knobs, on its own pool or else the engine's.
   ExecConfig exec_for(const GenerateOptions& o) const;
   void finish_prefill(Request& req);
   /// Whether `rows` more rows of `req` fit once every registered prefix is
@@ -317,9 +309,7 @@ class ServeEngine {
 
   const TransformerLM& model_;
   ServeOptions options_;
-  bool solo_ = false;
   Metrics metrics_;
-  Tracer* tracer_ = nullptr;
   KvBlockPool kv_pool_;  ///< every request's KV rows
   Workspace ws_;
   std::unordered_map<RequestId, std::unique_ptr<Request>> requests_;

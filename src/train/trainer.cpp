@@ -37,11 +37,7 @@ double evaluate_accuracy(const TransformerLM& model,
 
   std::size_t correct = 0;
   for (const auto& sample : samples) {
-    std::vector<int> prompt;
-    prompt.push_back(Vocab::kBos);
-    prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                  sample.prompt_tokens.end());
-    const auto result = session.generate(prompt, options);
+    const auto result = session.generate(prompt_with_bos(sample), options);
     const std::string text = Vocab::shared().decode(result.tokens);
     if (contains_reference(text, sample.reference)) ++correct;
   }

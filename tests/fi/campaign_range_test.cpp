@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/ft2.hpp"
+#include "fi/report.hpp"
 #include "fi/trace.hpp"
 
 namespace ft2 {
@@ -102,7 +103,7 @@ TEST(TraceTally, SdcByLayerAggregates) {
   cb(rec(LayerKind::kVProj, Outcome::kMaskedIdentical));
   cb(rec(LayerKind::kQProj, Outcome::kMaskedIdentical));
 
-  const auto tally = trace.sdc_by_layer();
+  const auto tally = aggregate_trial_records(trace.records()).by_layer;
   ASSERT_EQ(tally.size(), 2u);
   EXPECT_EQ(tally.at(LayerKind::kVProj).faults, 2u);
   EXPECT_EQ(tally.at(LayerKind::kVProj).sdc, 1u);

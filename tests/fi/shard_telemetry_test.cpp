@@ -51,6 +51,41 @@ std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
+/// Manifest of a one-shard run covering the whole campaign.
+ShardManifest one_shard_manifest(const TransformerLM& model,
+                                 const std::vector<EvalInput>& inputs,
+                                 const SchemeRef& scheme,
+                                 const CampaignConfig& config) {
+  ShardManifest manifest;
+  manifest.model = "micro";
+  manifest.model_digest = weights_digest_hex(model.export_weights());
+  manifest.dataset = "synthqa";
+  manifest.scheme = scheme.display();
+  manifest.fault_model = fault_model_name(config.fault_model);
+  manifest.vtype = value_type_name(config.vtype);
+  manifest.campaign_seed = config.seed;
+  manifest.trials_per_input = config.trials_per_input;
+  manifest.gen_tokens = config.gen_tokens;
+  manifest.faults_per_trial = config.faults_per_trial;
+  manifest.n_inputs = inputs.size();
+  manifest.total_trials = inputs.size() * config.trials_per_input;
+  manifest.last_trial = manifest.total_trials;
+  return manifest;
+}
+
+/// Reads `fd` to EOF and decodes every frame; the stream must end on a
+/// frame boundary.
+std::vector<ShardFrame> drain_frames(int fd) {
+  ShardFrameDecoder decoder;
+  char buf[4096];
+  ssize_t n;
+  while ((n = read(fd, buf, sizeof(buf))) > 0) {
+    decoder.feed(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);  // no torn trailing frame
+  return decoder.take_frames();
+}
+
 std::string timeless_dump(std::vector<TrialRecord> records) {
   std::string out;
   for (TrialRecord& r : records) {
@@ -234,29 +269,14 @@ TEST(ShardTelemetry, WorkerEmitsDecodableFramesAndStaysBitIdentical) {
   config.trials_per_input = 6;
   config.gen_tokens = 6;
   config.fault_model = FaultModel::kDoubleBit;
-  // A private registry keeps frames small (the emitter snapshots it per
-  // frame) and independent of other tests touching the global registry.
+  // The frames snapshot this registry; a small private one keeps them
+  // small.
   MetricsRegistry frame_metrics;
   config.obs.metrics = &frame_metrics;
   const std::size_t total = inputs.size() * config.trials_per_input;
 
-  ShardManifest manifest;
-  manifest.model = "micro";
-  manifest.model_digest = weights_digest_hex(model.export_weights());
-  manifest.dataset = "synthqa";
-  manifest.scheme = scheme.display();
-  manifest.fault_model = fault_model_name(config.fault_model);
-  manifest.vtype = value_type_name(config.vtype);
-  manifest.campaign_seed = config.seed;
-  manifest.trials_per_input = config.trials_per_input;
-  manifest.gen_tokens = config.gen_tokens;
-  manifest.faults_per_trial = config.faults_per_trial;
-  manifest.n_inputs = inputs.size();
-  manifest.total_trials = total;
-  manifest.shard_index = 0;
-  manifest.shard_count = 1;
-  manifest.first_trial = 0;
-  manifest.last_trial = total;
+  const ShardManifest manifest =
+      one_shard_manifest(model, inputs, scheme, config);
 
   // Baseline: no telemetry.
   const std::string plain_log = temp_path("ft2_teltest_plain.jsonl");
@@ -287,16 +307,9 @@ TEST(ShardTelemetry, WorkerEmitsDecodableFramesAndStaysBitIdentical) {
   EXPECT_EQ(timeless_dump(plain_records), timeless_dump(tel_records));
 
   // Drain the pipe and decode every frame.
-  ShardFrameDecoder decoder;
-  char buf[4096];
-  ssize_t n;
-  while ((n = read(fds[0], buf, sizeof(buf))) > 0) {
-    decoder.feed(buf, static_cast<std::size_t>(n));
-  }
+  const std::vector<ShardFrame> frames = drain_frames(fds[0]);
   close(fds[0]);
-  const std::vector<ShardFrame> frames = decoder.take_frames();
   ASSERT_GE(frames.size(), 2u);  // at least the initial + final frame
-  EXPECT_EQ(decoder.buffered_bytes(), 0u);  // no torn trailing frame
 
   // First frame announces the range before any fresh work.
   EXPECT_EQ(frames.front().shard, 0u);
@@ -343,20 +356,8 @@ TEST(ShardTelemetry, BrokenPipeNeverFailsTheShard) {
   config.gen_tokens = 4;
   const std::size_t total = inputs.size() * config.trials_per_input;
 
-  ShardManifest manifest;
-  manifest.model = "micro";
-  manifest.model_digest = weights_digest_hex(model.export_weights());
-  manifest.dataset = "synthqa";
-  manifest.scheme = scheme.display();
-  manifest.fault_model = fault_model_name(config.fault_model);
-  manifest.vtype = value_type_name(config.vtype);
-  manifest.campaign_seed = config.seed;
-  manifest.trials_per_input = config.trials_per_input;
-  manifest.gen_tokens = config.gen_tokens;
-  manifest.faults_per_trial = config.faults_per_trial;
-  manifest.n_inputs = inputs.size();
-  manifest.total_trials = total;
-  manifest.last_trial = total;
+  const ShardManifest manifest =
+      one_shard_manifest(model, inputs, scheme, config);
 
   // Close the read end before the run: every write hits EPIPE. SIGPIPE is
   // suppressed per-write (MSG_NOSIGNAL semantics via signal(SIGPIPE) in
@@ -377,6 +378,65 @@ TEST(ShardTelemetry, BrokenPipeNeverFailsTheShard) {
   close(fds[1]);
   EXPECT_EQ(result.executed, total);
   std::remove(log.c_str());
+}
+
+// A campaign with no sinks publishes nothing and still runs: a shard run
+// with a default CampaignConfig writes every record, with or without a
+// telemetry pipe, and its frames carry an empty metrics snapshot.
+TEST(ShardTelemetry, NullSinksRunAndEmitEmptySnapshots) {
+  const TransformerLM model = micro_model();
+  const auto samples =
+      make_generator(DatasetKind::kSynthQA)->generate_many(1, 99);
+  const std::vector<EvalInput> inputs =
+      prepare_eval_inputs(model, samples, 6, false);
+  const SchemeRef scheme = SchemeRef::parse("ft2");
+  const BoundStore bounds;
+  CampaignConfig config;
+  config.trials_per_input = 3;
+  config.gen_tokens = 4;
+  ASSERT_EQ(config.obs.metrics, nullptr);
+  ASSERT_EQ(config.obs.tracer, nullptr);
+  const ShardManifest manifest =
+      one_shard_manifest(model, inputs, scheme, config);
+  const std::size_t total = manifest.total_trials;
+
+  const std::string plain_log = temp_path("ft2_teltest_null_plain.jsonl");
+  std::remove(plain_log.c_str());
+  const ShardRunResult plain = run_campaign_shard(
+      model, inputs, scheme, bounds, config, manifest, plain_log, false);
+  EXPECT_EQ(plain.executed, total);
+  EXPECT_EQ(scan_shard_log(plain_log).records.size(), total);
+
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  ShardTelemetryConfig telemetry;
+  telemetry.fd = fds[1];
+  telemetry.interval_ms = 0;
+  const std::string tel_log = temp_path("ft2_teltest_null_tel.jsonl");
+  std::remove(tel_log.c_str());
+  const ShardRunResult piped = run_campaign_shard(
+      model, inputs, scheme, bounds, config, manifest, tel_log, false,
+      telemetry);
+  close(fds[1]);
+  EXPECT_EQ(piped.executed, total);
+  const std::vector<TrialRecord> records = scan_shard_log(tel_log).records;
+  EXPECT_EQ(records.size(), total);
+  EXPECT_EQ(timeless_dump(scan_shard_log(plain_log).records),
+            timeless_dump(records));
+
+  const std::vector<ShardFrame> frames = drain_frames(fds[0]);
+  close(fds[0]);
+  ASSERT_GE(frames.size(), 2u);
+  for (const ShardFrame& f : frames) {
+    EXPECT_TRUE(f.metrics.counters.empty());
+    EXPECT_TRUE(f.metrics.gauges.empty());
+    EXPECT_TRUE(f.metrics.histograms.empty());
+  }
+  EXPECT_TRUE(frames.back().final_frame);
+  EXPECT_EQ(frames.back().done, total);
+
+  std::remove(plain_log.c_str());
+  std::remove(tel_log.c_str());
 }
 
 }  // namespace

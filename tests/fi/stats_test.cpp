@@ -15,7 +15,7 @@ namespace {
 constexpr double kTol = 1e-4;
 
 void expect_wilson(std::size_t k, std::size_t n, double lo, double hi) {
-  const ProportionCI ci = wilson_ci(k, n);
+  const ProportionCI ci = proportion_ci(k, n);
   EXPECT_NEAR(ci.lo, lo, kTol) << k << "/" << n;
   EXPECT_NEAR(ci.hi, hi, kTol) << k << "/" << n;
   EXPECT_DOUBLE_EQ(ci.p, static_cast<double>(k) / static_cast<double>(n));
@@ -36,14 +36,14 @@ TEST(WilsonCI, MatchesPublishedReferenceValues) {
 TEST(WilsonCI, EdgeCases) {
   // p = 0 pins the lower bound to exactly 0, p = 1 the upper to exactly 1
   // (the Wilson limits are exact there, no clamping slop).
-  EXPECT_DOUBLE_EQ(wilson_ci(0, 10).lo, 0.0);
-  EXPECT_DOUBLE_EQ(wilson_ci(10, 10).hi, 1.0);
+  EXPECT_DOUBLE_EQ(proportion_ci(0, 10).lo, 0.0);
+  EXPECT_DOUBLE_EQ(proportion_ci(10, 10).hi, 1.0);
   // n = 1: the widest informative interval.
   expect_wilson(0, 1, 0.0, 0.793451);
   expect_wilson(1, 1, 0.206549, 1.0);
   // The interval always brackets the point estimate.
   for (std::size_t k : {0u, 1u, 3u, 7u, 10u}) {
-    const ProportionCI ci = wilson_ci(k, 10);
+    const ProportionCI ci = proportion_ci(k, 10);
     EXPECT_LE(ci.lo, ci.p);
     EXPECT_GE(ci.hi, ci.p);
     EXPECT_GE(ci.lo, 0.0);
@@ -105,7 +105,7 @@ TEST(BootstrapCI, BracketsThePointEstimate) {
   // Near the campaign regime (sub-1% SDC at large n) the bootstrap and
   // Wilson intervals agree to well under a percentage point.
   const BootstrapCI boot = bootstrap_proportion_ci(250, 100000);
-  const ProportionCI wilson = wilson_ci(250, 100000);
+  const ProportionCI wilson = proportion_ci(250, 100000);
   EXPECT_NEAR(boot.lo, wilson.lo, 5e-4);
   EXPECT_NEAR(boot.hi, wilson.hi, 5e-4);
 }

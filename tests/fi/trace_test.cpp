@@ -6,6 +6,8 @@
 #include <limits>
 #include <sstream>
 
+#include "fi/report.hpp"
+
 namespace ft2 {
 namespace {
 
@@ -41,7 +43,7 @@ TEST(Trace, CollectsViaCallback) {
   cb(make_record(1, Outcome::kSdc));
   cb(make_record(2, Outcome::kSdc));
   EXPECT_EQ(collector.size(), 3u);
-  EXPECT_EQ(collector.sdc_records().size(), 2u);
+  EXPECT_EQ(aggregate_trial_records(collector.records()).result.sdc, 2u);
   collector.clear();
   EXPECT_EQ(collector.size(), 0u);
 }

@@ -86,39 +86,6 @@ TEST(BoundDrift, ObservesPostFirstTokenDispatches) {
   EXPECT_DOUBLE_EQ(gauge->value, monitor.near_clip_fraction());
 }
 
-/// Null sinks are inert for the monitor as for every hook: a monitor
-/// built with default options adds nothing to the process registry.
-TEST(BoundDrift, DefaultOptionsPublishNothing) {
-  MetricsRegistry* global = default_metrics();
-  if (global == nullptr) GTEST_SKIP() << "metrics disabled (FT2_METRICS)";
-  const TransformerLM model = micro_model();
-  const SchemeSpec spec = scheme_spec(SchemeKind::kFt2, model.config());
-  const auto headroom_samples = [&] {
-    const MetricsSnapshot snap = global->snapshot();
-    std::uint64_t n = 0;
-    for (LayerKind kind : spec.covered) {
-      const auto* hist = snap.find_histogram(
-          "protect.headroom." + std::string(layer_kind_name(kind)));
-      if (hist != nullptr) n += hist->count;
-    }
-    return n;
-  };
-  const std::uint64_t before = headroom_samples();
-
-  ProtectionHook protection(model.config(), spec);
-  BoundDriftMonitor monitor(protection);
-  InferenceSession session(model);
-  const auto protect_reg = session.hooks().add(protection);
-  const auto monitor_reg = session.hooks().add(monitor);
-  GenerateOptions opts;
-  opts.max_new_tokens = 6;
-  opts.eos_token = -1;
-  session.generate(std::vector<int>{Vocab::kBos, 5, 9, 13}, opts);
-
-  EXPECT_GT(monitor.total_dispatches(), 0u);
-  EXPECT_EQ(headroom_samples(), before);
-}
-
 struct CampaignArtifacts {
   CampaignResult result;
   std::string records_jsonl;

@@ -75,32 +75,6 @@ TEST(Profiler, BoundsAreDeterministic) {
   EXPECT_EQ(a.at(site).hi, b.at(site).hi);
 }
 
-TEST(Profiler, BoundsIndependentOfPrefillChunk) {
-  // The blocked prefill is bit-exact, so profiled bounds must be IDENTICAL
-  // (not just close) for any chunk size.
-  const TransformerLM model = micro_model();
-  const auto gen = make_generator(DatasetKind::kSynthQA);
-  OfflineProfileOptions sequential = profile_opts(3, 5, 6);
-  sequential.prefill_chunk = 1;
-  OfflineProfileOptions chunked = sequential;
-  chunked.prefill_chunk = 8;
-  OfflineProfileOptions whole = sequential;
-  whole.prefill_chunk = 0;  // whole prompt in one chunk
-
-  const BoundStore a = profile_offline_bounds(model, *gen, sequential);
-  const BoundStore b = profile_offline_bounds(model, *gen, chunked);
-  const BoundStore c = profile_offline_bounds(model, *gen, whole);
-  for (std::size_t blk = 0; blk < model.config().n_blocks; ++blk) {
-    for (LayerKind kind : model.config().block_layers()) {
-      const LayerSite site{static_cast<int>(blk), kind};
-      EXPECT_EQ(a.at(site).lo, b.at(site).lo) << layer_kind_name(kind);
-      EXPECT_EQ(a.at(site).hi, b.at(site).hi) << layer_kind_name(kind);
-      EXPECT_EQ(a.at(site).lo, c.at(site).lo) << layer_kind_name(kind);
-      EXPECT_EQ(a.at(site).hi, c.at(site).hi) << layer_kind_name(kind);
-    }
-  }
-}
-
 TEST(ActivationStats, RecordsPerSiteAndAggregates) {
   ActivationStatsHook stats(4.0f, 8);
   std::vector<float> v0 = {0.5f, 1.5f, -1.2f};  // two NaN-vulnerable

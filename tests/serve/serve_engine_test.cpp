@@ -425,47 +425,39 @@ TEST(ServeEngine, ReleaseFreesOnlyFinishedRequests) {
   EXPECT_EQ(kept.tokens.size(), 4u);
 }
 
-// A session's engine publishes nothing: no serve.* metric to the process
-// registry and no span to the process tracer, while a serving engine built
-// with the same defaults publishes both.
+// An engine publishes only to the sinks it is given: a session's engine and
+// a serving engine built with default options run with null sinks, publish
+// nothing and produce the tokens of an engine that publishes to both.
 TEST(ServeEngine, SessionEnginesPublishNoMetricsOrSpans) {
-  MetricsRegistry* global = default_metrics();
-  if (global == nullptr) GTEST_SKIP() << "metrics disabled (FT2_METRICS=0)";
   const TransformerLM model = micro_model(ArchFamily::kOpt);
   const auto prompts = mixed_prompts(model, 1);
   GenerateOptions opts;
   opts.max_new_tokens = 3;
   opts.eos_token = -1;
-  const auto submitted = [&] {
-    for (const auto& c : global->snapshot().counters) {
-      if (c.name == "serve.requests.submitted") return c.value;
-    }
-    return std::uint64_t{0};
-  };
-  const auto serve_spans = [] {
-    std::size_t n = 0;
-    for (const TraceEvent& e : Tracer::global().events()) {
-      n += e.name.rfind("serve.", 0) == 0 ? 1 : 0;
-    }
-    return n;
-  };
-  Tracer& tracer = Tracer::global();
-  const bool was_enabled = tracer.enabled();
-  tracer.set_enabled(true);
-  const std::uint64_t before = submitted();
-  const std::size_t spans_before = serve_spans();
+  MetricsRegistry registry;
+  Tracer tracer(64, /*enabled=*/true);
 
   InferenceSession session(model);
-  session.generate(prompts[0], opts);
-  EXPECT_EQ(submitted(), before);
-  EXPECT_EQ(serve_spans(), spans_before);
+  const GenerateResult solo = session.generate(prompts[0], opts);
+  ServeEngine bare(model);
+  const RequestId bare_id = bare.submit(prompts[0], opts);
+  bare.run();
+  EXPECT_EQ(bare.result(bare_id).tokens, solo.tokens);
+  EXPECT_TRUE(registry.snapshot().counters.empty());
+  EXPECT_EQ(tracer.recorded(), 0u);
 
-  ServeEngine engine(model);
-  engine.submit(prompts[0], opts);
+  ServeOptions serve_opts;
+  serve_opts.obs = ObsSinks{&registry, &tracer};
+  ServeEngine engine(model, serve_opts);
+  const RequestId id = engine.submit(prompts[0], opts);
   engine.run();
-  tracer.set_enabled(was_enabled);
-  EXPECT_EQ(submitted(), before + 1);
-  EXPECT_GT(serve_spans(), spans_before);
+  EXPECT_EQ(engine.result(id).tokens, solo.tokens);
+  EXPECT_EQ(registry.snapshot().counter_value("serve.requests.submitted"), 1u);
+  std::size_t serve_spans = 0;
+  for (const TraceEvent& e : tracer.events()) {
+    serve_spans += e.name.rfind("serve.", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(serve_spans, 0u);
 }
 
 // A fork is a request: batched with ordinary requests on a serving engine,

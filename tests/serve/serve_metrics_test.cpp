@@ -238,10 +238,9 @@ TEST(ServeMetrics, TracerThroughServeOptionsRecordsSpans) {
 }
 
 TEST(ServeMetrics, NullRegistryRunsWithInertHandles) {
-  // An engine given no registry under FT2_METRICS=0 semantics: simulate by
-  // bypassing default_metrics with an explicit empty run — the engine must
-  // behave identically (results are checked elsewhere; here: no crash and
-  // no registrations leak into an unrelated registry).
+  // An engine given no registry runs on inert handles: same tokens and
+  // engine counters as one that publishes, and no registration leaks into
+  // an unrelated registry.
   const TransformerLM model = micro_model();
   const auto prompts = mixed_prompts(model, 1);
   const auto options = mixed_options(1);
@@ -249,11 +248,19 @@ TEST(ServeMetrics, NullRegistryRunsWithInertHandles) {
   MetricsRegistry unrelated;
   ServeOptions serve_opts;
   serve_opts.obs.metrics = &unrelated;
+  ServeEngine published(model, serve_opts);
+  const RequestId published_id = published.submit(prompts[0], options[0]);
+  published.run();
+  const std::size_t registered = unrelated.snapshot().counters.size();
   {
-    ServeEngine engine(model, serve_opts);
-    engine.submit(prompts[0], options[0]);
+    ServeEngine engine(model);
+    const RequestId id = engine.submit(prompts[0], options[0]);
     engine.run();
+    EXPECT_EQ(engine.result(id).tokens, published.result(published_id).tokens);
+    EXPECT_EQ(engine.counters().decode_steps,
+              published.counters().decode_steps);
   }
+  EXPECT_EQ(unrelated.snapshot().counters.size(), registered);
   // Protection hook constructed with a null registry keeps inert handles.
   const SchemeSpec spec = scheme_spec(SchemeKind::kFt2, model.config());
   ProtectionHook hook(model.config(), spec, BoundStore{}, nullptr);

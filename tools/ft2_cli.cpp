@@ -90,13 +90,6 @@ FaultModel parse_fault_model(const std::string& name) {
   throw Error("unknown fault model: " + name + " (1-bit|2-bit|exp)");
 }
 
-std::vector<int> prompt_of(const Sample& sample) {
-  std::vector<int> prompt = {Vocab::kBos};
-  prompt.insert(prompt.end(), sample.prompt_tokens.begin(),
-                sample.prompt_tokens.end());
-  return prompt;
-}
-
 /// --telemetry-port wiring shared by serve-bench and campaign: a
 /// TelemetrySampler over the command's isolated registry, served by the
 /// HTTP endpoint (GET /metrics, /snapshot.json, /healthz) for the
@@ -203,7 +196,7 @@ int cmd_generate(const std::string& model_name, const ArgParser& args) {
   opts.eos_token = Vocab::kEos;
   for (std::size_t i = 0; i < n; ++i) {
     const Sample sample = gen->generate(rng);
-    const auto out = session.generate(prompt_of(sample), opts);
+    const auto out = session.generate(prompt_with_bos(sample), opts);
     std::cout << "prompt : " << sample.prompt_text << "\n"
               << "output : " << Vocab::shared().decode(out.tokens) << "\n"
               << "expect : " << sample.target_text << "\n\n";
@@ -217,7 +210,7 @@ int cmd_inject(const std::string& model_name, const ArgParser& args) {
   const auto gen = make_generator(dataset);
   Xoshiro256 rng(args.get_size("seed", 1));
   const Sample sample = gen->generate(rng);
-  const auto prompt = prompt_of(sample);
+  const auto prompt = prompt_with_bos(sample);
 
   FaultPlan plan;
   plan.site.block = static_cast<int>(args.get_size("block", 0));
@@ -665,14 +658,20 @@ int cmd_campaign_shard(const std::string& model_name, const ArgParser& args,
     std::filesystem::create_directories(setup.dir);
     const std::string path =
         shard_log_path(setup.dir, index, setup.shards);
+    // The frames carry this worker's campaign.*, protect.* and
+    // campaign.shard.* metrics, so a piped worker gives its campaign a
+    // registry of its own.
     ShardTelemetryConfig shard_telemetry;
+    CampaignConfig config = setup.config;
+    MetricsRegistry registry;
     if (args.has("telemetry-fd")) {
       signal(SIGPIPE, SIG_IGN);
       shard_telemetry.fd = static_cast<int>(args.get_size("telemetry-fd", 0));
       shard_telemetry.interval_ms = args.get_size("telemetry-interval", 250);
+      config.obs.metrics = &registry;
     }
     const ShardRunResult run = run_campaign_shard(
-        *setup.model, setup.inputs, setup.scheme, setup.bounds, setup.config,
+        *setup.model, setup.inputs, setup.scheme, setup.bounds, config,
         manifest, path, /*resume=*/!args.has("no-resume"), shard_telemetry);
     if (shard_telemetry.enabled()) close(shard_telemetry.fd);
     std::cout << "shard " << index << "/" << setup.shards << " ["
@@ -852,7 +851,7 @@ int cmd_serve_bench(const std::string& model_name, const ArgParser& args) {
   std::vector<std::vector<int>> prompts;
   prompts.reserve(n_requests);
   for (std::size_t i = 0; i < n_requests; ++i) {
-    prompts.push_back(prompt_of(gen->generate(rng)));
+    prompts.push_back(prompt_with_bos(gen->generate(rng)));
   }
 
   // --metrics-out: both paths run with protection attached (the token
@@ -995,7 +994,8 @@ int cmd_metrics(const std::string& model_name, const ArgParser& args) {
   for (std::size_t i = 0; i < n_requests; ++i) {
     hooks.emplace_back(model->config(), scheme.instantiate(model->config()),
                        ObsSinks{&registry, nullptr});
-    const RequestId id = engine.submit(prompt_of(gen->generate(rng)), opts);
+    const RequestId id =
+        engine.submit(prompt_with_bos(gen->generate(rng)), opts);
     regs.push_back(engine.hooks(id).add(hooks.back()));
   }
   engine.run();
